@@ -18,7 +18,7 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -343,7 +343,8 @@ def _suite_results(exp: Experiment, raw: Dict[str, str], seed: int) -> List[dict
 
     agree = validation.simulator_agreement(exp, ["ftp", "atp"], k_sim, trials)
     record("simulator_vs_series", all(r.passed for r in agree),
-           {"worst_rel_err": max(r.rel_err for r in agree), "tol": 0.02})
+           {"worst_rel_err": max(r.rel_err for r in agree),
+            "rows": [asdict(r) for r in agree]})
     return results
 
 

@@ -6,17 +6,28 @@ every user still holding a packet transmits independently with the
 scheme's probability; exactly one transmitter is a success (that user
 leaves the pool), two or more collide, zero is an idle slot.  Idle and
 collision slots cost one time unit each, same as success slots.
+
+Batches run in blocks of TRIAL_BLOCK frames with numpy (`admit_users`,
+`contend`); `run_frame` is the per-slot reference they are tested against.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from . import channel, streams
 from .params import EnergyModel, Experiment
+
+# Frames per block.  Each block owns its admission and contention
+# substreams, so memory stays bounded for any trial count and results do
+# not depend on how blocks are scheduled.
+TRIAL_BLOCK = 1024
+# Admission draws at most this many channel SNRs at once from a block's
+# streams (rows of N users), bounding memory for large N as well.
+ADMISSION_DRAWS = 1 << 18
 
 IDLE, SUCCESS, COLLISION = "idle", "success", "collision"
 
@@ -59,32 +70,6 @@ class FrameTrace:
         if self.k_admitted == 0:
             return 0.0
         return account_energy(self, model) / self.k_admitted
-
-
-def admit_users(exp: Experiment, trial: int, seed: Optional[int] = None
-                ) -> Tuple[int, np.ndarray]:
-    """QoS admission: keep the users whose SNR exceeds gamma_qos.
-
-    Every provisioned user gets an independent channel draw (fresh per
-    frame); `admission = average` in the config compares the mean SNR
-    instead of an instantaneous draw.
-    """
-    cfg = exp.protocol
-    seed = cfg.seed if seed is None else seed
-    n = cfg.n_total
-    if cfg.admission == "average" or cfg.gamma_qos == 0.0:
-        # gamma_qos = 0 admits everyone (SNR > 0 almost surely); the
-        # average mode needs no random draw at all.
-        if cfg.admission == "average" and exp.link.avg_snr <= cfg.gamma_qos:
-            return 0, np.array([], dtype=int)
-        return n, np.arange(n)
-    gammas = channel.draw_snr_batch(
-        exp, n,
-        streams.substream(seed, trial, streams.ADMISSION, streams.ABSORPTION),
-        streams.substream(seed, trial, streams.ADMISSION, streams.FADING),
-        streams.substream(seed, trial, streams.ADMISSION, streams.MISALIGNMENT))
-    ids = np.flatnonzero(gammas > cfg.gamma_qos)
-    return ids.size, ids
 
 
 def run_frame(scheme: str, k: int, rng: np.random.Generator) -> FrameTrace:
@@ -134,14 +119,91 @@ def _run_stage(trace, pool, remaining, p, rng):
             return
 
 
-def account_energy(trace: FrameTrace, model: EnergyModel) -> float:
-    """Frame energy: unit mode counts transmissions; realistic mode charges
-    e_tx per transmission, e_ack per success, e_idle per waiting holder-slot."""
+def frame_energy(model: EnergyModel, transmissions, successes, waiting):
+    """Frame energy from its totals (scalars or per-frame arrays): unit mode
+    counts transmissions; realistic mode charges e_tx per transmission,
+    e_ack per success, e_idle per waiting holder-slot."""
     if not model.realistic:
-        return float(trace.total_transmissions)
-    return (model.e_tx_uj * trace.total_transmissions
-            + model.e_ack_uj * trace.success_count
-            + model.e_idle_uj * trace.total_waiting)
+        return 1.0 * transmissions
+    return (model.e_tx_uj * transmissions + model.e_ack_uj * successes
+            + model.e_idle_uj * waiting)
+
+
+def account_energy(trace: FrameTrace, model: EnergyModel) -> float:
+    """Energy of one traced frame."""
+    return float(frame_energy(model, trace.total_transmissions,
+                              trace.success_count, trace.total_waiting))
+
+
+def admit_users(exp: Experiment, block: int, size: int) -> np.ndarray:
+    """QoS admission for `size` frames of one block: admitted-user counts.
+
+    Every provisioned user of every frame gets an independent channel draw
+    from the block's substreams and is admitted when its SNR exceeds
+    gamma_qos; `admission = average` in the config compares the mean SNR
+    instead of an instantaneous draw.
+    """
+    cfg = exp.protocol
+    n = cfg.n_total
+    if cfg.admission == "average" or cfg.gamma_qos == 0.0:
+        # gamma_qos = 0 admits everyone (SNR > 0 almost surely); the
+        # average mode needs no random draw at all.
+        if cfg.admission == "average" and exp.link.avg_snr <= cfg.gamma_qos:
+            return np.zeros(size, dtype=np.int64)
+        return np.full(size, n, dtype=np.int64)
+    rngs = [streams.substream(cfg.seed, streams.ADMISSION, block, c)
+            for c in (streams.ABSORPTION, streams.FADING, streams.MISALIGNMENT)]
+    counts = np.empty(size, dtype=np.int64)
+    rows = max(1, ADMISSION_DRAWS // n)
+    for lo in range(0, size, rows):
+        m = min(rows, size - lo)
+        gammas = channel.draw_snr_batch(exp, m * n, *rngs).reshape(m, n)
+        counts[lo:lo + m] = np.count_nonzero(gammas > cfg.gamma_qos, axis=1)
+    return counts
+
+
+def contend(scheme: str, k: np.ndarray, rng: np.random.Generator
+            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-frame (slots, transmissions, waiting) for admitted counts k.
+
+    All live frames step in lockstep: each slot draws the transmitter count
+    m ~ Binomial(remaining, p), with p = 1/k (FTP) or 1/remaining (ATP); a
+    slot with m == 1 removes one holder, and the other remaining - m
+    holders wait.  Finished frames drop out of the live set.  The optimal
+    schedule polls one user per slot: (k, k, 0) in closed form.
+    """
+    k = np.asarray(k, dtype=np.int64)
+    slots = np.zeros(k.size, dtype=np.int64)
+    txs = np.zeros(k.size, dtype=np.int64)
+    waits = np.zeros(k.size, dtype=np.int64)
+    if scheme == "optimal":
+        return k.copy(), k.copy(), waits
+    live = np.flatnonzero(k > 0)
+    remaining = k[live]
+    p = 1.0 / remaining
+    tx = np.zeros(live.size, dtype=np.int64)
+    wait = np.zeros(live.size, dtype=np.int64)
+    slot = 0
+    while live.size:
+        if scheme == "atp":
+            p = 1.0 / remaining
+        m = rng.binomial(remaining, p)
+        slot += 1
+        tx += m
+        wait += remaining - m
+        remaining = remaining - (m == 1)
+        done = remaining == 0
+        if done.any():
+            ids = live[done]
+            slots[ids] = slot
+            txs[ids] = tx[done]
+            waits[ids] = wait[done]
+            keep = ~done
+            live, remaining, tx, wait = (live[keep], remaining[keep],
+                                         tx[keep], wait[keep])
+            if scheme == "ftp":
+                p = p[keep]
+    return slots, txs, waits
 
 
 @dataclass(frozen=True)
@@ -179,35 +241,35 @@ def run_batch(exp: Experiment, collect_rows: bool = False
               ) -> Tuple[AggregateStats, List[TrialRow]]:
     """Run `trials` independent frames; deterministic given (seed, config).
 
-    Each trial owns named substreams for admission and contention, so the
-    aggregate is independent of execution order.  K_admitted = 0 frames
-    contribute zero delay/energy and stay in the averages.
+    Block b of TRIAL_BLOCK frames draws admission from the substreams
+    (seed, ADMISSION, b, component) and contention from (seed, PROTOCOL,
+    b), so the aggregate is independent of execution order.
+    K_admitted = 0 frames contribute zero delay/energy and stay in the
+    averages.
     """
     cfg = exp.protocol
-    unit = EnergyModel(realistic=False)
     realistic = EnergyModel(realistic=True, e_tx_uj=cfg.energy.e_tx_uj,
                             e_ack_uj=cfg.energy.e_ack_uj,
                             e_idle_uj=cfg.energy.e_idle_uj)
-    delays = np.empty(cfg.trials)
-    txs = np.empty(cfg.trials)
-    e_uj = np.empty(cfg.trials)
-    ks = np.empty(cfg.trials)
+    ks = np.empty(cfg.trials, dtype=np.int64)
+    slots = np.empty(cfg.trials, dtype=np.int64)
+    txs = np.empty(cfg.trials, dtype=np.int64)
+    waits = np.empty(cfg.trials, dtype=np.int64)
+    for block, lo in enumerate(range(0, cfg.trials, TRIAL_BLOCK)):
+        hi = min(lo + TRIAL_BLOCK, cfg.trials)
+        ks[lo:hi] = admit_users(exp, block, hi - lo)
+        rng = streams.substream(cfg.seed, streams.PROTOCOL, block)
+        slots[lo:hi], txs[lo:hi], waits[lo:hi] = contend(cfg.scheme,
+                                                         ks[lo:hi], rng)
+    e_uj = frame_energy(realistic, txs, ks, waits)
     rows: List[TrialRow] = []
-    for t in range(cfg.trials):
-        k_adm, _ = admit_users(exp, t)
-        rng = streams.substream(cfg.seed, t, streams.PROTOCOL)
-        trace = run_frame(cfg.scheme, k_adm, rng)
-        delays[t] = trace.total_slots
-        txs[t] = trace.total_transmissions
-        e_uj[t] = account_energy(trace, realistic)
-        ks[t] = k_adm
-        if collect_rows:
-            rows.append(TrialRow(t, cfg.scheme, k_adm, trace.total_slots,
-                                 trace.total_transmissions,
-                                 account_energy(trace, unit), float(e_uj[t])))
+    if collect_rows:
+        rows = [TrialRow(t, cfg.scheme, k, s, x, float(x), e)
+                for t, (k, s, x, e) in enumerate(zip(
+                    ks.tolist(), slots.tolist(), txs.tolist(), e_uj.tolist()))]
     stats = AggregateStats(
         scheme=cfg.scheme, n_trials=cfg.trials,
-        mean_delay=float(delays.mean()), se_delay=_se(delays),
+        mean_delay=float(slots.mean()), se_delay=_se(slots),
         mean_transmissions=float(txs.mean()), se_transmissions=_se(txs),
         mean_energy_units=float(txs.mean()), se_energy_units=_se(txs),
         mean_energy_uj=float(e_uj.mean()), se_energy_uj=_se(e_uj),

@@ -1,6 +1,10 @@
 """Statistical harness tying Monte Carlo output to the closed forms:
 goodness-of-fit, outage curves with confidence intervals, slope regression
 for the diversity order, and exhaustive bound sweeps.
+
+scipy.stats is imported inside the functions that use it: importing it
+takes most of the CLI's start-up (time and memory), and simulate and sweep
+never need it.
 """
 from __future__ import annotations
 
@@ -9,13 +13,13 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, List, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as sstats
 
 from . import analytics, channel, protocol, streams
 from .errors import EmptySample, InsufficientTail
 from .params import Experiment
 
 KS_COEFF_5PCT = 1.36     # asymptotic two-sided KS threshold factor at 5%
+AGREEMENT_ALPHA = 1e-3   # family-wise false-alarm level of simulator_agreement
 
 
 @dataclass(frozen=True)
@@ -37,6 +41,7 @@ class GofReport:
         """Chi-square tail probability (only meaningful for ChiSquare)."""
         if self.test != "ChiSquare" or self.df < 1:
             raise ValueError("p_value defined for chi-square reports only")
+        from scipy import stats as sstats
         return float(sstats.chi2.sf(self.statistic, df=self.df))
 
 
@@ -66,6 +71,7 @@ def chi_square_compare(samples: np.ndarray, cdf: Callable, support: Tuple[float,
     Bin edges are found by bisecting the CDF; passes when the p-value
     exceeds p_floor (statistic below the matching chi2 quantile).
     """
+    from scipy import stats as sstats
     x = np.asarray(samples, dtype=float)
     n = x.size
     if n < 1000:
@@ -160,6 +166,7 @@ def slope_fit(curve: OutageCurve, max_pout: float = 0.1,
     than max_ci_decades; raises InsufficientTail when fewer than
     min_points qualify.
     """
+    from scipy import stats as sstats
     ok = (curve.p_out < max_pout) & (curve.p_out > 0) & (curve.ci_lo > 0)
     width = np.full(curve.p_out.shape, np.inf)
     nz = curve.ci_lo > 0
@@ -227,8 +234,9 @@ class AgreementRow:
     kind: str            # delay | energy
     simulated: float
     exact: float
+    se: float            # standard error of the simulated mean
+    z: float             # allowed deviation in standard errors
     rel_err: float
-    tol: float
     passed: bool
 
 
@@ -244,19 +252,29 @@ def exact_delay_energy(scheme: str, K: int) -> Tuple[float, float]:
 
 
 def simulator_agreement(exp: Experiment, schemes: Sequence[str],
-                        k_values: Sequence[int], trials: int,
-                        tol: float = 0.02) -> List[AgreementRow]:
-    """Mean frame slots / transmissions vs the exact series, 2% default."""
-    rows: List[AgreementRow] = []
+                        k_values: Sequence[int], trials: int
+                        ) -> List[AgreementRow]:
+    """Mean frame slots / transmissions vs the exact series.
+
+    A row passes when |simulated - exact| <= z * SE, with z the two-sided
+    normal quantile at the Bonferroni level AGREEMENT_ALPHA / rows, so a
+    correct simulator fails the table with probability at most about
+    AGREEMENT_ALPHA at any trial count, while a fixed relative bias is
+    caught once enough trials shrink SE well below it.
+    """
+    from scipy import stats as sstats
+    results = []
     for scheme in schemes:
         for K in k_values:
             e = exp.with_protocol(scheme=scheme, n_total=K, gamma_qos=0.0,
                                   trials=trials)
             stats, _ = protocol.run_batch(e)
             d_exact, e_exact = exact_delay_energy(scheme, K)
-            for kind, sim, exact in (("delay", stats.mean_delay, d_exact),
-                                     ("energy", stats.mean_energy_units, e_exact)):
-                rel = abs(sim - exact) / exact
-                rows.append(AgreementRow(scheme, K, kind, sim, float(exact),
-                                         rel, tol, rel < tol))
-    return rows
+            results += [(scheme, K, "delay", stats.mean_delay, stats.se_delay,
+                         d_exact),
+                        (scheme, K, "energy", stats.mean_energy_units,
+                         stats.se_energy_units, e_exact)]
+    z = float(sstats.norm.isf(AGREEMENT_ALPHA / (2.0 * len(results))))
+    return [AgreementRow(scheme, K, kind, sim, float(exact), se, z,
+                         abs(sim - exact) / exact, abs(sim - exact) <= z * se)
+            for scheme, K, kind, sim, se, exact in results]

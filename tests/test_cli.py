@@ -1,10 +1,14 @@
 """End-to-end command tests: exit codes, CSV schemas, determinism, resume."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-from thzra import cli
+from thzra import cli, validation
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 DEFAULT_CFG = CONFIG_DIR / "default.cfg"
 SWEEP_CFG = CONFIG_DIR / "sweep_outage.cfg"
 
@@ -139,12 +143,17 @@ def test_analyze_hand_row_and_bracketing(tmp_path):
     assert all(b <= a for a, b in zip(pouts, pouts[1:]))
 
 
-def test_validate_exit_codes(tmp_path):
-    fast = DEFAULT_CFG.read_text().replace(
+def fast_validate_text():
+    """Default config with validate's sample and trial counts cut down."""
+    return DEFAULT_CFG.read_text().replace(
         "n_samples = 100000", "n_samples = 20000").replace(
         "trials = 5000", "trials = 2500").replace(
         "k_users = 2,5,10,20,40", "k_users = 2,5").replace(
         "outage_draws = 200000", "outage_draws = 50000")
+
+
+def test_validate_exit_codes(tmp_path):
+    fast = fast_validate_text()
     cfg = write_cfg(tmp_path, "fast.cfg", fast)
     out = tmp_path / "out"
     assert cli.main(["validate", "--config", str(cfg), "--seed", "3",
@@ -160,6 +169,36 @@ def test_validate_exit_codes(tmp_path):
     cfg_bad = write_cfg(tmp_path, "sab.cfg", sabotage)
     assert cli.main(["validate", "--config", str(cfg_bad), "--seed", "3",
                      "--out", str(tmp_path / "out2")]) == 1
+
+
+def test_validate_catches_biased_simulator(tmp_path, monkeypatch):
+    # a 5 % bias against the series must fail simulator_vs_series
+    cfg = write_cfg(tmp_path, "fast.cfg", fast_validate_text())
+    exact = validation.exact_delay_energy
+    monkeypatch.setattr(validation, "exact_delay_energy",
+                        lambda scheme, k: tuple(1.05 * v for v in exact(scheme, k)))
+    out = tmp_path / "out"
+    assert cli.main(["validate", "--config", str(cfg), "--seed", "3",
+                     "--out", str(out)]) == 1
+    report = json.loads((out / "validation_report.json").read_text())
+    failed = {s["suite"] for s in report["suites"] if not s["passed"]}
+    assert failed == {"simulator_vs_series"}
+    detail = next(s["detail"] for s in report["suites"]
+                  if s["suite"] == "simulator_vs_series")
+    assert len(detail["rows"]) == 8
+    for row in detail["rows"]:
+        assert row["se"] > 0 and row["z"] > 3.0
+    assert detail["worst_rel_err"] == max(r["rel_err"] for r in detail["rows"])
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    code = ("import sys, thzra.cli; "
+            "sys.exit('scipy.stats' in sys.modules)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC_DIR)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert proc.returncode == 0
 
 
 def test_sweep_grid_and_resume(tmp_path):

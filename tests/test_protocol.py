@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats as sstats
 
 from thzra import analytics, channel, protocol, streams, validation
 from thzra.params import (EnergyModel, Experiment, FadingParams,
@@ -128,36 +129,110 @@ def test_realistic_energy_decomposition():
 
 def test_admission_zero_threshold_admits_all():
     exp = make_experiment(n_total=57, gamma_qos=0.0)
-    k, ids = protocol.admit_users(exp, trial=0)
-    assert k == 57
-    assert ids.size == 57
+    k = protocol.admit_users(exp, block=0, size=4)
+    assert k.tolist() == [57] * 4
 
 
 def test_admission_above_ceiling_admits_none():
     # gamma_qos >= 1/k_h^2 = 50 can never be exceeded
     exp = make_experiment(n_total=1000, gamma_qos=55.0)
-    k, ids = protocol.admit_users(exp, trial=0)
-    assert k == 0
-    assert ids.size == 0
+    k = protocol.admit_users(exp, block=0, size=3)
+    assert k.tolist() == [0] * 3
 
 
 def test_admission_fraction_matches_no_fading_law():
+    # N = 100 000 users in each of a few frames; the draws span several
+    # ADMISSION_DRAWS chunks of one block's streams
     exp = make_experiment(n_total=100_000, gamma_qos=10 ** 0.5)
-    k, _ = protocol.admit_users(exp, trial=3)
+    k = protocol.admit_users(exp, block=3, size=4)
+    n = exp.protocol.n_total * k.size
     q = analytics.OutageQuery(exp.protocol.gamma_qos, exp.link.avg_snr,
                               exp.link.k_h)
     p_adm = 1.0 - analytics.cdf_snr_no_fading(q, exp.absorption,
                                               exp.misalignment.rho, exp.link)
-    se = math.sqrt(p_adm * (1 - p_adm) / exp.protocol.n_total)
-    assert abs(k / exp.protocol.n_total - p_adm) <= 3 * se
+    se = math.sqrt(p_adm * (1 - p_adm) / n)
+    assert abs(k.sum() / n - p_adm) <= 3 * se
 
 
 def test_admission_average_mode_is_deterministic():
     # avg_snr = 10^4.5; the average mode is all-or-nothing around it
     exp = make_experiment(n_total=10, gamma_qos=1e5, admission="average")
-    assert protocol.admit_users(exp, trial=0)[0] == 0
+    assert protocol.admit_users(exp, block=0, size=2).tolist() == [0, 0]
     exp = make_experiment(n_total=10, gamma_qos=3.0, admission="average")
-    assert protocol.admit_users(exp, trial=0)[0] == 10
+    assert protocol.admit_users(exp, block=0, size=2).tolist() == [10, 10]
+
+
+def test_block_admission_counts_are_binomial():
+    # per-frame admitted counts over several blocks ~ Binomial(N, q)
+    n_users, trials = 40, 4 * protocol.TRIAL_BLOCK
+    exp = make_experiment(scheme="optimal", n_total=n_users,
+                          gamma_qos=10 ** 0.5, trials=trials, seed=8)
+    _, rows = protocol.run_batch(exp, collect_rows=True)
+    counts = np.bincount([r.k_admitted for r in rows], minlength=n_users + 1)
+    q = analytics.OutageQuery(exp.protocol.gamma_qos, exp.link.avg_snr,
+                              exp.link.k_h)
+    p_adm = 1.0 - analytics.cdf_snr_no_fading(q, exp.absorption,
+                                              exp.misalignment.rho, exp.link)
+    expected = trials * sstats.binom.pmf(np.arange(n_users + 1), n_users, p_adm)
+    # the pmf is unimodal: fold each tail into the last bin expecting >= 5
+    lo, hi = np.flatnonzero(expected >= 5.0)[[0, -1]]
+    fold = lambda x: np.r_[x[:lo + 1].sum(), x[lo + 1:hi], x[hi:].sum()]
+    assert sstats.chisquare(fold(counts), fold(expected)).pvalue > 1e-4
+
+
+# ---------------------------------------------------------------------------
+# block kernel against the per-slot reference
+# ---------------------------------------------------------------------------
+
+def _two_sample_chi2_p(a, b, bins=10):
+    """Chi-square homogeneity p-value of two samples on pooled-quantile bins."""
+    edges = np.unique(np.quantile(np.concatenate([a, b]),
+                                  np.linspace(0.0, 1.0, bins + 1)))
+    if edges.size < 2:
+        return 1.0 if a[0] == b[0] else 0.0
+    table = np.array([np.histogram(a, edges)[0], np.histogram(b, edges)[0]])
+    return float(sstats.chi2_contingency(table)[1])
+
+
+@pytest.mark.parametrize("scheme", ["ftp", "atp"])
+@pytest.mark.parametrize("K", [2, 10, 40])
+def test_kernel_matches_per_slot_reference(scheme, K):
+    n_kernel, n_ref = 4000, 600
+    slots, txs, waits = protocol.contend(scheme, np.full(n_kernel, K),
+                                         rng(1000 + K))
+    ref = [protocol.run_frame(scheme, K, rng(2000 + K + i))
+           for i in range(n_ref)]
+    reference = {"slots": [t.total_slots for t in ref],
+                 "transmissions": [t.total_transmissions for t in ref],
+                 "waiting": [t.total_waiting for t in ref]}
+    for name, kernel in (("slots", slots), ("transmissions", txs),
+                         ("waiting", waits)):
+        p = _two_sample_chi2_p(kernel, np.asarray(reference[name]))
+        assert p > 1e-4, f"{scheme} K={K} {name}: p = {p:.2e}"
+
+
+def test_kernel_exact_frames():
+    k = np.array([0, 1, 3, 0, 12])
+    for scheme in ("ftp", "atp"):
+        slots, txs, waits = protocol.contend(scheme, k, rng(10))
+        assert slots[[0, 1, 3]].tolist() == [0, 1, 0]
+        assert txs[[0, 1, 3]].tolist() == [0, 1, 0]
+        assert waits[[0, 1, 3]].tolist() == [0, 0, 0]
+        assert (slots >= k).all() and (txs >= k).all()
+    slots, txs, waits = protocol.contend("optimal", k, rng(10))
+    assert slots.tolist() == k.tolist() and txs.tolist() == k.tolist()
+    assert not waits.any()
+
+
+def test_batch_realistic_energy_charges_frame_totals():
+    # e_uJ = 1200 tx + 120 successes (= K admitted) + 40 waiting, waiting >= 0
+    exp = make_experiment(scheme="atp", n_total=6, trials=300, seed=4)
+    _, rows = protocol.run_batch(exp, collect_rows=True)
+    for r in rows:
+        assert r.energy_units == r.total_transmissions
+        idle = (r.energy_uj - 1200.0 * r.total_transmissions
+                - 120.0 * r.k_admitted) / 40.0
+        assert idle >= 0 and idle == int(idle)
 
 
 # ---------------------------------------------------------------------------
