@@ -1,10 +1,18 @@
-"""Closed-form statistics: incomplete gamma, no-fading SNR law, delay and
-energy series with their scaling bounds, concentration bounds, diversity order.
+"""Closed-form statistics: no-fading SNR law, delay and energy series with
+their scaling bounds, concentration bounds, diversity order.
 
 The no-fading SNR law is the integer-shape composite of the random path
 gain and the misalignment gain; it reduces to finite combinations of
-powers, logs and upper incomplete gamma functions of integer order, valid
-for either sign of (z - rho) through the finite-series continuation.
+powers, logs and exponential partial sums, valid for either sign of
+(z - rho) through the finite-series continuation.  The regularized
+incomplete gamma functions elsewhere in the package (path-gain CDF, KS
+reference CDFs) come from scipy.special.gammainc/gammaincc.
+
+Energy is counted in transmissions (unit energy).  ATP's expected energy
+therefore equals its expected delay, so `delay_atp`, `delay_atp_prefix`
+and `delay_bounds_atp` serve both; FTP's energy has the geometric closed
+form in `energy_ftp`.  `expected_delay_exact` and `energy_exact` are the
+general-p series the scheme-specific forms are checked against.
 """
 from __future__ import annotations
 
@@ -23,76 +31,8 @@ _CDF_RAW_TOL = 1e-9       # raw closed-form value must be in [-tol, 1+tol]
 
 
 # ---------------------------------------------------------------------------
-# incomplete gamma
+# no-fading SNR law (random path gain x misalignment, impaired front end)
 # ---------------------------------------------------------------------------
-
-def gamma_lower_regularized(a: float, t: float) -> float:
-    """P(a, t): series for t < a+1, continued fraction otherwise."""
-    if a <= 0:
-        raise DomainError("shape a must be positive")
-    if t < 0:
-        raise DomainError("argument t must be >= 0")
-    if t == 0.0:
-        return 0.0
-    if t < a + 1.0:
-        return _gser(a, t)
-    return 1.0 - _gcf(a, t)
-
-
-def gamma_upper_regularized(a: float, t: float) -> float:
-    """Q(a, t) = Gamma(a, t) / Gamma(a)."""
-    if a <= 0:
-        raise DomainError("shape a must be positive")
-    if t < 0:
-        raise DomainError("argument t must be >= 0")
-    if t == 0.0:
-        return 1.0
-    if t < a + 1.0:
-        return 1.0 - _gser(a, t)
-    return _gcf(a, t)
-
-
-def gamma_upper_incomplete(a: float, t: float) -> float:
-    """Unnormalized upper incomplete gamma; Gamma(a, 0) = Gamma(a)."""
-    return gamma_upper_regularized(a, t) * math.gamma(a)
-
-
-def _gser(a, x, itmax=500, eps=3e-16):
-    # lower regularized by power series
-    ap = a
-    summ = 1.0 / a
-    term = summ
-    for _ in range(itmax):
-        ap += 1.0
-        term *= x / ap
-        summ += term
-        if abs(term) < abs(summ) * eps:
-            break
-    return summ * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _gcf(a, x, itmax=500, eps=3e-16, fpmin=1e-300):
-    # upper regularized by modified Lentz continued fraction
-    b = x + 1.0 - a
-    c = 1.0 / fpmin
-    d = 1.0 / b
-    h = d
-    for i in range(1, itmax + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < fpmin:
-            d = fpmin
-        c = b + an / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
 
 def _exp_partial_sum(x: float, m: int) -> float:
     """sum_{j=0..m} x^j / j!  (finite-series building block, any real x)."""
@@ -102,21 +42,6 @@ def _exp_partial_sum(x: float, m: int) -> float:
         tot += term
     return tot
 
-
-def gamma_upper_int(n: int, x: float) -> float:
-    """Gamma(n, x) = (n-1)! e^{-x} sum_{j<n} x^j/j! for integer n >= 1.
-
-    The finite series is the analytic continuation, valid for x < 0 too
-    (needed when z < rho).
-    """
-    if n < 1:
-        raise DomainError("integer order n must be >= 1")
-    return math.factorial(n - 1) * math.exp(-x) * _exp_partial_sum(x, n - 1)
-
-
-# ---------------------------------------------------------------------------
-# no-fading SNR law (random path gain x misalignment, impaired front end)
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class OutageQuery:
@@ -218,18 +143,6 @@ def pdf_snr_no_fading(query: OutageQuery, model: GammaAbsorption,
     return composite_gain_pdf(gh, k, z, rho, link.a_l) * jac
 
 
-def outage_probability(query: OutageQuery, model: GammaAbsorption,
-                       rho: float, link: ThzLinkParams) -> float:
-    """Outage = CDF evaluated at the threshold."""
-    return cdf_snr_no_fading(query, model, rho, link)
-
-
-def snr_support_max(link: ThzLinkParams) -> float:
-    """Largest SNR the no-fading composite can reach (h < a_l)."""
-    top = link.avg_snr * link.a_l ** 2
-    return top / (link.k_h ** 2 * top + 1.0)
-
-
 @dataclass(frozen=True)
 class DiversityOrder:
     exponents: Tuple[float, float, float]   # (alpha*mu/2, rho/2, z/2)
@@ -255,7 +168,7 @@ class DelayEnergyReport:
     exact: float
     lower: float
     upper: float
-    scaling_reference: float     # K log K, K e, (e-1) K, or e K at this K
+    scaling_reference: float     # K log K, K e or (e-1) K at this K
 
     @property
     def bracketed(self) -> bool:
@@ -275,11 +188,6 @@ def delay_report_atp(K: int) -> DelayEnergyReport:
 def energy_report_ftp(K: int) -> DelayEnergyReport:
     lo, up = energy_bounds_ftp(K)
     return DelayEnergyReport(energy_ftp(K), lo, up, (math.e - 1.0) * K)
-
-
-def energy_report_atp(K: int) -> DelayEnergyReport:
-    lo, up = energy_bounds_atp(K)
-    return DelayEnergyReport(energy_atp(K), lo, up, math.e * K)
 
 
 def expected_delay_exact(K: int, p: float) -> float:
@@ -308,7 +216,11 @@ def delay_ftp(K: int) -> float:
 
 
 def delay_atp(K: int) -> float:
-    """Expected slots under the adaptive scheme (p reset to 1/k after success)."""
+    """Expected slots under the adaptive scheme (p reset to 1/k after success).
+
+    Every ATP slot carries one transmission on average, so this is also
+    the scheme's expected energy in transmissions.
+    """
     if K < 1:
         raise DomainError("K >= 1")
     return float(_atp_terms(K).sum())
@@ -337,7 +249,7 @@ def delay_bounds_ftp(K: int) -> Tuple[float, float]:
 
 
 def delay_bounds_atp(K: int) -> Tuple[float, float]:
-    """Harmonic-number bracket around the adaptive delay, valid for K >= 2."""
+    """Harmonic-number bracket around the adaptive delay (= energy), K >= 2."""
     if K < 2:
         raise DomainError("ATP delay bounds need K >= 2")
     lower = K * math.e - math.e * (EULER_GAMMA + math.log(K) + 0.5 / K)
@@ -371,31 +283,16 @@ def energy_exact(K: int, p: float) -> float:
 
 
 def energy_ftp(K: int) -> float:
-    """Unit-energy series for the fixed-probability scheme (p = 1/K)."""
+    """Expected transmissions under the fixed-probability scheme (p = 1/K).
+
+    The geometric series sum_{k=1..K} r^{-(k-1)}, r = 1 - 1/K, in closed
+    form (K-1)(r^{-K} - 1).
+    """
     if K < 1:
         raise DomainError("K >= 1")
     if K == 1:
         return 1.0
-    r = 1.0 - 1.0 / K
-    k = np.arange(1, K + 1, dtype=float)
-    return float((K - 1) / K * np.sum(np.exp(-k * math.log(r))))
-
-
-def energy_ftp_closed(K: int) -> float:
-    """Geometric closed form (K-1)(r^{-K} - 1) for cross-checking."""
-    if K < 2:
-        return 1.0
-    r = 1.0 - 1.0 / K
-    return (K - 1) * (math.exp(-K * math.log(r)) - 1.0)
-
-
-def energy_atp(K: int) -> float:
-    """Unit-energy series for the adaptive scheme; coincides with delay_atp."""
-    return delay_atp(K)
-
-
-def energy_atp_prefix(K_max: int) -> np.ndarray:
-    return delay_atp_prefix(K_max)
+    return (K - 1) * math.expm1(-K * math.log1p(-1.0 / K))
 
 
 def energy_bounds_ftp(K: int) -> Tuple[float, float]:
@@ -412,27 +309,13 @@ def energy_bounds_ftp(K: int) -> Tuple[float, float]:
     return lower, upper
 
 
-def energy_bounds_atp(K: int, per_user: bool = False) -> Tuple[float, float]:
-    """Bracket for the adaptive energy, valid for K >= 2.
-
-    Total form by default; per_user=True divides both ends by K.
-    """
-    if K < 2:
-        raise DomainError("ATP energy bounds need K >= 2")
-    lower = K * math.e - math.e * (EULER_GAMMA + math.log(K) + 0.5 / K)
-    upper = K * math.e
-    if per_user:
-        return lower / K, upper / K
-    return lower, upper
-
-
 def harmonic(K: int) -> float:
     """K-th harmonic number, exact partial sum."""
     return float(np.sum(1.0 / np.arange(1, K + 1, dtype=float)))
 
 
 def energy_gap_bounds(K: int) -> Tuple[float, float]:
-    """Interval for energy_atp(K) - energy_ftp(K), valid for K >= 3."""
+    """Interval for the energy gap delay_atp(K) - energy_ftp(K), K >= 3."""
     if K < 3:
         raise DomainError("energy gap bounds need K >= 3")
     h_k = harmonic(K)

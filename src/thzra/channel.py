@@ -146,14 +146,13 @@ def path_gain_pdf(h_l: ArrayLike, model: GammaAbsorption,
 def path_gain_cdf(h_l: ArrayLike, model: GammaAbsorption,
                   link: ThzLinkParams) -> ArrayLike:
     """P(path gain <= h); ln(a_l/h_l) is Gamma(k, 1/z) so this is its tail."""
-    from . import analytics
-    h = np.atleast_1d(np.asarray(h_l, dtype=float))
+    from scipy.special import gammaincc   # lazy: keeps scipy off import
+    h = np.asarray(h_l, dtype=float)
     if np.any(h <= 0) or np.any(h > link.a_l * (1 + 1e-12)):
         raise DomainError(f"path gain must lie in (0, a_l={link.a_l:g}]")
     z = model.z_for(link)
-    out = np.array([analytics.gamma_upper_regularized(model.k, z * math.log(link.a_l / x))
-                    if x < link.a_l else 1.0 for x in h])
-    return out if isinstance(h_l, np.ndarray) else float(out[0])
+    out = gammaincc(model.k, z * np.log(link.a_l / np.minimum(h, link.a_l)))
+    return out if isinstance(h_l, np.ndarray) else float(out)
 
 
 def sample_path_gain(model: GammaAbsorption, link: ThzLinkParams,

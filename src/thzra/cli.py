@@ -26,7 +26,9 @@ import numpy as np
 
 from . import __version__, analytics, channel, protocol, validation
 from .errors import ConfigError
-from .params import Experiment, GammaAbsorption, validate_config
+from .params import (Experiment, GammaAbsorption, parse_count,
+                     parse_float_list, parse_int_list, parse_str_list,
+                     read_value, validate_config)
 
 ENV_PARALLEL = "THZRA_MAX_PARALLEL"
 
@@ -52,27 +54,9 @@ def read_config(path) -> Dict[str, str]:
     return raw
 
 
-def parse_int_list(text: str) -> List[int]:
-    """Comma list with optional a:b inclusive ranges: '2,5,10' or '1:10'."""
-    out: List[int] = []
-    for tok in str(text).split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if ":" in tok:
-            a, b = tok.split(":", 1)
-            out.extend(range(int(float(a)), int(float(b)) + 1))
-        else:
-            out.append(int(float(tok)))
-    return out
-
-
-def parse_float_list(text: str) -> List[float]:
-    return [float(t) for t in str(text).split(",") if t.strip()]
-
-
-def parse_str_list(text: str) -> List[str]:
-    return [t.strip().lower() for t in str(text).split(",") if t.strip()]
+def _gamma_th(raw: Dict[str, str]) -> float:
+    """Linear outage threshold from outage.gamma_th_db (default 5 dB)."""
+    return 10.0 ** (read_value(raw, "outage.gamma_th_db", float, 5.0) / 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +144,6 @@ def _row_seed(seed: int, *parts) -> int:
 # ---------------------------------------------------------------------------
 
 SIM_HEADER = ["K", "scheme", "mean_delay", "stderr_delay",
-              "mean_energy_units", "stderr_energy_units",
               "mean_energy_uj", "stderr_energy_uj",
               "mean_transmissions", "stderr_transmissions",
               "mean_k_admitted", "n_trials"]
@@ -168,9 +151,10 @@ SIM_HEADER = ["K", "scheme", "mean_delay", "stderr_delay",
 
 def cmd_simulate(exp: Experiment, raw: Dict[str, str], out_dir: Path,
                  manifest: Manifest, dump_trials: bool = False) -> int:
-    schemes = parse_str_list(raw.get("protocol.scheme", exp.protocol.scheme))
-    k_values = parse_int_list(raw.get("protocol.n_users",
-                                      str(exp.protocol.n_total)))
+    schemes = read_value(raw, "protocol.scheme", parse_str_list,
+                         [exp.protocol.scheme])
+    k_values = read_value(raw, "protocol.n_users", parse_int_list,
+                          [exp.protocol.n_total])
     rows = []
     trial_rows = []
     for scheme in schemes:
@@ -179,23 +163,21 @@ def cmd_simulate(exp: Experiment, raw: Dict[str, str], out_dir: Path,
                                   seed=_row_seed(exp.protocol.seed, scheme, k))
             stats, trows = protocol.run_batch(e, collect_rows=dump_trials)
             rows.append([k, scheme, stats.mean_delay, stats.se_delay,
-                         stats.mean_energy_units, stats.se_energy_units,
                          stats.mean_energy_uj, stats.se_energy_uj,
                          stats.mean_transmissions, stats.se_transmissions,
                          stats.mean_k_admitted, stats.n_trials])
             for tr in trows:
                 trial_rows.append([tr.trial, tr.scheme, tr.k_admitted,
                                    tr.total_slots, tr.total_transmissions,
-                                   tr.energy_units, tr.energy_uj, k])
+                                   tr.energy_uj, k])
     agg_path = out_dir / "simulate_aggregate.csv"
-    write_csv_atomic(agg_path, "thzra.simulate.v1", SIM_HEADER, rows)
+    write_csv_atomic(agg_path, "thzra.simulate.v2", SIM_HEADER, rows)
     manifest.add(agg_path)
     if dump_trials:
         tpath = out_dir / "simulate_trials.csv"
-        write_csv_atomic(tpath, "thzra.trials.v1",
+        write_csv_atomic(tpath, "thzra.trials.v2",
                          ["trial_id", "scheme", "K_admitted", "total_slots",
-                          "total_transmissions", "energy_units", "energy_uJ",
-                          "K_provisioned"],
+                          "total_transmissions", "energy_uJ", "K_provisioned"],
                          trial_rows)
         manifest.add(tpath)
     return 0
@@ -213,37 +195,35 @@ ANALYZE_HEADER = ["K", "d_ftp", "d_ftp_lo", "d_ftp_hi",
 
 def cmd_analyze(exp: Experiment, raw: Dict[str, str], out_dir: Path,
                 manifest: Manifest) -> int:
-    k_values = parse_int_list(raw.get("analyze.k_users",
-                                      raw.get("protocol.n_users", "2,5,10,20,40")))
+    k_values = read_value(raw, "analyze.k_users", parse_int_list,
+                          read_value(raw, "protocol.n_users", parse_int_list,
+                                     [2, 5, 10, 20, 40]))
     rows = []
     nan = float("nan")
     for k in sorted(set(k_values)):
         d_ftp = analytics.delay_ftp(k)
-        d_atp = analytics.delay_atp(k)
-        e_ftp = analytics.energy_ftp(k)
-        e_atp = analytics.energy_atp(k)
+        d_atp = analytics.delay_atp(k)     # ATP energy is the same series
         dfl, dfh = analytics.delay_bounds_ftp(k) if k >= 3 else (nan, nan)
         dal, dah = analytics.delay_bounds_atp(k) if k >= 2 else (nan, nan)
         efl, efh = analytics.energy_bounds_ftp(k) if k >= 3 else (nan, nan)
-        eal, eah = analytics.energy_bounds_atp(k) if k >= 2 else (nan, nan)
         rows.append([k, d_ftp, dfl, dfh, d_atp, dal, dah,
-                     e_ftp, efl, efh, e_atp, eal, eah])
+                     analytics.energy_ftp(k), efl, efh, d_atp, dal, dah])
     de_path = out_dir / "analyze_delay_energy.csv"
     write_csv_atomic(de_path, "thzra.analyze.delay_energy.v1", ANALYZE_HEADER, rows)
     manifest.add(de_path)
 
     # closed-form outage grid (no-fading law)
     if isinstance(exp.absorption, GammaAbsorption):
-        grid = parse_float_list(raw.get("outage.gamma_bar_db",
-                                        "25,27,29,31,33,35,37,39,41,43"))
-        gamma_th = 10.0 ** (float(raw.get("outage.gamma_th_db", "5")) / 10.0)
+        grid = read_value(raw, "outage.gamma_bar_db", parse_float_list,
+                          parse_float_list("25,27,29,31,33,35,37,39,41,43"))
+        gamma_th = _gamma_th(raw)
         out_rows = []
         for db in grid:
             q = analytics.OutageQuery(gamma_th=gamma_th,
                                       gamma_bar=10.0 ** (db / 10.0),
                                       k_h=exp.link.k_h)
-            p = analytics.outage_probability(q, exp.absorption,
-                                             exp.misalignment.rho, exp.link)
+            p = analytics.cdf_snr_no_fading(q, exp.absorption,
+                                            exp.misalignment.rho, exp.link)
             out_rows.append([db, p])
         o_path = out_dir / "analyze_outage.csv"
         write_csv_atomic(o_path, "thzra.analyze.outage.v1",
@@ -268,10 +248,16 @@ def cmd_analyze(exp: Experiment, raw: Dict[str, str], out_dir: Path,
 # ---------------------------------------------------------------------------
 
 def _suite_results(exp: Experiment, raw: Dict[str, str], seed: int) -> List[dict]:
-    n_gof = int(float(raw.get("validation.n_samples", "100000")))
-    trials = int(float(raw.get("validation.trials", "5000")))
-    k_sim = parse_int_list(raw.get("validation.k_users", "2,5,10,20,40"))
-    rho_scale = float(raw.get("validation.rho_sample_scale", "1.0"))
+    from scipy.special import gammainc
+    n_gof = read_value(raw, "validation.n_samples", parse_count, 100000)
+    trials = read_value(raw, "validation.trials", parse_count, 5000)
+    k_sim = read_value(raw, "validation.k_users", parse_int_list,
+                       [2, 5, 10, 20, 40])
+    rho_scale = read_value(raw, "validation.rho_sample_scale", float, 1.0)
+    grid = read_value(raw, "validation.gamma_bar_db", parse_float_list,
+                      parse_float_list("25,29,33,37,41"))
+    gamma_th = _gamma_th(raw)
+    n_mc = read_value(raw, "validation.outage_draws", parse_count, 200000)
     results: List[dict] = []
 
     def record(suite, passed, detail):
@@ -288,10 +274,8 @@ def _suite_results(exp: Experiment, raw: Dict[str, str], seed: int) -> List[dict
     if isinstance(exp.absorption, GammaAbsorption):
         model = exp.absorption
         zeta = channel.sample_absorption_db(model, st.substream(seed, 902), n_gof)
-        gcdf = lambda x: np.array(
-            [analytics.gamma_lower_regularized(model.k, xx / model.beta)
-             for xx in np.atleast_1d(x)])
-        rep = validation.ks_compare(zeta, gcdf)
+        rep = validation.ks_compare(zeta, lambda x: gammainc(model.k,
+                                                             x / model.beta))
         record("absorption_gamma_ks", rep.passed,
                {"statistic": rep.statistic, "threshold": rep.threshold})
 
@@ -307,18 +291,12 @@ def _suite_results(exp: Experiment, raw: Dict[str, str], seed: int) -> List[dict
     fp = replace(exp.fading, eta=1.0, kappa=0.0, enabled=True)
     hf = channel.sample_fading(fp, st.substream(seed, 904), n_gof)
     y = np.power(hf / fp.r_hat, fp.alpha) * fp.mu
-    gcdf_mu = lambda x: np.array(
-        [analytics.gamma_lower_regularized(fp.mu, xx) for xx in np.atleast_1d(x)])
-    rep = validation.ks_compare(y, gcdf_mu)
+    rep = validation.ks_compare(y, lambda x: gammainc(fp.mu, x))
     record("fading_alpha_mu_ks", rep.passed,
            {"statistic": rep.statistic, "threshold": rep.threshold})
 
     if isinstance(exp.absorption, GammaAbsorption):
         exp_nf = replace(exp, fading=replace(exp.fading, enabled=False))
-        grid = parse_float_list(raw.get("validation.gamma_bar_db",
-                                        "25,29,33,37,41"))
-        gamma_th = 10.0 ** (float(raw.get("outage.gamma_th_db", "5")) / 10.0)
-        n_mc = int(float(raw.get("validation.outage_draws", "200000")))
         curve = validation.outage_mc(exp_nf, gamma_th, grid, n_mc,
                                      seed=_row_seed(seed, "no_fading_outage"))
         ok = True
@@ -371,6 +349,7 @@ def cmd_validate(exp: Experiment, raw: Dict[str, str], out_dir: Path,
 # sweep
 # ---------------------------------------------------------------------------
 
+CELL_SCHEMA = "thzra.sweep.cell.v2"
 SWEEP_AXES = {
     "k_users": parse_int_list,
     "gamma_bar_db": parse_float_list,
@@ -415,58 +394,71 @@ def _cell_slug(cell: Dict[str, float]) -> str:
 
 
 def _run_cell(args):
-    exp, raw, cell, seed, out_dir = args
-    metrics = parse_str_list(raw.get("sweep.metrics", "protocol"))
+    exp, opts, cell, seed, out_dir = args
     e = _apply_cell(exp, cell)
     path = Path(out_dir) / f"cell_{_cell_slug(cell)}.csv"
     header = sorted(cell.keys())
     row = [cell[k] for k in header]
     cols = list(header)
-    if "protocol" in metrics:
-        schemes = parse_str_list(raw.get("protocol.scheme", e.protocol.scheme))
-        for scheme in schemes:
+    if "protocol" in opts["metrics"]:
+        for scheme in opts["schemes"]:
             ee = e.with_protocol(scheme=scheme,
                                  seed=_row_seed(seed, _cell_slug(cell), scheme))
             stats, _ = protocol.run_batch(ee)
-            cols += [f"{scheme}_mean_delay", f"{scheme}_mean_energy_units",
+            cols += [f"{scheme}_mean_delay", f"{scheme}_mean_transmissions",
                      f"{scheme}_mean_energy_uj"]
-            row += [stats.mean_delay, stats.mean_energy_units,
+            row += [stats.mean_delay, stats.mean_transmissions,
                     stats.mean_energy_uj]
-    if "outage" in metrics:
-        gamma_th = 10.0 ** (float(raw.get("outage.gamma_th_db", "5")) / 10.0)
-        n_mc = int(float(raw.get("sweep.outage_draws", "200000")))
+    if "outage" in opts["metrics"]:
+        n_mc = opts["outage_draws"]
         gbar_db = 10.0 * math.log10(e.link.avg_snr)
-        curve = validation.outage_mc(e, gamma_th, [gbar_db], n_mc,
+        curve = validation.outage_mc(e, opts["gamma_th"], [gbar_db], n_mc,
                                      seed=_row_seed(seed, _cell_slug(cell), "outage"))
         cols += ["p_out", "p_out_ci_lo", "p_out_ci_hi", "outage_draws"]
         row += [float(curve.p_out[0]), float(curve.ci_lo[0]),
                 float(curve.ci_hi[0]), n_mc]
-    write_csv_atomic(path, "thzra.sweep.cell.v1", cols, [row])
+    write_csv_atomic(path, CELL_SCHEMA, cols, [row])
     return path
+
+
+def _is_current_cell(path: Path) -> bool:
+    """True for a cell file an earlier run finished under CELL_SCHEMA."""
+    try:
+        with open(path) as fh:
+            return fh.readline() == f"#schema: {CELL_SCHEMA}\n"
+    except FileNotFoundError:
+        return False
 
 
 def cmd_sweep(exp: Experiment, raw: Dict[str, str], out_dir: Path,
               manifest: Manifest, seed: int, parallel: int) -> int:
     axes = {}
     for name, parser in SWEEP_AXES.items():
-        key = f"sweep.{name}"
-        if key in raw and raw[key].strip():
-            axes[name] = parser(raw[key])
+        values = read_value(raw, f"sweep.{name}", parser)
+        if values is not None:
+            axes[name] = values
     if not axes:
         raise ConfigError("sweep requires at least one [sweep] axis")
     names = sorted(axes.keys())
     cells = [dict(zip(names, combo))
              for combo in itertools.product(*(axes[n] for n in names))]
+    opts = {"metrics": read_value(raw, "sweep.metrics", parse_str_list,
+                                  ["protocol"]),
+            "schemes": read_value(raw, "protocol.scheme", parse_str_list,
+                                  [exp.protocol.scheme]),
+            "gamma_th": _gamma_th(raw),
+            "outage_draws": read_value(raw, "sweep.outage_draws", parse_count,
+                                       200000)}
     cell_dir = out_dir / "sweep"
     cell_dir.mkdir(parents=True, exist_ok=True)
 
     todo = []
     for cell in cells:
         path = cell_dir / f"cell_{_cell_slug(cell)}.csv"
-        if path.exists():
+        if _is_current_cell(path):
             manifest.add(path)          # completed in an earlier run
-        else:
-            todo.append((exp, raw, cell, seed, cell_dir))
+        else:                           # missing, or from an older schema
+            todo.append((exp, opts, cell, seed, cell_dir))
 
     failures = 0
     if todo:
@@ -530,6 +522,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.trials is not None:
             raw["protocol.trials"] = str(args.trials)
         exp = validate_config(raw)
+        cap = read_value(os.environ, ENV_PARALLEL, int)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -538,9 +531,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = exp.protocol.seed
     parallel = max(1, args.parallel)
-    cap = os.environ.get(ENV_PARALLEL)
-    if cap:
-        parallel = min(parallel, max(1, int(cap)))
+    if cap is not None:
+        parallel = min(parallel, max(1, cap))
 
     manifest = Manifest(args.command, args.config, seed, out_dir)
     try:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import List, Mapping
 
 from .errors import MissingField, NonIntegerShape, OutOfRange
 
@@ -279,14 +279,65 @@ def _get(raw: Mapping[str, str], key: str, default=None, required=False):
     return default
 
 
-def _get_float(raw, key, default=None, required=False):
-    s = _get(raw, key, None, required)
+def parse_count(text: str) -> int:
+    """Integer that may be written as a float literal: '5000' or '1e5'."""
+    return int(float(text))
+
+
+def parse_int_list(text: str) -> List[int]:
+    """Comma list with optional a:b inclusive ranges: '2,5,10' or '1:10'."""
+    out: List[int] = []
+    for tok in str(text).split(","):
+        tok = tok.strip()
+        if not tok:
+            continue
+        if ":" in tok:
+            a, b = tok.split(":", 1)
+            out.extend(range(int(float(a)), int(float(b)) + 1))
+        else:
+            out.append(int(float(tok)))
+    return _nonempty(out)
+
+
+def parse_float_list(text: str) -> List[float]:
+    return _nonempty([float(t) for t in str(text).split(",") if t.strip()])
+
+
+def parse_str_list(text: str) -> List[str]:
+    return _nonempty([t.strip().lower() for t in str(text).split(",")
+                      if t.strip()])
+
+
+def _nonempty(items: list) -> list:
+    if not items:
+        raise ValueError("empty list")
+    return items
+
+
+_EXPECTED = {float: "a number", int: "an integer", parse_count: "a count",
+             parse_int_list: "a comma list of integers or a:b ranges",
+             parse_float_list: "a comma list of numbers",
+             parse_str_list: "a comma list of names"}
+
+
+def read_value(raw: Mapping[str, str], key: str, parse, default=None):
+    """raw[key] through parse, or default when the key is absent or blank.
+
+    A value that parse rejects raises OutOfRange naming the key, so a
+    malformed input ends in a config error (CLI exit 2), not a traceback.
+    """
+    s = _get(raw, key)
     if s is None:
         return default
     try:
-        return float(s)
-    except ValueError as exc:
-        raise OutOfRange(key, s, "a number") from exc
+        return parse(s)
+    except (ValueError, OverflowError) as exc:
+        raise OutOfRange(key, s, _EXPECTED[parse]) from exc
+
+
+def _get_float(raw, key, default=None, required=False):
+    _get(raw, key, required=required)
+    return read_value(raw, key, float, default)
 
 
 def _get_bool(raw, key, default=False):
@@ -402,16 +453,13 @@ def validate_config(raw: Mapping[str, str]) -> Experiment:
         e_idle_uj=_get_float(raw, "protocol.e_idle_uj", 40.0),
     )
 
-    n_users = _get(raw, "protocol.n_users", "10")
-    first_n = int(float(n_users.replace(":", ",").split(",")[0]))
-
     protocol = ProtocolConfig(
-        scheme=_get(raw, "protocol.scheme", "atp").lower().split(",")[0].strip(),
-        n_total=first_n,
+        scheme=read_value(raw, "protocol.scheme", parse_str_list, ["atp"])[0],
+        n_total=read_value(raw, "protocol.n_users", parse_int_list, [10])[0],
         gamma_qos=gamma_qos,
         energy=energy,
-        trials=int(_get_float(raw, "protocol.trials", 5000)),
-        seed=int(_get_float(raw, "protocol.seed", 1)),
+        trials=read_value(raw, "protocol.trials", parse_count, 5000),
+        seed=read_value(raw, "protocol.seed", parse_count, 1),
         admission=_get(raw, "protocol.admission", "instantaneous").lower(),
     )
 

@@ -214,16 +214,11 @@ class AggregateStats:
     n_trials: int
     mean_delay: float
     se_delay: float
-    mean_transmissions: float
+    mean_transmissions: float    # also the mean unit energy
     se_transmissions: float
-    mean_energy_units: float
-    se_energy_units: float
     mean_energy_uj: float
     se_energy_uj: float
     mean_k_admitted: float
-
-    def mean_energy(self, model: EnergyModel) -> float:
-        return self.mean_energy_uj if model.realistic else self.mean_energy_units
 
 
 @dataclass(frozen=True)
@@ -232,8 +227,7 @@ class TrialRow:
     scheme: str
     k_admitted: int
     total_slots: int
-    total_transmissions: int
-    energy_units: float
+    total_transmissions: int     # also the frame's unit energy
     energy_uj: float
 
 
@@ -264,14 +258,13 @@ def run_batch(exp: Experiment, collect_rows: bool = False
     e_uj = frame_energy(realistic, txs, ks, waits)
     rows: List[TrialRow] = []
     if collect_rows:
-        rows = [TrialRow(t, cfg.scheme, k, s, x, float(x), e)
+        rows = [TrialRow(t, cfg.scheme, k, s, x, e)
                 for t, (k, s, x, e) in enumerate(zip(
                     ks.tolist(), slots.tolist(), txs.tolist(), e_uj.tolist()))]
     stats = AggregateStats(
         scheme=cfg.scheme, n_trials=cfg.trials,
         mean_delay=float(slots.mean()), se_delay=_se(slots),
         mean_transmissions=float(txs.mean()), se_transmissions=_se(txs),
-        mean_energy_units=float(txs.mean()), se_energy_units=_se(txs),
         mean_energy_uj=float(e_uj.mean()), se_energy_uj=_se(e_uj),
         mean_k_admitted=float(ks.mean()))
     return stats, rows

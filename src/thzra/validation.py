@@ -208,12 +208,13 @@ def bound_sweep(K_values: Iterable[int]) -> List[BoundRow]:
                              rep.bracketed))
 
     for K in ks:
-        add(K, "atp_delay", analytics.delay_report_atp(K))
-        add(K, "atp_energy", analytics.energy_report_atp(K))
+        atp = analytics.delay_report_atp(K)     # ATP energy = ATP delay
+        add(K, "atp_delay", atp)
+        add(K, "atp_energy", atp)
         if K >= 3:
             add(K, "ftp_delay", analytics.delay_report_ftp(K))
             add(K, "ftp_energy", analytics.energy_report_ftp(K))
-            gap = analytics.energy_atp(K) - analytics.energy_ftp_closed(K)
+            gap = atp.exact - analytics.energy_ftp(K)
             lo, up = analytics.energy_gap_bounds(K)
             rows.append(BoundRow(K, "energy_gap", gap, lo, up, lo < gap < up))
     return rows
@@ -245,7 +246,8 @@ def exact_delay_energy(scheme: str, K: int) -> Tuple[float, float]:
     if scheme == "ftp":
         return analytics.delay_ftp(K), analytics.energy_ftp(K)
     if scheme == "atp":
-        return analytics.delay_atp(K), analytics.energy_atp(K)
+        d = analytics.delay_atp(K)
+        return d, d
     if scheme == "optimal":
         return float(K), float(K)
     raise ValueError(f"unknown scheme {scheme!r}")
@@ -272,8 +274,8 @@ def simulator_agreement(exp: Experiment, schemes: Sequence[str],
             d_exact, e_exact = exact_delay_energy(scheme, K)
             results += [(scheme, K, "delay", stats.mean_delay, stats.se_delay,
                          d_exact),
-                        (scheme, K, "energy", stats.mean_energy_units,
-                         stats.se_energy_units, e_exact)]
+                        (scheme, K, "energy", stats.mean_transmissions,
+                         stats.se_transmissions, e_exact)]
     z = float(sstats.norm.isf(AGREEMENT_ALPHA / (2.0 * len(results))))
     return [AgreementRow(scheme, K, kind, sim, float(exact), se, z,
                          abs(sim - exact) / exact, abs(sim - exact) <= z * se)

@@ -5,7 +5,6 @@ import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy import special as ssp
 from scipy import stats as sstats
 
 from thzra import analytics, channel
@@ -20,59 +19,6 @@ def make_link(**kw):
                 k_t=0.1, k_r=0.1, avg_snr=10 ** 4.5)
     args.update(kw)
     return ThzLinkParams(**args)
-
-
-# ---------------------------------------------------------------------------
-# incomplete gamma
-# ---------------------------------------------------------------------------
-
-def test_gamma_upper_order_one_is_exponential():
-    for t in (0.0, 0.3, 1.0, 4.7, 20.0):
-        assert analytics.gamma_upper_incomplete(1.0, t) == \
-            pytest.approx(math.exp(-t), rel=1e-13)
-
-
-def test_gamma_upper_at_zero_is_factorial():
-    assert analytics.gamma_upper_incomplete(3.0, 0.0) == pytest.approx(2.0)
-    assert analytics.gamma_upper_incomplete(5.0, 0.0) == pytest.approx(24.0)
-
-
-def test_gamma_upper_vs_quadrature_oracle():
-    # defining integral, adaptive quadrature
-    for a, t in [(2.5, 1.7), (0.7, 0.2), (4.0, 9.5), (1.3, 12.0)]:
-        val, err = integrate.quad(
-            lambda s: s ** (a - 1.0) * math.exp(-s), t, np.inf, limit=300)
-        assert analytics.gamma_upper_incomplete(a, t) == \
-            pytest.approx(val, rel=1e-10)
-
-
-def test_gamma_upper_vs_scipy():
-    for a in (0.5, 1.0, 2.5, 7.0, 31.0):
-        for t in (0.01, 0.9, a, 3 * a + 5):
-            assert analytics.gamma_upper_regularized(a, t) == \
-                pytest.approx(float(ssp.gammaincc(a, t)), rel=1e-12, abs=1e-300)
-
-
-def test_gamma_upper_monotone_decreasing_in_t():
-    ts = np.linspace(0.0, 30.0, 100)
-    vals = [analytics.gamma_upper_incomplete(2.2, t) for t in ts]
-    assert all(b <= a for a, b in zip(vals, vals[1:]))
-
-
-def test_gamma_upper_int_finite_series():
-    # continuation at negative arguments against mpmath
-    for n in (1, 2, 3, 6):
-        for x in (-8.0, -1.5, 0.0, 2.4, 15.0):
-            expected = float(mpmath.gammainc(n, x))
-            assert analytics.gamma_upper_int(n, x) == \
-                pytest.approx(expected, rel=1e-11)
-
-
-def test_gamma_domain_errors():
-    with pytest.raises(DomainError):
-        analytics.gamma_upper_incomplete(-1.0, 1.0)
-    with pytest.raises(DomainError):
-        analytics.gamma_upper_incomplete(1.0, -0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +64,7 @@ def test_snr_cdf_pdf_finite_difference_consistency():
     link = make_link()
     model = GammaAbsorption(k=3, beta=10.0)
     rho = 4.0
-    gmax = analytics.snr_support_max(link)
+    gmax = channel.snr_from_gain(link.a_l, link.avg_snr, link.k_h)  # h = a_l
     for g in np.linspace(0.05, 0.95, 20) * min(gmax, 40.0):
         h = 1e-5 * g
         lo = analytics.cdf_snr_no_fading(
@@ -136,7 +82,7 @@ def test_snr_pdf_integrates_to_one():
     link = make_link()
     model = GammaAbsorption(k=3, beta=10.0)
     rho = 4.0
-    gmax = analytics.snr_support_max(link)
+    gmax = channel.snr_from_gain(link.a_l, link.avg_snr, link.k_h)  # h = a_l
     total, _ = integrate.quad(
         lambda g: analytics.pdf_snr_no_fading(
             analytics.OutageQuery(g, link.avg_snr, link.k_h), model, rho, link),
@@ -169,7 +115,6 @@ def test_ceiling_outage_flagged_probability_one():
     q = analytics.OutageQuery(gamma_th=60.0, gamma_bar=link.avg_snr, k_h=link.k_h)
     assert q.above_ceiling
     assert analytics.cdf_snr_no_fading(q, model, 4.0, link) == 1.0
-    assert analytics.outage_probability(q, model, 4.0, link) == 1.0
 
 
 def test_non_integer_shape_rejected_by_closed_form():
@@ -362,16 +307,16 @@ def test_energy_ftp_values_and_identity():
     for K in range(2, 201):
         series = analytics.energy_ftp(K)
         assert abs(series - analytics.energy_exact(K, 1.0 / K)) / series < 1e-12
-        assert abs(series - analytics.energy_ftp_closed(K)) / series < 1e-12
 
 
-def test_energy_atp_is_same_series_as_delay():
-    for K in (1, 2, 10, 40, 123):
-        assert analytics.energy_atp(K) == analytics.delay_atp(K)
-    assert analytics.energy_atp(40) == pytest.approx(102.47114308582964, rel=1e-12)
-    # ATP spends about 1.5x the FTP energy at K=40
-    ratio = analytics.energy_atp(40) / analytics.energy_ftp(40)
-    assert 1.35 < ratio < 1.65
+def test_energy_ftp_vs_high_precision():
+    # (K-1)(r^-K - 1) with r = 1 - 1/K cancels badly if r^-K is formed
+    # first; the expm1/log1p evaluation stays at rounding level up to 1e6
+    with mpmath.workdps(50):
+        for K in (2, 3, 10, 40, 1000, 10_000, 1_000_000):
+            r = 1 - mpmath.mpf(1) / K
+            want = float((K - 1) * (r ** -K - 1))
+            assert analytics.energy_ftp(K) == pytest.approx(want, rel=1e-15)
 
 
 def test_energy_bounds_ftp():
@@ -381,40 +326,46 @@ def test_energy_bounds_ftp():
     assert lo < analytics.energy_ftp(40) < hi
     for K in list(range(3, 300)) + [1000, 10000]:
         lo, hi = analytics.energy_bounds_ftp(K)
-        assert lo < analytics.energy_ftp_closed(K) < hi
+        assert lo < analytics.energy_ftp(K) < hi
     # per-user FTP energy approaches e - 1
     assert analytics.energy_ftp(1000) / 1000 == pytest.approx(math.e - 1, rel=0.05)
 
 
+def test_energy_atp_is_same_series_as_delay():
+    # ATP's unit energy is its delay series: about 1.5x the FTP energy at K=40
+    assert analytics.delay_atp(40) == pytest.approx(102.47114308582964, rel=1e-12)
+    ratio = analytics.delay_atp(40) / analytics.energy_ftp(40)
+    assert 1.35 < ratio < 1.65
+
+
 def test_energy_bounds_atp_total_and_per_user():
-    lo, hi = analytics.energy_bounds_atp(40)
+    lo, hi = analytics.delay_bounds_atp(40)
     assert lo == pytest.approx(97.10, abs=0.05)
     assert hi == pytest.approx(108.73, abs=0.05)
-    assert lo <= analytics.energy_atp(40) <= hi
-    plo, phi = analytics.energy_bounds_atp(40, per_user=True)
-    assert (plo, phi) == (lo / 40, hi / 40)
+    assert lo <= analytics.delay_atp(40) <= hi
+    # per user, the same bracket divided by K
+    assert lo / 40 <= analytics.delay_atp(40) / 40 <= hi / 40
     for K in list(range(2, 300)) + [1000, 10000]:
-        e = analytics.energy_atp(K)
-        lo, hi = analytics.energy_bounds_atp(K)
+        e = analytics.delay_atp(K)
+        lo, hi = analytics.delay_bounds_atp(K)
         assert lo <= e <= hi
         assert e / K <= math.e
-    assert analytics.energy_atp(10000) / 10000 == pytest.approx(math.e, rel=0.02)
-
+    assert analytics.delay_atp(10000) / 10000 == pytest.approx(math.e, rel=0.02)
 
 def test_energy_gap():
-    gap40 = analytics.energy_atp(40) - analytics.energy_ftp(40)
+    gap40 = analytics.delay_atp(40) - analytics.energy_ftp(40)
     assert gap40 == pytest.approx(34.10187834714553, rel=1e-12)
     lo, hi = analytics.energy_gap_bounds(40)
     assert lo < gap40 < hi
     for K in list(range(3, 300)) + [1000, 10000]:
         lo, hi = analytics.energy_gap_bounds(K)
         assert lo < hi
-        gap = analytics.energy_atp(K) - analytics.energy_ftp_closed(K)
+        gap = analytics.delay_atp(K) - analytics.energy_ftp(K)
         assert lo < gap < hi
         assert gap > 0.0
     # ATP and FTP coincide exactly at K=2
-    assert analytics.energy_atp(2) == pytest.approx(analytics.energy_ftp(2),
-                                                    rel=1e-14)
+    assert analytics.delay_atp(2) == pytest.approx(analytics.energy_ftp(2),
+                                                   rel=1e-14)
 
 
 def test_delay_energy_reports():
@@ -422,8 +373,7 @@ def test_delay_energy_reports():
         for rep, ref in [
                 (analytics.delay_report_ftp(K), K * math.log(K)),
                 (analytics.delay_report_atp(K), K * math.e),
-                (analytics.energy_report_ftp(K), (math.e - 1) * K),
-                (analytics.energy_report_atp(K), math.e * K)]:
+                (analytics.energy_report_ftp(K), (math.e - 1) * K)]:
             assert rep.bracketed
             assert rep.lower <= rep.exact <= rep.upper
             assert rep.scaling_reference == pytest.approx(ref)

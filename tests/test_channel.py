@@ -178,6 +178,21 @@ def test_path_gain_ks_vs_analytic_cdf():
     assert d < 1.36 / math.sqrt(n)
 
 
+def test_path_gain_cdf_shape_one_is_power_law():
+    # k = 1: ln(a_l/h) ~ Exp(z), so P(h_l <= h) = (h/a_l)^z; arrays are
+    # evaluated whole, scalars come back as floats, h = a_l gives 1
+    link = make_link()
+    model = GammaAbsorption(k=1, beta=10.0)
+    z = model.z_for(link)
+    h = link.a_l * np.array([1e-6, 0.01, 0.3, 0.9, 1.0])
+    f = channel.path_gain_cdf(h, model, link)
+    np.testing.assert_allclose(f, (h / link.a_l) ** z, rtol=1e-13, atol=0.0)
+    assert isinstance(channel.path_gain_cdf(float(h[2]), model, link), float)
+    assert channel.path_gain_cdf(link.a_l, model, link) == 1.0
+    with pytest.raises(DomainError):
+        channel.path_gain_cdf(h * 1.001, model, link)
+
+
 def test_path_gain_histogram_matches_density():
     # chi-square with equal-probability edges from the exact Gamma transform:
     # ln(a_l/h) ~ Gamma(k, 1/z), so quantiles come from an independent ppf

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from thzra import cli, validation
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -46,6 +48,38 @@ def test_bad_field_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command,base,old,new,key", [
+    ("analyze", DEFAULT_CFG, "gamma_th_db = 5", "gamma_th_db = five",
+     "outage.gamma_th_db"),
+    ("simulate", DEFAULT_CFG, "n_users = 2,5,10,20,40", "n_users = 2,abc",
+     "protocol.n_users"),
+    ("analyze", DEFAULT_CFG, "n_users = 2,5,10,20,40", "n_users = 2,abc",
+     "protocol.n_users"),
+    ("simulate", DEFAULT_CFG, "scheme = ftp,atp,optimal", "scheme = ,",
+     "protocol.scheme"),
+    ("validate", DEFAULT_CFG, "n_samples = 100000", "n_samples = many",
+     "validation.n_samples"),
+    ("sweep", SWEEP_CFG, "rho = 2,4.1", "rho = 2,x", "sweep.rho"),
+    ("sweep", SWEEP_CFG, "outage_draws = 2000000", "outage_draws = lots",
+     "sweep.outage_draws"),
+    ("simulate", DEFAULT_CFG, None, "x", cli.ENV_PARALLEL),
+], ids=["gamma_th_db", "n_users-simulate", "n_users-analyze", "scheme",
+        "n_samples", "sweep_axis", "outage_draws", "env_parallel"])
+def test_malformed_input_exits_2_naming_the_key(tmp_path, monkeypatch, capsys,
+                                                command, base, old, new, key):
+    text = base.read_text()
+    if old is None:                 # the environment variable, not the file
+        monkeypatch.setenv(cli.ENV_PARALLEL, new)
+    else:
+        assert old in text
+        text = text.replace(old, new)
+    cfg = write_cfg(tmp_path, "bad.cfg", text)
+    code = cli.main([command, "--config", str(cfg), "--trials", "10",
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"'{key}'" in capsys.readouterr().err
+
+
 def test_simulate_row_cardinality_and_schema(tmp_path):
     cfg = small_cfg(tmp_path)
     out = tmp_path / "out"
@@ -53,8 +87,11 @@ def test_simulate_row_cardinality_and_schema(tmp_path):
                      "--trials", "100", "--out", str(out)])
     assert code == 0
     schema, header, rows = read_rows(out / "simulate_aggregate.csv")
-    assert schema == "#schema: thzra.simulate.v1"
-    assert header[:2] == ["K", "scheme"]
+    assert schema == "#schema: thzra.simulate.v2"
+    assert header == ["K", "scheme", "mean_delay", "stderr_delay",
+                      "mean_energy_uj", "stderr_energy_uj",
+                      "mean_transmissions", "stderr_transmissions",
+                      "mean_k_admitted", "n_trials"]
     # 5 K values x 3 schemes from the shipped config
     assert len(rows) == 15
     manifest = json.loads((out / "run_manifest.json").read_text())
@@ -192,8 +229,10 @@ def test_validate_catches_biased_simulator(tmp_path, monkeypatch):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
+    # no scipy module at all: scipy.special alone costs ~0.3 s of start-up
     code = ("import sys, thzra.cli; "
-            "sys.exit('scipy.stats' in sys.modules)")
+            "sys.exit(any(m == 'scipy' or m.startswith('scipy.') "
+            "for m in sys.modules))")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC_DIR)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
@@ -224,6 +263,16 @@ def test_sweep_grid_and_resume(tmp_path):
     after = {p.name: p.read_bytes()
              for p in sorted((out / "sweep").glob("cell_*.csv"))}
     assert after == before
+
+    # a cell written under an older schema is recomputed, not reused
+    cells[3].write_text("#schema: thzra.sweep.cell.v1\nmu,p_out\n1,0.5\n")
+    assert cli.main(["sweep", "--config", str(cfg), "--seed", "9",
+                     "--out", str(out)]) == 0
+    after = {p.name: p.read_bytes()
+             for p in sorted((out / "sweep").glob("cell_*.csv"))}
+    assert after == before
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert len(manifest["outputs"]) == 9
 
 
 def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
@@ -258,15 +307,14 @@ def test_trials_dump_schema(tmp_path):
     assert cli.main(["simulate", "--config", str(cfg), "--seed", "1",
                      "--trials", "40", "--out", str(out), "--dump-trials"]) == 0
     schema, header, rows = read_rows(out / "simulate_trials.csv")
-    assert schema == "#schema: thzra.trials.v1"
+    assert schema == "#schema: thzra.trials.v2"
     assert header == ["trial_id", "scheme", "K_admitted", "total_slots",
-                      "total_transmissions", "energy_units", "energy_uJ",
-                      "K_provisioned"]
+                      "total_transmissions", "energy_uJ", "K_provisioned"]
     assert len(rows) == 40 * 3
     # numeric cells parse as plain floats (no stray scalar reprs)
     for row in rows[:5]:
-        float(row[6])
-        assert "(" not in row[6]
+        float(row[5])
+        assert "(" not in row[5]
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert sorted(manifest["outputs"]) == ["simulate_aggregate.csv",
                                            "simulate_trials.csv"]

@@ -229,7 +229,6 @@ def test_batch_realistic_energy_charges_frame_totals():
     exp = make_experiment(scheme="atp", n_total=6, trials=300, seed=4)
     _, rows = protocol.run_batch(exp, collect_rows=True)
     for r in rows:
-        assert r.energy_units == r.total_transmissions
         idle = (r.energy_uj - 1200.0 * r.total_transmissions
                 - 120.0 * r.k_admitted) / 40.0
         assert idle >= 0 and idle == int(idle)
@@ -263,7 +262,7 @@ def test_batch_mean_matches_series_at_5000_trials():
         stats, _ = protocol.run_batch(exp)
         d_exact, e_exact = validation.exact_delay_energy(scheme, K)
         assert abs(stats.mean_delay - d_exact) / d_exact < 0.02
-        assert abs(stats.mean_energy_units - e_exact) / e_exact < 0.02
+        assert abs(stats.mean_transmissions - e_exact) / e_exact < 0.02
 
 
 def test_atp_beats_ftp_delay_ftp_beats_atp_energy():
@@ -274,7 +273,7 @@ def test_atp_beats_ftp_delay_ftp_beats_atp_energy():
             exp = make_experiment(scheme=scheme, n_total=K, trials=5000, seed=21)
             stats, _ = protocol.run_batch(exp)
             d[scheme] = stats.mean_delay
-            e[scheme] = stats.mean_energy_units
+            e[scheme] = stats.mean_transmissions
         assert d["atp"] < d["ftp"]
         assert e["ftp"] < e["atp"]
 
@@ -309,7 +308,7 @@ def test_hoeffding_concentration_over_batches():
                               seed=40_000 + b)
         st, _ = protocol.run_batch(exp)
         dev_d[b] = abs(st.mean_delay - d_exact)
-        dev_e[b] = abs(st.mean_energy_units - e_exact)
+        dev_e[b] = abs(st.mean_transmissions - e_exact)
     for kind, dev in (("delay", dev_d), ("energy", dev_e)):
         for target in (0.5, 0.1):
             if kind == "delay":

@@ -169,7 +169,7 @@ def test_atp_bound_slack_vanishes():
 
 
 def test_relative_energy_gain_approaches_inverse_e():
-    gain = 1.0 - analytics.energy_ftp(1000) / analytics.energy_atp(1000)
+    gain = 1.0 - analytics.energy_ftp(1000) / analytics.delay_atp(1000)
     assert gain == pytest.approx(1.0 / math.e, abs=0.05 / math.e)
 
 
