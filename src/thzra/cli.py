@@ -18,7 +18,7 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -26,9 +26,9 @@ import numpy as np
 
 from . import __version__, analytics, channel, protocol, validation
 from .errors import ConfigError
-from .params import (Experiment, GammaAbsorption, parse_count,
-                     parse_float_list, parse_int_list, parse_str_list,
-                     read_value, validate_config)
+from .params import (Experiment, GammaAbsorption, RunConfig, apply_cell,
+                     read_value, run_config)
+from .params import validate_config  # noqa: F401  (re-exported)
 
 ENV_PARALLEL = "THZRA_MAX_PARALLEL"
 
@@ -54,11 +54,6 @@ def read_config(path) -> Dict[str, str]:
     return raw
 
 
-def _gamma_th(raw: Dict[str, str]) -> float:
-    """Linear outage threshold from outage.gamma_th_db (default 5 dB)."""
-    return 10.0 ** (read_value(raw, "outage.gamma_th_db", float, 5.0) / 10.0)
-
-
 # ---------------------------------------------------------------------------
 # output plumbing
 # ---------------------------------------------------------------------------
@@ -71,17 +66,26 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_csv_atomic(path: Path, schema: str, header: Sequence[str],
-                     rows: Sequence[Sequence]) -> None:
-    """Write-temp-then-rename CSV with a #schema: first line."""
+def _write_atomic(path: Path, text: str) -> None:
+    """Write-temp-then-rename, so no reader sees a half-written file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        fh.write(f"#schema: {schema}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    tmp.write_text(text, newline="")
     os.replace(tmp, path)
+
+
+def write_csv_atomic(path: Path, schema: str, header: Sequence[str],
+                     rows: Sequence[Sequence]) -> None:
+    """CSV with a #schema: first line, written atomically."""
+    lines = [f"#schema: {schema}", ",".join(header)]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    _write_atomic(path, "\n".join(lines) + "\n")
+
+
+def write_json_atomic(path: Path, data) -> None:
+    """JSON with sorted keys and numpy scalars as floats, written atomically."""
+    _write_atomic(path, json.dumps(data, indent=2, sort_keys=True, default=float)
+                  + "\n")
 
 
 def _version_string() -> str:
@@ -96,14 +100,22 @@ def _version_string() -> str:
     return __version__
 
 
+def _digest(obj) -> str:
+    """sha256 of a dataclass's resolved values, whatever their spelling."""
+    text = json.dumps(asdict(obj), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class Manifest:
     """Run manifest: written last, lists every output file of the run."""
 
-    def __init__(self, command: str, config_path, seed: int, out_dir: Path):
+    def __init__(self, command: str, config_path, cfg: RunConfig, out_dir: Path):
         self.data = {
             "command": command,
             "config": str(config_path),
-            "seed": int(seed),
+            "config_digest": _digest(cfg),
+            "resolved_config": asdict(cfg),
+            "seed": int(cfg.exp.protocol.seed),
             "version": _version_string(),
             "out_dir": str(out_dir),
             "outputs": [],
@@ -122,15 +134,18 @@ class Manifest:
         self.data["partial_run"] = True
         self.data.setdefault("partial_notes", []).append(note)
 
-    def write(self) -> Path:
+    def write(self) -> None:
         self.data["timings_s"]["total"] = round(time.monotonic() - self._t0, 3)
-        path = self.out_dir / "run_manifest.json"
-        tmp = path.with_suffix(".json.tmp")
-        with open(tmp, "w") as fh:
-            json.dump(self.data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-        return path
+        write_json_atomic(self.out_dir / "run_manifest.json", self.data)
+
+
+def _outage_closed_form(exp: Experiment, gamma_th: float, gamma_bar_db) -> float:
+    """No-fading outage probability at one average SNR, in closed form."""
+    q = analytics.OutageQuery(gamma_th=gamma_th,
+                              gamma_bar=10.0 ** (gamma_bar_db / 10.0),
+                              k_h=exp.link.k_h)
+    return analytics.cdf_snr_no_fading(q, exp.absorption, exp.misalignment.rho,
+                                       exp.link)
 
 
 def _row_seed(seed: int, *parts) -> int:
@@ -149,16 +164,13 @@ SIM_HEADER = ["K", "scheme", "mean_delay", "stderr_delay",
               "mean_k_admitted", "n_trials"]
 
 
-def cmd_simulate(exp: Experiment, raw: Dict[str, str], out_dir: Path,
-                 manifest: Manifest, dump_trials: bool = False) -> int:
-    schemes = read_value(raw, "protocol.scheme", parse_str_list,
-                         [exp.protocol.scheme])
-    k_values = read_value(raw, "protocol.n_users", parse_int_list,
-                          [exp.protocol.n_total])
+def cmd_simulate(cfg: RunConfig, out_dir: Path, manifest: Manifest,
+                 dump_trials: bool = False) -> int:
+    exp = cfg.exp
     rows = []
     trial_rows = []
-    for scheme in schemes:
-        for k in k_values:
+    for scheme in cfg.schemes:
+        for k in cfg.k_users:
             e = exp.with_protocol(scheme=scheme, n_total=k,
                                   seed=_row_seed(exp.protocol.seed, scheme, k))
             stats, trows = protocol.run_batch(e, collect_rows=dump_trials)
@@ -193,14 +205,11 @@ ANALYZE_HEADER = ["K", "d_ftp", "d_ftp_lo", "d_ftp_hi",
                   "e_atp", "e_atp_lo", "e_atp_hi"]
 
 
-def cmd_analyze(exp: Experiment, raw: Dict[str, str], out_dir: Path,
-                manifest: Manifest) -> int:
-    k_values = read_value(raw, "analyze.k_users", parse_int_list,
-                          read_value(raw, "protocol.n_users", parse_int_list,
-                                     [2, 5, 10, 20, 40]))
+def cmd_analyze(cfg: RunConfig, out_dir: Path, manifest: Manifest) -> int:
+    exp = cfg.exp
     rows = []
     nan = float("nan")
-    for k in sorted(set(k_values)):
+    for k in sorted(set(cfg.analyze_k)):
         d_ftp = analytics.delay_ftp(k)
         d_atp = analytics.delay_atp(k)     # ATP energy is the same series
         dfl, dfh = analytics.delay_bounds_ftp(k) if k >= 3 else (nan, nan)
@@ -214,17 +223,8 @@ def cmd_analyze(exp: Experiment, raw: Dict[str, str], out_dir: Path,
 
     # closed-form outage grid (no-fading law)
     if isinstance(exp.absorption, GammaAbsorption):
-        grid = read_value(raw, "outage.gamma_bar_db", parse_float_list,
-                          parse_float_list("25,27,29,31,33,35,37,39,41,43"))
-        gamma_th = _gamma_th(raw)
-        out_rows = []
-        for db in grid:
-            q = analytics.OutageQuery(gamma_th=gamma_th,
-                                      gamma_bar=10.0 ** (db / 10.0),
-                                      k_h=exp.link.k_h)
-            p = analytics.cdf_snr_no_fading(q, exp.absorption,
-                                            exp.misalignment.rho, exp.link)
-            out_rows.append([db, p])
+        out_rows = [[db, _outage_closed_form(exp, cfg.gamma_th, db)]
+                    for db in cfg.outage_grid_db]
         o_path = out_dir / "analyze_outage.csv"
         write_csv_atomic(o_path, "thzra.analyze.outage.v1",
                          ["gamma_bar_db", "p_out"], out_rows)
@@ -247,17 +247,10 @@ def cmd_analyze(exp: Experiment, raw: Dict[str, str], out_dir: Path,
 # validate
 # ---------------------------------------------------------------------------
 
-def _suite_results(exp: Experiment, raw: Dict[str, str], seed: int) -> List[dict]:
+def _suite_results(cfg: RunConfig) -> List[dict]:
     from scipy.special import gammainc
-    n_gof = read_value(raw, "validation.n_samples", parse_count, 100000)
-    trials = read_value(raw, "validation.trials", parse_count, 5000)
-    k_sim = read_value(raw, "validation.k_users", parse_int_list,
-                       [2, 5, 10, 20, 40])
-    rho_scale = read_value(raw, "validation.rho_sample_scale", float, 1.0)
-    grid = read_value(raw, "validation.gamma_bar_db", parse_float_list,
-                      parse_float_list("25,29,33,37,41"))
-    gamma_th = _gamma_th(raw)
-    n_mc = read_value(raw, "validation.outage_draws", parse_count, 200000)
+    exp, gamma_th, seed = cfg.exp, cfg.gamma_th, cfg.exp.protocol.seed
+    n_gof, n_mc = cfg.gof_samples, cfg.val_outage_draws
     results: List[dict] = []
 
     def record(suite, passed, detail):
@@ -266,7 +259,7 @@ def _suite_results(exp: Experiment, raw: Dict[str, str], seed: int) -> List[dict
     from . import streams as st
     rho = exp.misalignment.rho
     rng = st.substream(seed, 901)
-    hp = channel.sample_misalignment(rho * rho_scale, rng, n_gof)
+    hp = channel.sample_misalignment(rho * cfg.rho_sample_scale, rng, n_gof)
     rep = validation.ks_compare(hp, lambda x: channel.misalignment_cdf(x, rho))
     record("misalignment_ks", rep.passed,
            {"statistic": rep.statistic, "threshold": rep.threshold})
@@ -297,16 +290,12 @@ def _suite_results(exp: Experiment, raw: Dict[str, str], seed: int) -> List[dict
 
     if isinstance(exp.absorption, GammaAbsorption):
         exp_nf = replace(exp, fading=replace(exp.fading, enabled=False))
-        curve = validation.outage_mc(exp_nf, gamma_th, grid, n_mc,
+        curve = validation.outage_mc(exp_nf, gamma_th, cfg.val_grid_db, n_mc,
                                      seed=_row_seed(seed, "no_fading_outage"))
         ok = True
         pts = []
         for db, phat in zip(curve.gamma_bar_db, curve.p_out):
-            q = analytics.OutageQuery(gamma_th=gamma_th,
-                                      gamma_bar=10.0 ** (db / 10.0),
-                                      k_h=exp.link.k_h)
-            p = analytics.cdf_snr_no_fading(q, exp.absorption,
-                                            exp.misalignment.rho, exp.link)
+            p = _outage_closed_form(exp, gamma_th, db)
             se = math.sqrt(max(p * (1 - p), 1e-12) / n_mc)
             pt_ok = abs(phat - p) <= 3.0 * se
             ok &= pt_ok
@@ -319,25 +308,19 @@ def _suite_results(exp: Experiment, raw: Dict[str, str], seed: int) -> List[dict
     record("bound_sweep", validation.sweep_all_pass(rows),
            {"K": k_sweep, "failures": [r.metric for r in rows if not r.passed]})
 
-    agree = validation.simulator_agreement(exp, ["ftp", "atp"], k_sim, trials)
+    agree = validation.simulator_agreement(exp, ["ftp", "atp"], cfg.val_k_users,
+                                           cfg.val_trials)
     record("simulator_vs_series", all(r.passed for r in agree),
            {"worst_rel_err": max(r.rel_err for r in agree),
             "rows": [asdict(r) for r in agree]})
     return results
 
 
-def cmd_validate(exp: Experiment, raw: Dict[str, str], out_dir: Path,
-                 manifest: Manifest, seed: int) -> int:
-    results = _suite_results(exp, raw, seed)
+def cmd_validate(cfg: RunConfig, out_dir: Path, manifest: Manifest) -> int:
+    results = _suite_results(cfg)
     report_path = out_dir / "validation_report.json"
-    report_path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = report_path.with_suffix(".json.tmp")
-    with open(tmp, "w") as fh:
-        json.dump({"suites": results,
-                   "all_passed": all(r["passed"] for r in results)},
-                  fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
-    os.replace(tmp, report_path)
+    write_json_atomic(report_path, {"suites": results, "all_passed":
+                                    all(r["passed"] for r in results)})
     manifest.add(report_path)
     width = max(len(r["suite"]) for r in results)
     for r in results:
@@ -350,42 +333,18 @@ def cmd_validate(exp: Experiment, raw: Dict[str, str], out_dir: Path,
 # ---------------------------------------------------------------------------
 
 CELL_SCHEMA = "thzra.sweep.cell.v2"
-SWEEP_AXES = {
-    "k_users": parse_int_list,
-    "gamma_bar_db": parse_float_list,
-    "kbeta_db_per_km": parse_float_list,
-    "rho": parse_float_list,
-    "alpha": parse_float_list,
-    "mu": parse_float_list,
-    "k_h": parse_float_list,
-}
 
 
-def _apply_cell(exp: Experiment, cell: Dict[str, float]) -> Experiment:
-    link = exp.link
-    fading = exp.fading
-    mis = exp.misalignment
-    absorption = exp.absorption
-    prot = exp.protocol
-    if "gamma_bar_db" in cell:
-        link = replace(link, avg_snr=10.0 ** (cell["gamma_bar_db"] / 10.0))
-    if "k_h" in cell:
-        kh = cell["k_h"]
-        link = replace(link, k_t=kh / math.sqrt(2.0), k_r=kh / math.sqrt(2.0))
-    if "kbeta_db_per_km" in cell:
-        if not isinstance(absorption, GammaAbsorption):
-            raise ConfigError("kbeta sweep axis needs the gamma absorption model")
-        absorption = replace(absorption, beta=cell["kbeta_db_per_km"] / absorption.k)
-    if "rho" in cell:
-        mis = replace(mis, rho=cell["rho"])
-    if "alpha" in cell:
-        fading = replace(fading, alpha=cell["alpha"])
-    if "mu" in cell:
-        fading = replace(fading, mu=cell["mu"])
-    if "k_users" in cell:
-        prot = replace(prot, n_total=int(cell["k_users"]))
-    return Experiment(link=link, absorption=absorption, fading=fading,
-                      misalignment=mis, protocol=prot)
+@dataclass(frozen=True)
+class SweepCell:
+    """Everything one sweep cell is computed from; its digest keys the file."""
+
+    coords: Dict[str, float]     # axis name -> value
+    exp: Experiment              # the base experiment with coords applied
+    schemes: tuple
+    metrics: tuple
+    gamma_th: float
+    outage_draws: int
 
 
 def _cell_slug(cell: Dict[str, float]) -> str:
@@ -393,95 +352,83 @@ def _cell_slug(cell: Dict[str, float]) -> str:
     return "_".join(parts).replace("/", "-")
 
 
-def _run_cell(args):
-    exp, opts, cell, seed, out_dir = args
-    e = _apply_cell(exp, cell)
-    path = Path(out_dir) / f"cell_{_cell_slug(cell)}.csv"
-    header = sorted(cell.keys())
-    row = [cell[k] for k in header]
-    cols = list(header)
-    if "protocol" in opts["metrics"]:
-        for scheme in opts["schemes"]:
+def _run_cell(cell: SweepCell, path: Path, schema: str) -> Path:
+    e = cell.exp
+    slug = _cell_slug(cell.coords)
+    cols = sorted(cell.coords)
+    row = [cell.coords[k] for k in cols]
+    if "protocol" in cell.metrics:
+        for scheme in cell.schemes:
             ee = e.with_protocol(scheme=scheme,
-                                 seed=_row_seed(seed, _cell_slug(cell), scheme))
+                                 seed=_row_seed(e.protocol.seed, slug, scheme))
             stats, _ = protocol.run_batch(ee)
             cols += [f"{scheme}_mean_delay", f"{scheme}_mean_transmissions",
                      f"{scheme}_mean_energy_uj"]
             row += [stats.mean_delay, stats.mean_transmissions,
                     stats.mean_energy_uj]
-    if "outage" in opts["metrics"]:
-        n_mc = opts["outage_draws"]
+    if "outage" in cell.metrics:
+        n_mc = cell.outage_draws
         gbar_db = 10.0 * math.log10(e.link.avg_snr)
-        curve = validation.outage_mc(e, opts["gamma_th"], [gbar_db], n_mc,
-                                     seed=_row_seed(seed, _cell_slug(cell), "outage"))
+        curve = validation.outage_mc(e, cell.gamma_th, [gbar_db], n_mc,
+                                     seed=_row_seed(e.protocol.seed, slug, "outage"))
         cols += ["p_out", "p_out_ci_lo", "p_out_ci_hi", "outage_draws"]
         row += [float(curve.p_out[0]), float(curve.ci_lo[0]),
                 float(curve.ci_hi[0]), n_mc]
-    write_csv_atomic(path, CELL_SCHEMA, cols, [row])
+    write_csv_atomic(path, schema, cols, [row])
     return path
 
 
-def _is_current_cell(path: Path) -> bool:
-    """True for a cell file an earlier run finished under CELL_SCHEMA."""
+def _attempt(fn, *args):
+    """fn(*args), or the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
+def _is_current_cell(path: Path, schema: str) -> bool:
+    """True for a cell file an earlier run finished under this schema line."""
     try:
         with open(path) as fh:
-            return fh.readline() == f"#schema: {CELL_SCHEMA}\n"
+            return fh.readline() == f"#schema: {schema}\n"
     except FileNotFoundError:
         return False
 
 
-def cmd_sweep(exp: Experiment, raw: Dict[str, str], out_dir: Path,
-              manifest: Manifest, seed: int, parallel: int) -> int:
-    axes = {}
-    for name, parser in SWEEP_AXES.items():
-        values = read_value(raw, f"sweep.{name}", parser)
-        if values is not None:
-            axes[name] = values
+def cmd_sweep(cfg: RunConfig, out_dir: Path, manifest: Manifest,
+              parallel: int) -> int:
+    axes = cfg.sweep_axes
     if not axes:
         raise ConfigError("sweep requires at least one [sweep] axis")
-    names = sorted(axes.keys())
-    cells = [dict(zip(names, combo))
-             for combo in itertools.product(*(axes[n] for n in names))]
-    opts = {"metrics": read_value(raw, "sweep.metrics", parse_str_list,
-                                  ["protocol"]),
-            "schemes": read_value(raw, "protocol.scheme", parse_str_list,
-                                  [exp.protocol.scheme]),
-            "gamma_th": _gamma_th(raw),
-            "outage_draws": read_value(raw, "sweep.outage_draws", parse_count,
-                                       200000)}
+    names = sorted(axes)
     cell_dir = out_dir / "sweep"
     cell_dir.mkdir(parents=True, exist_ok=True)
 
     todo = []
-    for cell in cells:
-        path = cell_dir / f"cell_{_cell_slug(cell)}.csv"
-        if _is_current_cell(path):
-            manifest.add(path)          # completed in an earlier run
-        else:                           # missing, or from an older schema
-            todo.append((exp, opts, cell, seed, cell_dir))
+    for combo in itertools.product(*(axes[n] for n in names)):
+        coords = dict(zip(names, combo))
+        cell = SweepCell(coords, apply_cell(cfg.exp, coords), cfg.schemes,
+                         cfg.sweep_metrics, cfg.gamma_th, cfg.sweep_outage_draws)
+        path = cell_dir / f"cell_{_cell_slug(coords)}.csv"
+        schema = f"{CELL_SCHEMA} digest={_digest(cell)}"
+        if _is_current_cell(path, schema):
+            manifest.add(path)          # completed by an earlier run
+        else:                           # missing, or from another config/schema
+            todo.append((cell, path, schema))
 
-    failures = 0
-    if todo:
-        if parallel > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=parallel) as pool:
-                futures = {pool.submit(_run_cell, args): args for args in todo}
-                for fut, args in futures.items():
-                    try:
-                        manifest.add(fut.result())
-                    except Exception as exc:
-                        failures += 1
-                        manifest.mark_partial(f"cell {args[2]} failed: {exc}")
+    if parallel > 1 and todo:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=parallel) as pool:
+            futures = [pool.submit(_run_cell, *args) for args in todo]
+            results = [fut.exception() or fut.result() for fut in futures]
+    else:
+        results = [_attempt(_run_cell, *args) for args in todo]
+    for (cell, _, _), result in zip(todo, results):
+        if isinstance(result, BaseException):   # a failed cell: partial run
+            manifest.mark_partial(f"cell {cell.coords} failed: {result}")
         else:
-            for args in todo:
-                try:
-                    manifest.add(_run_cell(args))
-                except Exception as exc:   # cell failures flag a partial run
-                    failures += 1
-                    manifest.mark_partial(f"cell {args[2]} failed: {exc}")
-    if failures:
-        return 1
-    return 0
+            manifest.add(result)
+    return 1 if manifest.data["partial_run"] else 0
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +468,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raw["protocol.seed"] = str(args.seed)
         if args.trials is not None:
             raw["protocol.trials"] = str(args.trials)
-        exp = validate_config(raw)
+        cfg = run_config(raw)
         cap = read_value(os.environ, ENV_PARALLEL, int)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -529,22 +476,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = exp.protocol.seed
     parallel = max(1, args.parallel)
     if cap is not None:
         parallel = min(parallel, max(1, cap))
 
-    manifest = Manifest(args.command, args.config, seed, out_dir)
+    manifest = Manifest(args.command, args.config, cfg, out_dir)
     try:
         if args.command == "simulate":
-            code = cmd_simulate(exp, raw, out_dir, manifest,
+            code = cmd_simulate(cfg, out_dir, manifest,
                                 dump_trials=args.dump_trials)
         elif args.command == "analyze":
-            code = cmd_analyze(exp, raw, out_dir, manifest)
+            code = cmd_analyze(cfg, out_dir, manifest)
         elif args.command == "validate":
-            code = cmd_validate(exp, raw, out_dir, manifest, seed)
+            code = cmd_validate(cfg, out_dir, manifest)
         else:
-            code = cmd_sweep(exp, raw, out_dir, manifest, seed, parallel)
+            code = cmd_sweep(cfg, out_dir, manifest, parallel)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

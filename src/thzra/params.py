@@ -2,13 +2,13 @@
 
 Everything is validated once and frozen; derived constants (k_h, a_l, z)
 are recomputed from the raw fields, never stored by the caller.  All
-angles/gains/SNRs are linear internally; dB only appears at the config
-boundary (see cli).
+angles/gains/SNRs are linear internally; dB only appears in the config,
+which run_config parses and checks in full before any command runs.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import List, Mapping
 
 from .errors import MissingField, NonIntegerShape, OutOfRange
@@ -41,6 +41,7 @@ class ThzLinkParams:
         _require_pos("link.gain_rx", self.gain_rx)
         _require_range("link.k_t", self.k_t, 0.0, K_IMPAIRMENT_MAX)
         _require_range("link.k_r", self.k_r, 0.0, K_IMPAIRMENT_MAX)
+        _require_range("link.humidity_pct", self.humidity_pct, 0.0, 100.0)
         if self.avg_snr < 0:
             raise OutOfRange("link.avg_snr", self.avg_snr, "avg_snr >= 0")
         if self.pressure_hpa <= 0:
@@ -78,10 +79,6 @@ class GammaAbsorption:
     def __post_init__(self):
         _require_pos("absorption.k_shape", self.k)
         _require_pos("absorption.beta", self.beta)
-
-    @property
-    def mean_db_per_km(self) -> float:
-        return self.k * self.beta
 
     def z_for(self, link: ThzLinkParams) -> float:
         """Path-gain exponent z = 8.686/(beta * d_km) for a given link."""
@@ -210,56 +207,6 @@ class Experiment:
     def with_protocol(self, **kw) -> "Experiment":
         return replace(self, protocol=replace(self.protocol, **kw))
 
-    def to_flat_dict(self) -> dict:
-        """Serialize back to the flat section.key string map (round-trips)."""
-        out = {
-            "link.f_hz": repr(self.link.f_hz),
-            "link.d_m": repr(self.link.d_m),
-            "link.gain_tx": repr(self.link.gain_tx),
-            "link.gain_rx": repr(self.link.gain_rx),
-            "link.temperature_k": repr(self.link.temperature_k),
-            "link.humidity_pct": repr(self.link.humidity_pct),
-            "link.pressure": repr(self.link.pressure_hpa),
-            "link.pressure_unit": "hPa",
-            "link.k_t": repr(self.link.k_t),
-            "link.k_r": repr(self.link.k_r),
-            "link.avg_snr_db": repr(10.0 * math.log10(self.link.avg_snr))
-                               if self.link.avg_snr > 0 else "-inf",
-            "fading.enabled": "true" if self.fading.enabled else "false",
-            "fading.alpha": repr(self.fading.alpha),
-            "fading.eta": repr(self.fading.eta),
-            "fading.kappa": repr(self.fading.kappa),
-            "fading.mu": repr(self.fading.mu),
-            "fading.p_ext": repr(self.fading.p_ext),
-            "fading.q_ext": repr(self.fading.q_ext),
-            "fading.r_hat": repr(self.fading.r_hat),
-            "misalignment.rho": repr(self.misalignment.rho),
-            "protocol.scheme": self.protocol.scheme,
-            "protocol.n_users": repr(self.protocol.n_total),
-            "protocol.gamma_qos": repr(self.protocol.gamma_qos),
-            "protocol.energy_model": "realistic" if self.protocol.energy.realistic
-                                     else "unit",
-            "protocol.e_tx_uj": repr(self.protocol.energy.e_tx_uj),
-            "protocol.e_ack_uj": repr(self.protocol.energy.e_ack_uj),
-            "protocol.e_idle_uj": repr(self.protocol.energy.e_idle_uj),
-            "protocol.trials": repr(self.protocol.trials),
-            "protocol.seed": repr(self.protocol.seed),
-            "protocol.admission": self.protocol.admission,
-        }
-        if isinstance(self.absorption, GammaAbsorption):
-            out["absorption.model"] = "gamma"
-            out["absorption.k_shape"] = repr(self.absorption.k)
-            out["absorption.kbeta_db_per_km"] = repr(self.absorption.mean_db_per_km)
-        else:
-            out["absorption.model"] = "deterministic"
-            for i, v in enumerate(self.absorption.q, 1):
-                out[f"absorption.q{i}"] = repr(v)
-            out["absorption.p1"] = repr(self.absorption.p1)
-            out["absorption.p2"] = repr(self.absorption.p2)
-            for i, v in enumerate(self.absorption.c, 1):
-                out[f"absorption.c{i}"] = repr(v)
-        return out
-
 
 def _require_pos(name, value):
     if not (value > 0):
@@ -340,6 +287,15 @@ def _get_float(raw, key, default=None, required=False):
     return read_value(raw, key, float, default)
 
 
+def _float_fields(raw, section: str, cls, *skip: str) -> dict:
+    """section.<name> for each float field of cls not in skip; a field
+    without a default is required, the others default as in cls."""
+    return {f.name: _get_float(raw, f"{section}.{f.name}",
+                               None if f.default is MISSING else f.default,
+                               required=f.default is MISSING)
+            for f in fields(cls) if f.type == "float" and f.name not in skip}
+
+
 def _get_bool(raw, key, default=False):
     s = _get(raw, key)
     if s is None:
@@ -355,7 +311,7 @@ def _db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def validate_config(raw: Mapping[str, str]) -> Experiment:
+def _experiment(raw: Mapping[str, str], scheme: str, n_total: int) -> Experiment:
     """Build a validated Experiment from a flat 'section.key' -> string map.
 
     Pressure may be declared in atm or hPa (link.pressure_unit) and is
@@ -376,20 +332,8 @@ def validate_config(raw: Mapping[str, str]) -> Experiment:
         avg_snr = _db_to_linear(avg_snr_db)
 
     link = ThzLinkParams(
-        f_hz=_get_float(raw, "link.f_hz", required=True),
-        d_m=_get_float(raw, "link.d_m", required=True),
-        gain_tx=_get_float(raw, "link.gain_tx", required=True),
-        gain_rx=_get_float(raw, "link.gain_rx", required=True),
-        temperature_k=_get_float(raw, "link.temperature_k", 296.0),
-        humidity_pct=_get_float(raw, "link.humidity_pct", 50.0),
-        pressure_hpa=pressure,
-        k_t=_get_float(raw, "link.k_t", 0.0),
-        k_r=_get_float(raw, "link.k_r", 0.0),
-        avg_snr=avg_snr,
-    )
-    if not (0.0 <= link.humidity_pct <= 100.0):
-        raise OutOfRange("link.humidity_pct", link.humidity_pct,
-                         "0 <= humidity <= 100")
+        pressure_hpa=pressure, avg_snr=avg_snr,
+        **_float_fields(raw, "link", ThzLinkParams, "pressure_hpa", "avg_snr"))
 
     model = _get(raw, "absorption.model", "gamma").lower()
     if model == "gamma":
@@ -397,8 +341,7 @@ def validate_config(raw: Mapping[str, str]) -> Experiment:
         beta = _get_float(raw, "absorption.beta_db_per_km")
         if beta is None:
             kbeta = _get_float(raw, "absorption.kbeta_db_per_km", required=True)
-            if kbeta <= 0:
-                raise OutOfRange("absorption.kbeta_db_per_km", kbeta, "mean > 0")
+            _require_pos("absorption.kbeta_db_per_km", kbeta)
             beta = kbeta / k_shape
         absorption = GammaAbsorption(k=k_shape, beta=beta)
     elif model == "deterministic":
@@ -413,16 +356,8 @@ def validate_config(raw: Mapping[str, str]) -> Experiment:
     else:
         raise OutOfRange("absorption.model", model, "gamma | deterministic")
 
-    fading = FadingParams(
-        alpha=_get_float(raw, "fading.alpha", 2.0),
-        eta=_get_float(raw, "fading.eta", 1.0),
-        kappa=_get_float(raw, "fading.kappa", 0.0),
-        mu=_get_float(raw, "fading.mu", 1.0),
-        p_ext=_get_float(raw, "fading.p_ext", 1.0),
-        q_ext=_get_float(raw, "fading.q_ext", 1.0),
-        r_hat=_get_float(raw, "fading.r_hat", 1.0),
-        enabled=_get_bool(raw, "fading.enabled", True),
-    )
+    fading = FadingParams(enabled=_get_bool(raw, "fading.enabled", True),
+                          **_float_fields(raw, "fading", FadingParams))
 
     rho = _get_float(raw, "misalignment.rho")
     beamwidth = _get_float(raw, "misalignment.beamwidth")
@@ -446,22 +381,139 @@ def validate_config(raw: Mapping[str, str]) -> Experiment:
     energy_mode = _get(raw, "protocol.energy_model", "unit").lower()
     if energy_mode not in ("unit", "realistic"):
         raise OutOfRange("protocol.energy_model", energy_mode, "unit | realistic")
-    energy = EnergyModel(
-        realistic=(energy_mode == "realistic"),
-        e_tx_uj=_get_float(raw, "protocol.e_tx_uj", 1200.0),
-        e_ack_uj=_get_float(raw, "protocol.e_ack_uj", 120.0),
-        e_idle_uj=_get_float(raw, "protocol.e_idle_uj", 40.0),
-    )
+    energy = EnergyModel(realistic=(energy_mode == "realistic"),
+                         **_float_fields(raw, "protocol", EnergyModel))
 
     protocol = ProtocolConfig(
-        scheme=read_value(raw, "protocol.scheme", parse_str_list, ["atp"])[0],
-        n_total=read_value(raw, "protocol.n_users", parse_int_list, [10])[0],
-        gamma_qos=gamma_qos,
-        energy=energy,
+        scheme=scheme, n_total=n_total, gamma_qos=gamma_qos, energy=energy,
         trials=read_value(raw, "protocol.trials", parse_count, 5000),
         seed=read_value(raw, "protocol.seed", parse_count, 1),
-        admission=_get(raw, "protocol.admission", "instantaneous").lower(),
-    )
+        admission=_get(raw, "protocol.admission", "instantaneous").lower())
 
     return Experiment(link=link, absorption=absorption, fading=fading,
                       misalignment=mis, protocol=protocol)
+
+
+MIN_GOF_SAMPLES = 1000           # smallest sample a goodness-of-fit test accepts
+SWEEP_METRICS = ("protocol", "outage")
+SWEEP_AXES = {"k_users": parse_int_list, "gamma_bar_db": parse_float_list,
+              "kbeta_db_per_km": parse_float_list, "rho": parse_float_list,
+              "alpha": parse_float_list, "mu": parse_float_list,
+              "k_h": parse_float_list}
+
+
+def apply_cell(exp: Experiment, cell: Mapping[str, float]) -> Experiment:
+    """The experiment with the sweep axis values of one cell applied."""
+    link, fading, mis = exp.link, exp.fading, exp.misalignment
+    absorption, prot = exp.absorption, exp.protocol
+    if "gamma_bar_db" in cell:
+        link = replace(link, avg_snr=_db_to_linear(cell["gamma_bar_db"]))
+    if "k_h" in cell:
+        kh = cell["k_h"]
+        link = replace(link, k_t=kh / math.sqrt(2.0), k_r=kh / math.sqrt(2.0))
+    if "kbeta_db_per_km" in cell:
+        if not isinstance(absorption, GammaAbsorption):
+            raise OutOfRange("sweep.kbeta_db_per_km", cell["kbeta_db_per_km"],
+                             "absorption.model = gamma")
+        absorption = replace(absorption, beta=cell["kbeta_db_per_km"] / absorption.k)
+    if "rho" in cell:
+        mis = replace(mis, rho=cell["rho"])
+    fading = replace(fading, **{k: cell[k] for k in ("alpha", "mu") if k in cell})
+    if "k_users" in cell:
+        prot = replace(prot, n_total=int(cell["k_users"]))
+    return Experiment(link=link, absorption=absorption, fading=fading,
+                      misalignment=mis, protocol=prot)
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Every value the commands use, parsed and checked once by run_config."""
+
+    exp: Experiment              # protocol holds the first scheme and K
+    schemes: tuple               # protocol.scheme
+    k_users: tuple               # protocol.n_users (simulate)
+    analyze_k: tuple             # analyze.k_users, else protocol.n_users
+    outage_grid_db: tuple        # outage.gamma_bar_db (analyze)
+    gamma_th: float              # outage.gamma_th_db, linear
+    gof_samples: int             # validation.n_samples
+    val_trials: int              # validation.trials
+    val_k_users: tuple           # validation.k_users
+    rho_sample_scale: float      # validation.rho_sample_scale
+    val_grid_db: tuple           # validation.gamma_bar_db
+    val_outage_draws: int        # validation.outage_draws
+    sweep_axes: dict             # axis name -> values, for the axes given
+    sweep_metrics: tuple         # sweep.metrics
+    sweep_outage_draws: int      # sweep.outage_draws
+
+
+def _checked(key: str, value, check):
+    """check(key, v) for each entry of value; a failed check names key."""
+    for v in value if isinstance(value, list) else [value]:
+        try:
+            if check is not None:
+                check(key, v)
+        except OutOfRange as exc:
+            raise OutOfRange(key, v, exc.bound) from exc
+    return tuple(value) if isinstance(value, list) else value
+
+
+def _metric(key, name):
+    if name not in SWEEP_METRICS:
+        raise OutOfRange(key, name, " | ".join(SWEEP_METRICS))
+
+
+def run_config(raw: Mapping[str, str]) -> RunConfig:
+    """Parse and check every config key, before any command runs.
+
+    Each list entry and sweep axis value is checked by building the
+    Experiment it would run; a failure names the key it was written under.
+    """
+    schemes = read_value(raw, "protocol.scheme", parse_str_list, ["atp"])
+    n_users = read_value(raw, "protocol.n_users", parse_int_list)
+    exp = _experiment(raw, schemes[0], (n_users or [10])[0])
+
+    def read(key, parse, default, check=None):
+        value = read_value(raw, key, parse, default)
+        return None if value is None else _checked(key, value, check)
+
+    def users(key, k):
+        exp.with_protocol(n_total=k)
+
+    def axis(key, v):
+        apply_cell(exp, {key.split(".", 1)[1]: v})
+
+    axes = {name: read(f"sweep.{name}", parse, None, axis)
+            for name, parse in SWEEP_AXES.items()}
+    return RunConfig(
+        exp=exp,
+        schemes=_checked("protocol.scheme", schemes,
+                         lambda key, s: exp.with_protocol(scheme=s)),
+        k_users=_checked("protocol.n_users", n_users or [10], users),
+        analyze_k=read("analyze.k_users", parse_int_list,
+                       n_users or [2, 5, 10, 20, 40], users),
+        outage_grid_db=read("outage.gamma_bar_db", parse_float_list,
+                            [25.0, 27.0, 29.0, 31.0, 33.0, 35.0, 37.0, 39.0,
+                             41.0, 43.0]),
+        gamma_th=_db_to_linear(read("outage.gamma_th_db", float, 5.0)),
+        gof_samples=read("validation.n_samples", parse_count, 100000,
+                         lambda key, n: _require_range(key, n, MIN_GOF_SAMPLES,
+                                                       math.inf)),
+        val_trials=read("validation.trials", parse_count, 5000,
+                        lambda key, t: exp.with_protocol(trials=t)),
+        val_k_users=read("validation.k_users", parse_int_list,
+                         [2, 5, 10, 20, 40], users),
+        rho_sample_scale=read("validation.rho_sample_scale", float, 1.0,
+                              _require_pos),
+        val_grid_db=read("validation.gamma_bar_db", parse_float_list,
+                         [25.0, 29.0, 33.0, 37.0, 41.0]),
+        val_outage_draws=read("validation.outage_draws", parse_count, 200000,
+                              _require_pos),
+        sweep_axes={name: v for name, v in axes.items() if v is not None},
+        sweep_metrics=read("sweep.metrics", parse_str_list, ["protocol"], _metric),
+        sweep_outage_draws=read("sweep.outage_draws", parse_count, 200000,
+                                _require_pos))
+
+
+def validate_config(raw: Mapping[str, str]) -> Experiment:
+    """The validated Experiment of a flat 'section.key' -> string map."""
+    return run_config(raw).exp

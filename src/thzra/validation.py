@@ -2,9 +2,10 @@
 goodness-of-fit, outage curves with confidence intervals, slope regression
 for the diversity order, and exhaustive bound sweeps.
 
-scipy.stats is imported inside the functions that use it: importing it
-takes most of the CLI's start-up (time and memory), and simulate and sweep
-never need it.
+scipy is imported inside the functions that use it, so simulate and
+sweep start without it.  Quantiles come from scipy.special (chdtri, chdtrc,
+ndtri), which validate loads anyway; only slope_fit, which no command calls,
+imports scipy.stats (about a third of a validate run on its own).
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import analytics, channel, protocol, streams
 from .errors import EmptySample, InsufficientTail
-from .params import Experiment
+from .params import MIN_GOF_SAMPLES, Experiment
 
 KS_COEFF_5PCT = 1.36     # asymptotic two-sided KS threshold factor at 5%
 AGREEMENT_ALPHA = 1e-3   # family-wise false-alarm level of simulator_agreement
@@ -41,8 +42,8 @@ class GofReport:
         """Chi-square tail probability (only meaningful for ChiSquare)."""
         if self.test != "ChiSquare" or self.df < 1:
             raise ValueError("p_value defined for chi-square reports only")
-        from scipy import stats as sstats
-        return float(sstats.chi2.sf(self.statistic, df=self.df))
+        from scipy.special import chdtrc
+        return float(chdtrc(self.df, self.statistic))
 
 
 def ks_statistic(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -58,8 +59,8 @@ def ks_compare(samples: np.ndarray, cdf: Callable, level_coeff: float = KS_COEFF
                ) -> GofReport:
     """Two-sided KS test against an analytic CDF; threshold 1.36/sqrt(n)."""
     n = np.asarray(samples).size
-    if n < 1000:
-        raise EmptySample(f"KS comparison needs n >= 1000, got {n}")
+    if n < MIN_GOF_SAMPLES:
+        raise EmptySample(f"KS comparison needs n >= {MIN_GOF_SAMPLES}, got {n}")
     d = ks_statistic(samples, cdf)
     return GofReport.make("KS", d, level_coeff / math.sqrt(n), n)
 
@@ -71,11 +72,11 @@ def chi_square_compare(samples: np.ndarray, cdf: Callable, support: Tuple[float,
     Bin edges are found by bisecting the CDF; passes when the p-value
     exceeds p_floor (statistic below the matching chi2 quantile).
     """
-    from scipy import stats as sstats
+    from scipy.special import chdtri
     x = np.asarray(samples, dtype=float)
     n = x.size
-    if n < 1000:
-        raise EmptySample(f"chi-square comparison needs n >= 1000, got {n}")
+    if n < MIN_GOF_SAMPLES:
+        raise EmptySample(f"chi-square needs n >= {MIN_GOF_SAMPLES}, got {n}")
     n_bins = max(4, min(50, n // (5 * min_expected)))
     probs = np.linspace(0.0, 1.0, n_bins + 1)
     edges = [support[0]] + [_cdf_invert(cdf, q, support) for q in probs[1:-1]] \
@@ -83,7 +84,7 @@ def chi_square_compare(samples: np.ndarray, cdf: Callable, support: Tuple[float,
     counts, _ = np.histogram(x, bins=np.asarray(edges))
     expected = n / n_bins
     stat = float(np.sum((counts - expected) ** 2 / expected))
-    threshold = float(sstats.chi2.isf(p_floor, df=n_bins - 1))
+    threshold = float(chdtri(n_bins - 1, p_floor))
     return GofReport.make("ChiSquare", stat, threshold, n, df=n_bins - 1)
 
 
@@ -264,7 +265,7 @@ def simulator_agreement(exp: Experiment, schemes: Sequence[str],
     AGREEMENT_ALPHA at any trial count, while a fixed relative bias is
     caught once enough trials shrink SE well below it.
     """
-    from scipy import stats as sstats
+    from scipy.special import ndtri
     results = []
     for scheme in schemes:
         for K in k_values:
@@ -276,7 +277,7 @@ def simulator_agreement(exp: Experiment, schemes: Sequence[str],
                          d_exact),
                         (scheme, K, "energy", stats.mean_transmissions,
                          stats.se_transmissions, e_exact)]
-    z = float(sstats.norm.isf(AGREEMENT_ALPHA / (2.0 * len(results))))
+    z = float(-ndtri(AGREEMENT_ALPHA / (2.0 * len(results))))
     return [AgreementRow(scheme, K, kind, sim, float(exact), se, z,
                          abs(sim - exact) / exact, abs(sim - exact) <= z * se)
             for scheme, K, kind, sim, se, exact in results]

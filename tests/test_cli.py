@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from thzra import cli, validation
+from thzra import cli, params, validation
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -17,14 +17,6 @@ SWEEP_CFG = CONFIG_DIR / "sweep_outage.cfg"
 
 def write_cfg(tmp_path, name, text):
     p = tmp_path / name
-    p.write_text(text)
-    return p
-
-
-def small_cfg(tmp_path, **overrides):
-    """Default config with reduced cost knobs for CLI tests."""
-    text = DEFAULT_CFG.read_text()
-    p = tmp_path / "small.cfg"
     p.write_text(text)
     return p
 
@@ -63,8 +55,21 @@ def test_bad_field_exit_2(tmp_path):
     ("sweep", SWEEP_CFG, "outage_draws = 2000000", "outage_draws = lots",
      "sweep.outage_draws"),
     ("simulate", DEFAULT_CFG, None, "x", cli.ENV_PARALLEL),
+    ("sweep", SWEEP_CFG, "rho = 2,4.1", "rho = -1,4.1", "sweep.rho"),
+    ("sweep", SWEEP_CFG, "metrics = outage", "metrics = outgae",
+     "sweep.metrics"),
+    ("sweep", SWEEP_CFG, "scheme = atp", "scheme = atp,bogus",
+     "protocol.scheme"),
+    ("simulate", DEFAULT_CFG, "n_users = 2,5,10,20,40", "n_users = 5,0",
+     "protocol.n_users"),
+    ("validate", DEFAULT_CFG, "n_samples = 100000", "n_samples = 10",
+     "validation.n_samples"),
+    ("validate", DEFAULT_CFG, "n_samples = 100000\ntrials = 5000",
+     "n_samples = 100000\ntrials = 0", "validation.trials"),
 ], ids=["gamma_th_db", "n_users-simulate", "n_users-analyze", "scheme",
-        "n_samples", "sweep_axis", "outage_draws", "env_parallel"])
+        "n_samples", "sweep_axis", "outage_draws", "env_parallel",
+        "sweep_axis_range", "sweep_metric", "scheme-sweep", "n_users_range",
+        "n_samples_floor", "validation_trials"])
 def test_malformed_input_exits_2_naming_the_key(tmp_path, monkeypatch, capsys,
                                                 command, base, old, new, key):
     text = base.read_text()
@@ -78,10 +83,11 @@ def test_malformed_input_exits_2_naming_the_key(tmp_path, monkeypatch, capsys,
                      "--out", str(tmp_path / "o")])
     assert code == 2
     assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()    # rejected before any work
 
 
 def test_simulate_row_cardinality_and_schema(tmp_path):
-    cfg = small_cfg(tmp_path)
+    cfg = DEFAULT_CFG
     out = tmp_path / "out"
     code = cli.main(["simulate", "--config", str(cfg), "--seed", "4",
                      "--trials", "100", "--out", str(out)])
@@ -111,7 +117,7 @@ def test_simulate_k_sweep_cardinality(tmp_path):
 
 
 def test_simulate_byte_identical_reruns(tmp_path):
-    cfg = small_cfg(tmp_path)
+    cfg = DEFAULT_CFG
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
@@ -124,7 +130,7 @@ def test_simulate_byte_identical_reruns(tmp_path):
 
 
 def test_simulate_seed_changes_output(tmp_path):
-    cfg = small_cfg(tmp_path)
+    cfg = DEFAULT_CFG
     a = tmp_path / "a"
     b = tmp_path / "b"
     cli.main(["simulate", "--config", str(cfg), "--seed", "1", "--trials", "200",
@@ -228,16 +234,32 @@ def test_validate_catches_biased_simulator(tmp_path, monkeypatch):
     assert detail["worst_rel_err"] == max(r["rel_err"] for r in detail["rows"])
 
 
+def run_python(code, timeout):
+    """Exit code of `python -c code` in a fresh interpreter on src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC_DIR)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=timeout).returncode
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # no scipy module at all: scipy.special alone costs ~0.3 s of start-up
     code = ("import sys, thzra.cli; "
             "sys.exit(any(m == 'scipy' or m.startswith('scipy.') "
             "for m in sys.modules))")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC_DIR)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
-    assert proc.returncode == 0
+    assert run_python(code, timeout=120) == 0
+
+
+def test_validate_leaves_scipy_stats_unloaded(tmp_path):
+    cfg = write_cfg(tmp_path, "fast.cfg", fast_validate_text().replace(
+        "k_users = 2,5", "k_users = 2"))
+    code = ("import sys; from thzra import cli; "
+            f"cli.main(['validate', '--config', {str(cfg)!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}]); "
+            "sys.exit('scipy.stats' in sys.modules)")
+    assert run_python(code, timeout=300) == 0
+    assert (tmp_path / "out" / "validation_report.json").is_file()
 
 
 def test_sweep_grid_and_resume(tmp_path):
@@ -273,6 +295,45 @@ def test_sweep_grid_and_resume(tmp_path):
     assert after == before
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert len(manifest["outputs"]) == 9
+
+    # an unchanged rerun reuses every cell: no file is rewritten
+    stamps = cell_stamps(out)
+    assert cli.main(["sweep", "--config", str(cfg), "--seed", "9",
+                     "--out", str(out)]) == 0
+    assert cell_stamps(out) == stamps
+    assert cell_bytes(out) == before
+
+    # one more axis value: only its cells are computed, the old ones untouched
+    longer = text.replace("rho = 2,3,4", "rho = 2,3,4,5")
+    cfg_long = write_cfg(tmp_path, "long.cfg", longer)
+    assert cli.main(["sweep", "--config", str(cfg_long), "--seed", "9",
+                     "--out", str(out)]) == 0
+    grown = cell_stamps(out)
+    assert len(grown) == 12
+    assert {name: grown[name] for name in stamps} == stamps
+    assert len(json.loads((out / "run_manifest.json").read_text())["outputs"]) == 12
+
+    # another threshold: every cell is recomputed, as in a fresh directory
+    th15 = write_cfg(tmp_path, "th15.cfg", longer.replace("gamma_th_db = 5",
+                                                          "gamma_th_db = 15"))
+    assert cli.main(["sweep", "--config", str(th15), "--seed", "9",
+                     "--out", str(out)]) == 0
+    fresh = tmp_path / "fresh"
+    assert cli.main(["sweep", "--config", str(th15), "--seed", "9",
+                     "--out", str(fresh)]) == 0
+    rerun = cell_bytes(out)
+    assert rerun == cell_bytes(fresh)
+    assert all(rerun[name] != body for name, body in before.items())
+
+
+def cell_bytes(out):
+    return {p.name: p.read_bytes() for p in (out / "sweep").glob("cell_*.csv")}
+
+
+def cell_stamps(out):
+    """Inode and mtime per cell: an atomic rewrite changes both."""
+    return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns)
+            for p in (out / "sweep").glob("cell_*.csv")}
 
 
 def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
@@ -321,9 +382,9 @@ def test_trials_dump_schema(tmp_path):
 
 
 def test_int_list_parsing():
-    assert cli.parse_int_list("2,5,10") == [2, 5, 10]
-    assert cli.parse_int_list("1:4") == [1, 2, 3, 4]
-    assert cli.parse_int_list("1:3,7") == [1, 2, 3, 7]
+    assert params.parse_int_list("2,5,10") == [2, 5, 10]
+    assert params.parse_int_list("1:4") == [1, 2, 3, 4]
+    assert params.parse_int_list("1:3,7") == [1, 2, 3, 7]
 
 
 def test_sweep_cluster_count_outage_ratio(tmp_path):

@@ -1,12 +1,13 @@
-"""Parameter validation, derived constants, and config round-trips."""
+"""Parameter validation, derived constants, and the config digest."""
 import math
 
 import pytest
 
+from thzra import cli
 from thzra.errors import MissingField, NonIntegerShape, OutOfRange
 from thzra.params import (EnergyModel, FadingParams, GammaAbsorption,
                           MisalignmentParams, ProtocolConfig, ThzLinkParams,
-                          validate_config)
+                          run_config, validate_config)
 
 BASE = {
     "link.f_hz": "300e9",
@@ -110,18 +111,25 @@ def test_humidity_bounds():
         validate_config(dict(BASE, **{"link.humidity_pct": "120"}))
 
 
-def test_roundtrip_bitwise_identical_derived_constants():
-    exp = validate_config(dict(BASE, **{
-        "fading.alpha": "2.7", "fading.mu": "2", "fading.kappa": "0.3",
-        "protocol.scheme": "ftp", "protocol.trials": "123",
-        "protocol.gamma_qos_db": "3.5"}))
-    again = validate_config(exp.to_flat_dict())
-    assert again.link.a_l == exp.link.a_l
-    assert again.link.k_h == exp.link.k_h
-    assert again.absorption.z_for(again.link) == exp.absorption.z_for(exp.link)
-    assert again.link.avg_snr == exp.link.avg_snr
-    assert again.protocol.gamma_qos == exp.protocol.gamma_qos
-    assert again.fading == exp.fading
+def test_config_digest_keys_resolved_values_not_spelling():
+    def digest(**kw):
+        raw = {k: v for k, v in dict(BASE, **kw).items() if v is not None}
+        return cli._digest(run_config(raw))
+
+    base = digest()
+    for one, other in [
+            ({"link.avg_snr_db": "20"},
+             {"link.avg_snr_db": None, "link.avg_snr": "100"}),
+            ({"link.pressure": "1", "link.pressure_unit": "atm"},
+             {"link.pressure": "1013.25", "link.pressure_unit": "hPa"}),
+            ({"absorption.kbeta_db_per_km": "30"},
+             {"absorption.kbeta_db_per_km": None,
+              "absorption.beta_db_per_km": "10"})]:
+        assert digest(**one) == digest(**other)
+    assert digest(**{"absorption.kbeta_db_per_km": "30.0"}) == base
+    for key, value in [("protocol.seed", "2"), ("protocol.trials", "4999"),
+                       ("outage.gamma_th_db", "15")]:
+        assert digest(**{key: value}) != base, key
 
 
 def test_misalignment_from_beam():
