@@ -1,12 +1,14 @@
 """Closed-form statistics: no-fading SNR law, delay and energy series with
 their scaling bounds, concentration bounds, diversity order.
 
-The no-fading SNR law is the integer-shape composite of the random path
-gain and the misalignment gain; it reduces to finite combinations of
-powers, logs and exponential partial sums, valid for either sign of
-(z - rho) through the finite-series continuation.  The regularized
-incomplete gamma functions elsewhere in the package (path-gain CDF, KS
-reference CDFs) come from scipy.special.gammainc/gammaincc.
+The no-fading SNR law is the law of h_l * h_p = a_l e^{-(T+W)} with
+T ~ Gamma(k, 1/z) (absorption, integer k) and W ~ Gamma(2, 1/rho)
+(misalignment).  Conditioning on T gives a regularized upper incomplete
+gamma plus two confluent hypergeometric terms (Tricomi's entire
+incomplete gamma, DLMF 8.5.1), exact for every z and rho including
+z = rho; scipy.special's gammaincc and hyp1f1 evaluate them, imported
+inside the functions as everywhere else in the package (path-gain CDF,
+KS reference CDFs).
 
 Energy is counted in transmissions (unit energy).  ATP's expected energy
 therefore equals its expected delay, so `delay_atp`, `delay_atp_prefix`
@@ -22,26 +24,15 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DegenerateParams, DomainError
+from .errors import DomainError
 from .params import GammaAbsorption, ThzLinkParams
 
 EULER_GAMMA = 0.5772156649015329
-Z_RHO_TOL = 1e-6          # reject the removable singularity instead of guessing
-_CDF_RAW_TOL = 1e-9       # raw closed-form value must be in [-tol, 1+tol]
 
 
 # ---------------------------------------------------------------------------
 # no-fading SNR law (random path gain x misalignment, impaired front end)
 # ---------------------------------------------------------------------------
-
-def _exp_partial_sum(x: float, m: int) -> float:
-    """sum_{j=0..m} x^j / j!  (finite-series building block, any real x)."""
-    tot, term = 1.0, 1.0
-    for j in range(1, m + 1):
-        term *= x / j
-        tot += term
-    return tot
-
 
 @dataclass(frozen=True)
 class OutageQuery:
@@ -72,48 +63,53 @@ class OutageQuery:
                          / (self.gamma_bar * (1.0 - self.gamma_th * self.k_h ** 2)))
 
 
+def _kummer_terms(L: float, k: int, z: float, rho: float):
+    """G_b = e^{-rho L} M(k, b, -(z - rho) L) / (b-1)! for b = k+1, k+2.
+
+    With s = z - rho, G_{k+1} = e^{-rho L} gamma*(k, sL) and
+    G_{k+2} = e^{-rho L} [gamma*(k, sL) - k gamma*(k+1, sL)] (DLMF 8.5.1,
+    gamma* Tricomi's entire incomplete gamma); one Kummer function keeps
+    the difference free of cancellation.  For s < 0 Kummer's
+    transformation M(k, b, -x) = e^{-x} M(b-k, b, x) moves e^{-sL} into
+    the prefactor, so M is only ever taken at a non-positive argument,
+    where it lies in (0, 1] and cannot overflow.
+    """
+    from scipy.special import hyp1f1   # lazy: keeps scipy off import
+    s = z - rho
+    terms = []
+    for b in (k + 1, k + 2):
+        if s >= 0.0:
+            m = math.exp(-rho * L) * hyp1f1(k, b, -s * L)
+        else:
+            m = math.exp(-z * L) * hyp1f1(b - k, b, s * L)
+        terms.append(float(m) / math.factorial(b - 1))
+    return terms
+
+
 def composite_gain_cdf(y: float, k: int, z: float, rho: float, a_l: float) -> float:
-    """CDF of h_l * h_p at y, for integer absorption shape k and z != rho."""
-    _check_z_rho(z, rho)
+    """CDF of h_l * h_p at y, for integer absorption shape k.
+
+    With L = ln(a_l/y): F = Q(k, zL) + (zL)^k (G_{k+1} + rho L G_{k+2}),
+    the absorption tail P(T >= L) plus P(T < L, W >= L - T).
+    """
+    from scipy.special import gammaincc   # lazy: keeps scipy off import
     if y <= 0.0:
         return 0.0
     if y >= a_l:
         return 1.0
     L = math.log(a_l / y)
-    s = z - rho
-    ezl = math.exp(-z * L)
-    erl = math.exp(-rho * L)
-    q_k_zl = ezl * _exp_partial_sum(z * L, k - 1)          # Q(k, zL)
-    s_km1 = _exp_partial_sum(s * L, k - 1)
-    s_k = _exp_partial_sum(s * L, k)
-    raw = q_k_zl + (z / s) ** k * (
-        (1.0 + rho * L) * (erl - ezl * s_km1)
-        - (k * rho / s) * (erl - ezl * s_k))
-    if not (-_CDF_RAW_TOL <= raw <= 1.0 + _CDF_RAW_TOL):
-        raise ArithmeticError(
-            f"closed-form CDF left [0,1] by more than {_CDF_RAW_TOL:g}: {raw!r} "
-            f"(y={y:g}, k={k}, z={z:g}, rho={rho:g})")
-    return min(1.0, max(0.0, raw))
+    g1, g2 = _kummer_terms(L, k, z, rho)
+    return float(gammaincc(k, z * L)) + (z * L) ** k * (g1 + rho * L * g2)
 
 
 def composite_gain_pdf(y: float, k: int, z: float, rho: float, a_l: float) -> float:
-    """Density of h_l * h_p at y on (0, a_l)."""
-    _check_z_rho(z, rho)
+    """Density of h_l * h_p at y on (0, a_l): rho^2 z^k L^{k+1} G_{k+2} / y,
+    the density of T + W at L = ln(a_l/y) over the Jacobian y."""
     if y <= 0.0 or y >= a_l:
         return 0.0
     L = math.log(a_l / y)
-    s = z - rho
-    e_r = math.exp(-(rho - 1.0) * L)
-    e_z = math.exp(-(z - 1.0) * L)
-    s_km1 = _exp_partial_sum(s * L, k - 1)
-    s_k = _exp_partial_sum(s * L, k)
-    return (rho ** 2 * (z / s) ** k / a_l) * (
-        L * (e_r - e_z * s_km1) - (k / s) * (e_r - e_z * s_k))
-
-
-def _check_z_rho(z, rho):
-    if abs(z - rho) < Z_RHO_TOL:
-        raise DegenerateParams(z, rho)
+    _, g2 = _kummer_terms(L, k, z, rho)
+    return rho ** 2 * z ** k * L ** (k + 1) * g2 / y
 
 
 def cdf_snr_no_fading(query: OutageQuery, model: GammaAbsorption,
@@ -121,7 +117,6 @@ def cdf_snr_no_fading(query: OutageQuery, model: GammaAbsorption,
     """P(SNR <= gamma_th) with fading disabled (h = h_l * h_p)."""
     k = model.integer_shape()
     z = model.z_for(link)
-    _check_z_rho(z, rho)
     if query.above_ceiling:
         return 1.0
     if query.gamma_th == 0.0:
@@ -134,7 +129,6 @@ def pdf_snr_no_fading(query: OutageQuery, model: GammaAbsorption,
     """SNR density with fading disabled; change of variables from the gain law."""
     k = model.integer_shape()
     z = model.z_for(link)
-    _check_z_rho(z, rho)
     if query.above_ceiling or query.gamma_th == 0.0:
         return 0.0
     gh = query.gamma_h

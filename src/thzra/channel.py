@@ -1,8 +1,9 @@
 """Channel sampling: absorption, path gain, misalignment, fading, SNR.
 
-Samplers are pure given their Generator and accept an optional `size`
-(None -> python float, int -> ndarray).  The composite draw follows
-h = h_l * h_f * h_p and the impaired SNR
+Samplers are pure given their Generator and return an array of `size`
+draws; the densities and CDFs map a float to a float and an array to an
+array.  The composite draw follows h = h_l * h_f * h_p and the impaired
+SNR
 
     gamma = avg_snr * h^2 / (k_h^2 * avg_snr * h^2 + 1)
 
@@ -11,7 +12,6 @@ which saturates at 1/k_h^2 for k_h > 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Union
 
@@ -25,17 +25,6 @@ ArrayLike = Union[float, np.ndarray]
 
 BUCK_T_MIN_K = 200.0
 BUCK_T_MAX_K = 350.0
-
-
-@dataclass(frozen=True)
-class ChannelDraw:
-    """One composite channel realization and its impaired SNR."""
-
-    h_l: float        # path gain, 0 < h_l <= a_l
-    h_f: float        # fading envelope (1.0 when fading disabled)
-    h_p: float        # misalignment gain in (0, 1)
-    h: float          # composite h_l * h_f * h_p
-    gamma: float      # instantaneous SNR, linear
 
 
 def buck_saturation_pressure(temperature_k: float, pressure_hpa: float) -> float:
@@ -113,10 +102,9 @@ def zeta_db_per_km_from_natural(zeta_per_m: float) -> float:
 
 
 def sample_absorption_db(model: GammaAbsorption, rng: np.random.Generator,
-                         size: Optional[int] = None) -> ArrayLike:
+                         size: int) -> np.ndarray:
     """Draw zeta_dB ~ Gamma(k, beta) in dB/km."""
-    draw = rng.gamma(model.k, model.beta, size=size)
-    return draw if size is not None else float(draw)
+    return rng.gamma(model.k, model.beta, size=size)
 
 
 def path_gain_from_absorption(zeta_db: ArrayLike, link: ThzLinkParams) -> ArrayLike:
@@ -156,23 +144,20 @@ def path_gain_cdf(h_l: ArrayLike, model: GammaAbsorption,
 
 
 def sample_path_gain(model: GammaAbsorption, link: ThzLinkParams,
-                     rng: np.random.Generator,
-                     size: Optional[int] = None) -> ArrayLike:
+                     rng: np.random.Generator, size: int) -> np.ndarray:
     return path_gain_from_absorption(sample_absorption_db(model, rng, size), link)
 
 
 def sample_misalignment(rho: float, rng: np.random.Generator,
-                        size: Optional[int] = None) -> ArrayLike:
+                        size: int) -> np.ndarray:
     """Exact misalignment-gain sampler h_p = (U V)^(1/rho).
 
     U*V for independent uniforms has density -ln(w) on (0,1); raising to
     1/rho gives the pointing-error law -rho^2 ln(x) x^(rho-1) exactly.
     """
-    n = 1 if size is None else size
-    u = rng.random(n)
-    v = rng.random(n)
-    hp = np.power(u * v, 1.0 / rho)
-    return hp if size is not None else float(hp[0])
+    u = rng.random(size)
+    v = rng.random(size)
+    return np.power(u * v, 1.0 / rho)
 
 
 def misalignment_pdf(x: ArrayLike, rho: float) -> ArrayLike:
@@ -213,7 +198,7 @@ def _fading_gaussian_construction(fp: FadingParams, rng: np.random.Generator,
 
 
 def sample_fading(fp: FadingParams, rng: np.random.Generator,
-                  size: Optional[int] = None) -> ArrayLike:
+                  size: int) -> np.ndarray:
     """Draw the short-term fading envelope h_f with E[h_f^alpha] = r_hat^alpha.
 
     Integer mu uses the Gaussian cluster construction for any (eta, kappa);
@@ -227,18 +212,16 @@ def sample_fading(fp: FadingParams, rng: np.random.Generator,
         raise UnsupportedParams(
             f"asymmetric extension p={fp.p_ext}, q={fp.q_ext} has no exact "
             "sampler here; only the symmetric p = q = 1 convention is supported")
-    n = 1 if size is None else size
     if fp.mu_is_integer:
-        g_norm = _fading_gaussian_construction(fp, rng, n)
+        g_norm = _fading_gaussian_construction(fp, rng, size)
     elif fp.eta == 1.0 and fp.kappa == 0.0:
         # alpha-mu subfamily: h_f^alpha * (mu / r_hat^alpha) ~ Gamma(mu)
-        g_norm = rng.gamma(fp.mu, 1.0 / fp.mu, size=n)
+        g_norm = rng.gamma(fp.mu, 1.0 / fp.mu, size=size)
     else:
         raise UnsupportedParams(
             f"non-integer mu={fp.mu} is only exactly samplable in the "
             "alpha-mu subfamily (eta=1, kappa=0)")
-    hf = fp.r_hat * np.power(g_norm, 1.0 / fp.alpha)
-    return hf if size is not None else float(hf[0])
+    return fp.r_hat * np.power(g_norm, 1.0 / fp.alpha)
 
 
 def snr_from_gain(h: ArrayLike, avg_snr: float, k_h: float) -> ArrayLike:
@@ -246,17 +229,6 @@ def snr_from_gain(h: ArrayLike, avg_snr: float, k_h: float) -> ArrayLike:
     h2 = np.square(np.asarray(h, dtype=float)) * avg_snr
     out = h2 / (k_h ** 2 * h2 + 1.0)
     return out if isinstance(h, np.ndarray) else float(out)
-
-
-def draw_channel(exp: Experiment, rng_absorption: np.random.Generator,
-                 rng_fading: np.random.Generator,
-                 rng_misalignment: np.random.Generator) -> ChannelDraw:
-    """One composite channel draw from per-component streams."""
-    h_l, h_f, h_p = _draw_components(exp, rng_absorption, rng_fading,
-                                     rng_misalignment, None)
-    h = h_l * h_f * h_p
-    return ChannelDraw(h_l=h_l, h_f=h_f, h_p=h_p, h=h,
-                       gamma=snr_from_gain(h, exp.link.avg_snr, exp.link.k_h))
 
 
 def draw_snr_batch(exp: Experiment, n: int,
@@ -267,21 +239,19 @@ def draw_snr_batch(exp: Experiment, n: int,
     """Vectorized SNR draws (admission, outage Monte Carlo)."""
     h_l, h_f, h_p = _draw_components(exp, rng_absorption, rng_fading,
                                      rng_misalignment, n)
-    h = h_l * h_f * h_p
     gbar = exp.link.avg_snr if avg_snr is None else avg_snr
-    return snr_from_gain(np.asarray(h), gbar, exp.link.k_h)
+    return snr_from_gain(h_l * h_f * h_p, gbar, exp.link.k_h)
 
 
 def _draw_components(exp, rng_a, rng_f, rng_m, size):
+    """Arrays (h_l, h_f, h_p) of `size` draws from per-component streams."""
     if isinstance(exp.absorption, GammaAbsorption):
         h_l = sample_path_gain(exp.absorption, exp.link, rng_a, size)
     else:
         zeta = absorption_deterministic(exp.link, exp.absorption)
-        h_l = float(path_gain_from_absorption(
+        h_l = np.full(size, path_gain_from_absorption(
             zeta_db_per_km_from_natural(zeta), exp.link))
-        if size is not None:
-            h_l = np.full(size, h_l)
-    h_f = sample_fading(exp.fading, rng_f, size) if exp.fading.enabled else (
-        np.ones(size) if size is not None else 1.0)
+    h_f = (sample_fading(exp.fading, rng_f, size) if exp.fading.enabled
+           else np.ones(size))
     h_p = sample_misalignment(exp.misalignment.rho, rng_m, size)
     return h_l, h_f, h_p

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import __version__, analytics, channel, protocol, validation
 from .errors import ConfigError
-from .params import (Experiment, GammaAbsorption, RunConfig, apply_cell,
-                     read_value, run_config)
+from .params import (Experiment, GammaAbsorption, ProtocolConfig, RunConfig,
+                     apply_cell, read_value, run_config)
 from .params import validate_config  # noqa: F401  (re-exported)
 
 ENV_PARALLEL = "THZRA_MAX_PARALLEL"
@@ -337,14 +337,27 @@ CELL_SCHEMA = "thzra.sweep.cell.v2"
 
 @dataclass(frozen=True)
 class SweepCell:
-    """Everything one sweep cell is computed from; its digest keys the file."""
+    """What one sweep cell is computed from and nothing else; its digest
+    keys the file, so an input no chosen metric reads never forces a
+    recompute."""
 
     coords: Dict[str, float]     # axis name -> value
     exp: Experiment              # the base experiment with coords applied
-    schemes: tuple
+    schemes: tuple               # empty unless the protocol metric is chosen
     metrics: tuple
-    gamma_th: float
-    outage_draws: int
+    gamma_th: Optional[float]    # None unless the outage metric is chosen
+    outage_draws: Optional[int]
+
+
+def _sweep_cell(cfg: RunConfig, coords: Dict[str, float]) -> SweepCell:
+    exp = apply_cell(cfg.exp, coords)
+    protocol_metric = "protocol" in cfg.sweep_metrics
+    outage = "outage" in cfg.sweep_metrics
+    if not protocol_metric:     # the outage draws read the channel and seed only
+        exp = replace(exp, protocol=ProtocolConfig(seed=exp.protocol.seed))
+    return SweepCell(coords, exp, cfg.schemes if protocol_metric else (),
+                     cfg.sweep_metrics, cfg.gamma_th if outage else None,
+                     cfg.sweep_outage_draws if outage else None)
 
 
 def _cell_slug(cell: Dict[str, float]) -> str:
@@ -407,8 +420,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, manifest: Manifest,
     todo = []
     for combo in itertools.product(*(axes[n] for n in names)):
         coords = dict(zip(names, combo))
-        cell = SweepCell(coords, apply_cell(cfg.exp, coords), cfg.schemes,
-                         cfg.sweep_metrics, cfg.gamma_th, cfg.sweep_outage_draws)
+        cell = _sweep_cell(cfg, coords)
         path = cell_dir / f"cell_{_cell_slug(coords)}.csv"
         schema = f"{CELL_SCHEMA} digest={_digest(cell)}"
         if _is_current_cell(path, schema):

@@ -39,17 +39,6 @@ class UnsupportedParams(ValueError):
     """Parameter combination the exact sampler deliberately refuses to approximate."""
 
 
-class DegenerateParams(ValueError):
-    """Removable singularity (z == rho) in the closed-form SNR statistics."""
-
-    def __init__(self, z, rho):
-        super().__init__(
-            f"closed form is singular at z == rho (z={z:g}, rho={rho:g}); "
-            "perturb beta, d or rho")
-        self.z = z
-        self.rho = rho
-
-
 class InsufficientTail(RuntimeError):
     """Outage curve has too few usable high-SNR points for a slope fit."""
 

@@ -42,10 +42,8 @@ class ThzLinkParams:
         _require_range("link.k_t", self.k_t, 0.0, K_IMPAIRMENT_MAX)
         _require_range("link.k_r", self.k_r, 0.0, K_IMPAIRMENT_MAX)
         _require_range("link.humidity_pct", self.humidity_pct, 0.0, 100.0)
-        if self.avg_snr < 0:
-            raise OutOfRange("link.avg_snr", self.avg_snr, "avg_snr >= 0")
-        if self.pressure_hpa <= 0:
-            raise OutOfRange("link.pressure", self.pressure_hpa, "pressure > 0")
+        _require_nonneg("link.avg_snr", self.avg_snr)
+        _require_pos("link.pressure", self.pressure_hpa)
 
     @property
     def k_h(self) -> float:
@@ -125,8 +123,7 @@ class FadingParams:
         if self.enabled:
             _require_pos("fading.alpha", self.alpha)
             _require_pos("fading.eta", self.eta)
-            if self.kappa < 0:
-                raise OutOfRange("fading.kappa", self.kappa, "kappa >= 0")
+            _require_nonneg("fading.kappa", self.kappa)
             _require_pos("fading.mu", self.mu)
             _require_pos("fading.r_hat", self.r_hat)
 
@@ -164,10 +161,8 @@ class EnergyModel:
     e_idle_uj: float = 40.0      # per holder idling in a slot
 
     def __post_init__(self):
-        for name, v in (("e_tx_uj", self.e_tx_uj), ("e_ack_uj", self.e_ack_uj),
-                        ("e_idle_uj", self.e_idle_uj)):
-            if v < 0:
-                raise OutOfRange(f"protocol.{name}", v, "energy >= 0")
+        for name in ("e_tx_uj", "e_ack_uj", "e_idle_uj"):
+            _require_nonneg(f"protocol.{name}", getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -187,8 +182,7 @@ class ProtocolConfig:
             raise OutOfRange("protocol.n_users", self.n_total, "n_users >= 1")
         if self.trials < 1:
             raise OutOfRange("protocol.trials", self.trials, "trials >= 1")
-        if self.gamma_qos < 0:
-            raise OutOfRange("protocol.gamma_qos", self.gamma_qos, "gamma_qos >= 0")
+        _require_nonneg("protocol.gamma_qos", self.gamma_qos)
         if self.admission not in ("instantaneous", "average"):
             raise OutOfRange("protocol.admission", self.admission,
                              "instantaneous | average")
@@ -211,6 +205,11 @@ class Experiment:
 def _require_pos(name, value):
     if not (value > 0):
         raise OutOfRange(name, value, f"{name.split('.')[-1]} > 0")
+
+
+def _require_nonneg(name, value):
+    if not (value >= 0):
+        raise OutOfRange(name, value, f"{name.split('.')[-1]} >= 0")
 
 
 def _require_range(name, value, lo, hi):
@@ -376,7 +375,7 @@ def _experiment(raw: Mapping[str, str], scheme: str, n_total: int) -> Experiment
     if qos_db is None:
         gamma_qos = _get_float(raw, "protocol.gamma_qos", 0.0)
     else:
-        gamma_qos = _db_to_linear(qos_db) if math.isfinite(qos_db) else 0.0
+        gamma_qos = _db_to_linear(qos_db)
 
     energy_mode = _get(raw, "protocol.energy_model", "unit").lower()
     if energy_mode not in ("unit", "realistic"):
@@ -482,6 +481,9 @@ def run_config(raw: Mapping[str, str]) -> RunConfig:
     def axis(key, v):
         apply_cell(exp, {key.split(".", 1)[1]: v})
 
+    def gamma_bar(key, db):     # an average SNR in dB: NaN and -inf fail
+        _require_pos("gamma_bar", _db_to_linear(db))
+
     axes = {name: read(f"sweep.{name}", parse, None, axis)
             for name, parse in SWEEP_AXES.items()}
     return RunConfig(
@@ -493,8 +495,10 @@ def run_config(raw: Mapping[str, str]) -> RunConfig:
                        n_users or [2, 5, 10, 20, 40], users),
         outage_grid_db=read("outage.gamma_bar_db", parse_float_list,
                             [25.0, 27.0, 29.0, 31.0, 33.0, 35.0, 37.0, 39.0,
-                             41.0, 43.0]),
-        gamma_th=_db_to_linear(read("outage.gamma_th_db", float, 5.0)),
+                             41.0, 43.0], gamma_bar),
+        gamma_th=_db_to_linear(read(
+            "outage.gamma_th_db", float, 5.0,
+            lambda key, db: _require_nonneg("outage.gamma_th", _db_to_linear(db)))),
         gof_samples=read("validation.n_samples", parse_count, 100000,
                          lambda key, n: _require_range(key, n, MIN_GOF_SAMPLES,
                                                        math.inf)),
@@ -505,7 +509,7 @@ def run_config(raw: Mapping[str, str]) -> RunConfig:
         rho_sample_scale=read("validation.rho_sample_scale", float, 1.0,
                               _require_pos),
         val_grid_db=read("validation.gamma_bar_db", parse_float_list,
-                         [25.0, 29.0, 33.0, 37.0, 41.0]),
+                         [25.0, 29.0, 33.0, 37.0, 41.0], gamma_bar),
         val_outage_draws=read("validation.outage_draws", parse_count, 200000,
                               _require_pos),
         sweep_axes={name: v for name, v in axes.items() if v is not None},

@@ -5,10 +5,9 @@ import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy import stats as sstats
 
 from thzra import analytics, channel
-from thzra.errors import DegenerateParams, DomainError, NonIntegerShape
+from thzra.errors import DomainError, NonIntegerShape
 from thzra.params import GammaAbsorption, ThzLinkParams
 
 EULER = analytics.EULER_GAMMA
@@ -25,31 +24,65 @@ def make_link(**kw):
 # no-fading SNR law
 # ---------------------------------------------------------------------------
 
-def quad_gain_cdf(y, k, z, rho, a_l):
-    """Independent construction oracle: expectation over the path-gain law of
-    the misalignment CDF, with ln(a_l/h_l) ~ Gamma(k, 1/z).  Split at the
-    kink t = ln(a_l/y); beyond it the misalignment CDF is 1, leaving the
-    exact Gamma tail."""
-    L = math.log(a_l / y)
+def mp_gain_law(y, k, z, rho, a_l):
+    """Independent construction oracle, (CDF, density) of h_l * h_p at y by
+    20-digit quadrature.  h_l * h_p = a_l e^{-(T+W)} with T = ln(a_l/h_l) ~
+    Gamma(k, 1/z) and W = -ln h_p, whose tail (1 + rho w) e^{-rho w} and
+    density rho^2 w e^{-rho w} are the misalignment CDF x^rho (1 - rho ln x)
+    and density at x = e^{-w}.  Integrate over T = uL up to L = ln(a_l/y),
+    beyond which the CDF takes the whole Gamma tail; the factors
+    (zL)^k e^{-rho L} / (k-1)! stay outside, because quad's tolerance is
+    absolute and the density can be 1e-30."""
+    with mpmath.workdps(20):
+        y, z, rho, a_l = (mpmath.mpf(v) for v in (y, z, rho, a_l))
+        L = mpmath.log(a_l / y)
+        scale = (z * L) ** k * mpmath.exp(-rho * L) / mpmath.factorial(k - 1)
 
-    def integrand(t):
-        u = (y / a_l) * math.exp(t)
-        return (sstats.gamma.pdf(t, k, scale=1.0 / z)
-                * u ** rho * (1.0 - rho * math.log(u)))
+        def t_then_w(u):     # L f_T(uL) e^{-rho w} at w = (1-u)L, over scale
+            return u ** (k - 1) * mpmath.exp(-(z - rho) * L * u)
 
-    part, _ = integrate.quad(integrand, 0.0, L, limit=400)
-    return part + sstats.gamma.sf(L, k, scale=1.0 / z)
+        tail = mpmath.gammainc(k, z * L, mpmath.inf, regularized=True)
+        cdf = tail + scale * mpmath.quad(
+            lambda u: t_then_w(u) * (1 + rho * L * (1 - u)), [0, 1])
+        pdf = scale * rho ** 2 * L / y * mpmath.quad(
+            lambda u: t_then_w(u) * (1 - u), [0, 1])
+        return float(cdf), float(pdf)
+
+
+def assert_gain_law(y, k, z, rho, a_l):
+    """CDF within 1e-13 absolute, density within 1e-12 relative of mpmath."""
+    cdf, pdf = mp_gain_law(y, k, z, rho, a_l)
+    args = (y, k, z, rho, a_l)
+    assert abs(analytics.composite_gain_cdf(*args) - cdf) <= 1e-13, args
+    assert analytics.composite_gain_pdf(*args) == \
+        pytest.approx(pdf, rel=1e-12, abs=0), args
 
 
 @pytest.mark.parametrize("k,z,rho", [(3, 8.686, 4.0), (2, 3.0, 4.0),
                                      (1, 10.0, 2.0), (4, 2.0, 6.0)])
 def test_gain_cdf_matches_construction_quadrature(k, z, rho):
-    a_l = 0.25
-    for frac in (0.9, 0.5, 0.1, 0.01):
-        y = a_l * frac
-        got = analytics.composite_gain_cdf(y, k, z, rho, a_l)
-        want = quad_gain_cdf(y, k, z, rho, a_l)
-        assert got == pytest.approx(want, rel=1e-8, abs=1e-12)
+    for frac in (0.999, 0.9, 0.5, 0.1, 0.01):
+        assert_gain_law(0.25 * frac, k, z, rho, 0.25)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_gain_law_near_z_equals_rho(k):
+    # z - rho = s down to 1e-8 either side: the (z/s)^k partial-sum form
+    # cancels catastrophically here (k = 6, s = 1e-3 gave 0.648 for 0.885)
+    for rho in (0.5, 4.0):
+        for s in [0.0] + [sign * 10.0 ** -e for e in range(1, 9) for sign in (1, -1)]:
+            for frac in (0.999, 0.3, 1e-6):
+                assert_gain_law(0.25 * frac, k, rho + s, rho, 0.25)
+
+
+@pytest.mark.parametrize("k,z,rho,frac", [(2, 1.0, 800.0, 1e-6),
+                                          (3, 2.0, 300.0, 1e-4)])
+def test_gain_law_with_rates_far_apart(k, z, rho, frac):
+    # |z - rho| L in the thousands: e^{|s| L} overflows unless the Kummer
+    # transformation keeps the hypergeometric argument non-positive
+    assert math.isfinite(analytics.composite_gain_cdf(frac, k, z, rho, 1.0))
+    assert math.isfinite(analytics.composite_gain_pdf(frac, k, z, rho, 1.0))
+    assert_gain_law(frac, k, z, rho, 1.0)
 
 
 def test_gain_pdf_integrates_to_one():
@@ -100,13 +133,24 @@ def test_snr_cdf_limits():
     assert analytics.cdf_snr_no_fading(qinf, model, 4.0, ideal) < 1e-12
 
 
-def test_degenerate_z_equals_rho_rejected():
+def test_z_equals_rho_exact_value():
+    # at z = rho, -ln(h_l h_p / a_l) is the sum of Gamma(k, 1/z) and
+    # Gamma(2, 1/z), i.e. Gamma(k + 2, 1/z): F = Q(k + 2, zL)
     link = make_link(d_m=1000.0)
-    model = GammaAbsorption(k=2, beta=8.686 / 4.0)   # z = 4.0 exactly
-    q = analytics.OutageQuery(gamma_th=1.0, gamma_bar=link.avg_snr, k_h=link.k_h)
-    with pytest.raises(DegenerateParams) as exc:
-        analytics.cdf_snr_no_fading(q, model, 4.0, link)
-    assert "4" in str(exc.value)
+    for k in range(1, 9):
+        model = GammaAbsorption(k=k, beta=8.686 / 4.0)   # z = 4.0 exactly
+        assert model.z_for(link) == 4.0
+        for gamma_th in (0.01, 1.0, 10.0):
+            q = analytics.OutageQuery(gamma_th, link.avg_snr, link.k_h)
+            with mpmath.workdps(30):
+                zl = 4 * mpmath.log(mpmath.mpf(link.a_l) / mpmath.mpf(q.gamma_h))
+                cdf = mpmath.gammainc(k + 2, zl, mpmath.inf, regularized=True)
+                pdf = (4 * zl ** (k + 1) * mpmath.exp(-zl) / mpmath.factorial(k + 1)
+                       / mpmath.mpf(q.gamma_h))
+            assert abs(analytics.cdf_snr_no_fading(q, model, 4.0, link)
+                       - float(cdf)) <= 1e-13
+            assert analytics.composite_gain_pdf(q.gamma_h, k, 4.0, 4.0, link.a_l) \
+                == pytest.approx(float(pdf), rel=1e-12, abs=0)
 
 
 def test_ceiling_outage_flagged_probability_one():

@@ -294,13 +294,13 @@ def test_fading_normalization_across_parameter_grid():
 
 def test_fading_rejects_what_it_cannot_sample_exactly():
     with pytest.raises(UnsupportedParams):
-        channel.sample_fading(FadingParams(mu=1.5, eta=2.0), RNG(0))
+        channel.sample_fading(FadingParams(mu=1.5, eta=2.0), RNG(0), 10)
     with pytest.raises(UnsupportedParams):
-        channel.sample_fading(FadingParams(mu=1.5, kappa=0.5), RNG(0))
+        channel.sample_fading(FadingParams(mu=1.5, kappa=0.5), RNG(0), 10)
     with pytest.raises(UnsupportedParams):
-        channel.sample_fading(FadingParams(p_ext=2.0), RNG(0))
+        channel.sample_fading(FadingParams(p_ext=2.0), RNG(0), 10)
     with pytest.raises(UnsupportedParams):
-        channel.sample_fading(FadingParams(enabled=False), RNG(0))
+        channel.sample_fading(FadingParams(enabled=False), RNG(0), 10)
 
 
 def test_fading_noninteger_mu_gamma_route():
@@ -330,17 +330,17 @@ def make_experiment(**kw):
 
 def test_snr_formula_and_ceiling():
     exp = make_experiment()
-    k_h = exp.link.k_h
-    draws = [channel.draw_channel(exp, RNG(10 + i), RNG(20 + i), RNG(30 + i))
-             for i in range(200)]
-    for d in draws:
-        expect = exp.link.avg_snr * d.h ** 2 / (
-            k_h ** 2 * exp.link.avg_snr * d.h ** 2 + 1.0)
-        assert d.gamma == pytest.approx(expect, rel=1e-14)
-        assert d.gamma < 1.0 / k_h ** 2
-        assert 0.0 < d.h_p < 1.0
-        assert 0.0 < d.h_l <= exp.link.a_l
-        assert d.h == pytest.approx(d.h_l * d.h_f * d.h_p, rel=1e-15)
+    k_h, gbar = exp.link.k_h, exp.link.avg_snr
+    h_l = channel.sample_path_gain(exp.absorption, exp.link, RNG(10), 200)
+    h_f = channel.sample_fading(exp.fading, RNG(20), 200)
+    h_p = channel.sample_misalignment(exp.misalignment.rho, RNG(30), 200)
+    h = h_l * h_f * h_p
+    gamma = channel.draw_snr_batch(exp, 200, RNG(10), RNG(20), RNG(30))
+    np.testing.assert_allclose(
+        gamma, gbar * h ** 2 / (k_h ** 2 * gbar * h ** 2 + 1.0), rtol=1e-14)
+    assert np.all(gamma < 1.0 / k_h ** 2)
+    assert np.all((0.0 < h_p) & (h_p < 1.0))
+    assert np.all((0.0 < h_l) & (h_l <= exp.link.a_l))
 
 
 def test_ideal_front_end_snr():
@@ -367,16 +367,22 @@ def test_composition_associativity():
 def test_deterministic_absorption_channel_draw():
     prof = channel.load_absorption_profile()
     exp = make_experiment(absorption=prof)
-    d = channel.draw_channel(exp, RNG(1), RNG(2), RNG(3))
     zeta = channel.absorption_deterministic(exp.link, prof)
-    assert d.h_l == pytest.approx(
-        exp.link.a_l * math.exp(-0.5 * zeta * exp.link.d_m), rel=1e-12)
+    h_l = exp.link.a_l * math.exp(-0.5 * zeta * exp.link.d_m)
+    h_f = channel.sample_fading(exp.fading, RNG(2), 50)
+    h_p = channel.sample_misalignment(exp.misalignment.rho, RNG(3), 50)
+    gamma = channel.draw_snr_batch(exp, 50, RNG(1), RNG(2), RNG(3))
+    np.testing.assert_allclose(gamma, channel.snr_from_gain(
+        h_l * h_f * h_p, exp.link.avg_snr, exp.link.k_h), rtol=1e-12)
 
 
 def test_fading_disabled_gives_unit_envelope():
     exp = make_experiment(fading=FadingParams(enabled=False))
-    d = channel.draw_channel(exp, RNG(1), RNG(2), RNG(3))
-    assert d.h_f == 1.0
+    h_l = channel.sample_path_gain(exp.absorption, exp.link, RNG(1), 50)
+    h_p = channel.sample_misalignment(exp.misalignment.rho, RNG(3), 50)
+    gamma = channel.draw_snr_batch(exp, 50, RNG(1), RNG(2), RNG(3))
+    np.testing.assert_array_equal(gamma, channel.snr_from_gain(
+        h_l * h_p, exp.link.avg_snr, exp.link.k_h))
 
 
 def test_mc_cdf_matches_no_fading_closed_form():

@@ -66,10 +66,31 @@ def test_bad_field_exit_2(tmp_path):
      "validation.n_samples"),
     ("validate", DEFAULT_CFG, "n_samples = 100000\ntrials = 5000",
      "n_samples = 100000\ntrials = 0", "validation.trials"),
+    # NaN fails every range check; a dB value is named by the field it sets
+    ("simulate", DEFAULT_CFG, "e_tx_uj = 1200", "e_tx_uj = 1200\ngamma_qos = nan",
+     "protocol.gamma_qos"),
+    ("simulate", DEFAULT_CFG, "e_tx_uj = 1200",
+     "e_tx_uj = 1200\ngamma_qos_db = nan", "protocol.gamma_qos"),
+    ("simulate", DEFAULT_CFG, "avg_snr_db = 45", "avg_snr_db = nan",
+     "link.avg_snr"),
+    ("simulate", DEFAULT_CFG, "e_tx_uj = 1200", "e_tx_uj = nan",
+     "protocol.e_tx_uj"),
+    ("simulate", DEFAULT_CFG, "kappa = 0.0", "kappa = nan", "fading.kappa"),
+    ("simulate", DEFAULT_CFG, "pressure = 1013.25", "pressure = nan",
+     "link.pressure"),
+    ("analyze", DEFAULT_CFG, "gamma_th_db = 5", "gamma_th_db = nan",
+     "outage.gamma_th_db"),
+    ("analyze", DEFAULT_CFG, "gamma_bar_db = 25,27", "gamma_bar_db = nan,27",
+     "outage.gamma_bar_db"),
+    ("validate", DEFAULT_CFG, "gamma_bar_db = 25,29", "gamma_bar_db = -inf,29",
+     "validation.gamma_bar_db"),
 ], ids=["gamma_th_db", "n_users-simulate", "n_users-analyze", "scheme",
         "n_samples", "sweep_axis", "outage_draws", "env_parallel",
         "sweep_axis_range", "sweep_metric", "scheme-sweep", "n_users_range",
-        "n_samples_floor", "validation_trials"])
+        "n_samples_floor", "validation_trials", "gamma_qos-nan",
+        "gamma_qos_db-nan", "avg_snr_db-nan", "e_tx_uj-nan", "kappa-nan",
+        "pressure-nan", "gamma_th_db-nan", "outage_grid-nan",
+        "validation_grid-inf"])
 def test_malformed_input_exits_2_naming_the_key(tmp_path, monkeypatch, capsys,
                                                 command, base, old, new, key):
     text = base.read_text()
@@ -186,6 +207,20 @@ def test_analyze_hand_row_and_bracketing(tmp_path):
     assert all(b <= a for a, b in zip(pouts, pouts[1:]))
 
 
+def test_analyze_at_z_equals_rho(tmp_path):
+    # kbeta = 65.145 dB/km puts z = 8.686 / (21.715 * 0.1) = 4 = rho, where
+    # h_l * h_p has the Gamma(5, 1/4) log-law: p_out = Q(5, 4 ln(a_l/gamma_h))
+    cfg = write_cfg(tmp_path, "zr.cfg", DEFAULT_CFG.read_text().replace(
+        "kbeta_db_per_km = 30", "kbeta_db_per_km = 65.145"))
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert "analyze_outage.csv" in manifest["outputs"]
+    _, _, rows = read_rows(out / "analyze_outage.csv")
+    assert rows[0][0] == "25.0"
+    assert abs(float(rows[0][1]) - 0.714454685724963) <= 1e-13
+
+
 def fast_validate_text():
     """Default config with validate's sample and trial counts cut down."""
     return DEFAULT_CFG.read_text().replace(
@@ -249,6 +284,23 @@ def test_cli_import_leaves_scipy_stats_unloaded():
             "sys.exit(any(m == 'scipy' or m.startswith('scipy.') "
             "for m in sys.modules))")
     assert run_python(code, timeout=120) == 0
+
+
+@pytest.mark.parametrize("command,base,old,new", [
+    ("simulate", DEFAULT_CFG, "n_users = 2,5,10,20,40", "n_users = 2"),
+    ("sweep", SWEEP_CFG, "outage_draws = 2000000", "outage_draws = 2000"),
+])
+def test_command_leaves_scipy_unloaded(tmp_path, command, base, old, new):
+    # simulate and an outage sweep need no scipy module: importing
+    # scipy.special alone would add about 0.3 s to every run
+    cfg = write_cfg(tmp_path, "small.cfg", base.read_text().replace(old, new))
+    code = ("import sys; from thzra import cli; "
+            f"code = cli.main([{command!r}, '--config', {str(cfg)!r}, "
+            f"'--trials', '20', '--out', {str(tmp_path / 'out')!r}]); "
+            "sys.exit(code or any(m == 'scipy' or m.startswith('scipy.') "
+            "for m in sys.modules))")
+    assert run_python(code, timeout=300) == 0
+    assert (tmp_path / "out" / "run_manifest.json").is_file()
 
 
 def test_validate_leaves_scipy_stats_unloaded(tmp_path):
@@ -324,6 +376,33 @@ def test_sweep_grid_and_resume(tmp_path):
     rerun = cell_bytes(out)
     assert rerun == cell_bytes(fresh)
     assert all(rerun[name] != body for name, body in before.items())
+
+    # the outage metric reads neither the trial count nor the schemes
+    stamps = cell_stamps(out)
+    other = write_cfg(tmp_path, "ftp.cfg", th15.read_text().replace(
+        "scheme = atp", "scheme = ftp,optimal"))
+    assert cli.main(["sweep", "--config", str(other), "--seed", "9",
+                     "--trials", "999", "--out", str(out)]) == 0
+    assert cell_stamps(out) == stamps
+
+    # the protocol metric reads neither the threshold nor the outage draws,
+    # but does read the trial count
+    proto = text.replace("rho = 2,3,4", "rho = 2").replace(
+        "metrics = outage", "metrics = protocol")
+    runs = [(proto, "20"),
+            (proto.replace("gamma_th_db = 5", "gamma_th_db = 15").replace(
+                "outage_draws = 20000", "outage_draws = 30000"), "20"),
+            (proto, "21")]
+    proto_out = tmp_path / "proto"
+    stamps = []
+    for i, (body, trials) in enumerate(runs):
+        cfg_i = write_cfg(tmp_path, f"p{i}.cfg", body)
+        assert cli.main(["sweep", "--config", str(cfg_i), "--seed", "9",
+                         "--trials", trials, "--out", str(proto_out)]) == 0
+        stamps.append(cell_stamps(proto_out))
+    assert len(stamps[0]) == 3
+    assert stamps[1] == stamps[0]
+    assert all(stamps[2][name] != stamp for name, stamp in stamps[0].items())
 
 
 def cell_bytes(out):

@@ -150,6 +150,13 @@ def test_protocol_invariants():
         EnergyModel(e_tx_uj=-1.0)
 
 
+def test_qos_threshold_in_db_maps_infinities():
+    # +inf dB is a threshold no SNR reaches (nobody admitted), -inf dB is 0
+    for db, linear in (("inf", math.inf), ("-inf", 0.0)):
+        exp = validate_config(dict(BASE, **{"protocol.gamma_qos_db": db}))
+        assert exp.protocol.gamma_qos == linear
+
+
 def test_fading_invariants():
     with pytest.raises(OutOfRange):
         FadingParams(alpha=0.0)
