@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -40,7 +40,8 @@ class OutageQuery:
 
     gamma_h is the composite-gain value whose impaired SNR equals
     gamma_th; when gamma_th is at or above the hardware ceiling 1/k_h^2
-    the outage probability is 1 and `above_ceiling` flags it.
+    (gamma_th = inf included) the outage probability is 1 and
+    `above_ceiling` flags it.
     """
 
     gamma_th: float
@@ -53,7 +54,18 @@ class OutageQuery:
 
     @property
     def above_ceiling(self) -> bool:
-        return self.gamma_th * self.k_h ** 2 >= 1.0
+        # inf * 0 is NaN, so an infinite threshold is tested on its own
+        return math.isinf(self.gamma_th) or self.gamma_th * self.k_h ** 2 >= 1.0
+
+    @property
+    def settled(self) -> Optional[float]:
+        """The outage probability where no channel draw can move it: 1 at
+        or above the ceiling, 0 at gamma_th = 0; None otherwise."""
+        if self.above_ceiling:
+            return 1.0
+        if self.gamma_th == 0.0:
+            return 0.0
+        return None
 
     @property
     def gamma_h(self) -> float:
@@ -117,10 +129,8 @@ def cdf_snr_no_fading(query: OutageQuery, model: GammaAbsorption,
     """P(SNR <= gamma_th) with fading disabled (h = h_l * h_p)."""
     k = model.integer_shape()
     z = model.z_for(link)
-    if query.above_ceiling:
-        return 1.0
-    if query.gamma_th == 0.0:
-        return 0.0
+    if query.settled is not None:
+        return query.settled
     return composite_gain_cdf(query.gamma_h, k, z, rho, link.a_l)
 
 
@@ -129,7 +139,7 @@ def pdf_snr_no_fading(query: OutageQuery, model: GammaAbsorption,
     """SNR density with fading disabled; change of variables from the gain law."""
     k = model.integer_shape()
     z = model.z_for(link)
-    if query.above_ceiling or query.gamma_th == 0.0:
+    if query.settled is not None:
         return 0.0
     gh = query.gamma_h
     shrink = 1.0 - query.gamma_th * query.k_h ** 2

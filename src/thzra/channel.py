@@ -236,22 +236,25 @@ def draw_snr_batch(exp: Experiment, n: int,
                    rng_fading: np.random.Generator,
                    rng_misalignment: np.random.Generator,
                    avg_snr: Optional[float] = None) -> np.ndarray:
-    """Vectorized SNR draws (admission, outage Monte Carlo)."""
-    h_l, h_f, h_p = _draw_components(exp, rng_absorption, rng_fading,
-                                     rng_misalignment, n)
+    """Vectorized SNR draws (admission, crude outage counting)."""
+    h = (sample_path_fading_gain(exp, rng_absorption, rng_fading, n)
+         * sample_misalignment(exp.misalignment.rho, rng_misalignment, n))
     gbar = exp.link.avg_snr if avg_snr is None else avg_snr
-    return snr_from_gain(h_l * h_f * h_p, gbar, exp.link.k_h)
+    return snr_from_gain(h, gbar, exp.link.k_h)
 
 
-def _draw_components(exp, rng_a, rng_f, rng_m, size):
-    """Arrays (h_l, h_f, h_p) of `size` draws from per-component streams."""
+def sample_path_fading_gain(exp: Experiment, rng_absorption: np.random.Generator,
+                            rng_fading: np.random.Generator,
+                            size: int) -> np.ndarray:
+    """`size` draws of h_l * h_f from per-component streams (h_f = 1 with
+    fading off): the composite gain short of misalignment, whose CDF the
+    conditional outage estimator averages over."""
     if isinstance(exp.absorption, GammaAbsorption):
-        h_l = sample_path_gain(exp.absorption, exp.link, rng_a, size)
+        h_l = sample_path_gain(exp.absorption, exp.link, rng_absorption, size)
     else:
         zeta = absorption_deterministic(exp.link, exp.absorption)
         h_l = np.full(size, path_gain_from_absorption(
             zeta_db_per_km_from_natural(zeta), exp.link))
-    h_f = (sample_fading(exp.fading, rng_f, size) if exp.fading.enabled
-           else np.ones(size))
-    h_p = sample_misalignment(exp.misalignment.rho, rng_m, size)
-    return h_l, h_f, h_p
+    if not exp.fading.enabled:
+        return h_l
+    return h_l * sample_fading(exp.fading, rng_fading, size)

@@ -292,16 +292,16 @@ def _suite_results(cfg: RunConfig) -> List[dict]:
         exp_nf = replace(exp, fading=replace(exp.fading, enabled=False))
         curve = validation.outage_mc(exp_nf, gamma_th, cfg.val_grid_db, n_mc,
                                      seed=_row_seed(seed, "no_fading_outage"))
-        ok = True
+        z = validation.bonferroni_z(curve.gamma_bar_db.size)
         pts = []
-        for db, phat in zip(curve.gamma_bar_db, curve.p_out):
+        for db, phat, se, vrf in zip(curve.gamma_bar_db, curve.p_out,
+                                     curve.se, curve.vrf):
             p = _outage_closed_form(exp, gamma_th, db)
-            se = math.sqrt(max(p * (1 - p), 1e-12) / n_mc)
-            pt_ok = abs(phat - p) <= 3.0 * se
-            ok &= pt_ok
             pts.append({"gamma_bar_db": db, "mc": phat, "closed_form": p,
-                        "ok": pt_ok})
-        record("no_fading_outage", ok, {"points": pts})
+                        "se": se, "vrf": vrf,
+                        "ok": bool(abs(phat - p) <= z * se)})
+        record("no_fading_outage", all(pt["ok"] for pt in pts),
+               {"z": z, "points": pts})
 
     k_sweep = [3, 10, 40, 100, 1000, 10000]
     rows = validation.bound_sweep(k_sweep)
@@ -332,7 +332,7 @@ def cmd_validate(cfg: RunConfig, out_dir: Path, manifest: Manifest) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-CELL_SCHEMA = "thzra.sweep.cell.v2"
+CELL_SCHEMA = "thzra.sweep.cell.v3"
 
 
 @dataclass(frozen=True)
@@ -384,9 +384,11 @@ def _run_cell(cell: SweepCell, path: Path, schema: str) -> Path:
         gbar_db = 10.0 * math.log10(e.link.avg_snr)
         curve = validation.outage_mc(e, cell.gamma_th, [gbar_db], n_mc,
                                      seed=_row_seed(e.protocol.seed, slug, "outage"))
-        cols += ["p_out", "p_out_ci_lo", "p_out_ci_hi", "outage_draws"]
+        cols += ["p_out", "p_out_ci_lo", "p_out_ci_hi", "p_out_se", "vrf",
+                 "outage_draws"]
         row += [float(curve.p_out[0]), float(curve.ci_lo[0]),
-                float(curve.ci_hi[0]), n_mc]
+                float(curve.ci_hi[0]), float(curve.se[0]),
+                float(curve.vrf[0]), n_mc]
     write_csv_atomic(path, schema, cols, [row])
     return path
 

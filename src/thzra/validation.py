@@ -105,16 +105,22 @@ def _cdf_invert(cdf, q, support, tol=1e-12, iters=200):
 # outage Monte Carlo and slope fits
 # ---------------------------------------------------------------------------
 
+OUTAGE_CHUNK = 2 ** 16   # draws per substream block; bounds peak memory
+Z95 = 1.959964           # two-sided 95 % normal quantile
+
+
 @dataclass(frozen=True)
 class OutageCurve:
     gamma_bar_db: np.ndarray
     p_out: np.ndarray
-    ci_lo: np.ndarray        # Wilson interval
+    ci_lo: np.ndarray        # 95 %: normal (outage_mc), Wilson (outage_count)
     ci_hi: np.ndarray
     n_draws: int
+    se: np.ndarray           # standard error of p_out
+    vrf: np.ndarray          # variance of crude counting, p(1-p)/n, over se^2
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.959964) -> Tuple[float, float]:
+def wilson_interval(successes: int, n: int, z: float = Z95) -> Tuple[float, float]:
     if n == 0:
         return 0.0, 1.0
     phat = successes / n
@@ -124,32 +130,80 @@ def wilson_interval(successes: int, n: int, z: float = 1.959964) -> Tuple[float,
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def outage_mc(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float],
-              n: int, seed: int, chunk: int = 1_000_000) -> OutageCurve:
-    """Empirical outage probability over an average-SNR grid.
+def _outage_sums(gamma_bar_db: Sequence[float], n: int, seed: int, draw
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Sum and sum of squares of n per-draw outage values per grid point.
 
-    Each grid point draws `n` composite channels from named substreams
-    keyed by the grid index, so curves are reproducible point-by-point.
+    draw(gamma_bar, m, rng) returns m values; rng(component) is the
+    substream keyed by (seed, grid index, draws done, component), so a
+    point's draws do not depend on the rest of the grid or on who runs it.
     """
     gdb = np.asarray(list(gamma_bar_db), dtype=float)
-    p = np.empty(gdb.size)
-    lo = np.empty(gdb.size)
-    hi = np.empty(gdb.size)
+    sums = np.zeros((gdb.size, 2))
     for i, db in enumerate(gdb):
         gbar = 10.0 ** (db / 10.0)
-        hits = 0
-        done = 0
-        while done < n:
-            m = min(chunk, n - done)
-            rng_a = streams.substream(seed, i, done, streams.ABSORPTION)
-            rng_f = streams.substream(seed, i, done, streams.FADING)
-            rng_m = streams.substream(seed, i, done, streams.MISALIGNMENT)
-            g = channel.draw_snr_batch(exp, m, rng_a, rng_f, rng_m, avg_snr=gbar)
-            hits += int(np.count_nonzero(g < gamma_th))
-            done += m
-        p[i] = hits / n
-        lo[i], hi[i] = wilson_interval(hits, n)
-    return OutageCurve(gamma_bar_db=gdb, p_out=p, ci_lo=lo, ci_hi=hi, n_draws=n)
+        for done in range(0, n, OUTAGE_CHUNK):
+            v = draw(gbar, min(OUTAGE_CHUNK, n - done),
+                     lambda comp: streams.substream(seed, i, done, comp))
+            sums[i] += (np.sum(v), np.sum(np.square(v)))
+    return gdb, sums
+
+
+def outage_mc(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float],
+              n: int, seed: int) -> OutageCurve:
+    """Outage probability over an average-SNR grid, misalignment integrated out.
+
+    Each of the n draws takes h = h_l * h_f and scores the exact
+    misalignment CDF F_p(min(gamma_h / h, 1)), the conditional outage
+    probability given h.  The mean is unbiased and its variance never
+    exceeds crude counting's (Rao-Blackwell); se is the sample standard
+    error and the interval p +- 1.96 se is clipped to [0, 1].  Points
+    where gamma_th settles the answer (OutageQuery.settled) take it
+    without drawing.
+    """
+    rho, k_h = exp.misalignment.rho, exp.link.k_h
+
+    def draw(gbar, m, rng):
+        q = analytics.OutageQuery(gamma_th, gbar, k_h)
+        if q.settled is not None:
+            return np.full(m, q.settled)
+        h = channel.sample_path_fading_gain(exp, rng(streams.ABSORPTION),
+                                            rng(streams.FADING), m)
+        return channel.misalignment_cdf(np.minimum(q.gamma_h / h, 1.0), rho)
+
+    gdb, sums = _outage_sums(gamma_bar_db, n, seed, draw)
+    p = sums[:, 0] / n
+    var = np.maximum(sums[:, 1] - sums[:, 0] * p, 0.0) / max(n - 1, 1)
+    se = np.sqrt(var / n)
+    crude = p * (1.0 - p) / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # both variances 0 where the threshold settles p: no reduction
+        vrf = np.where(crude == 0.0, 1.0, crude / se ** 2)
+    return OutageCurve(gamma_bar_db=gdb, p_out=p,
+                       ci_lo=np.maximum(p - Z95 * se, 0.0),
+                       ci_hi=np.minimum(p + Z95 * se, 1.0),
+                       n_draws=n, se=se, vrf=vrf)
+
+
+def outage_count(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float],
+                 n: int, seed: int) -> OutageCurve:
+    """Crude outage Monte Carlo: the share of n composite draws with
+    SNR < gamma_th, with Wilson intervals and the binomial standard error.
+    The reference outage_mc is checked against."""
+
+    def draw(gbar, m, rng):
+        g = channel.draw_snr_batch(exp, m, rng(streams.ABSORPTION),
+                                   rng(streams.FADING),
+                                   rng(streams.MISALIGNMENT), avg_snr=gbar)
+        return (g < gamma_th).astype(float)
+
+    gdb, sums = _outage_sums(gamma_bar_db, n, seed, draw)
+    hits = sums[:, 0]
+    p = hits / n
+    lo, hi = np.array([wilson_interval(int(h), n) for h in hits]).T
+    return OutageCurve(gamma_bar_db=gdb, p_out=p, ci_lo=lo, ci_hi=hi,
+                       n_draws=n, se=np.sqrt(p * (1.0 - p) / n),
+                       vrf=np.ones(gdb.size))
 
 
 @dataclass(frozen=True)
@@ -163,8 +217,8 @@ def slope_fit(curve: OutageCurve, max_pout: float = 0.1,
               min_points: int = 4, max_ci_decades: float = 0.5) -> SlopeFit:
     """High-SNR log-log slope of the outage curve (diversity order estimate).
 
-    Uses points with p_out < max_pout whose Wilson interval spans less
-    than max_ci_decades; raises InsufficientTail when fewer than
+    Uses points with p_out < max_pout whose interval spans less than
+    max_ci_decades; raises InsufficientTail when fewer than
     min_points qualify.
     """
     from scipy import stats as sstats
@@ -229,6 +283,14 @@ def sweep_all_pass(rows: List[BoundRow]) -> bool:
 # simulator-vs-series agreement
 # ---------------------------------------------------------------------------
 
+def bonferroni_z(n_tests: int) -> float:
+    """Two-sided normal quantile at level AGREEMENT_ALPHA / n_tests: a
+    family of n_tests correct estimates, each within z standard errors of
+    its exact value, fails with probability at most about AGREEMENT_ALPHA."""
+    from scipy.special import ndtri
+    return float(-ndtri(AGREEMENT_ALPHA / (2.0 * n_tests)))
+
+
 @dataclass(frozen=True)
 class AgreementRow:
     scheme: str
@@ -259,13 +321,11 @@ def simulator_agreement(exp: Experiment, schemes: Sequence[str],
                         ) -> List[AgreementRow]:
     """Mean frame slots / transmissions vs the exact series.
 
-    A row passes when |simulated - exact| <= z * SE, with z the two-sided
-    normal quantile at the Bonferroni level AGREEMENT_ALPHA / rows, so a
-    correct simulator fails the table with probability at most about
-    AGREEMENT_ALPHA at any trial count, while a fixed relative bias is
-    caught once enough trials shrink SE well below it.
+    A row passes when |simulated - exact| <= z * SE, with z = bonferroni_z
+    over the rows, so a correct simulator fails the table with probability
+    at most about AGREEMENT_ALPHA at any trial count, while a fixed
+    relative bias is caught once enough trials shrink SE well below it.
     """
-    from scipy.special import ndtri
     results = []
     for scheme in schemes:
         for K in k_values:
@@ -277,7 +337,7 @@ def simulator_agreement(exp: Experiment, schemes: Sequence[str],
                          d_exact),
                         (scheme, K, "energy", stats.mean_transmissions,
                          stats.se_transmissions, e_exact)]
-    z = float(-ndtri(AGREEMENT_ALPHA / (2.0 * len(results))))
+    z = bonferroni_z(len(results))
     return [AgreementRow(scheme, K, kind, sim, float(exact), se, z,
                          abs(sim - exact) / exact, abs(sim - exact) <= z * se)
             for scheme, K, kind, sim, se, exact in results]

@@ -166,7 +166,7 @@ def test_criterion_7_no_fading_closed_form_equivalence():
     gamma_th = 10 ** 0.5
     grid = [25, 27, 29, 31, 33, 35, 37, 39, 41, 43]
     n = 1_000_000
-    curve = validation.outage_mc(exp, gamma_th, grid, n, seed=71)
+    curve = validation.outage_count(exp, gamma_th, grid, n, seed=71)
     worst_sigma = 0.0
     ok = True
     for db, phat in zip(curve.gamma_bar_db, curve.p_out):
@@ -193,23 +193,23 @@ def test_criterion_8_diversity_order():
     eff_a = analytics.diversity_order(2.0, 1.0, 4.0, z_a).effective
     grid_a = [38, 42, 46, 50, 54, 58]
     fit_a = validation.slope_fit(
-        validation.outage_mc(base, gamma_th, grid_a, n, seed=11))
+        validation.outage_count(base, gamma_th, grid_a, n, seed=11))
 
     # set B: k=1, beta=60 -> z = 1.4477, minimum z/2 = 0.7238 (path loss)
     exp_b = replace(base, absorption=GammaAbsorption(k=1.0, beta=60.0))
     z_b = exp_b.absorption.z_for(exp_b.link)
     eff_b = analytics.diversity_order(2.0, 1.0, 4.0, z_b).effective
     fit_b = validation.slope_fit(
-        validation.outage_mc(exp_b, gamma_th, [45, 51, 57, 63, 69, 75], n,
-                             seed=12))
+        validation.outage_count(exp_b, gamma_th, [45, 51, 57, 63, 69, 75], n,
+                                seed=12))
 
     # invariance: k 3->1 at fixed beta (z unchanged), rho 4->6; min stays 1
     exp_k = replace(base, absorption=GammaAbsorption(k=1.0, beta=10.0))
     fit_k = validation.slope_fit(
-        validation.outage_mc(exp_k, gamma_th, grid_a, n, seed=11))
+        validation.outage_count(exp_k, gamma_th, grid_a, n, seed=11))
     exp_r = replace(base, misalignment=MisalignmentParams(rho=6.0))
     fit_r = validation.slope_fit(
-        validation.outage_mc(exp_r, gamma_th, grid_a, n, seed=11))
+        validation.outage_count(exp_r, gamma_th, grid_a, n, seed=11))
 
     ok_a = abs(fit_a.slope - eff_a) / eff_a < 0.15
     ok_b = abs(fit_b.slope - eff_b) / eff_b < 0.15

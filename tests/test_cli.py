@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from thzra import cli, params, validation
+from thzra import channel, cli, params, validation
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -221,6 +221,18 @@ def test_analyze_at_z_equals_rho(tmp_path):
     assert abs(float(rows[0][1]) - 0.714454685724963) <= 1e-13
 
 
+def test_analyze_infinite_threshold_is_certain_outage(tmp_path):
+    # ideal front end (k_h = 0): P(SNR <= inf) = 1 at every average SNR
+    text = DEFAULT_CFG.read_text().replace("k_t = 0.1", "k_t = 0.0").replace(
+        "k_r = 0.1", "k_r = 0.0").replace("gamma_th_db = 5", "gamma_th_db = inf")
+    cfg = write_cfg(tmp_path, "inf.cfg", text)
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
+    _, _, rows = read_rows(out / "analyze_outage.csv")
+    assert len(rows) == 10
+    assert all(row[1] == "1.0" for row in rows)
+
+
 def fast_validate_text():
     """Default config with validate's sample and trial counts cut down."""
     return DEFAULT_CFG.read_text().replace(
@@ -267,6 +279,25 @@ def test_validate_catches_biased_simulator(tmp_path, monkeypatch):
     for row in detail["rows"]:
         assert row["se"] > 0 and row["z"] > 3.0
     assert detail["worst_rel_err"] == max(r["rel_err"] for r in detail["rows"])
+
+
+def test_validate_catches_biased_misalignment_cdf(tmp_path, monkeypatch):
+    # rho off by 5 % in the CDF the outage estimator averages must fail
+    # no_fading_outage, judged by the estimator's own standard error
+    cfg = write_cfg(tmp_path, "fast.cfg", fast_validate_text())
+    cdf = channel.misalignment_cdf
+    monkeypatch.setattr(channel, "misalignment_cdf",
+                        lambda x, rho: cdf(x, 1.05 * rho))
+    out = tmp_path / "out"
+    assert cli.main(["validate", "--config", str(cfg), "--seed", "3",
+                     "--out", str(out)]) == 1
+    report = json.loads((out / "validation_report.json").read_text())
+    suite = next(s for s in report["suites"] if s["suite"] == "no_fading_outage")
+    assert suite["passed"] is False
+    assert suite["detail"]["z"] > 3.0
+    for pt in suite["detail"]["points"]:
+        assert pt["se"] > 0 and pt["vrf"] > 1.0
+        assert {"mc", "closed_form", "ok"} <= set(pt)
 
 
 def run_python(code, timeout):
@@ -340,6 +371,12 @@ def test_sweep_grid_and_resume(tmp_path):
 
     # a cell written under an older schema is recomputed, not reused
     cells[3].write_text("#schema: thzra.sweep.cell.v1\nmu,p_out\n1,0.5\n")
+    # a v2 cell (crude counting) with the current digest is recomputed too
+    schema_v3 = before[cells[4].name].decode().splitlines()[0]
+    assert schema_v3.startswith("#schema: thzra.sweep.cell.v3 digest=")
+    cells[4].write_text(schema_v3.replace(".v3 ", ".v2 ")
+                        + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,outage_draws"
+                        "\n2,3,0.5,0.4,0.6,20000\n")
     assert cli.main(["sweep", "--config", str(cfg), "--seed", "9",
                      "--out", str(out)]) == 0
     after = {p.name: p.read_bytes()
@@ -428,6 +465,9 @@ def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
     s_files = sorted((serial / "sweep").glob("*.csv"))
     p_files = sorted((par / "sweep").glob("*.csv"))
     assert [f.name for f in s_files] == [f.name for f in p_files]
+    _, header, _ = read_rows(s_files[0])
+    assert header[-6:] == ["p_out", "p_out_ci_lo", "p_out_ci_hi", "p_out_se",
+                           "vrf", "outage_draws"]
     for a, b in zip(s_files, p_files):
         assert a.read_bytes() == b.read_bytes()
     # env var caps the worker count without changing results

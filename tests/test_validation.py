@@ -1,14 +1,18 @@
 """Goodness-of-fit calibration and power, outage curves, slopes, bound sweeps."""
+import itertools
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from thzra import analytics, channel, validation
+from thzra import analytics, channel, cli, params, validation
 from thzra.errors import EmptySample, InsufficientTail
 from thzra.params import (Experiment, FadingParams, GammaAbsorption,
                           MisalignmentParams, ProtocolConfig, ThzLinkParams)
+
+SWEEP_CFG = Path(__file__).resolve().parents[1] / "configs" / "sweep_outage.cfg"
 
 
 def make_experiment(**kw):
@@ -122,6 +126,75 @@ def test_outage_matches_closed_form_within_3se():
                                         exp.misalignment.rho, exp.link)
         se = math.sqrt(max(p * (1 - p), 1e-12) / n)
         assert abs(phat - p) <= 3 * se
+
+
+@pytest.mark.parametrize("fading", [False, True], ids=["fading_off", "fading_on"])
+@pytest.mark.parametrize("k_t", [0.0, 0.1], ids=["k_h=0", "k_h=0.1414"])
+@pytest.mark.parametrize("absorption", ["gamma", "deterministic"])
+def test_outage_mc_matches_crude_count(fading, k_t, absorption):
+    # misalignment integrated out vs hit counting, independent seeds
+    exp = make_experiment(
+        link=replace(make_experiment().link, k_t=k_t, k_r=k_t),
+        fading=FadingParams(alpha=2.0, mu=1) if fading
+        else FadingParams(enabled=False),
+        absorption=GammaAbsorption(k=3, beta=10.0) if absorption == "gamma"
+        else channel.load_absorption_profile())
+    grid = [25.0, 33.0, 41.0]
+    mc = validation.outage_mc(exp, 10 ** 0.5, grid, 100_000, seed=1)
+    count = validation.outage_count(exp, 10 ** 0.5, grid, 100_000, seed=2)
+    assert np.all(count.p_out > 1e-4)       # at least ten hits per point
+    combined = np.sqrt(mc.se ** 2 + count.se ** 2)
+    assert np.all(np.abs(mc.p_out - count.p_out) <= 4.0 * combined)
+    np.testing.assert_array_equal(count.vrf, 1.0)
+
+
+def test_outage_mc_matches_closed_form_within_bonferroni_se():
+    # criterion 7's experiment and grid, judged by the estimator's own SE
+    exp = make_experiment(link=replace(make_experiment().link, k_t=0.1, k_r=0.1))
+    gth = 10 ** 0.5
+    grid = [25, 27, 29, 31, 33, 35, 37, 39, 41, 43]
+    curve = validation.outage_mc(exp, gth, grid, 200_000, seed=71)
+    z = validation.bonferroni_z(len(grid))
+    for i, db in enumerate(grid):
+        q = analytics.OutageQuery(gth, 10 ** (db / 10.0), exp.link.k_h)
+        p = analytics.cdf_snr_no_fading(q, exp.absorption,
+                                        exp.misalignment.rho, exp.link)
+        phat, se = curve.p_out[i], curve.se[i]
+        assert abs(phat - p) <= z * se
+        assert curve.vrf[i] > 1.0
+        # the normal interval is p +- 1.96 se inside [0, 1]
+        assert curve.ci_lo[i] == pytest.approx(max(0.0, phat - 1.959964 * se))
+        assert curve.ci_hi[i] == pytest.approx(min(1.0, phat + 1.959964 * se))
+
+
+def test_outage_mc_reduces_variance_on_sweep_cells():
+    cfg = params.run_config(cli.read_config(SWEEP_CFG))
+    names = sorted(cfg.sweep_axes)
+    for combo in itertools.product(*(cfg.sweep_axes[n] for n in names)):
+        exp = params.apply_cell(cfg.exp, dict(zip(names, combo)))
+        curve = validation.outage_mc(exp, cfg.gamma_th, [60.0], 200_000, seed=7)
+        assert curve.p_out[0] > 0 and curve.vrf[0] > 1.0, combo
+
+
+@pytest.mark.parametrize("k_t,gamma_th,expected", [
+    (0.1, 50.0, 1.0),           # at the ceiling 1/k_h^2
+    (0.1, math.inf, 1.0),
+    (0.0, math.inf, 1.0),       # inf * k_h^2 is NaN on an ideal front end
+    (0.1, 0.0, 0.0),
+    (0.0, 0.0, 0.0),            # F_p(0) would be 0 * log 0
+], ids=["ceiling", "inf", "inf-ideal", "zero", "zero-ideal"])
+def test_outage_mc_settled_thresholds(k_t, gamma_th, expected):
+    exp = make_experiment(link=replace(make_experiment().link, k_t=k_t, k_r=k_t),
+                          fading=FadingParams(alpha=2.0, mu=1))
+    curve = validation.outage_mc(exp, gamma_th, [20.0, 45.0], 1000, seed=1)
+    for field in ("p_out", "ci_lo", "ci_hi", "se", "vrf"):
+        assert not np.any(np.isnan(getattr(curve, field))), field
+    np.testing.assert_array_equal(curve.p_out, expected)
+    np.testing.assert_array_equal(curve.ci_lo, expected)
+    np.testing.assert_array_equal(curve.ci_hi, expected)
+    np.testing.assert_array_equal(curve.se, 0.0)
+    count = validation.outage_count(exp, gamma_th, [20.0, 45.0], 1000, seed=1)
+    np.testing.assert_array_equal(count.p_out, expected)
 
 
 # ---------------------------------------------------------------------------
