@@ -143,9 +143,17 @@ def path_gain_cdf(h_l: ArrayLike, model: GammaAbsorption,
     return out if isinstance(h_l, np.ndarray) else float(out)
 
 
-def sample_path_gain(model: GammaAbsorption, link: ThzLinkParams,
-                     rng: np.random.Generator, size: int) -> np.ndarray:
-    return path_gain_from_absorption(sample_absorption_db(model, rng, size), link)
+def sample_path_gain(model: Union[GammaAbsorption, DeterministicAbsorption],
+                     link: ThzLinkParams, rng: np.random.Generator,
+                     size: int) -> np.ndarray:
+    """`size` draws of the path gain h_l; deterministic absorption gives
+    one constant and draws nothing."""
+    if isinstance(model, GammaAbsorption):
+        return path_gain_from_absorption(sample_absorption_db(model, rng, size),
+                                         link)
+    zeta = absorption_deterministic(link, model)
+    return np.full(size, path_gain_from_absorption(
+        zeta_db_per_km_from_natural(zeta), link))
 
 
 def sample_misalignment(rho: float, rng: np.random.Generator,
@@ -214,7 +222,7 @@ def sample_fading(fp: FadingParams, rng: np.random.Generator,
             "sampler here; only the symmetric p = q = 1 convention is supported")
     if fp.mu_is_integer:
         g_norm = _fading_gaussian_construction(fp, rng, size)
-    elif fp.eta == 1.0 and fp.kappa == 0.0:
+    elif fp.is_alpha_mu:
         # alpha-mu subfamily: h_f^alpha * (mu / r_hat^alpha) ~ Gamma(mu)
         g_norm = rng.gamma(fp.mu, 1.0 / fp.mu, size=size)
     else:
@@ -222,6 +230,98 @@ def sample_fading(fp: FadingParams, rng: np.random.Generator,
             f"non-integer mu={fp.mu} is only exactly samplable in the "
             "alpha-mu subfamily (eta=1, kappa=0)")
     return fp.r_hat * np.power(g_norm, 1.0 / fp.alpha)
+
+
+def alpha_mu_cdf(u: ArrayLike, fp: FadingParams) -> ArrayLike:
+    """P(h_f <= u) for alpha-mu fading: mu (h_f / r_hat)^alpha is
+    Gamma(mu, 1), so the CDF is gammainc(mu, mu (u / r_hat)^alpha)."""
+    if not fp.is_alpha_mu:
+        raise UnsupportedParams(
+            "fading CDF is exact only for alpha-mu (eta=1, kappa=0, p=q=1), "
+            f"got eta={fp.eta}, kappa={fp.kappa}")
+    x = np.array(u, dtype=float)     # one copy, powered in place
+    x /= fp.r_hat
+    np.power(x, fp.alpha, out=x)
+    x *= fp.mu
+    return gammainc(fp.mu, x if isinstance(u, np.ndarray) else float(x))
+
+
+def gammainc(a: float, x: ArrayLike) -> ArrayLike:
+    """Regularized lower incomplete gamma P(a, x) for a scalar a > 0 and
+    x >= 0 (x = inf gives 1), in numpy alone: scipy.special costs 0.2 s of
+    import, and the outage sweep that calls this runs without it.
+
+    Numerical Recipes section 6.2: the power series below x = a + 1 and
+    Lentz's continued fraction for the complement Q above it.  Every x is
+    first taken through the series clipped to x <= 1, one pass with the
+    term count the largest of them needs; the few x > 1 are then redone
+    in place.
+    """
+    xs = np.asarray(x, dtype=float)
+    flat = xs.reshape(-1)
+    out = _gammainc_series(a, np.minimum(flat, 1.0))
+    big = np.flatnonzero(flat > 1.0)
+    if big.size:
+        ser, cf = big[flat[big] < a + 1.0], big[flat[big] >= a + 1.0]
+        out[ser] = _gammainc_series(a, flat[ser])
+        out[cf] = 1.0 - _gammaincc_fraction(a, flat[cf])
+    return out.reshape(xs.shape) if isinstance(x, np.ndarray) else float(out[0])
+
+
+def _gammainc_series(a: float, x: np.ndarray) -> np.ndarray:
+    """P(a, x) = x^a e^-x / Gamma(a+1) * sum_n x^n / ((a+1)...(a+n)), the
+    sum by Horner in y = x / x_max over the terms the largest x needs.
+
+    The coefficients are the terms at x_max, none above 1 for
+    x_max <= a + 1; unscaled ones would underflow long before the terms
+    do once a is in the hundreds.
+    """
+    x_max = float(np.max(x, initial=0.0)) or 1.0
+    coef = [1.0]
+    while coef[-1] > 1e-17:      # the sum is >= 1: below half an ulp
+        coef.append(coef[-1] * x_max / (a + len(coef)))
+    y = x if x_max == 1.0 else x / x_max
+    s = np.full_like(x, coef[-1])
+    for c in reversed(coef[:-1]):
+        s *= y
+        s += c
+    if a <= 100.0:
+        # x^a directly: exp(a ln x) would carry ln x's rounding, times a,
+        # into P (2e-13 relative at a = 20, x = 1e-5)
+        s *= np.power(x, a)
+        e = np.negative(x)
+        s *= np.exp(e, out=e)
+        s /= math.gamma(a + 1.0)
+        return s
+    with np.errstate(divide="ignore"):    # x^a and Gamma(a+1) near overflow
+        return s * np.exp(a * np.log(x) - x - math.lgamma(a + 1.0))
+
+
+def _gammaincc_fraction(a: float, x: np.ndarray) -> np.ndarray:
+    """Q(a, x) = 1 - P(a, x) for x >= a + 1 by Lentz's method on the
+    continued fraction; x is capped at 1e300, where Q is 0, so that
+    x = inf gives 0 rather than inf - inf.
+
+    With b_i = x + 1 - a + 2i >= 2i + 2 and |a_i| = i |i - a| <= i^2,
+    induction gives both Lentz denominators >= i + 2: none needs the
+    usual guard against zero.
+    """
+    x = np.minimum(x, 1e300)
+    b = x + 1.0 - a
+    c = np.full_like(x, 1e300)
+    d = 1.0 / b
+    h = d.copy()
+    for i in range(1, 10_000):
+        an = -i * (i - a)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = d * c
+        h *= delta
+        # 4e-16 is within an ulp of 1; a tighter stop may never be met
+        if np.all(np.abs(delta - 1.0) < 4e-16):
+            break
+    return np.exp(a * np.log(x) - x - math.lgamma(a)) * h
 
 
 def snr_from_gain(h: ArrayLike, avg_snr: float, k_h: float) -> ArrayLike:
@@ -249,12 +349,7 @@ def sample_path_fading_gain(exp: Experiment, rng_absorption: np.random.Generator
     """`size` draws of h_l * h_f from per-component streams (h_f = 1 with
     fading off): the composite gain short of misalignment, whose CDF the
     conditional outage estimator averages over."""
-    if isinstance(exp.absorption, GammaAbsorption):
-        h_l = sample_path_gain(exp.absorption, exp.link, rng_absorption, size)
-    else:
-        zeta = absorption_deterministic(exp.link, exp.absorption)
-        h_l = np.full(size, path_gain_from_absorption(
-            zeta_db_per_km_from_natural(zeta), exp.link))
+    h_l = sample_path_gain(exp.absorption, exp.link, rng_absorption, size)
     if not exp.fading.enabled:
         return h_l
     return h_l * sample_fading(exp.fading, rng_fading, size)

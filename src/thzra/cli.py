@@ -22,8 +22,6 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from . import __version__, analytics, channel, protocol, validation
 from .errors import ConfigError
 from .params import (Experiment, GammaAbsorption, ProtocolConfig, RunConfig,
@@ -283,8 +281,7 @@ def _suite_results(cfg: RunConfig) -> List[dict]:
 
     fp = replace(exp.fading, eta=1.0, kappa=0.0, enabled=True)
     hf = channel.sample_fading(fp, st.substream(seed, 904), n_gof)
-    y = np.power(hf / fp.r_hat, fp.alpha) * fp.mu
-    rep = validation.ks_compare(y, lambda x: gammainc(fp.mu, x))
+    rep = validation.ks_compare(hf, lambda u: channel.alpha_mu_cdf(u, fp))
     record("fading_alpha_mu_ks", rep.passed,
            {"statistic": rep.statistic, "threshold": rep.threshold})
 
@@ -332,7 +329,7 @@ def cmd_validate(cfg: RunConfig, out_dir: Path, manifest: Manifest) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-CELL_SCHEMA = "thzra.sweep.cell.v3"
+CELL_SCHEMA = "thzra.sweep.cell.v4"
 
 
 @dataclass(frozen=True)
@@ -385,10 +382,10 @@ def _run_cell(cell: SweepCell, path: Path, schema: str) -> Path:
         curve = validation.outage_mc(e, cell.gamma_th, [gbar_db], n_mc,
                                      seed=_row_seed(e.protocol.seed, slug, "outage"))
         cols += ["p_out", "p_out_ci_lo", "p_out_ci_hi", "p_out_se", "vrf",
-                 "outage_draws"]
+                 "conditioned", "outage_draws"]
         row += [float(curve.p_out[0]), float(curve.ci_lo[0]),
                 float(curve.ci_hi[0]), float(curve.se[0]),
-                float(curve.vrf[0]), n_mc]
+                float(curve.vrf[0]), curve.conditioned, n_mc]
     write_csv_atomic(path, schema, cols, [row])
     return path
 

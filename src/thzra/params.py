@@ -131,6 +131,14 @@ class FadingParams:
     def mu_is_integer(self) -> bool:
         return abs(self.mu - round(self.mu)) <= 1e-12 and self.mu >= 1
 
+    @property
+    def is_alpha_mu(self) -> bool:
+        """The alpha-mu subfamily (eta = 1, kappa = 0, p = q = 1): the
+        normalized fading power mu h_f^alpha / r_hat^alpha is Gamma(mu)
+        for any real mu."""
+        return (self.eta == 1.0 and self.kappa == 0.0
+                and self.p_ext == 1.0 and self.q_ext == 1.0)
+
 
 @dataclass(frozen=True)
 class MisalignmentParams:

@@ -117,7 +117,9 @@ class OutageCurve:
     ci_hi: np.ndarray
     n_draws: int
     se: np.ndarray           # standard error of p_out
-    vrf: np.ndarray          # variance of crude counting, p(1-p)/n, over se^2
+    vrf: np.ndarray          # variance of crude counting, p(1-p)/n, over
+                             # se^2; inf where the estimate is exact
+    conditioned: str         # fading | misalignment | none (crude counting)
 
 
 def wilson_interval(successes: int, n: int, z: float = Z95) -> Tuple[float, float]:
@@ -130,51 +132,75 @@ def wilson_interval(successes: int, n: int, z: float = Z95) -> Tuple[float, floa
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _outage_sums(gamma_bar_db: Sequence[float], n: int, seed: int, draw
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Sum and sum of squares of n per-draw outage values per grid point.
+def _outage_moments(gamma_bar_db: Sequence[float], n: int, seed: int, draw
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean and centred sum of squares (M2) of n per-draw outage values per
+    grid point.
 
     draw(gamma_bar, m, rng) returns m values; rng(component) is the
     substream keyed by (seed, grid index, draws done, component), so a
     point's draws do not depend on the rest of the grid or on who runs it.
+    Chunks merge by Chan et al.'s pairwise update, each centred on its own
+    first value, so values that never vary give M2 = 0 exactly.
     """
     gdb = np.asarray(list(gamma_bar_db), dtype=float)
-    sums = np.zeros((gdb.size, 2))
+    mean = np.zeros(gdb.size)
+    m2 = np.zeros(gdb.size)
     for i, db in enumerate(gdb):
         gbar = 10.0 ** (db / 10.0)
         for done in range(0, n, OUTAGE_CHUNK):
-            v = draw(gbar, min(OUTAGE_CHUNK, n - done),
-                     lambda comp: streams.substream(seed, i, done, comp))
-            sums[i] += (np.sum(v), np.sum(np.square(v)))
-    return gdb, sums
+            m = min(OUTAGE_CHUNK, n - done)
+            v = draw(gbar, m, lambda comp: streams.substream(seed, i, done, comp))
+            d = v - v[0]
+            d_mean = np.mean(d)
+            delta = v[0] + d_mean - mean[i]
+            mean[i] += delta * (m / (done + m))
+            d -= d_mean
+            m2[i] += (np.sum(np.square(d, out=d))
+                      + delta * delta * (done * m / (done + m)))
+    return gdb, mean, m2
 
 
 def outage_mc(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float],
               n: int, seed: int) -> OutageCurve:
-    """Outage probability over an average-SNR grid, misalignment integrated out.
+    """Outage probability over an average-SNR grid, one channel component
+    integrated out in closed form.
 
-    Each of the n draws takes h = h_l * h_f and scores the exact
-    misalignment CDF F_p(min(gamma_h / h, 1)), the conditional outage
-    probability given h.  The mean is unbiased and its variance never
-    exceeds crude counting's (Rao-Blackwell); se is the sample standard
-    error and the interval p +- 1.96 se is clipped to [0, 1].  Points
-    where gamma_th settles the answer (OutageQuery.settled) take it
-    without drawing.
+    That component is alpha-mu fading (FadingParams.is_alpha_mu) when
+    alpha mu < rho, i.e. when fading's exponent in the high-SNR slope
+    min(alpha mu, rho, z) / 2 is below misalignment's and fading drives
+    the outage tail, and misalignment otherwise.  Conditioned on fading, each draw takes h = h_l * h_p and scores the
+    alpha-mu CDF at gamma_h / h; conditioned on misalignment, it takes
+    h = h_l * h_f and scores F_p(min(gamma_h / h, 1)).  Either score is
+    the outage probability given the other components, so the mean is
+    unbiased and its variance never exceeds crude counting's
+    (Rao-Blackwell); se is the sample standard error, the interval
+    p +- 1.96 se is clipped to [0, 1], and vrf = p(1-p) / (n se^2) is inf
+    where the score never varies (the estimate is exact).  Points where
+    gamma_th settles the answer (OutageQuery.settled) take it without
+    drawing.
     """
-    rho, k_h = exp.misalignment.rho, exp.link.k_h
+    rho, k_h, fp = exp.misalignment.rho, exp.link.k_h, exp.fading
+    on_fading = fp.enabled and fp.is_alpha_mu and fp.alpha * fp.mu < rho
 
     def draw(gbar, m, rng):
         q = analytics.OutageQuery(gamma_th, gbar, k_h)
         if q.settled is not None:
             return np.full(m, q.settled)
+        if on_fading:
+            # u = gamma_h / (h_l h_p) in one array: no draw stays alive
+            # through the CDF, whose temporaries set the peak memory
+            u = (channel.sample_path_gain(exp.absorption, exp.link,
+                                          rng(streams.ABSORPTION), m)
+                 * channel.sample_misalignment(rho, rng(streams.MISALIGNMENT), m))
+            np.divide(q.gamma_h, u, out=u)
+            return channel.alpha_mu_cdf(u, fp)
         h = channel.sample_path_fading_gain(exp, rng(streams.ABSORPTION),
                                             rng(streams.FADING), m)
         return channel.misalignment_cdf(np.minimum(q.gamma_h / h, 1.0), rho)
 
-    gdb, sums = _outage_sums(gamma_bar_db, n, seed, draw)
-    p = sums[:, 0] / n
-    var = np.maximum(sums[:, 1] - sums[:, 0] * p, 0.0) / max(n - 1, 1)
-    se = np.sqrt(var / n)
+    gdb, p, m2 = _outage_moments(gamma_bar_db, n, seed, draw)
+    se = np.sqrt(m2 / max(n - 1, 1) / n)
     crude = p * (1.0 - p) / n
     with np.errstate(divide="ignore", invalid="ignore"):
         # both variances 0 where the threshold settles p: no reduction
@@ -182,7 +208,8 @@ def outage_mc(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float],
     return OutageCurve(gamma_bar_db=gdb, p_out=p,
                        ci_lo=np.maximum(p - Z95 * se, 0.0),
                        ci_hi=np.minimum(p + Z95 * se, 1.0),
-                       n_draws=n, se=se, vrf=vrf)
+                       n_draws=n, se=se, vrf=vrf,
+                       conditioned="fading" if on_fading else "misalignment")
 
 
 def outage_count(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float],
@@ -197,13 +224,13 @@ def outage_count(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float]
                                    rng(streams.MISALIGNMENT), avg_snr=gbar)
         return (g < gamma_th).astype(float)
 
-    gdb, sums = _outage_sums(gamma_bar_db, n, seed, draw)
-    hits = sums[:, 0]
+    gdb, mean, _ = _outage_moments(gamma_bar_db, n, seed, draw)
+    hits = np.rint(mean * n)        # the merged mean is hits/n to rounding
     p = hits / n
     lo, hi = np.array([wilson_interval(int(h), n) for h in hits]).T
     return OutageCurve(gamma_bar_db=gdb, p_out=p, ci_lo=lo, ci_hi=hi,
                        n_draws=n, se=np.sqrt(p * (1.0 - p) / n),
-                       vrf=np.ones(gdb.size))
+                       vrf=np.ones(gdb.size), conditioned="none")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Channel samplers against analytic laws and independent oracles."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -312,6 +313,57 @@ def test_fading_noninteger_mu_gamma_route():
     d = max(np.max(np.arange(1, n + 1) / n - f),
             np.max(f - np.arange(0, n) / n))
     assert d < 1.36 / math.sqrt(n)
+
+
+# ---------------------------------------------------------------------------
+# numpy incomplete gamma and the alpha-mu CDF
+# ---------------------------------------------------------------------------
+
+def gammainc_oracle(a, xs):
+    with mpmath.workdps(30):
+        return np.array([float(mpmath.gammainc(a, 0, mpmath.mpf(float(x)),
+                                               regularized=True)) for x in xs])
+
+
+@pytest.mark.parametrize("a,tol", [
+    (0.25, 1e-14), (0.5, 1e-14), (1.0, 1e-14), (1.5, 1e-14), (2.5, 1e-14),
+    (4.0, 1e-14), (7.3, 1e-14), (20.0, 1e-14),
+    (150.0, 1e-11),             # beyond a = 100 the prefactor goes by logs
+])
+def test_gammainc_matches_mpmath(a, tol):
+    xs = list(np.geomspace(1e-30, a + 60.0, 120))
+    for edge in (1.0, a + 1.0):     # series / fraction branch edges
+        xs += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)]
+    xs = np.array(xs)
+    p = channel.gammainc(a, xs)
+    ref = gammainc_oracle(a, xs)
+    err = np.abs(p - ref)
+    assert np.max(err) <= tol
+    tiny = ref <= 1e-300
+    assert np.all(err[~tiny] <= tol * ref[~tiny])
+
+
+def test_gammainc_endpoints_and_shapes():
+    assert channel.gammainc(2.5, 0.0) == 0.0
+    assert channel.gammainc(2.5, math.inf) == 1.0
+    assert channel.gammainc(0.3, math.inf) == 1.0
+    x = np.array([[0.0, 0.5], [3.0, np.inf]])
+    p = channel.gammainc(1.0, x)
+    assert p.shape == (2, 2)
+    np.testing.assert_allclose(p, 1.0 - np.exp(-x), rtol=1e-15, atol=0)
+    assert isinstance(channel.gammainc(1.0, 0.5), float)
+
+
+def test_alpha_mu_cdf_is_gamma_law():
+    fp = FadingParams(alpha=3.5, mu=2.5, r_hat=1.3)
+    u = np.geomspace(1e-3, 3.0, 40)
+    ref = sstats.gamma.cdf(fp.mu * (u / fp.r_hat) ** fp.alpha, a=fp.mu)
+    np.testing.assert_allclose(channel.alpha_mu_cdf(u, fp), ref,
+                               rtol=1e-12, atol=1e-15)
+    assert channel.alpha_mu_cdf(0.9, fp) == channel.alpha_mu_cdf(
+        np.array([0.9]), fp)[0]
+    with pytest.raises(UnsupportedParams):
+        channel.alpha_mu_cdf(u, FadingParams(mu=2, kappa=0.5))
 
 
 # ---------------------------------------------------------------------------

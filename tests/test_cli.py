@@ -332,6 +332,13 @@ def test_command_leaves_scipy_unloaded(tmp_path, command, base, old, new):
             "for m in sys.modules))")
     assert run_python(code, timeout=300) == 0
     assert (tmp_path / "out" / "run_manifest.json").is_file()
+    if command == "sweep":
+        # the fading-conditioned estimator (numpy incomplete gamma) ran
+        conditioned = []
+        for cell in (tmp_path / "out" / "sweep").glob("cell_*.csv"):
+            _, header, rows = read_rows(cell)
+            conditioned.append(rows[0][header.index("conditioned")])
+        assert "fading" in conditioned
 
 
 def test_validate_leaves_scipy_stats_unloaded(tmp_path):
@@ -371,12 +378,16 @@ def test_sweep_grid_and_resume(tmp_path):
 
     # a cell written under an older schema is recomputed, not reused
     cells[3].write_text("#schema: thzra.sweep.cell.v1\nmu,p_out\n1,0.5\n")
-    # a v2 cell (crude counting) with the current digest is recomputed too
-    schema_v3 = before[cells[4].name].decode().splitlines()[0]
-    assert schema_v3.startswith("#schema: thzra.sweep.cell.v3 digest=")
-    cells[4].write_text(schema_v3.replace(".v3 ", ".v2 ")
+    # a v2 cell (crude counting) or a v3 cell (misalignment conditioning
+    # only) with the current digest is recomputed too
+    schema_v4 = before[cells[4].name].decode().splitlines()[0]
+    assert schema_v4.startswith("#schema: thzra.sweep.cell.v4 digest=")
+    cells[4].write_text(schema_v4.replace(".v4 ", ".v2 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,outage_draws"
                         "\n2,3,0.5,0.4,0.6,20000\n")
+    cells[6].write_text(schema_v4.replace(".v4 ", ".v3 ")
+                        + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,p_out_se,vrf,"
+                        "outage_draws\n3,2,0.5,0.4,0.6,0.05,2.0,20000\n")
     assert cli.main(["sweep", "--config", str(cfg), "--seed", "9",
                      "--out", str(out)]) == 0
     after = {p.name: p.read_bytes()
@@ -466,8 +477,8 @@ def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
     p_files = sorted((par / "sweep").glob("*.csv"))
     assert [f.name for f in s_files] == [f.name for f in p_files]
     _, header, _ = read_rows(s_files[0])
-    assert header[-6:] == ["p_out", "p_out_ci_lo", "p_out_ci_hi", "p_out_se",
-                           "vrf", "outage_draws"]
+    assert header[-7:] == ["p_out", "p_out_ci_lo", "p_out_ci_hi", "p_out_se",
+                           "vrf", "conditioned", "outage_draws"]
     for a, b in zip(s_files, p_files):
         assert a.read_bytes() == b.read_bytes()
     # env var caps the worker count without changing results

@@ -128,24 +128,69 @@ def test_outage_matches_closed_form_within_3se():
         assert abs(phat - p) <= 3 * se
 
 
-@pytest.mark.parametrize("fading", [False, True], ids=["fading_off", "fading_on"])
+@pytest.mark.parametrize("fading,conditioned", [
+    (FadingParams(enabled=False), "misalignment"),
+    (FadingParams(alpha=2.0, mu=1), "fading"),          # alpha mu < rho = 4
+    (FadingParams(alpha=2.0, mu=2), "misalignment"),    # alpha mu = rho
+    (FadingParams(alpha=2.0, mu=1, kappa=1.0), "misalignment"),  # not alpha-mu
+], ids=["fading_off", "fading_on", "fading_on_at_rho", "fading_kappa_mu"])
 @pytest.mark.parametrize("k_t", [0.0, 0.1], ids=["k_h=0", "k_h=0.1414"])
 @pytest.mark.parametrize("absorption", ["gamma", "deterministic"])
-def test_outage_mc_matches_crude_count(fading, k_t, absorption):
-    # misalignment integrated out vs hit counting, independent seeds
+def test_outage_mc_matches_crude_count(fading, conditioned, k_t, absorption):
+    # one component integrated out vs hit counting, independent seeds
     exp = make_experiment(
         link=replace(make_experiment().link, k_t=k_t, k_r=k_t),
-        fading=FadingParams(alpha=2.0, mu=1) if fading
-        else FadingParams(enabled=False),
+        fading=fading,
         absorption=GammaAbsorption(k=3, beta=10.0) if absorption == "gamma"
         else channel.load_absorption_profile())
     grid = [25.0, 33.0, 41.0]
     mc = validation.outage_mc(exp, 10 ** 0.5, grid, 100_000, seed=1)
     count = validation.outage_count(exp, 10 ** 0.5, grid, 100_000, seed=2)
+    assert (mc.conditioned, count.conditioned) == (conditioned, "none")
     assert np.all(count.p_out > 1e-4)       # at least ten hits per point
     combined = np.sqrt(mc.se ** 2 + count.se ** 2)
     assert np.all(np.abs(mc.p_out - count.p_out) <= 4.0 * combined)
     np.testing.assert_array_equal(count.vrf, 1.0)
+
+
+def test_outage_mc_exact_where_the_score_is_constant():
+    # deterministic absorption with fading off: every draw scores the same
+    # misalignment CDF value, so the estimate is exact, se is 0.0 and vrf
+    # is inf, not the rounding residue of a sum-of-squares variance
+    exp = make_experiment(absorption=channel.load_absorption_profile())
+    grid = [25.0, 33.0, 41.0]
+    curve = validation.outage_mc(exp, 10 ** 0.5, grid, 100_000, seed=1)
+    h_l = channel.sample_path_gain(exp.absorption, exp.link, None, 1)[0]
+    for i, db in enumerate(grid):
+        q = analytics.OutageQuery(10 ** 0.5, 10 ** (db / 10.0), exp.link.k_h)
+        assert curve.p_out[i] == pytest.approx(
+            channel.misalignment_cdf(min(q.gamma_h / h_l, 1.0), 4.0),
+            rel=1e-15)
+    np.testing.assert_array_equal(curve.se, 0.0)
+    np.testing.assert_array_equal(curve.vrf, np.inf)
+    np.testing.assert_array_equal(curve.ci_lo, curve.p_out)
+    np.testing.assert_array_equal(curve.ci_hi, curve.p_out)
+
+
+def sweep_cells():
+    """(coords, gamma_th, experiment) per cell of configs/sweep_outage.cfg."""
+    cfg = params.run_config(cli.read_config(SWEEP_CFG))
+    names = sorted(cfg.sweep_axes)
+    for combo in itertools.product(*(cfg.sweep_axes[n] for n in names)):
+        coords = dict(zip(names, combo))
+        yield coords, cfg.gamma_th, params.apply_cell(cfg.exp, coords)
+
+
+def test_outage_mc_matches_crude_count_on_sweep_cells():
+    # alpha = 1: cells with mu < rho condition on fading, (rho, mu) =
+    # (2, 2.5) on misalignment
+    for coords, gamma_th, exp in sweep_cells():
+        mc = validation.outage_mc(exp, gamma_th, [45.0], 200_000, seed=1)
+        count = validation.outage_count(exp, gamma_th, [45.0], 200_000, seed=2)
+        assert mc.conditioned == ("fading" if coords["mu"] < coords["rho"]
+                                  else "misalignment"), coords
+        combined = math.hypot(mc.se[0], count.se[0])
+        assert abs(mc.p_out[0] - count.p_out[0]) <= 4.0 * combined, coords
 
 
 def test_outage_mc_matches_closed_form_within_bonferroni_se():
@@ -168,12 +213,13 @@ def test_outage_mc_matches_closed_form_within_bonferroni_se():
 
 
 def test_outage_mc_reduces_variance_on_sweep_cells():
-    cfg = params.run_config(cli.read_config(SWEEP_CFG))
-    names = sorted(cfg.sweep_axes)
-    for combo in itertools.product(*(cfg.sweep_axes[n] for n in names)):
-        exp = params.apply_cell(cfg.exp, dict(zip(names, combo)))
-        curve = validation.outage_mc(exp, cfg.gamma_th, [60.0], 200_000, seed=7)
-        assert curve.p_out[0] > 0 and curve.vrf[0] > 1.0, combo
+    # where fading sets the slope by a margin (alpha mu = 1.5, 2.5 < rho
+    # = 4.1) conditioning on it gains more than tenfold
+    for coords, gamma_th, exp in sweep_cells():
+        curve = validation.outage_mc(exp, gamma_th, [60.0], 200_000, seed=7)
+        assert curve.p_out[0] > 0 and curve.vrf[0] > 1.0, coords
+        if coords["rho"] == 4.1:
+            assert curve.vrf[0] >= 10.0, coords
 
 
 @pytest.mark.parametrize("k_t,gamma_th,expected", [
