@@ -6,9 +6,9 @@ T ~ Gamma(k, 1/z) (absorption, integer k) and W ~ Gamma(2, 1/rho)
 (misalignment).  Conditioning on T gives a regularized upper incomplete
 gamma plus two confluent hypergeometric terms (Tricomi's entire
 incomplete gamma, DLMF 8.5.1), exact for every z and rho including
-z = rho; scipy.special's gammaincc and hyp1f1 evaluate them, imported
-inside the functions as everywhere else in the package (path-gain CDF,
-KS reference CDFs).
+z = rho.  numpy and the standard library evaluate them: channel.gammaincc
+gives the incomplete gamma, and a Poisson-weighted series or a terminating
+asymptotic sum gives each Kummer function.
 
 Energy is counted in transmissions (unit energy).  ATP's expected energy
 therefore equals its expected delay, so `delay_atp`, `delay_atp_prefix`
@@ -24,6 +24,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .channel import gammaincc
 from .errors import DomainError
 from .params import GammaAbsorption, ThzLinkParams
 
@@ -81,21 +82,44 @@ def _kummer_terms(L: float, k: int, z: float, rho: float):
     With s = z - rho, G_{k+1} = e^{-rho L} gamma*(k, sL) and
     G_{k+2} = e^{-rho L} [gamma*(k, sL) - k gamma*(k+1, sL)] (DLMF 8.5.1,
     gamma* Tricomi's entire incomplete gamma); one Kummer function keeps
-    the difference free of cancellation.  For s < 0 Kummer's
-    transformation M(k, b, -x) = e^{-x} M(b-k, b, x) moves e^{-sL} into
-    the prefactor, so M is only ever taken at a non-positive argument,
-    where it lies in (0, 1] and cannot overflow.
+    the difference free of cancellation.  Kummer's transformation
+    M(k, b, -x) = e^{-x} M(b-k, b, x) (DLMF 13.2.39) writes every G_b as
+    e^{-min(z, rho) L} W(a, b, |s| L) / (b-1)!, with a = b - k for s >= 0
+    and a = k for s < 0, and W(a, b, x) = e^{-x} M(a, b, x) in (0, 1].
     """
-    from scipy.special import hyp1f1   # lazy: keeps scipy off import
     s = z - rho
-    terms = []
-    for b in (k + 1, k + 2):
-        if s >= 0.0:
-            m = math.exp(-rho * L) * hyp1f1(k, b, -s * L)
-        else:
-            m = math.exp(-z * L) * hyp1f1(b - k, b, s * L)
-        terms.append(float(m) / math.factorial(b - 1))
-    return terms
+    x = abs(s) * L
+    return [math.exp(-min(z, rho) * L)
+            * _poisson_kummer(b - k if s >= 0.0 else k, b, x)
+            / math.factorial(b - 1) for b in (k + 1, k + 2)]
+
+
+def _poisson_kummer(a: int, b: int, x: float) -> float:
+    """W(a, b, x) = e^{-x} M(a, b, x) = sum_n Pois(n; x) (a)_n / (b)_n for
+    integers 0 < a < b and x >= 0: positive terms, so no cancellation.
+
+    Up to x = 60 + 2b the sum runs from n = 0 until its terms, past the
+    Poisson mode, fall below 1e-17 of it.  Beyond, the asymptotic
+    expansion of M (DLMF 13.7.2), Gamma(b)/Gamma(a) x^{a-b}
+    sum_s (b-a)_s (1-a)_s / s! x^{-s}, ends at s = a - 1 because a is a
+    positive integer.  The part it leaves out leads with
+    Gamma(a)/Gamma(b-a) x^{b-2a} e^{-x} of W, below 1e-23 there for any b.
+    """
+    if x <= 60.0 + 2.0 * b:
+        term = total = math.exp(-x)
+        n = 0
+        while n <= x or term > 1e-17 * total:
+            term *= x * (a + n) / ((n + 1) * (b + n))
+            total += term
+            n += 1
+        return total
+    term = total = 1.0
+    for s in range(a - 1):
+        term *= (b - a + s) * (s + 1 - a) / ((s + 1) * x)
+        total += term
+    for j in range(a, b):       # Gamma(b)/Gamma(a) x^{a-b}, no overflow
+        total *= j / x
+    return total
 
 
 def composite_gain_cdf(y: float, k: int, z: float, rho: float, a_l: float) -> float:
@@ -104,14 +128,13 @@ def composite_gain_cdf(y: float, k: int, z: float, rho: float, a_l: float) -> fl
     With L = ln(a_l/y): F = Q(k, zL) + (zL)^k (G_{k+1} + rho L G_{k+2}),
     the absorption tail P(T >= L) plus P(T < L, W >= L - T).
     """
-    from scipy.special import gammaincc   # lazy: keeps scipy off import
     if y <= 0.0:
         return 0.0
     if y >= a_l:
         return 1.0
     L = math.log(a_l / y)
     g1, g2 = _kummer_terms(L, k, z, rho)
-    return float(gammaincc(k, z * L)) + (z * L) ** k * (g1 + rho * L * g2)
+    return gammaincc(k, z * L) + (z * L) ** k * (g1 + rho * L * g2)
 
 
 def composite_gain_pdf(y: float, k: int, z: float, rho: float, a_l: float) -> float:

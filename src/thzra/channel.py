@@ -134,7 +134,6 @@ def path_gain_pdf(h_l: ArrayLike, model: GammaAbsorption,
 def path_gain_cdf(h_l: ArrayLike, model: GammaAbsorption,
                   link: ThzLinkParams) -> ArrayLike:
     """P(path gain <= h); ln(a_l/h_l) is Gamma(k, 1/z) so this is its tail."""
-    from scipy.special import gammaincc   # lazy: keeps scipy off import
     h = np.asarray(h_l, dtype=float)
     if np.any(h <= 0) or np.any(h > link.a_l * (1 + 1e-12)):
         raise DomainError(f"path gain must lie in (0, a_l={link.a_l:g}]")
@@ -249,22 +248,38 @@ def alpha_mu_cdf(u: ArrayLike, fp: FadingParams) -> ArrayLike:
 def gammainc(a: float, x: ArrayLike) -> ArrayLike:
     """Regularized lower incomplete gamma P(a, x) for a scalar a > 0 and
     x >= 0 (x = inf gives 1), in numpy alone: scipy.special costs 0.2 s of
-    import, and the outage sweep that calls this runs without it.
+    import, and no command loads it."""
+    return _regularized_gamma(a, x, upper=False)
 
-    Numerical Recipes section 6.2: the power series below x = a + 1 and
-    Lentz's continued fraction for the complement Q above it.  Every x is
-    first taken through the series clipped to x <= 1, one pass with the
-    term count the largest of them needs; the few x > 1 are then redone
-    in place.
+
+def gammaincc(a: float, x: ArrayLike) -> ArrayLike:
+    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x), same
+    domain as gammainc (x = inf gives 0).  At x >= a + 1 the continued
+    fraction gives Q itself, so a deep tail keeps its relative accuracy
+    instead of cancelling in 1 - P."""
+    return _regularized_gamma(a, x, upper=True)
+
+
+def _regularized_gamma(a: float, x: ArrayLike, upper: bool) -> ArrayLike:
+    """P(a, x), or Q(a, x) if upper, by Numerical Recipes section 6.2: the
+    power series for P below x = a + 1 and Lentz's continued fraction for
+    Q above it, each complemented where the other one is asked for.
+    Every x is first taken through the series clipped to x <= 1, one pass
+    with the term count the largest of them needs; the few x > 1 are then
+    redone in place.
     """
     xs = np.asarray(x, dtype=float)
     flat = xs.reshape(-1)
     out = _gammainc_series(a, np.minimum(flat, 1.0))
+    if upper:
+        np.subtract(1.0, out, out=out)
     big = np.flatnonzero(flat > 1.0)
     if big.size:
         ser, cf = big[flat[big] < a + 1.0], big[flat[big] >= a + 1.0]
-        out[ser] = _gammainc_series(a, flat[ser])
-        out[cf] = 1.0 - _gammaincc_fraction(a, flat[cf])
+        p = _gammainc_series(a, flat[ser])
+        q = _gammaincc_fraction(a, flat[cf])
+        out[ser] = 1.0 - p if upper else p
+        out[cf] = q if upper else 1.0 - q
     return out.reshape(xs.shape) if isinstance(x, np.ndarray) else float(out[0])
 
 
@@ -321,7 +336,35 @@ def _gammaincc_fraction(a: float, x: np.ndarray) -> np.ndarray:
         # 4e-16 is within an ulp of 1; a tighter stop may never be met
         if np.all(np.abs(delta - 1.0) < 4e-16):
             break
-    return np.exp(a * np.log(x) - x - math.lgamma(a)) * h
+    return _gamma_prefactor(a, x) * h
+
+
+def _gamma_prefactor(a: float, x: np.ndarray) -> np.ndarray:
+    """x^a e^-x / Gamma(a), the continued fraction's prefactor, as
+    exp(a ln(x/a) + s(a) + (a - x)) with s(a) = a ln a - a - ln Gamma(a).
+
+    The exponent nears -700 before Q underflows, and rounding it to one
+    double would cost up to 1e-13 relative; the rounding errors of its
+    two sums are carried beside it (Knuth's two-sum), and s(a) comes from
+    Stirling's series rather than a difference of large logarithms.
+    """
+    t = a - x
+    t_err = (a - (t - (t - a))) + (-x - (t - a))
+    lead = a * np.log(x / a) + _stirling_remainder(a)
+    hi = lead + t
+    err = (lead - (hi - (hi - lead))) + (t - (hi - lead)) + t_err
+    return np.exp(hi) * (1.0 + err)
+
+
+def _stirling_remainder(a: float) -> float:
+    """a ln a - a - ln Gamma(a); from a = 10 on, Stirling's series, whose
+    first omitted term is below 1e-16 there."""
+    if a < 10.0:
+        return a * math.log(a) - a - math.lgamma(a)
+    r = 1.0 / (a * a)
+    tail = (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r * (
+        1 / 1188 - r * (691 / 360360 - r / 156)))))) / a
+    return 0.5 * math.log(a / (2.0 * math.pi)) - tail
 
 
 def snr_from_gain(h: ArrayLike, avg_snr: float, k_h: float) -> ArrayLike:

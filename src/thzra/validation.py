@@ -2,10 +2,11 @@
 goodness-of-fit, outage curves with confidence intervals, slope regression
 for the diversity order, and exhaustive bound sweeps.
 
-scipy is imported inside the functions that use it, so simulate and
-sweep start without it.  Quantiles come from scipy.special (chdtri, chdtrc,
-ndtri), which validate loads anyway; only slope_fit, which no command calls,
-imports scipy.stats (about a third of a validate run on its own).
+Every routine runs on numpy and the standard library: the chi-square
+tail is channel.gammaincc, its quantile and the chi-square bin edges come
+from one array bisection routine, and the normal quantile from
+statistics.NormalDist, so validate, like every command, loads no scipy
+module (importing scipy.special alone takes about 0.2 s).
 """
 from __future__ import annotations
 
@@ -42,8 +43,7 @@ class GofReport:
         """Chi-square tail probability (only meaningful for ChiSquare)."""
         if self.test != "ChiSquare" or self.df < 1:
             raise ValueError("p_value defined for chi-square reports only")
-        from scipy.special import chdtrc
-        return float(chdtrc(self.df, self.statistic))
+        return channel.gammaincc(self.df / 2.0, self.statistic / 2.0)
 
 
 def ks_statistic(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -69,34 +69,53 @@ def chi_square_compare(samples: np.ndarray, cdf: Callable, support: Tuple[float,
                        min_expected: int = 20, p_floor: float = 0.01) -> GofReport:
     """Equal-probability-bin chi-square test against an analytic CDF.
 
-    Bin edges are found by bisecting the CDF; passes when the p-value
-    exceeds p_floor (statistic below the matching chi2 quantile).
+    Bin edges are found by bisecting the CDF, which maps an array to an
+    array; passes when the p-value exceeds p_floor (statistic below the
+    matching chi2 quantile).
     """
-    from scipy.special import chdtri
     x = np.asarray(samples, dtype=float)
     n = x.size
     if n < MIN_GOF_SAMPLES:
         raise EmptySample(f"chi-square needs n >= {MIN_GOF_SAMPLES}, got {n}")
     n_bins = max(4, min(50, n // (5 * min_expected)))
-    probs = np.linspace(0.0, 1.0, n_bins + 1)
-    edges = [support[0]] + [_cdf_invert(cdf, q, support) for q in probs[1:-1]] \
-        + [support[1]]
-    counts, _ = np.histogram(x, bins=np.asarray(edges))
+    q = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
+    inner = _bisect(lambda mid: cdf(mid) < q, np.full(q.size, support[0]),
+                    np.full(q.size, support[1]))
+    counts, _ = np.histogram(x, bins=np.concatenate(
+        [[support[0]], inner, [support[1]]]))
     expected = n / n_bins
     stat = float(np.sum((counts - expected) ** 2 / expected))
-    threshold = float(chdtri(n_bins - 1, p_floor))
+    threshold = chi2_threshold(n_bins - 1, p_floor)
     return GofReport.make("ChiSquare", stat, threshold, n, df=n_bins - 1)
 
 
-def _cdf_invert(cdf, q, support, tol=1e-12, iters=200):
-    lo, hi = support
-    for _ in range(iters):
+def chi2_threshold(df: int, p: float) -> float:
+    """The x with chi-square tail Q(df/2, x/2) = p for 0 < p < 1, bisected
+    to 4.5e-16 max(1, x); bisecting the tail itself keeps a small p's
+    relative accuracy, which 1 - p would lose."""
+    hi = float(df)
+    while channel.gammaincc(df / 2.0, hi / 2.0) > p:
+        hi *= 2.0
+    x = _bisect(lambda mid: channel.gammaincc(df / 2.0, mid / 2.0) > p,
+                np.zeros(1), np.array([hi]), tol=4.5e-16)
+    return float(x[0])
+
+
+def _bisect(above, lo, hi, tol=1e-12):
+    """Bisect the brackets [lo, hi] of a monotone root problem as one array.
+
+    above(mid) is True where the root lies above mid.  Each element stops
+    once hi - lo < tol * max(1, |hi|) and keeps its bracket from then on,
+    so every element ends as a bisection of it alone would.
+    """
+    live = np.ones(lo.shape, dtype=bool)
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if cdf(mid) < q:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol * max(1.0, abs(hi)):
+        up = above(mid)
+        lo = np.where(live & up, mid, lo)
+        hi = np.where(live & ~up, mid, hi)
+        live &= hi - lo >= tol * np.maximum(1.0, np.abs(hi))
+        if not live.any():
             break
     return 0.5 * (lo + hi)
 
@@ -248,7 +267,6 @@ def slope_fit(curve: OutageCurve, max_pout: float = 0.1,
     max_ci_decades; raises InsufficientTail when fewer than
     min_points qualify.
     """
-    from scipy import stats as sstats
     ok = (curve.p_out < max_pout) & (curve.p_out > 0) & (curve.ci_lo > 0)
     width = np.full(curve.p_out.shape, np.inf)
     nz = curve.ci_lo > 0
@@ -259,9 +277,13 @@ def slope_fit(curve: OutageCurve, max_pout: float = 0.1,
             f"only {int(ok.sum())} usable high-SNR points (need {min_points})")
     x = curve.gamma_bar_db[ok] / 10.0
     y = np.log10(curve.p_out[ok])
-    fit = sstats.linregress(x, y)
-    return SlopeFit(slope=float(-fit.slope), stderr=float(fit.stderr),
-                    n_points=int(ok.sum()))
+    # least squares: slope Sxy / Sxx, its standard error from the residuals
+    dx = x - x.mean()
+    sxx = float(np.dot(dx, dx))
+    slope = float(np.dot(dx, y - y.mean())) / sxx
+    resid = y - y.mean() - slope * dx
+    stderr = math.sqrt(float(np.dot(resid, resid)) / (x.size - 2) / sxx)
+    return SlopeFit(slope=-slope, stderr=stderr, n_points=int(ok.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +336,8 @@ def bonferroni_z(n_tests: int) -> float:
     """Two-sided normal quantile at level AGREEMENT_ALPHA / n_tests: a
     family of n_tests correct estimates, each within z standard errors of
     its exact value, fails with probability at most about AGREEMENT_ALPHA."""
-    from scipy.special import ndtri
-    return float(-ndtri(AGREEMENT_ALPHA / (2.0 * n_tests)))
+    from statistics import NormalDist   # lazy: only validate needs it
+    return -NormalDist().inv_cdf(AGREEMENT_ALPHA / (2.0 * n_tests))
 
 
 @dataclass(frozen=True)

@@ -146,7 +146,7 @@ def test_criterion_6_sampler_fidelity():
     hl = channel.sample_path_gain(exp.absorption, exp.link,
                                   np.random.default_rng(62), n)
     rep_hl = validation.chi_square_compare(
-        hl, lambda x: channel.path_gain_cdf(float(x), exp.absorption, exp.link),
+        hl, lambda x: channel.path_gain_cdf(x, exp.absorption, exp.link),
         support=(0.0, exp.link.a_l))
     # alpha-mu reduction of the fading sampler
     fp = FadingParams(alpha=2.6, eta=1.0, kappa=0.0, mu=2, r_hat=1.0)

@@ -85,6 +85,31 @@ def test_gain_law_with_rates_far_apart(k, z, rho, frac):
     assert_gain_law(frac, k, z, rho, 1.0)
 
 
+@pytest.mark.parametrize("z,rho", [(10.0, 4.0), (0.5, 6.5)],
+                         ids=["z_above_rho", "z_below_rho"])
+@pytest.mark.parametrize("L", [11.0, 12.5], ids=["series", "asymptotic"])
+def test_gain_law_either_side_of_kummer_switch(z, rho, L):
+    # k = 3: |z - rho| L = 66 sums the Poisson-weighted series for both
+    # Kummer terms (b = 4, 5 switch at 60 + 2b = 68, 70); 75 takes the
+    # terminating asymptotic sum for both
+    assert_gain_law(math.exp(-L), 3, z, rho, 1.0)
+
+
+@pytest.mark.parametrize("b", [2, 3, 5, 10, 30])
+def test_poisson_kummer_matches_mpmath(b):
+    # W(a, b, x) = e^-x M(a, b, x) for the a the gain law asks for (1, 2,
+    # b - 2, b - 1), on both sides of the series/asymptotic switch
+    switch = 60.0 + 2.0 * b
+    xs = [0.0, 1e-8, 1.0, 10.0, 30.0, 60.0, 61.0, switch,
+          np.nextafter(switch, np.inf), 1.5 * switch, 1e4]
+    for a in sorted({1, 2, b - 2, b - 1} & set(range(1, b))):
+        for x in xs:
+            with mpmath.workdps(30):
+                ref = float(mpmath.exp(-x) * mpmath.hyp1f1(a, b, x))
+            got = analytics._poisson_kummer(a, b, x)
+            assert got == pytest.approx(ref, rel=1e-14, abs=1e-300), (a, x)
+
+
 def test_gain_pdf_integrates_to_one():
     for k, z, rho in [(3, 8.686, 4.0), (4, 2.0, 6.0)]:
         total, _ = integrate.quad(

@@ -343,6 +343,26 @@ def test_gammainc_matches_mpmath(a, tol):
     assert np.all(err[~tiny] <= tol * ref[~tiny])
 
 
+@pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 2.5, 3.0, 24.5, 100.0])
+def test_gammaincc_matches_mpmath(a):
+    # Q itself, down to 1e-300: a deep tail must not cancel in 1 - P, and
+    # its exponent (about -700 at the far end) must not lose digits
+    xs = list(np.geomspace(1e-20, a + 700.0, 150))
+    xs += list(np.linspace(a + 1.0, a + 700.0, 150))      # the fraction
+    xs += [np.nextafter(a + 1.0, 0.0), np.nextafter(a + 1.0, np.inf)]
+    xs = np.array(xs)
+    q = channel.gammaincc(a, xs)
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.gammainc(a, mpmath.mpf(float(x)),
+                                              mpmath.inf, regularized=True))
+                        for x in xs])
+    live = ref > 1e-300
+    assert np.all(np.abs(q[live] - ref[live]) <= 1e-13 * ref[live])
+    assert np.all(q[~live] <= 1e-299)
+    assert channel.gammaincc(a, 0.0) == 1.0
+    assert channel.gammaincc(a, math.inf) == 0.0
+
+
 def test_gammainc_endpoints_and_shapes():
     assert channel.gammainc(2.5, 0.0) == 0.0
     assert channel.gammainc(2.5, math.inf) == 1.0

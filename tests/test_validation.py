@@ -4,8 +4,10 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from thzra import analytics, channel, cli, params, validation
 from thzra.errors import EmptySample, InsufficientTail
@@ -76,15 +78,36 @@ def test_chi_square_passes_own_law_and_detects_perturbation():
     model = GammaAbsorption(k=3, beta=10.0)
     rng = np.random.default_rng(9)
     hl = channel.sample_path_gain(model, link, rng, 100_000)
-    cdf = lambda x: channel.path_gain_cdf(float(x), model, link)
+    cdf = lambda x: channel.path_gain_cdf(x, model, link)
     rep = validation.chi_square_compare(hl, cdf, support=(0.0, link.a_l))
     assert rep.passed
     assert rep.p_value > 0.01
     wrong = GammaAbsorption(k=3, beta=12.0)
     rep_bad = validation.chi_square_compare(
-        hl, lambda x: channel.path_gain_cdf(float(x), wrong, link),
+        hl, lambda x: channel.path_gain_cdf(x, wrong, link),
         support=(0.0, link.a_l))
     assert not rep_bad.passed
+
+
+@pytest.mark.parametrize("df", [1, 3, 10, 49, 200])
+def test_chi_square_tail_and_threshold_match_oracles(df):
+    # threshold against scipy's chdtri; the tail against 40-digit mpmath,
+    # as scipy's chdtrc is itself 3e-14 off at df = 200, p = 1e-6
+    for p in (1e-6, 0.01, 0.5):
+        x = special.chdtri(df, p)
+        assert validation.chi2_threshold(df, p) == pytest.approx(
+            x, rel=1e-14, abs=0)
+        rep = validation.GofReport.make("ChiSquare", x, x, 1000, df=df)
+        with mpmath.workdps(40):
+            tail = float(mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(x) / 2,
+                                         mpmath.inf, regularized=True))
+        assert rep.p_value == pytest.approx(tail, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("n", [1, 5, 40, 1000])
+def test_bonferroni_z_is_normal_quantile(n):
+    ref = -special.ndtri(validation.AGREEMENT_ALPHA / (2.0 * n))
+    assert abs(validation.bonferroni_z(n) - ref) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +280,23 @@ def test_slope_fit_recovers_diversity_order():
     fit = validation.slope_fit(curve)
     assert fit.slope == pytest.approx(do.effective, rel=0.15)
     assert fit.n_points >= 4
+
+
+def test_slope_fit_is_least_squares():
+    # a noisy straight line in log-log: slope and standard error of the
+    # least-squares fit, as scipy.stats.linregress gives them
+    db = np.arange(30.0, 62.0, 4.0)
+    noise = np.random.default_rng(5).normal(0.0, 0.05, db.size)
+    p = 10.0 ** (-1.3 * db / 10.0 + 2.0 + noise)
+    curve = validation.OutageCurve(
+        gamma_bar_db=db, p_out=p, ci_lo=0.9 * p, ci_hi=1.1 * p,
+        n_draws=10 ** 6, se=0.05 * p, vrf=np.ones(db.size),
+        conditioned="none")
+    ref = stats.linregress(db / 10.0, np.log10(p))
+    fit = validation.slope_fit(curve)
+    assert fit.n_points == db.size
+    assert fit.slope == pytest.approx(-ref.slope, rel=1e-12, abs=0)
+    assert fit.stderr == pytest.approx(ref.stderr, rel=1e-12, abs=0)
 
 
 def test_slope_fit_insufficient_tail():
