@@ -61,10 +61,12 @@ class OutageQuery:
     @property
     def settled(self) -> Optional[float]:
         """The outage probability where no channel draw can move it: 1 at
-        or above the ceiling, 0 at gamma_th = 0; None otherwise."""
+        or above the ceiling; 0 below it at gamma_th = 0 or gamma_bar = inf,
+        where every draw with h > 0 has SNR 1/k_h^2 > gamma_th; None
+        otherwise."""
         if self.above_ceiling:
             return 1.0
-        if self.gamma_th == 0.0:
+        if self.gamma_th == 0.0 or math.isinf(self.gamma_bar):
             return 0.0
         return None
 
@@ -77,7 +79,8 @@ class OutageQuery:
 
 
 def _kummer_terms(L: float, k: int, z: float, rho: float):
-    """G_b = e^{-rho L} M(k, b, -(z - rho) L) / (b-1)! for b = k+1, k+2.
+    """(c, [g_{k+1}, g_{k+2}]) with c g_b = (zL)^k G_b, where
+    G_b = e^{-rho L} M(k, b, -(z - rho) L) / (b-1)!.
 
     With s = z - rho, G_{k+1} = e^{-rho L} gamma*(k, sL) and
     G_{k+2} = e^{-rho L} [gamma*(k, sL) - k gamma*(k+1, sL)] (DLMF 8.5.1,
@@ -86,12 +89,21 @@ def _kummer_terms(L: float, k: int, z: float, rho: float):
     M(k, b, -x) = e^{-x} M(b-k, b, x) (DLMF 13.2.39) writes every G_b as
     e^{-min(z, rho) L} W(a, b, |s| L) / (b-1)!, with a = b - k for s >= 0
     and a = k for s < 0, and W(a, b, x) = e^{-x} M(a, b, x) in (0, 1].
+    c = (zL)^k and g_b = G_b while (zL)^k and (b-1)! fit a double, the
+    more accurate form; beyond, as for a large shape k, c = 1 and
+    (zL)^k e^{-min(z, rho) L} / (b-1)! is carried as one logarithm.
     """
     s = z - rho
-    x = abs(s) * L
-    return [math.exp(-min(z, rho) * L)
-            * _poisson_kummer(b - k if s >= 0.0 else k, b, x)
-            / math.factorial(b - 1) for b in (k + 1, k + 2)]
+    m = min(z, rho) * L
+    bs = (k + 1, k + 2)
+    ws = [_poisson_kummer(b - k if s >= 0.0 else k, b, abs(s) * L) for b in bs]
+    try:
+        return (z * L) ** k, [math.exp(-m) * w / math.factorial(b - 1)
+                              for w, b in zip(ws, bs)]
+    except OverflowError:
+        log_c = k * math.log(z * L) - m
+        return 1.0, [math.exp(log_c - math.lgamma(b)) * w
+                     for w, b in zip(ws, bs)]
 
 
 def _poisson_kummer(a: int, b: int, x: float) -> float:
@@ -133,18 +145,18 @@ def composite_gain_cdf(y: float, k: int, z: float, rho: float, a_l: float) -> fl
     if y >= a_l:
         return 1.0
     L = math.log(a_l / y)
-    g1, g2 = _kummer_terms(L, k, z, rho)
-    return gammaincc(k, z * L) + (z * L) ** k * (g1 + rho * L * g2)
+    c, (g1, g2) = _kummer_terms(L, k, z, rho)
+    return gammaincc(k, z * L) + c * (g1 + rho * L * g2)
 
 
 def composite_gain_pdf(y: float, k: int, z: float, rho: float, a_l: float) -> float:
-    """Density of h_l * h_p at y on (0, a_l): rho^2 z^k L^{k+1} G_{k+2} / y,
+    """Density of h_l * h_p at y on (0, a_l): rho^2 L (zL)^k G_{k+2} / y,
     the density of T + W at L = ln(a_l/y) over the Jacobian y."""
     if y <= 0.0 or y >= a_l:
         return 0.0
     L = math.log(a_l / y)
-    _, g2 = _kummer_terms(L, k, z, rho)
-    return rho ** 2 * z ** k * L ** (k + 1) * g2 / y
+    c, (_, g2) = _kummer_terms(L, k, z, rho)
+    return rho ** 2 * L * (c * g2) / y
 
 
 def cdf_snr_no_fading(query: OutageQuery, model: GammaAbsorption,

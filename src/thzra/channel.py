@@ -368,9 +368,14 @@ def _stirling_remainder(a: float) -> float:
 
 
 def snr_from_gain(h: ArrayLike, avg_snr: float, k_h: float) -> ArrayLike:
-    """Impaired instantaneous SNR for composite amplitude gain h."""
+    """Impaired instantaneous SNR for composite amplitude gain h: the
+    ceiling 1/k_h^2 (inf for k_h = 0) where gamma_bar h^2 is infinite."""
     h2 = np.square(np.asarray(h, dtype=float)) * avg_snr
-    out = h2 / (k_h ** 2 * h2 + 1.0)
+    with np.errstate(invalid="ignore"):     # inf / inf, replaced below
+        out = h2 / (k_h ** 2 * h2 + 1.0)
+    ceiling = np.isinf(h2)
+    if ceiling.any():
+        out = np.where(ceiling, 1.0 / k_h ** 2 if k_h else math.inf, out)
     return out if isinstance(h, np.ndarray) else float(out)
 
 

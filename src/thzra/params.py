@@ -161,9 +161,8 @@ SCHEMES = ("ftp", "atp", "optimal")
 
 @dataclass(frozen=True)
 class EnergyModel:
-    """Unit mode charges 1 per transmission; realistic mode uses uJ constants."""
+    """Per-event energy in uJ; unit energy is the transmission count."""
 
-    realistic: bool = False
     e_tx_uj: float = 1200.0      # per data-packet transmission
     e_ack_uj: float = 120.0      # per successful (ACK'd) slot
     e_idle_uj: float = 40.0      # per holder idling in a slot
@@ -385,11 +384,7 @@ def _experiment(raw: Mapping[str, str], scheme: str, n_total: int) -> Experiment
     else:
         gamma_qos = _db_to_linear(qos_db)
 
-    energy_mode = _get(raw, "protocol.energy_model", "unit").lower()
-    if energy_mode not in ("unit", "realistic"):
-        raise OutOfRange("protocol.energy_model", energy_mode, "unit | realistic")
-    energy = EnergyModel(realistic=(energy_mode == "realistic"),
-                         **_float_fields(raw, "protocol", EnergyModel))
+    energy = EnergyModel(**_float_fields(raw, "protocol", EnergyModel))
 
     protocol = ProtocolConfig(
         scheme=scheme, n_total=n_total, gamma_qos=gamma_qos, energy=energy,

@@ -1,5 +1,5 @@
 """Slotted random access on a collision channel: QoS admission, FTP/ATP
-contention, optimal-scheduling baseline, frame traces and batch statistics.
+contention, optimal-scheduling baseline and batch statistics.
 
 A frame collects exactly one packet from each admitted user.  Per slot,
 every user still holding a packet transmits independently with the
@@ -8,18 +8,21 @@ leaves the pool), two or more collide, zero is an idle slot.  Idle and
 collision slots cost one time unit each, same as success slots.
 
 Batches run in blocks of TRIAL_BLOCK frames with numpy (`admit_users`,
-`contend`); `run_frame` is the per-slot reference they are tested against.
+`contend`), which keep per-frame totals only, never per-slot records.
+The tests check `contend` against the exact stage law: with k holders
+at probability p a stage ends at its first single-transmitter slot, so
+it lasts Geometric(k p (1-p)^(k-1)) slots.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
 from . import channel, streams
-from .params import EnergyModel, Experiment
+from .params import Experiment
 
 # Frames per block.  Each block owns its admission and contention
 # substreams, so memory stays bounded for any trial count and results do
@@ -28,111 +31,6 @@ TRIAL_BLOCK = 1024
 # Admission draws at most this many channel SNRs at once from a block's
 # streams (rows of N users), bounding memory for large N as well.
 ADMISSION_DRAWS = 1 << 18
-
-IDLE, SUCCESS, COLLISION = "idle", "success", "collision"
-
-
-@dataclass(frozen=True)
-class SlotRecord:
-    kind: str            # idle | success | collision
-    transmitters: int    # packet transmissions in this slot
-    remaining: int       # users still holding a packet at slot start
-    p: float             # per-user transmission probability in force
-    waiting: int         # holders charged idle energy this slot
-    user: int = -1       # succeeding user id (success slots only)
-
-
-@dataclass
-class FrameTrace:
-    """Per-slot log of one frame plus its conserved totals."""
-
-    scheme: str
-    k_admitted: int
-    slots: List[SlotRecord] = field(default_factory=list)
-
-    @property
-    def total_slots(self) -> int:
-        return len(self.slots)
-
-    @property
-    def total_transmissions(self) -> int:
-        return sum(s.transmitters for s in self.slots)
-
-    @property
-    def success_count(self) -> int:
-        return sum(1 for s in self.slots if s.kind == SUCCESS)
-
-    @property
-    def total_waiting(self) -> int:
-        return sum(s.waiting for s in self.slots)
-
-    def per_user_energy(self, model: EnergyModel) -> float:
-        if self.k_admitted == 0:
-            return 0.0
-        return account_energy(self, model) / self.k_admitted
-
-
-def run_frame(scheme: str, k: int, rng: np.random.Generator) -> FrameTrace:
-    """Simulate one frame for k admitted users under the given scheme.
-
-    Slot outcomes inside a contention stage are i.i.d. with the number of
-    transmitters Binomial(remaining, p), so stages are drawn in batches
-    and cut at the first success.
-    """
-    if scheme not in ("ftp", "atp", "optimal"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    trace = FrameTrace(scheme=scheme, k_admitted=k)
-    if k == 0:
-        return trace
-    pool = list(range(k))
-
-    if scheme == "optimal":
-        # centralized scheduling: one user polled per slot, nobody idles
-        trace.slots = [SlotRecord(SUCCESS, 1, k - i, 1.0, 0, uid)
-                       for i, uid in enumerate(pool)]
-        return trace
-
-    p_fixed = 1.0 / k
-    while pool:
-        remaining = len(pool)
-        p = p_fixed if scheme == "ftp" else 1.0 / remaining
-        _run_stage(trace, pool, remaining, p, rng)
-    return trace
-
-
-def _run_stage(trace, pool, remaining, p, rng):
-    """Slots until one success with `remaining` users at probability p."""
-    ps = remaining * p * (1.0 - p) ** (remaining - 1)
-    batch = max(8, min(10_000, int(3.0 / max(ps, 1e-9))))
-    while True:
-        ms = rng.binomial(remaining, p, size=batch)
-        hit = np.flatnonzero(ms == 1)
-        end = hit[0] if hit.size else batch
-        for m in ms[:end]:
-            m = int(m)
-            kind = IDLE if m == 0 else COLLISION
-            trace.slots.append(SlotRecord(kind, m, remaining, p, remaining - m))
-        if hit.size:
-            uid = pool.pop(int(rng.integers(len(pool))))
-            trace.slots.append(
-                SlotRecord(SUCCESS, 1, remaining, p, remaining - 1, uid))
-            return
-
-
-def frame_energy(model: EnergyModel, transmissions, successes, waiting):
-    """Frame energy from its totals (scalars or per-frame arrays): unit mode
-    counts transmissions; realistic mode charges e_tx per transmission,
-    e_ack per success, e_idle per waiting holder-slot."""
-    if not model.realistic:
-        return 1.0 * transmissions
-    return (model.e_tx_uj * transmissions + model.e_ack_uj * successes
-            + model.e_idle_uj * waiting)
-
-
-def account_energy(trace: FrameTrace, model: EnergyModel) -> float:
-    """Energy of one traced frame."""
-    return float(frame_energy(model, trace.total_transmissions,
-                              trace.success_count, trace.total_waiting))
 
 
 def admit_users(exp: Experiment, block: int, size: int) -> np.ndarray:
@@ -242,9 +140,6 @@ def run_batch(exp: Experiment, collect_rows: bool = False
     averages.
     """
     cfg = exp.protocol
-    realistic = EnergyModel(realistic=True, e_tx_uj=cfg.energy.e_tx_uj,
-                            e_ack_uj=cfg.energy.e_ack_uj,
-                            e_idle_uj=cfg.energy.e_idle_uj)
     ks = np.empty(cfg.trials, dtype=np.int64)
     slots = np.empty(cfg.trials, dtype=np.int64)
     txs = np.empty(cfg.trials, dtype=np.int64)
@@ -255,7 +150,10 @@ def run_batch(exp: Experiment, collect_rows: bool = False
         rng = streams.substream(cfg.seed, streams.PROTOCOL, block)
         slots[lo:hi], txs[lo:hi], waits[lo:hi] = contend(cfg.scheme,
                                                          ks[lo:hi], rng)
-    e_uj = frame_energy(realistic, txs, ks, waits)
+    # e_tx per transmission, e_ack per success (one per admitted user),
+    # e_idle per holder waiting out a slot
+    en = cfg.energy
+    e_uj = en.e_tx_uj * txs + en.e_ack_uj * ks + en.e_idle_uj * waits
     rows: List[TrialRow] = []
     if collect_rows:
         rows = [TrialRow(t, cfg.scheme, k, s, x, e)

@@ -26,14 +26,18 @@ def make_link(**kw):
 
 def mp_gain_law(y, k, z, rho, a_l):
     """Independent construction oracle, (CDF, density) of h_l * h_p at y by
-    20-digit quadrature.  h_l * h_p = a_l e^{-(T+W)} with T = ln(a_l/h_l) ~
+    40-digit quadrature.  h_l * h_p = a_l e^{-(T+W)} with T = ln(a_l/h_l) ~
     Gamma(k, 1/z) and W = -ln h_p, whose tail (1 + rho w) e^{-rho w} and
     density rho^2 w e^{-rho w} are the misalignment CDF x^rho (1 - rho ln x)
     and density at x = e^{-w}.  Integrate over T = uL up to L = ln(a_l/y),
     beyond which the CDF takes the whole Gamma tail; the factors
     (zL)^k e^{-rho L} / (k-1)! stay outside, because quad's tolerance is
-    absolute and the density can be 1e-30."""
-    with mpmath.workdps(20):
+    absolute and the density can be 1e-30.  For a large k the integrand
+    u^{k-1} e^{-(z-rho) L u} is itself a narrow peak of height 1e-48 or
+    less at u* = (k-1)/((z-rho) L): the interval is split there, and the
+    integrand is divided by its peak value, or quad stops at once on a
+    wrong answer (0.2842 for 0.36351 at k = 40)."""
+    with mpmath.workdps(40):
         y, z, rho, a_l = (mpmath.mpf(v) for v in (y, z, rho, a_l))
         L = mpmath.log(a_l / y)
         scale = (z * L) ** k * mpmath.exp(-rho * L) / mpmath.factorial(k - 1)
@@ -41,11 +45,16 @@ def mp_gain_law(y, k, z, rho, a_l):
         def t_then_w(u):     # L f_T(uL) e^{-rho w} at w = (1-u)L, over scale
             return u ** (k - 1) * mpmath.exp(-(z - rho) * L * u)
 
+        nodes = [mpmath.mpf(0), mpmath.mpf(1)]
+        if z != rho and 0 < (k - 1) / ((z - rho) * L) < 1:
+            nodes.insert(1, (k - 1) / ((z - rho) * L))
+        peak = max(t_then_w(u) for u in nodes)      # unimodal on [0, 1]
+        scale *= peak
         tail = mpmath.gammainc(k, z * L, mpmath.inf, regularized=True)
         cdf = tail + scale * mpmath.quad(
-            lambda u: t_then_w(u) * (1 + rho * L * (1 - u)), [0, 1])
+            lambda u: t_then_w(u) / peak * (1 + rho * L * (1 - u)), nodes)
         pdf = scale * rho ** 2 * L / y * mpmath.quad(
-            lambda u: t_then_w(u) * (1 - u), [0, 1])
+            lambda u: t_then_w(u) / peak * (1 - u), nodes)
         return float(cdf), float(pdf)
 
 
@@ -93,6 +102,18 @@ def test_gain_law_either_side_of_kummer_switch(z, rho, L):
     # Kummer terms (b = 4, 5 switch at 60 + 2b = 68, 70); 75 takes the
     # terminating asymptotic sum for both
     assert_gain_law(math.exp(-L), 3, z, rho, 1.0)
+
+
+@pytest.mark.parametrize("k", [40, 150])
+def test_gain_law_at_large_shape(k):
+    # configs/default.cfg's mean absorption, 30 dB/km, split over shape k;
+    # at k = 150, zL is 386 to 1386, so (zL)^k leaves the double range and
+    # the law is carried as a logarithm
+    link = make_link()
+    z = GammaAbsorption(k=k, beta=30.0 / k).z_for(link)
+    for db in (25.0, 35.0, 45.0):
+        q = analytics.OutageQuery(10 ** 0.5, 10 ** (db / 10), link.k_h)
+        assert_gain_law(q.gamma_h, k, z, 4.0, link.a_l)
 
 
 @pytest.mark.parametrize("b", [2, 3, 5, 10, 30])

@@ -233,6 +233,21 @@ def test_analyze_infinite_threshold_is_certain_outage(tmp_path):
     assert all(row[1] == "1.0" for row in rows)
 
 
+@pytest.mark.parametrize("k_shape", [150, 200])
+def test_analyze_at_large_absorption_shape(tmp_path, k_shape):
+    # (zL)^k overflows a double here, and from k = 170 on (k+1)! does too
+    cfg = write_cfg(tmp_path, "k.cfg", DEFAULT_CFG.read_text().replace(
+        "k_shape = 3", f"k_shape = {k_shape}").replace(
+        "n_users = 2,5,10,20,40", "n_users = 2"))
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
+    _, _, rows = read_rows(out / "analyze_outage.csv")
+    pouts = [float(r[1]) for r in rows]
+    assert len(pouts) == 10
+    assert all(0.0 <= p <= 1.0 for p in pouts)
+    assert all(b <= a for a, b in zip(pouts, pouts[1:]))
+
+
 def fast_validate_text():
     """Default config with validate's sample and trial counts cut down."""
     return DEFAULT_CFG.read_text().replace(
@@ -298,6 +313,22 @@ def test_validate_catches_biased_misalignment_cdf(tmp_path, monkeypatch):
     for pt in suite["detail"]["points"]:
         assert pt["se"] > 0 and pt["vrf"] > 1.0
         assert {"mc", "closed_form", "ok"} <= set(pt)
+
+
+def test_validate_at_infinite_average_snr(tmp_path):
+    # below the ceiling no draw is in outage at gamma_bar = inf: Monte
+    # Carlo and closed form agree on 0 exactly
+    cfg = write_cfg(tmp_path, "inf.cfg", fast_validate_text().replace(
+        "gamma_bar_db = 25,29,33,37,41", "gamma_bar_db = 25,inf"))
+    out = tmp_path / "out"
+    assert cli.main(["validate", "--config", str(cfg), "--seed", "3",
+                     "--out", str(out)]) == 0
+    report = json.loads((out / "validation_report.json").read_text())
+    suite = next(s for s in report["suites"] if s["suite"] == "no_fading_outage")
+    last = suite["detail"]["points"][-1]
+    assert last["gamma_bar_db"] == float("inf")
+    assert (last["mc"], last["closed_form"], last["se"], last["ok"]) == \
+        (0.0, 0.0, 0.0, True)
 
 
 def run_python(code, timeout):
@@ -533,3 +564,38 @@ def test_sweep_cluster_count_outage_ratio(tmp_path):
             float(row[col["p_out"]])
     ratio = pouts[(1.5, 4.1)] / pouts[(2.5, 4.1)]
     assert 15.0 < ratio < 60.0
+
+
+def test_sweep_cell_at_infinite_average_snr(tmp_path):
+    # both conditioned estimators (rho = 2 with mu = 2.5 conditions on
+    # misalignment) settle p_out = 0 at gamma_bar = inf
+    text = SWEEP_CFG.read_text().replace(
+        "outage_draws = 2000000", "outage_draws = 2000") + "gamma_bar_db = inf\n"
+    cfg = write_cfg(tmp_path, "inf.cfg", text)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["partial_run"] is False
+    conditioned = set()
+    for cell in (out / "sweep").glob("cell_*.csv"):
+        _, header, rows = read_rows(cell)
+        row = dict(zip(header, rows[0]))
+        assert (row["gamma_bar_db"], row["p_out"], row["p_out_se"]) == \
+            ("inf", "0.0", "0.0")
+        conditioned.add(row["conditioned"])
+    assert conditioned == {"fading", "misalignment"}
+
+
+def test_simulate_at_infinite_average_snr_admits_everyone(tmp_path):
+    # k_h = 0.1: every SNR sits at the ceiling 1/k_h^2 = 20 dB, above the
+    # 10 dB threshold, so every provisioned user is admitted
+    assert channel.snr_from_gain(0.5, float("inf"), 0.1) == pytest.approx(100.0)
+    cfg = write_cfg(tmp_path, "inf.cfg", DEFAULT_CFG.read_text().replace(
+        "avg_snr_db = 45", "avg_snr_db = inf").replace(
+        "n_users = 2,5,10,20,40", "n_users = 5\ngamma_qos_db = 10"))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--trials", "50",
+                     "--out", str(out)]) == 0
+    _, header, rows = read_rows(out / "simulate_aggregate.csv")
+    assert len(rows) == 3
+    assert all(r[header.index("mean_k_admitted")] == "5.0" for r in rows)

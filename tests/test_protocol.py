@@ -1,5 +1,5 @@
 """Frame simulator: conservation invariants, scheme semantics, energy
-accounting, and agreement with the exact series."""
+accounting, and agreement with the exact stage law and series."""
 import math
 from dataclasses import replace
 
@@ -11,9 +11,6 @@ from thzra import analytics, channel, protocol, streams, validation
 from thzra.params import (EnergyModel, Experiment, FadingParams,
                           GammaAbsorption, MisalignmentParams, ProtocolConfig,
                           ThzLinkParams)
-
-UNIT = EnergyModel(realistic=False)
-REAL = EnergyModel(realistic=True)
 
 
 def make_experiment(**protocol_kw):
@@ -34,93 +31,125 @@ def rng(s):
 # single frames
 # ---------------------------------------------------------------------------
 
+class SpyRng:
+    """Generator stand-in recording each binomial draw of `contend` as
+    (holders, probability, transmitters) per live frame."""
+
+    def __init__(self, seed):
+        self.gen = rng(seed)
+        self.calls = []
+
+    def binomial(self, n, p):
+        m = self.gen.binomial(n, p)
+        self.calls.append((np.array(n), np.broadcast_to(p, np.shape(n)).copy(),
+                           np.array(m)))
+        return m
+
+
 def test_single_user_frame():
     for scheme in ("ftp", "atp", "optimal"):
-        tr = protocol.run_frame(scheme, 1, rng(1))
-        assert tr.total_slots == 1
-        assert tr.total_transmissions == 1
-        assert tr.slots[0].kind == protocol.SUCCESS
-        assert protocol.account_energy(tr, UNIT) == 1.0
+        slots, txs, waits = protocol.contend(scheme, np.array([1]), rng(1))
+        assert (slots.tolist(), txs.tolist(), waits.tolist()) == ([1], [1], [0])
 
 
 def test_empty_frame():
-    tr = protocol.run_frame("atp", 0, rng(1))
-    assert tr.total_slots == 0
-    assert tr.total_transmissions == 0
-    assert protocol.account_energy(tr, UNIT) == 0.0
-    assert protocol.account_energy(tr, REAL) == 0.0
-    assert tr.per_user_energy(UNIT) == 0.0
+    for scheme in ("ftp", "atp", "optimal"):
+        slots, txs, waits = protocol.contend(scheme, np.array([0, 0]), rng(1))
+        assert not slots.any() and not txs.any() and not waits.any()
+    # nobody admitted: no slot, no transmission, no energy
+    exp = make_experiment(n_total=4, gamma_qos=55.0, trials=5, seed=1)
+    _, rows = protocol.run_batch(exp, collect_rows=True)
+    assert all(r.total_slots == r.total_transmissions == 0 == r.energy_uj
+               for r in rows)
 
 
 def test_conservation_invariants():
+    # a slot's holders either transmit or wait, and each stage (one per
+    # holder) lasts at least one slot: sum_{j<=k} j <= tx + waiting <= k slots
     for scheme in ("ftp", "atp"):
         for k in (1, 2, 5, 13):
-            for s in range(20):
-                tr = protocol.run_frame(scheme, k, rng(100 + s))
-                assert tr.success_count == k
-                assert tr.k_admitted == k
-                assert tr.total_slots >= k
-                assert tr.total_transmissions >= k
-                assert tr.total_transmissions == \
-                    sum(sl.transmitters for sl in tr.slots)
-                # users leave after success: distinct ids, pool shrinks by one
-                ids = [sl.user for sl in tr.slots if sl.kind == protocol.SUCCESS]
-                assert sorted(ids) == list(range(k))
-                remaining = [sl.remaining for sl in tr.slots]
-                assert remaining[0] == k
-                assert remaining[-1] == 1
+            slots, txs, waits = protocol.contend(scheme, np.full(20, k),
+                                                 rng(100 + k))
+            assert (slots >= k).all() and (txs >= k).all()
+            assert (waits >= 0).all()
+            assert (txs + waits >= k * (k + 1) // 2).all()
+            assert (txs + waits <= k * slots).all()
 
 
 def test_ftp_probability_fixed_for_whole_frame():
-    tr = protocol.run_frame("ftp", 7, rng(3))
-    assert all(sl.p == pytest.approx(1.0 / 7) for sl in tr.slots)
+    spy = SpyRng(3)
+    protocol.contend("ftp", np.array([7]), spy)
+    assert spy.calls
+    assert all(p.tolist() == [1.0 / 7] for _, p, _ in spy.calls)
 
 
 def test_atp_probability_tracks_remaining_pool():
-    tr = protocol.run_frame("atp", 9, rng(4))
-    for sl in tr.slots:
-        assert sl.p == pytest.approx(1.0 / sl.remaining)
+    spy = SpyRng(4)
+    protocol.contend("atp", np.array([9]), spy)
+    assert spy.calls[0][0].tolist() == [9]
+    for n, p, _ in spy.calls:
+        assert p.tolist() == [1.0 / int(n[0])]
 
 
 def test_optimal_baseline_exact():
-    tr = protocol.run_frame("optimal", 12, rng(5))
-    assert tr.total_slots == 12
-    assert tr.total_transmissions == 12
-    assert tr.success_count == 12
-    assert tr.total_waiting == 0
-    assert protocol.account_energy(tr, REAL) == 12 * (1200.0 + 120.0)
+    slots, txs, waits = protocol.contend("optimal", np.array([12]), rng(5))
+    assert (slots.tolist(), txs.tolist(), waits.tolist()) == ([12], [12], [0])
+    exp = make_experiment(scheme="optimal", n_total=12, trials=3, seed=5)
+    stats, _ = protocol.run_batch(exp)
+    assert stats.mean_energy_uj == 12 * (1200.0 + 120.0)
+    assert stats.se_energy_uj == 0.0
 
 
 def test_waiting_counts_match_slot_algebra():
-    tr = protocol.run_frame("atp", 6, rng(6))
-    for sl in tr.slots:
-        assert sl.waiting == sl.remaining - sl.transmitters
+    # the frame's totals are the sums of its slots: m transmit, the other
+    # remaining - m wait, and only a lone transmitter leaves the pool
+    spy = SpyRng(6)
+    slots, txs, waits = protocol.contend("atp", np.array([6]), spy)
+    n = [int(c[0][0]) for c in spy.calls]
+    m = [int(c[2][0]) for c in spy.calls]
+    assert slots[0] == len(spy.calls)
+    assert txs[0] == sum(m)
+    assert waits[0] == sum(r - x for r, x in zip(n, m))
+    assert n[0] == 6 and m.count(1) == 6
+    assert all(b == a - (x == 1) for a, b, x in zip(n, n[1:], m))
 
 
 # ---------------------------------------------------------------------------
 # energy accounting
 # ---------------------------------------------------------------------------
 
+CUSTOM = dict(e_tx_uj=10.0, e_ack_uj=2.0, e_idle_uj=1.0)
+
+
+def energy_rows(scheme, n_total, energy, trials=300, seed=4):
+    exp = make_experiment(scheme=scheme, n_total=n_total, trials=trials,
+                          seed=seed, energy=EnergyModel(**energy))
+    return protocol.run_batch(exp, collect_rows=True)[1]
+
+
 def test_unit_energy_is_transmission_count():
-    tr = protocol.run_frame("ftp", 8, rng(7))
-    assert protocol.account_energy(tr, UNIT) == tr.total_transmissions
+    # charging only transmissions, at 1 uJ each, gives the unit energy
+    for r in energy_rows("ftp", 8, dict(e_tx_uj=1.0, e_ack_uj=0.0,
+                                        e_idle_uj=0.0)):
+        assert r.energy_uj == r.total_transmissions
 
 
 def test_realistic_energy_single_user():
-    tr = protocol.run_frame("atp", 1, rng(8))
     # one transmission + one ACK, no idle holder anywhere
-    assert protocol.account_energy(tr, REAL) == 1200.0 + 120.0
+    for r in energy_rows("atp", 1, {}, trials=10):
+        assert r.energy_uj == 1200.0 + 120.0
 
 
 def test_realistic_energy_decomposition():
-    tr = protocol.run_frame("atp", 5, rng(9))
-    e = protocol.account_energy(tr, REAL)
-    assert e == (1200.0 * tr.total_transmissions + 120.0 * tr.success_count
-                 + 40.0 * tr.total_waiting)
-    custom = EnergyModel(realistic=True, e_tx_uj=10.0, e_ack_uj=2.0, e_idle_uj=1.0)
-    assert protocol.account_energy(tr, custom) == \
-        (10.0 * tr.total_transmissions + 2.0 * tr.success_count
-         + 1.0 * tr.total_waiting)
+    # the same frames under two sets of constants imply the same waiting
+    default = energy_rows("atp", 5, {}, seed=9)
+    custom = energy_rows("atp", 5, CUSTOM, seed=9)
+    for d, c in zip(default, custom):
+        assert (d.total_transmissions, d.k_admitted) == \
+            (c.total_transmissions, c.k_admitted)
+        assert (d.energy_uj - 1200.0 * d.total_transmissions
+                - 120.0 * d.k_admitted) / 40.0 == \
+            c.energy_uj - 10.0 * c.total_transmissions - 2.0 * c.k_admitted
 
 
 # ---------------------------------------------------------------------------
@@ -181,34 +210,93 @@ def test_block_admission_counts_are_binomial():
 
 
 # ---------------------------------------------------------------------------
-# block kernel against the per-slot reference
+# block kernel against the exact stage law
 # ---------------------------------------------------------------------------
 
-def _two_sample_chi2_p(a, b, bins=10):
-    """Chi-square homogeneity p-value of two samples on pooled-quantile bins."""
-    edges = np.unique(np.quantile(np.concatenate([a, b]),
-                                  np.linspace(0.0, 1.0, bins + 1)))
-    if edges.size < 2:
-        return 1.0 if a[0] == b[0] else 0.0
-    table = np.array([np.histogram(a, edges)[0], np.histogram(b, edges)[0]])
-    return float(sstats.chi2_contingency(table)[1])
+def stages(scheme, K):
+    """(holders k, probability p, Binomial(k, p) pmf of the transmitter
+    count) for each stage of a K-user frame, k = K down to 1."""
+    for k in range(K, 0, -1):
+        p = 1.0 / K if scheme == "ftp" else 1.0 / k
+        yield k, p, sstats.binom.pmf(np.arange(k + 1), k, p)
+
+
+def frame_law(scheme, K, n_max):
+    """Exact PMFs on 0..n_max of a frame's slots and transmissions.
+
+    A stage ends at its first lone transmitter, P_s = P(1): its slots are
+    Geometric(P_s), and its transmissions T obey
+    a(n) = [P_s [n = 1] + sum_{m>=2} P(m) a(n - m)] / (1 - P(0)).
+    A frame's totals are the convolutions over its stages, exact below
+    n_max however the tails are cut.
+    """
+    slots = np.zeros(n_max + 1)
+    txs = np.zeros(n_max + 1)
+    slots[0] = txs[0] = 1.0
+    for k, _, pm in stages(scheme, K):
+        ps = pm[1]
+        geometric = np.r_[0.0, ps * (1.0 - ps) ** np.arange(n_max)]
+        slots = np.convolve(slots, geometric)[:n_max + 1]
+        q = pm / (1.0 - pm[0])
+        collide = q[:1:-1]                  # P(k), ..., P(2) over 1 - P(0)
+        a = np.zeros(n_max + 1)
+        a[1] = q[1]
+        for j in range(2, n_max + 1):       # sum over m = 2..k as one dot
+            a[j] = collide[max(0, k - j):] @ a[max(0, j - k):j - 1]
+        txs = np.convolve(txs, a)[:n_max + 1]
+    return slots, txs
+
+
+def chi2_pvalue(sample, pmf):
+    """Chi-square goodness of fit of integer draws to a PMF on 0..n_max,
+    the mass beyond n_max in the last value.  Values the law never takes
+    (expected exactly 0) are dropped; runs of bins expecting fewer than 5
+    are folded together, a short remainder into the last bin."""
+    n_max = pmf.size - 1
+    counts = np.bincount(np.minimum(sample, n_max), minlength=n_max + 1)
+    expected = sample.size * np.r_[pmf[:-1], 1.0 - pmf[:-1].sum()]
+    assert counts[expected == 0.0].sum() == 0
+    obs, exp = [0.0], [0.0]
+    for c, e in zip(counts[expected > 0], expected[expected > 0]):
+        if exp[-1] >= 5.0:
+            obs.append(0.0)
+            exp.append(0.0)
+        obs[-1] += c
+        exp[-1] += e
+    if exp[-1] < 5.0:
+        o, e = obs.pop(), exp.pop()
+        obs[-1] += o
+        exp[-1] += e
+    return float(sstats.chisquare(obs, exp).pvalue)
 
 
 @pytest.mark.parametrize("scheme", ["ftp", "atp"])
 @pytest.mark.parametrize("K", [2, 10, 40])
-def test_kernel_matches_per_slot_reference(scheme, K):
-    n_kernel, n_ref = 4000, 600
-    slots, txs, waits = protocol.contend(scheme, np.full(n_kernel, K),
+def test_kernel_matches_stage_law(scheme, K):
+    n_frames = 4000
+    slots, txs, waits = protocol.contend(scheme, np.full(n_frames, K),
                                          rng(1000 + K))
-    ref = [protocol.run_frame(scheme, K, rng(2000 + K + i))
-           for i in range(n_ref)]
-    reference = {"slots": [t.total_slots for t in ref],
-                 "transmissions": [t.total_transmissions for t in ref],
-                 "waiting": [t.total_waiting for t in ref]}
-    for name, kernel in (("slots", slots), ("transmissions", txs),
-                         ("waiting", waits)):
-        p = _two_sample_chi2_p(kernel, np.asarray(reference[name]))
+    law = list(stages(scheme, K))
+    attempts = [analytics.expected_attempts_between_successes(k, p)
+                for k, p, _ in law]
+    d_var = sum((a - 1.0) * a for a in attempts)    # (1 - P_s) / P_s^2
+    d_exact, e_exact = validation.exact_delay_energy(scheme, K)
+    n_max = int(d_exact + 60.0 * math.sqrt(d_var))
+    slots_pmf, txs_pmf = frame_law(scheme, K, n_max)
+    # the law is whole and has the series means
+    n = np.arange(n_max + 1)
+    assert slots_pmf.sum() == pytest.approx(1.0, abs=1e-12)
+    assert txs_pmf.sum() == pytest.approx(1.0, abs=1e-12)
+    assert n @ slots_pmf == pytest.approx(d_exact, rel=1e-12)
+    assert n @ txs_pmf == pytest.approx(e_exact, rel=1e-12)
+    for name, sample, pmf in (("slots", slots, slots_pmf),
+                              ("transmissions", txs, txs_pmf)):
+        p = chi2_pvalue(sample, pmf)
         assert p > 1e-4, f"{scheme} K={K} {name}: p = {p:.2e}"
+    # waiting: by Wald's identity each stage adds (k - k p) / P_s
+    w_exact = sum((k - k * p) * a for (k, p, _), a in zip(law, attempts))
+    se = waits.std(ddof=1) / math.sqrt(n_frames)
+    assert abs(waits.mean() - w_exact) <= validation.bonferroni_z(6) * se
 
 
 def test_kernel_exact_frames():
@@ -225,13 +313,33 @@ def test_kernel_exact_frames():
 
 
 def test_batch_realistic_energy_charges_frame_totals():
-    # e_uJ = 1200 tx + 120 successes (= K admitted) + 40 waiting, waiting >= 0
-    exp = make_experiment(scheme="atp", n_total=6, trials=300, seed=4)
-    _, rows = protocol.run_batch(exp, collect_rows=True)
-    for r in rows:
-        idle = (r.energy_uj - 1200.0 * r.total_transmissions
-                - 120.0 * r.k_admitted) / 40.0
-        assert idle >= 0 and idle == int(idle)
+    # e_uJ = e_tx tx + e_ack successes (= K admitted) + e_idle waiting,
+    # waiting a whole count >= 0, for the default and custom constants
+    for energy in ({}, CUSTOM):
+        e = EnergyModel(**energy)
+        for r in energy_rows("atp", 6, energy):
+            idle = (r.energy_uj - e.e_tx_uj * r.total_transmissions
+                    - e.e_ack_uj * r.k_admitted) / e.e_idle_uj
+            assert idle >= 0 and idle == int(idle)
+
+
+@pytest.mark.parametrize("scheme", ["ftp", "atp"])
+def test_batch_realistic_energy_matches_stage_law(scheme):
+    # everyone admitted: E = sum over stages of (e_tx k p + e_idle (k - k p))
+    # / P_s, plus e_ack per user
+    z = validation.bonferroni_z(6)
+    for K in (2, 10, 40):
+        exp = make_experiment(scheme=scheme, n_total=K, trials=4000,
+                              seed=30 + K, energy=EnergyModel(**CUSTOM))
+        stats, _ = protocol.run_batch(exp)
+        exact = CUSTOM["e_ack_uj"] * K
+        for k, p, _ in stages(scheme, K):
+            attempts = analytics.expected_attempts_between_successes(k, p)
+            exact += (CUSTOM["e_tx_uj"] * k * p
+                      + CUSTOM["e_idle_uj"] * (k - k * p)) * attempts
+        assert stats.mean_k_admitted == K
+        assert abs(stats.mean_energy_uj - exact) <= z * stats.se_energy_uj, \
+            (scheme, K, stats.mean_energy_uj, exact)
 
 
 # ---------------------------------------------------------------------------
