@@ -111,19 +111,33 @@ def _poisson_kummer(a: int, b: int, x: float) -> float:
     integers 0 < a < b and x >= 0: positive terms, so no cancellation.
 
     Up to x = 60 + 2b the sum runs from n = 0 until its terms, past the
-    Poisson mode, fall below 1e-17 of it.  Beyond, the asymptotic
+    Poisson mode, fall below 1e-17 of it.  e^{-x} is subnormal past
+    x = 708, so it is applied as `parts` factors e^{-x/parts} (parts a
+    power of two, so x/parts is exact), each as soon as the running sum
+    exceeds 1e200 and the rest at the end.  Beyond, the asymptotic
     expansion of M (DLMF 13.7.2), Gamma(b)/Gamma(a) x^{a-b}
     sum_s (b-a)_s (1-a)_s / s! x^{-s}, ends at s = a - 1 because a is a
     positive integer.  The part it leaves out leads with
     Gamma(a)/Gamma(b-a) x^{b-2a} e^{-x} of W, below 1e-23 there for any b.
     """
     if x <= 60.0 + 2.0 * b:
-        term = total = math.exp(-x)
+        parts = 1
+        while x / parts > 700.0:
+            parts *= 2
+        factor = math.exp(-x / parts)
+        term = total = factor
+        pending = parts - 1
         n = 0
         while n <= x or term > 1e-17 * total:
             term *= x * (a + n) / ((n + 1) * (b + n))
             total += term
             n += 1
+            if pending and total > 1e200:
+                term *= factor
+                total *= factor
+                pending -= 1
+        for _ in range(pending):
+            total *= factor
         return total
     term = total = 1.0
     for s in range(a - 1):

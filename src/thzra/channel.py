@@ -209,25 +209,16 @@ def sample_fading(fp: FadingParams, rng: np.random.Generator,
     """Draw the short-term fading envelope h_f with E[h_f^alpha] = r_hat^alpha.
 
     Integer mu uses the Gaussian cluster construction for any (eta, kappa);
-    the alpha-mu subfamily (eta=1, kappa=0) additionally supports real
-    mu > 0 through its exact Gamma representation.  Asymmetric extended
-    parameters are rejected rather than approximated.
+    the alpha-mu subfamily (eta=1, kappa=0), the only place FadingParams
+    admits a non-integer mu, samples through its exact Gamma representation.
     """
     if not fp.enabled:
         raise UnsupportedParams("fading disabled; composite draw uses h_f = 1")
-    if fp.p_ext != 1.0 or fp.q_ext != 1.0:
-        raise UnsupportedParams(
-            f"asymmetric extension p={fp.p_ext}, q={fp.q_ext} has no exact "
-            "sampler here; only the symmetric p = q = 1 convention is supported")
     if fp.mu_is_integer:
         g_norm = _fading_gaussian_construction(fp, rng, size)
-    elif fp.is_alpha_mu:
+    else:
         # alpha-mu subfamily: h_f^alpha * (mu / r_hat^alpha) ~ Gamma(mu)
         g_norm = rng.gamma(fp.mu, 1.0 / fp.mu, size=size)
-    else:
-        raise UnsupportedParams(
-            f"non-integer mu={fp.mu} is only exactly samplable in the "
-            "alpha-mu subfamily (eta=1, kappa=0)")
     return fp.r_hat * np.power(g_norm, 1.0 / fp.alpha)
 
 
@@ -236,7 +227,7 @@ def alpha_mu_cdf(u: ArrayLike, fp: FadingParams) -> ArrayLike:
     Gamma(mu, 1), so the CDF is gammainc(mu, mu (u / r_hat)^alpha)."""
     if not fp.is_alpha_mu:
         raise UnsupportedParams(
-            "fading CDF is exact only for alpha-mu (eta=1, kappa=0, p=q=1), "
+            "fading CDF is exact only for alpha-mu (eta=1, kappa=0), "
             f"got eta={fp.eta}, kappa={fp.kappa}")
     x = np.array(u, dtype=float)     # one copy, powered in place
     x /= fp.r_hat

@@ -256,7 +256,7 @@ def _suite_results(cfg: RunConfig) -> List[dict]:
     from . import streams as st
     rho = exp.misalignment.rho
     rng = st.substream(seed, 901)
-    hp = channel.sample_misalignment(rho * cfg.rho_sample_scale, rng, n_gof)
+    hp = channel.sample_misalignment(rho, rng, n_gof)
     rep = validation.ks_compare(hp, lambda x: channel.misalignment_cdf(x, rho))
     record("misalignment_ks", rep.passed,
            {"statistic": rep.statistic, "threshold": rep.threshold})

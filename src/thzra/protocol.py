@@ -38,16 +38,11 @@ def admit_users(exp: Experiment, block: int, size: int) -> np.ndarray:
 
     Every provisioned user of every frame gets an independent channel draw
     from the block's substreams and is admitted when its SNR exceeds
-    gamma_qos; `admission = average` in the config compares the mean SNR
-    instead of an instantaneous draw.
+    gamma_qos.
     """
     cfg = exp.protocol
     n = cfg.n_total
-    if cfg.admission == "average" or cfg.gamma_qos == 0.0:
-        # gamma_qos = 0 admits everyone (SNR > 0 almost surely); the
-        # average mode needs no random draw at all.
-        if cfg.admission == "average" and exp.link.avg_snr <= cfg.gamma_qos:
-            return np.zeros(size, dtype=np.int64)
+    if cfg.gamma_qos == 0.0:    # admits everyone: SNR > 0 almost surely
         return np.full(size, n, dtype=np.int64)
     rngs = [streams.substream(cfg.seed, streams.ADMISSION, block, c)
             for c in (streams.ABSORPTION, streams.FADING, streams.MISALIGNMENT)]

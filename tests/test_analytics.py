@@ -131,6 +131,23 @@ def test_poisson_kummer_matches_mpmath(b):
             assert got == pytest.approx(ref, rel=1e-14, abs=1e-300), (a, x)
 
 
+def test_poisson_kummer_where_exp_minus_x_underflows():
+    # from b = 325 on the series serves x past 708, where e^-x is
+    # subnormal (0 past 745): an absorption shape k above 324 with z < rho
+    points = [(400, 401, 800.0), (400, 401, 740.0), (345, 346, 720.0)]
+    for b in (346, 401):
+        switch = 60.0 + 2.0 * b
+        points += [(a, b, x) for a in (1, 2, b - 1)
+                   for x in (switch - 0.5, switch, np.nextafter(switch, np.inf),
+                             switch + 0.5)]
+    for a, b, x in points:
+        with mpmath.workdps(40):
+            ref = float(mpmath.exp(-x) * mpmath.hyp1f1(a, b, x))
+        assert ref > np.finfo(float).tiny     # a normal double
+        got = analytics._poisson_kummer(a, b, x)
+        assert got == pytest.approx(ref, rel=1e-13), (a, b, x)
+
+
 def test_gain_pdf_integrates_to_one():
     for k, z, rho in [(3, 8.686, 4.0), (4, 2.0, 6.0)]:
         total, _ = integrate.quad(

@@ -294,12 +294,11 @@ def test_fading_normalization_across_parameter_grid():
 
 
 def test_fading_rejects_what_it_cannot_sample_exactly():
-    with pytest.raises(UnsupportedParams):
-        channel.sample_fading(FadingParams(mu=1.5, eta=2.0), RNG(0), 10)
-    with pytest.raises(UnsupportedParams):
-        channel.sample_fading(FadingParams(mu=1.5, kappa=0.5), RNG(0), 10)
-    with pytest.raises(UnsupportedParams):
-        channel.sample_fading(FadingParams(p_ext=2.0), RNG(0), 10)
+    # a non-integer mu outside alpha-mu cannot even be built
+    with pytest.raises(OutOfRange):
+        FadingParams(mu=1.5, eta=2.0)
+    with pytest.raises(OutOfRange):
+        FadingParams(mu=1.5, kappa=0.5)
     with pytest.raises(UnsupportedParams):
         channel.sample_fading(FadingParams(enabled=False), RNG(0), 10)
 

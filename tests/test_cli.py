@@ -66,7 +66,8 @@ def test_bad_field_exit_2(tmp_path):
      "validation.n_samples"),
     ("validate", DEFAULT_CFG, "n_samples = 100000\ntrials = 5000",
      "n_samples = 100000\ntrials = 0", "validation.trials"),
-    # NaN fails every range check; a dB value is named by the field it sets
+    # NaN fails every range check (or, under a key no longer read, the
+    # unread-key check); a dB value is named by the field it sets
     ("simulate", DEFAULT_CFG, "e_tx_uj = 1200", "e_tx_uj = 1200\ngamma_qos = nan",
      "protocol.gamma_qos"),
     ("simulate", DEFAULT_CFG, "e_tx_uj = 1200",
@@ -84,13 +85,56 @@ def test_bad_field_exit_2(tmp_path):
      "outage.gamma_bar_db"),
     ("validate", DEFAULT_CFG, "gamma_bar_db = 25,29", "gamma_bar_db = -inf,29",
      "validation.gamma_bar_db"),
+    ("analyze", DEFAULT_CFG, "k_shape = 3", "k_shape = 0", "absorption.k_shape"),
+    # a key no command reads: misspelled, in an unknown section, a removed
+    # second spelling, or a key of an absorption model not in use
+    ("simulate", DEFAULT_CFG, "trials = 5000\nseed = 1", "trail = 50\nseed = 1",
+     "protocol.trail"),
+    ("simulate", DEFAULT_CFG, "[outage]", "[protocl]\nseed = 3\n\n[outage]",
+     "protocl.seed"),
+    ("simulate", DEFAULT_CFG, "avg_snr_db = 45", "avg_snr = 31622.8",
+     "link.avg_snr"),
+    ("simulate", DEFAULT_CFG, "e_tx_uj = 1200", "e_tx_uj = 1200\ngamma_qos = 3",
+     "protocol.gamma_qos"),
+    ("analyze", DEFAULT_CFG, "kbeta_db_per_km = 30",
+     "kbeta_db_per_km = 30\nbeta_db_per_km = 10", "absorption.beta_db_per_km"),
+    ("analyze", DEFAULT_CFG, "rho = 4.0", "rho = 4.0\nbeamwidth = 2.0",
+     "misalignment.beamwidth"),
+    ("analyze", DEFAULT_CFG, "rho = 4.0", "rho = 4.0\nangle_sigma2 = 0.25",
+     "misalignment.angle_sigma2"),
+    ("simulate", DEFAULT_CFG, "pressure = 1013.25",
+     "pressure = 1013.25\npressure_unit = hPa", "link.pressure_unit"),
+    ("simulate", DEFAULT_CFG, "r_hat = 1.0", "r_hat = 1.0\np_ext = 1",
+     "fading.p_ext"),
+    ("simulate", DEFAULT_CFG, "r_hat = 1.0", "r_hat = 1.0\nq_ext = 1",
+     "fading.q_ext"),
+    ("simulate", DEFAULT_CFG, "e_tx_uj = 1200",
+     "e_tx_uj = 1200\nadmission = average", "protocol.admission"),
+    ("validate", DEFAULT_CFG, "outage_draws = 200000",
+     "outage_draws = 200000\nrho_sample_scale = 1.1",
+     "validation.rho_sample_scale"),
+    ("analyze", DEFAULT_CFG, "model = gamma", "model = gamma\nq1 = 0.2205",
+     "absorption.q1"),
+    # a non-integer mu is samplable only in the alpha-mu subfamily
+    ("simulate", DEFAULT_CFG,
+     "eta = 1.0\nkappa = 0.0\nmu = 1\nr_hat = 1.0\n\n[misalignment]\n"
+     "rho = 4.0\n\n[protocol]\n",
+     "eta = 2\nkappa = 0.0\nmu = 1.5\nr_hat = 1.0\n\n[misalignment]\n"
+     "rho = 4.0\n\n[protocol]\ngamma_qos_db = 10\n", "fading.mu"),
+    ("sweep", SWEEP_CFG, "eta = 1.0\nkappa = 0.0\nmu = 1.5",
+     "eta = 2\nkappa = 0.0\nmu = 1", "sweep.mu"),
 ], ids=["gamma_th_db", "n_users-simulate", "n_users-analyze", "scheme",
         "n_samples", "sweep_axis", "outage_draws", "env_parallel",
         "sweep_axis_range", "sweep_metric", "scheme-sweep", "n_users_range",
         "n_samples_floor", "validation_trials", "gamma_qos-nan",
         "gamma_qos_db-nan", "avg_snr_db-nan", "e_tx_uj-nan", "kappa-nan",
         "pressure-nan", "gamma_th_db-nan", "outage_grid-nan",
-        "validation_grid-inf"])
+        "validation_grid-inf", "k_shape-zero", "misspelled_key", "unknown_section",
+        "removed-avg_snr", "removed-gamma_qos", "removed-beta_db_per_km",
+        "removed-beamwidth", "removed-angle_sigma2", "removed-pressure_unit",
+        "removed-p_ext", "removed-q_ext", "removed-admission",
+        "removed-rho_sample_scale", "unused_model_key", "fading_mu",
+        "sweep_fading_mu"])
 def test_malformed_input_exits_2_naming_the_key(tmp_path, monkeypatch, capsys,
                                                 command, base, old, new, key):
     text = base.read_text()
@@ -105,6 +149,26 @@ def test_malformed_input_exits_2_naming_the_key(tmp_path, monkeypatch, capsys,
     assert code == 2
     assert f"'{key}'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()    # rejected before any work
+
+
+def test_energy_model_key_still_loads(tmp_path):
+    # no code reads it, but configs written for older releases set it
+    text = DEFAULT_CFG.read_text().replace(
+        "e_tx_uj = 1200", "e_tx_uj = 1200\nenergy_model = realistic")
+    cfg = write_cfg(tmp_path, "energy.cfg", text)
+    assert cli.main(["simulate", "--config", str(cfg), "--trials", "10",
+                     "--out", str(tmp_path / "o")]) == 0
+
+
+def test_benchmark_workload_configs_load(tmp_path, monkeypatch):
+    # a change that makes a benchmark workload's config exit 2 fails here
+    root = CONFIG_DIR.parent
+    monkeypatch.setattr(sys, "path", [str(root / "perfbench")] + sys.path)
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    import workloads
+    for name in workloads.WORKLOADS:
+        wl = workloads.make(name, 1, root, tmp_path)
+        params.run_config(cli.read_config(wl.config))
 
 
 def test_simulate_row_cardinality_and_schema(tmp_path):
@@ -257,7 +321,7 @@ def fast_validate_text():
         "outage_draws = 200000", "outage_draws = 50000")
 
 
-def test_validate_exit_codes(tmp_path):
+def test_validate_exit_codes(tmp_path, monkeypatch):
     fast = fast_validate_text()
     cfg = write_cfg(tmp_path, "fast.cfg", fast)
     out = tmp_path / "out"
@@ -270,10 +334,16 @@ def test_validate_exit_codes(tmp_path):
         "fading_alpha_mu_ks", "no_fading_outage", "bound_sweep",
         "simulator_vs_series"}
 
-    sabotage = fast.replace("[validation]", "[validation]\nrho_sample_scale = 1.1")
-    cfg_bad = write_cfg(tmp_path, "sab.cfg", sabotage)
-    assert cli.main(["validate", "--config", str(cfg_bad), "--seed", "3",
-                     "--out", str(tmp_path / "out2")]) == 1
+    # misalignment drawn at 1.1 rho must fail its goodness-of-fit suite
+    sample = channel.sample_misalignment
+    monkeypatch.setattr(channel, "sample_misalignment",
+                        lambda rho, rng, size: sample(1.1 * rho, rng, size))
+    out = tmp_path / "out2"
+    assert cli.main(["validate", "--config", str(cfg), "--seed", "3",
+                     "--out", str(out)]) == 1
+    report = json.loads((out / "validation_report.json").read_text())
+    assert "misalignment_ks" in {s["suite"] for s in report["suites"]
+                                 if not s["passed"]}
 
 
 def test_validate_catches_biased_simulator(tmp_path, monkeypatch):

@@ -96,16 +96,6 @@ def test_out_of_range_names_field_and_bound():
     assert "0.4" in str(exc.value)
 
 
-def test_pressure_unit_normalization():
-    atm = validate_config(dict(BASE, **{"link.pressure": "1",
-                                        "link.pressure_unit": "atm"}))
-    hpa = validate_config(dict(BASE, **{"link.pressure": "1013.25",
-                                        "link.pressure_unit": "hPa"}))
-    assert atm.link.pressure_hpa == hpa.link.pressure_hpa == 1013.25
-    with pytest.raises(OutOfRange):
-        validate_config(dict(BASE, **{"link.pressure_unit": "psi"}))
-
-
 def test_humidity_bounds():
     with pytest.raises(OutOfRange):
         validate_config(dict(BASE, **{"link.humidity_pct": "120"}))
@@ -117,24 +107,18 @@ def test_config_digest_keys_resolved_values_not_spelling():
         return cli._digest(run_config(raw))
 
     base = digest()
-    for one, other in [
-            ({"link.avg_snr_db": "20"},
-             {"link.avg_snr_db": None, "link.avg_snr": "100"}),
-            ({"link.pressure": "1", "link.pressure_unit": "atm"},
-             {"link.pressure": "1013.25", "link.pressure_unit": "hPa"}),
-            ({"absorption.kbeta_db_per_km": "30"},
-             {"absorption.kbeta_db_per_km": None,
-              "absorption.beta_db_per_km": "10"})]:
-        assert digest(**one) == digest(**other)
-    assert digest(**{"absorption.kbeta_db_per_km": "30.0"}) == base
+    for key, value in [("absorption.kbeta_db_per_km", "30.0"),
+                       ("link.avg_snr_db", "4.5e1"),
+                       ("protocol.seed", "1"),
+                       ("protocol.gamma_qos_db", "-inf")]:
+        assert digest(**{key: value}) == base, key
     for key, value in [("protocol.seed", "2"), ("protocol.trials", "4999"),
                        ("outage.gamma_th_db", "15")]:
         assert digest(**{key: value}) != base, key
 
 
-def test_misalignment_from_beam():
-    mis = MisalignmentParams.from_beam(beamwidth=2.0, angle_sigma2=0.25)
-    assert mis.rho == pytest.approx(math.sqrt(4.0 / 0.25))
+def test_misalignment_rho_must_be_positive():
+    assert MisalignmentParams(rho=0.5).rho == 0.5
     with pytest.raises(OutOfRange):
         MisalignmentParams(rho=0.0)
 
@@ -162,12 +146,21 @@ def test_fading_invariants():
         FadingParams(alpha=0.0)
     with pytest.raises(OutOfRange):
         FadingParams(kappa=-0.1)
+    # a non-integer mu is samplable only in the alpha-mu subfamily
+    FadingParams(mu=1.5)
+    for kw in ({"eta": 2.0}, {"kappa": 0.5}):
+        with pytest.raises(OutOfRange) as exc:
+            FadingParams(mu=1.5, **kw)
+        assert exc.value.field == "fading.mu"
     # disabled fading skips numeric checks entirely
     FadingParams(alpha=0.0, enabled=False)
+    FadingParams(mu=1.5, eta=2.0, enabled=False)
 
 
 def test_deterministic_absorption_config():
-    raw = dict(BASE)
+    # the gamma model's keys are not read under this model, so they go
+    raw = {k: v for k, v in BASE.items()
+           if k not in ("absorption.k_shape", "absorption.kbeta_db_per_km")}
     raw["absorption.model"] = "deterministic"
     for i, v in enumerate([0.2205, 0.1303, 0.0294, 0.4093, 0.0925,
                            2.014, 0.1702, 0.0303, 0.537, 0.0956], 1):

@@ -183,14 +183,6 @@ def test_admission_fraction_matches_no_fading_law():
     assert abs(k.sum() / n - p_adm) <= 3 * se
 
 
-def test_admission_average_mode_is_deterministic():
-    # avg_snr = 10^4.5; the average mode is all-or-nothing around it
-    exp = make_experiment(n_total=10, gamma_qos=1e5, admission="average")
-    assert protocol.admit_users(exp, block=0, size=2).tolist() == [0, 0]
-    exp = make_experiment(n_total=10, gamma_qos=3.0, admission="average")
-    assert protocol.admit_users(exp, block=0, size=2).tolist() == [10, 10]
-
-
 def test_block_admission_counts_are_binomial():
     # per-frame admitted counts over several blocks ~ Binomial(N, q)
     n_users, trials = 40, 4 * protocol.TRIAL_BLOCK
