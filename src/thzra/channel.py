@@ -7,13 +7,17 @@ SNR
 
     gamma = avg_snr * h^2 / (k_h^2 * avg_snr * h^2 + 1)
 
-which saturates at 1/k_h^2 for k_h > 0.
+which saturates at 1/k_h^2 for k_h > 0.  The outage score composes the
+same laws in log form, a sum of log-gains scored by one exp:
+path_loss_nepers, uniform_product and fading_power give each component's
+log-gain from the draws the linear samplers use, and misalignment_cdf_log
+and alpha_mu_cdf_log are the CDFs misalignment_cdf and alpha_mu_cdf call.
 """
 from __future__ import annotations
 
 import math
 from importlib import resources
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -104,13 +108,19 @@ def zeta_db_per_km_from_natural(zeta_per_m: float) -> float:
 def sample_absorption_db(model: GammaAbsorption, rng: np.random.Generator,
                          size: int) -> np.ndarray:
     """Draw zeta_dB ~ Gamma(k, beta) in dB/km."""
-    return rng.gamma(model.k, model.beta, size=size)
+    # rng.gamma(k, beta) to the bit, without its per-draw scale argument
+    return model.beta * rng.standard_gamma(model.k, size)
+
+
+def path_loss_nepers(zeta_db: ArrayLike, link: ThzLinkParams) -> ArrayLike:
+    """ln(a_l / h_l) = zeta_dB * d_km / 8.686, the absorption loss of the
+    amplitude in nepers."""
+    return np.asarray(zeta_db, dtype=float) * (link.d_km / DB_PER_NEPER)
 
 
 def path_gain_from_absorption(zeta_db: ArrayLike, link: ThzLinkParams) -> ArrayLike:
-    """h_l = a_l * exp(-zeta_dB * d_km / (2 * 4.343))."""
-    return link.a_l * np.exp(-0.5 * np.asarray(zeta_db, dtype=float)
-                             * link.d_km / (DB_PER_NEPER / 2.0))
+    """h_l = a_l * exp(-zeta_dB * d_km / 8.686)."""
+    return link.a_l * np.exp(-path_loss_nepers(zeta_db, link))
 
 
 def path_gain_pdf(h_l: ArrayLike, model: GammaAbsorption,
@@ -142,29 +152,43 @@ def path_gain_cdf(h_l: ArrayLike, model: GammaAbsorption,
     return out if isinstance(h_l, np.ndarray) else float(out)
 
 
+def sample_path_loss(model: Union[GammaAbsorption, DeterministicAbsorption],
+                     link: ThzLinkParams, rng: np.random.Generator,
+                     size: int) -> Tuple[float, ArrayLike]:
+    """(h_0, loss) with path gain h_l = h_0 exp(-loss): for Gamma absorption
+    h_0 = a_l and `size` drawn losses in nepers; deterministic absorption
+    gives its one path gain and loss 0.0, and draws nothing."""
+    if isinstance(model, GammaAbsorption):
+        return link.a_l, path_loss_nepers(sample_absorption_db(model, rng, size),
+                                          link)
+    zeta = absorption_deterministic(link, model)
+    return path_gain_from_absorption(zeta_db_per_km_from_natural(zeta),
+                                     link), 0.0
+
+
 def sample_path_gain(model: Union[GammaAbsorption, DeterministicAbsorption],
                      link: ThzLinkParams, rng: np.random.Generator,
                      size: int) -> np.ndarray:
     """`size` draws of the path gain h_l; deterministic absorption gives
     one constant and draws nothing."""
-    if isinstance(model, GammaAbsorption):
-        return path_gain_from_absorption(sample_absorption_db(model, rng, size),
-                                         link)
-    zeta = absorption_deterministic(link, model)
-    return np.full(size, path_gain_from_absorption(
-        zeta_db_per_km_from_natural(zeta), link))
+    h_0, loss = sample_path_loss(model, link, rng, size)
+    return h_0 * np.exp(-np.broadcast_to(loss, size))
+
+
+def uniform_product(rng: np.random.Generator, size: int) -> np.ndarray:
+    """`size` draws of U V for independent uniforms on [0, 1), the
+    misalignment gain to the power rho; its density is -ln(w) on (0, 1)."""
+    w = rng.random(size)
+    w *= rng.random(size)
+    return w
 
 
 def sample_misalignment(rho: float, rng: np.random.Generator,
                         size: int) -> np.ndarray:
-    """Exact misalignment-gain sampler h_p = (U V)^(1/rho).
-
-    U*V for independent uniforms has density -ln(w) on (0,1); raising to
-    1/rho gives the pointing-error law -rho^2 ln(x) x^(rho-1) exactly.
-    """
-    u = rng.random(size)
-    v = rng.random(size)
-    return np.power(u * v, 1.0 / rho)
+    """Exact misalignment-gain sampler h_p = (U V)^(1/rho): raising U V to
+    1/rho gives the pointing-error law -rho^2 ln(x) x^(rho-1) exactly."""
+    w = uniform_product(rng, size)
+    return np.power(w, 1.0 / rho, out=w)
 
 
 def misalignment_pdf(x: ArrayLike, rho: float) -> ArrayLike:
@@ -180,8 +204,15 @@ def misalignment_cdf(x: ArrayLike, rho: float) -> ArrayLike:
     xs = np.asarray(x, dtype=float)
     if np.any(xs <= 0) or np.any(xs > 1):
         raise DomainError("misalignment gain support is (0, 1]")
-    out = np.power(xs, rho) * (1.0 - rho * np.log(xs))
+    out = misalignment_cdf_log(np.log(xs), rho)
     return out if isinstance(x, np.ndarray) else float(out)
+
+
+def misalignment_cdf_log(log_x: ArrayLike, rho: float) -> ArrayLike:
+    """misalignment_cdf at x = e^L for L = log_x <= 0, e^(rho L) (1 - rho L):
+    the form the outage score takes, its gain built as a sum of logs."""
+    t = np.multiply(log_x, rho)
+    return np.exp(t) * (1.0 - t)
 
 
 def _fading_gaussian_construction(fp: FadingParams, rng: np.random.Generator,
@@ -204,9 +235,10 @@ def _fading_gaussian_construction(fp: FadingParams, rng: np.random.Generator,
     return g / mean_g
 
 
-def sample_fading(fp: FadingParams, rng: np.random.Generator,
-                  size: int) -> np.ndarray:
-    """Draw the short-term fading envelope h_f with E[h_f^alpha] = r_hat^alpha.
+def fading_power(fp: FadingParams, rng: np.random.Generator,
+                 size: int) -> np.ndarray:
+    """`size` draws of the normalized fading power G = (h_f / r_hat)^alpha,
+    E[G] = 1.
 
     Integer mu uses the Gaussian cluster construction for any (eta, kappa);
     the alpha-mu subfamily (eta=1, kappa=0), the only place FadingParams
@@ -215,25 +247,37 @@ def sample_fading(fp: FadingParams, rng: np.random.Generator,
     if not fp.enabled:
         raise UnsupportedParams("fading disabled; composite draw uses h_f = 1")
     if fp.mu_is_integer:
-        g_norm = _fading_gaussian_construction(fp, rng, size)
-    else:
-        # alpha-mu subfamily: h_f^alpha * (mu / r_hat^alpha) ~ Gamma(mu)
-        g_norm = rng.gamma(fp.mu, 1.0 / fp.mu, size=size)
-    return fp.r_hat * np.power(g_norm, 1.0 / fp.alpha)
+        return _fading_gaussian_construction(fp, rng, size)
+    # alpha-mu subfamily: mu G ~ Gamma(mu); rng.gamma(mu, 1 / mu) to the bit
+    return (1.0 / fp.mu) * rng.standard_gamma(fp.mu, size)
+
+
+def sample_fading(fp: FadingParams, rng: np.random.Generator,
+                  size: int) -> np.ndarray:
+    """Draw the short-term fading envelope h_f = r_hat G^(1/alpha), so that
+    E[h_f^alpha] = r_hat^alpha."""
+    return fp.r_hat * np.power(fading_power(fp, rng, size), 1.0 / fp.alpha)
 
 
 def alpha_mu_cdf(u: ArrayLike, fp: FadingParams) -> ArrayLike:
     """P(h_f <= u) for alpha-mu fading: mu (h_f / r_hat)^alpha is
     Gamma(mu, 1), so the CDF is gammainc(mu, mu (u / r_hat)^alpha)."""
+    with np.errstate(divide="ignore"):      # u = 0: ln u = -inf, P = 0
+        return alpha_mu_cdf_log(np.log(u), fp)
+
+
+def alpha_mu_cdf_log(log_u: ArrayLike, fp: FadingParams) -> ArrayLike:
+    """alpha_mu_cdf at u = e^(log_u): gammainc(mu, x) with
+    ln x = ln mu + alpha (log_u - ln r_hat), so that a gain built as a sum
+    of logs takes one exp."""
     if not fp.is_alpha_mu:
         raise UnsupportedParams(
             "fading CDF is exact only for alpha-mu (eta=1, kappa=0), "
             f"got eta={fp.eta}, kappa={fp.kappa}")
-    x = np.array(u, dtype=float)     # one copy, powered in place
-    x /= fp.r_hat
-    np.power(x, fp.alpha, out=x)
-    x *= fp.mu
-    return gammainc(fp.mu, x if isinstance(u, np.ndarray) else float(x))
+    x = np.multiply(log_u, fp.alpha)
+    x += math.log(fp.mu) - fp.alpha * math.log(fp.r_hat)
+    x = np.exp(x)
+    return gammainc(fp.mu, x if isinstance(log_u, np.ndarray) else float(x))
 
 
 def gammainc(a: float, x: ArrayLike) -> ArrayLike:
@@ -287,8 +331,9 @@ def _gammainc_series(a: float, x: np.ndarray) -> np.ndarray:
     while coef[-1] > 1e-17:      # the sum is >= 1: below half an ulp
         coef.append(coef[-1] * x_max / (a + len(coef)))
     y = x if x_max == 1.0 else x / x_max
-    s = np.full_like(x, coef[-1])
-    for c in reversed(coef[:-1]):
+    s = y * coef[-1]
+    s += coef[-2]
+    for c in reversed(coef[:-2]):
         s *= y
         s += c
     if a <= 100.0:
@@ -317,6 +362,7 @@ def _gammaincc_fraction(a: float, x: np.ndarray) -> np.ndarray:
     c = np.full_like(x, 1e300)
     d = 1.0 / b
     h = d.copy()
+    done = np.zeros(x.shape, dtype=bool)
     for i in range(1, 10_000):
         an = -i * (i - a)
         b += 2.0
@@ -324,8 +370,12 @@ def _gammaincc_fraction(a: float, x: np.ndarray) -> np.ndarray:
         c = b + an / c
         delta = d * c
         h *= delta
-        # 4e-16 is within an ulp of 1; a tighter stop may never be met
-        if np.all(np.abs(delta - 1.0) < 4e-16):
+        # 4e-16 is within an ulp of 1; a tighter stop may never be met.
+        # Each x stops counting once it has met it: past that, delta is
+        # rounding noise of 1 +- 2 ulps, and waiting for every x to meet
+        # it at one step never ended for 65536 x at a = 1.5
+        done |= np.abs(delta - 1.0) < 4e-16
+        if done.all():
             break
     return _gamma_prefactor(a, x) * h
 
@@ -375,20 +425,11 @@ def draw_snr_batch(exp: Experiment, n: int,
                    rng_fading: np.random.Generator,
                    rng_misalignment: np.random.Generator,
                    avg_snr: Optional[float] = None) -> np.ndarray:
-    """Vectorized SNR draws (admission, crude outage counting)."""
-    h = (sample_path_fading_gain(exp, rng_absorption, rng_fading, n)
-         * sample_misalignment(exp.misalignment.rho, rng_misalignment, n))
+    """Vectorized SNR draws (admission, crude outage counting): h = h_l h_f
+    h_p from per-component streams, h_f = 1 with fading off."""
+    h = sample_path_gain(exp.absorption, exp.link, rng_absorption, n)
+    if exp.fading.enabled:
+        h *= sample_fading(exp.fading, rng_fading, n)
+    h *= sample_misalignment(exp.misalignment.rho, rng_misalignment, n)
     gbar = exp.link.avg_snr if avg_snr is None else avg_snr
     return snr_from_gain(h, gbar, exp.link.k_h)
-
-
-def sample_path_fading_gain(exp: Experiment, rng_absorption: np.random.Generator,
-                            rng_fading: np.random.Generator,
-                            size: int) -> np.ndarray:
-    """`size` draws of h_l * h_f from per-component streams (h_f = 1 with
-    fading off): the composite gain short of misalignment, whose CDF the
-    conditional outage estimator averages over."""
-    h_l = sample_path_gain(exp.absorption, exp.link, rng_absorption, size)
-    if not exp.fading.enabled:
-        return h_l
-    return h_l * sample_fading(exp.fading, rng_fading, size)

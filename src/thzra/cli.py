@@ -105,7 +105,8 @@ def _digest(obj) -> str:
 
 
 class Manifest:
-    """Run manifest: written last, lists every output file of the run."""
+    """Run manifest: written last, lists every output file of the run, its
+    timings and its work counters (neither ever reaches a CSV)."""
 
     def __init__(self, command: str, config_path, cfg: RunConfig, out_dir: Path):
         self.data = {
@@ -118,6 +119,7 @@ class Manifest:
             "out_dir": str(out_dir),
             "outputs": [],
             "timings_s": {},
+            "counters": {},
             "partial_run": False,
         }
         self._t0 = time.monotonic()
@@ -127,6 +129,10 @@ class Manifest:
         rel = os.path.relpath(path, self.out_dir)
         if rel not in self.data["outputs"]:
             self.data["outputs"].append(rel)
+
+    def count(self, name: str, amount: int = 1):
+        counters = self.data["counters"]
+        counters[name] = counters.get(name, 0) + int(amount)
 
     def mark_partial(self, note: str):
         self.data["partial_run"] = True
@@ -245,7 +251,7 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path, manifest: Manifest) -> int:
 # validate
 # ---------------------------------------------------------------------------
 
-def _suite_results(cfg: RunConfig) -> List[dict]:
+def _suite_results(cfg: RunConfig, manifest: Manifest) -> List[dict]:
     exp, gamma_th, seed = cfg.exp, cfg.gamma_th, cfg.exp.protocol.seed
     n_gof, n_mc = cfg.gof_samples, cfg.val_outage_draws
     results: List[dict] = []
@@ -288,6 +294,7 @@ def _suite_results(cfg: RunConfig) -> List[dict]:
         exp_nf = replace(exp, fading=replace(exp.fading, enabled=False))
         curve = validation.outage_mc(exp_nf, gamma_th, cfg.val_grid_db, n_mc,
                                      seed=_row_seed(seed, "no_fading_outage"))
+        manifest.count("outage_draws", n_mc * curve.gamma_bar_db.size)
         z = validation.bonferroni_z(curve.gamma_bar_db.size)
         pts = []
         for db, phat, se, vrf in zip(curve.gamma_bar_db, curve.p_out,
@@ -313,7 +320,8 @@ def _suite_results(cfg: RunConfig) -> List[dict]:
 
 
 def cmd_validate(cfg: RunConfig, out_dir: Path, manifest: Manifest) -> int:
-    results = _suite_results(cfg)
+    manifest.count("outage_draws", 0)
+    results = _suite_results(cfg, manifest)
     report_path = out_dir / "validation_report.json"
     write_json_atomic(report_path, {"suites": results, "all_passed":
                                     all(r["passed"] for r in results)})
@@ -361,7 +369,8 @@ def _cell_slug(cell: Dict[str, float]) -> str:
     return "_".join(parts).replace("/", "-")
 
 
-def _run_cell(cell: SweepCell, path: Path, schema: str) -> Path:
+def _run_cell(cell: SweepCell, path: Path, schema: str) -> int:
+    """Compute and write one cell; returns the outage draws it made."""
     e = cell.exp
     slug = _cell_slug(cell.coords)
     cols = sorted(cell.coords)
@@ -386,7 +395,7 @@ def _run_cell(cell: SweepCell, path: Path, schema: str) -> Path:
                 float(curve.ci_hi[0]), float(curve.se[0]),
                 float(curve.vrf[0]), curve.conditioned, n_mc]
     write_csv_atomic(path, schema, cols, [row])
-    return path
+    return cell.outage_draws or 0
 
 
 def _attempt(fn, *args):
@@ -412,6 +421,8 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, manifest: Manifest,
     if not axes:
         raise ConfigError("sweep requires at least one [sweep] axis")
     names = sorted(axes)
+    for name in ("cells_done", "cells_skipped", "cells_failed", "outage_draws"):
+        manifest.count(name, 0)
     cell_dir = out_dir / "sweep"
     cell_dir.mkdir(parents=True, exist_ok=True)
 
@@ -423,6 +434,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, manifest: Manifest,
         schema = f"{CELL_SCHEMA} digest={_digest(cell)}"
         if _is_current_cell(path, schema):
             manifest.add(path)          # completed by an earlier run
+            manifest.count("cells_skipped")
         else:                           # missing, or from another config/schema
             todo.append((cell, path, schema))
 
@@ -433,11 +445,14 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, manifest: Manifest,
             results = [fut.exception() or fut.result() for fut in futures]
     else:
         results = [_attempt(_run_cell, *args) for args in todo]
-    for (cell, _, _), result in zip(todo, results):
+    for (cell, path, _), result in zip(todo, results):
         if isinstance(result, BaseException):   # a failed cell: partial run
             manifest.mark_partial(f"cell {cell.coords} failed: {result}")
+            manifest.count("cells_failed")
         else:
-            manifest.add(result)
+            manifest.add(path)
+            manifest.count("cells_done")
+            manifest.count("outage_draws", result)
     return 1 if manifest.data["partial_run"] else 0
 
 

@@ -180,43 +180,76 @@ def _outage_moments(gamma_bar_db: Sequence[float], n: int, seed: int, draw
     return gdb, mean, m2
 
 
+def conditioned_on_fading(exp: Experiment) -> bool:
+    """Whether outage_mc integrates fading out (else misalignment): alpha-mu
+    fading (FadingParams.is_alpha_mu) with alpha mu < rho, i.e. fading's
+    exponent in the high-SNR slope min(alpha mu, rho, z) / 2 is below
+    misalignment's and fading drives the outage tail."""
+    fp = exp.fading
+    return fp.enabled and fp.is_alpha_mu and fp.alpha * fp.mu < exp.misalignment.rho
+
+
+def outage_score(exp: Experiment, gamma_h: float, m: int, rng) -> np.ndarray:
+    """m draws of the outage probability given every channel component but
+    the one conditioned_on_fading integrates out.
+
+    rng(component) is that component's substream.  The log of the gain
+    ratio is built as a sum of log-gains, the drawn component's and
+    _log_path_ratio's, and the CDF of the integrated-out component takes
+    it whole: on fading, ln u = ln(gamma_h / (h_l h_p)) and the alpha-mu
+    CDF; on misalignment, L = min(ln(gamma_h / (h_l h_f)), 0) and F_p(e^L).
+    U V = 0 or G = 0 (Generator.random and a Gamma draw can return 0)
+    gives ln = -inf and scores 1, as h = 0 does.  One array stays alive
+    into the CDF, whose temporaries set the peak memory.
+    """
+    fp, rho = exp.fading, exp.misalignment.rho
+    with np.errstate(divide="ignore"):
+        if conditioned_on_fading(exp):
+            log_u = np.log(channel.uniform_product(rng(streams.MISALIGNMENT), m))
+            log_u *= -1.0 / rho                 # -ln h_p
+            log_u += _log_path_ratio(exp, gamma_h, m, rng)
+            return channel.alpha_mu_cdf_log(log_u, fp)
+        if not fp.enabled:
+            log_x = np.minimum(_log_path_ratio(exp, gamma_h, m, rng), 0.0)
+            return np.broadcast_to(channel.misalignment_cdf_log(log_x, rho), m)
+        log_x = np.log(channel.fading_power(fp, rng(streams.FADING), m))
+        log_x *= -1.0 / fp.alpha                # -ln(h_f / r_hat)
+        log_x += _log_path_ratio(exp, gamma_h / fp.r_hat, m, rng)
+        np.minimum(log_x, 0.0, out=log_x)
+        return channel.misalignment_cdf_log(log_x, rho)
+
+
+def _log_path_ratio(exp: Experiment, gamma_h: float, m: int, rng):
+    """ln(gamma_h / h_l) for m path-gain draws: ln(gamma_h / h_0) plus the
+    absorption loss (channel.sample_path_loss), a float for deterministic
+    absorption."""
+    h_0, loss = channel.sample_path_loss(exp.absorption, exp.link,
+                                         rng(streams.ABSORPTION), m)
+    return loss + math.log(gamma_h / h_0)
+
+
 def outage_mc(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float],
               n: int, seed: int) -> OutageCurve:
     """Outage probability over an average-SNR grid, one channel component
-    integrated out in closed form.
+    integrated out in closed form (outage_score).
 
-    That component is alpha-mu fading (FadingParams.is_alpha_mu) when
-    alpha mu < rho, i.e. when fading's exponent in the high-SNR slope
-    min(alpha mu, rho, z) / 2 is below misalignment's and fading drives
-    the outage tail, and misalignment otherwise.  Conditioned on fading, each draw takes h = h_l * h_p and scores the
-    alpha-mu CDF at gamma_h / h; conditioned on misalignment, it takes
-    h = h_l * h_f and scores F_p(min(gamma_h / h, 1)).  Either score is
-    the outage probability given the other components, so the mean is
-    unbiased and its variance never exceeds crude counting's
-    (Rao-Blackwell); se is the sample standard error, the interval
-    p +- 1.96 se is clipped to [0, 1], and vrf = p(1-p) / (n se^2) is inf
-    where the score never varies (the estimate is exact).  Points where
-    gamma_th settles the answer (OutageQuery.settled) take it without
-    drawing.
+    Conditioned on fading, each draw scores the alpha-mu CDF at
+    gamma_h / (h_l h_p); conditioned on misalignment, F_p at
+    min(gamma_h / (h_l h_f), 1).  Either score is the outage probability
+    given the other components, so the mean is unbiased and its variance
+    never exceeds crude counting's (Rao-Blackwell); se is the sample
+    standard error, the interval p +- 1.96 se is clipped to [0, 1], and
+    vrf = p(1-p) / (n se^2) is inf where the score never varies (the
+    estimate is exact).  Points where gamma_th settles the answer
+    (OutageQuery.settled) take it without drawing.
     """
-    rho, k_h, fp = exp.misalignment.rho, exp.link.k_h, exp.fading
-    on_fading = fp.enabled and fp.is_alpha_mu and fp.alpha * fp.mu < rho
+    k_h = exp.link.k_h
 
     def draw(gbar, m, rng):
         q = analytics.OutageQuery(gamma_th, gbar, k_h)
         if q.settled is not None:
             return np.full(m, q.settled)
-        if on_fading:
-            # u = gamma_h / (h_l h_p) in one array: no draw stays alive
-            # through the CDF, whose temporaries set the peak memory
-            u = (channel.sample_path_gain(exp.absorption, exp.link,
-                                          rng(streams.ABSORPTION), m)
-                 * channel.sample_misalignment(rho, rng(streams.MISALIGNMENT), m))
-            np.divide(q.gamma_h, u, out=u)
-            return channel.alpha_mu_cdf(u, fp)
-        h = channel.sample_path_fading_gain(exp, rng(streams.ABSORPTION),
-                                            rng(streams.FADING), m)
-        return channel.misalignment_cdf(np.minimum(q.gamma_h / h, 1.0), rho)
+        return outage_score(exp, q.gamma_h, m, rng)
 
     gdb, p, m2 = _outage_moments(gamma_bar_db, n, seed, draw)
     se = np.sqrt(m2 / max(n - 1, 1) / n)
@@ -228,7 +261,8 @@ def outage_mc(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float],
                        ci_lo=np.maximum(p - Z95 * se, 0.0),
                        ci_hi=np.minimum(p + Z95 * se, 1.0),
                        n_draws=n, se=se, vrf=vrf,
-                       conditioned="fading" if on_fading else "misalignment")
+                       conditioned=("fading" if conditioned_on_fading(exp)
+                                    else "misalignment"))
 
 
 def outage_count(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float],

@@ -367,12 +367,13 @@ def test_validate_catches_biased_simulator(tmp_path, monkeypatch):
 
 
 def test_validate_catches_biased_misalignment_cdf(tmp_path, monkeypatch):
-    # rho off by 5 % in the CDF the outage estimator averages must fail
-    # no_fading_outage, judged by the estimator's own standard error
+    # rho off by 5 % in the CDF the outage estimator averages (the log
+    # form, which misalignment_cdf also calls) must fail no_fading_outage,
+    # judged by the estimator's own standard error
     cfg = write_cfg(tmp_path, "fast.cfg", fast_validate_text())
-    cdf = channel.misalignment_cdf
-    monkeypatch.setattr(channel, "misalignment_cdf",
-                        lambda x, rho: cdf(x, 1.05 * rho))
+    cdf = channel.misalignment_cdf_log
+    monkeypatch.setattr(channel, "misalignment_cdf_log",
+                        lambda log_x, rho: cdf(log_x, 1.05 * rho))
     out = tmp_path / "out"
     assert cli.main(["validate", "--config", str(cfg), "--seed", "3",
                      "--out", str(out)]) == 1
@@ -467,6 +468,7 @@ def test_sweep_grid_and_resume(tmp_path):
     assert len(cells) == 9
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert len(manifest["outputs"]) == 9
+    assert manifest["counters"] == sweep_counters(9, 0, 0, 20000)
     before = {p.name: p.read_bytes() for p in cells}
 
     # interrupt emulation: drop some cells, rerun, everything byte-identical
@@ -477,6 +479,8 @@ def test_sweep_grid_and_resume(tmp_path):
     after = {p.name: p.read_bytes()
              for p in sorted((out / "sweep").glob("cell_*.csv"))}
     assert after == before
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["counters"] == sweep_counters(2, 7, 0, 20000)
 
     # a cell written under an older schema is recomputed, not reused
     cells[3].write_text("#schema: thzra.sweep.cell.v1\nmu,p_out\n1,0.5\n")
@@ -504,6 +508,8 @@ def test_sweep_grid_and_resume(tmp_path):
                      "--out", str(out)]) == 0
     assert cell_stamps(out) == stamps
     assert cell_bytes(out) == before
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["counters"] == sweep_counters(0, 9, 0, 20000)
 
     # one more axis value: only its cells are computed, the old ones untouched
     longer = text.replace("rho = 2,3,4", "rho = 2,3,4,5")
@@ -555,6 +561,12 @@ def test_sweep_grid_and_resume(tmp_path):
     assert all(stamps[2][name] != stamp for name, stamp in stamps[0].items())
 
 
+def sweep_counters(done, skipped, failed, draws_per_cell):
+    """The manifest counters of a sweep of one outage point per cell."""
+    return {"cells_done": done, "cells_skipped": skipped,
+            "cells_failed": failed, "outage_draws": done * draws_per_cell}
+
+
 def cell_bytes(out):
     return {p.name: p.read_bytes() for p in (out / "sweep").glob("cell_*.csv")}
 
@@ -583,6 +595,9 @@ def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
                            "vrf", "conditioned", "outage_draws"]
     for a, b in zip(s_files, p_files):
         assert a.read_bytes() == b.read_bytes()
+    for out in (serial, par):
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["counters"] == sweep_counters(4, 0, 0, 20000)
     # env var caps the worker count without changing results
     monkeypatch.setenv(cli.ENV_PARALLEL, "1")
     capped = tmp_path / "capped"
@@ -590,6 +605,47 @@ def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
                      "--out", str(capped), "--parallel", "8"]) == 0
     for a, b in zip(s_files, sorted((capped / "sweep").glob("*.csv"))):
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_sweep_counts_failed_cells(tmp_path, monkeypatch, parallel):
+    # a cell that raises is counted as failed, serially and in worker
+    # processes alike (they fork from this one, patch included), and the
+    # rerun computes it alone
+    text = SWEEP_CFG.read_text().replace(
+        "outage_draws = 2000000", "outage_draws = 2000")
+    cfg = write_cfg(tmp_path, "p.cfg", text)
+    out = tmp_path / "out"
+    outage_mc = validation.outage_mc
+
+    def failing(exp, *args, **kwargs):
+        if exp.misalignment.rho == 2.0 and exp.fading.mu == 1.5:
+            raise RuntimeError("cell failed on purpose")
+        return outage_mc(exp, *args, **kwargs)
+
+    monkeypatch.setattr(validation, "outage_mc", failing)
+    argv = ["sweep", "--config", str(cfg), "--seed", "2", "--out", str(out),
+            "--parallel", parallel]
+    assert cli.main(argv) == 1
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["partial_run"] is True
+    assert manifest["counters"] == sweep_counters(3, 0, 1, 2000)
+    monkeypatch.setattr(validation, "outage_mc", outage_mc)
+    assert cli.main(argv) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["counters"] == sweep_counters(1, 3, 0, 2000)
+
+
+def test_validate_counts_outage_draws(tmp_path):
+    # no_fading_outage draws validation.outage_draws per grid point
+    cfg = write_cfg(tmp_path, "fast.cfg", fast_validate_text())
+    out = tmp_path / "out"
+    assert cli.main(["validate", "--config", str(cfg), "--seed", "3",
+                     "--out", str(out)]) == 0
+    run = params.run_config(cli.read_config(cfg))
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["counters"] == {
+        "outage_draws": run.val_outage_draws * len(run.val_grid_db)}
 
 
 def test_trials_dump_schema(tmp_path):

@@ -1,6 +1,7 @@
 """Goodness-of-fit calibration and power, outage curves, slopes, bound sweeps."""
 import itertools
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from thzra import analytics, channel, cli, params, validation
+from thzra import analytics, channel, cli, params, streams, validation
 from thzra.errors import EmptySample, InsufficientTail
 from thzra.params import (Experiment, FadingParams, GammaAbsorption,
                           MisalignmentParams, ProtocolConfig, ThzLinkParams)
@@ -156,7 +157,9 @@ def test_outage_matches_closed_form_within_3se():
     (FadingParams(alpha=2.0, mu=1), "fading"),          # alpha mu < rho = 4
     (FadingParams(alpha=2.0, mu=2), "misalignment"),    # alpha mu = rho
     (FadingParams(alpha=2.0, mu=1, kappa=1.0), "misalignment"),  # not alpha-mu
-], ids=["fading_off", "fading_on", "fading_on_at_rho", "fading_kappa_mu"])
+    (FadingParams(alpha=2.0, mu=2, eta=2.0), "misalignment"),    # not alpha-mu
+], ids=["fading_off", "fading_on", "fading_on_at_rho", "fading_kappa_mu",
+        "fading_eta_mu"])
 @pytest.mark.parametrize("k_t", [0.0, 0.1], ids=["k_h=0", "k_h=0.1414"])
 @pytest.mark.parametrize("absorption", ["gamma", "deterministic"])
 def test_outage_mc_matches_crude_count(fading, conditioned, k_t, absorption):
@@ -193,6 +196,133 @@ def test_outage_mc_exact_where_the_score_is_constant():
     np.testing.assert_array_equal(curve.vrf, np.inf)
     np.testing.assert_array_equal(curve.ci_lo, curve.p_out)
     np.testing.assert_array_equal(curve.ci_hi, curve.p_out)
+
+
+class ZeroDraws:
+    """A Generator whose first three uniform and Gamma draws are 0.0, which
+    Generator.random can return: U V = 0 (h_p = 0) and G = 0 (h_f = 0)."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def random(self, size):
+        w = self.rng.random(size)
+        w[:3] = 0.0
+        return w
+
+    def standard_gamma(self, shape, size):
+        g = self.rng.standard_gamma(shape, size)
+        g[:3] = 0.0
+        return g
+
+
+def linear_score(exp, gamma_h, m, rng):
+    """The conditional outage score composed from channel's linear samplers
+    and CDFs: the alpha-mu CDF at gamma_h / (h_l h_p), or F_p at
+    min(gamma_h / (h_l h_f), 1)."""
+    h = channel.sample_path_gain(exp.absorption, exp.link,
+                                 rng(streams.ABSORPTION), m)
+    with np.errstate(divide="ignore"):      # h = 0 gives gamma_h / h = inf
+        if validation.conditioned_on_fading(exp):
+            h = h * channel.sample_misalignment(exp.misalignment.rho,
+                                                rng(streams.MISALIGNMENT), m)
+            return channel.alpha_mu_cdf(gamma_h / h, exp.fading)
+        if exp.fading.enabled:
+            h = h * channel.sample_fading(exp.fading, rng(streams.FADING), m)
+        return channel.misalignment_cdf(np.minimum(gamma_h / h, 1.0),
+                                        exp.misalignment.rho)
+
+
+DETERMINISTIC = "deterministic"
+SCORE_BRANCHES = {
+    # name: (fading, rho, absorption, k_t, conditioned)
+    "fading_off": (FadingParams(enabled=False), 4.0, None, 0.0,
+                   "misalignment"),
+    "alpha_mu_on_fading": (FadingParams(alpha=1.0, mu=1.5, r_hat=1.3), 4.1,
+                           None, 0.0, "fading"),
+    "alpha_mu_on_misalignment": (FadingParams(alpha=1.0, mu=2.5, r_hat=1.3),
+                                 2.0, None, 0.0, "misalignment"),
+    "alpha_mu_integer_mu": (FadingParams(alpha=2.0, mu=1), 4.0, None, 0.0,
+                            "fading"),
+    "eta_mu": (FadingParams(alpha=2.0, mu=2, eta=2.0, r_hat=0.8), 4.0, None,
+               0.0, "misalignment"),
+    "kappa_mu": (FadingParams(alpha=2.0, mu=1, kappa=1.0), 4.0, None, 0.0,
+                 "misalignment"),
+    "deterministic_fading_off": (FadingParams(enabled=False), 4.0,
+                                 DETERMINISTIC, 0.0, "misalignment"),
+    "deterministic_on_fading": (FadingParams(alpha=2.0, mu=1), 4.0,
+                                DETERMINISTIC, 0.0, "fading"),
+    "deterministic_on_misalignment": (FadingParams(alpha=1.0, mu=2.5), 2.0,
+                                      DETERMINISTIC, 0.0, "misalignment"),
+    "k_h_on_fading": (FadingParams(alpha=1.0, mu=1.5), 4.1, None, 0.1,
+                      "fading"),
+    "k_h_on_misalignment": (FadingParams(alpha=2.0, mu=2, eta=2.0), 4.0,
+                            None, 0.1, "misalignment"),
+}
+
+
+def branch_experiment(name):
+    fading, rho, absorption, k_t, conditioned = SCORE_BRANCHES[name]
+    exp = make_experiment(
+        link=replace(make_experiment().link, k_t=k_t, k_r=k_t),
+        fading=fading, misalignment=MisalignmentParams(rho=rho),
+        absorption=(channel.load_absorption_profile()
+                    if absorption == DETERMINISTIC
+                    else GammaAbsorption(k=3, beta=10.0)))
+    assert validation.conditioned_on_fading(exp) == (conditioned == "fading")
+    return exp
+
+
+@pytest.mark.parametrize("name", sorted(SCORE_BRANCHES))
+@pytest.mark.parametrize("db", [25.0, 45.0])
+def test_outage_score_is_the_linear_composition(name, db):
+    # the log-domain score of one chunk's substreams, draw by draw, against
+    # the same substreams composed in linear form
+    exp = branch_experiment(name)
+    q = analytics.OutageQuery(10 ** 0.5, 10 ** (db / 10.0), exp.link.k_h)
+    m = validation.OUTAGE_CHUNK
+
+    def rng(comp):
+        return streams.substream(17, 1, m, comp)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = validation.outage_score(exp, q.gamma_h, m, rng)
+    want = linear_score(exp, q.gamma_h, m, rng)
+    assert got.shape == (m,)
+    assert np.all((got >= 0.0) & (got <= 1.0))
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-300)
+
+
+@pytest.mark.parametrize("name", ["alpha_mu_on_fading",
+                                  "alpha_mu_on_misalignment",
+                                  "deterministic_on_fading"])
+def test_outage_score_of_a_zero_gain_is_one(name):
+    # U V = 0 (and G = 0 on misalignment) means h = 0: the draw is in
+    # outage, scored 1 without a RuntimeWarning
+    exp = branch_experiment(name)
+    q = analytics.OutageQuery(10 ** 0.5, 10 ** 4.5, exp.link.k_h)
+
+    def rng(comp):
+        return ZeroDraws(streams.substream(3, 0, 0, comp))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = validation.outage_score(exp, q.gamma_h, 1000, rng)
+    np.testing.assert_array_equal(got[:3], 1.0)
+    np.testing.assert_allclose(got, linear_score(exp, q.gamma_h, 1000, rng),
+                               rtol=1e-13, atol=1e-300)
+
+
+@pytest.mark.parametrize("gamma_th,expected", [(0.0, 0.0), (math.inf, 1.0)])
+@pytest.mark.parametrize("name", ["fading_off", "eta_mu",
+                                  "deterministic_fading_off"])
+def test_settled_points_on_every_branch(name, gamma_th, expected):
+    # test_outage_mc_settled_thresholds conditions on fading; the same
+    # points on the misalignment branches score without drawing
+    exp = branch_experiment(name)
+    curve = validation.outage_mc(exp, gamma_th, [30.0], 1000, seed=1)
+    assert (curve.p_out[0], curve.se[0]) == (expected, 0.0)
 
 
 def sweep_cells():
