@@ -10,17 +10,16 @@ z = rho.  numpy and the standard library evaluate them: channel.gammaincc
 gives the incomplete gamma, and a Poisson-weighted series or a terminating
 asymptotic sum gives each Kummer function.
 
-Energy is counted in transmissions (unit energy).  ATP's expected energy
-therefore equals its expected delay, so `delay_atp`, `delay_atp_prefix`
-and `delay_bounds_atp` serve both; FTP's energy has the geometric closed
-form in `energy_ftp`.  `expected_delay_exact` and `energy_exact` are the
-general-p series the scheme-specific forms are checked against.
+Energy is counted in transmissions (unit energy).  `stage_law` gives the
+per-stage success probabilities of an FTP or ATP frame, which the closed
+forms and the contention kernel are checked against; `series_table` holds
+every delay/energy series with its scaling-law bracket, for all callers.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -214,47 +213,27 @@ def diversity_order(alpha: float, mu: float, rho: float, z: float) -> DiversityO
 # delay series and bounds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DelayEnergyReport:
-    """Exact series value with its bracket and the scaling-law reference."""
+def stage_law(scheme: str, K: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-stage arrays (k, p, P_s) of a K-user frame, k = K down to 1.
 
-    exact: float
-    lower: float
-    upper: float
-    scaling_reference: float     # K log K, K e or (e-1) K at this K
-
-    @property
-    def bracketed(self) -> bool:
-        return self.lower <= self.exact <= self.upper
-
-
-def delay_report_ftp(K: int) -> DelayEnergyReport:
-    lo, up = delay_bounds_ftp(K)
-    return DelayEnergyReport(delay_ftp(K), lo, up, K * math.log(K))
-
-
-def delay_report_atp(K: int) -> DelayEnergyReport:
-    lo, up = delay_bounds_atp(K)
-    return DelayEnergyReport(delay_atp(K), lo, up, K * math.e)
-
-
-def energy_report_ftp(K: int) -> DelayEnergyReport:
-    lo, up = energy_bounds_ftp(K)
-    return DelayEnergyReport(energy_ftp(K), lo, up, (math.e - 1.0) * K)
-
-
-def expected_delay_exact(K: int, p: float) -> float:
-    """Expected slots to collect K packets with fixed per-user probability p.
-
-    Stage with k packets left succeeds per slot w.p. k p (1-p)^(k-1); the
-    stage lengths are geometric, so the total is the sum of their means.
-    Returns inf for p = 1 with K >= 2 (permanent collision).
+    A stage with k packets left ends at its first slot with a lone
+    transmitter, P_s = k p (1-p)^(k-1), with p = 1/K throughout under FTP
+    and p = 1/k under ATP.  Its slots are Geometric(P_s), and each of them
+    carries k p transmissions and k - k p idle holders on average, so the
+    frame's expected delay is sum 1/P_s and its energy sum k p / P_s.
+    delay_ftp, delay_atp and energy_ftp give those two sums in closed
+    forms, more accurate than the direct sums.
     """
-    _check_kp(K, p)
-    if p == 1.0:
-        return 1.0 if K == 1 else math.inf
-    k = np.arange(1, K + 1, dtype=float)
-    return float(np.sum(1.0 / (k * p * (1.0 - p) ** (k - 1.0))))
+    if K < 1:
+        raise DomainError("K >= 1")
+    k = np.arange(K, 0, -1)
+    if scheme == "ftp":
+        p = np.full(K, 1.0 / K)
+    elif scheme == "atp":
+        p = 1.0 / k
+    else:
+        raise DomainError(f"no stage law for scheme {scheme!r}")
+    return k, p, k * p * (1.0 - p) ** (k - 1)
 
 
 def delay_ftp(K: int) -> float:
@@ -269,11 +248,7 @@ def delay_ftp(K: int) -> float:
 
 
 def delay_atp(K: int) -> float:
-    """Expected slots under the adaptive scheme (p reset to 1/k after success).
-
-    Every ATP slot carries one transmission on average, so this is also
-    the scheme's expected energy in transmissions.
-    """
+    """Expected slots under the adaptive scheme (p reset to 1/k after success)."""
     if K < 1:
         raise DomainError("K >= 1")
     return float(_atp_terms(K).sum())
@@ -313,28 +288,6 @@ def delay_bounds_atp(K: int) -> Tuple[float, float]:
 # energy series and bounds
 # ---------------------------------------------------------------------------
 
-def expected_collisions_given_failure(k: int, p: float) -> float:
-    """Expected colliding packets per failed slot: k p - k p (1-p)^(k-1)."""
-    _check_kp(k, p, allow_zero_p=True)
-    return k * p - k * p * (1.0 - p) ** (k - 1)
-
-
-def expected_attempts_between_successes(k: int, p: float) -> float:
-    """Expected slots between consecutive successes, 1/P_s; inf when P_s = 0."""
-    _check_kp(k, p, allow_zero_p=True)
-    ps = k * p * (1.0 - p) ** (k - 1)
-    return math.inf if ps == 0.0 else 1.0 / ps
-
-
-def energy_exact(K: int, p: float) -> float:
-    """Expected transmissions (unit energy) to drain K packets at fixed p."""
-    _check_kp(K, p)
-    if p == 1.0:
-        return 1.0 if K == 1 else math.inf
-    k = np.arange(1, K + 1, dtype=float)
-    return float(np.sum((1.0 - p) ** (-(k - 1.0))))
-
-
 def energy_ftp(K: int) -> float:
     """Expected transmissions under the fixed-probability scheme (p = 1/K).
 
@@ -362,19 +315,38 @@ def energy_bounds_ftp(K: int) -> Tuple[float, float]:
     return lower, upper
 
 
-def harmonic(K: int) -> float:
-    """K-th harmonic number, exact partial sum."""
-    return float(np.sum(1.0 / np.arange(1, K + 1, dtype=float)))
-
-
 def energy_gap_bounds(K: int) -> Tuple[float, float]:
     """Interval for the energy gap delay_atp(K) - energy_ftp(K), K >= 3."""
     if K < 3:
         raise DomainError("energy gap bounds need K >= 3")
-    h_k = harmonic(K)
+    h_k = float(np.sum(1.0 / np.arange(1, K + 1, dtype=float)))   # H_K
     lower = (math.e - 1.0) * h_k + K - math.e * (K - 1) ** 2 / (K - 2) - 1.0
     upper = K * math.e - 1.5 * K + 0.5 / K + 1.0
     return lower, upper
+
+
+SERIES = ("ftp_delay", "atp_delay", "ftp_energy", "atp_energy")
+
+
+def series_table(K: int) -> Dict[str, Tuple[float, float, float]]:
+    """(exact, lower, upper) of each series in SERIES at K users, plus
+    energy_gap, atp_energy - ftp_energy, from K = 3 on.
+
+    The FTP brackets hold from K = 3 and ATP's from K = 2; below, the
+    bracket is NaN.  ATP's energy is its delay (one transmission per slot
+    on average), so the two series share one entry.
+    """
+    nan = (math.nan, math.nan)
+    atp = (delay_atp(K),) + (delay_bounds_atp(K) if K >= 2 else nan)
+    table = {
+        "ftp_delay": (delay_ftp(K),) + (delay_bounds_ftp(K) if K >= 3 else nan),
+        "atp_delay": atp,
+        "ftp_energy": (energy_ftp(K),) + (energy_bounds_ftp(K) if K >= 3 else nan),
+        "atp_energy": atp}
+    if K >= 3:
+        table["energy_gap"] = ((atp[0] - table["ftp_energy"][0],)
+                               + energy_gap_bounds(K))
+    return table
 
 
 def hoeffding_bound(epsilon: float, n: int, kind: str) -> float:
@@ -392,10 +364,3 @@ def hoeffding_bound(epsilon: float, n: int, kind: str) -> float:
         return 2.0 * math.exp(-2.0 * epsilon ** 2 / denom)
     raise DomainError(f"kind must be 'delay' or 'energy', got {kind!r}")
 
-
-def _check_kp(K, p, allow_zero_p=False):
-    if K < 1 or int(K) != K:
-        raise DomainError("user count must be a positive integer")
-    lo_ok = (p >= 0.0) if allow_zero_p else (p > 0.0)
-    if not (lo_ok and p <= 1.0):
-        raise DomainError(f"transmission probability out of range: {p!r}")

@@ -69,7 +69,11 @@ def _write_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_text(text, newline="")
-    os.replace(tmp, path)
+    try:
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink()
+        raise
 
 
 def write_csv_atomic(path: Path, schema: str, header: Sequence[str],
@@ -212,15 +216,9 @@ ANALYZE_HEADER = ["K", "d_ftp", "d_ftp_lo", "d_ftp_hi",
 def cmd_analyze(cfg: RunConfig, out_dir: Path, manifest: Manifest) -> int:
     exp = cfg.exp
     rows = []
-    nan = float("nan")
     for k in sorted(set(cfg.analyze_k)):
-        d_ftp = analytics.delay_ftp(k)
-        d_atp = analytics.delay_atp(k)     # ATP energy is the same series
-        dfl, dfh = analytics.delay_bounds_ftp(k) if k >= 3 else (nan, nan)
-        dal, dah = analytics.delay_bounds_atp(k) if k >= 2 else (nan, nan)
-        efl, efh = analytics.energy_bounds_ftp(k) if k >= 3 else (nan, nan)
-        rows.append([k, d_ftp, dfl, dfh, d_atp, dal, dah,
-                     analytics.energy_ftp(k), efl, efh, d_atp, dal, dah])
+        table = analytics.series_table(k)
+        rows.append([k] + [v for name in analytics.SERIES for v in table[name]])
     de_path = out_dir / "analyze_delay_energy.csv"
     write_csv_atomic(de_path, "thzra.analyze.delay_energy.v1", ANALYZE_HEADER, rows)
     manifest.add(de_path)
@@ -308,7 +306,7 @@ def _suite_results(cfg: RunConfig, manifest: Manifest) -> List[dict]:
 
     k_sweep = [3, 10, 40, 100, 1000, 10000]
     rows = validation.bound_sweep(k_sweep)
-    record("bound_sweep", validation.sweep_all_pass(rows),
+    record("bound_sweep", all(r.passed for r in rows),
            {"K": k_sweep, "failures": [r.metric for r in rows if not r.passed]})
 
     agree = validation.simulator_agreement(exp, ["ftp", "atp"], cfg.val_k_users,
@@ -411,7 +409,7 @@ def _is_current_cell(path: Path, schema: str) -> bool:
     try:
         with open(path) as fh:
             return fh.readline() == f"#schema: {schema}\n"
-    except FileNotFoundError:
+    except OSError:             # missing, or not a readable file
         return False
 
 
@@ -494,6 +492,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.trials is not None:
             raw["protocol.trials"] = str(args.trials)
         cfg = run_config(raw)
+        if (args.command in ("analyze", "validate")
+                and isinstance(cfg.exp.absorption, GammaAbsorption)):
+            cfg.exp.absorption.integer_shape()    # the closed forms need it
         cap = read_value(os.environ, ENV_PARALLEL, int)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -19,11 +19,12 @@ class OutOfRange(ConfigError):
         self.bound = bound
 
 
-class NonIntegerShape(ConfigError):
+class NonIntegerShape(OutOfRange):
     """Closed-form path-loss statistics require an integer Gamma shape k."""
 
     def __init__(self, k):
-        super().__init__(f"closed-form evaluation requires integer shape k, got {k!r}")
+        super().__init__("absorption.k_shape", k,
+                         "an integer shape, which the closed forms need")
         self.k = k
 
 

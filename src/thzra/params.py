@@ -182,6 +182,7 @@ class ProtocolConfig:
             raise OutOfRange("protocol.n_users", self.n_total, "n_users >= 1")
         if self.trials < 1:
             raise OutOfRange("protocol.trials", self.trials, "trials >= 1")
+        _require_nonneg("protocol.seed", self.seed)
         _require_nonneg("protocol.gamma_qos", self.gamma_qos)
 
 
@@ -223,8 +224,11 @@ def _get(raw: Mapping[str, str], key: str, default=None, required=False):
 
 
 def parse_count(text: str) -> int:
-    """Integer that may be written as a float literal: '5000' or '1e5'."""
-    return int(float(text))
+    """Whole number, possibly written as a float literal: '5000' or '1e5'."""
+    value = float(text)
+    if not value.is_integer():
+        raise ValueError(f"{text!r} is not a whole number")
+    return int(value)
 
 
 def parse_int_list(text: str) -> List[int]:
@@ -236,9 +240,9 @@ def parse_int_list(text: str) -> List[int]:
             continue
         if ":" in tok:
             a, b = tok.split(":", 1)
-            out.extend(range(int(float(a)), int(float(b)) + 1))
+            out.extend(range(parse_count(a), parse_count(b) + 1))
         else:
-            out.append(int(float(tok)))
+            out.append(parse_count(tok))
     return _nonempty(out)
 
 

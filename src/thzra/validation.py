@@ -335,31 +335,16 @@ class BoundRow:
 
 
 def bound_sweep(K_values: Iterable[int]) -> List[BoundRow]:
-    """Exact-vs-bracket table for the delay/energy brackets and the energy gap."""
-    ks = sorted(set(int(k) for k in K_values))
-    if not ks or ks[0] < 2:
-        raise ValueError("bound sweep needs K >= 2")
+    """Exact-vs-bracket rows of analytics.series_table at each K, for every
+    series whose bracket holds there; energy_gap must lie strictly inside."""
     rows: List[BoundRow] = []
-
-    def add(K, metric, rep: analytics.DelayEnergyReport):
-        rows.append(BoundRow(K, metric, rep.exact, rep.lower, rep.upper,
-                             rep.bracketed))
-
-    for K in ks:
-        atp = analytics.delay_report_atp(K)     # ATP energy = ATP delay
-        add(K, "atp_delay", atp)
-        add(K, "atp_energy", atp)
-        if K >= 3:
-            add(K, "ftp_delay", analytics.delay_report_ftp(K))
-            add(K, "ftp_energy", analytics.energy_report_ftp(K))
-            gap = atp.exact - analytics.energy_ftp(K)
-            lo, up = analytics.energy_gap_bounds(K)
-            rows.append(BoundRow(K, "energy_gap", gap, lo, up, lo < gap < up))
+    for K in sorted(set(int(k) for k in K_values)):
+        for metric, (exact, lo, up) in analytics.series_table(K).items():
+            if not math.isnan(lo):
+                inside = (lo < exact < up if metric == "energy_gap"
+                          else lo <= exact <= up)
+                rows.append(BoundRow(K, metric, exact, lo, up, inside))
     return rows
-
-
-def sweep_all_pass(rows: List[BoundRow]) -> bool:
-    return all(r.passed for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +374,12 @@ class AgreementRow:
 
 def exact_delay_energy(scheme: str, K: int) -> Tuple[float, float]:
     """Exact expected slots and unit energy for a scheme at K users."""
-    if scheme == "ftp":
-        return analytics.delay_ftp(K), analytics.energy_ftp(K)
-    if scheme == "atp":
-        d = analytics.delay_atp(K)
-        return d, d
     if scheme == "optimal":
         return float(K), float(K)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme not in ("ftp", "atp"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    table = analytics.series_table(K)
+    return table[f"{scheme}_delay"][0], table[f"{scheme}_energy"][0]
 
 
 def simulator_agreement(exp: Experiment, schemes: Sequence[str],

@@ -284,22 +284,45 @@ def test_diversity_order():
 # delay series
 # ---------------------------------------------------------------------------
 
-def mp_delay_exact(K, p):
+def stage_sums(scheme, K):
+    """The stage law's expected delay sum 1/P_s and energy sum k p / P_s."""
+    k, p, ps = analytics.stage_law(scheme, K)
+    return float(np.sum(1.0 / ps)), float(np.sum(k * p / ps))
+
+
+def mp_delay_exact(scheme, K):
+    """sum over stages of 1/P_s to 50 digits, p = 1/K (FTP) or 1/k (ATP)."""
     with mpmath.workdps(50):
-        return float(sum(1 / (k * p * (1 - p) ** (k - 1))
-                         for k in range(1, K + 1)))
+        total = 0
+        for k in range(1, K + 1):
+            p = mpmath.mpf(1) / (K if scheme == "ftp" else k)
+            total += 1 / (k * p * (1 - p) ** (k - 1))
+        return float(total)
 
 
 def test_delay_exact_hand_values():
-    assert analytics.expected_delay_exact(1, 1.0) == 1.0
-    assert analytics.expected_delay_exact(2, 0.5) == pytest.approx(4.0, rel=1e-14)
-    assert analytics.expected_delay_exact(2, 1.0) == math.inf
+    # K = 1: one lone transmitter; K = 2: two stages of P_s = 1/2 (FTP),
+    # or 1/2 then 1 (ATP)
+    for scheme in ("ftp", "atp"):
+        assert stage_sums(scheme, 1)[0] == 1.0
+        k, p, _ = analytics.stage_law(scheme, 3)
+        assert k.tolist() == [3, 2, 1]
+        assert p.tolist() == ([1 / 3] * 3 if scheme == "ftp" else [1 / 3, 0.5, 1.0])
+    assert stage_sums("ftp", 2)[0] == pytest.approx(4.0, rel=1e-14)
+    assert stage_sums("atp", 2)[0] == pytest.approx(3.0, rel=1e-14)
+    with pytest.raises(DomainError):
+        analytics.stage_law("optimal", 3)
+    with pytest.raises(DomainError):
+        analytics.stage_law("ftp", 0)
 
 
 def test_delay_exact_vs_high_precision():
-    for K, p in [(10, 0.1), (17, 0.3), (40, 1 / 40)]:
-        assert analytics.expected_delay_exact(K, p) == \
-            pytest.approx(mp_delay_exact(K, mpmath.mpf(p)), rel=1e-12)
+    for scheme in ("ftp", "atp"):
+        for K in (10, 17, 40):
+            want = mp_delay_exact(scheme, K)
+            assert stage_sums(scheme, K)[0] == pytest.approx(want, rel=1e-12)
+            closed = analytics.delay_ftp if scheme == "ftp" else analytics.delay_atp
+            assert closed(K) == pytest.approx(want, rel=1e-14)
 
 
 def test_delay_ftp_values():
@@ -311,10 +334,13 @@ def test_delay_ftp_values():
 
 
 def test_delay_ftp_identity_with_exact_series():
+    # the closed forms are the stage law's sum 1/P_s
     for K in range(2, 201):
-        a = analytics.delay_ftp(K)
-        b = analytics.expected_delay_exact(K, 1.0 / K)
-        assert abs(a - b) / b < 1e-12
+        for scheme, closed in (("ftp", analytics.delay_ftp),
+                               ("atp", analytics.delay_atp)):
+            a = closed(K)
+            b = stage_sums(scheme, K)[0]
+            assert abs(a - b) / b < 1e-12
 
 
 def test_delay_atp_values():
@@ -370,50 +396,56 @@ def test_delay_bounds_atp():
 # ---------------------------------------------------------------------------
 
 def test_collisions_given_failure():
-    assert analytics.expected_collisions_given_failure(2, 1.0) == pytest.approx(2.0)
-    assert analytics.expected_collisions_given_failure(1, 0.37) == 0.0
-    assert analytics.expected_collisions_given_failure(3, 1 / 3) == \
-        pytest.approx(1.0 - (2 / 3) ** 2, rel=1e-14)
+    # colliding packets per slot, k p - P_s: none for a lone holder
+    for scheme, K, want in (("atp", 2, [0.5, 0.0]),
+                            ("ftp", 3, [1 - (2 / 3) ** 2, 2 / 3 - 4 / 9, 1 / 3 - 1 / 3])):
+        k, p, ps = analytics.stage_law(scheme, K)
+        assert (k * p - ps) == pytest.approx(want, abs=1e-15)
 
 
 def test_collisions_monte_carlo_oracle():
     # mean colliding-packet count per slot (success slots contribute zero)
+    # at the first FTP stage of K = 3, k = 3 and p = 1/3
     rng = np.random.default_rng(5)
-    k, p = 3, 1 / 3
+    k, p, ps = (v[0] for v in analytics.stage_law("ftp", 3))
     m = rng.binomial(k, p, size=1_000_000)
     sim = np.where(m == 1, 0, m).mean()
-    assert analytics.expected_collisions_given_failure(k, p) == \
-        pytest.approx(sim, rel=0.02)
+    assert k * p - ps == pytest.approx(sim, rel=0.02)
 
 
 def test_attempts_between_successes():
-    assert analytics.expected_attempts_between_successes(1, 1.0) == 1.0
-    assert analytics.expected_attempts_between_successes(2, 0.5) == \
-        pytest.approx(2.0, rel=1e-14)
-    assert analytics.expected_attempts_between_successes(2, 0.0) == math.inf
+    # 1/P_s slots per stage: 1/2 then 1 under ATP at K = 2, and under FTP
+    # at K = 3, 9/4 for each of the two holders' stages
+    assert (1.0 / analytics.stage_law("atp", 2)[2]).tolist() == [2.0, 1.0]
+    assert 1.0 / analytics.stage_law("ftp", 3)[2] == \
+        pytest.approx([9 / 4, 9 / 4, 3.0], rel=1e-14)
 
 
 def test_attempts_monte_carlo_oracle():
+    # the FTP stage with k = 4 of K = 5 (p = 0.2) lasts Geometric(P_s) slots
     rng = np.random.default_rng(6)
-    k, p = 4, 0.2
-    ps = k * p * (1 - p) ** (k - 1)
+    k, p, ps = (v[1] for v in analytics.stage_law("ftp", 5))
+    assert (k, p) == (4, 0.2)
     gaps = rng.geometric(ps, size=500_000)
-    assert analytics.expected_attempts_between_successes(k, p) == \
-        pytest.approx(gaps.mean(), rel=0.02)
+    assert 1.0 / ps == pytest.approx(gaps.mean(), rel=0.02)
 
 
-def test_energy_exact_hand_values():
-    assert analytics.energy_exact(1, 1.0) == 1.0
-    assert analytics.energy_exact(2, 0.5) == pytest.approx(3.0, rel=1e-14)
-    assert analytics.energy_exact(2, 1.0) == math.inf
+def test_energy_sum_hand_values():
+    for scheme in ("ftp", "atp"):
+        assert stage_sums(scheme, 1)[1] == 1.0
+        assert stage_sums(scheme, 2)[1] == pytest.approx(3.0, rel=1e-14)
+    assert stage_sums("ftp", 3)[1] == pytest.approx(1 + 3 / 2 + 9 / 4, rel=1e-14)
 
 
 def test_energy_ftp_values_and_identity():
     assert analytics.energy_ftp(2) == pytest.approx(3.0, rel=1e-12)
     assert analytics.energy_ftp(40) == pytest.approx(68.36926473868415, rel=1e-12)
+    # the closed forms are the stage law's sum k p / P_s; ATP's is its delay
     for K in range(2, 201):
-        series = analytics.energy_ftp(K)
-        assert abs(series - analytics.energy_exact(K, 1.0 / K)) / series < 1e-12
+        for scheme, closed in (("ftp", analytics.energy_ftp),
+                               ("atp", analytics.delay_atp)):
+            series = closed(K)
+            assert abs(series - stage_sums(scheme, K)[1]) / series < 1e-12
 
 
 def test_energy_ftp_vs_high_precision():
@@ -475,17 +507,27 @@ def test_energy_gap():
                                                    rel=1e-14)
 
 
-def test_delay_energy_reports():
-    for K in (3, 10, 40, 500):
-        for rep, ref in [
-                (analytics.delay_report_ftp(K), K * math.log(K)),
-                (analytics.delay_report_atp(K), K * math.e),
-                (analytics.energy_report_ftp(K), (math.e - 1) * K)]:
-            assert rep.bracketed
-            assert rep.lower <= rep.exact <= rep.upper
-            assert rep.scaling_reference == pytest.approx(ref)
-            # the scaling reference is the right order of magnitude
-            assert 0.3 < rep.exact / rep.scaling_reference < 3.0
+def test_series_table_entries():
+    for K in (1, 2, 3, 10, 40, 500):
+        table = analytics.series_table(K)
+        assert list(table)[:4] == list(analytics.SERIES)
+        assert table["ftp_delay"][0] == analytics.delay_ftp(K)
+        assert table["ftp_energy"][0] == analytics.energy_ftp(K)
+        assert table["atp_delay"] == table["atp_energy"]
+        assert table["atp_delay"][0] == analytics.delay_atp(K)
+        # each bracket is NaN exactly below the K it holds from
+        for name, k_from in (("ftp_delay", 3), ("ftp_energy", 3),
+                             ("atp_delay", 2), ("atp_energy", 2)):
+            exact, lo, up = table[name]
+            assert math.isnan(lo) == math.isnan(up) == (K < k_from), (K, name)
+            assert K < k_from or lo <= exact <= up
+        assert ("energy_gap" in table) == (K >= 3)
+    table = analytics.series_table(40)
+    assert table["ftp_delay"][1:] == analytics.delay_bounds_ftp(40)
+    assert table["atp_delay"][1:] == analytics.delay_bounds_atp(40)
+    assert table["ftp_energy"][1:] == analytics.energy_bounds_ftp(40)
+    gap = analytics.delay_atp(40) - analytics.energy_ftp(40)
+    assert table["energy_gap"] == (gap,) + analytics.energy_gap_bounds(40)
 
 
 def test_hoeffding_bound():

@@ -123,6 +123,24 @@ def test_bad_field_exit_2(tmp_path):
      "rho = 4.0\n\n[protocol]\ngamma_qos_db = 10\n", "fading.mu"),
     ("sweep", SWEEP_CFG, "eta = 1.0\nkappa = 0.0\nmu = 1.5",
      "eta = 2\nkappa = 0.0\nmu = 1", "sweep.mu"),
+    # the closed forms of analyze and validate need an integer shape
+    ("analyze", DEFAULT_CFG, "k_shape = 3", "k_shape = 2.5", "absorption.k_shape"),
+    ("validate", DEFAULT_CFG, "k_shape = 3", "k_shape = 2.5",
+     "absorption.k_shape"),
+    ("validate", DEFAULT_CFG, "seed = 1", "seed = -3", "protocol.seed"),
+    ("sweep", SWEEP_CFG, "seed = 7", "seed = -3", "protocol.seed"),
+    # a count is a whole number, never truncated
+    ("simulate", DEFAULT_CFG, "seed = 1", "seed = 1.9", "protocol.seed"),
+    ("simulate", DEFAULT_CFG, "n_users = 2,5,10,20,40", "n_users = 2.5,5",
+     "protocol.n_users"),
+    ("simulate", DEFAULT_CFG, "n_users = 2,5,10,20,40", "n_users = 1:4.5",
+     "protocol.n_users"),
+    ("validate", DEFAULT_CFG, "n_samples = 100000\ntrials = 5000",
+     "n_samples = 100000\ntrials = 10.7", "validation.trials"),
+    ("validate", DEFAULT_CFG, "n_samples = 100000", "n_samples = 100000.5",
+     "validation.n_samples"),
+    ("sweep", SWEEP_CFG, "outage_draws = 2000000", "outage_draws = 2e6\n"
+     "k_users = 2:3.5", "sweep.k_users"),
 ], ids=["gamma_th_db", "n_users-simulate", "n_users-analyze", "scheme",
         "n_samples", "sweep_axis", "outage_draws", "env_parallel",
         "sweep_axis_range", "sweep_metric", "scheme-sweep", "n_users_range",
@@ -134,7 +152,10 @@ def test_bad_field_exit_2(tmp_path):
         "removed-beamwidth", "removed-angle_sigma2", "removed-pressure_unit",
         "removed-p_ext", "removed-q_ext", "removed-admission",
         "removed-rho_sample_scale", "unused_model_key", "fading_mu",
-        "sweep_fading_mu"])
+        "sweep_fading_mu", "k_shape-real-analyze", "k_shape-real-validate",
+        "seed-negative", "seed-negative-sweep", "seed-fraction",
+        "n_users-fraction", "n_users-range-fraction", "validation_trials-fraction",
+        "n_samples-fraction", "sweep_k_users-fraction"])
 def test_malformed_input_exits_2_naming_the_key(tmp_path, monkeypatch, capsys,
                                                 command, base, old, new, key):
     text = base.read_text()
@@ -149,6 +170,19 @@ def test_malformed_input_exits_2_naming_the_key(tmp_path, monkeypatch, capsys,
     assert code == 2
     assert f"'{key}'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()    # rejected before any work
+
+
+def test_real_absorption_shape_runs_under_simulate_and_sweep(tmp_path):
+    # only the closed forms need an integer shape; the samplers take any
+    text = DEFAULT_CFG.read_text().replace("k_shape = 3", "k_shape = 2.5")
+    cfg = write_cfg(tmp_path, "real.cfg", text)
+    assert cli.main(["simulate", "--config", str(cfg), "--trials", "10",
+                     "--out", str(tmp_path / "sim")]) == 0
+    text = SWEEP_CFG.read_text().replace("k_shape = 1", "k_shape = 1.5").replace(
+        "outage_draws = 2000000", "outage_draws = 2000")
+    cfg = write_cfg(tmp_path, "real_sweep.cfg", text)
+    assert cli.main(["sweep", "--config", str(cfg),
+                     "--out", str(tmp_path / "sweep")]) == 0
 
 
 def test_energy_model_key_still_loads(tmp_path):
@@ -636,6 +670,27 @@ def test_sweep_counts_failed_cells(tmp_path, monkeypatch, parallel):
     assert manifest["counters"] == sweep_counters(1, 3, 0, 2000)
 
 
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_sweep_directory_at_a_cell_path_fails_that_cell(tmp_path, parallel):
+    # a directory where a cell file belongs is no finished cell: the cell
+    # is attempted and fails, the others run, and the manifest says so
+    text = SWEEP_CFG.read_text().replace(
+        "outage_draws = 2000000", "outage_draws = 2000")
+    cfg = write_cfg(tmp_path, "p.cfg", text)
+    out = tmp_path / "out"
+    blocked = out / "sweep" / "cell_mu=1.5_rho=2.0.csv"
+    blocked.mkdir(parents=True)
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--parallel", parallel]) == 1
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["partial_run"] is True
+    assert manifest["counters"] == sweep_counters(3, 0, 1, 2000)
+    assert os.path.relpath(blocked, out) not in manifest["outputs"]
+    assert len(manifest["outputs"]) == 3
+    assert blocked.is_dir()
+    assert not list((out / "sweep").glob("*.tmp"))
+
+
 def test_validate_counts_outage_draws(tmp_path):
     # no_fading_outage draws validation.outage_draws per grid point
     cfg = write_cfg(tmp_path, "fast.cfg", fast_validate_text())
@@ -673,6 +728,15 @@ def test_int_list_parsing():
     assert params.parse_int_list("2,5,10") == [2, 5, 10]
     assert params.parse_int_list("1:4") == [1, 2, 3, 4]
     assert params.parse_int_list("1:3,7") == [1, 2, 3, 7]
+    assert params.parse_int_list("1e1,2.0:3") == [10, 2, 3]
+    assert params.parse_count("1e5") == 100000
+    for bad in ("10.7", "2.5", "1e-1", "inf", "nan"):
+        with pytest.raises((ValueError, OverflowError)):
+            params.parse_count(bad)
+        with pytest.raises((ValueError, OverflowError)):
+            params.parse_int_list(f"2,{bad}")
+        with pytest.raises((ValueError, OverflowError)):
+            params.parse_int_list(f"1:{bad}")
 
 
 def test_sweep_cluster_count_outage_ratio(tmp_path):

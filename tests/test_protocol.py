@@ -205,18 +205,11 @@ def test_block_admission_counts_are_binomial():
 # block kernel against the exact stage law
 # ---------------------------------------------------------------------------
 
-def stages(scheme, K):
-    """(holders k, probability p, Binomial(k, p) pmf of the transmitter
-    count) for each stage of a K-user frame, k = K down to 1."""
-    for k in range(K, 0, -1):
-        p = 1.0 / K if scheme == "ftp" else 1.0 / k
-        yield k, p, sstats.binom.pmf(np.arange(k + 1), k, p)
-
-
 def frame_law(scheme, K, n_max):
     """Exact PMFs on 0..n_max of a frame's slots and transmissions.
 
-    A stage ends at its first lone transmitter, P_s = P(1): its slots are
+    A stage of analytics.stage_law ends at its first lone transmitter,
+    P_s = P(1) of the Binomial(k, p) transmitter count P: its slots are
     Geometric(P_s), and its transmissions T obey
     a(n) = [P_s [n = 1] + sum_{m>=2} P(m) a(n - m)] / (1 - P(0)).
     A frame's totals are the convolutions over its stages, exact below
@@ -225,8 +218,9 @@ def frame_law(scheme, K, n_max):
     slots = np.zeros(n_max + 1)
     txs = np.zeros(n_max + 1)
     slots[0] = txs[0] = 1.0
-    for k, _, pm in stages(scheme, K):
-        ps = pm[1]
+    for k, p, ps in zip(*analytics.stage_law(scheme, K)):
+        pm = sstats.binom.pmf(np.arange(k + 1), k, p)
+        assert pm[1] == pytest.approx(ps, rel=1e-13)
         geometric = np.r_[0.0, ps * (1.0 - ps) ** np.arange(n_max)]
         slots = np.convolve(slots, geometric)[:n_max + 1]
         q = pm / (1.0 - pm[0])
@@ -268,10 +262,8 @@ def test_kernel_matches_stage_law(scheme, K):
     n_frames = 4000
     slots, txs, waits = protocol.contend(scheme, np.full(n_frames, K),
                                          rng(1000 + K))
-    law = list(stages(scheme, K))
-    attempts = [analytics.expected_attempts_between_successes(k, p)
-                for k, p, _ in law]
-    d_var = sum((a - 1.0) * a for a in attempts)    # (1 - P_s) / P_s^2
+    k, p, ps = analytics.stage_law(scheme, K)
+    d_var = np.sum((1.0 - ps) / ps ** 2)
     d_exact, e_exact = validation.exact_delay_energy(scheme, K)
     n_max = int(d_exact + 60.0 * math.sqrt(d_var))
     slots_pmf, txs_pmf = frame_law(scheme, K, n_max)
@@ -283,10 +275,10 @@ def test_kernel_matches_stage_law(scheme, K):
     assert n @ txs_pmf == pytest.approx(e_exact, rel=1e-12)
     for name, sample, pmf in (("slots", slots, slots_pmf),
                               ("transmissions", txs, txs_pmf)):
-        p = chi2_pvalue(sample, pmf)
-        assert p > 1e-4, f"{scheme} K={K} {name}: p = {p:.2e}"
+        pval = chi2_pvalue(sample, pmf)
+        assert pval > 1e-4, f"{scheme} K={K} {name}: p = {pval:.2e}"
     # waiting: by Wald's identity each stage adds (k - k p) / P_s
-    w_exact = sum((k - k * p) * a for (k, p, _), a in zip(law, attempts))
+    w_exact = np.sum((k - k * p) / ps)
     se = waits.std(ddof=1) / math.sqrt(n_frames)
     assert abs(waits.mean() - w_exact) <= validation.bonferroni_z(6) * se
 
@@ -324,11 +316,9 @@ def test_batch_realistic_energy_matches_stage_law(scheme):
         exp = make_experiment(scheme=scheme, n_total=K, trials=4000,
                               seed=30 + K, energy=EnergyModel(**CUSTOM))
         stats, _ = protocol.run_batch(exp)
-        exact = CUSTOM["e_ack_uj"] * K
-        for k, p, _ in stages(scheme, K):
-            attempts = analytics.expected_attempts_between_successes(k, p)
-            exact += (CUSTOM["e_tx_uj"] * k * p
-                      + CUSTOM["e_idle_uj"] * (k - k * p)) * attempts
+        k, p, ps = analytics.stage_law(scheme, K)
+        exact = CUSTOM["e_ack_uj"] * K + np.sum(
+            (CUSTOM["e_tx_uj"] * k * p + CUSTOM["e_idle_uj"] * (k - k * p)) / ps)
         assert stats.mean_k_admitted == K
         assert abs(stats.mean_energy_uj - exact) <= z * stats.se_energy_uj, \
             (scheme, K, stats.mean_energy_uj, exact)

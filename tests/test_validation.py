@@ -443,10 +443,24 @@ def test_slope_fit_insufficient_tail():
 
 def test_bound_sweep_spot_values_pass():
     rows = validation.bound_sweep([3, 10, 40, 100, 1000, 10_000])
-    assert validation.sweep_all_pass(rows)
+    assert all(r.passed for r in rows)
     metrics = {r.metric for r in rows}
     assert metrics == {"atp_delay", "atp_energy", "ftp_delay", "ftp_energy",
                        "energy_gap"}
+
+
+def test_bound_sweep_rows_are_the_table_entries(monkeypatch):
+    # one row per finite bracket of the table: none at K = 1, ATP's only
+    # at K = 2, all five from K = 3
+    rows = validation.bound_sweep([40, 1, 3, 2, 3])
+    assert [r.K for r in rows] == [2, 2] + [3] * 5 + [40] * 5
+    for r in rows:
+        assert (r.exact, r.lower, r.upper) == \
+            analytics.series_table(r.K)[r.metric]
+    # energy_gap must lie strictly inside its bracket, the rest may touch
+    table = {"ftp_delay": (2.0, 2.0, 2.0), "energy_gap": (2.0, 2.0, 3.0)}
+    monkeypatch.setattr(analytics, "series_table", lambda K: table)
+    assert [r.passed for r in validation.bound_sweep([5])] == [True, False]
 
 
 def test_atp_bound_slack_vanishes():
