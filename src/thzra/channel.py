@@ -16,29 +16,23 @@ and alpha_mu_cdf_log are the CDFs misalignment_cdf and alpha_mu_cdf call.
 from __future__ import annotations
 
 import math
-from importlib import resources
 from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, OutOfRange, ProfileMissing, UnsupportedParams
+from .errors import DomainError, UnsupportedParams
 from .params import (DB_PER_NEPER, DeterministicAbsorption, Experiment,
                      FadingParams, GammaAbsorption, ThzLinkParams)
 
 ArrayLike = Union[float, np.ndarray]
 
-BUCK_T_MIN_K = 200.0
-BUCK_T_MAX_K = 350.0
-
 
 def buck_saturation_pressure(temperature_k: float, pressure_hpa: float) -> float:
     """Saturated water-vapor partial pressure (hPa) by Buck's equation.
 
-    Valid over 200 K < T < 350 K; strictly increasing in temperature.
+    Valid over 200 K < T < 350 K, the range ThzLinkParams admits; strictly
+    increasing in temperature.
     """
-    if not (BUCK_T_MIN_K < temperature_k < BUCK_T_MAX_K):
-        raise OutOfRange("link.temperature_k", temperature_k,
-                         f"{BUCK_T_MIN_K} K < T < {BUCK_T_MAX_K} K")
     t_c = temperature_k - 273.15
     enhancement = 1.0007 + 3.46e-6 * pressure_hpa
     return 6.1121 * enhancement * math.exp(17.502 * t_c / (240.97 + t_c))
@@ -51,53 +45,20 @@ def water_vapor_mixing_ratio(link: ThzLinkParams) -> float:
 
 
 def absorption_deterministic(link: ThzLinkParams,
-                             profile: DeterministicAbsorption) -> float:
-    """Molecular absorption coefficient zeta in 1/m from a coefficient profile.
+                             model: DeterministicAbsorption) -> float:
+    """Molecular absorption coefficient zeta in 1/m of a deterministic model.
 
     Two water-vapor resonance terms plus a cubic polynomial tail; the
     resonance positions p1, p2 are wavenumbers in 1/cm and f/(100 c)
     converts Hz to the same unit.
     """
-    if profile is None:
-        raise ProfileMissing("deterministic absorption requires a profile")
+    m = model
     v = water_vapor_mixing_ratio(link)
-    q = profile.q
     wn = link.f_hz / (100.0 * 299_792_458.0)
-    y1 = q[0] * v * (q[1] * v + q[2]) / ((q[3] * v + q[4]) ** 2 + (wn - profile.p1) ** 2)
-    y2 = q[5] * v * (q[6] * v + q[7]) / ((q[8] * v + q[9]) ** 2 + (wn - profile.p2) ** 2)
+    y1 = m.q1 * v * (m.q2 * v + m.q3) / ((m.q4 * v + m.q5) ** 2 + (wn - m.p1) ** 2)
+    y2 = m.q6 * v * (m.q7 * v + m.q8) / ((m.q9 * v + m.q10) ** 2 + (wn - m.p2) ** 2)
     f = link.f_hz
-    c1, c2, c3, c4 = profile.c
-    return y1 + y2 + c1 * f ** 3 + c2 * f ** 2 + c3 * f + c4
-
-
-def load_absorption_profile(path=None) -> DeterministicAbsorption:
-    """Parse a flat key=value coefficient profile (shipped default if no path)."""
-    if path is None:
-        ref = resources.files("thzra").joinpath("data/absorption_default.profile")
-        try:
-            text = ref.read_text()
-        except FileNotFoundError as exc:
-            raise ProfileMissing("packaged default profile not found") from exc
-    else:
-        try:
-            with open(path) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ProfileMissing(f"cannot read absorption profile {path!r}") from exc
-    vals = {}
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, val = line.partition("=")
-        vals[key.strip()] = float(val)
-    try:
-        return DeterministicAbsorption(
-            q=tuple(vals[f"q{i}"] for i in range(1, 11)),
-            p1=vals["p1"], p2=vals["p2"],
-            c=tuple(vals[f"c{i}"] for i in range(1, 5)))
-    except KeyError as exc:
-        raise ProfileMissing(f"profile key missing: {exc}") from exc
+    return y1 + y2 + m.c1 * f ** 3 + m.c2 * f ** 2 + m.c3 * f + m.c4
 
 
 def zeta_db_per_km_from_natural(zeta_per_m: float) -> float:

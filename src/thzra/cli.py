@@ -24,8 +24,8 @@ from typing import Dict, List, Optional, Sequence
 
 from . import __version__, analytics, channel, protocol, validation
 from .errors import ConfigError
-from .params import (Experiment, GammaAbsorption, ProtocolConfig, RunConfig,
-                     apply_cell, read_value, run_config)
+from .params import (SWEEP_AXES, Experiment, GammaAbsorption, ProtocolConfig,
+                     RunConfig, apply_cell, read_value, run_config)
 from .params import validate_config  # noqa: F401  (re-exported)
 
 ENV_PARALLEL = "THZRA_MAX_PARALLEL"
@@ -416,8 +416,6 @@ def _is_current_cell(path: Path, schema: str) -> bool:
 def cmd_sweep(cfg: RunConfig, out_dir: Path, manifest: Manifest,
               parallel: int) -> int:
     axes = cfg.sweep_axes
-    if not axes:
-        raise ConfigError("sweep requires at least one [sweep] axis")
     names = sorted(axes)
     for name in ("cells_done", "cells_skipped", "cells_failed", "outage_draws"):
         manifest.count(name, 0)
@@ -471,10 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
             ("sweep", "cartesian parameter sweep with resumable cells")]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="INI config path")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override protocol.seed")
+        p.add_argument("--seed", default=None, help="override protocol.seed")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--trials", type=int, default=None,
+        p.add_argument("--trials", default=None,
                        help="override protocol.trials")
         p.add_argument("--parallel", type=int, default=1,
                        help="worker processes for sweep cells")
@@ -488,13 +485,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         raw = read_config(args.config)
         if args.seed is not None:
-            raw["protocol.seed"] = str(args.seed)
+            raw["protocol.seed"] = args.seed
         if args.trials is not None:
-            raw["protocol.trials"] = str(args.trials)
+            raw["protocol.trials"] = args.trials
         cfg = run_config(raw)
         if (args.command in ("analyze", "validate")
                 and isinstance(cfg.exp.absorption, GammaAbsorption)):
             cfg.exp.absorption.integer_shape()    # the closed forms need it
+        if args.command == "sweep" and not cfg.sweep_axes:
+            raise ConfigError("config section 'sweep' sets no axis: give one "
+                              f"of {', '.join(SWEEP_AXES)}")
         cap = read_value(os.environ, ENV_PARALLEL, int)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -19,19 +19,6 @@ class OutOfRange(ConfigError):
         self.bound = bound
 
 
-class NonIntegerShape(OutOfRange):
-    """Closed-form path-loss statistics require an integer Gamma shape k."""
-
-    def __init__(self, k):
-        super().__init__("absorption.k_shape", k,
-                         "an integer shape, which the closed forms need")
-        self.k = k
-
-
-class ProfileMissing(ConfigError):
-    """Deterministic absorption requested but no coefficient profile available."""
-
-
 class DomainError(ValueError):
     """Argument outside the mathematical support of a density/CDF."""
 

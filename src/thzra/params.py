@@ -11,12 +11,14 @@ import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import List, Mapping
 
-from .errors import ConfigError, MissingField, NonIntegerShape, OutOfRange
+from .errors import ConfigError, MissingField, OutOfRange
 
 C_LIGHT = 299_792_458.0          # m/s
 HPA_PER_ATM = 1013.25
 DB_PER_NEPER = 8.686             # 2 * 4.343, power-dB per amplitude-neper
 K_IMPAIRMENT_MAX = 0.4           # typical transceiver impairment ceiling
+BUCK_T_MIN_K = 200.0             # validity range of Buck's equation
+BUCK_T_MAX_K = 350.0
 
 
 @dataclass(frozen=True)
@@ -42,8 +44,11 @@ class ThzLinkParams:
         _require_range("link.k_t", self.k_t, 0.0, K_IMPAIRMENT_MAX)
         _require_range("link.k_r", self.k_r, 0.0, K_IMPAIRMENT_MAX)
         _require_range("link.humidity_pct", self.humidity_pct, 0.0, 100.0)
-        _require_nonneg("link.avg_snr", self.avg_snr)
+        _require_pos("link.avg_snr", self.avg_snr)
         _require_pos("link.pressure", self.pressure_hpa)
+        if not (BUCK_T_MIN_K < self.temperature_k < BUCK_T_MAX_K):
+            raise OutOfRange("link.temperature_k", self.temperature_k,
+                             f"{BUCK_T_MIN_K} K < T < {BUCK_T_MAX_K} K")
 
     @property
     def k_h(self) -> float:
@@ -86,24 +91,44 @@ class GammaAbsorption:
         """Shape as int, rejecting non-integer k (closed-form paths only)."""
         k_int = round(self.k)
         if abs(self.k - k_int) > 1e-12 or k_int < 1:
-            raise NonIntegerShape(self.k)
+            raise OutOfRange("absorption.k_shape", self.k,
+                             "an integer shape, which the closed forms need")
         return int(k_int)
 
 
 @dataclass(frozen=True)
 class DeterministicAbsorption:
-    """Fixed coefficient profile for the two-resonance + cubic-tail model."""
+    """Two water-vapor resonances plus a cubic tail in f; the defaults are a
+    simplified 275-400 GHz profile, configuration rather than ground truth.
 
-    q: tuple                     # q1..q10
-    p1: float                    # resonance wavenumber, 1/cm
-    p2: float
-    c: tuple                     # c1..c4 polynomial tail, powers of f descending
+    p1, p2 are resonance wavenumbers in 1/cm; q1..q10 shape the resonance
+    terms in the mixing ratio v; c1..c4 are the tail's coefficients of
+    f^3..f^0 with f in Hz.  The coefficient it yields is in 1/m.
+    """
+
+    q1: float = 0.2205
+    q2: float = 0.1303
+    q3: float = 0.0294
+    q4: float = 0.4093
+    q5: float = 0.0925
+    q6: float = 2.014
+    q7: float = 0.1702
+    q8: float = 0.0303
+    q9: float = 0.537
+    q10: float = 0.0956
+    p1: float = 10.835
+    p2: float = 12.664
+    c1: float = 5.54e-37
+    c2: float = -3.94e-25
+    c3: float = 9.06e-14
+    c4: float = -6.36e-3
 
     def __post_init__(self):
-        if len(self.q) != 10:
-            raise OutOfRange("absorption.profile", len(self.q), "10 q-coefficients")
-        if len(self.c) != 4:
-            raise OutOfRange("absorption.profile", len(self.c), "4 c-coefficients")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise OutOfRange(f"absorption.{f.name}", value,
+                                 "a finite coefficient")
 
 
 @dataclass(frozen=True)
@@ -329,14 +354,8 @@ def _experiment(raw: Mapping[str, str], scheme: str, n_total: int) -> Experiment
         _require_pos("absorption.kbeta_db_per_km", kbeta)
         absorption = GammaAbsorption(k=k_shape, beta=kbeta / k_shape)
     elif model == "deterministic":
-        q = tuple(_get_float(raw, f"absorption.q{i}", required=True)
-                  for i in range(1, 11))
-        c = tuple(_get_float(raw, f"absorption.c{i}", required=True)
-                  for i in range(1, 5))
         absorption = DeterministicAbsorption(
-            q=q, c=c,
-            p1=_get_float(raw, "absorption.p1", required=True),
-            p2=_get_float(raw, "absorption.p2", required=True))
+            **_float_fields(raw, "absorption", DeterministicAbsorption))
     else:
         raise OutOfRange("absorption.model", model, "gamma | deterministic")
 
@@ -462,13 +481,10 @@ def run_config(raw: Mapping[str, str]) -> RunConfig:
     def users(key, k):
         exp.with_protocol(n_total=k)
 
-    def axis(key, v):
+    def cell(key, v):           # a sweep axis value or a gamma_bar_db entry
         apply_cell(exp, {key.split(".", 1)[1]: v})
 
-    def gamma_bar(key, db):     # an average SNR in dB: NaN and -inf fail
-        _require_pos("gamma_bar", _db_to_linear(db))
-
-    axes = {name: read(f"sweep.{name}", parse, None, axis)
+    axes = {name: read(f"sweep.{name}", parse, None, cell)
             for name, parse in SWEEP_AXES.items()}
     cfg = RunConfig(
         exp=exp,
@@ -479,7 +495,7 @@ def run_config(raw: Mapping[str, str]) -> RunConfig:
                        n_users or [2, 5, 10, 20, 40], users),
         outage_grid_db=read("outage.gamma_bar_db", parse_float_list,
                             [25.0, 27.0, 29.0, 31.0, 33.0, 35.0, 37.0, 39.0,
-                             41.0, 43.0], gamma_bar),
+                             41.0, 43.0], cell),
         gamma_th=_db_to_linear(read(
             "outage.gamma_th_db", float, 5.0,
             lambda key, db: _require_nonneg("outage.gamma_th", _db_to_linear(db)))),
@@ -491,7 +507,7 @@ def run_config(raw: Mapping[str, str]) -> RunConfig:
         val_k_users=read("validation.k_users", parse_int_list,
                          [2, 5, 10, 20, 40], users),
         val_grid_db=read("validation.gamma_bar_db", parse_float_list,
-                         [25.0, 29.0, 33.0, 37.0, 41.0], gamma_bar),
+                         [25.0, 29.0, 33.0, 37.0, 41.0], cell),
         val_outage_draws=read("validation.outage_draws", parse_count, 200000,
                               _require_pos),
         sweep_axes={name: v for name, v in axes.items() if v is not None},

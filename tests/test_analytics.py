@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate
 
 from thzra import analytics, channel
-from thzra.errors import DomainError, NonIntegerShape
+from thzra.errors import DomainError, OutOfRange
 from thzra.params import GammaAbsorption, ThzLinkParams
 
 EULER = analytics.EULER_GAMMA
@@ -228,7 +228,7 @@ def test_non_integer_shape_rejected_by_closed_form():
     link = make_link()
     model = GammaAbsorption(k=2.5, beta=10.0)
     q = analytics.OutageQuery(gamma_th=1.0, gamma_bar=link.avg_snr, k_h=link.k_h)
-    with pytest.raises(NonIntegerShape):
+    with pytest.raises(OutOfRange, match="absorption.k_shape"):
         analytics.cdf_snr_no_fading(q, model, 4.0, link)
 
 

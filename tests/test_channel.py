@@ -9,9 +9,9 @@ from scipy import integrate
 from scipy import stats as sstats
 
 from thzra import channel
-from thzra.errors import DomainError, OutOfRange, ProfileMissing, UnsupportedParams
-from thzra.params import (FadingParams, GammaAbsorption, MisalignmentParams,
-                          ThzLinkParams)
+from thzra.errors import DomainError, OutOfRange, UnsupportedParams
+from thzra.params import (DeterministicAbsorption, FadingParams, GammaAbsorption,
+                          MisalignmentParams, ThzLinkParams)
 
 RNG = lambda s: np.random.default_rng(s)
 
@@ -43,26 +43,18 @@ def test_buck_monotone_in_temperature():
     assert all(v > 0 for v in vals)
 
 
-def test_buck_rejects_unphysical_temperature():
-    with pytest.raises(OutOfRange):
-        channel.buck_saturation_pressure(100.0, 1013.25)
-    with pytest.raises(OutOfRange):
-        channel.buck_saturation_pressure(400.0, 1013.25)
-
-
 # ---------------------------------------------------------------------------
 # deterministic absorption
 # ---------------------------------------------------------------------------
 
 def test_zero_humidity_and_zero_tail_kills_everything():
-    prof = channel.load_absorption_profile()
-    prof = type(prof)(q=prof.q, p1=prof.p1, p2=prof.p2, c=(0.0, 0.0, 0.0, 0.0))
+    prof = DeterministicAbsorption(c1=0.0, c2=0.0, c3=0.0, c4=0.0)
     link = make_link(humidity_pct=0.0)
     assert channel.absorption_deterministic(link, prof) == 0.0
 
 
 def test_absorption_continuous_in_humidity():
-    prof = channel.load_absorption_profile()
+    prof = DeterministicAbsorption()
     vals = [channel.absorption_deterministic(make_link(humidity_pct=h), prof)
             for h in np.linspace(0.0, 100.0, 201)]
     diffs = np.abs(np.diff(vals))
@@ -84,17 +76,10 @@ def test_absorption_pinned_against_independent_chain():
     tail = (5.54e-37 * 300e9 ** 3 - 3.94e-25 * 300e9 ** 2
             + 9.06e-14 * 300e9 - 6.36e-3)
     expected = y1 + y2 + tail
-    prof = channel.load_absorption_profile()
+    prof = DeterministicAbsorption()
     got = channel.absorption_deterministic(link, prof)
     assert got == pytest.approx(expected, rel=1e-12)
     assert got == pytest.approx(5.8268e-4, rel=1e-3)
-
-
-def test_profile_missing():
-    with pytest.raises(ProfileMissing):
-        channel.load_absorption_profile("/nonexistent/file.profile")
-    with pytest.raises(ProfileMissing):
-        channel.absorption_deterministic(make_link(), None)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +438,7 @@ def test_composition_associativity():
 
 
 def test_deterministic_absorption_channel_draw():
-    prof = channel.load_absorption_profile()
+    prof = DeterministicAbsorption()
     exp = make_experiment(absorption=prof)
     zeta = channel.absorption_deterministic(exp.link, prof)
     h_l = exp.link.a_l * math.exp(-0.5 * zeta * exp.link.d_m)

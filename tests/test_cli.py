@@ -21,6 +21,21 @@ def write_cfg(tmp_path, name, text):
     return p
 
 
+# the deterministic absorption coefficients as the package ships them
+SHIPPED_COEFFICIENTS = (
+    "q1 = 0.2205\nq2 = 0.1303\nq3 = 0.0294\nq4 = 0.4093\nq5 = 0.0925\n"
+    "q6 = 2.014\nq7 = 0.1702\nq8 = 0.0303\nq9 = 0.537\nq10 = 0.0956\n"
+    "p1 = 10.835\np2 = 12.664\n"
+    "c1 = 5.54e-37\nc2 = -3.94e-25\nc3 = 9.06e-14\nc4 = -6.36e-3\n")
+
+
+def deterministic_text(coefficients=""):
+    """default.cfg with deterministic absorption and the given keys."""
+    text = DEFAULT_CFG.read_text()
+    gamma = text[text.index("model = gamma"):text.index("[fading]")]
+    return text.replace(gamma, f"model = deterministic\n{coefficients}\n")
+
+
 def read_rows(path):
     lines = Path(path).read_text().splitlines()
     assert lines[0].startswith("#schema: ")
@@ -141,6 +156,22 @@ def test_bad_field_exit_2(tmp_path):
      "validation.n_samples"),
     ("sweep", SWEEP_CFG, "outage_draws = 2000000", "outage_draws = 2e6\n"
      "k_users = 2:3.5", "sweep.k_users"),
+    # checked with the config, not when a run first reads the value
+    ("simulate", deterministic_text, "model = deterministic",
+     "model = deterministic\nq1 = nan", "absorption.q1"),
+    ("simulate", DEFAULT_CFG, "temperature_k = 296.0", "temperature_k = 100",
+     "link.temperature_k"),
+    ("sweep", SWEEP_CFG, "temperature_k = 296.0", "temperature_k = 100",
+     "link.temperature_k"),
+    # an average SNR of -inf dB is zero, which no link has
+    ("simulate", DEFAULT_CFG, "avg_snr_db = 45", "avg_snr_db = -inf",
+     "link.avg_snr"),
+    ("sweep", SWEEP_CFG, "mu = 1.5,2.5", "mu = 1.5,2.5\ngamma_bar_db = -inf,40",
+     "sweep.gamma_bar_db"),
+    # a flag takes the spelling of the key it overrides
+    ("simulate", DEFAULT_CFG, "--trials", "2.5", "protocol.trials"),
+    ("simulate", DEFAULT_CFG, "--seed", "1.5", "protocol.seed"),
+    ("sweep", SWEEP_CFG, "rho = 2,4.1\nmu = 1.5,2.5\n", "", "sweep"),
 ], ids=["gamma_th_db", "n_users-simulate", "n_users-analyze", "scheme",
         "n_samples", "sweep_axis", "outage_draws", "env_parallel",
         "sweep_axis_range", "sweep_metric", "scheme-sweep", "n_users_range",
@@ -155,21 +186,69 @@ def test_bad_field_exit_2(tmp_path):
         "sweep_fading_mu", "k_shape-real-analyze", "k_shape-real-validate",
         "seed-negative", "seed-negative-sweep", "seed-fraction",
         "n_users-fraction", "n_users-range-fraction", "validation_trials-fraction",
-        "n_samples-fraction", "sweep_k_users-fraction"])
+        "n_samples-fraction", "sweep_k_users-fraction", "q1-nan",
+        "temperature-simulate", "temperature-sweep", "avg_snr_db-minus_inf",
+        "sweep_gamma_bar-minus_inf", "trials_flag-fraction",
+        "seed_flag-fraction", "sweep_without_axis"])
 def test_malformed_input_exits_2_naming_the_key(tmp_path, monkeypatch, capsys,
                                                 command, base, old, new, key):
-    text = base.read_text()
+    text = base() if callable(base) else base.read_text()
+    flags = ["--trials", "10"]
     if old is None:                 # the environment variable, not the file
         monkeypatch.setenv(cli.ENV_PARALLEL, new)
+    elif old.startswith("--"):      # a flag, not the file
+        flags = [old, new]
     else:
         assert old in text
         text = text.replace(old, new)
     cfg = write_cfg(tmp_path, "bad.cfg", text)
-    code = cli.main([command, "--config", str(cfg), "--trials", "10",
+    code = cli.main([command, "--config", str(cfg), *flags,
                      "--out", str(tmp_path / "o")])
     assert code == 2
     assert f"'{key}'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()    # rejected before any work
+
+
+def test_flags_take_the_key_spelling(tmp_path):
+    # 1e2 is a whole number as a flag, as it is under protocol.trials
+    text = DEFAULT_CFG.read_text().replace("n_users = 2,5,10,20,40", "n_users = 2")
+    cfg = write_cfg(tmp_path, "small.cfg", text)
+    for name, trials, seed in [("a", "1e2", "7e0"), ("b", "100", "7")]:
+        assert cli.main(["simulate", "--config", str(cfg), "--trials", trials,
+                         "--seed", seed, "--out", str(tmp_path / name)]) == 0
+    agg = [(tmp_path / name / "simulate_aggregate.csv").read_bytes()
+           for name in "ab"]
+    assert agg[0] == agg[1]
+    _, header, rows = read_rows(tmp_path / "a" / "simulate_aggregate.csv")
+    assert {r[header.index("n_trials")] for r in rows} == {"100"}
+
+
+def test_deterministic_absorption_defaults_to_the_shipped_coefficients(tmp_path):
+    # no coefficient key reads the same model as the 16 shipped values
+    sweep = ("\n[sweep]\nrho = 2,4\ngamma_bar_db = 30\n"
+             "metrics = protocol,outage\noutage_draws = 2000\n")
+    small = {"n_users = 2,5,10,20,40": "n_users = 2,5",
+             "n_samples = 100000": "n_samples = 1000",
+             "k_users = 2,5,10,20,40": "k_users = 2"}
+    outs = []
+    for name, coefficients in [("listed", SHIPPED_COEFFICIENTS), ("default", "")]:
+        text = deterministic_text(coefficients) + sweep
+        for old, new in small.items():
+            text = text.replace(old, new)
+        cfg = write_cfg(tmp_path, f"{name}.cfg", text)
+        files = {}
+        for command in ("simulate", "validate", "sweep"):
+            out = tmp_path / name / command
+            assert cli.main([command, "--config", str(cfg), "--trials", "50",
+                             "--out", str(out)]) in (0, 1)
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            files[command, "digest"] = manifest["config_digest"]
+            for path in sorted(out.rglob("*")):
+                if path.is_file() and path.name != "run_manifest.json":
+                    files[path.relative_to(out)] = path.read_bytes()
+        outs.append(files)
+    assert len(outs[0]) == 3 + 1 + 1 + 2     # digests, CSV, report, cells
+    assert outs[0] == outs[1]
 
 
 def test_real_absorption_shape_runs_under_simulate_and_sweep(tmp_path):

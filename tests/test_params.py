@@ -4,10 +4,10 @@ import math
 import pytest
 
 from thzra import cli
-from thzra.errors import MissingField, NonIntegerShape, OutOfRange
-from thzra.params import (EnergyModel, FadingParams, GammaAbsorption,
-                          MisalignmentParams, ProtocolConfig, ThzLinkParams,
-                          run_config, validate_config)
+from thzra.errors import MissingField, OutOfRange
+from thzra.params import (DeterministicAbsorption, EnergyModel, FadingParams,
+                          GammaAbsorption, MisalignmentParams, ProtocolConfig,
+                          ThzLinkParams, run_config, validate_config)
 
 BASE = {
     "link.f_hz": "300e9",
@@ -43,6 +43,14 @@ def test_impairment_out_of_range():
         make_link(k_r=-0.01)
 
 
+def test_buck_rejects_unphysical_temperature():
+    # Buck's saturation-pressure equation holds over 200 K < T < 350 K only
+    for t in (100.0, 200.0, 350.0, 400.0, math.nan):
+        with pytest.raises(OutOfRange, match="link.temperature_k"):
+            make_link(temperature_k=t)
+    assert make_link(temperature_k=200.5).temperature_k == 200.5
+
+
 def test_z_derivation():
     model = GammaAbsorption(k=2, beta=1)
     link = make_link(d_m=1000.0)
@@ -50,7 +58,7 @@ def test_z_derivation():
 
 
 def test_non_integer_shape_rejected():
-    with pytest.raises(NonIntegerShape):
+    with pytest.raises(OutOfRange, match="absorption.k_shape"):
         GammaAbsorption(k=2.5, beta=1).integer_shape()
     assert GammaAbsorption(k=3.0, beta=1).integer_shape() == 3
 
@@ -169,5 +177,7 @@ def test_deterministic_absorption_config():
                 "absorption.c1": "5.54e-37", "absorption.c2": "-3.94e-25",
                 "absorption.c3": "9.06e-14", "absorption.c4": "-6.36e-3"})
     exp = validate_config(raw)
+    assert exp.absorption == DeterministicAbsorption()   # the shipped values
     assert exp.absorption.p1 == 10.835
-    assert len(exp.absorption.q) == 10
+    raw["absorption.q10"] = "0.2"
+    assert validate_config(raw).absorption.q10 == 0.2

@@ -12,8 +12,9 @@ from scipy import special, stats
 
 from thzra import analytics, channel, cli, params, streams, validation
 from thzra.errors import EmptySample, InsufficientTail
-from thzra.params import (Experiment, FadingParams, GammaAbsorption,
-                          MisalignmentParams, ProtocolConfig, ThzLinkParams)
+from thzra.params import (DeterministicAbsorption, Experiment, FadingParams,
+                          GammaAbsorption, MisalignmentParams, ProtocolConfig,
+                          ThzLinkParams)
 
 SWEEP_CFG = Path(__file__).resolve().parents[1] / "configs" / "sweep_outage.cfg"
 
@@ -168,7 +169,7 @@ def test_outage_mc_matches_crude_count(fading, conditioned, k_t, absorption):
         link=replace(make_experiment().link, k_t=k_t, k_r=k_t),
         fading=fading,
         absorption=GammaAbsorption(k=3, beta=10.0) if absorption == "gamma"
-        else channel.load_absorption_profile())
+        else DeterministicAbsorption())
     grid = [25.0, 33.0, 41.0]
     mc = validation.outage_mc(exp, 10 ** 0.5, grid, 100_000, seed=1)
     count = validation.outage_count(exp, 10 ** 0.5, grid, 100_000, seed=2)
@@ -183,7 +184,7 @@ def test_outage_mc_exact_where_the_score_is_constant():
     # deterministic absorption with fading off: every draw scores the same
     # misalignment CDF value, so the estimate is exact, se is 0.0 and vrf
     # is inf, not the rounding residue of a sum-of-squares variance
-    exp = make_experiment(absorption=channel.load_absorption_profile())
+    exp = make_experiment(absorption=DeterministicAbsorption())
     grid = [25.0, 33.0, 41.0]
     curve = validation.outage_mc(exp, 10 ** 0.5, grid, 100_000, seed=1)
     h_l = channel.sample_path_gain(exp.absorption, exp.link, None, 1)[0]
@@ -266,7 +267,7 @@ def branch_experiment(name):
     exp = make_experiment(
         link=replace(make_experiment().link, k_t=k_t, k_r=k_t),
         fading=fading, misalignment=MisalignmentParams(rho=rho),
-        absorption=(channel.load_absorption_profile()
+        absorption=(DeterministicAbsorption()
                     if absorption == DETERMINISTIC
                     else GammaAbsorption(k=3, beta=10.0)))
     assert validation.conditioned_on_fading(exp) == (conditioned == "fading")
