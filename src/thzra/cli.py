@@ -181,15 +181,14 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, manifest: Manifest,
         for k in cfg.k_users:
             e = exp.with_protocol(scheme=scheme, n_total=k,
                                   seed=_row_seed(exp.protocol.seed, scheme, k))
-            stats, trows = protocol.run_batch(e, collect_rows=dump_trials)
+            stats, frames = protocol.run_batch(e)
             rows.append([k, scheme, stats.mean_delay, stats.se_delay,
                          stats.mean_energy_uj, stats.se_energy_uj,
                          stats.mean_transmissions, stats.se_transmissions,
                          stats.mean_k_admitted, stats.n_trials])
-            for tr in trows:
-                trial_rows.append([tr.trial, tr.scheme, tr.k_admitted,
-                                   tr.total_slots, tr.total_transmissions,
-                                   tr.energy_uj, k])
+            if dump_trials:
+                trial_rows += [[t, scheme, *frame, k] for t, frame in
+                               enumerate(zip(*(a.tolist() for a in frames)))]
     agg_path = out_dir / "simulate_aggregate.csv"
     write_csv_atomic(agg_path, "thzra.simulate.v2", SIM_HEADER, rows)
     manifest.add(agg_path)
@@ -216,7 +215,7 @@ ANALYZE_HEADER = ["K", "d_ftp", "d_ftp_lo", "d_ftp_hi",
 def cmd_analyze(cfg: RunConfig, out_dir: Path, manifest: Manifest) -> int:
     exp = cfg.exp
     rows = []
-    for k in sorted(set(cfg.analyze_k)):
+    for k in sorted(set(cfg.k_users)):
         table = analytics.series_table(k)
         rows.append([k] + [v for name in analytics.SERIES for v in table[name]])
     de_path = out_dir / "analyze_delay_energy.csv"
@@ -233,7 +232,9 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path, manifest: Manifest) -> int:
         manifest.add(o_path)
 
         z = exp.absorption.z_for(exp.link)
-        do = analytics.diversity_order(exp.fading.alpha, exp.fading.mu,
+        # without fading its exponent is infinite: rho and z set the order
+        alpha = exp.fading.alpha if exp.fading.enabled else math.inf
+        do = analytics.diversity_order(alpha, exp.fading.mu,
                                        exp.misalignment.rho, z)
         d_path = out_dir / "analyze_diversity.csv"
         write_csv_atomic(d_path, "thzra.analyze.diversity.v1",
@@ -413,6 +414,19 @@ def _is_current_cell(path: Path, schema: str) -> bool:
         return False
 
 
+def _check_sweep(cfg: RunConfig) -> None:
+    """The sweep checks run_config cannot make, as it knows no command."""
+    if not cfg.sweep_axes:
+        raise ConfigError("config section 'sweep' sets no axis: give one "
+                          f"of {', '.join(SWEEP_AXES)}")
+    if ("protocol" in cfg.sweep_metrics and "k_users" not in cfg.sweep_axes
+            and len(cfg.k_users) > 1):
+        raise ConfigError(
+            f"config field 'protocol.n_users' lists {len(cfg.k_users)} user "
+            "counts, but a protocol sweep runs one: give them as the "
+            "sweep.k_users axis")
+
+
 def cmd_sweep(cfg: RunConfig, out_dir: Path, manifest: Manifest,
               parallel: int) -> int:
     axes = cfg.sweep_axes
@@ -492,9 +506,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if (args.command in ("analyze", "validate")
                 and isinstance(cfg.exp.absorption, GammaAbsorption)):
             cfg.exp.absorption.integer_shape()    # the closed forms need it
-        if args.command == "sweep" and not cfg.sweep_axes:
-            raise ConfigError("config section 'sweep' sets no axis: give one "
-                              f"of {', '.join(SWEEP_AXES)}")
+        if args.command == "sweep":
+            _check_sweep(cfg)
         cap = read_value(os.environ, ENV_PARALLEL, int)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -507,19 +520,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parallel = min(parallel, max(1, cap))
 
     manifest = Manifest(args.command, args.config, cfg, out_dir)
-    try:
-        if args.command == "simulate":
-            code = cmd_simulate(cfg, out_dir, manifest,
-                                dump_trials=args.dump_trials)
-        elif args.command == "analyze":
-            code = cmd_analyze(cfg, out_dir, manifest)
-        elif args.command == "validate":
-            code = cmd_validate(cfg, out_dir, manifest)
-        else:
-            code = cmd_sweep(cfg, out_dir, manifest, parallel)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    if args.command == "simulate":
+        code = cmd_simulate(cfg, out_dir, manifest, dump_trials=args.dump_trials)
+    elif args.command == "analyze":
+        code = cmd_analyze(cfg, out_dir, manifest)
+    elif args.command == "validate":
+        code = cmd_validate(cfg, out_dir, manifest)
+    else:
+        code = cmd_sweep(cfg, out_dir, manifest, parallel)
     manifest.write()
     return code
 

@@ -143,15 +143,15 @@ class FadingParams:
     enabled: bool = True
 
     def __post_init__(self):
-        if self.enabled:
-            _require_pos("fading.alpha", self.alpha)
-            _require_pos("fading.eta", self.eta)
-            _require_nonneg("fading.kappa", self.kappa)
-            _require_pos("fading.mu", self.mu)
-            _require_pos("fading.r_hat", self.r_hat)
-            if not (self.mu_is_integer or self.is_alpha_mu):
-                raise OutOfRange("fading.mu", self.mu,
-                                 "an integer mu unless eta = 1 and kappa = 0")
+        # checked when disabled too: validate's alpha-mu suite enables them
+        _require_pos("fading.alpha", self.alpha)
+        _require_pos("fading.eta", self.eta)
+        _require_nonneg("fading.kappa", self.kappa)
+        _require_pos("fading.mu", self.mu)
+        _require_pos("fading.r_hat", self.r_hat)
+        if not (self.mu_is_integer or self.is_alpha_mu):
+            raise OutOfRange("fading.mu", self.mu,
+                             "an integer mu unless eta = 1 and kappa = 0")
 
     @property
     def mu_is_integer(self) -> bool:
@@ -240,14 +240,6 @@ def _require_range(name, value, lo, hi):
         raise OutOfRange(name, value, f"{lo} <= {name.split('.')[-1]} <= {hi}")
 
 
-def _get(raw: Mapping[str, str], key: str, default=None, required=False):
-    if key in raw and str(raw[key]).strip() != "":
-        return str(raw[key]).strip()
-    if required:
-        raise MissingField(key)
-    return default
-
-
 def parse_count(text: str) -> int:
     """Whole number, possibly written as a float literal: '5000' or '1e5'."""
     value = float(text)
@@ -271,6 +263,14 @@ def parse_int_list(text: str) -> List[int]:
     return _nonempty(out)
 
 
+def parse_bool(text: str) -> bool:
+    if text.lower() in ("1", "true", "yes", "on"):
+        return True
+    if text.lower() in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"{text!r} is not a boolean")
+
+
 def parse_float_list(text: str) -> List[float]:
     return _nonempty([float(t) for t in str(text).split(",") if t.strip()])
 
@@ -287,69 +287,70 @@ def _nonempty(items: list) -> list:
 
 
 _EXPECTED = {float: "a number", int: "an integer", parse_count: "a count",
+             parse_bool: "a boolean",
              parse_int_list: "a comma list of integers or a:b ranges",
              parse_float_list: "a comma list of numbers",
              parse_str_list: "a comma list of names"}
 
 
-def read_value(raw: Mapping[str, str], key: str, parse, default=None):
-    """raw[key] through parse, or default when the key is absent or blank.
+def read_value(raw: Mapping[str, str], key: str, parse, default=None,
+               required=False):
+    """raw[key] through parse, or default when the key is absent or blank
+    (MissingField if it is required).
 
     A value that parse rejects raises OutOfRange naming the key, so a
     malformed input ends in a config error (CLI exit 2), not a traceback.
     """
-    s = _get(raw, key)
-    if s is None:
+    text = str(raw[key]).strip() if key in raw else ""
+    if not text:
+        if required:
+            raise MissingField(key)
         return default
     try:
-        return parse(s)
+        return parse(text)
     except (ValueError, OverflowError) as exc:
-        raise OutOfRange(key, s, _EXPECTED[parse]) from exc
-
-
-def _get_float(raw, key, default=None, required=False):
-    _get(raw, key, required=required)
-    return read_value(raw, key, float, default)
+        raise OutOfRange(key, text, _EXPECTED[parse]) from exc
 
 
 def _float_fields(raw, section: str, cls, *skip: str) -> dict:
     """section.<name> for each float field of cls not in skip; a field
     without a default is required, the others default as in cls."""
-    return {f.name: _get_float(raw, f"{section}.{f.name}",
+    return {f.name: read_value(raw, f"{section}.{f.name}", float,
                                None if f.default is MISSING else f.default,
                                required=f.default is MISSING)
             for f in fields(cls) if f.type == "float" and f.name not in skip}
-
-
-def _get_bool(raw, key, default=False):
-    s = _get(raw, key)
-    if s is None:
-        return default
-    if s.lower() in ("1", "true", "yes", "on"):
-        return True
-    if s.lower() in ("0", "false", "no", "off"):
-        return False
-    raise OutOfRange(key, s, "a boolean")
 
 
 def _db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
+def _as_key(key: str, value, build):
+    """build(value); a check that fails in it names key and value instead."""
+    try:
+        return build(value)
+    except OutOfRange as exc:
+        raise OutOfRange(key, value, exc.bound) from exc
+
+
 def _experiment(raw: Mapping[str, str], scheme: str, n_total: int) -> Experiment:
     """Build a validated Experiment from a flat 'section.key' -> string map.
 
-    Pressure is in hPa.  SNRs come in as dB and leave as linear.
+    Pressure is in hPa.  SNRs come in as dB and leave as linear; a check
+    of the linear value names the dB key and the dB value.
     """
     link = ThzLinkParams(
-        pressure_hpa=_get_float(raw, "link.pressure", HPA_PER_ATM),
-        avg_snr=_db_to_linear(_get_float(raw, "link.avg_snr_db", 0.0)),
+        pressure_hpa=read_value(raw, "link.pressure", float, HPA_PER_ATM),
         **_float_fields(raw, "link", ThzLinkParams, "pressure_hpa", "avg_snr"))
+    link = _as_key("link.avg_snr_db",
+                   read_value(raw, "link.avg_snr_db", float, 0.0),
+                   lambda db: replace(link, avg_snr=_db_to_linear(db)))
 
-    model = _get(raw, "absorption.model", "gamma").lower()
+    model = read_value(raw, "absorption.model", str.lower, "gamma")
     if model == "gamma":
-        k_shape = _get_float(raw, "absorption.k_shape", required=True)
-        kbeta = _get_float(raw, "absorption.kbeta_db_per_km", required=True)
+        k_shape = read_value(raw, "absorption.k_shape", float, required=True)
+        kbeta = read_value(raw, "absorption.kbeta_db_per_km", float,
+                           required=True)
         _require_pos("absorption.k_shape", k_shape)
         _require_pos("absorption.kbeta_db_per_km", kbeta)
         absorption = GammaAbsorption(k=k_shape, beta=kbeta / k_shape)
@@ -359,17 +360,20 @@ def _experiment(raw: Mapping[str, str], scheme: str, n_total: int) -> Experiment
     else:
         raise OutOfRange("absorption.model", model, "gamma | deterministic")
 
-    fading = FadingParams(enabled=_get_bool(raw, "fading.enabled", True),
-                          **_float_fields(raw, "fading", FadingParams))
-    mis = MisalignmentParams(
-        rho=_get_float(raw, "misalignment.rho", required=True))
+    fading = FadingParams(
+        enabled=read_value(raw, "fading.enabled", parse_bool, True),
+        **_float_fields(raw, "fading", FadingParams))
+    mis = MisalignmentParams(**_float_fields(raw, "misalignment",
+                                             MisalignmentParams))
     protocol = ProtocolConfig(
         scheme=scheme, n_total=n_total,
-        gamma_qos=_db_to_linear(_get_float(raw, "protocol.gamma_qos_db",
-                                           -math.inf)),
         energy=EnergyModel(**_float_fields(raw, "protocol", EnergyModel)),
         trials=read_value(raw, "protocol.trials", parse_count, 5000),
         seed=read_value(raw, "protocol.seed", parse_count, 1))
+    protocol = _as_key(
+        "protocol.gamma_qos_db",
+        read_value(raw, "protocol.gamma_qos_db", float, -math.inf),
+        lambda db: replace(protocol, gamma_qos=_db_to_linear(db)))
 
     return Experiment(link=link, absorption=absorption, fading=fading,
                       misalignment=mis, protocol=protocol)
@@ -412,8 +416,7 @@ class RunConfig:
 
     exp: Experiment              # protocol holds the first scheme and K
     schemes: tuple               # protocol.scheme
-    k_users: tuple               # protocol.n_users (simulate)
-    analyze_k: tuple             # analyze.k_users, else protocol.n_users
+    k_users: tuple               # protocol.n_users (simulate, analyze)
     outage_grid_db: tuple        # outage.gamma_bar_db (analyze)
     gamma_th: float              # outage.gamma_th_db, linear
     gof_samples: int             # validation.n_samples
@@ -429,11 +432,7 @@ class RunConfig:
 def _checked(key: str, value, check):
     """check(key, v) for each entry of value; a failed check names key."""
     for v in value if isinstance(value, list) else [value]:
-        try:
-            if check is not None:
-                check(key, v)
-        except OutOfRange as exc:
-            raise OutOfRange(key, v, exc.bound) from exc
+        _as_key(key, v, lambda v: check(key, v))
     return tuple(value) if isinstance(value, list) else value
 
 
@@ -471,10 +470,10 @@ def run_config(raw: Mapping[str, str]) -> RunConfig:
     """
     raw = _LookedUp(raw)
     schemes = read_value(raw, "protocol.scheme", parse_str_list, ["atp"])
-    n_users = read_value(raw, "protocol.n_users", parse_int_list)
-    exp = _experiment(raw, schemes[0], (n_users or [10])[0])
+    n_users = read_value(raw, "protocol.n_users", parse_int_list, [10])
+    exp = _experiment(raw, schemes[0], n_users[0])
 
-    def read(key, parse, default, check=None):
+    def read(key, parse, default, check):
         value = read_value(raw, key, parse, default)
         return None if value is None else _checked(key, value, check)
 
@@ -490,9 +489,7 @@ def run_config(raw: Mapping[str, str]) -> RunConfig:
         exp=exp,
         schemes=_checked("protocol.scheme", schemes,
                          lambda key, s: exp.with_protocol(scheme=s)),
-        k_users=_checked("protocol.n_users", n_users or [10], users),
-        analyze_k=read("analyze.k_users", parse_int_list,
-                       n_users or [2, 5, 10, 20, 40], users),
+        k_users=_checked("protocol.n_users", n_users, users),
         outage_grid_db=read("outage.gamma_bar_db", parse_float_list,
                             [25.0, 27.0, 29.0, 31.0, 33.0, 35.0, 37.0, 39.0,
                              41.0, 43.0], cell),

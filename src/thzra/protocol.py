@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -114,19 +114,12 @@ class AggregateStats:
     mean_k_admitted: float
 
 
-@dataclass(frozen=True)
-class TrialRow:
-    trial: int
-    scheme: str
-    k_admitted: int
-    total_slots: int
-    total_transmissions: int     # also the frame's unit energy
-    energy_uj: float
-
-
-def run_batch(exp: Experiment, collect_rows: bool = False
-              ) -> Tuple[AggregateStats, List[TrialRow]]:
+def run_batch(exp: Experiment) -> Tuple[AggregateStats, Tuple[np.ndarray, ...]]:
     """Run `trials` independent frames; deterministic given (seed, config).
+
+    Returns the aggregate and the per-frame arrays (k admitted, slots,
+    transmissions, energy in uJ); the transmissions are also the frame's
+    unit energy.
 
     Block b of TRIAL_BLOCK frames draws admission from the substreams
     (seed, ADMISSION, b, component) and contention from (seed, PROTOCOL,
@@ -149,18 +142,13 @@ def run_batch(exp: Experiment, collect_rows: bool = False
     # e_idle per holder waiting out a slot
     en = cfg.energy
     e_uj = en.e_tx_uj * txs + en.e_ack_uj * ks + en.e_idle_uj * waits
-    rows: List[TrialRow] = []
-    if collect_rows:
-        rows = [TrialRow(t, cfg.scheme, k, s, x, e)
-                for t, (k, s, x, e) in enumerate(zip(
-                    ks.tolist(), slots.tolist(), txs.tolist(), e_uj.tolist()))]
     stats = AggregateStats(
         scheme=cfg.scheme, n_trials=cfg.trials,
         mean_delay=float(slots.mean()), se_delay=_se(slots),
         mean_transmissions=float(txs.mean()), se_transmissions=_se(txs),
         mean_energy_uj=float(e_uj.mean()), se_energy_uj=_se(e_uj),
         mean_k_admitted=float(ks.mean()))
-    return stats, rows
+    return stats, (ks, slots, txs, e_uj)
 
 
 def _se(x: np.ndarray) -> float:

@@ -86,9 +86,9 @@ def test_bad_field_exit_2(tmp_path):
     ("simulate", DEFAULT_CFG, "e_tx_uj = 1200", "e_tx_uj = 1200\ngamma_qos = nan",
      "protocol.gamma_qos"),
     ("simulate", DEFAULT_CFG, "e_tx_uj = 1200",
-     "e_tx_uj = 1200\ngamma_qos_db = nan", "protocol.gamma_qos"),
+     "e_tx_uj = 1200\ngamma_qos_db = nan", "protocol.gamma_qos_db"),
     ("simulate", DEFAULT_CFG, "avg_snr_db = 45", "avg_snr_db = nan",
-     "link.avg_snr"),
+     "link.avg_snr_db"),
     ("simulate", DEFAULT_CFG, "e_tx_uj = 1200", "e_tx_uj = nan",
      "protocol.e_tx_uj"),
     ("simulate", DEFAULT_CFG, "kappa = 0.0", "kappa = nan", "fading.kappa"),
@@ -165,13 +165,27 @@ def test_bad_field_exit_2(tmp_path):
      "link.temperature_k"),
     # an average SNR of -inf dB is zero, which no link has
     ("simulate", DEFAULT_CFG, "avg_snr_db = 45", "avg_snr_db = -inf",
-     "link.avg_snr"),
+     "link.avg_snr_db"),
     ("sweep", SWEEP_CFG, "mu = 1.5,2.5", "mu = 1.5,2.5\ngamma_bar_db = -inf,40",
      "sweep.gamma_bar_db"),
     # a flag takes the spelling of the key it overrides
     ("simulate", DEFAULT_CFG, "--trials", "2.5", "protocol.trials"),
     ("simulate", DEFAULT_CFG, "--seed", "1.5", "protocol.seed"),
     ("sweep", SWEEP_CFG, "rho = 2,4.1\nmu = 1.5,2.5\n", "", "sweep"),
+    # fading values are checked with fading off too
+    ("validate", DEFAULT_CFG, "enabled = true\nalpha = 2.0",
+     "enabled = false\nalpha = -1", "fading.alpha"),
+    ("simulate", DEFAULT_CFG, "enabled = true\nalpha = 2.0",
+     "enabled = false\nalpha = -1", "fading.alpha"),
+    ("simulate", DEFAULT_CFG, "enabled = true", "enabled = maybe",
+     "fading.enabled"),
+    # analyze reads protocol.n_users; there is no second list
+    ("analyze", DEFAULT_CFG, "[outage]", "[analyze]\nk_users = 2\n\n[outage]",
+     "analyze.k_users"),
+    # a protocol sweep runs one K unless sweep.k_users lists them
+    ("sweep", lambda: SWEEP_CFG.read_text().replace("n_users = 10",
+                                                    "n_users = 2,5,40"),
+     "metrics = outage", "metrics = protocol", "protocol.n_users"),
 ], ids=["gamma_th_db", "n_users-simulate", "n_users-analyze", "scheme",
         "n_samples", "sweep_axis", "outage_draws", "env_parallel",
         "sweep_axis_range", "sweep_metric", "scheme-sweep", "n_users_range",
@@ -189,7 +203,9 @@ def test_bad_field_exit_2(tmp_path):
         "n_samples-fraction", "sweep_k_users-fraction", "q1-nan",
         "temperature-simulate", "temperature-sweep", "avg_snr_db-minus_inf",
         "sweep_gamma_bar-minus_inf", "trials_flag-fraction",
-        "seed_flag-fraction", "sweep_without_axis"])
+        "seed_flag-fraction", "sweep_without_axis", "fading_off-alpha-validate",
+        "fading_off-alpha-simulate", "fading_enabled-word", "removed-analyze_k_users",
+        "sweep-protocol-n_users"])
 def test_malformed_input_exits_2_naming_the_key(tmp_path, monkeypatch, capsys,
                                                 command, base, old, new, key):
     text = base() if callable(base) else base.read_text()
@@ -225,7 +241,7 @@ def test_flags_take_the_key_spelling(tmp_path):
 
 def test_deterministic_absorption_defaults_to_the_shipped_coefficients(tmp_path):
     # no coefficient key reads the same model as the 16 shipped values
-    sweep = ("\n[sweep]\nrho = 2,4\ngamma_bar_db = 30\n"
+    sweep = ("\n[sweep]\nrho = 2,4\ngamma_bar_db = 30\nk_users = 5\n"
              "metrics = protocol,outage\noutage_draws = 2000\n")
     small = {"n_users = 2,5,10,20,40": "n_users = 2,5",
              "n_samples = 100000": "n_samples = 1000",
@@ -398,6 +414,31 @@ def test_analyze_at_z_equals_rho(tmp_path):
     assert abs(float(rows[0][1]) - 0.714454685724963) <= 1e-13
 
 
+def test_analyze_diversity_follows_fading_switch(tmp_path):
+    # rho = 4, z = 8.686 / (10 dB/km * 0.1 km) = 8.686, alpha mu = 2
+    rows = {}
+    for enabled in ("true", "false"):
+        cfg = write_cfg(tmp_path, f"{enabled}.cfg", DEFAULT_CFG.read_text()
+                        .replace("enabled = true", f"enabled = {enabled}"))
+        out = tmp_path / enabled
+        assert cli.main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
+        _, header, rows[enabled] = read_rows(out / "analyze_diversity.csv")
+    assert header == ["exp_fading", "exp_misalignment", "exp_pathloss",
+                      "effective"]
+    assert rows["true"] == [["1.0", "2.0", "4.343", "1.0"]]
+    # without fading its exponent is infinite: min(rho, z) / 2 remains
+    assert rows["false"] == [["inf", "2.0", "4.343", "2.0"]]
+
+
+def test_analyze_rows_are_the_protocol_user_counts(tmp_path):
+    cfg = write_cfg(tmp_path, "k.cfg", DEFAULT_CFG.read_text().replace(
+        "n_users = 2,5,10,20,40", "n_users = 7,3,7"))
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
+    _, _, rows = read_rows(out / "analyze_delay_energy.csv")
+    assert [r[0] for r in rows] == ["3", "7"]
+
+
 def test_analyze_infinite_threshold_is_certain_outage(tmp_path):
     # ideal front end (k_h = 0): P(SNR <= inf) = 1 at every average SNR
     text = DEFAULT_CFG.read_text().replace("k_t = 0.1", "k_t = 0.0").replace(
@@ -515,12 +556,12 @@ def test_validate_at_infinite_average_snr(tmp_path):
         (0.0, 0.0, 0.0, True)
 
 
-def run_python(code, timeout):
-    """Exit code of `python -c code` in a fresh interpreter on src/."""
+def run_python(*args, timeout):
+    """Exit code of `python args...` in a fresh interpreter on src/."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC_DIR)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           timeout=timeout).returncode
 
 
@@ -529,7 +570,33 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     code = ("import sys, thzra.cli; "
             "sys.exit(any(m == 'scipy' or m.startswith('scipy.') "
             "for m in sys.modules))")
-    assert run_python(code, timeout=120) == 0
+    assert run_python("-c", code, timeout=120) == 0
+
+
+@pytest.mark.parametrize("command,base,old,new,counters", [
+    ("simulate", DEFAULT_CFG, "n_users = 2,5,10,20,40",
+     "n_users = 2\ngamma_qos_db = 16.2", ("slots", "snr_draws")),
+    ("validate", fast_validate_text, "k_users = 2,5", "k_users = 2",
+     ("slots", "outage_draws")),
+    ("sweep", SWEEP_CFG, "outage_draws = 2000000", "outage_draws = 2000",
+     ("outage_draws",)),
+], ids=["simulate", "validate", "sweep"])
+def test_traced_benchmark_path_runs(tmp_path, command, base, old, new, counters):
+    # perfbench's tracer wraps the package's functions and reads counters
+    # from their arguments and results: an API change it depends on fails
+    # here rather than in a benchmark run
+    text = base() if callable(base) else base.read_text()
+    assert old in text
+    cfg = write_cfg(tmp_path, "small.cfg", text.replace(old, new))
+    spans = tmp_path / "spans.json"
+    tracer = SRC_DIR.parent / "perfbench" / "tracer.py"
+    assert run_python(str(tracer), str(spans), "--", command, "--config",
+                      str(cfg), "--trials", "20", "--out", str(tmp_path / "out"),
+                      timeout=300) == 0
+    traced = json.loads(spans.read_text())
+    assert traced["exit"] == 0
+    assert all(traced["counters"][name] > 0 for name in counters), \
+        traced["counters"]
 
 
 @pytest.mark.parametrize("command,base,old,new", [
@@ -548,7 +615,7 @@ def test_command_leaves_scipy_unloaded(tmp_path, command, base, old, new):
             f"'--trials', '20', '--out', {str(tmp_path / 'out')!r}]); "
             "sys.exit(code or any(m == 'scipy' or m.startswith('scipy.') "
             "for m in sys.modules))")
-    assert run_python(code, timeout=300) == 0
+    assert run_python("-c", code, timeout=300) == 0
     assert (tmp_path / "out" / "run_manifest.json").is_file()
     if command == "sweep":
         # the fading-conditioned estimator (numpy incomplete gamma) ran

@@ -160,9 +160,10 @@ def test_fading_invariants():
         with pytest.raises(OutOfRange) as exc:
             FadingParams(mu=1.5, **kw)
         assert exc.value.field == "fading.mu"
-    # disabled fading skips numeric checks entirely
-    FadingParams(alpha=0.0, enabled=False)
-    FadingParams(mu=1.5, eta=2.0, enabled=False)
+    # disabled fading is checked too: validate's alpha-mu suite enables it
+    for kw in ({"alpha": 0.0}, {"mu": 1.5, "eta": 2.0}):
+        with pytest.raises(OutOfRange):
+            FadingParams(enabled=False, **kw)
 
 
 def test_deterministic_absorption_config():

@@ -58,9 +58,8 @@ def test_empty_frame():
         assert not slots.any() and not txs.any() and not waits.any()
     # nobody admitted: no slot, no transmission, no energy
     exp = make_experiment(n_total=4, gamma_qos=55.0, trials=5, seed=1)
-    _, rows = protocol.run_batch(exp, collect_rows=True)
-    assert all(r.total_slots == r.total_transmissions == 0 == r.energy_uj
-               for r in rows)
+    _, (_, slots, txs, e_uj) = protocol.run_batch(exp)
+    assert not slots.any() and not txs.any() and not e_uj.any()
 
 
 def test_conservation_invariants():
@@ -121,35 +120,33 @@ def test_waiting_counts_match_slot_algebra():
 CUSTOM = dict(e_tx_uj=10.0, e_ack_uj=2.0, e_idle_uj=1.0)
 
 
-def energy_rows(scheme, n_total, energy, trials=300, seed=4):
+def energy_frames(scheme, n_total, energy, trials=300, seed=4):
+    """Per-frame (k admitted, slots, transmissions, uJ) arrays of a batch."""
     exp = make_experiment(scheme=scheme, n_total=n_total, trials=trials,
                           seed=seed, energy=EnergyModel(**energy))
-    return protocol.run_batch(exp, collect_rows=True)[1]
+    return protocol.run_batch(exp)[1]
 
 
 def test_unit_energy_is_transmission_count():
     # charging only transmissions, at 1 uJ each, gives the unit energy
-    for r in energy_rows("ftp", 8, dict(e_tx_uj=1.0, e_ack_uj=0.0,
-                                        e_idle_uj=0.0)):
-        assert r.energy_uj == r.total_transmissions
+    _, _, txs, e_uj = energy_frames("ftp", 8, dict(e_tx_uj=1.0, e_ack_uj=0.0,
+                                                   e_idle_uj=0.0))
+    assert (e_uj == txs).all()
 
 
 def test_realistic_energy_single_user():
     # one transmission + one ACK, no idle holder anywhere
-    for r in energy_rows("atp", 1, {}, trials=10):
-        assert r.energy_uj == 1200.0 + 120.0
+    _, _, _, e_uj = energy_frames("atp", 1, {}, trials=10)
+    assert (e_uj == 1200.0 + 120.0).all()
 
 
 def test_realistic_energy_decomposition():
     # the same frames under two sets of constants imply the same waiting
-    default = energy_rows("atp", 5, {}, seed=9)
-    custom = energy_rows("atp", 5, CUSTOM, seed=9)
-    for d, c in zip(default, custom):
-        assert (d.total_transmissions, d.k_admitted) == \
-            (c.total_transmissions, c.k_admitted)
-        assert (d.energy_uj - 1200.0 * d.total_transmissions
-                - 120.0 * d.k_admitted) / 40.0 == \
-            c.energy_uj - 10.0 * c.total_transmissions - 2.0 * c.k_admitted
+    dk, _, dtx, de = energy_frames("atp", 5, {}, seed=9)
+    ck, _, ctx, ce = energy_frames("atp", 5, CUSTOM, seed=9)
+    assert (dk == ck).all() and (dtx == ctx).all()
+    assert ((de - 1200.0 * dtx - 120.0 * dk) / 40.0
+            == ce - 10.0 * ctx - 2.0 * ck).all()
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +185,8 @@ def test_block_admission_counts_are_binomial():
     n_users, trials = 40, 4 * protocol.TRIAL_BLOCK
     exp = make_experiment(scheme="optimal", n_total=n_users,
                           gamma_qos=10 ** 0.5, trials=trials, seed=8)
-    _, rows = protocol.run_batch(exp, collect_rows=True)
-    counts = np.bincount([r.k_admitted for r in rows], minlength=n_users + 1)
+    ks = protocol.run_batch(exp)[1][0]
+    counts = np.bincount(ks, minlength=n_users + 1)
     q = analytics.OutageQuery(exp.protocol.gamma_qos, exp.link.avg_snr,
                               exp.link.k_h)
     p_adm = 1.0 - analytics.cdf_snr_no_fading(q, exp.absorption,
@@ -301,10 +298,9 @@ def test_batch_realistic_energy_charges_frame_totals():
     # waiting a whole count >= 0, for the default and custom constants
     for energy in ({}, CUSTOM):
         e = EnergyModel(**energy)
-        for r in energy_rows("atp", 6, energy):
-            idle = (r.energy_uj - e.e_tx_uj * r.total_transmissions
-                    - e.e_ack_uj * r.k_admitted) / e.e_idle_uj
-            assert idle >= 0 and idle == int(idle)
+        ks, _, txs, e_uj = energy_frames("atp", 6, energy)
+        idle = (e_uj - e.e_tx_uj * txs - e.e_ack_uj * ks) / e.e_idle_uj
+        assert (idle >= 0).all() and (idle == np.round(idle)).all()
 
 
 @pytest.mark.parametrize("scheme", ["ftp", "atp"])
@@ -330,10 +326,11 @@ def test_batch_realistic_energy_matches_stage_law(scheme):
 
 def test_batch_deterministic_given_seed():
     exp = make_experiment(scheme="atp", n_total=7, trials=200, seed=99)
-    a, rows_a = protocol.run_batch(exp, collect_rows=True)
-    b, rows_b = protocol.run_batch(exp, collect_rows=True)
+    a, frames_a = protocol.run_batch(exp)
+    b, frames_b = protocol.run_batch(exp)
     assert a == b
-    assert rows_a == rows_b
+    for x, y in zip(frames_a, frames_b):
+        np.testing.assert_array_equal(x, y)
     c, _ = protocol.run_batch(replace(exp, protocol=replace(exp.protocol, seed=98)))
     assert c.mean_delay != a.mean_delay
 
@@ -371,12 +368,11 @@ def test_atp_beats_ftp_delay_ftp_beats_atp_energy():
 def test_batch_includes_empty_frames_in_averages():
     # nobody ever admitted: all-zero aggregates over full trial count
     exp = make_experiment(n_total=5, gamma_qos=55.0, trials=50, seed=2)
-    stats, rows = protocol.run_batch(exp, collect_rows=True)
+    stats, (ks, *_) = protocol.run_batch(exp)
     assert stats.n_trials == 50
     assert stats.mean_delay == 0.0
     assert stats.mean_k_admitted == 0.0
-    assert len(rows) == 50
-    assert all(r.k_admitted == 0 for r in rows)
+    assert ks.tolist() == [0] * 50
 
 
 def test_component_streams_reproducible_independent_of_order():
