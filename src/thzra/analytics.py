@@ -162,16 +162,6 @@ def composite_gain_cdf(y: float, k: int, z: float, rho: float, a_l: float) -> fl
     return gammaincc(k, z * L) + c * (g1 + rho * L * g2)
 
 
-def composite_gain_pdf(y: float, k: int, z: float, rho: float, a_l: float) -> float:
-    """Density of h_l * h_p at y on (0, a_l): rho^2 L (zL)^k G_{k+2} / y,
-    the density of T + W at L = ln(a_l/y) over the Jacobian y."""
-    if y <= 0.0 or y >= a_l:
-        return 0.0
-    L = math.log(a_l / y)
-    c, (_, g2) = _kummer_terms(L, k, z, rho)
-    return rho ** 2 * L * (c * g2) / y
-
-
 def cdf_snr_no_fading(query: OutageQuery, model: GammaAbsorption,
                       rho: float, link: ThzLinkParams) -> float:
     """P(SNR <= gamma_th) with fading disabled (h = h_l * h_p)."""
@@ -180,19 +170,6 @@ def cdf_snr_no_fading(query: OutageQuery, model: GammaAbsorption,
     if query.settled is not None:
         return query.settled
     return composite_gain_cdf(query.gamma_h, k, z, rho, link.a_l)
-
-
-def pdf_snr_no_fading(query: OutageQuery, model: GammaAbsorption,
-                      rho: float, link: ThzLinkParams) -> float:
-    """SNR density with fading disabled; change of variables from the gain law."""
-    k = model.integer_shape()
-    z = model.z_for(link)
-    if query.settled is not None:
-        return 0.0
-    gh = query.gamma_h
-    shrink = 1.0 - query.gamma_th * query.k_h ** 2
-    jac = 1.0 / (2.0 * query.gamma_bar * gh * shrink ** 2)
-    return composite_gain_pdf(gh, k, z, rho, link.a_l) * jac
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Channel sampling: absorption, path gain, misalignment, fading, SNR.
 
 Samplers are pure given their Generator and return an array of `size`
-draws; the densities and CDFs map a float to a float and an array to an
-array.  The composite draw follows h = h_l * h_f * h_p and the impaired
+draws; each law's one closed form is its CDF, which maps a float to a
+float and an array to an array and takes every value its sampler
+returns.  The composite draw follows h = h_l * h_f * h_p and the impaired
 SNR
 
     gamma = avg_snr * h^2 / (k_h^2 * avg_snr * h^2 + 1)
@@ -20,7 +21,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedParams
+from .errors import UnsupportedParams
 from .params import (DB_PER_NEPER, DeterministicAbsorption, Experiment,
                      FadingParams, GammaAbsorption, ThzLinkParams)
 
@@ -84,32 +85,13 @@ def path_gain_from_absorption(zeta_db: ArrayLike, link: ThzLinkParams) -> ArrayL
     return link.a_l * np.exp(-path_loss_nepers(zeta_db, link))
 
 
-def path_gain_pdf(h_l: ArrayLike, model: GammaAbsorption,
-                  link: ThzLinkParams) -> ArrayLike:
-    """Density of the random path gain for Gamma-distributed absorption.
-
-    f(h) = z^k a_l^{-z} / Gamma(k) * ln(a_l/h)^{k-1} * h^{z-1} on (0, a_l].
-    """
-    h = np.asarray(h_l, dtype=float)
-    a_l = link.a_l
-    if np.any(h <= 0) or np.any(h > a_l * (1 + 1e-12)):
-        raise DomainError(f"path gain must lie in (0, a_l={a_l:g}]")
-    z = model.z_for(link)
-    k = model.k
-    lg = np.log(a_l / np.minimum(h, a_l))
-    out = (z ** k * a_l ** (-z) / math.gamma(k)
-           * np.power(lg, k - 1.0) * np.power(h, z - 1.0))
-    return out if isinstance(h_l, np.ndarray) else float(out)
-
-
 def path_gain_cdf(h_l: ArrayLike, model: GammaAbsorption,
                   link: ThzLinkParams) -> ArrayLike:
-    """P(path gain <= h); ln(a_l/h_l) is Gamma(k, 1/z) so this is its tail."""
-    h = np.asarray(h_l, dtype=float)
-    if np.any(h <= 0) or np.any(h > link.a_l * (1 + 1e-12)):
-        raise DomainError(f"path gain must lie in (0, a_l={link.a_l:g}]")
-    z = model.z_for(link)
-    out = gammaincc(model.k, z * np.log(link.a_l / np.minimum(h, link.a_l)))
+    """P(path gain <= h); ln(a_l/h_l) is Gamma(k, 1/z) so this is its tail.
+    h is clipped to [0, a_l]: 0 at and below h = 0, 1 from a_l up."""
+    h = np.clip(h_l, 0.0, link.a_l)
+    with np.errstate(divide="ignore"):      # h = 0: ln(a_l/h) = inf, Q = 0
+        out = gammaincc(model.k, model.z_for(link) * np.log(link.a_l / h))
     return out if isinstance(h_l, np.ndarray) else float(out)
 
 
@@ -152,20 +134,12 @@ def sample_misalignment(rho: float, rng: np.random.Generator,
     return np.power(w, 1.0 / rho, out=w)
 
 
-def misalignment_pdf(x: ArrayLike, rho: float) -> ArrayLike:
-    xs = np.asarray(x, dtype=float)
-    if np.any(xs <= 0) or np.any(xs > 1):
-        raise DomainError("misalignment gain support is (0, 1]")
-    out = -rho ** 2 * np.log(xs) * np.power(xs, rho - 1.0)
-    return out if isinstance(x, np.ndarray) else float(out)
-
-
 def misalignment_cdf(x: ArrayLike, rho: float) -> ArrayLike:
-    """Antiderivative of the misalignment density: x^rho (1 - rho ln x)."""
-    xs = np.asarray(x, dtype=float)
-    if np.any(xs <= 0) or np.any(xs > 1):
-        raise DomainError("misalignment gain support is (0, 1]")
-    out = misalignment_cdf_log(np.log(xs), rho)
+    """P(h_p <= x) = x^rho (1 - rho ln x) for x clipped to [0, 1]: 1 from
+    x = 1 up, and its limit 0 at x = 0, where a draw that underflows lands."""
+    xs = np.clip(x, 0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # x = 0: inf * 0
+        out = np.where(xs == 0.0, 0.0, misalignment_cdf_log(np.log(xs), rho))
     return out if isinstance(x, np.ndarray) else float(out)
 
 

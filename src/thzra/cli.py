@@ -22,10 +22,13 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from . import __version__, analytics, channel, protocol, validation
 from .errors import ConfigError
 from .params import (SWEEP_AXES, Experiment, GammaAbsorption, ProtocolConfig,
-                     RunConfig, apply_cell, read_value, run_config)
+                     RunConfig, apply_cell, db_to_linear, read_value,
+                     run_config)
 from .params import validate_config  # noqa: F401  (re-exported)
 
 ENV_PARALLEL = "THZRA_MAX_PARALLEL"
@@ -150,7 +153,7 @@ class Manifest:
 def _outage_closed_form(exp: Experiment, gamma_th: float, gamma_bar_db) -> float:
     """No-fading outage probability at one average SNR, in closed form."""
     q = analytics.OutageQuery(gamma_th=gamma_th,
-                              gamma_bar=10.0 ** (gamma_bar_db / 10.0),
+                              gamma_bar=db_to_linear(gamma_bar_db),
                               k_h=exp.link.k_h)
     return analytics.cdf_snr_no_fading(q, exp.absorption, exp.misalignment.rho,
                                        exp.link)
@@ -260,9 +263,11 @@ def _suite_results(cfg: RunConfig, manifest: Manifest) -> List[dict]:
 
     from . import streams as st
     rho = exp.misalignment.rho
-    rng = st.substream(seed, 901)
-    hp = channel.sample_misalignment(rho, rng, n_gof)
-    rep = validation.ks_compare(hp, lambda x: channel.misalignment_cdf(x, rho))
+    # ln h_p = ln(U V) / rho against the CDF in L, the draws and law the
+    # outage score uses: h_p itself underflows to 0 for a small rho
+    log_hp = np.log(channel.uniform_product(st.substream(seed, 901), n_gof)) / rho
+    rep = validation.ks_compare(log_hp,
+                                lambda L: channel.misalignment_cdf_log(L, rho))
     record("misalignment_ks", rep.passed,
            {"statistic": rep.statistic, "threshold": rep.threshold})
 

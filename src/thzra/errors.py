@@ -20,7 +20,7 @@ class OutOfRange(ConfigError):
 
 
 class DomainError(ValueError):
-    """Argument outside the mathematical support of a density/CDF."""
+    """Argument outside the domain on which a closed form is defined."""
 
 
 class UnsupportedParams(ValueError):
@@ -29,7 +29,3 @@ class UnsupportedParams(ValueError):
 
 class InsufficientTail(RuntimeError):
     """Outage curve has too few usable high-SNR points for a slope fit."""
-
-
-class EmptySample(ValueError):
-    """Goodness-of-fit called with an empty or too-small sample."""

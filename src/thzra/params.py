@@ -321,7 +321,8 @@ def _float_fields(raw, section: str, cls, *skip: str) -> dict:
             for f in fields(cls) if f.type == "float" and f.name not in skip}
 
 
-def _db_to_linear(db: float) -> float:
+def db_to_linear(db: float) -> float:
+    """Decibels to a linear power ratio."""
     return 10.0 ** (db / 10.0)
 
 
@@ -344,7 +345,7 @@ def _experiment(raw: Mapping[str, str], scheme: str, n_total: int) -> Experiment
         **_float_fields(raw, "link", ThzLinkParams, "pressure_hpa", "avg_snr"))
     link = _as_key("link.avg_snr_db",
                    read_value(raw, "link.avg_snr_db", float, 0.0),
-                   lambda db: replace(link, avg_snr=_db_to_linear(db)))
+                   lambda db: replace(link, avg_snr=db_to_linear(db)))
 
     model = read_value(raw, "absorption.model", str.lower, "gamma")
     if model == "gamma":
@@ -373,7 +374,7 @@ def _experiment(raw: Mapping[str, str], scheme: str, n_total: int) -> Experiment
     protocol = _as_key(
         "protocol.gamma_qos_db",
         read_value(raw, "protocol.gamma_qos_db", float, -math.inf),
-        lambda db: replace(protocol, gamma_qos=_db_to_linear(db)))
+        lambda db: replace(protocol, gamma_qos=db_to_linear(db)))
 
     return Experiment(link=link, absorption=absorption, fading=fading,
                       misalignment=mis, protocol=protocol)
@@ -392,7 +393,7 @@ def apply_cell(exp: Experiment, cell: Mapping[str, float]) -> Experiment:
     link, fading, mis = exp.link, exp.fading, exp.misalignment
     absorption, prot = exp.absorption, exp.protocol
     if "gamma_bar_db" in cell:
-        link = replace(link, avg_snr=_db_to_linear(cell["gamma_bar_db"]))
+        link = replace(link, avg_snr=db_to_linear(cell["gamma_bar_db"]))
     if "k_h" in cell:
         kh = cell["k_h"]
         link = replace(link, k_t=kh / math.sqrt(2.0), k_r=kh / math.sqrt(2.0))
@@ -493,9 +494,9 @@ def run_config(raw: Mapping[str, str]) -> RunConfig:
         outage_grid_db=read("outage.gamma_bar_db", parse_float_list,
                             [25.0, 27.0, 29.0, 31.0, 33.0, 35.0, 37.0, 39.0,
                              41.0, 43.0], cell),
-        gamma_th=_db_to_linear(read(
+        gamma_th=db_to_linear(read(
             "outage.gamma_th_db", float, 5.0,
-            lambda key, db: _require_nonneg("outage.gamma_th", _db_to_linear(db)))),
+            lambda key, db: _require_nonneg("outage.gamma_th", db_to_linear(db)))),
         gof_samples=read("validation.n_samples", parse_count, 100000,
                          lambda key, n: _require_range(key, n, MIN_GOF_SAMPLES,
                                                        math.inf)),

@@ -17,33 +17,21 @@ from typing import Callable, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from . import analytics, channel, protocol, streams
-from .errors import EmptySample, InsufficientTail
-from .params import MIN_GOF_SAMPLES, Experiment
+from .errors import InsufficientTail
+from .params import Experiment, db_to_linear
 
 KS_COEFF_5PCT = 1.36     # asymptotic two-sided KS threshold factor at 5%
+CHI2_MIN_EXPECTED = 20   # chi-square bins: n // (5 * this), from 4 to 50
+CHI2_P_FLOOR = 0.01      # chi-square passes while its p-value exceeds this
 AGREEMENT_ALPHA = 1e-3   # family-wise false-alarm level of simulator_agreement
 
 
 @dataclass(frozen=True)
 class GofReport:
-    test: str            # KS | ChiSquare
     statistic: float
     threshold: float
-    n_samples: int
-    passed: bool
-    df: int = 0          # chi-square degrees of freedom (0 for KS)
-
-    @staticmethod
-    def make(test, statistic, threshold, n, df=0):
-        return GofReport(test, float(statistic), float(threshold), int(n),
-                         bool(statistic < threshold), int(df))
-
-    @property
-    def p_value(self) -> float:
-        """Chi-square tail probability (only meaningful for ChiSquare)."""
-        if self.test != "ChiSquare" or self.df < 1:
-            raise ValueError("p_value defined for chi-square reports only")
-        return channel.gammaincc(self.df / 2.0, self.statistic / 2.0)
+    passed: bool             # statistic < threshold
+    p_value: float = math.nan    # chi-square tail probability; NaN for KS
 
 
 def ks_statistic(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -55,29 +43,25 @@ def ks_statistic(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -
     return float(max(np.max(ecdf_hi - f), np.max(f - ecdf_lo)))
 
 
-def ks_compare(samples: np.ndarray, cdf: Callable, level_coeff: float = KS_COEFF_5PCT
-               ) -> GofReport:
-    """Two-sided KS test against an analytic CDF; threshold 1.36/sqrt(n)."""
-    n = np.asarray(samples).size
-    if n < MIN_GOF_SAMPLES:
-        raise EmptySample(f"KS comparison needs n >= {MIN_GOF_SAMPLES}, got {n}")
+def ks_compare(samples: np.ndarray, cdf: Callable) -> GofReport:
+    """Two-sided KS test against an analytic CDF at 5%: threshold
+    1.36/sqrt(n)."""
     d = ks_statistic(samples, cdf)
-    return GofReport.make("KS", d, level_coeff / math.sqrt(n), n)
+    threshold = KS_COEFF_5PCT / math.sqrt(np.asarray(samples).size)
+    return GofReport(d, threshold, d < threshold)
 
 
-def chi_square_compare(samples: np.ndarray, cdf: Callable, support: Tuple[float, float],
-                       min_expected: int = 20, p_floor: float = 0.01) -> GofReport:
+def chi_square_compare(samples: np.ndarray, cdf: Callable, support: Tuple[float, float]
+                       ) -> GofReport:
     """Equal-probability-bin chi-square test against an analytic CDF.
 
     Bin edges are found by bisecting the CDF, which maps an array to an
-    array; passes when the p-value exceeds p_floor (statistic below the
-    matching chi2 quantile).
+    array; passes when the p-value exceeds CHI2_P_FLOOR (statistic below
+    the matching chi2 quantile).
     """
     x = np.asarray(samples, dtype=float)
     n = x.size
-    if n < MIN_GOF_SAMPLES:
-        raise EmptySample(f"chi-square needs n >= {MIN_GOF_SAMPLES}, got {n}")
-    n_bins = max(4, min(50, n // (5 * min_expected)))
+    n_bins = max(4, min(50, n // (5 * CHI2_MIN_EXPECTED)))
     q = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
     inner = _bisect(lambda mid: cdf(mid) < q, np.full(q.size, support[0]),
                     np.full(q.size, support[1]))
@@ -85,14 +69,15 @@ def chi_square_compare(samples: np.ndarray, cdf: Callable, support: Tuple[float,
         [[support[0]], inner, [support[1]]]))
     expected = n / n_bins
     stat = float(np.sum((counts - expected) ** 2 / expected))
-    threshold = chi2_threshold(n_bins - 1, p_floor)
-    return GofReport.make("ChiSquare", stat, threshold, n, df=n_bins - 1)
+    threshold = chi2_threshold(n_bins - 1, CHI2_P_FLOOR)
+    return GofReport(stat, threshold, stat < threshold,
+                     channel.gammaincc((n_bins - 1) / 2.0, stat / 2.0))
 
 
 def chi2_threshold(df: int, p: float) -> float:
     """The x with chi-square tail Q(df/2, x/2) = p for 0 < p < 1, bisected
-    to 4.5e-16 max(1, x); bisecting the tail itself keeps a small p's
-    relative accuracy, which 1 - p would lose."""
+    to 4.5e-16 x, about two ulps; bisecting the tail itself keeps a small
+    p's relative accuracy, which 1 - p would lose."""
     hi = float(df)
     while channel.gammaincc(df / 2.0, hi / 2.0) > p:
         hi *= 2.0
@@ -105,8 +90,9 @@ def _bisect(above, lo, hi, tol=1e-12):
     """Bisect the brackets [lo, hi] of a monotone root problem as one array.
 
     above(mid) is True where the root lies above mid.  Each element stops
-    once hi - lo < tol * max(1, |hi|) and keeps its bracket from then on,
-    so every element ends as a bisection of it alone would.
+    once hi - lo < tol * |hi|, relative at every scale (a path gain's bin
+    edges can all lie below 1e-12), and keeps its bracket from then on, so
+    every element ends as a bisection of it alone would.
     """
     live = np.ones(lo.shape, dtype=bool)
     for _ in range(200):
@@ -114,7 +100,7 @@ def _bisect(above, lo, hi, tol=1e-12):
         up = above(mid)
         lo = np.where(live & up, mid, lo)
         hi = np.where(live & ~up, mid, hi)
-        live &= hi - lo >= tol * np.maximum(1.0, np.abs(hi))
+        live &= hi - lo >= tol * np.abs(hi)
         if not live.any():
             break
     return 0.5 * (lo + hi)
@@ -166,7 +152,7 @@ def _outage_moments(gamma_bar_db: Sequence[float], n: int, seed: int, draw
     mean = np.zeros(gdb.size)
     m2 = np.zeros(gdb.size)
     for i, db in enumerate(gdb):
-        gbar = 10.0 ** (db / 10.0)
+        gbar = db_to_linear(db)
         for done in range(0, n, OUTAGE_CHUNK):
             m = min(OUTAGE_CHUNK, n - done)
             v = draw(gbar, m, lambda comp: streams.substream(seed, i, done, comp))
@@ -293,22 +279,26 @@ class SlopeFit:
     n_points: int
 
 
-def slope_fit(curve: OutageCurve, max_pout: float = 0.1,
-              min_points: int = 4, max_ci_decades: float = 0.5) -> SlopeFit:
+SLOPE_MAX_POUT = 0.1
+SLOPE_MAX_CI_DECADES = 0.5
+SLOPE_MIN_POINTS = 4
+
+
+def slope_fit(curve: OutageCurve) -> SlopeFit:
     """High-SNR log-log slope of the outage curve (diversity order estimate).
 
-    Uses points with p_out < max_pout whose interval spans less than
-    max_ci_decades; raises InsufficientTail when fewer than
-    min_points qualify.
+    Uses points with p_out < SLOPE_MAX_POUT whose interval spans less than
+    SLOPE_MAX_CI_DECADES; raises InsufficientTail when fewer than
+    SLOPE_MIN_POINTS qualify.
     """
-    ok = (curve.p_out < max_pout) & (curve.p_out > 0) & (curve.ci_lo > 0)
+    ok = (curve.p_out < SLOPE_MAX_POUT) & (curve.p_out > 0) & (curve.ci_lo > 0)
     width = np.full(curve.p_out.shape, np.inf)
     nz = curve.ci_lo > 0
     width[nz] = np.log10(curve.ci_hi[nz]) - np.log10(curve.ci_lo[nz])
-    ok &= width < max_ci_decades
-    if int(ok.sum()) < min_points:
-        raise InsufficientTail(
-            f"only {int(ok.sum())} usable high-SNR points (need {min_points})")
+    ok &= width < SLOPE_MAX_CI_DECADES
+    if int(ok.sum()) < SLOPE_MIN_POINTS:
+        raise InsufficientTail(f"only {int(ok.sum())} usable high-SNR points "
+                               f"(need {SLOPE_MIN_POINTS})")
     x = curve.gamma_bar_db[ok] / 10.0
     y = np.log10(curve.p_out[ok])
     # least squares: slope Sxy / Sxx, its standard error from the residuals

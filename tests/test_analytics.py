@@ -4,7 +4,6 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
 
 from thzra import analytics, channel
 from thzra.errors import DomainError, OutOfRange
@@ -25,18 +24,17 @@ def make_link(**kw):
 # ---------------------------------------------------------------------------
 
 def mp_gain_law(y, k, z, rho, a_l):
-    """Independent construction oracle, (CDF, density) of h_l * h_p at y by
-    40-digit quadrature.  h_l * h_p = a_l e^{-(T+W)} with T = ln(a_l/h_l) ~
-    Gamma(k, 1/z) and W = -ln h_p, whose tail (1 + rho w) e^{-rho w} and
-    density rho^2 w e^{-rho w} are the misalignment CDF x^rho (1 - rho ln x)
-    and density at x = e^{-w}.  Integrate over T = uL up to L = ln(a_l/y),
-    beyond which the CDF takes the whole Gamma tail; the factors
-    (zL)^k e^{-rho L} / (k-1)! stay outside, because quad's tolerance is
-    absolute and the density can be 1e-30.  For a large k the integrand
-    u^{k-1} e^{-(z-rho) L u} is itself a narrow peak of height 1e-48 or
-    less at u* = (k-1)/((z-rho) L): the interval is split there, and the
-    integrand is divided by its peak value, or quad stops at once on a
-    wrong answer (0.2842 for 0.36351 at k = 40)."""
+    """Independent construction oracle, the CDF of h_l * h_p at y by 40-digit
+    quadrature.  h_l * h_p = a_l e^{-(T+W)} with T = ln(a_l/h_l) ~
+    Gamma(k, 1/z) and W = -ln h_p, whose tail (1 + rho w) e^{-rho w} is the
+    misalignment CDF x^rho (1 - rho ln x) at x = e^{-w}.  Integrate over
+    T = uL up to L = ln(a_l/y), beyond which the CDF takes the whole Gamma
+    tail; the factors (zL)^k e^{-rho L} / (k-1)! stay outside, because
+    quad's tolerance is absolute and that part can be 1e-30.  For a large k
+    the integrand u^{k-1} e^{-(z-rho) L u} is itself a narrow peak of height
+    1e-48 or less at u* = (k-1)/((z-rho) L): the interval is split there,
+    and the integrand is divided by its peak value, or quad stops at once
+    on a wrong answer (0.2842 for 0.36351 at k = 40)."""
     with mpmath.workdps(40):
         y, z, rho, a_l = (mpmath.mpf(v) for v in (y, z, rho, a_l))
         L = mpmath.log(a_l / y)
@@ -51,20 +49,17 @@ def mp_gain_law(y, k, z, rho, a_l):
         peak = max(t_then_w(u) for u in nodes)      # unimodal on [0, 1]
         scale *= peak
         tail = mpmath.gammainc(k, z * L, mpmath.inf, regularized=True)
-        cdf = tail + scale * mpmath.quad(
-            lambda u: t_then_w(u) / peak * (1 + rho * L * (1 - u)), nodes)
-        pdf = scale * rho ** 2 * L / y * mpmath.quad(
-            lambda u: t_then_w(u) / peak * (1 - u), nodes)
-        return float(cdf), float(pdf)
+        return float(tail + scale * mpmath.quad(
+            lambda u: t_then_w(u) / peak * (1 + rho * L * (1 - u)), nodes))
 
 
 def assert_gain_law(y, k, z, rho, a_l):
-    """CDF within 1e-13 absolute, density within 1e-12 relative of mpmath."""
-    cdf, pdf = mp_gain_law(y, k, z, rho, a_l)
+    """CDF within 1e-13 absolute and 1e-12 relative of mpmath."""
+    cdf = mp_gain_law(y, k, z, rho, a_l)
     args = (y, k, z, rho, a_l)
-    assert abs(analytics.composite_gain_cdf(*args) - cdf) <= 1e-13, args
-    assert analytics.composite_gain_pdf(*args) == \
-        pytest.approx(pdf, rel=1e-12, abs=0), args
+    got = analytics.composite_gain_cdf(*args)
+    assert abs(got - cdf) <= 1e-13, args
+    assert got == pytest.approx(cdf, rel=1e-12, abs=0), args
 
 
 @pytest.mark.parametrize("k,z,rho", [(3, 8.686, 4.0), (2, 3.0, 4.0),
@@ -90,7 +85,6 @@ def test_gain_law_with_rates_far_apart(k, z, rho, frac):
     # |z - rho| L in the thousands: e^{|s| L} overflows unless the Kummer
     # transformation keeps the hypergeometric argument non-positive
     assert math.isfinite(analytics.composite_gain_cdf(frac, k, z, rho, 1.0))
-    assert math.isfinite(analytics.composite_gain_pdf(frac, k, z, rho, 1.0))
     assert_gain_law(frac, k, z, rho, 1.0)
 
 
@@ -148,44 +142,6 @@ def test_poisson_kummer_where_exp_minus_x_underflows():
         assert got == pytest.approx(ref, rel=1e-13), (a, b, x)
 
 
-def test_gain_pdf_integrates_to_one():
-    for k, z, rho in [(3, 8.686, 4.0), (4, 2.0, 6.0)]:
-        total, _ = integrate.quad(
-            lambda x: analytics.composite_gain_pdf(x, k, z, rho, 0.25),
-            0.0, 0.25, limit=400)
-        assert abs(total - 1.0) < 1e-6
-
-
-def test_snr_cdf_pdf_finite_difference_consistency():
-    link = make_link()
-    model = GammaAbsorption(k=3, beta=10.0)
-    rho = 4.0
-    gmax = channel.snr_from_gain(link.a_l, link.avg_snr, link.k_h)  # h = a_l
-    for g in np.linspace(0.05, 0.95, 20) * min(gmax, 40.0):
-        h = 1e-5 * g
-        lo = analytics.cdf_snr_no_fading(
-            analytics.OutageQuery(g - h, link.avg_snr, link.k_h), model, rho, link)
-        hi = analytics.cdf_snr_no_fading(
-            analytics.OutageQuery(g + h, link.avg_snr, link.k_h), model, rho, link)
-        fd = (hi - lo) / (2 * h)
-        pdf = analytics.pdf_snr_no_fading(
-            analytics.OutageQuery(g, link.avg_snr, link.k_h), model, rho, link)
-        assert pdf >= 0.0
-        assert fd == pytest.approx(pdf, rel=1e-5), g
-
-
-def test_snr_pdf_integrates_to_one():
-    link = make_link()
-    model = GammaAbsorption(k=3, beta=10.0)
-    rho = 4.0
-    gmax = channel.snr_from_gain(link.a_l, link.avg_snr, link.k_h)  # h = a_l
-    total, _ = integrate.quad(
-        lambda g: analytics.pdf_snr_no_fading(
-            analytics.OutageQuery(g, link.avg_snr, link.k_h), model, rho, link),
-        0.0, gmax, limit=500)
-    assert abs(total - 1.0) < 1e-4
-
-
 def test_snr_cdf_limits():
     link = make_link()
     model = GammaAbsorption(k=3, beta=10.0)
@@ -208,12 +164,8 @@ def test_z_equals_rho_exact_value():
             with mpmath.workdps(30):
                 zl = 4 * mpmath.log(mpmath.mpf(link.a_l) / mpmath.mpf(q.gamma_h))
                 cdf = mpmath.gammainc(k + 2, zl, mpmath.inf, regularized=True)
-                pdf = (4 * zl ** (k + 1) * mpmath.exp(-zl) / mpmath.factorial(k + 1)
-                       / mpmath.mpf(q.gamma_h))
             assert abs(analytics.cdf_snr_no_fading(q, model, 4.0, link)
                        - float(cdf)) <= 1e-13
-            assert analytics.composite_gain_pdf(q.gamma_h, k, 4.0, 4.0, link.a_l) \
-                == pytest.approx(float(pdf), rel=1e-12, abs=0)
 
 
 def test_ceiling_outage_flagged_probability_one():

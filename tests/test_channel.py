@@ -9,7 +9,7 @@ from scipy import integrate
 from scipy import stats as sstats
 
 from thzra import channel
-from thzra.errors import DomainError, OutOfRange, UnsupportedParams
+from thzra.errors import OutOfRange, UnsupportedParams
 from thzra.params import (DeterministicAbsorption, FadingParams, GammaAbsorption,
                           MisalignmentParams, ThzLinkParams)
 
@@ -134,26 +134,6 @@ def test_path_gain_strictly_decreasing():
     assert np.all(np.diff(hl) < 0)
 
 
-def test_path_gain_pdf_normalizes():
-    link = make_link(d_m=1000.0)
-    model = GammaAbsorption(k=2, beta=8.686 / 3.0)   # z = 3
-    assert model.z_for(link) == pytest.approx(3.0)
-    total, err = integrate.quad(
-        lambda x: channel.path_gain_pdf(x, model, link), 0.0, link.a_l,
-        limit=300)
-    assert abs(total - 1.0) < 1e-6
-
-
-def test_path_gain_density_vanishes_at_a_l_for_k_gt_1():
-    link = make_link()
-    model = GammaAbsorption(k=2, beta=10.0)
-    assert channel.path_gain_pdf(link.a_l, model, link) == 0.0
-    with pytest.raises(DomainError):
-        channel.path_gain_pdf(link.a_l * 1.001, model, link)
-    with pytest.raises(DomainError):
-        channel.path_gain_pdf(0.0, model, link)
-
-
 def test_path_gain_ks_vs_analytic_cdf():
     link = make_link()
     model = GammaAbsorption(k=3, beta=10.0)
@@ -167,7 +147,8 @@ def test_path_gain_ks_vs_analytic_cdf():
 
 def test_path_gain_cdf_shape_one_is_power_law():
     # k = 1: ln(a_l/h) ~ Exp(z), so P(h_l <= h) = (h/a_l)^z; arrays are
-    # evaluated whole, scalars come back as floats, h = a_l gives 1
+    # evaluated whole, scalars come back as floats, h = 0 gives 0 and
+    # h >= a_l gives 1
     link = make_link()
     model = GammaAbsorption(k=1, beta=10.0)
     z = model.z_for(link)
@@ -176,8 +157,11 @@ def test_path_gain_cdf_shape_one_is_power_law():
     np.testing.assert_allclose(f, (h / link.a_l) ** z, rtol=1e-13, atol=0.0)
     assert isinstance(channel.path_gain_cdf(float(h[2]), model, link), float)
     assert channel.path_gain_cdf(link.a_l, model, link) == 1.0
-    with pytest.raises(DomainError):
-        channel.path_gain_cdf(h * 1.001, model, link)
+    assert channel.path_gain_cdf(0.0, model, link) == 0.0
+    assert channel.path_gain_cdf(1.001 * link.a_l, model, link) == 1.0
+    np.testing.assert_array_equal(
+        channel.path_gain_cdf(np.array([0.0, 1.001 * link.a_l]), model, link),
+        [0.0, 1.0])
 
 
 def test_path_gain_histogram_matches_density():
@@ -215,21 +199,30 @@ def test_misalignment_cdf_closed_point():
         assert got == pytest.approx(2.0 / math.e, rel=1e-12)
 
 
-def test_misalignment_cdf_matches_pdf_by_fd():
-    rho = 3.7
-    for x in np.linspace(0.05, 0.95, 19):
-        h = 1e-7
-        fd = (channel.misalignment_cdf(x + h, rho)
-              - channel.misalignment_cdf(x - h, rho)) / (2 * h)
-        pdf = channel.misalignment_pdf(x, rho)
-        assert abs(fd - pdf) / pdf < 1e-6
+def test_misalignment_cdf_matches_density_quadrature():
+    # the pointing-error density -rho^2 ln(x) x^(rho-1), integrated by scipy
+    for rho in (0.5, 3.7):
+        for x in np.linspace(0.05, 0.95, 19):
+            ref, _ = integrate.quad(
+                lambda t: -rho ** 2 * math.log(t) * t ** (rho - 1.0), 0.0, x)
+            assert channel.misalignment_cdf(x, rho) == pytest.approx(
+                ref, rel=1e-9), (rho, x)
 
 
 def test_misalignment_domain():
-    with pytest.raises(DomainError):
-        channel.misalignment_cdf(0.0, 2.0)
-    with pytest.raises(DomainError):
-        channel.misalignment_cdf(1.5, 2.0)
+    # every value the sampler returns, its underflowed zeros included, and
+    # beyond the support: 0 at and below 0, 1 from 1 up, arrays whole
+    assert channel.misalignment_cdf(0.0, 2.0) == 0.0
+    assert channel.misalignment_cdf(1.5, 2.0) == 1.0
+    np.testing.assert_array_equal(
+        channel.misalignment_cdf(np.array([-1.0, 0.0, 1.0, 1.5]), 2.0),
+        [0.0, 0.0, 1.0, 1.0])
+    hp = channel.sample_misalignment(0.01, RNG(1), 100_000)
+    assert np.any(hp == 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = channel.misalignment_cdf(hp, 0.01)
+    assert np.all(f[hp == 0.0] == 0.0) and np.all((f >= 0.0) & (f <= 1.0))
 
 
 def test_misalignment_sampler_exact_law():

@@ -488,16 +488,40 @@ def test_validate_exit_codes(tmp_path, monkeypatch):
         "fading_alpha_mu_ks", "no_fading_outage", "bound_sweep",
         "simulator_vs_series"}
 
-    # misalignment drawn at 1.1 rho must fail its goodness-of-fit suite
-    sample = channel.sample_misalignment
-    monkeypatch.setattr(channel, "sample_misalignment",
-                        lambda rho, rng, size: sample(1.1 * rho, rng, size))
+    # misalignment drawn at 1.1 rho must fail its goodness-of-fit suite:
+    # (U V)^(1/1.1) is h_p^rho for h_p drawn at 1.1 rho
+    draw = channel.uniform_product
+    monkeypatch.setattr(channel, "uniform_product",
+                        lambda rng, size: draw(rng, size) ** (1 / 1.1))
     out = tmp_path / "out2"
     assert cli.main(["validate", "--config", str(cfg), "--seed", "3",
                      "--out", str(out)]) == 1
     report = json.loads((out / "validation_report.json").read_text())
     assert "misalignment_ks" in {s["suite"] for s in report["suites"]
                                  if not s["passed"]}
+
+
+@pytest.mark.parametrize("far", [False, True], ids=["rho_0.01", "rho_0.01_far"])
+def test_validate_gof_on_every_draw(tmp_path, far):
+    # rho = 0.01 underflows 0.45 % of the h_p draws to 0, which KS at the
+    # default 100 000 samples would see if h_p were tested instead of
+    # ln h_p; 100 dB/km over 1 km puts every path-gain bin edge below 1e-12
+    edits = [("rho = 4.0", "rho = 0.01"),
+             ("n_samples = 20000", "n_samples = 100000")]
+    if far:
+        edits += [("d_m = 100\n", "d_m = 1000\n"),
+                  ("kbeta_db_per_km = 30 ", "kbeta_db_per_km = 100 ")]
+    text = fast_validate_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    cfg = write_cfg(tmp_path, "small_rho.cfg", text)
+    out = tmp_path / "out"
+    assert cli.main(["validate", "--config", str(cfg), "--seed", "3",
+                     "--out", str(out)]) == 0
+    assert (out / "run_manifest.json").exists()
+    report = json.loads((out / "validation_report.json").read_text())
+    assert report["all_passed"] is True
 
 
 def test_validate_catches_biased_simulator(tmp_path, monkeypatch):
