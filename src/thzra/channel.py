@@ -274,9 +274,9 @@ def _gammainc_series(a: float, x: np.ndarray) -> np.ndarray:
     if a <= 100.0:
         # x^a directly: exp(a ln x) would carry ln x's rounding, times a,
         # into P (2e-13 relative at a = 20, x = 1e-5)
-        s *= np.power(x, a)
-        e = np.negative(x)
-        s *= np.exp(e, out=e)
+        t = np.power(x, a)
+        s *= t
+        s *= np.exp(np.negative(x, out=t), out=t)     # e^-x in x^a's buffer
         s /= math.gamma(a + 1.0)
         return s
     with np.errstate(divide="ignore"):    # x^a and Gamma(a+1) near overflow

@@ -340,7 +340,7 @@ def cmd_validate(cfg: RunConfig, out_dir: Path, manifest: Manifest) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-CELL_SCHEMA = "thzra.sweep.cell.v4"
+CELL_SCHEMA = "thzra.sweep.cell.v5"
 
 
 @dataclass(frozen=True)
@@ -373,8 +373,33 @@ def _cell_slug(cell: Dict[str, float]) -> str:
     return "_".join(parts).replace("/", "-")
 
 
-def _run_cell(cell: SweepCell, path: Path, schema: str) -> int:
-    """Compute and write one cell; returns the outage draws it made."""
+def _run_group(group: Sequence[tuple]) -> list:
+    """Compute and write the pending cells of one group, (cell, path,
+    schema) triples whose cells differ only in gamma_bar_db; returns per
+    cell the outage draws it made, or the exception that failed it.
+
+    The group's outage points come from one outage_mc call over their
+    average SNRs, seeded by the cell slug without gamma_bar_db, so they
+    share their channel draws; each point is bit-identical whichever of
+    the group's cells are pending.  If that call raises, so does this.
+    """
+    cell = group[0][0]
+    curve = None
+    if "outage" in cell.metrics:
+        axes = {k: v for k, v in cell.coords.items() if k != "gamma_bar_db"}
+        curve = validation.outage_mc(
+            cell.exp, cell.gamma_th,
+            [10.0 * math.log10(c.exp.link.avg_snr) for c, _, _ in group],
+            cell.outage_draws,
+            seed=_row_seed(cell.exp.protocol.seed, _cell_slug(axes), "outage"))
+    return [_attempt(_write_cell, c, path, schema, curve, j)
+            for j, (c, path, schema) in enumerate(group)]
+
+
+def _write_cell(cell: SweepCell, path: Path, schema: str,
+                curve: Optional[validation.OutageCurve], j: int) -> int:
+    """Run the cell's protocol metric, if chosen, and write the cell with
+    point j of its group's outage curve; returns the outage draws made."""
     e = cell.exp
     slug = _cell_slug(cell.coords)
     cols = sorted(cell.coords)
@@ -388,16 +413,12 @@ def _run_cell(cell: SweepCell, path: Path, schema: str) -> int:
                      f"{scheme}_mean_energy_uj"]
             row += [stats.mean_delay, stats.mean_transmissions,
                     stats.mean_energy_uj]
-    if "outage" in cell.metrics:
-        n_mc = cell.outage_draws
-        gbar_db = 10.0 * math.log10(e.link.avg_snr)
-        curve = validation.outage_mc(e, cell.gamma_th, [gbar_db], n_mc,
-                                     seed=_row_seed(e.protocol.seed, slug, "outage"))
+    if curve is not None:
         cols += ["p_out", "p_out_ci_lo", "p_out_ci_hi", "p_out_se", "vrf",
                  "conditioned", "outage_draws"]
-        row += [float(curve.p_out[0]), float(curve.ci_lo[0]),
-                float(curve.ci_hi[0]), float(curve.se[0]),
-                float(curve.vrf[0]), curve.conditioned, n_mc]
+        row += [float(curve.p_out[j]), float(curve.ci_lo[j]),
+                float(curve.ci_hi[j]), float(curve.se[j]),
+                float(curve.vrf[j]), curve.conditioned, cell.outage_draws]
     write_csv_atomic(path, schema, cols, [row])
     return cell.outage_draws or 0
 
@@ -441,7 +462,9 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, manifest: Manifest,
     cell_dir = out_dir / "sweep"
     cell_dir.mkdir(parents=True, exist_ok=True)
 
-    todo = []
+    # cells that differ only in gamma_bar_db share their outage draws
+    shared = "outage" in cfg.sweep_metrics
+    groups: Dict[tuple, list] = {}
     for combo in itertools.product(*(axes[n] for n in names)):
         coords = dict(zip(names, combo))
         cell = _sweep_cell(cfg, coords)
@@ -451,23 +474,29 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, manifest: Manifest,
             manifest.add(path)          # completed by an earlier run
             manifest.count("cells_skipped")
         else:                           # missing, or from another config/schema
-            todo.append((cell, path, schema))
+            key = tuple((k, v) for k, v in coords.items()
+                        if not (shared and k == "gamma_bar_db"))
+            groups.setdefault(key, []).append((cell, path, schema))
 
+    todo = list(groups.values())
     if parallel > 1 and todo:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            futures = [pool.submit(_run_cell, *args) for args in todo]
+            futures = [pool.submit(_run_group, group) for group in todo]
             results = [fut.exception() or fut.result() for fut in futures]
     else:
-        results = [_attempt(_run_cell, *args) for args in todo]
-    for (cell, path, _), result in zip(todo, results):
-        if isinstance(result, BaseException):   # a failed cell: partial run
-            manifest.mark_partial(f"cell {cell.coords} failed: {result}")
-            manifest.count("cells_failed")
-        else:
-            manifest.add(path)
-            manifest.count("cells_done")
-            manifest.count("outage_draws", result)
+        results = [_attempt(_run_group, group) for group in todo]
+    for group, result in zip(todo, results):
+        if isinstance(result, BaseException):   # failed before writing a cell
+            result = [result] * len(group)
+        for (cell, path, _), outcome in zip(group, result):
+            if isinstance(outcome, BaseException):  # a failed cell: partial run
+                manifest.mark_partial(f"cell {cell.coords} failed: {outcome}")
+                manifest.count("cells_failed")
+            else:
+                manifest.add(path)
+                manifest.count("cells_done")
+                manifest.count("outage_draws", outcome)
     return 1 if manifest.data["partial_run"] else 0
 
 

@@ -508,7 +508,9 @@ def run_config(raw: Mapping[str, str]) -> RunConfig:
                          [25.0, 29.0, 33.0, 37.0, 41.0], cell),
         val_outage_draws=read("validation.outage_draws", parse_count, 200000,
                               _require_pos),
-        sweep_axes={name: v for name, v in axes.items() if v is not None},
+        # a repeated axis value is one cell: its first occurrence stays
+        sweep_axes={name: tuple(dict.fromkeys(v)) for name, v in axes.items()
+                    if v is not None},
         sweep_metrics=read("sweep.metrics", parse_str_list, ["protocol"], _metric),
         sweep_outage_draws=read("sweep.outage_draws", parse_count, 200000,
                                 _require_pos))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -137,35 +137,6 @@ def wilson_interval(successes: int, n: int, z: float = Z95) -> Tuple[float, floa
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _outage_moments(gamma_bar_db: Sequence[float], n: int, seed: int, draw
-                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean and centred sum of squares (M2) of n per-draw outage values per
-    grid point.
-
-    draw(gamma_bar, m, rng) returns m values; rng(component) is the
-    substream keyed by (seed, grid index, draws done, component), so a
-    point's draws do not depend on the rest of the grid or on who runs it.
-    Chunks merge by Chan et al.'s pairwise update, each centred on its own
-    first value, so values that never vary give M2 = 0 exactly.
-    """
-    gdb = np.asarray(list(gamma_bar_db), dtype=float)
-    mean = np.zeros(gdb.size)
-    m2 = np.zeros(gdb.size)
-    for i, db in enumerate(gdb):
-        gbar = db_to_linear(db)
-        for done in range(0, n, OUTAGE_CHUNK):
-            m = min(OUTAGE_CHUNK, n - done)
-            v = draw(gbar, m, lambda comp: streams.substream(seed, i, done, comp))
-            d = v - v[0]
-            d_mean = np.mean(d)
-            delta = v[0] + d_mean - mean[i]
-            mean[i] += delta * (m / (done + m))
-            d -= d_mean
-            m2[i] += (np.sum(np.square(d, out=d))
-                      + delta * delta * (done * m / (done + m)))
-    return gdb, mean, m2
-
-
 def conditioned_on_fading(exp: Experiment) -> bool:
     """Whether outage_mc integrates fading out (else misalignment): alpha-mu
     fading (FadingParams.is_alpha_mu) with alpha mu < rho, i.e. fading's
@@ -175,43 +146,50 @@ def conditioned_on_fading(exp: Experiment) -> bool:
     return fp.enabled and fp.is_alpha_mu and fp.alpha * fp.mu < exp.misalignment.rho
 
 
-def outage_score(exp: Experiment, gamma_h: float, m: int, rng) -> np.ndarray:
+def outage_score(exp: Experiment, gamma_hs: Sequence[float], m: int, rng
+                 ) -> Iterator[np.ndarray]:
     """m draws of the outage probability given every channel component but
-    the one conditioned_on_fading integrates out.
+    the one conditioned_on_fading integrates out, at each gamma_h of
+    gamma_hs in turn, all from one draw of those components.
 
-    rng(component) is that component's substream.  The log of the gain
-    ratio is built as a sum of log-gains, the drawn component's and
-    _log_path_ratio's, and the CDF of the integrated-out component takes
-    it whole: on fading, ln u = ln(gamma_h / (h_l h_p)) and the alpha-mu
-    CDF; on misalignment, L = min(ln(gamma_h / (h_l h_f)), 0) and F_p(e^L).
-    U V = 0 or G = 0 (Generator.random and a Gamma draw can return 0)
-    gives ln = -inf and scores 1, as h = 0 does.  One array stays alive
-    into the CDF, whose temporaries set the peak memory.
+    rng(component) is that component's substream.  The drawn log-loss
+    ln(h_0 / h) is built once per call, a sum of log-gains: -ln(U V)/rho
+    plus the absorption loss on fading, -ln G/alpha plus the loss on
+    misalignment (h / r_hat there), the loss alone with fading off.  Each
+    gamma_h adds its constant ln(gamma_h / h_0) into one reused buffer
+    and the CDF of the integrated-out component takes it whole: on
+    fading, ln u = ln(gamma_h / (h_l h_p)) and the alpha-mu CDF; on
+    misalignment, L = min(ln(gamma_h / (h_l h_f)), 0) and F_p(e^L).  So a
+    point's scores do not depend on the other points.  U V = 0 or G = 0
+    (Generator.random and a Gamma draw can return 0) gives ln = -inf and
+    scores 1, as h = 0 does.  Each yielded array is new; deterministic
+    absorption with fading off yields a read-only broadcast constant.
     """
     fp, rho = exp.fading, exp.misalignment.rho
-    with np.errstate(divide="ignore"):
-        if conditioned_on_fading(exp):
-            log_u = np.log(channel.uniform_product(rng(streams.MISALIGNMENT), m))
-            log_u *= -1.0 / rho                 # -ln h_p
-            log_u += _log_path_ratio(exp, gamma_h, m, rng)
-            return channel.alpha_mu_cdf_log(log_u, fp)
-        if not fp.enabled:
-            log_x = np.minimum(_log_path_ratio(exp, gamma_h, m, rng), 0.0)
-            return np.broadcast_to(channel.misalignment_cdf_log(log_x, rho), m)
-        log_x = np.log(channel.fading_power(fp, rng(streams.FADING), m))
-        log_x *= -1.0 / fp.alpha                # -ln(h_f / r_hat)
-        log_x += _log_path_ratio(exp, gamma_h / fp.r_hat, m, rng)
-        np.minimum(log_x, 0.0, out=log_x)
-        return channel.misalignment_cdf_log(log_x, rho)
-
-
-def _log_path_ratio(exp: Experiment, gamma_h: float, m: int, rng):
-    """ln(gamma_h / h_l) for m path-gain draws: ln(gamma_h / h_0) plus the
-    absorption loss (channel.sample_path_loss), a float for deterministic
-    absorption."""
-    h_0, loss = channel.sample_path_loss(exp.absorption, exp.link,
-                                         rng(streams.ABSORPTION), m)
-    return loss + math.log(gamma_h / h_0)
+    on_fading = conditioned_on_fading(exp)
+    h_0, log_loss = channel.sample_path_loss(exp.absorption, exp.link,
+                                             rng(streams.ABSORPTION), m)
+    if on_fading or fp.enabled:
+        with np.errstate(divide="ignore"):
+            if on_fading:               # -ln h_p
+                drawn = np.log(channel.uniform_product(
+                    rng(streams.MISALIGNMENT), m))
+                drawn *= -1.0 / rho
+            else:                       # -ln(h_f / r_hat)
+                drawn = np.log(channel.fading_power(fp, rng(streams.FADING), m))
+                drawn *= -1.0 / fp.alpha
+                h_0 *= fp.r_hat
+        drawn += log_loss
+        log_loss = drawn
+    shift = np.empty(m) if isinstance(log_loss, np.ndarray) else None
+    for gamma_h in gamma_hs:
+        log_x = np.add(log_loss, math.log(gamma_h / h_0), out=shift)
+        if on_fading:
+            yield channel.alpha_mu_cdf_log(log_x, fp)
+            continue
+        score = channel.misalignment_cdf_log(np.minimum(log_x, 0.0, out=shift),
+                                             rho)
+        yield score if shift is not None else np.broadcast_to(score, m)
 
 
 def outage_mc(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float],
@@ -228,16 +206,34 @@ def outage_mc(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float],
     vrf = p(1-p) / (n se^2) is inf where the score never varies (the
     estimate is exact).  Points where gamma_th settles the answer
     (OutageQuery.settled) take it without drawing.
+
+    Every point scores the same draws: chunk j of OUTAGE_CHUNK draws comes
+    from the substreams (seed, j * OUTAGE_CHUNK, component), drawn once
+    for the whole grid, so the points' errors are positively correlated
+    and a point's result is bit-identical whatever else is on the grid.
+    Each point's chunks merge by Chan et al.'s pairwise update, each
+    centred on its own first value, so values that never vary give
+    M2 = 0 exactly.
     """
-    k_h = exp.link.k_h
-
-    def draw(gbar, m, rng):
-        q = analytics.OutageQuery(gamma_th, gbar, k_h)
-        if q.settled is not None:
-            return np.full(m, q.settled)
-        return outage_score(exp, q.gamma_h, m, rng)
-
-    gdb, p, m2 = _outage_moments(gamma_bar_db, n, seed, draw)
+    gdb = np.asarray(list(gamma_bar_db), dtype=float)
+    queries = [analytics.OutageQuery(gamma_th, db_to_linear(db), exp.link.k_h)
+               for db in gdb]
+    p = np.array([q.settled or 0.0 for q in queries])
+    m2 = np.zeros(gdb.size)
+    live = [i for i, q in enumerate(queries) if q.settled is None]
+    for done in range(0, n, OUTAGE_CHUNK) if live else ():
+        m = min(OUTAGE_CHUNK, n - done)
+        scores = outage_score(exp, [queries[i].gamma_h for i in live], m,
+                              lambda comp: streams.substream(seed, done, comp))
+        for i, v in zip(live, scores):
+            v0 = v[0]
+            d = np.subtract(v, v0, out=v if v.flags.writeable else None)
+            d_mean = np.mean(d)
+            delta = v0 + d_mean - p[i]
+            p[i] += delta * (m / (done + m))
+            d -= d_mean
+            m2[i] += (np.sum(np.square(d, out=d))
+                      + delta * delta * (done * m / (done + m)))
     se = np.sqrt(m2 / max(n - 1, 1) / n)
     crude = p * (1.0 - p) / n
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -255,16 +251,18 @@ def outage_count(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float]
                  n: int, seed: int) -> OutageCurve:
     """Crude outage Monte Carlo: the share of n composite draws with
     SNR < gamma_th, with Wilson intervals and the binomial standard error.
-    The reference outage_mc is checked against."""
-
-    def draw(gbar, m, rng):
-        g = channel.draw_snr_batch(exp, m, rng(streams.ABSORPTION),
-                                   rng(streams.FADING),
-                                   rng(streams.MISALIGNMENT), avg_snr=gbar)
-        return (g < gamma_th).astype(float)
-
-    gdb, mean, _ = _outage_moments(gamma_bar_db, n, seed, draw)
-    hits = np.rint(mean * n)        # the merged mean is hits/n to rounding
+    The reference outage_mc is checked against.  Each point draws its own
+    chunks, from the substreams (seed, grid index, draws done, component).
+    """
+    gdb = np.asarray(list(gamma_bar_db), dtype=float)
+    hits = np.zeros(gdb.size)
+    for i, db in enumerate(gdb):
+        for done in range(0, n, OUTAGE_CHUNK):
+            rngs = [streams.substream(seed, i, done, comp) for comp in
+                    (streams.ABSORPTION, streams.FADING, streams.MISALIGNMENT)]
+            g = channel.draw_snr_batch(exp, min(OUTAGE_CHUNK, n - done), *rngs,
+                                       avg_snr=db_to_linear(db))
+            hits[i] += np.count_nonzero(g < gamma_th)
     p = hits / n
     lo, hi = np.array([wilson_interval(int(h), n) for h in hits]).T
     return OutageCurve(gamma_bar_db=gdb, p_out=p, ci_lo=lo, ci_hi=hi,

@@ -688,16 +688,21 @@ def test_sweep_grid_and_resume(tmp_path):
 
     # a cell written under an older schema is recomputed, not reused
     cells[3].write_text("#schema: thzra.sweep.cell.v1\nmu,p_out\n1,0.5\n")
-    # a v2 cell (crude counting) or a v3 cell (misalignment conditioning
-    # only) with the current digest is recomputed too
-    schema_v4 = before[cells[4].name].decode().splitlines()[0]
-    assert schema_v4.startswith("#schema: thzra.sweep.cell.v4 digest=")
-    cells[4].write_text(schema_v4.replace(".v4 ", ".v2 ")
+    # a v2 cell (crude counting), a v3 cell (misalignment conditioning
+    # only) or a v4 cell (draws per cell) with the current digest is
+    # recomputed too
+    schema_v5 = before[cells[4].name].decode().splitlines()[0]
+    assert schema_v5.startswith("#schema: thzra.sweep.cell.v5 digest=")
+    cells[4].write_text(schema_v5.replace(".v5 ", ".v2 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,outage_draws"
                         "\n2,3,0.5,0.4,0.6,20000\n")
-    cells[6].write_text(schema_v4.replace(".v4 ", ".v3 ")
+    cells[6].write_text(schema_v5.replace(".v5 ", ".v3 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,p_out_se,vrf,"
                         "outage_draws\n3,2,0.5,0.4,0.6,0.05,2.0,20000\n")
+    cells[7].write_text(schema_v5.replace(".v5 ", ".v4 ")
+                        + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,p_out_se,vrf,"
+                        "conditioned,outage_draws\n3,3,0.5,0.4,0.6,0.05,2.0,"
+                        "misalignment,20000\n")
     assert cli.main(["sweep", "--config", str(cfg), "--seed", "9",
                      "--out", str(out)]) == 0
     after = {p.name: p.read_bytes()
@@ -809,6 +814,64 @@ def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
                      "--out", str(capped), "--parallel", "8"]) == 0
     for a, b in zip(s_files, sorted((capped / "sweep").glob("*.csv"))):
         assert a.read_bytes() == b.read_bytes()
+
+
+def gamma_bar_sweep(tmp_path, gamma_bar_db):
+    """configs/sweep_outage.cfg at 2000 draws with mu = 1.5, rho = 2, 4.1
+    and the given gamma_bar_db axis."""
+    text = SWEEP_CFG.read_text().replace(
+        "outage_draws = 2000000", "outage_draws = 2000").replace(
+        "mu = 1.5,2.5", f"mu = 1.5\ngamma_bar_db = {gamma_bar_db}")
+    return write_cfg(tmp_path, f"g{len(list(tmp_path.iterdir()))}.cfg", text)
+
+
+def test_sweep_cells_along_gamma_bar_share_draws(tmp_path):
+    # the cells of one (mu, rho) come from one outage_mc call over their
+    # average SNRs: any worker count gives the same bytes, and a resumed
+    # group recomputes only its missing cell, bit-identically
+    cfg = gamma_bar_sweep(tmp_path, "40,45,50")
+    runs = {}
+    for parallel in ("1", "2", "3"):
+        out = tmp_path / f"par{parallel}"
+        assert cli.main(["sweep", "--config", str(cfg), "--seed", "4",
+                         "--out", str(out), "--parallel", parallel]) == 0
+        runs[parallel] = cell_bytes(out)
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["counters"] == sweep_counters(6, 0, 0, 2000)
+    assert len(runs["1"]) == 6
+    assert runs["2"] == runs["1"] and runs["3"] == runs["1"]
+
+    out = tmp_path / "par1"
+    (out / "sweep" / "cell_gamma_bar_db=45.0_mu=1.5_rho=4.1.csv").unlink()
+    assert cli.main(["sweep", "--config", str(cfg), "--seed", "4",
+                     "--out", str(out)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["counters"] == sweep_counters(1, 5, 0, 2000)
+    assert cell_bytes(out) == runs["1"]
+
+    # a point's bytes do not depend on the other points of its group
+    alone = tmp_path / "alone"
+    assert cli.main(["sweep", "--config", str(gamma_bar_sweep(tmp_path, "45")),
+                     "--seed", "4", "--out", str(alone)]) == 0
+    assert cell_bytes(alone) == {name: body for name, body in runs["1"].items()
+                                 if "gamma_bar_db=45.0" in name}
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_sweep_repeated_axis_value_is_one_cell(tmp_path, parallel):
+    # 40,40,45 is the grid 40,45: the same files, counters and digest
+    runs = []
+    for axis in ("40,40,45", "40,45"):
+        out = tmp_path / f"out{len(runs)}"
+        assert cli.main(["sweep", "--config", str(gamma_bar_sweep(tmp_path, axis)),
+                         "--seed", "4", "--out", str(out),
+                         "--parallel", parallel]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        runs.append((cell_bytes(out), manifest["counters"],
+                     manifest["config_digest"]))
+        assert not list((out / "sweep").glob("*.tmp"))
+    assert runs[0] == runs[1]
+    assert runs[0][1] == sweep_counters(4, 0, 0, 2000)
 
 
 @pytest.mark.parametrize("parallel", ["1", "2"])

@@ -284,7 +284,7 @@ def test_outage_score_is_the_linear_composition(name, db):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = validation.outage_score(exp, q.gamma_h, m, rng)
+        [got] = validation.outage_score(exp, [q.gamma_h], m, rng)
     want = linear_score(exp, q.gamma_h, m, rng)
     assert got.shape == (m,)
     assert np.all((got >= 0.0) & (got <= 1.0))
@@ -305,7 +305,7 @@ def test_outage_score_of_a_zero_gain_is_one(name):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = validation.outage_score(exp, q.gamma_h, 1000, rng)
+        [got] = validation.outage_score(exp, [q.gamma_h], 1000, rng)
     np.testing.assert_array_equal(got[:3], 1.0)
     np.testing.assert_allclose(got, linear_score(exp, q.gamma_h, 1000, rng),
                                rtol=1e-13, atol=1e-300)
@@ -391,6 +391,47 @@ def test_outage_mc_settled_thresholds(k_t, gamma_th, expected):
     np.testing.assert_array_equal(curve.se, 0.0)
     count = validation.outage_count(exp, gamma_th, [20.0, 45.0], 1000, seed=1)
     np.testing.assert_array_equal(count.p_out, expected)
+
+
+@pytest.mark.parametrize("name", ["fading_off", "alpha_mu_on_fading",
+                                  "alpha_mu_on_misalignment",
+                                  "deterministic_fading_off", "k_h_on_fading"])
+def test_outage_mc_point_is_the_same_on_any_grid(name):
+    # the grid's points score one set of draws, and a point's result does
+    # not depend on the other points, settled ones (inf) included; sweep
+    # resume relies on it.  n is no multiple of the chunk.
+    exp = branch_experiment(name)
+    n = validation.OUTAGE_CHUNK + 4321
+    alone = validation.outage_mc(exp, 10 ** 0.5, [45.0], n, seed=5)
+    grid = validation.outage_mc(exp, 10 ** 0.5, [40.0, 45.0, 50.0, math.inf],
+                                n, seed=5)
+    for field in ("p_out", "ci_lo", "ci_hi", "se", "vrf"):
+        assert getattr(grid, field)[1] == getattr(alone, field)[0], field
+    assert (grid.p_out[3], grid.se[3]) == (0.0, 0.0)
+    assert grid.p_out[0] > grid.p_out[1] > grid.p_out[2]
+    # shared draws order the points draw by draw, so even the estimates
+    # of nearby points keep their order
+    near = validation.outage_mc(exp, 10 ** 0.5, [45.0, 45.01], n, seed=5)
+    assert near.p_out[0] >= near.p_out[1]
+
+
+def test_outage_mc_shares_one_draw_per_chunk(monkeypatch):
+    # the chunk's substreams are keyed (seed, draws done, component), with
+    # no grid index: every point scores the same draws
+    exp = branch_experiment("alpha_mu_on_fading")
+    seen = []
+    substream = streams.substream
+
+    def traced(seed, *path):
+        seen.append(path)
+        return substream(seed, *path)
+
+    monkeypatch.setattr(streams, "substream", traced)
+    n = 3 * validation.OUTAGE_CHUNK
+    validation.outage_mc(exp, 10 ** 0.5, [40.0, 45.0, 50.0], n, seed=5)
+    assert sorted(seen) == [(done, comp) for done in range(0, n, n // 3)
+                            for comp in (streams.ABSORPTION,
+                                         streams.MISALIGNMENT)]
 
 
 # ---------------------------------------------------------------------------
