@@ -16,6 +16,7 @@ and alpha_mu_cdf_log are the CDFs misalignment_cdf and alpha_mu_cdf call.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional, Tuple, Union
 
@@ -204,15 +205,14 @@ def alpha_mu_cdf(u: ArrayLike, fp: FadingParams) -> ArrayLike:
 def alpha_mu_cdf_log(log_u: ArrayLike, fp: FadingParams) -> ArrayLike:
     """alpha_mu_cdf at u = e^(log_u): gammainc(mu, x) with
     ln x = ln mu + alpha (log_u - ln r_hat), so that a gain built as a sum
-    of logs takes one exp."""
+    of logs takes one exp; ln x also feeds the series' prefactor."""
     if not fp.is_alpha_mu:
         raise UnsupportedParams(
             "fading CDF is exact only for alpha-mu (eta=1, kappa=0), "
             f"got eta={fp.eta}, kappa={fp.kappa}")
-    x = np.multiply(log_u, fp.alpha)
-    x += math.log(fp.mu) - fp.alpha * math.log(fp.r_hat)
-    x = np.exp(x)
-    return gammainc(fp.mu, x if isinstance(log_u, np.ndarray) else float(x))
+    log_x = np.multiply(log_u, fp.alpha)
+    log_x += math.log(fp.mu) - fp.alpha * math.log(fp.r_hat)
+    return _regularized_gamma(fp.mu, np.exp(log_x), False, log_x)
 
 
 def gammainc(a: float, x: ArrayLike) -> ArrayLike:
@@ -230,57 +230,130 @@ def gammaincc(a: float, x: ArrayLike) -> ArrayLike:
     return _regularized_gamma(a, x, upper=True)
 
 
-def _regularized_gamma(a: float, x: ArrayLike, upper: bool) -> ArrayLike:
+def _regularized_gamma(a: float, x: ArrayLike, upper: bool,
+                       log_x: Optional[ArrayLike] = None) -> ArrayLike:
     """P(a, x), or Q(a, x) if upper, by Numerical Recipes section 6.2: the
-    power series for P below x = a + 1 and Lentz's continued fraction for
-    Q above it, each complemented where the other one is asked for.
-    Every x is first taken through the series clipped to x <= 1, one pass
-    with the term count the largest of them needs; the few x > 1 are then
-    redone in place.
+    power series for P and Lentz's continued fraction for Q, each
+    complemented where the other one is asked for.  Q takes the fraction
+    from x = a + 1 on, so that a deep tail keeps its relative accuracy.
+    P keeps the series up to x = a + 10: on the few x there, the
+    fraction's loop of small-array steps costs more, and P near 1 loses
+    nothing.
+
+    Every x is first taken through the economized series on [0, 1],
+    clipped to x <= 1; the few x > 1 are then redone in place.  log_x is
+    ln x where the caller has it (alpha_mu_cdf_log, which passes
+    x = e^log_x): the series prefactor then comes from it, and x and
+    log_x are the caller's scratch arrays, written into here.
     """
     xs = np.asarray(x, dtype=float)
     flat = xs.reshape(-1)
-    out = _gammainc_series(a, np.minimum(flat, 1.0))
+    big = np.flatnonzero(flat > 1.0)
+    x_big = flat[big]
+    if log_x is None:
+        head, log_head, log_big = np.minimum(flat, 1.0), None, None
+    else:
+        head, log_head = flat, np.asarray(log_x, dtype=float).reshape(-1)
+        log_big = log_head[big]
+        head[big], log_head[big] = 1.0, 0.0
+    out = _gammainc_series(a, head, log_head)
     if upper:
         np.subtract(1.0, out, out=out)
-    big = np.flatnonzero(flat > 1.0)
     if big.size:
-        ser, cf = big[flat[big] < a + 1.0], big[flat[big] >= a + 1.0]
-        p = _gammainc_series(a, flat[ser])
-        q = _gammaincc_fraction(a, flat[cf])
-        out[ser] = 1.0 - p if upper else p
-        out[cf] = q if upper else 1.0 - q
+        ser = x_big < (a + 1.0 if upper else a + 10.0)
+        p = _gammainc_series(a, x_big[ser],
+                             None if log_big is None else log_big[ser],
+                             float(np.max(x_big[ser], initial=1.0)))
+        q = _gammaincc_fraction(a, x_big[~ser])
+        out[big[ser]] = 1.0 - p if upper else p
+        out[big[~ser]] = q if upper else 1.0 - q
     return out.reshape(xs.shape) if isinstance(x, np.ndarray) else float(out[0])
 
 
-def _gammainc_series(a: float, x: np.ndarray) -> np.ndarray:
-    """P(a, x) = x^a e^-x / Gamma(a+1) * sum_n x^n / ((a+1)...(a+n)), the
-    sum by Horner in y = x / x_max over the terms the largest x needs.
+def _gammainc_series(a: float, x: np.ndarray, log_x: Optional[np.ndarray],
+                     x_max: float = 1.0) -> np.ndarray:
+    """P(a, x) = x^a e^-x / Gamma(a+1) * S(x) for 0 <= x <= x_max, with
+    S(x) = sum_n x^n / ((a+1)...(a+n)) = 1F1(1; a+1; x) >= 1 by Horner.
 
-    The coefficients are the terms at x_max, none above 1 for
-    x_max <= a + 1; unscaled ones would underflow long before the terms
-    do once a is in the hundreds.
+    On [0, 1] (x_max = 1, the pass every x takes) the coefficients are
+    the economized ones of _economized_series, fixed per a.  Above 1 they
+    are the Taylor terms at x_max and Horner runs in y = x / x_max: the
+    terms the largest x needs, none of them underflowing once a is in the
+    hundreds.
+
+    The prefactor takes one of three forms.  From x alone with a <= 100
+    (gammainc, gammaincc): np.power(x, a) e^-x / Gamma(a+1), since
+    exp(a ln x) would carry ln x's rounding, times a, into P (2e-13
+    relative at a = 20, x = 1e-5, against a 1e-14 gate).  From the
+    caller's ln x (log_x, written into) with a <= 100:
+    exp(a ln x - x) / Gamma(a+1), one exp in place of np.power and a
+    second exp; ln x's rounding is then the input's own, and the error is
+    a |ln x| ulps plus a few.  Above a = 100, where x^a and Gamma(a+1)
+    near overflow: exp(a ln x - x - ln Gamma(a+1)), with ln x from x
+    where it is not given.
     """
-    x_max = float(np.max(x, initial=0.0)) or 1.0
-    coef = [1.0]
-    while coef[-1] > 1e-17:      # the sum is >= 1: below half an ulp
-        coef.append(coef[-1] * x_max / (a + len(coef)))
-    y = x if x_max == 1.0 else x / x_max
+    if x_max == 1.0:
+        coef, y = _economized_series(a), x
+    else:
+        coef, y = _series_terms(a, x_max, 1e-17), x / x_max
     s = y * coef[-1]
     s += coef[-2]
     for c in reversed(coef[:-2]):
         s *= y
         s += c
-    if a <= 100.0:
-        # x^a directly: exp(a ln x) would carry ln x's rounding, times a,
-        # into P (2e-13 relative at a = 20, x = 1e-5)
+    if log_x is None and a <= 100.0:
         t = np.power(x, a)
         s *= t
-        s *= np.exp(np.negative(x, out=t), out=t)     # e^-x in x^a's buffer
-        s /= math.gamma(a + 1.0)
+        np.negative(x, out=t)                       # e^-x in x^a's buffer
+    else:
+        if log_x is None:
+            with np.errstate(divide="ignore"):      # x = 0: ln x = -inf
+                log_x = np.log(x)
+        t = np.multiply(log_x, a, out=log_x)
+        t -= x
+    if a > 100.0:
+        t -= math.lgamma(a + 1.0)
+        s *= np.exp(t, out=t)
         return s
-    with np.errstate(divide="ignore"):    # x^a and Gamma(a+1) near overflow
-        return s * np.exp(a * np.log(x) - x - math.lgamma(a + 1.0))
+    s *= np.exp(t, out=t)
+    s /= math.gamma(a + 1.0)
+    return s
+
+
+def _series_terms(a: float, x_max: float, stop: float) -> list:
+    """The terms x_max^n / ((a+1)...(a+n)) of S(x_max) from n = 0 until
+    the first at or below stop; 1e-17 is below half an ulp of S >= 1."""
+    coef = [1.0]
+    while coef[-1] > stop:
+        coef.append(coef[-1] * x_max / (a + len(coef)))
+    return coef
+
+
+@functools.lru_cache()
+def _economized_series(a: float) -> Tuple[float, ...]:
+    """Power-series coefficients of S(x) on [0, 1], economized: the Taylor
+    terms down to 1e-20, less each top Chebyshev term on [0, 1] whose
+    coefficient is below 1e-17, converted back to powers of x.
+
+    Taking a term c T*_n off, with T*_n(x) = T_n(2x - 1) leading with
+    2^(2n-1) x^n, cancels the top power and moves S by at most |c|; the
+    coefficients below 1e-17 fall off fast (about 4^-n times the Taylor
+    term), so S moves by about 1e-17 in all, and a = 1.5 needs 13 terms
+    where the Taylor sum needed 19.  Computed once per a, on first use.
+    """
+    coef = _series_terms(a, 1.0, 1e-20)
+    shifted = [[1], [-1, 2]]    # T*_n's integer coefficients, x^0 first
+    while len(shifted) < len(coef):     # T*_(n+1) = (4x - 2) T*_n - T*_(n-1)
+        p, q = shifted[-1], shifted[-2] + [0, 0]
+        shifted.append([4 * u - 2 * v - w
+                        for u, v, w in zip([0] + p, p + [0], q)])
+    while len(coef) > 2:
+        n = len(coef) - 1
+        c = coef[n] / 2.0 ** (2 * n - 1)
+        if abs(c) >= 1e-17:
+            break
+        coef = [u - c * t for u, t in zip(coef[:n], shifted[n])]
+    return tuple(coef)
 
 
 def _gammaincc_fraction(a: float, x: np.ndarray) -> np.ndarray:

@@ -437,6 +437,12 @@ def _checked(key: str, value, check):
     return tuple(value) if isinstance(value, list) else value
 
 
+def _distinct(values) -> tuple:
+    """values without repeats, each first occurrence kept in place: a
+    repeated grid point or sweep axis value is one point, one cell."""
+    return tuple(dict.fromkeys(values))
+
+
 def _metric(key, name):
     if name not in SWEEP_METRICS:
         raise OutOfRange(key, name, " | ".join(SWEEP_METRICS))
@@ -491,9 +497,9 @@ def run_config(raw: Mapping[str, str]) -> RunConfig:
         schemes=_checked("protocol.scheme", schemes,
                          lambda key, s: exp.with_protocol(scheme=s)),
         k_users=_checked("protocol.n_users", n_users, users),
-        outage_grid_db=read("outage.gamma_bar_db", parse_float_list,
-                            [25.0, 27.0, 29.0, 31.0, 33.0, 35.0, 37.0, 39.0,
-                             41.0, 43.0], cell),
+        outage_grid_db=_distinct(read(
+            "outage.gamma_bar_db", parse_float_list,
+            [25.0, 27.0, 29.0, 31.0, 33.0, 35.0, 37.0, 39.0, 41.0, 43.0], cell)),
         gamma_th=db_to_linear(read(
             "outage.gamma_th_db", float, 5.0,
             lambda key, db: _require_nonneg("outage.gamma_th", db_to_linear(db)))),
@@ -504,12 +510,11 @@ def run_config(raw: Mapping[str, str]) -> RunConfig:
                         lambda key, t: exp.with_protocol(trials=t)),
         val_k_users=read("validation.k_users", parse_int_list,
                          [2, 5, 10, 20, 40], users),
-        val_grid_db=read("validation.gamma_bar_db", parse_float_list,
-                         [25.0, 29.0, 33.0, 37.0, 41.0], cell),
+        val_grid_db=_distinct(read("validation.gamma_bar_db", parse_float_list,
+                                   [25.0, 29.0, 33.0, 37.0, 41.0], cell)),
         val_outage_draws=read("validation.outage_draws", parse_count, 200000,
                               _require_pos),
-        # a repeated axis value is one cell: its first occurrence stays
-        sweep_axes={name: tuple(dict.fromkeys(v)) for name, v in axes.items()
+        sweep_axes={name: _distinct(v) for name, v in axes.items()
                     if v is not None},
         sweep_metrics=read("sweep.metrics", parse_str_list, ["protocol"], _metric),
         sweep_outage_draws=read("sweep.outage_draws", parse_count, 200000,

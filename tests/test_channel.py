@@ -310,7 +310,7 @@ def gammainc_oracle(a, xs):
 ])
 def test_gammainc_matches_mpmath(a, tol):
     xs = list(np.geomspace(1e-30, a + 60.0, 120))
-    for edge in (1.0, a + 1.0):     # series / fraction branch edges
+    for edge in (1.0, a + 1.0, a + 10.0):   # series / fraction branch edges
         xs += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)]
     xs = np.array(xs)
     p = channel.gammainc(a, xs)
@@ -339,6 +339,62 @@ def test_gammaincc_matches_mpmath(a):
     assert np.all(q[~live] <= 1e-299)
     assert channel.gammaincc(a, 0.0) == 1.0
     assert channel.gammaincc(a, math.inf) == 0.0
+
+
+LOG_ENTRY_A = [0.25, 0.5, 1.0, 1.5, 2.5, 4.0, 7.3, 20.0, 150.0]
+
+
+@pytest.mark.parametrize("a", LOG_ENTRY_A)
+def test_gammainc_from_log_x_matches_mpmath(a):
+    # the entry alpha_mu_cdf_log takes: P(a, e^L) with the prefactor from
+    # L itself.  L's own rounding, times a, is the input's conditioning,
+    # so the bound is a |L| ulps plus 16; beyond a = 100 the exponent also
+    # carries ln Gamma(a+1) whole, and its rounding with it
+    L = list(np.linspace(math.log(1e-30), math.log(a + 60.0), 300))
+    for edge in (1.0, a + 1.0, a + 10.0):     # both sides of every split
+        step = 4 * np.spacing(max(abs(math.log(edge)), 1.0))
+        L += [math.log(edge) + k * step for k in (-2, -1, 0, 1, 2)]
+    L = np.array(L)
+    x = np.exp(L)
+    for edge in (1.0, a + 1.0, a + 10.0):
+        assert np.any(x < edge) and np.any(x > edge)
+    p = channel._regularized_gamma(a, x.copy(), False, L.copy())
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.gammainc(
+            a, 0, mpmath.exp(mpmath.mpf(float(v))), regularized=True))
+            for v in L])
+    ulps = a * np.abs(L) + 16.0 + (math.lgamma(a + 1.0) if a > 100 else 0.0)
+    live = ref > 1e-300
+    assert np.all(np.abs(p[live] - ref[live])
+                  <= ulps[live] * np.finfo(float).eps * ref[live])
+    assert np.all(p[~live] <= 1e-299)
+
+
+@pytest.mark.parametrize("a", LOG_ENTRY_A)
+def test_economized_series_is_the_taylor_sum(a):
+    # the economized coefficients on [0, 1] against the full Taylor sum
+    # 1F1(1; a+1; x), both evaluated at 40 digits
+    coef = channel._economized_series(a)
+    assert len(coef) < len(channel._series_terms(a, 1.0, 1e-17))
+    with mpmath.workdps(40):
+        for x in np.linspace(0.0, 1.0, 401):
+            x = mpmath.mpf(float(x))
+            econ = mpmath.polyval([mpmath.mpf(c) for c in reversed(coef)], x)
+            full = mpmath.hyp1f1(1, mpmath.mpf(a) + 1, x)
+            assert abs(econ - full) <= 1e-16 * full
+
+
+def test_incomplete_gamma_leaves_its_inputs_unchanged():
+    # the kernel writes into scratch arrays of its own, never the caller's
+    x = np.array([0.0, 0.3, 1.0, 2.0, 2.6, 12.0, 40.0, np.inf])
+    log_u = np.log(x[1:])
+    kept_x, kept_log_u = x.copy(), log_u.copy()
+    channel.gammainc(1.5, x)
+    channel.gammaincc(1.5, x)
+    channel.alpha_mu_cdf_log(log_u, FadingParams(alpha=1.0, mu=1.5))
+    channel.alpha_mu_cdf_log(log_u, FadingParams(alpha=2.0, mu=1.5, r_hat=1.3))
+    np.testing.assert_array_equal(x, kept_x)
+    np.testing.assert_array_equal(log_u, kept_log_u)
 
 
 def test_gammainc_endpoints_and_shapes():

@@ -936,6 +936,32 @@ def test_validate_counts_outage_draws(tmp_path):
         "outage_draws": run.val_outage_draws * len(run.val_grid_db)}
 
 
+def test_repeated_grid_point_is_one_point(tmp_path):
+    # 25,25,29 is the grid 25,29 in validate (report, Bonferroni z,
+    # counters) and in analyze (outage rows), as for the sweep axes
+    runs = []
+    for grid in ("25,25,29", "25,29"):
+        text = fast_validate_text().replace(
+            "gamma_bar_db = 25,29,33,37,41", f"gamma_bar_db = {grid}").replace(
+            "gamma_bar_db = 25,27,29,31,33,35,37,39,41,43",
+            f"gamma_bar_db = {grid}")
+        cfg = write_cfg(tmp_path, f"g{len(runs)}.cfg", text)
+        out = tmp_path / f"out{len(runs)}"
+        assert cli.main(["validate", "--config", str(cfg), "--seed", "3",
+                         "--out", str(out / "v")]) == 0
+        assert cli.main(["analyze", "--config", str(cfg),
+                         "--out", str(out / "a")]) == 0
+        report = json.loads((out / "v" / "validation_report.json").read_text())
+        manifest = json.loads((out / "v" / "run_manifest.json").read_text())
+        runs.append((report, manifest["counters"],
+                     (out / "a" / "analyze_outage.csv").read_bytes()))
+    assert runs[0] == runs[1]
+    [outage] = [s for s in runs[0][0]["suites"]
+                if s["suite"] == "no_fading_outage"]
+    assert [pt["gamma_bar_db"] for pt in outage["detail"]["points"]] == [25, 29]
+    assert runs[0][1] == {"outage_draws": 2 * 50000}
+
+
 def test_trials_dump_schema(tmp_path):
     text = DEFAULT_CFG.read_text().replace("n_users = 2,5,10,20,40",
                                            "n_users = 3")

@@ -398,15 +398,20 @@ def test_outage_mc_settled_thresholds(k_t, gamma_th, expected):
                                   "deterministic_fading_off", "k_h_on_fading"])
 def test_outage_mc_point_is_the_same_on_any_grid(name):
     # the grid's points score one set of draws, and a point's result does
-    # not depend on the other points, settled ones (inf) included; sweep
-    # resume relies on it.  n is no multiple of the chunk.
+    # not depend on the other points, settled ones (inf) included, nor on
+    # the order they are scored in: no array carries values from one point
+    # or chunk into the next.  Sweep resume relies on it.  n is no
+    # multiple of the chunk.
     exp = branch_experiment(name)
     n = validation.OUTAGE_CHUNK + 4321
     alone = validation.outage_mc(exp, 10 ** 0.5, [45.0], n, seed=5)
     grid = validation.outage_mc(exp, 10 ** 0.5, [40.0, 45.0, 50.0, math.inf],
                                 n, seed=5)
+    backward = validation.outage_mc(exp, 10 ** 0.5, [50.0, 45.0, 40.0], n,
+                                    seed=5)
     for field in ("p_out", "ci_lo", "ci_hi", "se", "vrf"):
         assert getattr(grid, field)[1] == getattr(alone, field)[0], field
+        assert getattr(backward, field)[1] == getattr(alone, field)[0], field
     assert (grid.p_out[3], grid.se[3]) == (0.0, 0.0)
     assert grid.p_out[0] > grid.p_out[1] > grid.p_out[2]
     # shared draws order the points draw by draw, so even the estimates
