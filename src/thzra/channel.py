@@ -11,7 +11,8 @@ SNR
 which saturates at 1/k_h^2 for k_h > 0.  The outage score composes the
 same laws in log form, a sum of log-gains scored by one exp:
 path_loss_nepers, uniform_product and fading_power give each component's
-log-gain from the draws the linear samplers use, and misalignment_cdf_log
+log-gain from the draws the linear samplers use (stratified_uniform_product
+places the same uniforms in strata), and misalignment_cdf_log
 and alpha_mu_cdf_log are the CDFs misalignment_cdf and alpha_mu_cdf call.
 """
 from __future__ import annotations
@@ -124,6 +125,37 @@ def uniform_product(rng: np.random.Generator, size: int) -> np.ndarray:
     misalignment gain to the power rho; its density is -ln(w) on (0, 1)."""
     w = rng.random(size)
     w *= rng.random(size)
+    return w
+
+
+def strata(size: int) -> Tuple[int, int]:
+    """The A x B grid of stratified_uniform_product for `size` draws:
+    P = max(size // 2, 1) cells, A the largest divisor of P not above
+    sqrt(P) and B = P / A (128 x 256 for 2^16 draws)."""
+    cells = max(size // 2, 1)
+    a = next(a for a in range(math.isqrt(cells), 0, -1) if cells % a == 0)
+    return a, cells // a
+
+
+def stratified_uniform_product(rng: np.random.Generator,
+                               size: int) -> np.ndarray:
+    """`size` draws of U V, the law of uniform_product, with (U, V)
+    stratified on the unit square: the uniforms u, v of uniform_product
+    (the same `size` for U, then `size` for V) put draw k in cell
+    h = k mod P of the A x B grid of strata, at (a, b) = (h div B, h mod B),
+    as U = (a + u) / A, V = (b + v) / B.  Every cell holds two draws,
+    k and k + P; an odd size puts its last draw in cell 0 as a third.
+    """
+    a, b = strata(size)
+    pairs = 2 * (size // 2)
+    w = rng.random(size)
+    grid = w[:pairs].reshape(2, a, -1)      # a view, (2, A, B) from size 2
+    grid += np.arange(a)[:, None]
+    v = rng.random(size)
+    grid = v[:pairs].reshape(2, a, -1)
+    grid += np.arange(b)
+    w *= v
+    w /= a * b
     return w
 
 

@@ -508,8 +508,8 @@ def run_config(raw: Mapping[str, str]) -> RunConfig:
                                                        math.inf)),
         val_trials=read("validation.trials", parse_count, 5000,
                         lambda key, t: exp.with_protocol(trials=t)),
-        val_k_users=read("validation.k_users", parse_int_list,
-                         [2, 5, 10, 20, 40], users),
+        val_k_users=_distinct(read("validation.k_users", parse_int_list,
+                                   [2, 5, 10, 20, 40], users)),
         val_grid_db=_distinct(read("validation.gamma_bar_db", parse_float_list,
                                    [25.0, 29.0, 33.0, 37.0, 41.0], cell)),
         val_outage_draws=read("validation.outage_draws", parse_count, 200000,

@@ -154,7 +154,9 @@ def outage_score(exp: Experiment, gamma_hs: Sequence[float], m: int, rng
 
     rng(component) is that component's substream.  The drawn log-loss
     ln(h_0 / h) is built once per call, a sum of log-gains: -ln(U V)/rho
-    plus the absorption loss on fading, -ln G/alpha plus the loss on
+    plus the absorption loss on fading, with (U, V) stratified
+    (channel.stratified_uniform_product: draws k and k + m // 2 share a
+    cell), -ln G/alpha plus the loss on
     misalignment (h / r_hat there), the loss alone with fading off.  Each
     gamma_h adds its constant ln(gamma_h / h_0) into one reused buffer
     and the CDF of the integrated-out component takes it whole: on
@@ -172,8 +174,9 @@ def outage_score(exp: Experiment, gamma_hs: Sequence[float], m: int, rng
     if on_fading or fp.enabled:
         with np.errstate(divide="ignore"):
             if on_fading:               # -ln h_p
-                drawn = np.log(channel.uniform_product(
-                    rng(streams.MISALIGNMENT), m))
+                drawn = channel.stratified_uniform_product(
+                    rng(streams.MISALIGNMENT), m)
+                np.log(drawn, out=drawn)
                 drawn *= -1.0 / rho
             else:                       # -ln(h_f / r_hat)
                 drawn = np.log(channel.fading_power(fp, rng(streams.FADING), m))
@@ -198,43 +201,42 @@ def outage_mc(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float],
     integrated out in closed form (outage_score).
 
     Conditioned on fading, each draw scores the alpha-mu CDF at
-    gamma_h / (h_l h_p); conditioned on misalignment, F_p at
-    min(gamma_h / (h_l h_f), 1).  Either score is the outage probability
-    given the other components, so the mean is unbiased and its variance
-    never exceeds crude counting's (Rao-Blackwell); se is the sample
-    standard error, the interval p +- 1.96 se is clipped to [0, 1], and
-    vrf = p(1-p) / (n se^2) is inf where the score never varies (the
-    estimate is exact).  Points where gamma_th settles the answer
-    (OutageQuery.settled) take it without drawing.
+    gamma_h / (h_l h_p), with stratified misalignment uniforms;
+    conditioned on misalignment, F_p at min(gamma_h / (h_l h_f), 1).
+    Either score is the outage probability given the other components,
+    so the mean is unbiased and its variance never exceeds crude
+    counting's (Rao-Blackwell).  Points where gamma_th settles the
+    answer (OutageQuery.settled) take it without drawing.
 
     Every point scores the same draws: chunk j of OUTAGE_CHUNK draws comes
     from the substreams (seed, j * OUTAGE_CHUNK, component), drawn once
     for the whole grid, so the points' errors are positively correlated
     and a point's result is bit-identical whatever else is on the grid.
-    Each point's chunks merge by Chan et al.'s pairwise update, each
-    centred on its own first value, so values that never vary give
-    M2 = 0 exactly.
+    Chunks merge as p = sum (m / n) p_c, se^2 = sum (m / n)^2 var_c
+    (_cell_moments), each point's scores centred on its first, so a
+    score that never varies gives se = 0 and vrf = p(1-p) / (n se^2) =
+    inf (the estimate is exact).  The interval p +- 1.96 se is clipped
+    to [0, 1].
     """
     gdb = np.asarray(list(gamma_bar_db), dtype=float)
     queries = [analytics.OutageQuery(gamma_th, db_to_linear(db), exp.link.k_h)
                for db in gdb]
     p = np.array([q.settled or 0.0 for q in queries])
-    m2 = np.zeros(gdb.size)
+    centre, total, var = np.zeros((3, gdb.size))
     live = [i for i, q in enumerate(queries) if q.settled is None]
     for done in range(0, n, OUTAGE_CHUNK) if live else ():
         m = min(OUTAGE_CHUNK, n - done)
         scores = outage_score(exp, [queries[i].gamma_h for i in live], m,
                               lambda comp: streams.substream(seed, done, comp))
         for i, v in zip(live, scores):
-            v0 = v[0]
-            d = np.subtract(v, v0, out=v if v.flags.writeable else None)
-            d_mean = np.mean(d)
-            delta = v0 + d_mean - p[i]
-            p[i] += delta * (m / (done + m))
-            d -= d_mean
-            m2[i] += (np.sum(np.square(d, out=d))
-                      + delta * delta * (done * m / (done + m)))
-    se = np.sqrt(m2 / max(n - 1, 1) / n)
+            if done == 0:
+                centre[i] = v[0]
+            d = np.subtract(v, centre[i], out=v if v.flags.writeable else None)
+            p_c, var_c = _cell_moments(d, total[i] / max(done, 1))
+            total[i] += m * p_c
+            var[i] += m * m * var_c
+    p[live] = centre[live] + total[live] / n
+    se = np.sqrt(var) / n
     crude = p * (1.0 - p) / n
     with np.errstate(divide="ignore", invalid="ignore"):
         # both variances 0 where the threshold settles p: no reduction
@@ -245,6 +247,33 @@ def outage_mc(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float],
                        n_draws=n, se=se, vrf=vrf,
                        conditioned=("fading" if conditioned_on_fading(exp)
                                     else "misalignment"))
+
+
+def _cell_moments(d: np.ndarray, before: float) -> Tuple[float, float]:
+    """(p_c, var_c) of one chunk's m scores d, written into: the mean of
+    its P = m // 2 cell means and its variance sum_h s_h^2 / n_h / P^2.
+    Cell h holds draws h and h + P, (d_h - d_(h+P))^2 / 4; an odd m's last
+    draw joins cell 0, its three squared differences over 18.  These are
+    the strata of channel.stratified_uniform_product, and the pairs stay
+    unbiased on iid draws.  A lone draw (m = 1) takes (d_0 - before)^2,
+    before the mean of the draws before it in d's units: in expectation
+    the score's variance plus that mean's, 0 for a constant score and at
+    n = 1 (d_0 = before = 0, the centre).
+    """
+    m = d.size
+    if m == 1:
+        return float(d[0]), (float(d[0]) - before) ** 2
+    cells, odd = divmod(m, 2)
+    p_c = float(np.sum(d[:2 * cells])) / (2 * cells)
+    triple = 0.0
+    if odd:
+        y0, y1, y2 = float(d[0]), float(d[cells]), float(d[-1])
+        p_c += ((y0 + y1 + y2) / 3.0 - (y0 + y1) / 2.0) / cells
+        triple = ((y0 - y1) ** 2 + (y0 - y2) ** 2 + (y1 - y2) ** 2) / 18.0
+    pairs = np.subtract(d[odd:cells], d[cells + odd:2 * cells],
+                        out=d[odd:cells])           # cell 0 is the triple's
+    pair_sum = float(np.sum(np.square(pairs, out=pairs)))
+    return p_c, (pair_sum / 4.0 + triple) / (cells * cells)
 
 
 def outage_count(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float],

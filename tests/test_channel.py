@@ -237,6 +237,48 @@ def test_misalignment_sampler_exact_law():
     assert d < 1.36 / math.sqrt(n)
 
 
+def test_strata_grid():
+    assert channel.strata(2 ** 16) == (128, 256)
+    assert channel.strata(2 ** 16 + 1) == (128, 256)
+    assert channel.strata(4321) == (45, 48)      # 2160 = 45 * 48
+    assert channel.strata(2 * 101) == (1, 101)   # a prime count: one row
+    assert channel.strata(1) == channel.strata(2) == channel.strata(3) == (1, 1)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 7, 4321, 2 ** 16, 2 ** 16 + 1])
+def test_stratified_uniform_product_cells(size):
+    # draw k lies in cell k mod P of the A x B grid (an odd size's last in
+    # cell 0), two draws to a cell, at U = (a + u) / A, V = (b + v) / B for
+    # the iid uniforms u, v that uniform_product draws from the same
+    # substream: U A - a and V B - b are those uniforms
+    a_n, b_n = channel.strata(size)
+    rng = RNG(11)
+    u, v = rng.random(size), rng.random(size)
+    cell = np.arange(size) % (a_n * b_n)
+    cell[2 * (size // 2):] = 0
+    counts = np.bincount(cell, minlength=a_n * b_n)
+    if size > 1:
+        assert counts[0] == 2 + size % 2 and np.all(counts[1:] == 2)
+    a, b = np.divmod(cell, b_n)
+    w = channel.stratified_uniform_product(RNG(11), size)
+    np.testing.assert_array_equal(w, (a + u) * (b + v) / (a_n * b_n))
+    assert np.all((w >= 0.0) & (w < 1.0))
+
+
+def test_stratified_uniform_product_law():
+    # U V over many chunks, the full ones and odd ones, follows the law
+    # of the iid product, P(U V <= w) = w (1 - ln w)
+    sizes = [2 ** 16] * 20 + [1, 2, 3, 4321, 2 ** 16 + 1]
+    w = np.concatenate([channel.stratified_uniform_product(RNG(100 + i), size)
+                        for i, size in enumerate(sizes)])
+    result = sstats.kstest(w, lambda x: x * (1.0 - np.log(x)))
+    # a wrong cell map, such as one row index for both uniforms
+    # (V = (a + v) / B) or a row taken from the column (U = (b mod A + u)
+    # / A), reads a KS statistic 50-130 times the threshold here
+    assert result.statistic < 1.36 / math.sqrt(w.size)
+    assert result.pvalue > 1e-3
+
+
 # ---------------------------------------------------------------------------
 # fading
 # ---------------------------------------------------------------------------

@@ -689,20 +689,24 @@ def test_sweep_grid_and_resume(tmp_path):
     # a cell written under an older schema is recomputed, not reused
     cells[3].write_text("#schema: thzra.sweep.cell.v1\nmu,p_out\n1,0.5\n")
     # a v2 cell (crude counting), a v3 cell (misalignment conditioning
-    # only) or a v4 cell (draws per cell) with the current digest is
-    # recomputed too
-    schema_v5 = before[cells[4].name].decode().splitlines()[0]
-    assert schema_v5.startswith("#schema: thzra.sweep.cell.v5 digest=")
-    cells[4].write_text(schema_v5.replace(".v5 ", ".v2 ")
+    # only), a v4 cell (draws per cell) or a v5 cell (iid misalignment
+    # draws) with the current digest is recomputed too
+    schema = before[cells[4].name].decode().splitlines()[0]
+    assert schema.startswith("#schema: thzra.sweep.cell.v6 digest=")
+    cells[4].write_text(schema.replace(".v6 ", ".v2 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,outage_draws"
                         "\n2,3,0.5,0.4,0.6,20000\n")
-    cells[6].write_text(schema_v5.replace(".v5 ", ".v3 ")
+    cells[6].write_text(schema.replace(".v6 ", ".v3 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,p_out_se,vrf,"
                         "outage_draws\n3,2,0.5,0.4,0.6,0.05,2.0,20000\n")
-    cells[7].write_text(schema_v5.replace(".v5 ", ".v4 ")
+    cells[7].write_text(schema.replace(".v6 ", ".v4 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,p_out_se,vrf,"
                         "conditioned,outage_draws\n3,3,0.5,0.4,0.6,0.05,2.0,"
                         "misalignment,20000\n")
+    cells[8].write_text(schema.replace(".v6 ", ".v5 ")
+                        + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,p_out_se,vrf,"
+                        "conditioned,outage_draws\n3,4,0.5,0.4,0.6,0.05,2.0,"
+                        "fading,20000\n")
     assert cli.main(["sweep", "--config", str(cfg), "--seed", "9",
                      "--out", str(out)]) == 0
     after = {p.name: p.read_bytes()
@@ -960,6 +964,25 @@ def test_repeated_grid_point_is_one_point(tmp_path):
                 if s["suite"] == "no_fading_outage"]
     assert [pt["gamma_bar_db"] for pt in outage["detail"]["points"]] == [25, 29]
     assert runs[0][1] == {"outage_draws": 2 * 50000}
+
+
+def test_repeated_validation_user_count_is_one(tmp_path):
+    # k_users = 2,2,5 is 2,5: simulator_agreement runs K = 2 once, and its
+    # Bonferroni z is taken over 8 rows, not 12
+    reports = []
+    for users in ("2,2,5", "2,5"):
+        text = fast_validate_text().replace("k_users = 2,5",
+                                            f"k_users = {users}")
+        cfg = write_cfg(tmp_path, f"k{len(reports)}.cfg", text)
+        out = tmp_path / f"out{len(reports)}"
+        assert cli.main(["validate", "--config", str(cfg), "--seed", "3",
+                         "--out", str(out)]) == 0
+        reports.append(json.loads((out / "validation_report.json").read_text()))
+    assert reports[0] == reports[1]
+    [agree] = [s["detail"] for s in reports[0]["suites"]
+               if s["suite"] == "simulator_vs_series"]
+    assert len(agree["rows"]) == 8
+    assert {row["z"] for row in agree["rows"]} == {validation.bonferroni_z(8)}
 
 
 def test_trials_dump_schema(tmp_path):

@@ -215,14 +215,15 @@ class ZeroDraws:
 
 def linear_score(exp, gamma_h, m, rng):
     """The conditional outage score composed from channel's linear samplers
-    and CDFs: the alpha-mu CDF at gamma_h / (h_l h_p), or F_p at
-    min(gamma_h / (h_l h_f), 1)."""
+    and CDFs: the alpha-mu CDF at gamma_h / (h_l h_p), with h_p from the
+    stratified U V, or F_p at min(gamma_h / (h_l h_f), 1)."""
     h = channel.sample_path_gain(exp.absorption, exp.link,
                                  rng(streams.ABSORPTION), m)
     with np.errstate(divide="ignore"):      # h = 0 gives gamma_h / h = inf
         if validation.conditioned_on_fading(exp):
-            h = h * channel.sample_misalignment(exp.misalignment.rho,
-                                                rng(streams.MISALIGNMENT), m)
+            w = channel.stratified_uniform_product(rng(streams.MISALIGNMENT),
+                                                   m)
+            h = h * w ** (1.0 / exp.misalignment.rho)
             return channel.alpha_mu_cdf(gamma_h / h, exp.fading)
         if exp.fading.enabled:
             h = h * channel.sample_fading(exp.fading, rng(streams.FADING), m)
@@ -370,6 +371,95 @@ def test_outage_mc_reduces_variance_on_sweep_cells():
         assert curve.p_out[0] > 0 and curve.vrf[0] > 1.0, coords
         if coords["rho"] == 4.1:
             assert curve.vrf[0] >= 10.0, coords
+
+
+def test_outage_mc_stratification_floor_on_sweep_cells():
+    # at 45 dB, 200 000 draws: stratifying the misalignment uniforms adds
+    # to what conditioning on fading gains; iid uniforms gave (2, 1.5)
+    # 4.5-5.9.  (2, 2.5) conditions on misalignment and draws iid
+    floors = {(2.0, 1.5): 40.0, (4.1, 1.5): 150.0, (4.1, 2.5): 60.0,
+              (2.0, 2.5): 1.0}
+    for coords, gamma_th, exp in sweep_cells():
+        curve = validation.outage_mc(exp, gamma_th, [45.0], 200_000, seed=11)
+        assert curve.vrf[0] >= floors[coords["rho"], coords["mu"]], coords
+
+
+def test_stratified_outage_se_is_calibrated():
+    # over 120 seeds the spread of p_out matches its root-mean-square se
+    # on two fading-conditioned cells; the second chunk, of 4321 draws,
+    # puts a third draw in cell 0
+    n = validation.OUTAGE_CHUNK + 4321
+    for coords, gamma_th, exp in sweep_cells():
+        if (coords["rho"], coords["mu"]) not in ((2.0, 1.5), (4.1, 2.5)):
+            continue
+        curves = [validation.outage_mc(exp, gamma_th, [45.0], n, seed)
+                  for seed in range(300, 420)]
+        p = np.array([c.p_out[0] for c in curves])
+        se = np.array([c.se[0] for c in curves])
+        ratio = np.std(p, ddof=1) / math.sqrt(np.mean(se ** 2))
+        assert 0.85 <= ratio <= 1.15, (coords, ratio)
+
+
+def stratified_estimate(exp, gamma_h, n, seed):
+    """p_out and se of outage_mc from outage_score's chunks, by cell with
+    index arrays: draw k of a chunk of m in cell k mod (m // 2), an odd
+    m's last in cell 0, each chunk the mean of its cell means."""
+    total = var = 0.0
+    for done in range(0, n, validation.OUTAGE_CHUNK):
+        m = min(validation.OUTAGE_CHUNK, n - done)
+        [y] = validation.outage_score(
+            exp, [gamma_h], m, lambda comp: streams.substream(seed, done, comp))
+        cells = max(m // 2, 1)
+        cell = np.arange(m) % cells
+        cell[2 * cells:] = 0
+        count = np.bincount(cell)
+        mean = np.bincount(cell, y) / count
+        dev = y - mean[cell]
+        s2 = np.bincount(cell, dev * dev) / np.maximum(count - 1, 1)
+        total += m * mean.mean()
+        var += m * m * np.sum(s2 / count) / cells ** 2
+    return total / n, math.sqrt(var) / n
+
+
+@pytest.mark.parametrize("name", ["alpha_mu_on_fading", "fading_off",
+                                  "alpha_mu_on_misalignment"])
+@pytest.mark.parametrize("n", [2, 3, 5, 2 ** 16 + 4321])
+def test_outage_mc_is_the_cell_mean_estimate(name, n):
+    # p_out is the mean of the chunks' cell means, weighted by chunk size,
+    # and se^2 the sum of their cells' s^2 / n_h / P^2, so weighted
+    exp = branch_experiment(name)
+    q = analytics.OutageQuery(10 ** 0.5, 10 ** 4.5, exp.link.k_h)
+    curve = validation.outage_mc(exp, 10 ** 0.5, [45.0], n, seed=8)
+    p, se = stratified_estimate(exp, q.gamma_h, n, seed=8)
+    assert curve.p_out[0] == pytest.approx(p, rel=1e-13)
+    assert curve.se[0] == pytest.approx(se, rel=1e-10)
+
+
+@pytest.mark.parametrize("name", ["alpha_mu_on_fading", "fading_off",
+                                  "alpha_mu_on_misalignment",
+                                  "deterministic_fading_off"])
+@pytest.mark.parametrize("n", [1, 2, 3, 2 ** 16 + 1, 2 ** 16 + 4321])
+def test_outage_mc_at_small_and_odd_draw_counts(name, n):
+    # n = 1, or a last chunk of one draw, has no pair: its draw's variance
+    # is taken as its squared deviation from the draws before it (none at
+    # n = 1), so se stays finite, and 0 where the score never varies
+    exp = branch_experiment(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = validation.outage_mc(exp, 10 ** 0.5, [40.0, 45.0], n, seed=4)
+    for field in ("p_out", "ci_lo", "ci_hi", "se"):
+        assert np.all(np.isfinite(getattr(curve, field))), field
+    assert np.all((curve.p_out >= 0.0) & (curve.p_out <= 1.0))
+    assert not np.any(np.isnan(curve.vrf))
+    if n == 1 or name == "deterministic_fading_off":
+        np.testing.assert_array_equal(curve.se, 0.0)
+    else:
+        assert np.all(curve.se > 0.0)
+    if n == 2 ** 16 + 1:
+        # the lone draw adds its own variance to the full chunk's
+        full = validation.outage_mc(exp, 10 ** 0.5, [40.0, 45.0], n - 1,
+                                    seed=4)
+        assert np.all(curve.se * n >= full.se * (n - 1))
 
 
 @pytest.mark.parametrize("k_t,gamma_th,expected", [
