@@ -8,21 +8,25 @@ SNR
 
     gamma = avg_snr * h^2 / (k_h^2 * avg_snr * h^2 + 1)
 
-which saturates at 1/k_h^2 for k_h > 0.  The outage score composes the
-same laws in log form, a sum of log-gains scored by one exp:
+which saturates at 1/k_h^2 for k_h > 0.  The outage score (outage_score:
+the outage probability given all components but one, which outage Monte
+Carlo averages and QoS admission takes as its survival function)
+composes the same laws in log form, a sum of log-gains scored by one exp:
 path_loss_nepers, uniform_product and fading_power give each component's
 log-gain from the draws the linear samplers use (stratified_uniform_product
-places the same uniforms in strata), and misalignment_cdf_log
-and alpha_mu_cdf_log are the CDFs misalignment_cdf and alpha_mu_cdf call.
+places the same uniforms in strata, cell_moments reads them back), and
+misalignment_cdf_log and alpha_mu_cdf_log are the CDFs misalignment_cdf
+and alpha_mu_cdf call.
 """
 from __future__ import annotations
 
 import functools
 import math
-from typing import Optional, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import streams
 from .errors import UnsupportedParams
 from .params import (DB_PER_NEPER, DeterministicAbsorption, Experiment,
                      FadingParams, GammaAbsorption, ThzLinkParams)
@@ -159,6 +163,46 @@ def stratified_uniform_product(rng: np.random.Generator,
     return w
 
 
+def stratified_uniform(rng: np.random.Generator, size: int) -> np.ndarray:
+    """`size` uniforms on [0, 1) stratified on one axis, the layout of
+    stratified_uniform_product: draw k lies in stratum h = k mod P of
+    P = max(size // 2, 1) equal strata, as (h + u) / P for the stream's
+    k-th uniform u; an odd size puts its last draw in stratum 0."""
+    cells = max(size // 2, 1)
+    w = rng.random(size)
+    w += np.arange(size) % cells
+    w /= cells
+    return w
+
+
+def cell_moments(d: np.ndarray, before: float) -> Tuple[float, float]:
+    """(mean, var) of one stratified chunk of m values d, written into:
+    the mean of its P = m // 2 cell means and its variance
+    sum_h s_h^2 / n_h / P^2.  Cell h holds draws h and h + P,
+    (d_h - d_(h+P))^2 / 4; an odd m's last draw joins cell 0, its three
+    squared differences over 18.  These are the strata of
+    stratified_uniform_product and stratified_uniform, and the pairs stay
+    unbiased on iid draws.  A lone draw (m = 1) takes (d_0 - before)^2,
+    before the mean of the draws before it in d's units: in expectation
+    the value's variance plus that mean's, 0 for a constant value and at
+    n = 1 when d is centred on its first value.
+    """
+    m = d.size
+    if m == 1:
+        return float(d[0]), (float(d[0]) - before) ** 2
+    cells, odd = divmod(m, 2)
+    mean = float(np.sum(d[:2 * cells])) / (2 * cells)
+    triple = 0.0
+    if odd:
+        y0, y1, y2 = float(d[0]), float(d[cells]), float(d[-1])
+        mean += ((y0 + y1 + y2) / 3.0 - (y0 + y1) / 2.0) / cells
+        triple = ((y0 - y1) ** 2 + (y0 - y2) ** 2 + (y1 - y2) ** 2) / 18.0
+    pairs = np.subtract(d[odd:cells], d[cells + odd:2 * cells],
+                        out=d[odd:cells])           # cell 0 is the triple's
+    pair_sum = float(np.sum(np.square(pairs, out=pairs)))
+    return mean, (pair_sum / 4.0 + triple) / (cells * cells)
+
+
 def sample_misalignment(rho: float, rng: np.random.Generator,
                         size: int) -> np.ndarray:
     """Exact misalignment-gain sampler h_p = (U V)^(1/rho): raising U V to
@@ -234,17 +278,19 @@ def alpha_mu_cdf(u: ArrayLike, fp: FadingParams) -> ArrayLike:
         return alpha_mu_cdf_log(np.log(u), fp)
 
 
-def alpha_mu_cdf_log(log_u: ArrayLike, fp: FadingParams) -> ArrayLike:
+def alpha_mu_cdf_log(log_u: ArrayLike, fp: FadingParams,
+                     upper: bool = False) -> ArrayLike:
     """alpha_mu_cdf at u = e^(log_u): gammainc(mu, x) with
     ln x = ln mu + alpha (log_u - ln r_hat), so that a gain built as a sum
-    of logs takes one exp; ln x also feeds the series' prefactor."""
+    of logs takes one exp; ln x also feeds the series' prefactor.  With
+    upper, the survival function P(h_f > u) = Q(mu, x)."""
     if not fp.is_alpha_mu:
         raise UnsupportedParams(
             "fading CDF is exact only for alpha-mu (eta=1, kappa=0), "
             f"got eta={fp.eta}, kappa={fp.kappa}")
     log_x = np.multiply(log_u, fp.alpha)
     log_x += math.log(fp.mu) - fp.alpha * math.log(fp.r_hat)
-    return _regularized_gamma(fp.mu, np.exp(log_x), False, log_x)
+    return _regularized_gamma(fp.mu, np.exp(log_x), upper, log_x)
 
 
 def gammainc(a: float, x: ArrayLike) -> ArrayLike:
@@ -465,11 +511,74 @@ def draw_snr_batch(exp: Experiment, n: int,
                    rng_fading: np.random.Generator,
                    rng_misalignment: np.random.Generator,
                    avg_snr: Optional[float] = None) -> np.ndarray:
-    """Vectorized SNR draws (admission, crude outage counting): h = h_l h_f
-    h_p from per-component streams, h_f = 1 with fading off."""
+    """Vectorized SNR draws (crude outage counting): h = h_l h_f h_p from
+    per-component streams, h_f = 1 with fading off."""
     h = sample_path_gain(exp.absorption, exp.link, rng_absorption, n)
     if exp.fading.enabled:
         h *= sample_fading(exp.fading, rng_fading, n)
     h *= sample_misalignment(exp.misalignment.rho, rng_misalignment, n)
     gbar = exp.link.avg_snr if avg_snr is None else avg_snr
     return snr_from_gain(h, gbar, exp.link.k_h)
+
+
+def conditioned_on_fading(exp: Experiment) -> bool:
+    """Whether the outage score integrates fading out (else misalignment):
+    alpha-mu fading (FadingParams.is_alpha_mu) with alpha mu < rho, i.e.
+    fading's exponent in the high-SNR slope min(alpha mu, rho, z) / 2 is
+    below misalignment's and fading drives the outage tail."""
+    fp = exp.fading
+    return fp.enabled and fp.is_alpha_mu and fp.alpha * fp.mu < exp.misalignment.rho
+
+
+def outage_score(exp: Experiment, gamma_hs: Sequence[float], m: int, rng,
+                 stratified: bool = True, upper: bool = False
+                 ) -> Iterator[np.ndarray]:
+    """m draws of the outage probability P(h <= gamma_h) given every
+    channel component but the one conditioned_on_fading integrates out,
+    at each gamma_h of gamma_hs in turn, all from one draw of those
+    components; with upper, P(h > gamma_h) instead.
+
+    rng(component) is that component's substream.  The drawn log-loss
+    ln(h_0 / h) is built once per call, a sum of log-gains: -ln(U V)/rho
+    plus the absorption loss on fading, with (U, V) stratified
+    (stratified_uniform_product: draws k and k + m // 2 share a cell) or,
+    unless stratified, iid (uniform_product); -ln G/alpha plus the loss on
+    misalignment (h / r_hat there); the loss alone with fading off.  Each
+    gamma_h adds its constant ln(gamma_h / h_0) into one reused buffer
+    and the CDF of the integrated-out component takes it whole: on
+    fading, ln u = ln(gamma_h / (h_l h_p)) and the alpha-mu CDF (its
+    survival function with upper); on misalignment,
+    L = min(ln(gamma_h / (h_l h_f)), 0) and F_p(e^L).  So a point's
+    scores do not depend on the other points.  U V = 0 or G = 0
+    (Generator.random and a Gamma draw can return 0) gives ln = -inf and
+    scores 1, as h = 0 does.  Each yielded array is new; deterministic
+    absorption with fading off yields a read-only broadcast constant.
+    """
+    fp, rho = exp.fading, exp.misalignment.rho
+    on_fading = conditioned_on_fading(exp)
+    h_0, log_loss = sample_path_loss(exp.absorption, exp.link,
+                                     rng(streams.ABSORPTION), m)
+    if on_fading or fp.enabled:
+        with np.errstate(divide="ignore"):
+            if on_fading:               # -ln h_p
+                product = (stratified_uniform_product if stratified
+                           else uniform_product)
+                drawn = product(rng(streams.MISALIGNMENT), m)
+                np.log(drawn, out=drawn)
+                drawn *= -1.0 / rho
+            else:                       # -ln(h_f / r_hat)
+                drawn = np.log(fading_power(fp, rng(streams.FADING), m))
+                drawn *= -1.0 / fp.alpha
+                h_0 *= fp.r_hat
+        drawn += log_loss
+        log_loss = drawn
+    shift = np.empty(m) if isinstance(log_loss, np.ndarray) else None
+    for gamma_h in gamma_hs:
+        log_x = np.add(log_loss, math.log(gamma_h / h_0), out=shift)
+        if on_fading:
+            yield alpha_mu_cdf_log(log_x, fp, upper)
+            continue
+        score = misalignment_cdf_log(np.minimum(log_x, 0.0, out=shift), rho)
+        if upper:
+            score = 1.0 - score
+        yield score if shift is not None else np.broadcast_to(score, m)

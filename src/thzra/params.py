@@ -494,9 +494,9 @@ def run_config(raw: Mapping[str, str]) -> RunConfig:
             for name, parse in SWEEP_AXES.items()}
     cfg = RunConfig(
         exp=exp,
-        schemes=_checked("protocol.scheme", schemes,
-                         lambda key, s: exp.with_protocol(scheme=s)),
-        k_users=_checked("protocol.n_users", n_users, users),
+        schemes=_distinct(_checked("protocol.scheme", schemes,
+                                   lambda key, s: exp.with_protocol(scheme=s))),
+        k_users=_distinct(_checked("protocol.n_users", n_users, users)),
         outage_grid_db=_distinct(read(
             "outage.gamma_bar_db", parse_float_list,
             [25.0, 27.0, 29.0, 31.0, 33.0, 35.0, 37.0, 39.0, 41.0, 43.0], cell)),

@@ -9,6 +9,10 @@ collision slots cost one time unit each, same as success slots.
 
 Batches run in blocks of TRIAL_BLOCK frames with numpy (`admit_users`,
 `contend`), which keep per-frame totals only, never per-slot records.
+Admission draws each frame's admitted count, not each user's SNR: every
+provisioned user gets a draw of all channel components but one, which
+gives its probability of passing the QoS threshold, and the count is a
+stratified quantile of the Poisson-binomial law of those probabilities.
 The tests check `contend` against the exact stage law: with k holders
 at probability p a stage ends at its first single-transmitter slot, so
 it lasts Geometric(k p (1-p)^(k-1)) slots.
@@ -21,38 +25,103 @@ from typing import Tuple
 
 import numpy as np
 
-from . import channel, streams
+from . import analytics, channel, streams
 from .params import Experiment
 
 # Frames per block.  Each block owns its admission and contention
 # substreams, so memory stays bounded for any trial count and results do
 # not depend on how blocks are scheduled.
 TRIAL_BLOCK = 1024
-# Admission draws at most this many channel SNRs at once from a block's
+# Admission scores at most this many users at once from a block's
 # streams (rows of N users), bounding memory for large N as well.
 ADMISSION_DRAWS = 1 << 18
+# Above this many provisioned users a frame's count is drawn user by
+# user instead of by the quantile, whose recursion costs O(N^2) per frame:
+# at 64 users admission takes 1.7 times as long by quantile, at 128 2.4
+# times (a block of 1024 frames on a 2-vCPU VM).  64 bounds that cost; it
+# is not a measured break-even in time to a given precision, which no
+# workload above 40 users has been timed for.
+QUANTILE_MAX_USERS = 64
+
+
+def _qos_query(exp: Experiment) -> analytics.OutageQuery:
+    return analytics.OutageQuery(exp.protocol.gamma_qos, exp.link.avg_snr,
+                                 exp.link.k_h)
 
 
 def admit_users(exp: Experiment, block: int, size: int) -> np.ndarray:
     """QoS admission for `size` frames of one block: admitted-user counts.
 
-    Every provisioned user of every frame gets an independent channel draw
-    from the block's substreams and is admitted when its SNR exceeds
-    gamma_qos.
+    Each provisioned user i of frame t gets one iid draw of the channel
+    components channel.outage_score keeps, from the block's substreams
+    (seed, ADMISSION, block, component), and with it
+    p_ti = P(SNR > gamma_qos | those components), the score's survival
+    function.  Frame t admits K_t = min{k : F_t(k) >= W_t}, clipped to
+    N, where F_t is the Poisson-binomial CDF of its p_ti and W is
+    stratified (channel.stratified_uniform: frames t and t + size // 2
+    share a stratum).  Given the p, K_t is a count of Bernoulli(p_ti)
+    passes, so its law is that of counting SNR draws above gamma_qos;
+    which users pass is integrated out rather than drawn.  Above
+    QUANTILE_MAX_USERS users each user passes on its own, at an iid
+    uniform below p_ti.  The uniforms come from the substream of the
+    component the score integrates out, which it draws nothing from.
+
+    A threshold that settles admission draws nothing: gamma_qos = 0 or
+    an infinite average SNR admits everyone, one at or above the SNR
+    ceiling nobody.
     """
     cfg = exp.protocol
     n = cfg.n_total
-    if cfg.gamma_qos == 0.0:    # admits everyone: SNR > 0 almost surely
-        return np.full(size, n, dtype=np.int64)
-    rngs = [streams.substream(cfg.seed, streams.ADMISSION, block, c)
-            for c in (streams.ABSORPTION, streams.FADING, streams.MISALIGNMENT)]
+    query = _qos_query(exp)
+    if query.settled is not None:
+        return np.full(size, 0 if query.settled else n, dtype=np.int64)
+    rngs = {c: streams.substream(cfg.seed, streams.ADMISSION, block, c)
+            for c in (streams.ABSORPTION, streams.FADING,
+                      streams.MISALIGNMENT)}
+    free = rngs[streams.FADING if channel.conditioned_on_fading(exp)
+                else streams.MISALIGNMENT]
+    w = (channel.stratified_uniform(free, size)
+         if n <= QUANTILE_MAX_USERS else None)
     counts = np.empty(size, dtype=np.int64)
     rows = max(1, ADMISSION_DRAWS // n)
     for lo in range(0, size, rows):
         m = min(rows, size - lo)
-        gammas = channel.draw_snr_batch(exp, m * n, *rngs).reshape(m, n)
-        counts[lo:lo + m] = np.count_nonzero(gammas > cfg.gamma_qos, axis=1)
+        [p] = channel.outage_score(exp, [query.gamma_h], m * n,
+                                   rngs.__getitem__, stratified=False,
+                                   upper=True)
+        p = p.reshape(n, m)             # user i of frame lo + t at [i, t]
+        if w is None:
+            counts[lo:lo + m] = np.count_nonzero(free.random((n, m)) < p,
+                                                 axis=0)
+        else:
+            counts[lo:lo + m] = poisson_binomial_quantile(p, w[lo:lo + m])
     return counts
+
+
+def poisson_binomial_cdf(p: np.ndarray) -> np.ndarray:
+    """P(S_t <= k) for k = 0..N, as an (N + 1, m) array, of the sum S_t of
+    independent Bernoulli(p[i, t]) over the N rows of p.
+
+    The PMF is built user by user, d_k <- d_k (1 - p) + d_(k-1) p, by
+    three array operations in place; it is exact for p = 0 and p = 1.
+    """
+    n = p.shape[0]
+    d = np.zeros((n + 1,) + p.shape[1:])
+    d[0] = 1.0
+    for i in range(n):
+        t = d[:i + 1] * p[i]
+        d[:i + 1] -= t
+        d[1:i + 2] += t
+    return np.cumsum(d, axis=0, out=d)
+
+
+def poisson_binomial_quantile(p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """min{k : F_t(k) >= w_t} per column t of p (poisson_binomial_cdf),
+    clipped to N where rounding leaves F_t(N) below w_t.  w is raised to
+    the smallest positive double, so w = 0 gives the lowest count of
+    positive probability rather than 0."""
+    below = poisson_binomial_cdf(p) < np.maximum(w, np.nextafter(0.0, 1.0))
+    return np.minimum(np.count_nonzero(below, axis=0), p.shape[0])
 
 
 def contend(scheme: str, k: np.ndarray, rng: np.random.Generator
@@ -101,7 +170,9 @@ def contend(scheme: str, k: np.ndarray, rng: np.random.Generator
 
 @dataclass(frozen=True)
 class AggregateStats:
-    """Across-trial means with standard errors (sample std / sqrt(n))."""
+    """Across-trial means with standard errors: from the frame pairs of
+    each admission stratum where admission was drawn (run_batch), else
+    sample std / sqrt(n)."""
 
     scheme: str
     n_trials: int
@@ -115,7 +186,7 @@ class AggregateStats:
 
 
 def run_batch(exp: Experiment) -> Tuple[AggregateStats, Tuple[np.ndarray, ...]]:
-    """Run `trials` independent frames; deterministic given (seed, config).
+    """Run `trials` frames; deterministic given (seed, config).
 
     Returns the aggregate and the per-frame arrays (k admitted, slots,
     transmissions, energy in uJ); the transmissions are also the frame's
@@ -125,7 +196,11 @@ def run_batch(exp: Experiment) -> Tuple[AggregateStats, Tuple[np.ndarray, ...]]:
     (seed, ADMISSION, b, component) and contention from (seed, PROTOCOL,
     b), so the aggregate is independent of execution order.
     K_admitted = 0 frames contribute zero delay/energy and stay in the
-    averages.
+    averages.  Where admission is drawn, frames t and t + m // 2 of a
+    block of m share a stratum of its uniform, so they are not
+    independent: each mean and its se come from those pairs
+    (_stratified_mean); where the threshold settles admission the frames
+    are iid.
     """
     cfg = exp.protocol
     ks = np.empty(cfg.trials, dtype=np.int64)
@@ -142,16 +217,34 @@ def run_batch(exp: Experiment) -> Tuple[AggregateStats, Tuple[np.ndarray, ...]]:
     # e_idle per holder waiting out a slot
     en = cfg.energy
     e_uj = en.e_tx_uj * txs + en.e_ack_uj * ks + en.e_idle_uj * waits
+    moments = (_stratified_mean if _qos_query(exp).settled is None
+               else _iid_mean)
+    (d, d_se), (t, t_se), (e, e_se), (k, _) = (
+        moments(x) for x in (slots, txs, e_uj, ks))
     stats = AggregateStats(
         scheme=cfg.scheme, n_trials=cfg.trials,
-        mean_delay=float(slots.mean()), se_delay=_se(slots),
-        mean_transmissions=float(txs.mean()), se_transmissions=_se(txs),
-        mean_energy_uj=float(e_uj.mean()), se_energy_uj=_se(e_uj),
-        mean_k_admitted=float(ks.mean()))
+        mean_delay=d, se_delay=d_se,
+        mean_transmissions=t, se_transmissions=t_se,
+        mean_energy_uj=e, se_energy_uj=e_se, mean_k_admitted=k)
     return stats, (ks, slots, txs, e_uj)
 
 
-def _se(x: np.ndarray) -> float:
-    if x.size < 2:
-        return 0.0
-    return float(x.std(ddof=1) / math.sqrt(x.size))
+def _stratified_mean(x: np.ndarray) -> Tuple[float, float]:
+    """Mean and se of per-frame values x over stratified blocks of
+    TRIAL_BLOCK frames: each block's mean of cell means and its variance
+    (channel.cell_moments), merged as outage chunks are, mean = sum (m/n)
+    mean_b and se^2 = sum (m/n)^2 var_b, on x centred on its first value."""
+    centre = float(x[0])
+    total = var = 0.0
+    for lo in range(0, x.size, TRIAL_BLOCK):
+        d = x[lo:lo + TRIAL_BLOCK] - centre
+        mean_b, var_b = channel.cell_moments(d, total / max(lo, 1))
+        total += d.size * mean_b
+        var += d.size * d.size * var_b
+    return centre + total / x.size, math.sqrt(var) / x.size
+
+
+def _iid_mean(x: np.ndarray) -> Tuple[float, float]:
+    """Mean and se, sample std / sqrt(n), of iid per-frame values x."""
+    se = float(x.std(ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
+    return float(x.mean()), se

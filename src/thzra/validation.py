@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -137,68 +137,10 @@ def wilson_interval(successes: int, n: int, z: float = Z95) -> Tuple[float, floa
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def conditioned_on_fading(exp: Experiment) -> bool:
-    """Whether outage_mc integrates fading out (else misalignment): alpha-mu
-    fading (FadingParams.is_alpha_mu) with alpha mu < rho, i.e. fading's
-    exponent in the high-SNR slope min(alpha mu, rho, z) / 2 is below
-    misalignment's and fading drives the outage tail."""
-    fp = exp.fading
-    return fp.enabled and fp.is_alpha_mu and fp.alpha * fp.mu < exp.misalignment.rho
-
-
-def outage_score(exp: Experiment, gamma_hs: Sequence[float], m: int, rng
-                 ) -> Iterator[np.ndarray]:
-    """m draws of the outage probability given every channel component but
-    the one conditioned_on_fading integrates out, at each gamma_h of
-    gamma_hs in turn, all from one draw of those components.
-
-    rng(component) is that component's substream.  The drawn log-loss
-    ln(h_0 / h) is built once per call, a sum of log-gains: -ln(U V)/rho
-    plus the absorption loss on fading, with (U, V) stratified
-    (channel.stratified_uniform_product: draws k and k + m // 2 share a
-    cell), -ln G/alpha plus the loss on
-    misalignment (h / r_hat there), the loss alone with fading off.  Each
-    gamma_h adds its constant ln(gamma_h / h_0) into one reused buffer
-    and the CDF of the integrated-out component takes it whole: on
-    fading, ln u = ln(gamma_h / (h_l h_p)) and the alpha-mu CDF; on
-    misalignment, L = min(ln(gamma_h / (h_l h_f)), 0) and F_p(e^L).  So a
-    point's scores do not depend on the other points.  U V = 0 or G = 0
-    (Generator.random and a Gamma draw can return 0) gives ln = -inf and
-    scores 1, as h = 0 does.  Each yielded array is new; deterministic
-    absorption with fading off yields a read-only broadcast constant.
-    """
-    fp, rho = exp.fading, exp.misalignment.rho
-    on_fading = conditioned_on_fading(exp)
-    h_0, log_loss = channel.sample_path_loss(exp.absorption, exp.link,
-                                             rng(streams.ABSORPTION), m)
-    if on_fading or fp.enabled:
-        with np.errstate(divide="ignore"):
-            if on_fading:               # -ln h_p
-                drawn = channel.stratified_uniform_product(
-                    rng(streams.MISALIGNMENT), m)
-                np.log(drawn, out=drawn)
-                drawn *= -1.0 / rho
-            else:                       # -ln(h_f / r_hat)
-                drawn = np.log(channel.fading_power(fp, rng(streams.FADING), m))
-                drawn *= -1.0 / fp.alpha
-                h_0 *= fp.r_hat
-        drawn += log_loss
-        log_loss = drawn
-    shift = np.empty(m) if isinstance(log_loss, np.ndarray) else None
-    for gamma_h in gamma_hs:
-        log_x = np.add(log_loss, math.log(gamma_h / h_0), out=shift)
-        if on_fading:
-            yield channel.alpha_mu_cdf_log(log_x, fp)
-            continue
-        score = channel.misalignment_cdf_log(np.minimum(log_x, 0.0, out=shift),
-                                             rho)
-        yield score if shift is not None else np.broadcast_to(score, m)
-
-
 def outage_mc(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float],
               n: int, seed: int) -> OutageCurve:
     """Outage probability over an average-SNR grid, one channel component
-    integrated out in closed form (outage_score).
+    integrated out in closed form (channel.outage_score).
 
     Conditioned on fading, each draw scores the alpha-mu CDF at
     gamma_h / (h_l h_p), with stratified misalignment uniforms;
@@ -213,7 +155,7 @@ def outage_mc(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float],
     for the whole grid, so the points' errors are positively correlated
     and a point's result is bit-identical whatever else is on the grid.
     Chunks merge as p = sum (m / n) p_c, se^2 = sum (m / n)^2 var_c
-    (_cell_moments), each point's scores centred on its first, so a
+    (channel.cell_moments), each point's scores centred on its first, so a
     score that never varies gives se = 0 and vrf = p(1-p) / (n se^2) =
     inf (the estimate is exact).  The interval p +- 1.96 se is clipped
     to [0, 1].
@@ -226,13 +168,14 @@ def outage_mc(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float],
     live = [i for i, q in enumerate(queries) if q.settled is None]
     for done in range(0, n, OUTAGE_CHUNK) if live else ():
         m = min(OUTAGE_CHUNK, n - done)
-        scores = outage_score(exp, [queries[i].gamma_h for i in live], m,
-                              lambda comp: streams.substream(seed, done, comp))
+        scores = channel.outage_score(
+            exp, [queries[i].gamma_h for i in live], m,
+            lambda comp: streams.substream(seed, done, comp))
         for i, v in zip(live, scores):
             if done == 0:
                 centre[i] = v[0]
             d = np.subtract(v, centre[i], out=v if v.flags.writeable else None)
-            p_c, var_c = _cell_moments(d, total[i] / max(done, 1))
+            p_c, var_c = channel.cell_moments(d, total[i] / max(done, 1))
             total[i] += m * p_c
             var[i] += m * m * var_c
     p[live] = centre[live] + total[live] / n
@@ -245,35 +188,9 @@ def outage_mc(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float],
                        ci_lo=np.maximum(p - Z95 * se, 0.0),
                        ci_hi=np.minimum(p + Z95 * se, 1.0),
                        n_draws=n, se=se, vrf=vrf,
-                       conditioned=("fading" if conditioned_on_fading(exp)
+                       conditioned=("fading"
+                                    if channel.conditioned_on_fading(exp)
                                     else "misalignment"))
-
-
-def _cell_moments(d: np.ndarray, before: float) -> Tuple[float, float]:
-    """(p_c, var_c) of one chunk's m scores d, written into: the mean of
-    its P = m // 2 cell means and its variance sum_h s_h^2 / n_h / P^2.
-    Cell h holds draws h and h + P, (d_h - d_(h+P))^2 / 4; an odd m's last
-    draw joins cell 0, its three squared differences over 18.  These are
-    the strata of channel.stratified_uniform_product, and the pairs stay
-    unbiased on iid draws.  A lone draw (m = 1) takes (d_0 - before)^2,
-    before the mean of the draws before it in d's units: in expectation
-    the score's variance plus that mean's, 0 for a constant score and at
-    n = 1 (d_0 = before = 0, the centre).
-    """
-    m = d.size
-    if m == 1:
-        return float(d[0]), (float(d[0]) - before) ** 2
-    cells, odd = divmod(m, 2)
-    p_c = float(np.sum(d[:2 * cells])) / (2 * cells)
-    triple = 0.0
-    if odd:
-        y0, y1, y2 = float(d[0]), float(d[cells]), float(d[-1])
-        p_c += ((y0 + y1 + y2) / 3.0 - (y0 + y1) / 2.0) / cells
-        triple = ((y0 - y1) ** 2 + (y0 - y2) ** 2 + (y1 - y2) ** 2) / 18.0
-    pairs = np.subtract(d[odd:cells], d[cells + odd:2 * cells],
-                        out=d[odd:cells])           # cell 0 is the triple's
-    pair_sum = float(np.sum(np.square(pairs, out=pairs)))
-    return p_c, (pair_sum / 4.0 + triple) / (cells * cells)
 
 
 def outage_count(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float],

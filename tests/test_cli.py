@@ -599,7 +599,7 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 @pytest.mark.parametrize("command,base,old,new,counters", [
     ("simulate", DEFAULT_CFG, "n_users = 2,5,10,20,40",
-     "n_users = 2\ngamma_qos_db = 16.2", ("slots", "snr_draws")),
+     "n_users = 2\ngamma_qos_db = 16.2", ("slots", "admitted")),
     ("validate", fast_validate_text, "k_users = 2,5", "k_users = 2",
      ("slots", "outage_draws")),
     ("sweep", SWEEP_CFG, "outage_draws = 2000000", "outage_draws = 2000",
@@ -689,21 +689,24 @@ def test_sweep_grid_and_resume(tmp_path):
     # a cell written under an older schema is recomputed, not reused
     cells[3].write_text("#schema: thzra.sweep.cell.v1\nmu,p_out\n1,0.5\n")
     # a v2 cell (crude counting), a v3 cell (misalignment conditioning
-    # only), a v4 cell (draws per cell) or a v5 cell (iid misalignment
-    # draws) with the current digest is recomputed too
+    # only), a v4 cell (draws per cell), a v5 cell (iid misalignment
+    # draws) or a v6 cell (admission by SNR counts) with the current
+    # digest is recomputed too
     schema = before[cells[4].name].decode().splitlines()[0]
-    assert schema.startswith("#schema: thzra.sweep.cell.v6 digest=")
-    cells[4].write_text(schema.replace(".v6 ", ".v2 ")
+    assert schema.startswith("#schema: thzra.sweep.cell.v7 digest=")
+    cells[0].write_text(schema.replace(".v7 ", ".v6 ") + "\n"
+                        + before[cells[0].name].decode().split("\n", 1)[1])
+    cells[4].write_text(schema.replace(".v7 ", ".v2 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,outage_draws"
                         "\n2,3,0.5,0.4,0.6,20000\n")
-    cells[6].write_text(schema.replace(".v6 ", ".v3 ")
+    cells[6].write_text(schema.replace(".v7 ", ".v3 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,p_out_se,vrf,"
                         "outage_draws\n3,2,0.5,0.4,0.6,0.05,2.0,20000\n")
-    cells[7].write_text(schema.replace(".v6 ", ".v4 ")
+    cells[7].write_text(schema.replace(".v7 ", ".v4 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,p_out_se,vrf,"
                         "conditioned,outage_draws\n3,3,0.5,0.4,0.6,0.05,2.0,"
                         "misalignment,20000\n")
-    cells[8].write_text(schema.replace(".v6 ", ".v5 ")
+    cells[8].write_text(schema.replace(".v7 ", ".v5 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,p_out_se,vrf,"
                         "conditioned,outage_draws\n3,4,0.5,0.4,0.6,0.05,2.0,"
                         "fading,20000\n")
@@ -983,6 +986,23 @@ def test_repeated_validation_user_count_is_one(tmp_path):
                if s["suite"] == "simulator_vs_series"]
     assert len(agree["rows"]) == 8
     assert {row["z"] for row in agree["rows"]} == {validation.bonferroni_z(8)}
+
+
+def test_repeated_scheme_and_user_count_are_one_row(tmp_path):
+    # scheme = ftp,ftp with n_users = 2,2,5 is ftp with 2,5: two rows,
+    # byte-identical to the run that lists each once
+    outs = []
+    for schemes, users in (("ftp,ftp", "2,2,5"), ("ftp", "2,5")):
+        text = DEFAULT_CFG.read_text().replace(
+            "scheme = ftp,atp,optimal", f"scheme = {schemes}").replace(
+            "n_users = 2,5,10,20,40", f"n_users = {users}\ngamma_qos_db = 16.2")
+        cfg = write_cfg(tmp_path, f"r{len(outs)}.cfg", text)
+        out = tmp_path / f"out{len(outs)}"
+        assert cli.main(["simulate", "--config", str(cfg), "--trials", "30",
+                         "--out", str(out)]) == 0
+        outs.append((out / "simulate_aggregate.csv").read_bytes())
+    assert outs[0] == outs[1]
+    assert len(outs[0].decode().splitlines()) == 2 + 2
 
 
 def test_trials_dump_schema(tmp_path):

@@ -1,16 +1,20 @@
 """Frame simulator: conservation invariants, scheme semantics, energy
 accounting, and agreement with the exact stage law and series."""
+import itertools
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from thzra import analytics, channel, protocol, streams, validation
+from thzra import analytics, channel, cli, params, protocol, streams, validation
 from thzra.params import (EnergyModel, Experiment, FadingParams,
                           GammaAbsorption, MisalignmentParams, ProtocolConfig,
                           ThzLinkParams)
+
+DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
 
 
 def make_experiment(**protocol_kw):
@@ -196,6 +200,167 @@ def test_block_admission_counts_are_binomial():
     lo, hi = np.flatnonzero(expected >= 5.0)[[0, -1]]
     fold = lambda x: np.r_[x[:lo + 1].sum(), x[lo + 1:hi], x[hi:].sum()]
     assert sstats.chisquare(fold(counts), fold(expected)).pvalue > 1e-4
+
+
+def brute_force_cdf(p):
+    """P(S <= k), k = 0..N, of S = sum of Bernoulli(p_i), by enumerating
+    all 2^N subsets of admitted users."""
+    pmf = np.zeros(p.size + 1)
+    for bits in itertools.product((False, True), repeat=p.size):
+        pmf[sum(bits)] += math.prod(pi if b else 1.0 - pi
+                                    for pi, b in zip(p, bits))
+    return np.cumsum(pmf)
+
+
+def random_admission_probabilities(n, frames, seed):
+    # uniform p with exact 0s and 1s mixed in
+    r = rng(seed)
+    p = r.random((n, frames))
+    p[r.random((n, frames)) < 0.15] = 0.0
+    p[r.random((n, frames)) < 0.15] = 1.0
+    return p
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_poisson_binomial_quantile_matches_enumeration(n):
+    p = random_admission_probabilities(n, 6, seed=n)
+    w = rng(100 + n).random(6)
+    cdf = protocol.poisson_binomial_cdf(p)
+    k = protocol.poisson_binomial_quantile(p, w)
+    for t in range(6):
+        exact = brute_force_cdf(p[:, t])
+        np.testing.assert_allclose(cdf[:, t], exact, rtol=0, atol=1e-14)
+        assert k[t] == np.flatnonzero(exact >= w[t])[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_poisson_binomial_quantile_at_its_steps(n):
+    # W exactly at F(k) gives k, just above it the next count of positive
+    # probability; W = 1 - 2^-53 gives the first k with F(k) at or above
+    # it, never above N; W = 0 the lowest count of positive probability
+    p = random_admission_probabilities(n, 8, seed=20 + n)
+    cdf = protocol.poisson_binomial_cdf(p)
+    top = 1.0 - 2.0 ** -53
+    for t in range(p.shape[1]):
+        col = p[:, t:t + 1]
+        support = np.flatnonzero(np.diff(np.r_[0.0, cdf[:, t]]) > 0.0)
+        for k in support:
+            assert protocol.poisson_binomial_quantile(col, cdf[k, t:t + 1]) == k
+            above = np.nextafter(cdf[k, t:t + 1], 2.0)
+            if above[0] < 1.0 and k < support[-1]:
+                nxt = support[support > k][0]
+                assert protocol.poisson_binomial_quantile(col, above) == nxt
+        want = min(int(np.count_nonzero(cdf[:, t] < top)), n)
+        assert protocol.poisson_binomial_quantile(col, np.array([top])) == want
+        assert protocol.poisson_binomial_quantile(col, np.zeros(1)) == support[0]
+
+
+def test_poisson_binomial_quantile_never_exceeds_n():
+    top = np.full(4, 1.0 - 2.0 ** -53)
+    for n in (1, 3, 12, 40):
+        ones = np.ones((n, 4))
+        assert protocol.poisson_binomial_quantile(ones, top).tolist() == [n] * 4
+        p = random_admission_probabilities(n, 500, seed=n)
+        w = np.r_[rng(n).random(496), top]
+        k = protocol.poisson_binomial_quantile(p, w)
+        assert k.min() >= 0 and k.max() <= n
+
+
+@pytest.mark.parametrize("n_users", [2, 40])
+def test_stratified_admission_is_calibrated_with_fading_off(n_users):
+    # fading off, where the admitted share q is exact (0.505 at 16.5 dB):
+    # over 300 seeds the mean of K/N lies within 3 se of q, and the spread
+    # of the estimates over their root-mean-square se is about 1 (se of
+    # that ratio ~0.04)
+    exp = make_experiment(scheme="optimal", n_total=n_users,
+                          gamma_qos=10 ** 1.65, trials=400)
+    q = analytics.OutageQuery(exp.protocol.gamma_qos, exp.link.avg_snr,
+                              exp.link.k_h)
+    p_adm = 1.0 - analytics.cdf_snr_no_fading(q, exp.absorption,
+                                              exp.misalignment.rho, exp.link)
+    runs = [protocol.run_batch(exp.with_protocol(seed=s))[0]
+            for s in range(7000, 7300)]
+    share = np.array([st.mean_k_admitted for st in runs]) / n_users
+    se = np.array([st.se_delay for st in runs]) / n_users
+    rms_se = math.sqrt(np.mean(se ** 2))
+    assert abs(share.mean() - p_adm) <= 3.0 * rms_se / math.sqrt(len(runs))
+    assert 0.85 <= np.std(share, ddof=1) / rms_se <= 1.15
+
+
+def binomial_mixture(f, n, q):
+    """E[f(K)] for K ~ Binomial(n, q), f(0) = 0."""
+    return sum(math.comb(n, k) * q ** k * (1.0 - q) ** (n - k) * f(k)
+               for k in range(1, n + 1))
+
+
+def test_stratified_admission_meets_the_mixture_rule_at_16_2_db():
+    # the default config at gamma_qos = 16.2 dB (about half admitted): each
+    # FTP/ATP row's delay and transmissions lie within 4 se of the exact
+    # series averaged over Binomial(K, q) at the row's own admitted share
+    base = params.run_config(cli.read_config(DEFAULT_CFG)).exp.with_protocol(
+        gamma_qos=params.db_to_linear(16.2), trials=400)
+    worst = 0.0
+    for seed, scheme, k in itertools.product(range(40), ("ftp", "atp"),
+                                             (2, 10, 40)):
+        stats, _ = protocol.run_batch(base.with_protocol(
+            scheme=scheme, n_total=k, seed=1000 * seed + k))
+        q = stats.mean_k_admitted / k
+        for i, mean, se in ((0, stats.mean_delay, stats.se_delay),
+                            (1, stats.mean_transmissions,
+                             stats.se_transmissions)):
+            exact = binomial_mixture(
+                lambda j: validation.exact_delay_energy(scheme, j)[i], k, q)
+            worst = max(worst, abs(mean - exact) / se)
+    assert worst <= 4.0
+
+
+def stratified_estimate(x):
+    """Mean and se of run_batch's frame values by strata, with index
+    arrays: per block of TRIAL_BLOCK frames, frame t in stratum t mod P
+    (an odd block's last in stratum 0), the mean of the stratum means and
+    sum s_h^2 / n_h / P^2; a lone frame's variance is its squared distance
+    to the mean before it, 0 for a lone first frame.  Blocks weigh by
+    their size."""
+    total = var = 0.0
+    for lo in range(0, x.size, protocol.TRIAL_BLOCK):
+        y = x[lo:lo + protocol.TRIAL_BLOCK].astype(float)
+        if y.size == 1:
+            total += y[0]
+            var += (y[0] - (x[:lo].mean() if lo else y[0])) ** 2
+            continue
+        cells = y.size // 2
+        cell = np.arange(y.size) % cells
+        cell[2 * cells:] = 0
+        count = np.bincount(cell)
+        mean = np.bincount(cell, y) / count
+        dev = y - mean[cell]
+        s2 = np.bincount(cell, dev * dev) / (count - 1)
+        total += y.size * mean.mean()
+        var += y.size ** 2 * np.sum(s2 / count) / cells ** 2
+    return total / x.size, math.sqrt(var) / x.size
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3, 401, protocol.TRIAL_BLOCK + 1,
+                                    2 * protocol.TRIAL_BLOCK + 77])
+def test_stratified_aggregate_on_odd_and_many_blocks(trials):
+    # odd block sizes, a lone last frame and several blocks: finite se,
+    # each mean the strata's, and optimal's delay is its admitted count
+    exp = make_experiment(scheme="ftp", n_total=10, gamma_qos=10 ** 0.5,
+                          trials=trials, seed=5)
+    stats, (ks, slots, txs, e_uj) = protocol.run_batch(exp)
+    for mean, se, x in ((stats.mean_delay, stats.se_delay, slots),
+                        (stats.mean_transmissions, stats.se_transmissions,
+                         txs),
+                        (stats.mean_energy_uj, stats.se_energy_uj, e_uj),
+                        (stats.mean_k_admitted, None, ks)):
+        want_mean, want_se = stratified_estimate(x)
+        assert mean == pytest.approx(want_mean, rel=1e-12)
+        if se is not None:
+            assert math.isfinite(se) and se >= 0.0
+            assert se == pytest.approx(want_se, rel=1e-10, abs=1e-12)
+    assert (stats.se_delay == 0.0) == (trials == 1)
+    opt, _ = protocol.run_batch(exp.with_protocol(scheme="optimal"))
+    assert opt.mean_delay == opt.mean_k_admitted
 
 
 # ---------------------------------------------------------------------------

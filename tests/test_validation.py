@@ -213,16 +213,17 @@ class ZeroDraws:
         return g
 
 
-def linear_score(exp, gamma_h, m, rng):
+def linear_score(exp, gamma_h, m, rng, stratified=True):
     """The conditional outage score composed from channel's linear samplers
     and CDFs: the alpha-mu CDF at gamma_h / (h_l h_p), with h_p from the
-    stratified U V, or F_p at min(gamma_h / (h_l h_f), 1)."""
+    stratified (or iid) U V, or F_p at min(gamma_h / (h_l h_f), 1)."""
     h = channel.sample_path_gain(exp.absorption, exp.link,
                                  rng(streams.ABSORPTION), m)
+    product = (channel.stratified_uniform_product if stratified
+               else channel.uniform_product)
     with np.errstate(divide="ignore"):      # h = 0 gives gamma_h / h = inf
-        if validation.conditioned_on_fading(exp):
-            w = channel.stratified_uniform_product(rng(streams.MISALIGNMENT),
-                                                   m)
+        if channel.conditioned_on_fading(exp):
+            w = product(rng(streams.MISALIGNMENT), m)
             h = h * w ** (1.0 / exp.misalignment.rho)
             return channel.alpha_mu_cdf(gamma_h / h, exp.fading)
         if exp.fading.enabled:
@@ -267,7 +268,7 @@ def branch_experiment(name):
         absorption=(DeterministicAbsorption()
                     if absorption == DETERMINISTIC
                     else GammaAbsorption(k=3, beta=10.0)))
-    assert validation.conditioned_on_fading(exp) == (conditioned == "fading")
+    assert channel.conditioned_on_fading(exp) == (conditioned == "fading")
     return exp
 
 
@@ -285,11 +286,34 @@ def test_outage_score_is_the_linear_composition(name, db):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        [got] = validation.outage_score(exp, [q.gamma_h], m, rng)
+        [got] = channel.outage_score(exp, [q.gamma_h], m, rng)
     want = linear_score(exp, q.gamma_h, m, rng)
     assert got.shape == (m,)
     assert np.all((got >= 0.0) & (got <= 1.0))
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-300)
+
+
+@pytest.mark.parametrize("name", sorted(SCORE_BRANCHES))
+def test_outage_score_iid_and_upper(name):
+    # QoS admission's reading of the score: iid misalignment uniforms, and
+    # the survival function, 1 - the score on the same draws
+    exp = branch_experiment(name)
+    q = analytics.OutageQuery(10 ** 1.6, 10 ** 4.5, exp.link.k_h)
+
+    def rng(comp):
+        return streams.substream(19, 5, 0, comp)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        [low] = channel.outage_score(exp, [q.gamma_h], 5000, rng,
+                                     stratified=False)
+        [up] = channel.outage_score(exp, [q.gamma_h], 5000, rng,
+                                    stratified=False, upper=True)
+    np.testing.assert_allclose(low, linear_score(exp, q.gamma_h, 5000, rng,
+                                                 stratified=False),
+                               rtol=1e-13, atol=1e-300)
+    np.testing.assert_allclose(low + up, 1.0, rtol=0, atol=1e-14)
+    assert up.shape == (5000,) and np.all((up >= 0.0) & (up <= 1.0))
 
 
 @pytest.mark.parametrize("name", ["alpha_mu_on_fading",
@@ -306,7 +330,7 @@ def test_outage_score_of_a_zero_gain_is_one(name):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        [got] = validation.outage_score(exp, [q.gamma_h], 1000, rng)
+        [got] = channel.outage_score(exp, [q.gamma_h], 1000, rng)
     np.testing.assert_array_equal(got[:3], 1.0)
     np.testing.assert_allclose(got, linear_score(exp, q.gamma_h, 1000, rng),
                                rtol=1e-13, atol=1e-300)
@@ -407,7 +431,7 @@ def stratified_estimate(exp, gamma_h, n, seed):
     total = var = 0.0
     for done in range(0, n, validation.OUTAGE_CHUNK):
         m = min(validation.OUTAGE_CHUNK, n - done)
-        [y] = validation.outage_score(
+        [y] = channel.outage_score(
             exp, [gamma_h], m, lambda comp: streams.substream(seed, done, comp))
         cells = max(m // 2, 1)
         cell = np.arange(m) % cells
