@@ -14,7 +14,7 @@ Carlo averages and QoS admission takes as its survival function)
 composes the same laws in log form, a sum of log-gains scored by one exp:
 path_loss_nepers, uniform_product and fading_power give each component's
 log-gain from the draws the linear samplers use (stratified_uniform_product
-places the same uniforms in strata, cell_moments reads them back), and
+places the same uniforms in strata, StratifiedMean reads them back), and
 misalignment_cdf_log and alpha_mu_cdf_log are the CDFs misalignment_cdf
 and alpha_mu_cdf call.
 """
@@ -145,10 +145,10 @@ def stratified_uniform_product(rng: np.random.Generator,
                                size: int) -> np.ndarray:
     """`size` draws of U V, the law of uniform_product, with (U, V)
     stratified on the unit square: the uniforms u, v of uniform_product
-    (the same `size` for U, then `size` for V) put draw k in cell
+    (the same `size` for U, then `size` for V) put draw k < 2P in cell
     h = k mod P of the A x B grid of strata, at (a, b) = (h div B, h mod B),
     as U = (a + u) / A, V = (b + v) / B.  Every cell holds two draws,
-    k and k + P; an odd size puts its last draw in cell 0 as a third.
+    k and k + P; an odd size's last draw is iid, U V = u v.
     """
     a, b = strata(size)
     pairs = 2 * (size // 2)
@@ -159,48 +159,64 @@ def stratified_uniform_product(rng: np.random.Generator,
     grid = v[:pairs].reshape(2, a, -1)
     grid += np.arange(b)
     w *= v
-    w /= a * b
+    w[:pairs] /= a * b
     return w
 
 
 def stratified_uniform(rng: np.random.Generator, size: int) -> np.ndarray:
     """`size` uniforms on [0, 1) stratified on one axis, the layout of
-    stratified_uniform_product: draw k lies in stratum h = k mod P of
-    P = max(size // 2, 1) equal strata, as (h + u) / P for the stream's
-    k-th uniform u; an odd size puts its last draw in stratum 0."""
-    cells = max(size // 2, 1)
+    stratified_uniform_product: draw k < 2P lies in stratum h = k mod P of
+    P = size // 2 equal strata, as (h + u) / P for the stream's k-th
+    uniform u; an odd size's last draw is that uniform itself."""
+    cells = size // 2
     w = rng.random(size)
-    w += np.arange(size) % cells
-    w /= cells
+    pairs = w[:2 * cells].reshape(2, -1)    # a view, (2, P)
+    pairs += np.arange(cells)
+    pairs /= max(cells, 1)
     return w
 
 
-def cell_moments(d: np.ndarray, before: float) -> Tuple[float, float]:
-    """(mean, var) of one stratified chunk of m values d, written into:
-    the mean of its P = m // 2 cell means and its variance
-    sum_h s_h^2 / n_h / P^2.  Cell h holds draws h and h + P,
-    (d_h - d_(h+P))^2 / 4; an odd m's last draw joins cell 0, its three
-    squared differences over 18.  These are the strata of
-    stratified_uniform_product and stratified_uniform, and the pairs stay
-    unbiased on iid draws.  A lone draw (m = 1) takes (d_0 - before)^2,
-    before the mean of the draws before it in d's units: in expectation
-    the value's variance plus that mean's, 0 for a constant value and at
-    n = 1 when d is centred on its first value.
+class StratifiedMean:
+    """Mean and se of stratified values fed chunk by chunk (add), in the
+    layout of stratified_uniform_product and stratified_uniform: a chunk
+    of m values pairs values h and h + P, P = m // 2, one stratum each,
+    and an odd m's last value is iid, merged as a chunk of one.
+
+    Values are centred on the first.  A chunk's mean is that of its cell
+    means and its variance sum_h (d_h - d_(h+P))^2 / 4 / P^2; a chunk of
+    one takes (d - before)^2, before the mean of the values before it: in
+    expectation the value's variance plus that mean's, 0 for the first.
+    Chunks merge as mean = sum (m/n) mean_c, se^2 = sum (m/n)^2 var_c.
+    The pairs stay unbiased on iid values, which need no other estimator.
     """
-    m = d.size
-    if m == 1:
-        return float(d[0]), (float(d[0]) - before) ** 2
-    cells, odd = divmod(m, 2)
-    mean = float(np.sum(d[:2 * cells])) / (2 * cells)
-    triple = 0.0
-    if odd:
-        y0, y1, y2 = float(d[0]), float(d[cells]), float(d[-1])
-        mean += ((y0 + y1 + y2) / 3.0 - (y0 + y1) / 2.0) / cells
-        triple = ((y0 - y1) ** 2 + (y0 - y2) ** 2 + (y1 - y2) ** 2) / 18.0
-    pairs = np.subtract(d[odd:cells], d[cells + odd:2 * cells],
-                        out=d[odd:cells])           # cell 0 is the triple's
-    pair_sum = float(np.sum(np.square(pairs, out=pairs)))
-    return mean, (pair_sum / 4.0 + triple) / (cells * cells)
+
+    def __init__(self) -> None:
+        self.centre = 0.0
+        self.n = 0
+        self.total = self.var = 0.0         # sums of m mean_c, m^2 var_c
+
+    def add(self, x: np.ndarray) -> None:
+        """Take the chunk x; a writable x (float) is written into."""
+        if not self.n:
+            self.centre = float(x[0])
+        d = np.subtract(x, self.centre, out=x if x.flags.writeable else None)
+        cells = d.size // 2
+        if cells:
+            m = 2 * cells
+            self.total += m * (float(np.sum(d[:m])) / m)    # m mean_c
+            pairs = np.subtract(d[:cells], d[cells:m], out=d[:cells])
+            pair_sum = float(np.sum(np.square(pairs, out=pairs)))
+            self.var += m * m * (pair_sum / 4.0 / (cells * cells))
+            self.n += m
+        if d.size % 2:
+            last = float(d[-1])
+            self.var += (last - self.total / max(self.n, 1)) ** 2
+            self.total += last
+            self.n += 1
+
+    def estimate(self) -> Tuple[float, float]:
+        """(mean, se) of every value added."""
+        return self.centre + self.total / self.n, math.sqrt(self.var) / self.n
 
 
 def sample_misalignment(rho: float, rng: np.random.Generator,

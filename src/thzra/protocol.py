@@ -19,7 +19,6 @@ it lasts Geometric(k p (1-p)^(k-1)) slots.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -44,11 +43,6 @@ ADMISSION_DRAWS = 1 << 18
 QUANTILE_MAX_USERS = 64
 
 
-def _qos_query(exp: Experiment) -> analytics.OutageQuery:
-    return analytics.OutageQuery(exp.protocol.gamma_qos, exp.link.avg_snr,
-                                 exp.link.k_h)
-
-
 def admit_users(exp: Experiment, block: int, size: int) -> np.ndarray:
     """QoS admission for `size` frames of one block: admitted-user counts.
 
@@ -59,12 +53,13 @@ def admit_users(exp: Experiment, block: int, size: int) -> np.ndarray:
     function.  Frame t admits K_t = min{k : F_t(k) >= W_t}, clipped to
     N, where F_t is the Poisson-binomial CDF of its p_ti and W is
     stratified (channel.stratified_uniform: frames t and t + size // 2
-    share a stratum).  Given the p, K_t is a count of Bernoulli(p_ti)
-    passes, so its law is that of counting SNR draws above gamma_qos;
-    which users pass is integrated out rather than drawn.  Above
-    QUANTILE_MAX_USERS users each user passes on its own, at an iid
-    uniform below p_ti.  The uniforms come from the substream of the
-    component the score integrates out, which it draws nothing from.
+    share a stratum, an odd size's last frame is iid).  Given the p, K_t
+    is a count of Bernoulli(p_ti) passes, so its law is that of counting
+    SNR draws above gamma_qos; which users pass is integrated out rather
+    than drawn.  Above QUANTILE_MAX_USERS users each user passes on its
+    own, at an iid uniform below p_ti.  The uniforms come from the
+    substream of the component the score integrates out, which it draws
+    nothing from.
 
     A threshold that settles admission draws nothing: gamma_qos = 0 or
     an infinite average SNR admits everyone, one at or above the SNR
@@ -72,7 +67,8 @@ def admit_users(exp: Experiment, block: int, size: int) -> np.ndarray:
     """
     cfg = exp.protocol
     n = cfg.n_total
-    query = _qos_query(exp)
+    query = analytics.OutageQuery(cfg.gamma_qos, exp.link.avg_snr,
+                                  exp.link.k_h)
     if query.settled is not None:
         return np.full(size, 0 if query.settled else n, dtype=np.int64)
     rngs = {c: streams.substream(cfg.seed, streams.ADMISSION, block, c)
@@ -170,9 +166,8 @@ def contend(scheme: str, k: np.ndarray, rng: np.random.Generator
 
 @dataclass(frozen=True)
 class AggregateStats:
-    """Across-trial means with standard errors: from the frame pairs of
-    each admission stratum where admission was drawn (run_batch), else
-    sample std / sqrt(n)."""
+    """Across-trial means with standard errors, from the frame pairs of
+    each admission stratum (run_batch)."""
 
     scheme: str
     n_trials: int
@@ -198,9 +193,10 @@ def run_batch(exp: Experiment) -> Tuple[AggregateStats, Tuple[np.ndarray, ...]]:
     K_admitted = 0 frames contribute zero delay/energy and stay in the
     averages.  Where admission is drawn, frames t and t + m // 2 of a
     block of m share a stratum of its uniform, so they are not
-    independent: each mean and its se come from those pairs
-    (_stratified_mean); where the threshold settles admission the frames
-    are iid.
+    independent: each mean and its se come from those pairs, blocks
+    merged by size (channel.StratifiedMean), which stay unbiased where
+    the threshold settles admission and the frames are iid.  Each mean
+    is the plain average of the frames.
     """
     cfg = exp.protocol
     ks = np.empty(cfg.trials, dtype=np.int64)
@@ -217,34 +213,16 @@ def run_batch(exp: Experiment) -> Tuple[AggregateStats, Tuple[np.ndarray, ...]]:
     # e_idle per holder waiting out a slot
     en = cfg.energy
     e_uj = en.e_tx_uj * txs + en.e_ack_uj * ks + en.e_idle_uj * waits
-    moments = (_stratified_mean if _qos_query(exp).settled is None
-               else _iid_mean)
-    (d, d_se), (t, t_se), (e, e_se), (k, _) = (
-        moments(x) for x in (slots, txs, e_uj, ks))
+    moments = []
+    for x in (slots, txs, e_uj, ks):
+        mean = channel.StratifiedMean()
+        for lo in range(0, x.size, TRIAL_BLOCK):    # add writes into a copy
+            mean.add(x[lo:lo + TRIAL_BLOCK].astype(float))
+        moments.append(mean.estimate())
+    (d, d_se), (t, t_se), (e, e_se), (k, _) = moments
     stats = AggregateStats(
         scheme=cfg.scheme, n_trials=cfg.trials,
         mean_delay=d, se_delay=d_se,
         mean_transmissions=t, se_transmissions=t_se,
         mean_energy_uj=e, se_energy_uj=e_se, mean_k_admitted=k)
     return stats, (ks, slots, txs, e_uj)
-
-
-def _stratified_mean(x: np.ndarray) -> Tuple[float, float]:
-    """Mean and se of per-frame values x over stratified blocks of
-    TRIAL_BLOCK frames: each block's mean of cell means and its variance
-    (channel.cell_moments), merged as outage chunks are, mean = sum (m/n)
-    mean_b and se^2 = sum (m/n)^2 var_b, on x centred on its first value."""
-    centre = float(x[0])
-    total = var = 0.0
-    for lo in range(0, x.size, TRIAL_BLOCK):
-        d = x[lo:lo + TRIAL_BLOCK] - centre
-        mean_b, var_b = channel.cell_moments(d, total / max(lo, 1))
-        total += d.size * mean_b
-        var += d.size * d.size * var_b
-    return centre + total / x.size, math.sqrt(var) / x.size
-
-
-def _iid_mean(x: np.ndarray) -> Tuple[float, float]:
-    """Mean and se, sample std / sqrt(n), of iid per-frame values x."""
-    se = float(x.std(ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
-    return float(x.mean()), se

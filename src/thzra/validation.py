@@ -154,32 +154,27 @@ def outage_mc(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float],
     from the substreams (seed, j * OUTAGE_CHUNK, component), drawn once
     for the whole grid, so the points' errors are positively correlated
     and a point's result is bit-identical whatever else is on the grid.
-    Chunks merge as p = sum (m / n) p_c, se^2 = sum (m / n)^2 var_c
-    (channel.cell_moments), each point's scores centred on its first, so a
-    score that never varies gives se = 0 and vrf = p(1-p) / (n se^2) =
-    inf (the estimate is exact).  The interval p +- 1.96 se is clipped
-    to [0, 1].
+    Each point's chunks merge in one channel.StratifiedMean, its scores
+    centred on its first, so a score that never varies gives se = 0 and
+    vrf = p(1-p) / (n se^2) = inf (the estimate is exact).  The interval
+    p +- 1.96 se is clipped to [0, 1].
     """
     gdb = np.asarray(list(gamma_bar_db), dtype=float)
     queries = [analytics.OutageQuery(gamma_th, db_to_linear(db), exp.link.k_h)
                for db in gdb]
     p = np.array([q.settled or 0.0 for q in queries])
-    centre, total, var = np.zeros((3, gdb.size))
+    se = np.zeros(gdb.size)
     live = [i for i, q in enumerate(queries) if q.settled is None]
+    means = [channel.StratifiedMean() for _ in live]
     for done in range(0, n, OUTAGE_CHUNK) if live else ():
-        m = min(OUTAGE_CHUNK, n - done)
         scores = channel.outage_score(
-            exp, [queries[i].gamma_h for i in live], m,
+            exp, [queries[i].gamma_h for i in live],
+            min(OUTAGE_CHUNK, n - done),
             lambda comp: streams.substream(seed, done, comp))
-        for i, v in zip(live, scores):
-            if done == 0:
-                centre[i] = v[0]
-            d = np.subtract(v, centre[i], out=v if v.flags.writeable else None)
-            p_c, var_c = channel.cell_moments(d, total[i] / max(done, 1))
-            total[i] += m * p_c
-            var[i] += m * m * var_c
-    p[live] = centre[live] + total[live] / n
-    se = np.sqrt(var) / n
+        for mean, v in zip(means, scores):
+            mean.add(v)                         # centred in place
+    for i, mean in zip(live, means):
+        p[i], se[i] = mean.estimate()
     crude = p * (1.0 - p) / n
     with np.errstate(divide="ignore", invalid="ignore"):
         # both variances 0 where the threshold settles p: no reduction

@@ -247,21 +247,22 @@ def test_strata_grid():
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 7, 4321, 2 ** 16, 2 ** 16 + 1])
 def test_stratified_uniform_product_cells(size):
-    # draw k lies in cell k mod P of the A x B grid (an odd size's last in
-    # cell 0), two draws to a cell, at U = (a + u) / A, V = (b + v) / B for
-    # the iid uniforms u, v that uniform_product draws from the same
-    # substream: U A - a and V B - b are those uniforms
+    # draw k < 2P lies in cell k mod P of the A x B grid, two draws to a
+    # cell, at U = (a + u) / A, V = (b + v) / B for the iid uniforms u, v
+    # that uniform_product draws from the same substream: U A - a and
+    # V B - b are those uniforms.  An odd size's last draw is iid, u v
     a_n, b_n = channel.strata(size)
+    pairs = 2 * (size // 2)
     rng = RNG(11)
     u, v = rng.random(size), rng.random(size)
-    cell = np.arange(size) % (a_n * b_n)
-    cell[2 * (size // 2):] = 0
-    counts = np.bincount(cell, minlength=a_n * b_n)
+    cell = np.arange(pairs) % (a_n * b_n)
     if size > 1:
-        assert counts[0] == 2 + size % 2 and np.all(counts[1:] == 2)
+        assert np.all(np.bincount(cell, minlength=a_n * b_n) == 2)
     a, b = np.divmod(cell, b_n)
     w = channel.stratified_uniform_product(RNG(11), size)
-    np.testing.assert_array_equal(w, (a + u) * (b + v) / (a_n * b_n))
+    np.testing.assert_array_equal(w[:pairs], (a + u[:pairs]) * (b + v[:pairs])
+                                  / (a_n * b_n))
+    np.testing.assert_array_equal(w[pairs:], u[pairs:] * v[pairs:])
     assert np.all((w >= 0.0) & (w < 1.0))
 
 
@@ -281,16 +282,17 @@ def test_stratified_uniform_product_law():
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 7, 400, 1025])
 def test_stratified_uniform_strata(size):
-    # draw k lies in stratum k mod P of P = size // 2 (an odd size's last
-    # in stratum 0), at (h + u) / P for the stream's uniforms u
-    cells = max(size // 2, 1)
+    # draw k < 2P lies in stratum k mod P of P = size // 2, at (h + u) / P
+    # for the stream's uniforms u; an odd size's last draw is its u
+    cells, pairs = size // 2, 2 * (size // 2)
     u = RNG(12).random(size)
-    h = np.arange(size) % cells
-    h[2 * (size // 2):] = 0
+    h = np.arange(pairs) % max(cells, 1)
     w = channel.stratified_uniform(RNG(12), size)
-    np.testing.assert_allclose(w, (h + u) / cells, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(w[:pairs], (h + u[:pairs]) / cells, rtol=1e-15,
+                               atol=0)
+    np.testing.assert_array_equal(w[pairs:], u[pairs:])
     assert np.all((w >= 0.0) & (w < 1.0))
-    assert np.all(np.floor(w * cells) == h)
+    assert np.all(np.floor(w[:pairs] * cells) == h)
 
 
 # ---------------------------------------------------------------------------

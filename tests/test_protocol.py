@@ -316,27 +316,29 @@ def test_stratified_admission_meets_the_mixture_rule_at_16_2_db():
 
 def stratified_estimate(x):
     """Mean and se of run_batch's frame values by strata, with index
-    arrays: per block of TRIAL_BLOCK frames, frame t in stratum t mod P
-    (an odd block's last in stratum 0), the mean of the stratum means and
-    sum s_h^2 / n_h / P^2; a lone frame's variance is its squared distance
-    to the mean before it, 0 for a lone first frame.  Blocks weigh by
-    their size."""
+    arrays: per block of TRIAL_BLOCK frames, frame t < 2P in stratum
+    t mod P, P = size // 2, the mean of the stratum means and
+    sum s_h^2 / n_h / P^2; an odd block's last frame is a block of one,
+    whose variance is its squared distance to the mean of the frames
+    before it, 0 for a lone first frame.  Blocks weigh by their size."""
     total = var = 0.0
+    done = 0
     for lo in range(0, x.size, protocol.TRIAL_BLOCK):
         y = x[lo:lo + protocol.TRIAL_BLOCK].astype(float)
-        if y.size == 1:
-            total += y[0]
-            var += (y[0] - (x[:lo].mean() if lo else y[0])) ** 2
-            continue
         cells = y.size // 2
-        cell = np.arange(y.size) % cells
-        cell[2 * cells:] = 0
-        count = np.bincount(cell)
-        mean = np.bincount(cell, y) / count
-        dev = y - mean[cell]
-        s2 = np.bincount(cell, dev * dev) / (count - 1)
-        total += y.size * mean.mean()
-        var += y.size ** 2 * np.sum(s2 / count) / cells ** 2
+        if cells:
+            pairs = y[:2 * cells]
+            cell = np.arange(2 * cells) % cells
+            mean = np.bincount(cell, pairs) / 2
+            dev = pairs - mean[cell]
+            s2 = np.bincount(cell, dev * dev)
+            total += 2 * cells * mean.mean()
+            var += 4 * cells ** 2 * np.sum(s2 / 2) / cells ** 2
+            done += 2 * cells
+        if y.size % 2:
+            var += (y[-1] - (x[:done].mean() if done else y[-1])) ** 2
+            total += y[-1]
+            done += 1
     return total / x.size, math.sqrt(var) / x.size
 
 
@@ -344,10 +346,14 @@ def stratified_estimate(x):
                                     2 * protocol.TRIAL_BLOCK + 77])
 def test_stratified_aggregate_on_odd_and_many_blocks(trials):
     # odd block sizes, a lone last frame and several blocks: finite se,
-    # each mean the strata's, and optimal's delay is its admitted count
+    # each mean the strata's and the plain average of the per-frame
+    # arrays that --dump-trials writes (an odd block's last frame is
+    # iid), so mean_k_admitted * n_trials is the admitted count, and
+    # optimal's delay is its admitted count
     exp = make_experiment(scheme="ftp", n_total=10, gamma_qos=10 ** 0.5,
                           trials=trials, seed=5)
     stats, (ks, slots, txs, e_uj) = protocol.run_batch(exp)
+    assert round(stats.mean_k_admitted * trials) == ks.sum()
     for mean, se, x in ((stats.mean_delay, stats.se_delay, slots),
                         (stats.mean_transmissions, stats.se_transmissions,
                          txs),
@@ -355,12 +361,30 @@ def test_stratified_aggregate_on_odd_and_many_blocks(trials):
                         (stats.mean_k_admitted, None, ks)):
         want_mean, want_se = stratified_estimate(x)
         assert mean == pytest.approx(want_mean, rel=1e-12)
+        assert mean == pytest.approx(x.mean(), rel=1e-12)
         if se is not None:
             assert math.isfinite(se) and se >= 0.0
             assert se == pytest.approx(want_se, rel=1e-10, abs=1e-12)
     assert (stats.se_delay == 0.0) == (trials == 1)
     opt, _ = protocol.run_batch(exp.with_protocol(scheme="optimal"))
     assert opt.mean_delay == opt.mean_k_admitted
+
+
+@pytest.mark.parametrize("scheme", ["ftp", "atp"])
+@pytest.mark.parametrize("n_users", [2, 40])
+def test_settled_admission_se_is_calibrated(scheme, n_users):
+    # gamma_qos = 0 admits every user and the frames are iid: the pair
+    # estimator's se still matches the spread of mean_delay over 300
+    # seeds (se of that ratio ~0.04), and the mean lies within 3 se of
+    # the exact series
+    exp = make_experiment(scheme=scheme, n_total=n_users, trials=400)
+    runs = [protocol.run_batch(exp.with_protocol(seed=s))[0]
+            for s in range(8000, 8300)]
+    mean = np.array([st.mean_delay for st in runs])
+    rms_se = math.sqrt(np.mean([st.se_delay ** 2 for st in runs]))
+    exact = validation.exact_delay_energy(scheme, n_users)[0]
+    assert abs(mean.mean() - exact) <= 3.0 * rms_se / math.sqrt(len(runs))
+    assert 0.85 <= np.std(mean, ddof=1) / rms_se <= 1.15
 
 
 # ---------------------------------------------------------------------------

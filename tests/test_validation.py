@@ -411,7 +411,7 @@ def test_outage_mc_stratification_floor_on_sweep_cells():
 def test_stratified_outage_se_is_calibrated():
     # over 120 seeds the spread of p_out matches its root-mean-square se
     # on two fading-conditioned cells; the second chunk, of 4321 draws,
-    # puts a third draw in cell 0
+    # ends in an iid draw
     n = validation.OUTAGE_CHUNK + 4321
     for coords, gamma_th, exp in sweep_cells():
         if (coords["rho"], coords["mu"]) not in ((2.0, 1.5), (4.1, 2.5)):
@@ -426,22 +426,30 @@ def test_stratified_outage_se_is_calibrated():
 
 def stratified_estimate(exp, gamma_h, n, seed):
     """p_out and se of outage_mc from outage_score's chunks, by cell with
-    index arrays: draw k of a chunk of m in cell k mod (m // 2), an odd
-    m's last in cell 0, each chunk the mean of its cell means."""
+    index arrays: draw k < 2P of a chunk of m in cell k mod P, P = m // 2,
+    each chunk the mean of its cell means; an odd m's last draw is a
+    chunk of one, its variance its squared distance to the mean of the
+    draws before it, 0 for the first."""
     total = var = 0.0
+    scores = []
     for done in range(0, n, validation.OUTAGE_CHUNK):
         m = min(validation.OUTAGE_CHUNK, n - done)
         [y] = channel.outage_score(
             exp, [gamma_h], m, lambda comp: streams.substream(seed, done, comp))
-        cells = max(m // 2, 1)
-        cell = np.arange(m) % cells
-        cell[2 * cells:] = 0
-        count = np.bincount(cell)
-        mean = np.bincount(cell, y) / count
-        dev = y - mean[cell]
-        s2 = np.bincount(cell, dev * dev) / np.maximum(count - 1, 1)
-        total += m * mean.mean()
-        var += m * m * np.sum(s2 / count) / cells ** 2
+        cells = m // 2
+        if cells:
+            cell = np.arange(2 * cells) % cells
+            mean = np.bincount(cell, y[:2 * cells]) / 2
+            dev = y[:2 * cells] - mean[cell]
+            s2 = np.bincount(cell, dev * dev)
+            total += 2 * cells * mean.mean()
+            var += 4 * cells ** 2 * np.sum(s2 / 2) / cells ** 2
+            scores.append(y[:2 * cells])
+        if m % 2:
+            before = np.concatenate(scores) if scores else y[-1:]
+            var += (y[-1] - before.mean()) ** 2
+            total += y[-1]
+            scores.append(y[-1:])
     return total / n, math.sqrt(var) / n
 
 
