@@ -10,11 +10,10 @@ __version__ = "0.1.0"
 
 from .params import (Experiment, FadingParams, GammaAbsorption,
                      DeterministicAbsorption, MisalignmentParams,
-                     ProtocolConfig, EnergyModel, ThzLinkParams,
-                     validate_config)
+                     ProtocolConfig, EnergyModel, ThzLinkParams)
 
 __all__ = [
     "Experiment", "FadingParams", "GammaAbsorption", "DeterministicAbsorption",
     "MisalignmentParams", "ProtocolConfig", "EnergyModel", "ThzLinkParams",
-    "validate_config", "__version__",
+    "__version__",
 ]

@@ -1,5 +1,5 @@
 """Closed-form statistics: no-fading SNR law, delay and energy series with
-their scaling bounds, concentration bounds, diversity order.
+their scaling bounds, diversity order.
 
 The no-fading SNR law is the law of h_l * h_p = a_l e^{-(T+W)} with
 T ~ Gamma(k, 1/z) (absorption, integer k) and W ~ Gamma(2, 1/rho)
@@ -228,19 +228,10 @@ def delay_atp(K: int) -> float:
     """Expected slots under the adaptive scheme (p reset to 1/k after success)."""
     if K < 1:
         raise DomainError("K >= 1")
-    return float(_atp_terms(K).sum())
-
-
-def _atp_terms(K: int) -> np.ndarray:
     # (k/(k-1))^(k-1) with the k=1 term defined as 1 (lone user, p=1)
     k = np.arange(2, K + 1, dtype=float)
     terms = np.exp((k - 1.0) * np.log(k / (k - 1.0)))
-    return np.concatenate([[1.0], terms])
-
-
-def delay_atp_prefix(K_max: int) -> np.ndarray:
-    """delay_atp(K) for K = 1..K_max in one cumulative pass."""
-    return np.cumsum(_atp_terms(K_max))
+    return float(np.concatenate([[1.0], terms]).sum())
 
 
 def delay_bounds_ftp(K: int) -> Tuple[float, float]:
@@ -324,20 +315,3 @@ def series_table(K: int) -> Dict[str, Tuple[float, float, float]]:
         table["energy_gap"] = ((atp[0] - table["ftp_energy"][0],)
                                + energy_gap_bounds(K))
     return table
-
-
-def hoeffding_bound(epsilon: float, n: int, kind: str) -> float:
-    """Concentration bound on the n-sample mean deviating by more than epsilon.
-
-    kind='delay':  2 exp(-2 eps^2 / n)
-    kind='energy': 2 exp(-2 eps^2 / (n (n-1)^2))
-    """
-    if epsilon < 0 or n < 1:
-        raise DomainError("need epsilon >= 0 and n >= 1")
-    if kind == "delay":
-        return 2.0 * math.exp(-2.0 * epsilon ** 2 / n)
-    if kind == "energy":
-        denom = n * max(n - 1, 1) ** 2
-        return 2.0 * math.exp(-2.0 * epsilon ** 2 / denom)
-    raise DomainError(f"kind must be 'delay' or 'energy', got {kind!r}")
-

@@ -15,8 +15,8 @@ composes the same laws in log form, a sum of log-gains scored by one exp:
 path_loss_nepers, uniform_product and fading_power give each component's
 log-gain from the draws the linear samplers use (stratified_uniform_product
 places the same uniforms in strata, StratifiedMean reads them back), and
-misalignment_cdf_log and alpha_mu_cdf_log are the CDFs misalignment_cdf
-and alpha_mu_cdf call.
+misalignment_cdf_log is the misalignment CDF in that form and
+alpha_mu_cdf_log the one alpha_mu_cdf calls.
 """
 from __future__ import annotations
 
@@ -227,18 +227,10 @@ def sample_misalignment(rho: float, rng: np.random.Generator,
     return np.power(w, 1.0 / rho, out=w)
 
 
-def misalignment_cdf(x: ArrayLike, rho: float) -> ArrayLike:
-    """P(h_p <= x) = x^rho (1 - rho ln x) for x clipped to [0, 1]: 1 from
-    x = 1 up, and its limit 0 at x = 0, where a draw that underflows lands."""
-    xs = np.clip(x, 0.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):  # x = 0: inf * 0
-        out = np.where(xs == 0.0, 0.0, misalignment_cdf_log(np.log(xs), rho))
-    return out if isinstance(x, np.ndarray) else float(out)
-
-
 def misalignment_cdf_log(log_x: ArrayLike, rho: float) -> ArrayLike:
-    """misalignment_cdf at x = e^L for L = log_x <= 0, e^(rho L) (1 - rho L):
-    the form the outage score takes, its gain built as a sum of logs."""
+    """P(h_p <= x) = x^rho (1 - rho ln x) at x = e^L for L = log_x <= 0,
+    e^(rho L) (1 - rho L): the form the outage score takes, its gain built
+    as a sum of logs."""
     t = np.multiply(log_x, rho)
     return np.exp(t) * (1.0 - t)
 
@@ -525,16 +517,14 @@ def snr_from_gain(h: ArrayLike, avg_snr: float, k_h: float) -> ArrayLike:
 def draw_snr_batch(exp: Experiment, n: int,
                    rng_absorption: np.random.Generator,
                    rng_fading: np.random.Generator,
-                   rng_misalignment: np.random.Generator,
-                   avg_snr: Optional[float] = None) -> np.ndarray:
-    """Vectorized SNR draws (crude outage counting): h = h_l h_f h_p from
+                   rng_misalignment: np.random.Generator) -> np.ndarray:
+    """Vectorized SNR draws at exp.link.avg_snr: h = h_l h_f h_p from
     per-component streams, h_f = 1 with fading off."""
     h = sample_path_gain(exp.absorption, exp.link, rng_absorption, n)
     if exp.fading.enabled:
         h *= sample_fading(exp.fading, rng_fading, n)
     h *= sample_misalignment(exp.misalignment.rho, rng_misalignment, n)
-    gbar = exp.link.avg_snr if avg_snr is None else avg_snr
-    return snr_from_gain(h, gbar, exp.link.k_h)
+    return snr_from_gain(h, exp.link.avg_snr, exp.link.k_h)
 
 
 def conditioned_on_fading(exp: Experiment) -> bool:

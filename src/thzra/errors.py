@@ -25,7 +25,3 @@ class DomainError(ValueError):
 
 class UnsupportedParams(ValueError):
     """Parameter combination the exact sampler deliberately refuses to approximate."""
-
-
-class InsufficientTail(RuntimeError):
-    """Outage curve has too few usable high-SNR points for a slope fit."""

@@ -1,6 +1,6 @@
 """Statistical harness tying Monte Carlo output to the closed forms:
-goodness-of-fit, outage curves with confidence intervals, slope regression
-for the diversity order, and exhaustive bound sweeps.
+goodness-of-fit, outage curves with confidence intervals, exhaustive
+bound sweeps and simulator-vs-series agreement.
 
 Every routine runs on numpy and the standard library: the chi-square
 tail is channel.gammaincc, its quantile and the chi-square bin edges come
@@ -17,7 +17,6 @@ from typing import Callable, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from . import analytics, channel, protocol, streams
-from .errors import InsufficientTail
 from .params import Experiment, db_to_linear
 
 KS_COEFF_5PCT = 1.36     # asymptotic two-sided KS threshold factor at 5%
@@ -107,7 +106,7 @@ def _bisect(above, lo, hi, tol=1e-12):
 
 
 # ---------------------------------------------------------------------------
-# outage Monte Carlo and slope fits
+# outage Monte Carlo
 # ---------------------------------------------------------------------------
 
 OUTAGE_CHUNK = 2 ** 16   # draws per substream block; bounds peak memory
@@ -118,23 +117,13 @@ Z95 = 1.959964           # two-sided 95 % normal quantile
 class OutageCurve:
     gamma_bar_db: np.ndarray
     p_out: np.ndarray
-    ci_lo: np.ndarray        # 95 %: normal (outage_mc), Wilson (outage_count)
+    ci_lo: np.ndarray        # 95 %: p -/+ Z95 se, clipped to [0, 1]
     ci_hi: np.ndarray
-    n_draws: int
     se: np.ndarray           # standard error of p_out
     vrf: np.ndarray          # variance of crude counting, p(1-p)/n, over
                              # se^2; inf where the estimate is exact
-    conditioned: str         # fading | misalignment | none (crude counting)
-
-
-def wilson_interval(successes: int, n: int, z: float = Z95) -> Tuple[float, float]:
-    if n == 0:
-        return 0.0, 1.0
-    phat = successes / n
-    denom = 1.0 + z * z / n
-    center = (phat + z * z / (2 * n)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    conditioned: str         # fading | misalignment: the component
+                             # outage_score integrates out
 
 
 def outage_mc(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float],
@@ -182,71 +171,10 @@ def outage_mc(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float],
     return OutageCurve(gamma_bar_db=gdb, p_out=p,
                        ci_lo=np.maximum(p - Z95 * se, 0.0),
                        ci_hi=np.minimum(p + Z95 * se, 1.0),
-                       n_draws=n, se=se, vrf=vrf,
+                       se=se, vrf=vrf,
                        conditioned=("fading"
                                     if channel.conditioned_on_fading(exp)
                                     else "misalignment"))
-
-
-def outage_count(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float],
-                 n: int, seed: int) -> OutageCurve:
-    """Crude outage Monte Carlo: the share of n composite draws with
-    SNR < gamma_th, with Wilson intervals and the binomial standard error.
-    The reference outage_mc is checked against.  Each point draws its own
-    chunks, from the substreams (seed, grid index, draws done, component).
-    """
-    gdb = np.asarray(list(gamma_bar_db), dtype=float)
-    hits = np.zeros(gdb.size)
-    for i, db in enumerate(gdb):
-        for done in range(0, n, OUTAGE_CHUNK):
-            rngs = [streams.substream(seed, i, done, comp) for comp in
-                    (streams.ABSORPTION, streams.FADING, streams.MISALIGNMENT)]
-            g = channel.draw_snr_batch(exp, min(OUTAGE_CHUNK, n - done), *rngs,
-                                       avg_snr=db_to_linear(db))
-            hits[i] += np.count_nonzero(g < gamma_th)
-    p = hits / n
-    lo, hi = np.array([wilson_interval(int(h), n) for h in hits]).T
-    return OutageCurve(gamma_bar_db=gdb, p_out=p, ci_lo=lo, ci_hi=hi,
-                       n_draws=n, se=np.sqrt(p * (1.0 - p) / n),
-                       vrf=np.ones(gdb.size), conditioned="none")
-
-
-@dataclass(frozen=True)
-class SlopeFit:
-    slope: float             # decades of outage per decade of average SNR
-    stderr: float
-    n_points: int
-
-
-SLOPE_MAX_POUT = 0.1
-SLOPE_MAX_CI_DECADES = 0.5
-SLOPE_MIN_POINTS = 4
-
-
-def slope_fit(curve: OutageCurve) -> SlopeFit:
-    """High-SNR log-log slope of the outage curve (diversity order estimate).
-
-    Uses points with p_out < SLOPE_MAX_POUT whose interval spans less than
-    SLOPE_MAX_CI_DECADES; raises InsufficientTail when fewer than
-    SLOPE_MIN_POINTS qualify.
-    """
-    ok = (curve.p_out < SLOPE_MAX_POUT) & (curve.p_out > 0) & (curve.ci_lo > 0)
-    width = np.full(curve.p_out.shape, np.inf)
-    nz = curve.ci_lo > 0
-    width[nz] = np.log10(curve.ci_hi[nz]) - np.log10(curve.ci_lo[nz])
-    ok &= width < SLOPE_MAX_CI_DECADES
-    if int(ok.sum()) < SLOPE_MIN_POINTS:
-        raise InsufficientTail(f"only {int(ok.sum())} usable high-SNR points "
-                               f"(need {SLOPE_MIN_POINTS})")
-    x = curve.gamma_bar_db[ok] / 10.0
-    y = np.log10(curve.p_out[ok])
-    # least squares: slope Sxy / Sxx, its standard error from the residuals
-    dx = x - x.mean()
-    sxx = float(np.dot(dx, dx))
-    slope = float(np.dot(dx, y - y.mean())) / sxx
-    resid = y - y.mean() - slope * dx
-    stderr = math.sqrt(float(np.dot(resid, resid)) / (x.size - 2) / sxx)
-    return SlopeFit(slope=-slope, stderr=stderr, n_points=int(ok.sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,134 @@
+"""Reference routines the tests check thzra against; no command calls them.
+
+Crude outage counting with Wilson intervals (the estimator outage_mc's
+conditional scores are compared with), the high-SNR slope fit of an
+outage curve, the Hoeffding concentration bounds of the simulated means,
+the ATP delay prefix and the linear misalignment CDF.
+"""
+import math
+from dataclasses import dataclass, replace
+from typing import Sequence, Tuple
+
+import numpy as np
+
+from thzra import channel, streams
+from thzra.errors import DomainError
+from thzra.params import Experiment, db_to_linear
+from thzra.validation import OUTAGE_CHUNK, Z95, OutageCurve
+
+
+class InsufficientTail(RuntimeError):
+    """Outage curve has too few usable high-SNR points for a slope fit."""
+
+
+# ---------------------------------------------------------------------------
+# crude outage counting and slope fits
+# ---------------------------------------------------------------------------
+
+def wilson_interval(successes: int, n: int, z: float = Z95) -> Tuple[float, float]:
+    if n == 0:
+        return 0.0, 1.0
+    phat = successes / n
+    denom = 1.0 + z * z / n
+    center = (phat + z * z / (2 * n)) / denom
+    half = z * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
+    return max(0.0, center - half), min(1.0, center + half)
+
+
+def outage_count(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float],
+                 n: int, seed: int) -> OutageCurve:
+    """Crude outage Monte Carlo: the share of n composite draws with
+    SNR < gamma_th, with Wilson intervals and the binomial standard error.
+    The reference outage_mc is checked against.  Each point draws its own
+    chunks, from the substreams (seed, grid index, draws done, component).
+    """
+    gdb = np.asarray(list(gamma_bar_db), dtype=float)
+    hits = np.zeros(gdb.size)
+    for i, db in enumerate(gdb):
+        at_db = replace(exp, link=replace(exp.link, avg_snr=db_to_linear(db)))
+        for done in range(0, n, OUTAGE_CHUNK):
+            rngs = [streams.substream(seed, i, done, comp) for comp in
+                    (streams.ABSORPTION, streams.FADING, streams.MISALIGNMENT)]
+            g = channel.draw_snr_batch(at_db, min(OUTAGE_CHUNK, n - done), *rngs)
+            hits[i] += np.count_nonzero(g < gamma_th)
+    p = hits / n
+    lo, hi = np.array([wilson_interval(int(h), n) for h in hits]).T
+    return OutageCurve(gamma_bar_db=gdb, p_out=p, ci_lo=lo, ci_hi=hi,
+                       se=np.sqrt(p * (1.0 - p) / n),
+                       vrf=np.ones(gdb.size), conditioned="none")
+
+
+@dataclass(frozen=True)
+class SlopeFit:
+    slope: float             # decades of outage per decade of average SNR
+    stderr: float
+    n_points: int
+
+
+SLOPE_MAX_POUT = 0.1
+SLOPE_MAX_CI_DECADES = 0.5
+SLOPE_MIN_POINTS = 4
+
+
+def slope_fit(curve: OutageCurve) -> SlopeFit:
+    """High-SNR log-log slope of the outage curve (diversity order estimate).
+
+    Uses points with p_out < SLOPE_MAX_POUT whose interval spans less than
+    SLOPE_MAX_CI_DECADES; raises InsufficientTail when fewer than
+    SLOPE_MIN_POINTS qualify.
+    """
+    ok = (curve.p_out < SLOPE_MAX_POUT) & (curve.p_out > 0) & (curve.ci_lo > 0)
+    width = np.full(curve.p_out.shape, np.inf)
+    nz = curve.ci_lo > 0
+    width[nz] = np.log10(curve.ci_hi[nz]) - np.log10(curve.ci_lo[nz])
+    ok &= width < SLOPE_MAX_CI_DECADES
+    if int(ok.sum()) < SLOPE_MIN_POINTS:
+        raise InsufficientTail(f"only {int(ok.sum())} usable high-SNR points "
+                               f"(need {SLOPE_MIN_POINTS})")
+    x = curve.gamma_bar_db[ok] / 10.0
+    y = np.log10(curve.p_out[ok])
+    # least squares: slope Sxy / Sxx, its standard error from the residuals
+    dx = x - x.mean()
+    sxx = float(np.dot(dx, dx))
+    slope = float(np.dot(dx, y - y.mean())) / sxx
+    resid = y - y.mean() - slope * dx
+    stderr = math.sqrt(float(np.dot(resid, resid)) / (x.size - 2) / sxx)
+    return SlopeFit(slope=-slope, stderr=stderr, n_points=int(ok.sum()))
+
+
+# ---------------------------------------------------------------------------
+# closed forms
+# ---------------------------------------------------------------------------
+
+def delay_atp_prefix(K_max: int) -> np.ndarray:
+    """delay_atp(K) for K = 1..K_max in one cumulative pass."""
+    # (k/(k-1))^(k-1) with the k=1 term defined as 1 (lone user, p=1)
+    k = np.arange(2, K_max + 1, dtype=float)
+    terms = np.exp((k - 1.0) * np.log(k / (k - 1.0)))
+    return np.cumsum(np.concatenate([[1.0], terms]))
+
+
+def hoeffding_bound(epsilon: float, n: int, kind: str) -> float:
+    """Concentration bound on the n-sample mean deviating by more than epsilon.
+
+    kind='delay':  2 exp(-2 eps^2 / n)
+    kind='energy': 2 exp(-2 eps^2 / (n (n-1)^2))
+    """
+    if epsilon < 0 or n < 1:
+        raise DomainError("need epsilon >= 0 and n >= 1")
+    if kind == "delay":
+        return 2.0 * math.exp(-2.0 * epsilon ** 2 / n)
+    if kind == "energy":
+        denom = n * max(n - 1, 1) ** 2
+        return 2.0 * math.exp(-2.0 * epsilon ** 2 / denom)
+    raise DomainError(f"kind must be 'delay' or 'energy', got {kind!r}")
+
+
+def misalignment_cdf(x: channel.ArrayLike, rho: float) -> channel.ArrayLike:
+    """P(h_p <= x) = x^rho (1 - rho ln x) for x clipped to [0, 1]: 1 from
+    x = 1 up, and its limit 0 at x = 0, where a draw that underflows lands."""
+    xs = np.clip(x, 0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # x = 0: inf * 0
+        out = np.where(xs == 0.0, 0.0,
+                       channel.misalignment_cdf_log(np.log(xs), rho))
+    return out if isinstance(x, np.ndarray) else float(out)

