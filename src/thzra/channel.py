@@ -14,8 +14,9 @@ Carlo averages and QoS admission takes as its survival function)
 composes the same laws in log form, a sum of log-gains scored by one exp:
 path_loss_nepers, uniform_product and fading_power give each component's
 log-gain from the draws the linear samplers use (stratified_uniform_product
-places the same uniforms in strata, StratifiedMean reads them back), and
-misalignment_cdf_log is the misalignment CDF in that form and
+places the same uniforms in strata, stratified_log_gamma the two uniforms
+of an alpha-mu fading power with mu >= 2, StratifiedMean reads them back),
+and misalignment_cdf_log is the misalignment CDF in that form and
 alpha_mu_cdf_log the one alpha_mu_cdf calls.
 """
 from __future__ import annotations
@@ -230,9 +231,14 @@ def sample_misalignment(rho: float, rng: np.random.Generator,
 def misalignment_cdf_log(log_x: ArrayLike, rho: float) -> ArrayLike:
     """P(h_p <= x) = x^rho (1 - rho ln x) at x = e^L for L = log_x <= 0,
     e^(rho L) (1 - rho L): the form the outage score takes, its gain built
-    as a sum of logs."""
-    t = np.multiply(log_x, rho)
-    return np.exp(t) * (1.0 - t)
+    as a sum of logs.  L = -inf (x = 0) gives 0: rho L is floored at
+    -1000, where e^(rho L) is already 0, so no 0 * inf is taken.  Two
+    temporaries of log_x's size, log_x itself unchanged."""
+    t = np.asarray(np.multiply(log_x, rho))
+    np.maximum(t, -1e3, out=t)
+    out = np.exp(t)
+    out *= np.subtract(1.0, t, out=t)
+    return out
 
 
 def _fading_gaussian_construction(fp: FadingParams, rng: np.random.Generator,
@@ -270,6 +276,30 @@ def fading_power(fp: FadingParams, rng: np.random.Generator,
         return _fading_gaussian_construction(fp, rng, size)
     # alpha-mu subfamily: mu G ~ Gamma(mu); rng.gamma(mu, 1 / mu) to the bit
     return (1.0 / fp.mu) * rng.standard_gamma(fp.mu, size)
+
+
+def stratified_log_gamma(shape: float, rng: np.random.Generator,
+                         size: int) -> np.ndarray:
+    """`size` draws of ln X for X ~ Gamma(shape), shape >= 2, as the exact
+    sum X = -ln(U V) + R: (U, V) from stratified_uniform_product (draws k
+    and k + size // 2 share a cell, an odd size's last draw is iid), then
+    R ~ Gamma(shape - 2) iid from the same stream, after the uniforms:
+    Z^2 / 2 for a standard normal Z at shape 2.5 (chi-square(1) / 2 is
+    Gamma(1/2), and cheaper than standard_gamma there), 0 at shape 2.
+    U V = 0 gives ln X = inf."""
+    w = stratified_uniform_product(rng, size)
+    with np.errstate(divide="ignore"):      # U V = 0: ln = -inf
+        np.log(w, out=w)
+    if shape == 2.5:
+        r = rng.standard_normal(size)
+        np.square(r, out=r)
+        r *= 0.5
+    elif shape > 2.0:
+        r = rng.standard_gamma(shape - 2.0, size)
+    else:
+        r = 0.0
+    np.subtract(r, w, out=w)
+    return np.log(w, out=w)
 
 
 def sample_fading(fp: FadingParams, rng: np.random.Generator,
@@ -549,16 +579,20 @@ def outage_score(exp: Experiment, gamma_hs: Sequence[float], m: int, rng,
     plus the absorption loss on fading, with (U, V) stratified
     (stratified_uniform_product: draws k and k + m // 2 share a cell) or,
     unless stratified, iid (uniform_product); -ln G/alpha plus the loss on
-    misalignment (h / r_hat there); the loss alone with fading off.  Each
-    gamma_h adds its constant ln(gamma_h / h_0) into one reused buffer
-    and the CDF of the integrated-out component takes it whole: on
-    fading, ln u = ln(gamma_h / (h_l h_p)) and the alpha-mu CDF (its
-    survival function with upper); on misalignment,
-    L = min(ln(gamma_h / (h_l h_f)), 0) and F_p(e^L).  So a point's
-    scores do not depend on the other points.  U V = 0 or G = 0
-    (Generator.random and a Gamma draw can return 0) gives ln = -inf and
-    scores 1, as h = 0 does.  Each yielded array is new; deterministic
-    absorption with fading off yields a read-only broadcast constant.
+    misalignment (h / r_hat there), G iid (fading_power) but for alpha-mu
+    fading with mu >= 2 when stratified, where -ln(mu G)/alpha comes from
+    stratified_log_gamma on the same grid (h / (r_hat mu^(-1/alpha))); the
+    loss alone with fading off.  Each gamma_h adds its constant
+    ln(gamma_h / h_0) into one reused buffer and the CDF of the
+    integrated-out component takes it whole: on fading,
+    ln u = ln(gamma_h / (h_l h_p)) and the alpha-mu CDF (its survival
+    function with upper); on misalignment, L = min(ln(gamma_h / (h_l h_f)),
+    0) and F_p(e^L).  So a point's scores do not depend on the other
+    points.  U V = 0 or an iid G = 0 (Generator.random and a Gamma draw
+    can return 0) gives ln = -inf and scores 1, as h = 0 does; U V = 0 in
+    stratified_log_gamma gives G = inf, L = -inf and scores 0.  Each
+    yielded array is new; deterministic absorption with fading off
+    yields a read-only broadcast constant.
     """
     fp, rho = exp.fading, exp.misalignment.rho
     on_fading = conditioned_on_fading(exp)
@@ -572,6 +606,11 @@ def outage_score(exp: Experiment, gamma_hs: Sequence[float], m: int, rng,
                 drawn = product(rng(streams.MISALIGNMENT), m)
                 np.log(drawn, out=drawn)
                 drawn *= -1.0 / rho
+            elif stratified and fp.is_alpha_mu and fp.mu >= 2.0:
+                # -ln(h_f / (r_hat mu^(-1/alpha))) = -ln(mu G) / alpha
+                drawn = stratified_log_gamma(fp.mu, rng(streams.FADING), m)
+                drawn *= -1.0 / fp.alpha
+                h_0 *= fp.r_hat * fp.mu ** (-1.0 / fp.alpha)
             else:                       # -ln(h_f / r_hat)
                 drawn = np.log(fading_power(fp, rng(streams.FADING), m))
                 drawn *= -1.0 / fp.alpha

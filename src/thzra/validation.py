@@ -133,7 +133,9 @@ def outage_mc(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float],
 
     Conditioned on fading, each draw scores the alpha-mu CDF at
     gamma_h / (h_l h_p), with stratified misalignment uniforms;
-    conditioned on misalignment, F_p at min(gamma_h / (h_l h_f), 1).
+    conditioned on misalignment, F_p at min(gamma_h / (h_l h_f), 1),
+    with the uniforms of mu G = -ln(U V) + Gamma(mu - 2) stratified for
+    alpha-mu fading at mu >= 2 and G iid otherwise.
     Either score is the outage probability given the other components,
     so the mean is unbiased and its variance never exceeds crude
     counting's (Rao-Blackwell).  Points where gamma_th settles the

@@ -128,7 +128,6 @@ def misalignment_cdf(x: channel.ArrayLike, rho: float) -> channel.ArrayLike:
     """P(h_p <= x) = x^rho (1 - rho ln x) for x clipped to [0, 1]: 1 from
     x = 1 up, and its limit 0 at x = 0, where a draw that underflows lands."""
     xs = np.clip(x, 0.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):  # x = 0: inf * 0
-        out = np.where(xs == 0.0, 0.0,
-                       channel.misalignment_cdf_log(np.log(xs), rho))
+    with np.errstate(divide="ignore"):      # x = 0: ln x = -inf, F = 0
+        out = channel.misalignment_cdf_log(np.log(xs), rho)
     return out if isinstance(x, np.ndarray) else float(out)

@@ -227,6 +227,18 @@ def test_misalignment_domain():
     assert np.all(f[hp == 0.0] == 0.0) and np.all((f >= 0.0) & (f <= 1.0))
 
 
+def test_misalignment_cdf_log_of_minus_infinity_is_zero():
+    # L = -inf is x = 0, where a zero draw lands: exactly 0, not
+    # e^(rho L) (1 - rho L) = 0 * inf = NaN, and no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert channel.misalignment_cdf_log(-math.inf, 2.0) == 0.0
+        np.testing.assert_array_equal(
+            channel.misalignment_cdf_log(np.array([-np.inf, -800.0, -1e5]),
+                                         0.01),
+            [0.0, math.exp(-8.0) * 9.0, 0.0])
+
+
 def test_misalignment_sampler_exact_law():
     rho = 4.0
     hp = channel.sample_misalignment(rho, RNG(5), 100_000)
@@ -351,6 +363,54 @@ def test_fading_noninteger_mu_gamma_route():
     d = max(np.max(np.arange(1, n + 1) / n - f),
             np.max(f - np.arange(0, n) / n))
     assert d < 1.36 / math.sqrt(n)
+
+
+SHAPES = [2.0, 2.5, 3.0, 4.5]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("size", [2 ** 16, 2 ** 16 + 1])
+def test_stratified_log_gamma_law(shape, size):
+    # e^(ln X) follows Gamma(shape), full and odd chunks alike
+    x = np.exp(channel.stratified_log_gamma(shape, RNG(21), size))
+    result = sstats.kstest(x, sstats.gamma(shape).cdf)
+    assert result.statistic < 1.36 / math.sqrt(size)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("size", [1, 2, 3, 4321, 2 ** 16 + 1])
+def test_stratified_log_gamma_cells(shape, size):
+    # ln X = ln(R - ln(U V)) with (U, V) in the cells of
+    # stratified_uniform_product on the same stream: draw k < 2P in cell
+    # h = k mod P at ((a + u) / A, (b + v) / B), so draws k and k + P
+    # share a cell, and an odd size's last draw at the iid u v; R is drawn
+    # after the uniforms, Z^2 / 2 at shape 2.5 and 0 at 2
+    a_n, b_n = channel.strata(size)
+    pairs = 2 * (size // 2)
+    rng = RNG(22)
+    u, v = rng.random(size), rng.random(size)
+    if shape == 2.5:
+        r = np.square(rng.standard_normal(size)) * 0.5
+    else:
+        r = rng.standard_gamma(shape - 2.0, size) if shape > 2.0 else 0.0
+    a, b = np.divmod(np.arange(pairs) % (a_n * b_n), b_n)
+    w = u * v
+    w[:pairs] = (a + u[:pairs]) * (b + v[:pairs]) / (a_n * b_n)
+    got = channel.stratified_log_gamma(shape, RNG(22), size)
+    np.testing.assert_allclose(got, np.log(r - np.log(w)), rtol=1e-15,
+                               atol=0)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_stratified_log_gamma_mean(shape):
+    # G = X / shape, the normalized fading power, has mean 1 within 4 se
+    # of the pair estimator over eight 2^16 chunks
+    mean = channel.StratifiedMean()
+    for i in range(8):
+        mean.add(np.exp(channel.stratified_log_gamma(shape, RNG(30 + i),
+                                                     2 ** 16)) / shape)
+    m, se = mean.estimate()
+    assert abs(m - 1.0) <= 4.0 * se, (m, se)
 
 
 # ---------------------------------------------------------------------------
