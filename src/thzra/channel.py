@@ -13,11 +13,12 @@ the outage probability given all components but one, which outage Monte
 Carlo averages and QoS admission takes as its survival function)
 composes the same laws in log form, a sum of log-gains scored by one exp:
 path_loss_nepers, uniform_product and fading_power give each component's
-log-gain from the draws the linear samplers use (stratified_uniform_product
-places the same uniforms in strata, stratified_log_gamma the two uniforms
-of an alpha-mu fading power with mu >= 2, StratifiedMean reads them back),
-and misalignment_cdf_log is the misalignment CDF in that form and
-alpha_mu_cdf_log the one alpha_mu_cdf calls.
+log-gain from the draws the linear samplers use
+(stratified_neg_log_product draws -ln(U V) by stratified quantiles of its
+own law, stratified_log_gamma adds it into an alpha-mu fading power with
+mu >= 2, StratifiedMean reads the strata back), and misalignment_cdf_log
+is the misalignment CDF in that form and alpha_mu_cdf_log the one
+alpha_mu_cdf calls.
 """
 from __future__ import annotations
 
@@ -133,42 +134,116 @@ def uniform_product(rng: np.random.Generator, size: int) -> np.ndarray:
     return w
 
 
-def strata(size: int) -> Tuple[int, int]:
-    """The A x B grid of stratified_uniform_product for `size` draws:
-    P = max(size // 2, 1) cells, A the largest divisor of P not above
-    sqrt(P) and B = P / A (128 x 256 for 2^16 draws)."""
-    cells = max(size // 2, 1)
-    a = next(a for a in range(math.isqrt(cells), 0, -1) if cells % a == 0)
-    return a, cells // a
+# From 2^15 strata (a chunk of validation.OUTAGE_CHUNK draws) the Hermite
+# error stays below 0.65 of the 4e-15 (1 + y) gate but in the _EDGE strata
+# at either end; below 2^15 strata it nears the gate in the middle too
+_HERMITE_STRATA = 2 ** 15
+_EDGE = 1024
 
 
-def stratified_uniform_product(rng: np.random.Generator,
+def stratified_neg_log_product(rng: np.random.Generator,
                                size: int) -> np.ndarray:
-    """`size` draws of U V, the law of uniform_product, with (U, V)
-    stratified on the unit square: the uniforms u, v of uniform_product
-    (the same `size` for U, then `size` for V) put draw k < 2P in cell
-    h = k mod P of the A x B grid of strata, at (a, b) = (h div B, h mod B),
-    as U = (a + u) / A, V = (b + v) / B.  Every cell holds two draws,
-    k and k + P; an odd size's last draw is iid, U V = u v.
+    """`size` draws of Y = -ln(U V), the law of -ln uniform_product
+    (Gamma(2)), stratified along its own level sets: draw k < 2P takes
+    the quantile of Y at upper tail w = (h + u) / P, the y with
+    P(U V <= e^-y) = (1 + y) e^-y = w, for the stratified uniform of
+    stratified_uniform (stratum h = k mod P of P = size // 2, the stream's
+    k-th uniform u), so draws k and k + P share stratum h; an odd size's
+    last draw takes w = u, iid.  w = 0 gives inf.
+
+    From _HERMITE_STRATA strata on, the inner strata interpolate y in u
+    by a cubic Hermite between the quantiles at the stratum bounds
+    (_bound_quantiles, cached), with slopes dy/du = -(1 + y) / (h y); the
+    _EDGE strata at each end, where the quantile's derivatives grow
+    without bound, and every stratum of a smaller P solve for y
+    (_upper_gamma2_quantile).  Either way y is within 4e-15 (1 + y) of
+    the root for its w.  Temporaries: four arrays of P doubles.
     """
-    a, b = strata(size)
-    pairs = 2 * (size // 2)
-    w = rng.random(size)
-    grid = w[:pairs].reshape(2, a, -1)      # a view, (2, A, B) from size 2
-    grid += np.arange(a)[:, None]
-    v = rng.random(size)
-    grid = v[:pairs].reshape(2, a, -1)
-    grid += np.arange(b)
-    w *= v
-    w[:pairs] /= a * b
-    return w
+    cells = size // 2
+    if cells < _HERMITE_STRATA:
+        return _upper_gamma2_quantile(stratified_uniform(rng, size))
+    u = rng.random(size)
+    strata = u[:2 * cells].reshape(2, -1)   # a view: column h holds h, h + P
+    lo, hi = _EDGE, cells - _EDGE
+    edges = np.concatenate((strata[:, :lo], strata[:, hi:]), axis=1)
+    y = _bound_quantiles(cells)[lo:hi + 1]
+    t = np.arange(-lo, -hi - 1, -1.0)
+    m = np.divide(1.0, y)
+    m += 1.0
+    m /= t                                  # dy/du = -(1 + y) / (h y)
+    c2 = np.subtract(y[1:], y[:-1])
+    c3 = np.add(m[:-1], m[1:])
+    c3 -= c2
+    c3 -= c2                                # m0 + m1 - 2 (y1 - y0)
+    c2 -= m[:-1]
+    c2 -= c3                                # 3 (y1 - y0) - 2 m0 - m1
+    # Horner in each row, into t and then into c3, which it last reads
+    for x, acc in zip(strata[:, lo:hi], (t[:-1], c3)):
+        np.multiply(x, c3, out=acc)
+        acc += c2
+        acc *= x
+        acc += m[:-1]
+        acc *= x
+        np.add(acc, y[:-1], out=x)
+    edges[:, :lo] += np.arange(lo)
+    edges[:, lo:] += np.arange(hi, cells)
+    edges /= cells
+    _upper_gamma2_quantile(edges)
+    strata[:, :lo], strata[:, hi:] = edges[:, :lo], edges[:, lo:]
+    if size % 2:
+        _upper_gamma2_quantile(u[-1:])
+    return u
+
+
+@functools.lru_cache(maxsize=1)
+def _bound_quantiles(cells: int) -> np.ndarray:
+    """The cells + 1 stratum bounds' quantiles y_h, (1 + y_h) e^-y_h =
+    h / cells, read-only; one table is held, that of the last cells."""
+    y = np.arange(cells + 1) / cells
+    _upper_gamma2_quantile(y)
+    y.flags.writeable = False
+    return y
+
+
+def _upper_gamma2_quantile(w: np.ndarray) -> np.ndarray:
+    """In place: each w in [0, 1] becomes the y >= 0 with (1 + y) e^-y =
+    w, i.e. ln(1 + y) - y = -s for s = -ln w; w = 0 gives inf.
+
+    Newton's method from y = s + ln(1 + sqrt(2 s) + 3 s / 4), which is
+    within 0.8 % of the root for every s (its sqrt(2 s) + 2 s / 3 is the
+    root's expansion at s = 0, its s + ln s at s = inf).  Each step takes
+    a relative error e to about e^2 / 2, so three reach rounding.  s is
+    kept in [1e-300, 1e3]: s = 0 (w = 1) then gives y about 1e-150, no
+    0 / 0, and w = 0 is set to inf at the end.
+    """
+    zero = w == 0.0
+    with np.errstate(divide="ignore"):      # w = 0: s = inf, clipped
+        s = np.log(w)
+    np.negative(s, out=s)
+    np.clip(s, 1e-300, 1e3, out=s)
+    y = np.multiply(s, 2.0, out=w)
+    np.sqrt(y, out=y)
+    f = np.multiply(s, 0.75)
+    y += f
+    np.log1p(y, out=y)
+    y += s
+    g = np.empty_like(y)
+    for _ in range(3):              # y += F (1 + y) / y, F the residual
+        np.log1p(y, out=f)
+        f += s
+        f -= y
+        np.divide(f, y, out=g)
+        y += f
+        y += g
+    y[zero] = np.inf
+    return y
 
 
 def stratified_uniform(rng: np.random.Generator, size: int) -> np.ndarray:
-    """`size` uniforms on [0, 1) stratified on one axis, the layout of
-    stratified_uniform_product: draw k < 2P lies in stratum h = k mod P of
-    P = size // 2 equal strata, as (h + u) / P for the stream's k-th
-    uniform u; an odd size's last draw is that uniform itself."""
+    """`size` uniforms on [0, 1) stratified on one axis: draw k < 2P lies
+    in stratum h = k mod P of P = size // 2 equal strata, as (h + u) / P
+    for the stream's k-th uniform u; an odd size's last draw is that
+    uniform itself."""
     cells = size // 2
     w = rng.random(size)
     pairs = w[:2 * cells].reshape(2, -1)    # a view, (2, P)
@@ -179,14 +254,15 @@ def stratified_uniform(rng: np.random.Generator, size: int) -> np.ndarray:
 
 class StratifiedMean:
     """Mean and se of stratified values fed chunk by chunk (add), in the
-    layout of stratified_uniform_product and stratified_uniform: a chunk
+    layout of stratified_uniform and stratified_neg_log_product: a chunk
     of m values pairs values h and h + P, P = m // 2, one stratum each,
     and an odd m's last value is iid, merged as a chunk of one.
 
-    Values are centred on the first.  A chunk's mean is that of its cell
-    means and its variance sum_h (d_h - d_(h+P))^2 / 4 / P^2; a chunk of
-    one takes (d - before)^2, before the mean of the values before it: in
-    expectation the value's variance plus that mean's, 0 for the first.
+    Values are centred on the first.  A chunk's mean is that of its
+    stratum means and its variance sum_h (d_h - d_(h+P))^2 / 4 / P^2; a
+    chunk of one takes (d - before)^2, before the mean of the values before
+    it: in expectation the value's variance plus that mean's, 0 for the
+    first.
     Chunks merge as mean = sum (m/n) mean_c, se^2 = sum (m/n)^2 var_c.
     The pairs stay unbiased on iid values, which need no other estimator.
     """
@@ -266,30 +342,30 @@ def fading_power(fp: FadingParams, rng: np.random.Generator,
     """`size` draws of the normalized fading power G = (h_f / r_hat)^alpha,
     E[G] = 1.
 
-    Integer mu uses the Gaussian cluster construction for any (eta, kappa);
-    the alpha-mu subfamily (eta=1, kappa=0), the only place FadingParams
-    admits a non-integer mu, samples through its exact Gamma representation.
+    The alpha-mu subfamily (eta=1, kappa=0), integer mu or not, samples
+    through its exact Gamma representation, one Gamma draw where the
+    Gaussian cluster construction takes 2 mu normals; any other
+    (eta, kappa), whose mu FadingParams holds to an integer, uses the
+    cluster construction.
     """
     if not fp.enabled:
         raise UnsupportedParams("fading disabled; composite draw uses h_f = 1")
-    if fp.mu_is_integer:
+    if not fp.is_alpha_mu:
         return _fading_gaussian_construction(fp, rng, size)
-    # alpha-mu subfamily: mu G ~ Gamma(mu); rng.gamma(mu, 1 / mu) to the bit
+    # mu G ~ Gamma(mu); rng.gamma(mu, 1 / mu) to the bit
     return (1.0 / fp.mu) * rng.standard_gamma(fp.mu, size)
 
 
 def stratified_log_gamma(shape: float, rng: np.random.Generator,
                          size: int) -> np.ndarray:
     """`size` draws of ln X for X ~ Gamma(shape), shape >= 2, as the exact
-    sum X = -ln(U V) + R: (U, V) from stratified_uniform_product (draws k
-    and k + size // 2 share a cell, an odd size's last draw is iid), then
-    R ~ Gamma(shape - 2) iid from the same stream, after the uniforms:
-    Z^2 / 2 for a standard normal Z at shape 2.5 (chi-square(1) / 2 is
-    Gamma(1/2), and cheaper than standard_gamma there), 0 at shape 2.
-    U V = 0 gives ln X = inf."""
-    w = stratified_uniform_product(rng, size)
-    with np.errstate(divide="ignore"):      # U V = 0: ln = -inf
-        np.log(w, out=w)
+    sum X = -ln(U V) + R: -ln(U V) from stratified_neg_log_product (draws
+    k and k + size // 2 share a stratum, an odd size's last draw is iid),
+    then R ~ Gamma(shape - 2) iid from the same stream, after the
+    uniforms: Z^2 / 2 for a standard normal Z at shape 2.5 (chi-square(1)
+    / 2 is Gamma(1/2), and cheaper than standard_gamma there), 0 at shape
+    2.  -ln(U V) = inf gives ln X = inf."""
+    x = stratified_neg_log_product(rng, size)
     if shape == 2.5:
         r = rng.standard_normal(size)
         np.square(r, out=r)
@@ -298,8 +374,8 @@ def stratified_log_gamma(shape: float, rng: np.random.Generator,
         r = rng.standard_gamma(shape - 2.0, size)
     else:
         r = 0.0
-    np.subtract(r, w, out=w)
-    return np.log(w, out=w)
+    x += r
+    return np.log(x, out=x)
 
 
 def sample_fading(fp: FadingParams, rng: np.random.Generator,
@@ -317,16 +393,21 @@ def alpha_mu_cdf(u: ArrayLike, fp: FadingParams) -> ArrayLike:
 
 
 def alpha_mu_cdf_log(log_u: ArrayLike, fp: FadingParams,
-                     upper: bool = False) -> ArrayLike:
+                     upper: bool = False,
+                     overwrite_input: bool = False) -> ArrayLike:
     """alpha_mu_cdf at u = e^(log_u): gammainc(mu, x) with
     ln x = ln mu + alpha (log_u - ln r_hat), so that a gain built as a sum
     of logs takes one exp; ln x also feeds the series' prefactor.  With
-    upper, the survival function P(h_f > u) = Q(mu, x)."""
+    upper, the survival function P(h_f > u) = Q(mu, x).  With
+    overwrite_input, ln x is built in log_u, a float array the caller
+    no longer needs (outage_score's per-point buffer): one array of its
+    size fewer at the score's peak."""
     if not fp.is_alpha_mu:
         raise UnsupportedParams(
             "fading CDF is exact only for alpha-mu (eta=1, kappa=0), "
             f"got eta={fp.eta}, kappa={fp.kappa}")
-    log_x = np.multiply(log_u, fp.alpha)
+    log_x = np.multiply(log_u, fp.alpha,
+                        out=log_u if overwrite_input else None)
     log_x += math.log(fp.mu) - fp.alpha * math.log(fp.r_hat)
     return _regularized_gamma(fp.mu, np.exp(log_x), upper, log_x)
 
@@ -576,23 +657,25 @@ def outage_score(exp: Experiment, gamma_hs: Sequence[float], m: int, rng,
 
     rng(component) is that component's substream.  The drawn log-loss
     ln(h_0 / h) is built once per call, a sum of log-gains: -ln(U V)/rho
-    plus the absorption loss on fading, with (U, V) stratified
-    (stratified_uniform_product: draws k and k + m // 2 share a cell) or,
-    unless stratified, iid (uniform_product); -ln G/alpha plus the loss on
-    misalignment (h / r_hat there), G iid (fading_power) but for alpha-mu
-    fading with mu >= 2 when stratified, where -ln(mu G)/alpha comes from
-    stratified_log_gamma on the same grid (h / (r_hat mu^(-1/alpha))); the
-    loss alone with fading off.  Each gamma_h adds its constant
-    ln(gamma_h / h_0) into one reused buffer and the CDF of the
-    integrated-out component takes it whole: on fading,
+    plus the absorption loss on fading, with -ln(U V) stratified
+    (stratified_neg_log_product: draws k and k + m // 2 share a stratum
+    of its quantile) or, unless stratified, from iid (U, V)
+    (uniform_product); -ln G/alpha plus the loss on misalignment
+    (h / r_hat there), G iid (fading_power) but for alpha-mu fading with
+    mu >= 2 when stratified, where -ln(mu G)/alpha comes from
+    stratified_log_gamma, the same stratified -ln(U V) plus an iid
+    Gamma(mu - 2) (h / (r_hat mu^(-1/alpha))); the loss alone with fading
+    off.  Each gamma_h adds its constant ln(gamma_h / h_0) into one
+    reused buffer and the CDF of the integrated-out component takes it
+    whole: on fading,
     ln u = ln(gamma_h / (h_l h_p)) and the alpha-mu CDF (its survival
     function with upper); on misalignment, L = min(ln(gamma_h / (h_l h_f)),
     0) and F_p(e^L).  So a point's scores do not depend on the other
     points.  U V = 0 or an iid G = 0 (Generator.random and a Gamma draw
-    can return 0) gives ln = -inf and scores 1, as h = 0 does; U V = 0 in
-    stratified_log_gamma gives G = inf, L = -inf and scores 0.  Each
-    yielded array is new; deterministic absorption with fading off
-    yields a read-only broadcast constant.
+    can return 0) gives ln = -inf and scores 1, as h = 0 does; a
+    stratified -ln(U V) = inf in stratified_log_gamma gives G = inf,
+    L = -inf and scores 0.  Each yielded array is new; deterministic
+    absorption with fading off yields a read-only broadcast constant.
     """
     fp, rho = exp.fading, exp.misalignment.rho
     on_fading = conditioned_on_fading(exp)
@@ -600,10 +683,12 @@ def outage_score(exp: Experiment, gamma_hs: Sequence[float], m: int, rng,
                                      rng(streams.ABSORPTION), m)
     if on_fading or fp.enabled:
         with np.errstate(divide="ignore"):
-            if on_fading:               # -ln h_p
-                product = (stratified_uniform_product if stratified
-                           else uniform_product)
-                drawn = product(rng(streams.MISALIGNMENT), m)
+            if on_fading and stratified:    # -ln h_p
+                drawn = stratified_neg_log_product(rng(streams.MISALIGNMENT),
+                                                   m)
+                drawn *= 1.0 / rho
+            elif on_fading:
+                drawn = uniform_product(rng(streams.MISALIGNMENT), m)
                 np.log(drawn, out=drawn)
                 drawn *= -1.0 / rho
             elif stratified and fp.is_alpha_mu and fp.mu >= 2.0:
@@ -621,7 +706,7 @@ def outage_score(exp: Experiment, gamma_hs: Sequence[float], m: int, rng,
     for gamma_h in gamma_hs:
         log_x = np.add(log_loss, math.log(gamma_h / h_0), out=shift)
         if on_fading:
-            yield alpha_mu_cdf_log(log_x, fp, upper)
+            yield alpha_mu_cdf_log(log_x, fp, upper, overwrite_input=True)
             continue
         score = misalignment_cdf_log(np.minimum(log_x, 0.0, out=shift), rho)
         if upper:

@@ -340,7 +340,7 @@ def cmd_validate(cfg: RunConfig, out_dir: Path, manifest: Manifest) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-CELL_SCHEMA = "thzra.sweep.cell.v9"
+CELL_SCHEMA = "thzra.sweep.cell.v10"
 
 
 @dataclass(frozen=True)

@@ -132,10 +132,11 @@ def outage_mc(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float],
     integrated out in closed form (channel.outage_score).
 
     Conditioned on fading, each draw scores the alpha-mu CDF at
-    gamma_h / (h_l h_p), with stratified misalignment uniforms;
+    gamma_h / (h_l h_p), h_p = (U V)^(1/rho) with -ln(U V) drawn in
+    strata of its own quantile (channel.stratified_neg_log_product);
     conditioned on misalignment, F_p at min(gamma_h / (h_l h_f), 1),
-    with the uniforms of mu G = -ln(U V) + Gamma(mu - 2) stratified for
-    alpha-mu fading at mu >= 2 and G iid otherwise.
+    with the -ln(U V) of mu G = -ln(U V) + Gamma(mu - 2) so stratified
+    for alpha-mu fading at mu >= 2 and G iid otherwise.
     Either score is the outage probability given the other components,
     so the mean is unbiased and its variance never exceeds crude
     counting's (Rao-Blackwell).  Points where gamma_th settles the

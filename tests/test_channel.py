@@ -1,4 +1,5 @@
 """Channel samplers against analytic laws and independent oracles."""
+import functools
 import math
 import warnings
 
@@ -251,47 +252,141 @@ def test_misalignment_sampler_exact_law():
     assert d < 1.36 / math.sqrt(n)
 
 
-def test_strata_grid():
-    assert channel.strata(2 ** 16) == (128, 256)
-    assert channel.strata(2 ** 16 + 1) == (128, 256)
-    assert channel.strata(4321) == (45, 48)      # 2160 = 45 * 48
-    assert channel.strata(2 * 101) == (1, 101)   # a prime count: one row
-    assert channel.strata(1) == channel.strata(2) == channel.strata(3) == (1, 1)
+NEG_LOG_SIZES = [2 ** 16, 2 ** 16 + 1, 16960, 4321, 3, 2, 1]
 
 
-@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 7, 4321, 2 ** 16, 2 ** 16 + 1])
-def test_stratified_uniform_product_cells(size):
-    # draw k < 2P lies in cell k mod P of the A x B grid, two draws to a
-    # cell, at U = (a + u) / A, V = (b + v) / B for the iid uniforms u, v
-    # that uniform_product draws from the same substream: U A - a and
-    # V B - b are those uniforms.  An odd size's last draw is iid, u v
-    a_n, b_n = channel.strata(size)
-    pairs = 2 * (size // 2)
-    rng = RNG(11)
-    u, v = rng.random(size), rng.random(size)
-    cell = np.arange(pairs) % (a_n * b_n)
-    if size > 1:
-        assert np.all(np.bincount(cell, minlength=a_n * b_n) == 2)
-    a, b = np.divmod(cell, b_n)
-    w = channel.stratified_uniform_product(RNG(11), size)
-    np.testing.assert_array_equal(w[:pairs], (a + u[:pairs]) * (b + v[:pairs])
-                                  / (a_n * b_n))
-    np.testing.assert_array_equal(w[pairs:], u[pairs:] * v[pairs:])
-    assert np.all((w >= 0.0) & (w < 1.0))
+def stratified_w(size, seed):
+    """The double w of each draw of stratified_neg_log_product(RNG(seed),
+    size): (h + u) / P for draw k < 2P in stratum h = k mod P, the iid u
+    for an odd size's last draw."""
+    cells = size // 2
+    w = RNG(seed).random(size)
+    w[:2 * cells] += np.arange(2 * cells) % max(cells, 1)
+    w[:2 * cells] /= max(cells, 1)
+    return w
 
 
-def test_stratified_uniform_product_law():
-    # U V over many chunks, the full ones and odd ones, follows the law
-    # of the iid product, P(U V <= w) = w (1 - ln w)
-    sizes = [2 ** 16] * 20 + [1, 2, 3, 4321, 2 ** 16 + 1]
-    w = np.concatenate([channel.stratified_uniform_product(RNG(100 + i), size)
-                        for i, size in enumerate(sizes)])
-    result = sstats.kstest(w, lambda x: x * (1.0 - np.log(x)))
-    # a wrong cell map, such as one row index for both uniforms
-    # (V = (a + v) / B) or a row taken from the column (U = (b mod A + u)
-    # / A), reads a KS statistic 50-130 times the threshold here
-    assert result.statistic < 1.36 / math.sqrt(w.size)
+@functools.lru_cache(maxsize=None)
+def neg_log_root(w):
+    """The root y >= 0 of ln(1 + y) - y = ln w at 40 digits, by Newton's
+    method from 1 - ln w (F(y) = ln(1 + y) - y - ln w is concave and
+    decreasing, so it converges from either side)."""
+    if w == 1.0:
+        return mpmath.mpf(0)
+    with mpmath.workdps(40):
+        log_w = mpmath.log(mpmath.mpf(w))
+        y = 1 - log_w
+        for _ in range(200):
+            step = (mpmath.log1p(y) - y - log_w) * (1 + y) / y
+            y += step
+            if abs(step) <= mpmath.mpf(10) ** -38 * (1 + y):
+                return y
+    raise AssertionError(f"no root for w = {w!r}")
+
+
+def assert_at_root(y, w):
+    """|y - y_ref| <= 4e-15 (1 + y_ref) for the 40-digit root y_ref at w."""
+    ref = neg_log_root(float(w))
+    with mpmath.workdps(40):
+        assert abs(mpmath.mpf(float(y)) - ref) <= 4e-15 * (1 + ref), (w, y)
+
+
+@pytest.mark.parametrize("size", NEG_LOG_SIZES)
+def test_stratified_neg_log_product_matches_mpmath(size):
+    # every draw of the 1024 strata at each end (all strata below 2048),
+    # and both draws of 500 sampled inner strata, against the 40-digit
+    # root for the same double w; an odd size's last draw too
+    y = channel.stratified_neg_log_product(RNG(13), size)
+    w = stratified_w(size, 13)
+    cells = size // 2
+    cols = np.arange(cells)
+    inner = cols[1024:cells - 1024]
+    if inner.size:
+        picked = np.random.default_rng(0).choice(inner, min(500, inner.size),
+                                                 replace=False)
+        cols = np.concatenate([cols[:1024], cols[cells - 1024:], picked])
+    ks = np.concatenate([cols, cols + cells, np.arange(2 * cells, size)])
+    assert np.all(np.isfinite(y))
+    for k in ks:
+        assert_at_root(y[k], w[k])
+
+
+def test_neg_log_quantile_at_the_ends():
+    # w = 1 is y = 0, the smallest double w is y near 751, and w = 0 is
+    # inf; Generator.random can return 0, and (h + u) / P can round to 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = channel._upper_gamma2_quantile(np.array([1.0, 5e-324, 0.0]))
+    assert_at_root(y[0], 1.0)
+    assert_at_root(y[1], 5e-324)
+    assert y[2] == np.inf
+
+
+class ZeroUniforms:
+    """A Generator whose uniforms are 0.0 at the given draws."""
+
+    def __init__(self, rng, zeros):
+        self.rng, self.zeros = rng, zeros
+
+    def random(self, size):
+        w = self.rng.random(size)
+        w[[k for k in self.zeros if k < size]] = 0.0
+        return w
+
+
+@pytest.mark.parametrize("size", [1, 3, 4321, 2 ** 16, 2 ** 16 + 1])
+def test_stratified_neg_log_product_of_zero_is_inf(size):
+    # u = 0 in stratum 0 (draws 0 and P) and an odd size's last draw is
+    # w = 0: U V = 0, Y = inf, without a RuntimeWarning; u = 0 elsewhere
+    # is the stratum's upper quantile, finite
+    cells = size // 2
+    zeros = {0, cells, size - 1, 5}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = channel.stratified_neg_log_product(
+            ZeroUniforms(RNG(14), zeros), size)
+    inf = [k for k in sorted(zeros) if k < size
+           and (k == size - 1 and size % 2 or k % max(cells, 1) == 0)]
+    assert inf and np.all(y[inf] == np.inf)
+    assert np.sum(np.isinf(y)) == len(inf)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 7, 4321, 16960, 2 ** 16,
+                                  2 ** 16 + 1])
+def test_stratified_neg_log_product_strata(size):
+    # draws k and k + P lie in stratum h = k mod P's quantile interval,
+    # [Q((h + 1) / P), Q(h / P)] for Q the upper-tail quantile of Gamma(2)
+    cells = size // 2
+    y = channel.stratified_neg_log_product(RNG(15), size)
+    h = np.arange(2 * cells) % max(cells, 1)
+    top = sstats.gamma(2).isf(h / max(cells, 1))
+    bottom = sstats.gamma(2).isf((h + 1) / max(cells, 1))
+    assert np.all(y[:2 * cells] <= top * (1 + 1e-13))
+    assert np.all(y[:2 * cells] >= bottom * (1 - 1e-13) - 1e-15)
+
+
+def test_stratified_neg_log_product_law():
+    # e^-Y = U V over many chunks, full ones and odd ones, follows the law
+    # of the iid product, P(U V <= t) = t (1 - ln t)
+    sizes = [2 ** 16] * 20 + [1, 2, 3, 4321, 16960, 2 ** 16 + 1]
+    t = np.concatenate([np.exp(-channel.stratified_neg_log_product(
+        RNG(100 + i), size)) for i, size in enumerate(sizes)])
+    result = sstats.kstest(t, lambda x: x * (1.0 - np.log(x)))
+    assert result.statistic < 1.36 / math.sqrt(t.size)
     assert result.pvalue > 1e-3
+
+
+def test_stratified_neg_log_product_holds_one_table():
+    # one table of stratum-bound quantiles, that of a full chunk, built
+    # once: a chunk with fewer strata (the last of a run, 16960 draws)
+    # solves for its draws and leaves it in place
+    channel._bound_quantiles.cache_clear()
+    for size in (2 ** 16, 16960, 4321, 2 ** 16 + 1, 2 ** 16):
+        channel.stratified_neg_log_product(RNG(3), size)
+    info = channel._bound_quantiles.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)
+    table = channel._bound_quantiles(2 ** 15)
+    assert table.nbytes == 8 * (2 ** 15 + 1) and not table.flags.writeable
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 7, 400, 1025])
@@ -365,6 +460,26 @@ def test_fading_noninteger_mu_gamma_route():
     assert d < 1.36 / math.sqrt(n)
 
 
+@pytest.mark.parametrize("mu", [1, 2, 3])
+def test_fading_integer_mu_alpha_mu_is_one_gamma_draw(mu):
+    # eta = 1, kappa = 0 at an integer mu draws mu G ~ Gamma(mu) as one
+    # standard_gamma call, like a non-integer mu, and follows Gamma(mu)
+    fp = FadingParams(alpha=2.0, eta=1.0, kappa=0.0, mu=mu)
+    g = channel.fading_power(fp, RNG(40 + mu), 100_000)
+    np.testing.assert_array_equal(
+        g, (1.0 / mu) * RNG(40 + mu).standard_gamma(float(mu), 100_000))
+    result = sstats.kstest(g * mu, sstats.gamma(mu).cdf)
+    assert result.statistic < 1.36 / math.sqrt(g.size)
+
+
+@pytest.mark.parametrize("kw", [dict(eta=2.0, mu=2), dict(kappa=1.0, mu=1),
+                                dict(eta=0.5, kappa=0.4, mu=3)])
+def test_fading_eta_mu_and_kappa_mu_take_the_gaussian_construction(kw):
+    fp = FadingParams(alpha=2.0, **kw)
+    np.testing.assert_array_equal(
+        channel.fading_power(fp, RNG(50), 1000),
+        channel._fading_gaussian_construction(fp, RNG(50), 1000))
+
 SHAPES = [2.0, 2.5, 3.0, 4.5]
 
 
@@ -380,25 +495,18 @@ def test_stratified_log_gamma_law(shape, size):
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("size", [1, 2, 3, 4321, 2 ** 16 + 1])
 def test_stratified_log_gamma_cells(shape, size):
-    # ln X = ln(R - ln(U V)) with (U, V) in the cells of
-    # stratified_uniform_product on the same stream: draw k < 2P in cell
-    # h = k mod P at ((a + u) / A, (b + v) / B), so draws k and k + P
-    # share a cell, and an odd size's last draw at the iid u v; R is drawn
-    # after the uniforms, Z^2 / 2 at shape 2.5 and 0 at 2
-    a_n, b_n = channel.strata(size)
-    pairs = 2 * (size // 2)
+    # ln X = ln(Y + R) with Y = -ln(U V) from stratified_neg_log_product on
+    # the same stream (draws k and k + P share a stratum, an odd size's
+    # last draw is iid), and R drawn after its `size` uniforms, Z^2 / 2 at
+    # shape 2.5 and 0 at 2
     rng = RNG(22)
-    u, v = rng.random(size), rng.random(size)
+    y = channel.stratified_neg_log_product(rng, size)
     if shape == 2.5:
         r = np.square(rng.standard_normal(size)) * 0.5
     else:
         r = rng.standard_gamma(shape - 2.0, size) if shape > 2.0 else 0.0
-    a, b = np.divmod(np.arange(pairs) % (a_n * b_n), b_n)
-    w = u * v
-    w[:pairs] = (a + u[:pairs]) * (b + v[:pairs]) / (a_n * b_n)
     got = channel.stratified_log_gamma(shape, RNG(22), size)
-    np.testing.assert_allclose(got, np.log(r - np.log(w)), rtol=1e-15,
-                               atol=0)
+    np.testing.assert_allclose(got, np.log(y + r), rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -555,6 +663,19 @@ def test_incomplete_gamma_leaves_its_inputs_unchanged():
     channel.alpha_mu_cdf_log(log_u, FadingParams(alpha=2.0, mu=1.5, r_hat=1.3))
     np.testing.assert_array_equal(x, kept_x)
     np.testing.assert_array_equal(log_u, kept_log_u)
+
+
+def test_alpha_mu_cdf_log_can_overwrite_its_input():
+    # overwrite_input builds ln x in log_u itself, to the same values
+    log_u = np.linspace(-12.0, 2.0, 500)
+    fp = FadingParams(alpha=2.0, mu=1.5, r_hat=1.3)
+    for upper in (False, True):
+        want = channel.alpha_mu_cdf_log(log_u, fp, upper)
+        scratch = log_u.copy()
+        got = channel.alpha_mu_cdf_log(scratch, fp, upper,
+                                       overwrite_input=True)
+        np.testing.assert_array_equal(got, want)
+        assert not np.array_equal(scratch, log_u)
 
 
 def test_gammainc_endpoints_and_shapes():

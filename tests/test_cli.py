@@ -691,24 +691,25 @@ def test_sweep_grid_and_resume(tmp_path):
     # a v2 cell (crude counting), a v3 cell (misalignment conditioning
     # only), a v4 cell (draws per cell), a v5 cell (iid misalignment
     # draws), a v6 cell (admission by SNR counts), a v7 cell (an odd
-    # chunk's last draw in cell 0) or a v8 cell (iid fading draws on
-    # misalignment) with the current digest is recomputed too
+    # chunk's last draw in cell 0), a v8 cell (iid fading draws on
+    # misalignment) or a v9 cell (strata on a grid of (U, V)) with the
+    # current digest is recomputed too
     schema = before[cells[4].name].decode().splitlines()[0]
-    assert schema.startswith("#schema: thzra.sweep.cell.v9 digest=")
-    for i, old in ((0, ".v6 "), (1, ".v8 "), (2, ".v7 ")):
-        cells[i].write_text(schema.replace(".v9 ", old) + "\n"
+    assert schema.startswith("#schema: thzra.sweep.cell.v10 digest=")
+    for i, old in ((0, ".v6 "), (1, ".v8 "), (2, ".v7 "), (5, ".v9 ")):
+        cells[i].write_text(schema.replace(".v10 ", old) + "\n"
                             + before[cells[i].name].decode().split("\n", 1)[1])
-    cells[4].write_text(schema.replace(".v9 ", ".v2 ")
+    cells[4].write_text(schema.replace(".v10 ", ".v2 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,outage_draws"
                         "\n2,3,0.5,0.4,0.6,20000\n")
-    cells[6].write_text(schema.replace(".v9 ", ".v3 ")
+    cells[6].write_text(schema.replace(".v10 ", ".v3 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,p_out_se,vrf,"
                         "outage_draws\n3,2,0.5,0.4,0.6,0.05,2.0,20000\n")
-    cells[7].write_text(schema.replace(".v9 ", ".v4 ")
+    cells[7].write_text(schema.replace(".v10 ", ".v4 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,p_out_se,vrf,"
                         "conditioned,outage_draws\n3,3,0.5,0.4,0.6,0.05,2.0,"
                         "misalignment,20000\n")
-    cells[8].write_text(schema.replace(".v9 ", ".v5 ")
+    cells[8].write_text(schema.replace(".v10 ", ".v5 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,p_out_se,vrf,"
                         "conditioned,outage_draws\n3,4,0.5,0.4,0.6,0.05,2.0,"
                         "fading,20000\n")

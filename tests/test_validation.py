@@ -9,7 +9,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import integrate, special, stats
 
 from thzra import analytics, channel, cli, params, streams, validation
 from thzra.params import (DeterministicAbsorption, Experiment, FadingParams,
@@ -198,44 +198,47 @@ def test_outage_mc_exact_where_the_score_is_constant():
 
 
 class ZeroDraws:
-    """A Generator whose first three uniform, Gamma and normal draws are
-    0.0, which Generator.random can return: U V = 0 (h_p = 0), G = 0
-    (h_f = 0) from an iid Gamma draw, and G = inf (h_f = inf) from the
-    stratified -ln(U V) + Gamma(mu - 2)."""
+    """A Generator whose uniform, Gamma and normal draws 0 and size // 2
+    are 0.0, which Generator.random can return: U V = 0 (h_p = 0) from
+    iid uniforms or from the stratified -ln(U V) (the two draws of
+    stratum 0, w = 0), G = 0 (h_f = 0) from an iid Gamma draw, and
+    G = inf (h_f = inf) from the stratified -ln(U V) + Gamma(mu - 2)."""
 
     def __init__(self, rng):
         self.rng = rng
 
     def random(self, size):
-        w = self.rng.random(size)
-        w[:3] = 0.0
-        return w
+        return self.zeroed(self.rng.random(size))
 
     def standard_gamma(self, shape, size):
-        g = self.rng.standard_gamma(shape, size)
-        g[:3] = 0.0
-        return g
+        return self.zeroed(self.rng.standard_gamma(shape, size))
 
     def standard_normal(self, size):
-        z = self.rng.standard_normal(size)
-        z[:3] = 0.0
-        return z
+        return self.zeroed(self.rng.standard_normal(size))
+
+    @staticmethod
+    def zeroed(x):
+        x[[0, x.size // 2]] = 0.0
+        return x
 
 
 def linear_score(exp, gamma_h, m, rng, stratified=True):
     """The conditional outage score composed from channel's linear samplers
-    and CDFs: the alpha-mu CDF at gamma_h / (h_l h_p), with h_p from the
-    stratified (or iid) U V, or F_p at min(gamma_h / (h_l h_f), 1), with
-    h_f = r_hat G^(1/alpha) and, stratified for alpha-mu at mu >= 2,
-    mu G = e^(stratified_log_gamma)."""
+    and CDFs: the alpha-mu CDF at gamma_h / (h_l h_p), with
+    h_p = (U V)^(1/rho) from the iid U V or, stratified, from
+    U V = e^(-stratified_neg_log_product), or F_p at
+    min(gamma_h / (h_l h_f), 1), with h_f = r_hat G^(1/alpha) and,
+    stratified for alpha-mu at mu >= 2, mu G = e^(stratified_log_gamma)."""
     fp = exp.fading
     h = channel.sample_path_gain(exp.absorption, exp.link,
                                  rng(streams.ABSORPTION), m)
-    product = (channel.stratified_uniform_product if stratified
-               else channel.uniform_product)
     with np.errstate(divide="ignore"):      # h = 0 gives gamma_h / h = inf
         if channel.conditioned_on_fading(exp):
-            w = product(rng(streams.MISALIGNMENT), m)
+            if stratified:
+                w = np.exp(-channel.stratified_neg_log_product(
+                    rng(streams.MISALIGNMENT), m))
+            else:
+                w = channel.uniform_product(rng(streams.MISALIGNMENT), m)
             h = h * w ** (1.0 / exp.misalignment.rho)
             return channel.alpha_mu_cdf(gamma_h / h, fp)
         if fp.enabled and stratified and fp.is_alpha_mu and fp.mu >= 2.0:
@@ -351,7 +354,7 @@ def test_outage_score_of_a_zero_gain_is_one(name):
         warnings.simplefilter("error")
         [got] = channel.outage_score(exp, [q.gamma_h], 1000, rng,
                                      stratified=stratified)
-    np.testing.assert_array_equal(got[:3], 1.0)
+    np.testing.assert_array_equal(got[[0, 500]], 1.0)
     np.testing.assert_allclose(
         got, linear_score(exp, q.gamma_h, 1000, rng, stratified=stratified),
         rtol=1e-13, atol=1e-300)
@@ -359,8 +362,9 @@ def test_outage_score_of_a_zero_gain_is_one(name):
 
 def test_outage_score_of_an_infinite_fading_gain_is_zero():
     # on misalignment, alpha-mu at mu >= 2 draws mu G = -ln(U V) + R with
-    # (U, V) stratified: U V = 0 means G = inf, h = inf and L = -inf,
-    # scored exactly 0 (not 0 * inf = NaN) without a RuntimeWarning
+    # -ln(U V) stratified: u = 0 in stratum 0 is U V = 0, so G = inf,
+    # h = inf and L = -inf, scored exactly 0 (not 0 * inf = NaN) without a
+    # RuntimeWarning
     exp = branch_experiment("alpha_mu_on_misalignment")
     q = analytics.OutageQuery(10 ** 0.5, 10 ** 4.5, exp.link.k_h)
 
@@ -370,7 +374,7 @@ def test_outage_score_of_an_infinite_fading_gain_is_zero():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         [got] = channel.outage_score(exp, [q.gamma_h], 1000, rng)
-    np.testing.assert_array_equal(got[:3], 0.0)
+    np.testing.assert_array_equal(got[[0, 500]], 0.0)
     assert not np.any(np.isnan(got))
     np.testing.assert_allclose(got, linear_score(exp, q.gamma_h, 1000, rng),
                                rtol=1e-13, atol=1e-300)
@@ -402,6 +406,36 @@ def test_outage_score_memory_is_pinned():
     finally:
         tracemalloc.stop()
     assert peak <= 2_622_712 + 8 * m, peak
+
+
+@pytest.mark.parametrize("rho,mu,arrays", [(4.1, 2.5, 5.02), (2.0, 2.5, 5.01)])
+def test_outage_chunk_memory_on_sweep_cells(rho, mu, arrays):
+    # the tracemalloc peak of one 2^16-draw chunk of a sweep cell scored at
+    # 40, 45 and 50 dB, in chunk arrays of 8 * 2^16 B: 5.016 on (4.1, 2.5),
+    # conditioned on fading, where the alpha-mu CDF builds ln x in the
+    # score's per-point buffer (6.016 when it took a new array), and 5.003
+    # on (2, 2.5), on misalignment.  The table of stratum-bound quantiles
+    # is built by the first chunk, off the count
+    cfg = params.run_config(cli.read_config(SWEEP_CFG))
+    exp = params.apply_cell(cfg.exp, {"rho": rho, "mu": mu})
+    m = validation.OUTAGE_CHUNK
+    gamma_hs = [analytics.OutageQuery(cfg.gamma_th, 10 ** (db / 10.0),
+                                      exp.link.k_h).gamma_h
+                for db in (40.0, 45.0, 50.0)]
+
+    def chunk():
+        for score in channel.outage_score(
+                exp, gamma_hs, m, lambda comp: streams.substream(7, 0, comp)):
+            pass
+
+    chunk()
+    tracemalloc.start()
+    try:
+        chunk()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * 8 * m, peak / (8 * m)
 
 
 @pytest.mark.parametrize("gamma_th,expected", [(0.0, 0.0), (math.inf, 1.0)])
@@ -436,6 +470,34 @@ def test_outage_mc_matches_crude_count_on_sweep_cells():
         assert abs(mc.p_out[0] - count.p_out[0]) <= 4.0 * combined, coords
 
 
+def test_outage_mc_matches_quadrature_on_fading_cells():
+    # the fading-conditioned sweep cells integrate the alpha-mu CDF over
+    # the absorption draw (k = 1: e^-g) and Y = -ln(U V) (Gamma(2):
+    # y e^-y); the stratified estimate at 1 M draws lies within 4 of its
+    # se of that double integral at 40, 45 and 50 dB
+    grid = [40.0, 45.0, 50.0]
+    for coords, gamma_th, exp in sweep_cells():
+        if not channel.conditioned_on_fading(exp):
+            continue
+        fp, ab, link = exp.fading, exp.absorption, exp.link
+        assert ab.k == 1
+        curve = validation.outage_mc(exp, gamma_th, grid, 1_000_000, seed=21)
+        for i, db in enumerate(grid):
+            q = analytics.OutageQuery(gamma_th, 10 ** (db / 10.0), link.k_h)
+            c = math.log(fp.mu) + fp.alpha * math.log(
+                q.gamma_h / (link.a_l * fp.r_hat))
+
+            def score(g, y):
+                log_x = c + fp.alpha * (ab.beta * link.d_km / 8.686 * g
+                                        + y / exp.misalignment.rho)
+                return (special.gammainc(fp.mu, math.exp(min(log_x, 700.0)))
+                        * math.exp(-g) * y * math.exp(-y))
+
+            p = integrate.dblquad(score, 0, np.inf, 0, np.inf, epsabs=0,
+                                  epsrel=1e-10)[0]
+            assert abs(curve.p_out[i] - p) <= 4.0 * curve.se[i], (coords, db)
+
+
 def test_outage_mc_matches_closed_form_within_bonferroni_se():
     # criterion 7's experiment and grid, judged by the estimator's own SE
     exp = make_experiment(link=replace(make_experiment().link, k_t=0.1, k_r=0.1))
@@ -466,12 +528,16 @@ def test_outage_mc_reduces_variance_on_sweep_cells():
 
 
 def test_outage_mc_stratification_floor_on_sweep_cells():
-    # at 45 dB, 200 000 draws: stratifying the misalignment uniforms adds
-    # to what conditioning on fading gains; iid uniforms gave (2, 1.5)
-    # 4.5-5.9.  (2, 2.5) conditions on misalignment, and stratifying the
-    # uniforms of mu G = -ln(U V) + Gamma(1/2) took it from 5.3-5.5 (iid
-    # G) to 12.5-13.1 at seeds 11-14
-    floors = {(2.0, 1.5): 40.0, (4.1, 1.5): 150.0, (4.1, 2.5): 60.0,
+    # at 45 dB, 200 000 draws: stratifying -ln(U V) along its own
+    # quantiles adds to what conditioning on fading gains; iid uniforms
+    # gave (2, 1.5) 4.5-5.9, and strata on a 128 x 256 grid of (U, V)
+    # 157-161, 346-401 and 101-136 on the three fading-conditioned cells,
+    # where the quantile strata read 367-378, 846-867 and 498-558 at
+    # seeds 11-14.  (2, 2.5) conditions on misalignment: stratifying the
+    # -ln(U V) of mu G = -ln(U V) + Gamma(1/2) took it from 5.3-5.5 (iid
+    # G) to 12.4-13.2, on the grid and on the quantile strata alike, as
+    # the iid Gamma(1/2) bounds it
+    floors = {(2.0, 1.5): 200.0, (4.1, 1.5): 500.0, (4.1, 2.5): 250.0,
               (2.0, 2.5): 8.0}
     for coords, gamma_th, exp in sweep_cells():
         curve = validation.outage_mc(exp, gamma_th, [45.0], 200_000, seed=11)
@@ -496,11 +562,11 @@ def test_stratified_outage_se_is_calibrated():
 
 
 def stratified_estimate(exp, gamma_h, n, seed):
-    """p_out and se of outage_mc from outage_score's chunks, by cell with
-    index arrays: draw k < 2P of a chunk of m in cell k mod P, P = m // 2,
-    each chunk the mean of its cell means; an odd m's last draw is a
-    chunk of one, its variance its squared distance to the mean of the
-    draws before it, 0 for the first."""
+    """p_out and se of outage_mc from outage_score's chunks, by stratum
+    with index arrays: draw k < 2P of a chunk of m in stratum k mod P,
+    P = m // 2, each chunk the mean of its stratum means; an odd m's last
+    draw is a chunk of one, its variance its squared distance to the mean
+    of the draws before it, 0 for the first."""
     total = var = 0.0
     scores = []
     for done in range(0, n, validation.OUTAGE_CHUNK):
@@ -528,8 +594,8 @@ def stratified_estimate(exp, gamma_h, n, seed):
                                   "alpha_mu_on_misalignment"])
 @pytest.mark.parametrize("n", [2, 3, 5, 2 ** 16 + 4321])
 def test_outage_mc_is_the_cell_mean_estimate(name, n):
-    # p_out is the mean of the chunks' cell means, weighted by chunk size,
-    # and se^2 the sum of their cells' s^2 / n_h / P^2, so weighted
+    # p_out is the mean of the chunks' stratum means, weighted by chunk
+    # size, and se^2 the sum of their strata's s^2 / n_h / P^2, so weighted
     exp = branch_experiment(name)
     q = analytics.OutageQuery(10 ** 0.5, 10 ** 4.5, exp.link.k_h)
     curve = validation.outage_mc(exp, 10 ** 0.5, [45.0], n, seed=8)
