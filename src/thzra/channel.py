@@ -11,19 +11,22 @@ SNR
 which saturates at 1/k_h^2 for k_h > 0.  The outage score (outage_score:
 the outage probability given all components but one, which outage Monte
 Carlo averages and QoS admission takes as its survival function)
-composes the same laws in log form, a sum of log-gains scored by one exp:
-path_loss_nepers, uniform_product and fading_power give each component's
-log-gain from the draws the linear samplers use
-(stratified_neg_log_product draws -ln(U V) by stratified quantiles of its
-own law, stratified_log_gamma adds it into an alpha-mu fading power with
-mu >= 2, StratifiedMean reads the strata back), and misalignment_cdf_log
-is the misalignment CDF in that form and alpha_mu_cdf_log the one
-alpha_mu_cdf calls.
+composes the same laws in log form, a sum of log-losses scored by one
+exp.  Outage is T + W + F >= c for the absorption, misalignment and
+fading log-losses, each with an exponential tail; outage_rule picks the
+one of least rate among those with a CDF to integrate out
+(gammaincc, misalignment_cdf_log, alpha_mu_cdf_log) and tilts the others
+within their Gamma families (stratified_neg_log_product draws the
+misalignment's -ln(U V) by stratified quantiles of its own law,
+StratifiedMean reads the strata back); path_loss_nepers, uniform_product
+and fading_power give each component's log-loss from the draws the
+linear samplers use, the untilted draws QoS admission takes.
 """
 from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -304,15 +307,28 @@ def sample_misalignment(rho: float, rng: np.random.Generator,
     return np.power(w, 1.0 / rho, out=w)
 
 
-def misalignment_cdf_log(log_x: ArrayLike, rho: float) -> ArrayLike:
-    """P(h_p <= x) = x^rho (1 - rho ln x) at x = e^L for L = log_x <= 0,
-    e^(rho L) (1 - rho L): the form the outage score takes, its gain built
-    as a sum of logs.  L = -inf (x = 0) gives 0: rho L is floored at
-    -1000, where e^(rho L) is already 0, so no 0 * inf is taken.  Two
-    temporaries of log_x's size, log_x itself unchanged."""
-    t = np.asarray(np.multiply(log_x, rho))
+def misalignment_cdf_log(log_x: ArrayLike, rho: float,
+                         weight: Optional[Tuple[float, float]] = None
+                         ) -> ArrayLike:
+    """P(h_p <= x) = x^rho (1 - rho ln x) at x = e^l for l = min(L, 0),
+    L = log_x: e^(rho l) (1 - rho l), the form the outage score takes, its
+    gain built as a sum of logs.  L = -inf (x = 0) gives 0: rho l is
+    floored at -1000, where e^(rho l) is already 0, so no 0 * inf is
+    taken.  weight = (theta, c) multiplies it by e^(c - theta L), a tilted
+    draw's likelihood ratio, in the same exp: e^(rho l - theta L + c)
+    (1 - rho l), with log_x, a float array of L > -inf (a tilted draw's
+    log-loss is finite or +inf), written into.  Two temporaries of
+    log_x's size, log_x unchanged unweighted."""
+    t = np.asarray(np.minimum(log_x, 0.0))
+    np.multiply(t, rho, out=t)
     np.maximum(t, -1e3, out=t)
-    out = np.exp(t)
+    if weight is None:
+        out = np.exp(t)
+    else:
+        log_x *= -weight[0]
+        log_x += weight[1]
+        log_x += t
+        out = np.exp(log_x)
     out *= np.subtract(1.0, t, out=t)
     return out
 
@@ -356,28 +372,6 @@ def fading_power(fp: FadingParams, rng: np.random.Generator,
     return (1.0 / fp.mu) * rng.standard_gamma(fp.mu, size)
 
 
-def stratified_log_gamma(shape: float, rng: np.random.Generator,
-                         size: int) -> np.ndarray:
-    """`size` draws of ln X for X ~ Gamma(shape), shape >= 2, as the exact
-    sum X = -ln(U V) + R: -ln(U V) from stratified_neg_log_product (draws
-    k and k + size // 2 share a stratum, an odd size's last draw is iid),
-    then R ~ Gamma(shape - 2) iid from the same stream, after the
-    uniforms: Z^2 / 2 for a standard normal Z at shape 2.5 (chi-square(1)
-    / 2 is Gamma(1/2), and cheaper than standard_gamma there), 0 at shape
-    2.  -ln(U V) = inf gives ln X = inf."""
-    x = stratified_neg_log_product(rng, size)
-    if shape == 2.5:
-        r = rng.standard_normal(size)
-        np.square(r, out=r)
-        r *= 0.5
-    elif shape > 2.0:
-        r = rng.standard_gamma(shape - 2.0, size)
-    else:
-        r = 0.0
-    x += r
-    return np.log(x, out=x)
-
-
 def sample_fading(fp: FadingParams, rng: np.random.Generator,
                   size: int) -> np.ndarray:
     """Draw the short-term fading envelope h_f = r_hat G^(1/alpha), so that
@@ -393,23 +387,30 @@ def alpha_mu_cdf(u: ArrayLike, fp: FadingParams) -> ArrayLike:
 
 
 def alpha_mu_cdf_log(log_u: ArrayLike, fp: FadingParams,
-                     upper: bool = False,
-                     overwrite_input: bool = False) -> ArrayLike:
+                     upper: bool = False, overwrite_input: bool = False,
+                     weight: Optional[Tuple[float, float]] = None
+                     ) -> ArrayLike:
     """alpha_mu_cdf at u = e^(log_u): gammainc(mu, x) with
     ln x = ln mu + alpha (log_u - ln r_hat), so that a gain built as a sum
     of logs takes one exp; ln x also feeds the series' prefactor.  With
     upper, the survival function P(h_f > u) = Q(mu, x).  With
     overwrite_input, ln x is built in log_u, a float array the caller
     no longer needs (outage_score's per-point buffer): one array of its
-    size fewer at the score's peak."""
+    size fewer at the score's peak.  weight = (theta, c) multiplies the
+    CDF by e^(c - theta log_u), a tilted draw's likelihood ratio, folded
+    into the series' prefactor (not with upper)."""
     if not fp.is_alpha_mu:
         raise UnsupportedParams(
             "fading CDF is exact only for alpha-mu (eta=1, kappa=0), "
             f"got eta={fp.eta}, kappa={fp.kappa}")
     log_x = np.multiply(log_u, fp.alpha,
                         out=log_u if overwrite_input else None)
-    log_x += math.log(fp.mu) - fp.alpha * math.log(fp.r_hat)
-    return _regularized_gamma(fp.mu, np.exp(log_x), upper, log_x)
+    shift = math.log(fp.mu) - fp.alpha * math.log(fp.r_hat)
+    log_x += shift
+    if weight is not None:      # theta log_u = (theta / alpha)(ln x - shift)
+        b = weight[0] / fp.alpha
+        weight = (b, weight[1] + b * shift)
+    return _regularized_gamma(fp.mu, np.exp(log_x), upper, log_x, weight)
 
 
 def gammainc(a: float, x: ArrayLike) -> ArrayLike:
@@ -428,47 +429,99 @@ def gammaincc(a: float, x: ArrayLike) -> ArrayLike:
 
 
 def _regularized_gamma(a: float, x: ArrayLike, upper: bool,
-                       log_x: Optional[ArrayLike] = None) -> ArrayLike:
+                       log_x: Optional[ArrayLike] = None,
+                       weight: Optional[Tuple[float, float]] = None
+                       ) -> ArrayLike:
     """P(a, x), or Q(a, x) if upper, by Numerical Recipes section 6.2: the
     power series for P and Lentz's continued fraction for Q, each
-    complemented where the other one is asked for.  Q takes the fraction
-    from x = a + 1 on, so that a deep tail keeps its relative accuracy.
-    P keeps the series up to x = a + 10: on the few x there, the
-    fraction's loop of small-array steps costs more, and P near 1 loses
-    nothing.
+    complemented where the other one is asked for (_gamma_above_one).
 
-    Every x is first taken through the economized series on [0, 1],
-    clipped to x <= 1; the few x > 1 are then redone in place.  log_x is
-    ln x where the caller has it (alpha_mu_cdf_log, which passes
-    x = e^log_x): the series prefactor then comes from it, and x and
-    log_x are the caller's scratch arrays, written into here.
+    Every x is taken through the economized series on [0, 1], clipped to
+    x <= 1; the x > 1 are done first, on their own.  log_x is ln x where
+    the caller has it (alpha_mu_cdf_log, which passes x = e^log_x): the
+    series prefactor then comes from it, and x and log_x are the caller's
+    scratch arrays, written into here.  The results at x > 1 then wait in
+    x itself, negated, while the series takes the rest, and the sign bit
+    finds them again: no array of their own at the peak, which holds x,
+    ln x and the result.  With log_x, weight = (b, c) returns
+    P(a, x) x^-b e^c (not with upper), folded into the series' prefactor.
     """
     xs = np.asarray(x, dtype=float)
     flat = xs.reshape(-1)
-    big = np.flatnonzero(flat > 1.0)
-    x_big = flat[big]
-    if log_x is None:
-        head, log_head, log_big = np.minimum(flat, 1.0), None, None
+    big = flat > 1.0
+    log_head = None if log_x is None else np.asarray(log_x).reshape(-1)
+    p_big = _gamma_above_one(a, flat[big], None if log_head is None
+                             else log_head[big], upper, weight)
+    if log_head is None:
+        out = _gammainc_series(a, np.minimum(flat, 1.0), None)
     else:
-        head, log_head = flat, np.asarray(log_x, dtype=float).reshape(-1)
-        log_big = log_head[big]
-        head[big], log_head[big] = 1.0, 0.0
-    out = _gammainc_series(a, head, log_head)
+        flat[big], log_head[big] = np.negative(p_big, out=p_big), 0.0
+        del big, p_big
+        out = _gammainc_series(a, flat, log_head, weight=weight)
     if upper:
         np.subtract(1.0, out, out=out)
-    if big.size:
-        ser = x_big < (a + 1.0 if upper else a + 10.0)
-        p = _gammainc_series(a, x_big[ser],
-                             None if log_big is None else log_big[ser],
-                             float(np.max(x_big[ser], initial=1.0)))
-        q = _gammaincc_fraction(a, x_big[~ser])
-        out[big[ser]] = 1.0 - p if upper else p
-        out[big[~ser]] = q if upper else 1.0 - q
+    if log_head is None:
+        out[big] = p_big
+    else:                   # the mask in ln x's spent buffer
+        held = np.signbit(flat, out=log_head.view(bool)[:flat.size])
+        np.negative(flat, out=out, where=held)
     return out.reshape(xs.shape) if isinstance(x, np.ndarray) else float(out[0])
 
 
+def _gamma_above_one(a: float, x: np.ndarray, log_x: Optional[np.ndarray],
+                     upper: bool, weight: Optional[Tuple[float, float]]
+                     ) -> np.ndarray:
+    """_regularized_gamma at x > 1, x and log_x gathered copies.  Q takes
+    the fraction from x = a + 1 on, so that a deep tail keeps its relative
+    accuracy.  P keeps the series up to x = a + 10: below that, the
+    fraction's loop of small-array steps costs more, and P near 1 loses
+    nothing.  From _lower_cut(a) on, Q < 2^-55 and 1 - Q rounds to 1.0,
+    so P is 1.0 there without the fraction, bit for bit the same."""
+    out = np.empty(x.size)
+    far = x >= (a + 1.0 if upper else a + 10.0)
+    mid = ~far
+    if np.any(mid):
+        p = _gammainc_series(a, x[mid], None if log_x is None else log_x[mid],
+                             float(np.max(x[mid])), weight)
+        out[mid] = 1.0 - p if upper else p
+    if upper:
+        out[far] = _gammaincc_fraction(a, x[far])
+        return out
+    x_far = x[far]
+    near = x_far < _lower_cut(a)
+    p = np.ones(x_far.size)
+    p[near] = 1.0 - _gammaincc_fraction(a, x_far[near])
+    if weight is not None:
+        log_far = log_x[far]
+        log_far *= -weight[0]
+        log_far += weight[1]
+        p *= np.exp(log_far, out=log_far)
+    out[far] = p
+    return out
+
+
+@functools.lru_cache()
+def _lower_cut(a: float) -> float:
+    """An x >= a + 10 from which Q(a, x) <= 2^-56 < 2^-55, so that 1 - Q
+    rounds to 1.0 (within the fraction's 1e-13 relative error, as 2^-54
+    would): the root of the bound Q(a, x) <= x^(a-1) e^-x / Gamma(a) *
+    max(1, x / (x - a + 1)), by a fixed-point iteration from above, whose
+    step shrinks its error by a / x or less."""
+    target = 56.0 * math.log(2.0)
+    x = 2.0 * a + 60.0
+    for _ in range(200):
+        nxt = (target + (a - 1.0) * math.log(x) - math.lgamma(a)
+               + math.log(max(1.0, x / (x - a + 1.0))))
+        if abs(nxt - x) < 1e-9 * x:
+            break
+        x = nxt
+    return max(x, a + 10.0)
+
+
 def _gammainc_series(a: float, x: np.ndarray, log_x: Optional[np.ndarray],
-                     x_max: float = 1.0) -> np.ndarray:
+                     x_max: float = 1.0,
+                     weight: Optional[Tuple[float, float]] = None
+                     ) -> np.ndarray:
     """P(a, x) = x^a e^-x / Gamma(a+1) * S(x) for 0 <= x <= x_max, with
     S(x) = sum_n x^n / ((a+1)...(a+n)) = 1F1(1; a+1; x) >= 1 by Horner.
 
@@ -487,27 +540,34 @@ def _gammainc_series(a: float, x: np.ndarray, log_x: Optional[np.ndarray],
     second exp; ln x's rounding is then the input's own, and the error is
     a |ln x| ulps plus a few.  Above a = 100, where x^a and Gamma(a+1)
     near overflow: exp(a ln x - x - ln Gamma(a+1)), with ln x from x
-    where it is not given.
+    where it is not given.  weight = (b, c), with log_x, takes
+    exp((a - b) ln x - x + c) instead: P x^-b e^c at no extra pass.
     """
+    power = log_x is None and a <= 100.0
+    if power:
+        t = np.power(x, a)
+    else:
+        if log_x is None:
+            with np.errstate(divide="ignore"):      # x = 0: ln x = -inf
+                log_x = np.log(x)
+        b, c0 = weight or (0.0, 0.0)
+        t = np.multiply(log_x, a - b, out=log_x)
+        t -= x
+        if c0:
+            t += c0
     if x_max == 1.0:
         coef, y = _economized_series(a), x
-    else:
-        coef, y = _series_terms(a, x_max, 1e-17), x / x_max
+    else:       # x, above 1, is the caller's scratch: y in place past ln x
+        coef = _series_terms(a, x_max, 1e-17)
+        y = np.divide(x, x_max, out=None if power else x)
     s = y * coef[-1]
     s += coef[-2]
     for c in reversed(coef[:-2]):
         s *= y
         s += c
-    if log_x is None and a <= 100.0:
-        t = np.power(x, a)
+    if power:
         s *= t
         np.negative(x, out=t)                       # e^-x in x^a's buffer
-    else:
-        if log_x is None:
-            with np.errstate(divide="ignore"):      # x = 0: ln x = -inf
-                log_x = np.log(x)
-        t = np.multiply(log_x, a, out=log_x)
-        t -= x
     if a > 100.0:
         t -= math.lgamma(a + 1.0)
         s *= np.exp(t, out=t)
@@ -567,19 +627,24 @@ def _gammaincc_fraction(a: float, x: np.ndarray) -> np.ndarray:
     c = np.full_like(x, 1e300)
     d = 1.0 / b
     h = d.copy()
+    delta = np.empty_like(x)
     done = np.zeros(x.shape, dtype=bool)
-    for i in range(1, 10_000):
+    for i in range(1, 10_000):      # in place, one array op at a time
         an = -i * (i - a)
         b += 2.0
-        d = 1.0 / (an * d + b)
-        c = b + an / c
-        delta = d * c
+        d *= an
+        d += b
+        np.divide(1.0, d, out=d)            # 1 / (an d + b)
+        np.divide(an, c, out=c)
+        c += b                              # b + an / c
+        np.multiply(d, c, out=delta)
         h *= delta
         # 4e-16 is within an ulp of 1; a tighter stop may never be met.
         # Each x stops counting once it has met it: past that, delta is
         # rounding noise of 1 +- 2 ulps, and waiting for every x to meet
         # it at one step never ended for 65536 x at a = 1.5
-        done |= np.abs(delta - 1.0) < 4e-16
+        delta -= 1.0
+        done |= np.abs(delta, out=delta) < 4e-16
         if done.all():
             break
     return _gamma_prefactor(a, x) * h
@@ -638,77 +703,172 @@ def draw_snr_batch(exp: Experiment, n: int,
     return snr_from_gain(h, exp.link.avg_snr, exp.link.k_h)
 
 
-def conditioned_on_fading(exp: Experiment) -> bool:
-    """Whether the outage score integrates fading out (else misalignment):
-    alpha-mu fading (FadingParams.is_alpha_mu) with alpha mu < rho, i.e.
-    fading's exponent in the high-SNR slope min(alpha mu, rho, z) / 2 is
-    below misalignment's and fading drives the outage tail."""
-    fp = exp.fading
-    return fp.enabled and fp.is_alpha_mu and fp.alpha * fp.mu < exp.misalignment.rho
+# theta = TILT_FRACTION r_1.  Over the configs/sweep_outage.cfg cells at
+# 40-50 dB (1 M draws) the sum of (95 % half-width / 1 % of p)^2 reads
+# 0.031 at 0.5 r_1, 0.0114 here and 0.095 at r_1, where (2, 2.5) falls
+# to a variance reduction of 9 at 40 dB
+TILT_FRACTION = 0.75
+
+
+@dataclass(frozen=True)
+class OutageRule:
+    """How outage_score estimates P(T + W + F >= c) for the absorption,
+    misalignment and fading log-losses, with tail rates z, rho and
+    alpha mu (twice analytics.diversity_order's exponents)."""
+
+    integrated: str         # absorption | misalignment | fading
+    tilt: float             # theta of the drawn components, 0 if untilted
+    re_bounded: bool        # the relative error stays bounded as p -> 0
+
+    @property
+    def stream(self) -> int:
+        """The substream of the integrated component, which the score
+        draws nothing from."""
+        return {"absorption": streams.ABSORPTION, "fading": streams.FADING,
+                "misalignment": streams.MISALIGNMENT}[self.integrated]
+
+
+def outage_rule(exp: Experiment) -> OutageRule:
+    """The component of least rate r_1 among those with a CDF in the score
+    (Gamma absorption, misalignment, alpha-mu fading; misalignment, then
+    fading, on a tie) is integrated out, a conditional Monte Carlo
+    (Asmussen & Kroese, Adv. Appl. Probab. 38, 2006).  The others are
+    drawn, each from its law tilted by e^(theta L), theta =
+    TILT_FRACTION r_1, which stays in its Gamma family (Siegmund, Ann.
+    Statist. 4, 1976); theta is 0 where a drawn component has no tilted
+    family (eta-mu, kappa-mu fading).  The second moment of a weighted
+    score then decays as p^2 iff every drawn rate exceeds 2 r_1 - theta:
+    re_bounded.  theta does not depend on gamma_bar, so every point of a
+    grid scores the same draws."""
+    from .analytics import diversity_order     # analytics imports channel
+    fp, ab = exp.fading, exp.absorption
+    gamma = isinstance(ab, GammaAbsorption)
+    order = diversity_order(fp.alpha if fp.enabled else math.inf, fp.mu,
+                            exp.misalignment.rho,
+                            ab.z_for(exp.link) if gamma else math.inf)
+    r_fading, r_misalignment, r_absorption = (2.0 * e for e in order.exponents)
+    rates = {"misalignment": r_misalignment}    # the random components
+    if fp.enabled:
+        rates["fading"] = r_fading
+    if gamma:
+        rates["absorption"] = r_absorption
+    with_cdf = [c for c in rates if c != "fading" or fp.is_alpha_mu]
+    integrated = min(with_cdf, key=rates.__getitem__)
+    r_1 = rates.pop(integrated)
+    tilted = rates and ("fading" not in rates or fp.is_alpha_mu)
+    theta = TILT_FRACTION * r_1 if tilted else 0.0
+    return OutageRule(integrated, theta,
+                      all(r > 2.0 * r_1 - theta for r in rates.values()))
 
 
 def outage_score(exp: Experiment, gamma_hs: Sequence[float], m: int, rng,
                  stratified: bool = True, upper: bool = False
                  ) -> Iterator[np.ndarray]:
     """m draws of the outage probability P(h <= gamma_h) given every
-    channel component but the one conditioned_on_fading integrates out,
-    at each gamma_h of gamma_hs in turn, all from one draw of those
-    components; with upper, P(h > gamma_h) instead.
+    channel component but the one outage_rule integrates out, at each
+    gamma_h of gamma_hs in turn, all from one draw of those components;
+    with upper, P(h > gamma_h) instead.
 
-    rng(component) is that component's substream.  The drawn log-loss
-    ln(h_0 / h) is built once per call, a sum of log-gains: -ln(U V)/rho
-    plus the absorption loss on fading, with -ln(U V) stratified
-    (stratified_neg_log_product: draws k and k + m // 2 share a stratum
-    of its quantile) or, unless stratified, from iid (U, V)
-    (uniform_product); -ln G/alpha plus the loss on misalignment
-    (h / r_hat there), G iid (fading_power) but for alpha-mu fading with
-    mu >= 2 when stratified, where -ln(mu G)/alpha comes from
-    stratified_log_gamma, the same stratified -ln(U V) plus an iid
-    Gamma(mu - 2) (h / (r_hat mu^(-1/alpha))); the loss alone with fading
-    off.  Each gamma_h adds its constant ln(gamma_h / h_0) into one
-    reused buffer and the CDF of the integrated-out component takes it
-    whole: on fading,
-    ln u = ln(gamma_h / (h_l h_p)) and the alpha-mu CDF (its survival
-    function with upper); on misalignment, L = min(ln(gamma_h / (h_l h_f)),
-    0) and F_p(e^L).  So a point's scores do not depend on the other
-    points.  U V = 0 or an iid G = 0 (Generator.random and a Gamma draw
-    can return 0) gives ln = -inf and scores 1, as h = 0 does; a
-    stratified -ln(U V) = inf in stratified_log_gamma gives G = inf,
-    L = -inf and scores 0.  Each yielded array is new; deterministic
-    absorption with fading off yields a read-only broadcast constant.
+    rng(component) is that component's substream.  The drawn log-loss D
+    is built once per call, a sum over the drawn components, h =
+    h_0 e^-D.  stratified (the Monte Carlo mean's draws) draws each from
+    its law tilted by theta = outage_rule's tilt and weights each score
+    by the likelihood ratio e^(c - theta D), c = ln M(theta):
+    - absorption: the same standard_gamma(k) over z - theta, Gamma(k,
+      z - theta), c += k ln(z / (z - theta));
+    - misalignment: stratified_neg_log_product / (rho - theta), draws k
+      and k + m // 2 in one stratum of its quantile, c += 2 ln(rho /
+      (rho - theta));
+    - alpha-mu fading: mu G ~ Gamma(mu - theta / alpha), one iid
+      standard_gamma, D takes -ln(mu G) / alpha (h_0 has r_hat
+      mu^(-1/alpha)), c += ln Gamma(mu - theta / alpha) - ln Gamma(mu).
+    Unless stratified (QoS admission's reading), and with upper, the draws
+    are untilted and iid: the path loss of sample_path_loss, -ln(U V) /
+    rho from uniform_product and -ln G / alpha from fading_power (h_0 has
+    r_hat).  Each gamma_h adds its constant ln(gamma_h / h_0) into one
+    reused buffer, log_x = ln(gamma_h / h_0) + D, and the integrated
+    component's CDF takes it whole: Q(k, z max(-log_x, 0)) on
+    absorption; F_p(e^min(log_x, 0)) on misalignment; the alpha-mu CDF at
+    e^log_x on fading (their survival functions with upper).  The weight
+    is e^(c_p - theta log_x) with c_p = c + theta ln(gamma_h / h_0),
+    folded into the exp each score already takes.  So a point's scores
+    do not depend on the other points, and each weighted score lies in
+    [0, its likelihood ratio].  U V = 0 or G = 0 (Generator.random and a
+    Gamma draw can return 0) gives D = inf: h = 0, scored 1 untilted and
+    0 tilted (the ratio e^(-theta D) is 0).  Each yielded array is new;
+    deterministic absorption with fading off yields a read-only broadcast
+    constant.
     """
-    fp, rho = exp.fading, exp.misalignment.rho
-    on_fading = conditioned_on_fading(exp)
-    h_0, log_loss = sample_path_loss(exp.absorption, exp.link,
-                                     rng(streams.ABSORPTION), m)
-    if on_fading or fp.enabled:
-        with np.errstate(divide="ignore"):
-            if on_fading and stratified:    # -ln h_p
+    fp, ab, rho = exp.fading, exp.absorption, exp.misalignment.rho
+    rule = outage_rule(exp)
+    theta = rule.tilt if stratified and not upper else 0.0
+    c = 0.0                                 # ln M(theta)
+    if rule.integrated == "absorption":
+        h_0, log_loss = exp.link.a_l, 0.0
+    elif theta and isinstance(ab, GammaAbsorption):
+        z = ab.z_for(exp.link)
+        h_0 = exp.link.a_l
+        log_loss = rng(streams.ABSORPTION).standard_gamma(ab.k, m)
+        log_loss *= 1.0 / (z - theta)
+        c += ab.k * math.log(z / (z - theta))
+    else:
+        h_0, log_loss = sample_path_loss(ab, exp.link,
+                                         rng(streams.ABSORPTION), m)
+    with np.errstate(divide="ignore"):      # U V = 0 or G = 0: D = inf
+        if rule.integrated != "misalignment":   # -ln h_p
+            if stratified:
                 drawn = stratified_neg_log_product(rng(streams.MISALIGNMENT),
                                                    m)
-                drawn *= 1.0 / rho
-            elif on_fading:
+                drawn *= 1.0 / (rho - theta)
+                c += 2.0 * math.log(rho / (rho - theta))
+            else:
                 drawn = uniform_product(rng(streams.MISALIGNMENT), m)
                 np.log(drawn, out=drawn)
                 drawn *= -1.0 / rho
-            elif stratified and fp.is_alpha_mu and fp.mu >= 2.0:
-                # -ln(h_f / (r_hat mu^(-1/alpha))) = -ln(mu G) / alpha
-                drawn = stratified_log_gamma(fp.mu, rng(streams.FADING), m)
-                drawn *= -1.0 / fp.alpha
+            drawn += log_loss
+            log_loss = drawn
+        if rule.integrated != "fading" and fp.enabled:
+            if theta:                       # -ln(mu G) / alpha
+                shape = fp.mu - theta / fp.alpha
+                drawn = rng(streams.FADING).standard_gamma(shape, m)
+                np.log(drawn, out=drawn)
+                c += math.lgamma(shape) - math.lgamma(fp.mu)
                 h_0 *= fp.r_hat * fp.mu ** (-1.0 / fp.alpha)
-            else:                       # -ln(h_f / r_hat)
+            else:                           # -ln(h_f / r_hat)
                 drawn = np.log(fading_power(fp, rng(streams.FADING), m))
-                drawn *= -1.0 / fp.alpha
                 h_0 *= fp.r_hat
-        drawn += log_loss
-        log_loss = drawn
+            drawn *= -1.0 / fp.alpha
+            drawn += log_loss
+            log_loss = drawn
     shift = np.empty(m) if isinstance(log_loss, np.ndarray) else None
     for gamma_h in gamma_hs:
-        log_x = np.add(log_loss, math.log(gamma_h / h_0), out=shift)
-        if on_fading:
-            yield alpha_mu_cdf_log(log_x, fp, upper, overwrite_input=True)
-            continue
-        score = misalignment_cdf_log(np.minimum(log_x, 0.0, out=shift), rho)
-        if upper:
-            score = 1.0 - score
-        yield score if shift is not None else np.broadcast_to(score, m)
+        s = math.log(gamma_h / h_0)
+        log_x = np.add(log_loss, s, out=shift)
+        weight = (theta, c + theta * s) if theta else None
+        if rule.integrated == "fading":
+            yield alpha_mu_cdf_log(log_x, fp, upper, overwrite_input=True,
+                                   weight=weight)
+        elif rule.integrated == "absorption":
+            yield _absorption_score(log_x, ab.k, ab.z_for(exp.link), upper,
+                                    weight)
+        else:
+            score = misalignment_cdf_log(log_x, rho, weight)
+            if upper:
+                score = 1.0 - score
+            yield score if shift is not None else np.broadcast_to(score, m)
+
+
+def _absorption_score(log_x: np.ndarray, k: float, z: float, upper: bool,
+                      weight: Optional[Tuple[float, float]]) -> np.ndarray:
+    """P(T >= -log_x) = Q(k, z max(-log_x, 0)) for the absorption loss T ~
+    Gamma(k, rate z), or P(T < -log_x) with upper; times e^(c - theta
+    log_x) for weight = (theta, c), log_x written into."""
+    y = np.negative(log_x)
+    np.maximum(y, 0.0, out=y)
+    y *= z
+    out = _regularized_gamma(k, y, not upper)
+    if weight is not None:
+        log_x *= -weight[0]
+        log_x += weight[1]
+        out *= np.exp(log_x, out=log_x)
+    return out

@@ -308,7 +308,8 @@ def _suite_results(cfg: RunConfig, manifest: Manifest) -> List[dict]:
                         "se": se, "vrf": vrf,
                         "ok": bool(abs(phat - p) <= z * se)})
         record("no_fading_outage", all(pt["ok"] for pt in pts),
-               {"z": z, "points": pts})
+               {"z": z, "points": pts, "conditioned": curve.conditioned,
+                "tilt": curve.tilt, "re_bounded": curve.re_bounded})
 
     k_sweep = [3, 10, 40, 100, 1000, 10000]
     rows = validation.bound_sweep(k_sweep)
@@ -340,7 +341,7 @@ def cmd_validate(cfg: RunConfig, out_dir: Path, manifest: Manifest) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-CELL_SCHEMA = "thzra.sweep.cell.v10"
+CELL_SCHEMA = "thzra.sweep.cell.v11"
 
 
 @dataclass(frozen=True)
@@ -415,10 +416,11 @@ def _write_cell(cell: SweepCell, path: Path, schema: str,
                     stats.mean_energy_uj]
     if curve is not None:
         cols += ["p_out", "p_out_ci_lo", "p_out_ci_hi", "p_out_se", "vrf",
-                 "conditioned", "outage_draws"]
+                 "conditioned", "tilt", "re_bounded", "outage_draws"]
         row += [float(curve.p_out[j]), float(curve.ci_lo[j]),
                 float(curve.ci_hi[j]), float(curve.se[j]),
-                float(curve.vrf[j]), curve.conditioned, cell.outage_draws]
+                float(curve.vrf[j]), curve.conditioned, curve.tilt,
+                int(curve.re_bounded), cell.outage_draws]
     write_csv_atomic(path, schema, cols, [row])
     return cell.outage_draws or 0
 

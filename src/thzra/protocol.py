@@ -74,8 +74,7 @@ def admit_users(exp: Experiment, block: int, size: int) -> np.ndarray:
     rngs = {c: streams.substream(cfg.seed, streams.ADMISSION, block, c)
             for c in (streams.ABSORPTION, streams.FADING,
                       streams.MISALIGNMENT)}
-    free = rngs[streams.FADING if channel.conditioned_on_fading(exp)
-                else streams.MISALIGNMENT]
+    free = rngs[channel.outage_rule(exp).stream]
     w = (channel.stratified_uniform(free, size)
          if n <= QUANTILE_MAX_USERS else None)
     counts = np.empty(size, dtype=np.int64)

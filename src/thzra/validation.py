@@ -122,8 +122,10 @@ class OutageCurve:
     se: np.ndarray           # standard error of p_out
     vrf: np.ndarray          # variance of crude counting, p(1-p)/n, over
                              # se^2; inf where the estimate is exact
-    conditioned: str         # fading | misalignment: the component
-                             # outage_score integrates out
+    conditioned: str         # absorption | misalignment | fading: the
+                             # component outage_score integrates out
+    tilt: float              # theta of the drawn components (outage_rule)
+    re_bounded: bool         # relative error bounded as p_out -> 0
 
 
 def outage_mc(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float],
@@ -131,15 +133,14 @@ def outage_mc(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float],
     """Outage probability over an average-SNR grid, one channel component
     integrated out in closed form (channel.outage_score).
 
-    Conditioned on fading, each draw scores the alpha-mu CDF at
-    gamma_h / (h_l h_p), h_p = (U V)^(1/rho) with -ln(U V) drawn in
-    strata of its own quantile (channel.stratified_neg_log_product);
-    conditioned on misalignment, F_p at min(gamma_h / (h_l h_f), 1),
-    with the -ln(U V) of mu G = -ln(U V) + Gamma(mu - 2) so stratified
-    for alpha-mu fading at mu >= 2 and G iid otherwise.
-    Either score is the outage probability given the other components,
-    so the mean is unbiased and its variance never exceeds crude
-    counting's (Rao-Blackwell).  Points where gamma_th settles the
+    channel.outage_rule integrates out the component of least tail rate
+    r_1 among absorption, misalignment and alpha-mu fading, and draws the
+    others from their laws tilted by theta = channel.TILT_FRACTION r_1,
+    each score weighted by its likelihood ratio, with -ln(U V) in strata
+    of its own quantile (channel.stratified_neg_log_product).  The
+    weighted score's mean is p_out, and where the rule's re_bounded holds
+    its relative error stays bounded as p_out -> 0, so the se keeps its
+    calibration deep in the tail.  Points where gamma_th settles the
     answer (OutageQuery.settled) take it without drawing.
 
     Every point scores the same draws: chunk j of OUTAGE_CHUNK draws comes
@@ -171,13 +172,12 @@ def outage_mc(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float],
     with np.errstate(divide="ignore", invalid="ignore"):
         # both variances 0 where the threshold settles p: no reduction
         vrf = np.where(crude == 0.0, 1.0, crude / se ** 2)
+    rule = channel.outage_rule(exp)
     return OutageCurve(gamma_bar_db=gdb, p_out=p,
                        ci_lo=np.maximum(p - Z95 * se, 0.0),
                        ci_hi=np.minimum(p + Z95 * se, 1.0),
-                       se=se, vrf=vrf,
-                       conditioned=("fading"
-                                    if channel.conditioned_on_fading(exp)
-                                    else "misalignment"))
+                       se=se, vrf=vrf, conditioned=rule.integrated,
+                       tilt=rule.tilt, re_bounded=rule.re_bounded)
 
 
 # ---------------------------------------------------------------------------

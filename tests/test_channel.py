@@ -480,47 +480,6 @@ def test_fading_eta_mu_and_kappa_mu_take_the_gaussian_construction(kw):
         channel.fading_power(fp, RNG(50), 1000),
         channel._fading_gaussian_construction(fp, RNG(50), 1000))
 
-SHAPES = [2.0, 2.5, 3.0, 4.5]
-
-
-@pytest.mark.parametrize("shape", SHAPES)
-@pytest.mark.parametrize("size", [2 ** 16, 2 ** 16 + 1])
-def test_stratified_log_gamma_law(shape, size):
-    # e^(ln X) follows Gamma(shape), full and odd chunks alike
-    x = np.exp(channel.stratified_log_gamma(shape, RNG(21), size))
-    result = sstats.kstest(x, sstats.gamma(shape).cdf)
-    assert result.statistic < 1.36 / math.sqrt(size)
-
-
-@pytest.mark.parametrize("shape", SHAPES)
-@pytest.mark.parametrize("size", [1, 2, 3, 4321, 2 ** 16 + 1])
-def test_stratified_log_gamma_cells(shape, size):
-    # ln X = ln(Y + R) with Y = -ln(U V) from stratified_neg_log_product on
-    # the same stream (draws k and k + P share a stratum, an odd size's
-    # last draw is iid), and R drawn after its `size` uniforms, Z^2 / 2 at
-    # shape 2.5 and 0 at 2
-    rng = RNG(22)
-    y = channel.stratified_neg_log_product(rng, size)
-    if shape == 2.5:
-        r = np.square(rng.standard_normal(size)) * 0.5
-    else:
-        r = rng.standard_gamma(shape - 2.0, size) if shape > 2.0 else 0.0
-    got = channel.stratified_log_gamma(shape, RNG(22), size)
-    np.testing.assert_allclose(got, np.log(y + r), rtol=1e-15, atol=0)
-
-
-@pytest.mark.parametrize("shape", SHAPES)
-def test_stratified_log_gamma_mean(shape):
-    # G = X / shape, the normalized fading power, has mean 1 within 4 se
-    # of the pair estimator over eight 2^16 chunks
-    mean = channel.StratifiedMean()
-    for i in range(8):
-        mean.add(np.exp(channel.stratified_log_gamma(shape, RNG(30 + i),
-                                                     2 ** 16)) / shape)
-    m, se = mean.estimate()
-    assert abs(m - 1.0) <= 4.0 * se, (m, se)
-
-
 # ---------------------------------------------------------------------------
 # numpy incomplete gamma and the alpha-mu CDF
 # ---------------------------------------------------------------------------
@@ -676,6 +635,43 @@ def test_alpha_mu_cdf_log_can_overwrite_its_input():
                                        overwrite_input=True)
         np.testing.assert_array_equal(got, want)
         assert not np.array_equal(scratch, log_u)
+
+
+@pytest.mark.parametrize("a", [1.0, 1.5, 2.5, 3.0, 40.5])
+def test_lower_gamma_cut_off_is_bit_identical(a):
+    # from _lower_cut(a) on P is 1.0 without the continued fraction; the
+    # fraction's 1 - Q gave exactly that, as Q < 2^-55 there: every x past
+    # a + 10 reads the same bits as when the fraction took them all, by x
+    # and by ln x
+    cut = channel._lower_cut(a)
+    with mpmath.workdps(40):
+        q = mpmath.gammainc(a, mpmath.mpf(cut), mpmath.inf, regularized=True)
+    assert a + 10.0 <= cut and q < 2.0 ** -55
+    x = np.geomspace(1e-3, 10.0 * cut, 4000)
+    assert np.any(x >= cut)
+    far = x >= a + 10.0
+    want = channel.gammainc(a, x)
+    want[far] = 1.0 - channel._gammaincc_fraction(a, x[far])
+    np.testing.assert_array_equal(channel.gammainc(a, x), want)
+    got = channel._regularized_gamma(a, x.copy(), False, np.log(x))
+    np.testing.assert_array_equal(got[far], want[far])
+    np.testing.assert_array_equal(got[x >= cut], 1.0)
+
+
+@pytest.mark.parametrize("a", [0.7, 1.5, 2.5, 150.0])
+def test_weighted_gammainc_is_the_product(a):
+    # weight = (b, c) folds x^-b e^c into the prefactor: the tilted outage
+    # score's likelihood ratio, on every branch of the evaluation
+    L = np.linspace(-30.0, math.log(a + 60.0), 3000)
+    b, c = 0.75 * min(a, 1.5), 0.4
+    got = channel._regularized_gamma(a, np.exp(L), False, L.copy(), (b, c))
+    want = channel._regularized_gamma(a, np.exp(L), False, L.copy())
+    normal = want > 1e-290          # the product rounds P itself first
+    want *= np.exp(c - b * L)
+    # beyond a = 100 the exponent carries ln Gamma(a+1) and its rounding
+    np.testing.assert_allclose(got[normal], want[normal],
+                               rtol=1e-13 * max(1.0, a / 50.0), atol=0)
+    assert np.all(got[~normal] <= 1e-280)
 
 
 def test_gammainc_endpoints_and_shapes():

@@ -551,7 +551,8 @@ def test_validate_catches_biased_misalignment_cdf(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, "fast.cfg", fast_validate_text())
     cdf = channel.misalignment_cdf_log
     monkeypatch.setattr(channel, "misalignment_cdf_log",
-                        lambda log_x, rho: cdf(log_x, 1.05 * rho))
+                        lambda log_x, rho, weight=None:
+                        cdf(log_x, 1.05 * rho, weight))
     out = tmp_path / "out"
     assert cli.main(["validate", "--config", str(cfg), "--seed", "3",
                      "--out", str(out)]) == 1
@@ -693,23 +694,24 @@ def test_sweep_grid_and_resume(tmp_path):
     # draws), a v6 cell (admission by SNR counts), a v7 cell (an odd
     # chunk's last draw in cell 0), a v8 cell (iid fading draws on
     # misalignment) or a v9 cell (strata on a grid of (U, V)) with the
-    # current digest is recomputed too
+    # current digest is recomputed too, and so is a v10 cell (untilted
+    # draws) below
     schema = before[cells[4].name].decode().splitlines()[0]
-    assert schema.startswith("#schema: thzra.sweep.cell.v10 digest=")
+    assert schema.startswith("#schema: thzra.sweep.cell.v11 digest=")
     for i, old in ((0, ".v6 "), (1, ".v8 "), (2, ".v7 "), (5, ".v9 ")):
-        cells[i].write_text(schema.replace(".v10 ", old) + "\n"
+        cells[i].write_text(schema.replace(".v11 ", old) + "\n"
                             + before[cells[i].name].decode().split("\n", 1)[1])
-    cells[4].write_text(schema.replace(".v10 ", ".v2 ")
+    cells[4].write_text(schema.replace(".v11 ", ".v2 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,outage_draws"
                         "\n2,3,0.5,0.4,0.6,20000\n")
-    cells[6].write_text(schema.replace(".v10 ", ".v3 ")
+    cells[6].write_text(schema.replace(".v11 ", ".v3 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,p_out_se,vrf,"
                         "outage_draws\n3,2,0.5,0.4,0.6,0.05,2.0,20000\n")
-    cells[7].write_text(schema.replace(".v10 ", ".v4 ")
+    cells[7].write_text(schema.replace(".v11 ", ".v4 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,p_out_se,vrf,"
                         "conditioned,outage_draws\n3,3,0.5,0.4,0.6,0.05,2.0,"
                         "misalignment,20000\n")
-    cells[8].write_text(schema.replace(".v10 ", ".v5 ")
+    cells[8].write_text(schema.replace(".v11 ", ".v5 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,p_out_se,vrf,"
                         "conditioned,outage_draws\n3,4,0.5,0.4,0.6,0.05,2.0,"
                         "fading,20000\n")
@@ -720,6 +722,13 @@ def test_sweep_grid_and_resume(tmp_path):
     assert after == before
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert len(manifest["outputs"]) == 9
+    cells[0].write_text(schema.replace(".v11 ", ".v10 ") + "\n"
+                        + before[cells[0].name].decode().split("\n", 1)[1])
+    assert cli.main(["sweep", "--config", str(cfg), "--seed", "9",
+                     "--out", str(out)]) == 0
+    assert cell_bytes(out) == before
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["counters"] == sweep_counters(1, 8, 0, 20000)
 
     # an unchanged rerun reuses every cell: no file is rewritten
     stamps = cell_stamps(out)
@@ -810,8 +819,9 @@ def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
     p_files = sorted((par / "sweep").glob("*.csv"))
     assert [f.name for f in s_files] == [f.name for f in p_files]
     _, header, _ = read_rows(s_files[0])
-    assert header[-7:] == ["p_out", "p_out_ci_lo", "p_out_ci_hi", "p_out_se",
-                           "vrf", "conditioned", "outage_draws"]
+    assert header[-9:] == ["p_out", "p_out_ci_lo", "p_out_ci_hi", "p_out_se",
+                           "vrf", "conditioned", "tilt", "re_bounded",
+                           "outage_draws"]
     for a, b in zip(s_files, p_files):
         assert a.read_bytes() == b.read_bytes()
     for out in (serial, par):

@@ -198,11 +198,10 @@ def test_outage_mc_exact_where_the_score_is_constant():
 
 
 class ZeroDraws:
-    """A Generator whose uniform, Gamma and normal draws 0 and size // 2
-    are 0.0, which Generator.random can return: U V = 0 (h_p = 0) from
-    iid uniforms or from the stratified -ln(U V) (the two draws of
-    stratum 0, w = 0), G = 0 (h_f = 0) from an iid Gamma draw, and
-    G = inf (h_f = inf) from the stratified -ln(U V) + Gamma(mu - 2)."""
+    """A Generator whose uniform and Gamma draws 0 and size // 2 are 0.0,
+    which Generator.random and a Gamma draw can return: U V = 0 (h_p = 0)
+    from iid uniforms or from the stratified -ln(U V) (the two draws of
+    stratum 0, w = 0), and G = 0 (h_f = 0) from a Gamma draw."""
 
     def __init__(self, rng):
         self.rng = rng
@@ -213,47 +212,97 @@ class ZeroDraws:
     def standard_gamma(self, shape, size):
         return self.zeroed(self.rng.standard_gamma(shape, size))
 
-    def standard_normal(self, size):
-        return self.zeroed(self.rng.standard_normal(size))
-
     @staticmethod
     def zeroed(x):
         x[[0, x.size // 2]] = 0.0
         return x
 
 
-def linear_score(exp, gamma_h, m, rng, stratified=True):
-    """The conditional outage score composed from channel's linear samplers
-    and CDFs: the alpha-mu CDF at gamma_h / (h_l h_p), with
-    h_p = (U V)^(1/rho) from the iid U V or, stratified, from
-    U V = e^(-stratified_neg_log_product), or F_p at
-    min(gamma_h / (h_l h_f), 1), with h_f = r_hat G^(1/alpha) and,
-    stratified for alpha-mu at mu >= 2, mu G = e^(stratified_log_gamma)."""
-    fp = exp.fading
-    h = channel.sample_path_gain(exp.absorption, exp.link,
-                                 rng(streams.ABSORPTION), m)
-    with np.errstate(divide="ignore"):      # h = 0 gives gamma_h / h = inf
-        if channel.conditioned_on_fading(exp):
-            if stratified:
-                w = np.exp(-channel.stratified_neg_log_product(
-                    rng(streams.MISALIGNMENT), m))
+def tilt_ratio_bound(exp):
+    """M(theta) = E[e^(theta L)] over the tilted components of outage_rule,
+    L their log-losses against a_l and r_hat: the largest likelihood
+    ratio of a draw whose gains lie below those."""
+    rule, fp, rho = channel.outage_rule(exp), exp.fading, exp.misalignment.rho
+    theta, m = rule.tilt, 1.0
+    if theta and rule.integrated != "absorption" and isinstance(
+            exp.absorption, GammaAbsorption):
+        z = exp.absorption.z_for(exp.link)
+        m *= (z / (z - theta)) ** exp.absorption.k
+    if theta and rule.integrated != "misalignment":
+        m *= (rho / (rho - theta)) ** 2
+    if theta and rule.integrated != "fading" and fp.enabled:
+        shape = fp.mu - theta / fp.alpha
+        m *= fp.mu ** (theta / fp.alpha) * math.exp(
+            math.lgamma(shape) - math.lgamma(fp.mu))
+    return m
+
+
+def linear_draws(exp, m, rng, stratified=True):
+    """The gains outage_score draws, in linear form, and each draw's
+    likelihood ratio: h_l, h_p, h_f (None for the integrated component,
+    h_f = 1 with fading off) and the ratio
+    M(theta) prod (gain / its top)^theta over the tilted gains, 1
+    untilted.  Tilted (stratified): h_l = a_l e^(-Gamma(k) / (z - theta)),
+    h_p = e^(-stratified_neg_log_product / (rho - theta)) and
+    h_f = r_hat (Gamma(mu - theta / alpha) / mu)^(1/alpha); untilted the
+    linear samplers, with h_p = e^(-stratified_neg_log_product / rho)
+    where stratified."""
+    fp, ab, link, rho = (exp.fading, exp.absorption, exp.link,
+                         exp.misalignment.rho)
+    rule = channel.outage_rule(exp)
+    theta = rule.tilt if stratified else 0.0
+    ratio = tilt_ratio_bound(exp) if theta else 1.0
+    h_l = h_p = h_f = None
+    with np.errstate(divide="ignore"):      # U V = 0: -ln = inf, h_p = 0
+        if rule.integrated != "absorption":
+            if theta and isinstance(ab, GammaAbsorption):
+                z = ab.z_for(link)
+                t = rng(streams.ABSORPTION).standard_gamma(ab.k, m)
+                h_l = link.a_l * np.exp(-t / (z - theta))
+                ratio = ratio * (h_l / link.a_l) ** theta
             else:
-                w = channel.uniform_product(rng(streams.MISALIGNMENT), m)
-            h = h * w ** (1.0 / exp.misalignment.rho)
-            return channel.alpha_mu_cdf(gamma_h / h, fp)
-        if fp.enabled and stratified and fp.is_alpha_mu and fp.mu >= 2.0:
-            g = np.exp(channel.stratified_log_gamma(
-                fp.mu, rng(streams.FADING), m)) / fp.mu
-            h = h * (fp.r_hat * g ** (1.0 / fp.alpha))
-        elif fp.enabled:
-            h = h * channel.sample_fading(fp, rng(streams.FADING), m)
-        return reference.misalignment_cdf(np.minimum(gamma_h / h, 1.0),
-                                          exp.misalignment.rho)
+                h_l = channel.sample_path_gain(ab, link,
+                                               rng(streams.ABSORPTION), m)
+        if rule.integrated != "misalignment" and stratified:
+            h_p = np.exp(-channel.stratified_neg_log_product(
+                rng(streams.MISALIGNMENT), m) / (rho - theta))
+            ratio = ratio * h_p ** theta
+        elif rule.integrated != "misalignment":
+            h_p = channel.sample_misalignment(rho, rng(streams.MISALIGNMENT),
+                                              m)
+        if rule.integrated != "fading" and fp.enabled and theta:
+            g = rng(streams.FADING).standard_gamma(
+                fp.mu - theta / fp.alpha, m) / fp.mu
+            h_f = fp.r_hat * g ** (1.0 / fp.alpha)
+            ratio = ratio * (h_f / fp.r_hat) ** theta
+        elif rule.integrated != "fading":
+            h_f = (channel.sample_fading(fp, rng(streams.FADING), m)
+                   if fp.enabled else 1.0)
+    return h_l, h_p, h_f, ratio
+
+
+def linear_score(exp, gamma_h, m, rng, stratified=True):
+    """The conditional outage score composed from linear_draws and the
+    channel's linear CDFs, times the draw's likelihood ratio: the
+    alpha-mu CDF at gamma_h / (h_l h_p), F_p at min(gamma_h / (h_l h_f), 1)
+    or the path-gain CDF at gamma_h / (h_p h_f)."""
+    h_l, h_p, h_f, ratio = linear_draws(exp, m, rng, stratified)
+    with np.errstate(divide="ignore"):      # h = 0 gives gamma_h / h = inf
+        if h_f is None:
+            score = channel.alpha_mu_cdf(gamma_h / (h_l * h_p), exp.fading)
+        elif h_l is None:
+            score = channel.path_gain_cdf(gamma_h / (h_p * h_f),
+                                          exp.absorption, exp.link)
+        else:
+            score = reference.misalignment_cdf(
+                np.minimum(gamma_h / (h_l * h_f), 1.0), exp.misalignment.rho)
+    return score * ratio
 
 
 DETERMINISTIC = "deterministic"
+SET_B = GammaAbsorption(k=1.0, beta=60.0)   # criterion 8's z = 1.45 < 2, 4
 SCORE_BRANCHES = {
-    # name: (fading, rho, absorption, k_t, conditioned)
+    # name: (fading, rho, absorption, k_t, integrated)
     "fading_off": (FadingParams(enabled=False), 4.0, None, 0.0,
                    "misalignment"),
     "alpha_mu_on_fading": (FadingParams(alpha=1.0, mu=1.5, r_hat=1.3), 4.1,
@@ -276,18 +325,19 @@ SCORE_BRANCHES = {
                       "fading"),
     "k_h_on_misalignment": (FadingParams(alpha=2.0, mu=2, eta=2.0), 4.0,
                             None, 0.1, "misalignment"),
+    "alpha_mu_on_absorption": (FadingParams(alpha=2.0, mu=1, r_hat=1.3), 4.0,
+                               SET_B, 0.0, "absorption"),
 }
 
 
 def branch_experiment(name):
-    fading, rho, absorption, k_t, conditioned = SCORE_BRANCHES[name]
+    fading, rho, absorption, k_t, integrated = SCORE_BRANCHES[name]
     exp = make_experiment(
         link=replace(make_experiment().link, k_t=k_t, k_r=k_t),
         fading=fading, misalignment=MisalignmentParams(rho=rho),
-        absorption=(DeterministicAbsorption()
-                    if absorption == DETERMINISTIC
-                    else GammaAbsorption(k=3, beta=10.0)))
-    assert channel.conditioned_on_fading(exp) == (conditioned == "fading")
+        absorption=(DeterministicAbsorption() if absorption == DETERMINISTIC
+                    else absorption or GammaAbsorption(k=3, beta=10.0)))
+    assert channel.outage_rule(exp).integrated == integrated
     return exp
 
 
@@ -308,7 +358,10 @@ def test_outage_score_is_the_linear_composition(name, db):
         [got] = channel.outage_score(exp, [q.gamma_h], m, rng)
     want = linear_score(exp, q.gamma_h, m, rng)
     assert got.shape == (m,)
-    assert np.all((got >= 0.0) & (got <= 1.0))
+    # a probability times a likelihood ratio, within [0, M(theta)] (1
+    # where nothing is tilted): the ratio exceeds M(theta) only where a
+    # fading gain exceeds r_hat, and such draws score far below 1 here
+    assert np.all((got >= 0.0) & (got <= tilt_ratio_bound(exp)))
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-300)
 
 
@@ -339,13 +392,12 @@ def test_outage_score_iid_and_upper(name):
                                   "alpha_mu_on_misalignment",
                                   "deterministic_on_fading"])
 def test_outage_score_of_a_zero_gain_is_one(name):
-    # U V = 0 on fading, and G = 0 from the iid Gamma draws on
-    # misalignment (QoS admission's; the stratified draws are
-    # test_outage_score_of_an_infinite_fading_gain_is_zero), means h = 0:
-    # the draw is in outage, scored 1 without a RuntimeWarning
+    # U V = 0 on fading, and G = 0 from the Gamma draws on misalignment,
+    # in QoS admission's untilted draws (the tilted ones are
+    # test_tilted_score_of_a_zero_gain_is_zero), means h = 0: the draw is
+    # in outage, scored 1 without a RuntimeWarning
     exp = branch_experiment(name)
     q = analytics.OutageQuery(10 ** 0.5, 10 ** 4.5, exp.link.k_h)
-    stratified = channel.conditioned_on_fading(exp)
 
     def rng(comp):
         return ZeroDraws(streams.substream(3, 0, 0, comp))
@@ -353,19 +405,23 @@ def test_outage_score_of_a_zero_gain_is_one(name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         [got] = channel.outage_score(exp, [q.gamma_h], 1000, rng,
-                                     stratified=stratified)
+                                     stratified=False)
     np.testing.assert_array_equal(got[[0, 500]], 1.0)
     np.testing.assert_allclose(
-        got, linear_score(exp, q.gamma_h, 1000, rng, stratified=stratified),
+        got, linear_score(exp, q.gamma_h, 1000, rng, stratified=False),
         rtol=1e-13, atol=1e-300)
 
 
-def test_outage_score_of_an_infinite_fading_gain_is_zero():
-    # on misalignment, alpha-mu at mu >= 2 draws mu G = -ln(U V) + R with
-    # -ln(U V) stratified: u = 0 in stratum 0 is U V = 0, so G = inf,
-    # h = inf and L = -inf, scored exactly 0 (not 0 * inf = NaN) without a
-    # RuntimeWarning
-    exp = branch_experiment("alpha_mu_on_misalignment")
+@pytest.mark.parametrize("name", ["alpha_mu_on_fading",
+                                  "alpha_mu_on_misalignment",
+                                  "alpha_mu_on_absorption"])
+def test_tilted_score_of_a_zero_gain_is_zero(name):
+    # a stratified -ln(U V) = inf (u = 0 in stratum 0) or a tilted Gamma
+    # draw G = 0 is h = 0, in outage, but its likelihood ratio e^(-theta D)
+    # is 0 at D = inf: scored exactly 0, not 1 * 0 by way of NaN, and
+    # without a RuntimeWarning
+    exp = branch_experiment(name)
+    assert channel.outage_rule(exp).tilt > 0.0
     q = analytics.OutageQuery(10 ** 0.5, 10 ** 4.5, exp.link.k_h)
 
     def rng(comp):
@@ -477,7 +533,7 @@ def test_outage_mc_matches_quadrature_on_fading_cells():
     # se of that double integral at 40, 45 and 50 dB
     grid = [40.0, 45.0, 50.0]
     for coords, gamma_th, exp in sweep_cells():
-        if not channel.conditioned_on_fading(exp):
+        if channel.outage_rule(exp).integrated != "fading":
             continue
         fp, ab, link = exp.fading, exp.absorption, exp.link
         assert ab.k == 1
@@ -559,6 +615,39 @@ def test_stratified_outage_se_is_calibrated():
         se = np.array([c.se[0] for c in curves])
         ratio = np.std(p, ddof=1) / math.sqrt(np.mean(se ** 2))
         assert 0.85 <= ratio <= 1.15, (coords, ratio)
+
+
+TAIL_GRID = [40.0, 60.0, 80.0, 100.0, 120.0]
+TAIL_SEEDS = 200
+
+
+def test_tilted_outage_is_calibrated_to_120_db():
+    # over 200 seeds of one 2^14 + 1 draw run each, on the four sweep
+    # groups from 40 to 120 dB (p_out down to 3.5e-12): the spread of p_out
+    # over its root-mean-square se lies in [0.85, 1.15], and the mean of
+    # z = (p_out - exact) / se within 3 / sqrt(seeds) of 0, the exact
+    # value a quadrature of the no-fading law over the fading power.
+    # Untilted, the same runs read a mean z of -0.6 to -5.9 from 80 dB on
+    # three groups (the typical se far below the typical error).  At this
+    # run length the mean z of (4.1, 2.5) carries a ratio bias of about
+    # -0.12 at 100-120 dB (a run's se grows with its p_out): over eight
+    # sets of 200 seeds it read -0.29 to +0.01 at 120 dB
+    for coords, gamma_th, exp in sweep_cells():
+        rule = channel.outage_rule(exp)
+        assert rule.tilt == 0.75 * min(exp.misalignment.rho,
+                                       exp.fading.alpha * exp.fading.mu)
+        exact = np.array([reference.exact_outage(exp, analytics.OutageQuery(
+            gamma_th, 10 ** (db / 10.0), exp.link.k_h).gamma_h)
+            for db in TAIL_GRID])
+        curves = [validation.outage_mc(exp, gamma_th, TAIL_GRID, 2 ** 14 + 1,
+                                       seed) for seed in range(TAIL_SEEDS)]
+        p = np.array([c.p_out for c in curves])
+        se = np.array([c.se for c in curves])
+        spread = np.std(p, axis=0, ddof=1) / np.sqrt(np.mean(se ** 2, axis=0))
+        mean_z = np.mean((p - exact) / se, axis=0)
+        assert np.all((spread >= 0.85) & (spread <= 1.15)), (coords, spread)
+        assert np.all(np.abs(mean_z) <= 3.0 / math.sqrt(TAIL_SEEDS)), (
+            coords, mean_z)
 
 
 def stratified_estimate(exp, gamma_h, n, seed):
@@ -723,7 +812,7 @@ def test_slope_fit_is_least_squares():
     curve = validation.OutageCurve(
         gamma_bar_db=db, p_out=p, ci_lo=0.9 * p, ci_hi=1.1 * p,
         se=0.05 * p, vrf=np.ones(db.size),
-        conditioned="none")
+        conditioned="none", tilt=0.0, re_bounded=False)
     ref = stats.linregress(db / 10.0, np.log10(p))
     fit = reference.slope_fit(curve)
     assert fit.n_points == db.size
