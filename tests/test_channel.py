@@ -6,10 +6,10 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 from scipy import stats as sstats
 
-from thzra import channel
+from thzra import channel, streams
 from thzra.errors import OutOfRange, UnsupportedParams
 from thzra.params import (DeterministicAbsorption, FadingParams, GammaAbsorption,
                           MisalignmentParams, ThzLinkParams)
@@ -479,6 +479,47 @@ def test_fading_eta_mu_and_kappa_mu_take_the_gaussian_construction(kw):
     np.testing.assert_array_equal(
         channel.fading_power(fp, RNG(50), 1000),
         channel._fading_gaussian_construction(fp, RNG(50), 1000))
+
+SHAPES = [2.0, 2.5, 3.0, 4.5]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("size", [1, 2, 3, 4321, 2 ** 16 + 1])
+def test_stratified_log_gamma_cells(shape, size):
+    # the stratified score's drawn log-losses, absorption integrated, with
+    # alpha-mu fading of mu = shape: -ln h_p = -ln(U V) / (rho - theta)
+    # with -ln(U V) from stratified_neg_log_product (draws k and k +
+    # size // 2 share a stratum, an odd size's last draw is iid), and mu G
+    # ~ Gamma(shape - theta / alpha) on the fading stream.  Each score is
+    # Q(k, z max(ln(h / gamma_h), 0)) times the likelihood ratio
+    # (rho / (rho - theta))^2 h_p^theta (mu G)^(theta / alpha)
+    # Gamma(shape - theta / alpha) / Gamma(shape), composed with scipy
+    ab = GammaAbsorption(k=1.0, beta=60.0)
+    fp = FadingParams(alpha=2.0, mu=shape, r_hat=1.3)
+    exp = make_experiment(absorption=ab, fading=fp,
+                          misalignment=MisalignmentParams(rho=4.0))
+    rule = channel.outage_rule(exp)
+    assert rule.integrated == "absorption" and rule.tilt > 0.0
+    theta, rho, z = rule.tilt, 4.0, ab.z_for(exp.link)
+    gamma_h = exp.link.a_l * fp.r_hat * math.exp(-1.5)
+
+    def rng(comp):
+        return RNG([22, comp])
+
+    [got] = channel.outage_score(exp, [gamma_h], size, rng)
+    y = channel.stratified_neg_log_product(rng(streams.MISALIGNMENT), size)
+    x = rng(streams.FADING).standard_gamma(shape - theta / fp.alpha, size)
+    h_p = np.exp(-y / (rho - theta))
+    h_f = fp.r_hat * np.power(x / shape, 1.0 / fp.alpha)
+    h = exp.link.a_l * h_p * h_f
+    ratio = ((rho / (rho - theta)) ** 2 * h_p ** theta
+             * np.power(x, theta / fp.alpha)
+             * math.exp(special.gammaln(shape - theta / fp.alpha)
+                        - special.gammaln(shape)))
+    want = special.gammaincc(ab.k, z * np.maximum(np.log(h / gamma_h), 0.0))
+    assert got.shape == (size,)
+    np.testing.assert_allclose(got, want * ratio, rtol=1e-12, atol=1e-300)
+
 
 # ---------------------------------------------------------------------------
 # numpy incomplete gamma and the alpha-mu CDF
