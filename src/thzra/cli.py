@@ -185,6 +185,9 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, manifest: Manifest,
             e = exp.with_protocol(scheme=scheme, n_total=k,
                                   seed=_row_seed(exp.protocol.seed, scheme, k))
             stats, frames = protocol.run_batch(e)
+            manifest.count("frames", stats.n_trials)
+            manifest.count("slots", int(frames[1].sum()))
+            manifest.count("admitted", int(frames[0].sum()))
             rows.append([k, scheme, stats.mean_delay, stats.se_delay,
                          stats.mean_energy_uj, stats.se_energy_uj,
                          stats.mean_transmissions, stats.se_transmissions,
@@ -192,6 +195,9 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, manifest: Manifest,
             if dump_trials:
                 trial_rows += [[t, scheme, *frame, k] for t, frame in
                                enumerate(zip(*(a.tolist() for a in frames)))]
+    q = protocol.pass_probability(exp)
+    manifest.data["admission"] = {"source": "drawn" if q is None else "law",
+                                  "q": q}
     agg_path = out_dir / "simulate_aggregate.csv"
     write_csv_atomic(agg_path, "thzra.simulate.v2", SIM_HEADER, rows)
     manifest.add(agg_path)
@@ -341,7 +347,7 @@ def cmd_validate(cfg: RunConfig, out_dir: Path, manifest: Manifest) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-CELL_SCHEMA = "thzra.sweep.cell.v11"
+CELL_SCHEMA = "thzra.sweep.cell.v12"
 
 
 @dataclass(frozen=True)

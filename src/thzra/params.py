@@ -87,13 +87,16 @@ class GammaAbsorption:
         """Path-gain exponent z = 8.686/(beta * d_km) for a given link."""
         return DB_PER_NEPER / (self.beta * link.d_km)
 
+    @property
+    def shape_is_integer(self) -> bool:
+        return abs(self.k - round(self.k)) <= 1e-12 and round(self.k) >= 1
+
     def integer_shape(self) -> int:
         """Shape as int, rejecting non-integer k (closed-form paths only)."""
-        k_int = round(self.k)
-        if abs(self.k - k_int) > 1e-12 or k_int < 1:
+        if not self.shape_is_integer:
             raise OutOfRange("absorption.k_shape", self.k,
                              "an integer shape, which the closed forms need")
-        return int(k_int)
+        return int(round(self.k))
 
 
 @dataclass(frozen=True)

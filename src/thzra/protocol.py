@@ -9,10 +9,14 @@ collision slots cost one time unit each, same as success slots.
 
 Batches run in blocks of TRIAL_BLOCK frames with numpy (`admit_users`,
 `contend`), which keep per-frame totals only, never per-slot records.
-Admission draws each frame's admitted count, not each user's SNR: every
+Admission draws each frame's admitted count, not each user's SNR, as a
+stratified quantile of the count's law.  Where the channel has an exact
+SNR law (analytics.has_snr_law: Gamma absorption of integer shape, with
+fading off or alpha-mu fading) that law is Binomial(N, q) at the exact
+pass probability q, and admission draws no channel.  Elsewhere every
 provisioned user gets a draw of all channel components but one, which
-gives its probability of passing the QoS threshold, and the count is a
-stratified quantile of the Poisson-binomial law of those probabilities.
+gives its probability of passing the QoS threshold, and the law is the
+Poisson binomial of those probabilities.
 The tests check `contend` against the exact stage law: with k holders
 at probability p a stage ends at its first single-transmitter slot, so
 it lasts Geometric(k p (1-p)^(k-1)) slots.
@@ -20,7 +24,7 @@ it lasts Geometric(k p (1-p)^(k-1)) slots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -46,44 +50,52 @@ QUANTILE_MAX_USERS = 64
 def admit_users(exp: Experiment, block: int, size: int) -> np.ndarray:
     """QoS admission for `size` frames of one block: admitted-user counts.
 
-    Each provisioned user i of frame t gets one iid draw of the channel
-    components channel.outage_score keeps, from the block's substreams
-    (seed, ADMISSION, block, component), and with it
-    p_ti = P(SNR > gamma_qos | those components), the score's survival
-    function.  Frame t admits K_t = min{k : F_t(k) >= W_t}, clipped to
-    N, where F_t is the Poisson-binomial CDF of its p_ti and W is
+    Frame t admits K_t = min{k : F_t(k) >= W_t}, clipped to N, for W
     stratified (channel.stratified_uniform: frames t and t + size // 2
-    share a stratum, an odd size's last frame is iid).  Given the p, K_t
-    is a count of Bernoulli(p_ti) passes, so its law is that of counting
-    SNR draws above gamma_qos; which users pass is integrated out rather
-    than drawn.  Above QUANTILE_MAX_USERS users each user passes on its
-    own, at an iid uniform below p_ti.  The uniforms come from the
-    substream of the component the score integrates out, which it draws
-    nothing from.
+    share a stratum, an odd size's last frame is iid) and drawn from the
+    block's substream (seed, ADMISSION, block, c), c the component
+    channel.outage_rule integrates out.  F_t is the law of the count of
+    the frame's N users whose SNR exceeds gamma_qos:
+    - where pass_probability gives q exactly, Binomial(N, q)
+      (binomial_cdf), the same for every frame: no channel draw;
+    - elsewhere each provisioned user i of frame t gets one iid draw of
+      the channel components channel.outage_score keeps, from the
+      block's other substreams, and with it p_ti = P(SNR > gamma_qos |
+      those components), the score's survival function; F_t is the
+      Poisson-binomial CDF of the p_ti.  Given the p, K_t is a count of
+      Bernoulli(p_ti) passes, so its law is that of counting SNR draws
+      above gamma_qos; which users pass is integrated out rather than
+      drawn.  Above QUANTILE_MAX_USERS users each user passes on its
+      own, at an iid uniform below p_ti from W's substream, which the
+      score draws nothing from.
 
-    A threshold that settles admission draws nothing: gamma_qos = 0 or
-    an infinite average SNR admits everyone, one at or above the SNR
-    ceiling nobody.
+    q = 1 (gamma_qos = 0 or an infinite average SNR) admits everyone and
+    q = 0 (a threshold at or above the SNR ceiling) nobody, with no draw.
     """
     cfg = exp.protocol
     n = cfg.n_total
-    query = analytics.OutageQuery(cfg.gamma_qos, exp.link.avg_snr,
-                                  exp.link.k_h)
-    if query.settled is not None:
-        return np.full(size, 0 if query.settled else n, dtype=np.int64)
+    q = pass_probability(exp)
+    if q in (0.0, 1.0):
+        return np.full(size, n if q else 0, dtype=np.int64)
+    free_stream = channel.outage_rule(exp).stream
+    if q is not None:
+        free = streams.substream(cfg.seed, streams.ADMISSION, block,
+                                 free_stream)
+        return binomial_quantile(analytics.binomial_cdf(n, q),
+                                 channel.stratified_uniform(free, size))
+    gamma_h = _qos_query(exp).gamma_h
     rngs = {c: streams.substream(cfg.seed, streams.ADMISSION, block, c)
             for c in (streams.ABSORPTION, streams.FADING,
                       streams.MISALIGNMENT)}
-    free = rngs[channel.outage_rule(exp).stream]
+    free = rngs[free_stream]
     w = (channel.stratified_uniform(free, size)
          if n <= QUANTILE_MAX_USERS else None)
     counts = np.empty(size, dtype=np.int64)
     rows = max(1, ADMISSION_DRAWS // n)
     for lo in range(0, size, rows):
         m = min(rows, size - lo)
-        [p] = channel.outage_score(exp, [query.gamma_h], m * n,
-                                   rngs.__getitem__, stratified=False,
-                                   upper=True)
+        [p] = channel.outage_score(exp, [gamma_h], m * n, rngs.__getitem__,
+                                   stratified=False, upper=True)
         p = p.reshape(n, m)             # user i of frame lo + t at [i, t]
         if w is None:
             counts[lo:lo + m] = np.count_nonzero(free.random((n, m)) < p,
@@ -91,6 +103,32 @@ def admit_users(exp: Experiment, block: int, size: int) -> np.ndarray:
         else:
             counts[lo:lo + m] = poisson_binomial_quantile(p, w[lo:lo + m])
     return counts
+
+
+def _qos_query(exp: Experiment) -> analytics.OutageQuery:
+    return analytics.OutageQuery(exp.protocol.gamma_qos, exp.link.avg_snr,
+                                 exp.link.k_h)
+
+
+def pass_probability(exp: Experiment) -> Optional[float]:
+    """q = P(SNR > gamma_qos) for one user, exactly where it is known: 1
+    or 0 where the threshold settles admission, 1 - analytics.cdf_snr
+    where the channel has an SNR law (analytics.has_snr_law); None where
+    admit_users draws the channel."""
+    query = _qos_query(exp)
+    if query.settled is not None:
+        return 1.0 - query.settled
+    if not analytics.has_snr_law(exp):
+        return None
+    return 1.0 - analytics.cdf_snr(query, exp)
+
+
+def binomial_quantile(cdf: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """min{k : cdf[k] >= w_t} for each w_t, clipped to N = cdf.size - 1
+    where rounding leaves cdf[N] below w_t; w is raised to the smallest
+    positive double, as in poisson_binomial_quantile."""
+    k = np.searchsorted(cdf, np.maximum(w, np.nextafter(0.0, 1.0)))
+    return np.minimum(k, cdf.size - 1)
 
 
 def poisson_binomial_cdf(p: np.ndarray) -> np.ndarray:

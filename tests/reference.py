@@ -3,8 +3,9 @@
 Crude outage counting with Wilson intervals (the estimator outage_mc's
 conditional scores are compared with), the high-SNR slope fit of an
 outage curve, the Hoeffding concentration bounds of the simulated means,
-the ATP delay prefix, the linear misalignment CDF and the exact outage
-probability with alpha-mu fading by quadrature.
+the ATP delay prefix, the linear misalignment CDF, and the exact outage
+probability with alpha-mu fading and without fading for any absorption
+shape, by quadrature.
 """
 import math
 from dataclasses import dataclass, replace
@@ -165,3 +166,26 @@ def exact_outage(exp: Experiment, gamma_h: float) -> float:
                                 epsrel=1e-11, limit=200)[0]
             lo = hi
     return p
+
+
+def no_fading_outage(exp: Experiment, gamma_h: float) -> float:
+    """P(h_l h_p <= gamma_h) for Gamma absorption of any real shape k
+    (analytics.composite_gain_cdf takes integer k only): with T ~
+    Gamma(k, 1/z) the absorption loss and W ~ Gamma(2, 1/rho) the
+    misalignment's, the law is P(T + W >= L), L = ln(a_l / gamma_h), i.e.
+    Q(k, zL) plus the integral over T < L of P(W >= L - T) = (1 + rho
+    (L - T)) e^(-rho (L - T)), by scipy's quad."""
+    ab, rho = exp.absorption, exp.misalignment.rho
+    z, L = ab.z_for(exp.link), math.log(exp.link.a_l / gamma_h)
+    if L <= 0.0:
+        return 1.0
+
+    def density_times_tail(t):
+        w = L - t
+        return (math.exp((ab.k - 1) * math.log(z * t) - z * t
+                         - math.lgamma(ab.k)) * z
+                * (1.0 + rho * w) * math.exp(-rho * w))
+
+    inner = integrate.quad(density_times_tail, 0.0, L, epsabs=0,
+                           epsrel=1e-12, limit=200)[0]
+    return float(special.gammaincc(ab.k, z * L)) + inner

@@ -1,13 +1,18 @@
 """Closed forms against quadrature, finite-difference, and Monte Carlo oracles."""
+import itertools
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from scipy import stats as sstats
 
-from thzra import analytics, channel
-from thzra.errors import DomainError, OutOfRange
-from thzra.params import GammaAbsorption, ThzLinkParams
+from thzra import analytics, channel, cli, params
+from thzra.errors import DomainError, OutOfRange, UnsupportedParams
+from thzra.params import (DB_PER_NEPER, FadingParams, GammaAbsorption,
+                          MisalignmentParams, ThzLinkParams)
 
 import reference
 
@@ -220,6 +225,137 @@ def test_snr_cdf_vs_monte_carlo(beta):
         phat = float(np.mean(g < gamma_th))
         se = math.sqrt(p * (1 - p) / n)
         assert abs(phat - p) <= 3 * se
+
+
+def test_gain_cdf_on_an_array_reads_as_its_scalars():
+    # one implementation: each element of an array call is the scalar
+    # call at that y to the bit, on both Kummer branches and with (zL)^k
+    # carried as a logarithm (k = 150, 345); and the Kummer series with
+    # e^-x in factors (b = 401, x past 700)
+    y = np.exp(-np.r_[1e-6, 0.3, 2.0, 11.0, 12.5, 40.0, 400.0]) * 0.25
+    for k, z, rho in ((3, 8.686, 4.0), (2, 4.0, 4.0), (4, 2.0, 6.0),
+                      (150, 8.0, 4.0), (345, 1.0, 3.0)):
+        got = analytics.composite_gain_cdf(y, k, z, rho, 0.25)
+        one = [analytics.composite_gain_cdf(float(v), k, z, rho, 0.25)
+               for v in y]
+        assert got.tolist() == one, (k, z, rho)
+    x = np.r_[0.0, 5.0, 100.0, 720.0, 800.0, 900.0]
+    assert (analytics._poisson_kummer(2, 401, x).tolist()
+            == [analytics._poisson_kummer(2, 401, float(v)) for v in x])
+
+
+# ---------------------------------------------------------------------------
+# exact SNR law with alpha-mu fading
+# ---------------------------------------------------------------------------
+
+DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+DEFAULT = params.run_config(cli.read_config(DEFAULT_CFG)).exp
+
+
+def law_experiment(alpha, mu, k, rho):
+    """configs/default.cfg with alpha-mu fading, absorption shape k and
+    misalignment rho; z = 8.686, so rho = 8.686 is z = rho."""
+    d_km = DEFAULT.link.d_km
+    exp = replace(DEFAULT, fading=FadingParams(alpha=alpha, mu=mu),
+                  absorption=GammaAbsorption(k=k, beta=DB_PER_NEPER
+                                             / (8.686 * d_km)),
+                  misalignment=MisalignmentParams(rho=rho))
+    assert exp.absorption.z_for(exp.link) == 8.686
+    return exp
+
+
+def law_at(exp, db):
+    q = analytics.OutageQuery(10 ** 0.5, 10 ** (db / 10.0), exp.link.k_h)
+    return q, analytics.cdf_snr(q, exp)
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_fading_law_matches_scipy_quadrature(alpha):
+    # every (mu, k, rho) of the grid, each at one average SNR of 25-100 dB
+    # in turn, against scipy's adaptive quadrature: 1e-10 relative down
+    # to p_out of 1e-12 (1e-14 is what the law reaches)
+    cells = itertools.product((0.6, 1, 1.5, 2.5, 4), (1, 3, 7),
+                              (2, 4.1, 8.686))
+    dbs = itertools.cycle((25, 40, 55, 70, 85, 100))
+    checked = 0
+    for (mu, k, rho), db in zip(cells, dbs):
+        exp = law_experiment(alpha, mu, k, rho)
+        query, got = law_at(exp, db + alpha)
+        ref = reference.exact_outage(exp, query.gamma_h)
+        if ref >= 1e-12:
+            assert got == pytest.approx(ref, rel=1e-10, abs=0), (mu, k, rho, db)
+            checked += 1
+    assert checked >= 30
+
+
+def test_fading_law_holds_where_a_split_in_g_fails():
+    # configs/default.cfg from 25 to 100 dB.  At 100 dB the mass sits in
+    # [g_k, a few g_k], g_k ~ 1e-8: the same panels taken in G rather
+    # than ln G step over it and read 5.3e-9 for 4.68e-8
+    for db in (25, 40, 55, 70, 85, 100):
+        query, got = law_at(DEFAULT, db)
+        assert got == pytest.approx(reference.exact_outage(DEFAULT, query.gamma_h),
+                                    rel=1e-10, abs=0)
+    fp, ab, link = DEFAULT.fading, DEFAULT.absorption, DEFAULT.link
+    g_k = fp.mu * (query.gamma_h / (link.a_l * fp.r_hat)) ** fp.alpha
+    x, w = analytics._gauss_legendre(analytics.NODES)
+    half = 100.0 / (2 * analytics.PANELS)
+    u = ((g_k + half * (2 * np.arange(analytics.PANELS) + 1))[:, None]
+         + half * x).reshape(-1)
+    split = channel.gammainc(fp.mu, g_k) + half * np.dot(
+        np.tile(w, analytics.PANELS) * sstats.gamma.pdf(u, fp.mu),
+        analytics.gain_cdf_log(np.log(u / g_k) / fp.alpha, ab.integer_shape(),
+                               ab.z_for(link), DEFAULT.misalignment.rho))
+    assert split < got / 5.0
+
+
+def test_gauss_legendre_rule_matches_mpmath():
+    # nodes and weights at the edge, next to it and in the middle against
+    # 40-digit roots of P_64 (numpy's leggauss is 1.3e-12 off at the
+    # edge), and every even power up to x^126 integrated exactly
+    x, w = analytics._gauss_legendre(analytics.NODES)
+    with mpmath.workdps(40):
+        for i in (0, 1, 15, analytics.NODES // 2 - 1):
+            root = mpmath.findroot(lambda t: mpmath.legendre(analytics.NODES, t),
+                                   mpmath.mpf(x[i]))
+            slope = mpmath.diff(lambda t: mpmath.legendre(analytics.NODES, t),
+                                root)
+            assert abs(x[i] - root) <= 1e-16
+            assert w[i] == pytest.approx(float(2 / ((1 - root ** 2) * slope ** 2)),
+                                         rel=2e-13)
+    powers = np.arange(0, 2 * analytics.NODES, 2)
+    np.testing.assert_allclose(w @ x[:, None] ** powers, 2.0 / (powers + 1),
+                               rtol=1e-13)
+
+
+def test_snr_law_scope():
+    # integer absorption shape with fading off or alpha-mu fading: the
+    # law; eta-mu or kappa-mu fading, a real shape or deterministic
+    # absorption: none yet
+    assert analytics.has_snr_law(DEFAULT)
+    off = replace(DEFAULT, fading=replace(DEFAULT.fading, enabled=False))
+    assert analytics.has_snr_law(off)
+    query = analytics.OutageQuery(10 ** 0.5, DEFAULT.link.avg_snr,
+                                  DEFAULT.link.k_h)
+    assert analytics.cdf_snr(query, off) == analytics.cdf_snr_no_fading(
+        query, off.absorption, off.misalignment.rho, off.link)
+    for exp in (replace(DEFAULT, fading=FadingParams(eta=2.0, mu=2)),
+                replace(DEFAULT, fading=FadingParams(kappa=1.0, mu=2)),
+                replace(DEFAULT, absorption=GammaAbsorption(k=2.5, beta=12.0)),
+                replace(DEFAULT, absorption=params.DeterministicAbsorption())):
+        assert not analytics.has_snr_law(exp)
+        with pytest.raises(UnsupportedParams):
+            analytics.cdf_snr(query, exp)
+
+
+@pytest.mark.parametrize("n", [1, 2, 40, 1000, 100_000])
+def test_binomial_cdf_matches_scipy(n):
+    k = np.arange(n + 1)
+    for q in (0.0, 1e-12, 0.5, 1.0 - 1e-12, 1.0):
+        got = analytics.binomial_cdf(n, q)
+        np.testing.assert_allclose(got, sstats.binom.cdf(k, n, q),
+                                   rtol=1e-9, atol=1e-300, err_msg=str(q))
+        assert got[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_diversity_order():

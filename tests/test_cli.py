@@ -634,6 +634,8 @@ def test_command_leaves_scipy_unloaded(tmp_path, command, base, old, new):
     # no command needs a scipy module: importing scipy.special alone would
     # add about 0.3 s to every run
     text = base() if callable(base) else base.read_text()
+    if command == "simulate":   # a threshold that admission evaluates
+        new += "\ngamma_qos_db = 16.2"
     cfg = write_cfg(tmp_path, "small.cfg", text.replace(old, new))
     code = ("import sys; from thzra import cli; "
             f"code = cli.main([{command!r}, '--config', {str(cfg)!r}, "
@@ -641,7 +643,12 @@ def test_command_leaves_scipy_unloaded(tmp_path, command, base, old, new):
             "sys.exit(code or any(m == 'scipy' or m.startswith('scipy.') "
             "for m in sys.modules))")
     assert run_python("-c", code, timeout=300) == 0
-    assert (tmp_path / "out" / "run_manifest.json").is_file()
+    manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+    if command == "simulate":
+        # admission at a drawn threshold took the exact law: the fading
+        # quadrature ran
+        assert manifest["admission"]["source"] == "law"
+        assert 0.0 < manifest["admission"]["q"] < 1.0
     if command == "sweep":
         # the fading-conditioned estimator (numpy incomplete gamma) ran
         conditioned = []
@@ -694,24 +701,25 @@ def test_sweep_grid_and_resume(tmp_path):
     # draws), a v6 cell (admission by SNR counts), a v7 cell (an odd
     # chunk's last draw in cell 0), a v8 cell (iid fading draws on
     # misalignment) or a v9 cell (strata on a grid of (U, V)) with the
-    # current digest is recomputed too, and so is a v10 cell (untilted
-    # draws) below
+    # current digest is recomputed too, and so are a v10 cell (untilted
+    # draws) and a v11 cell (protocol admission drawn where the channel
+    # has a law) below
     schema = before[cells[4].name].decode().splitlines()[0]
-    assert schema.startswith("#schema: thzra.sweep.cell.v11 digest=")
+    assert schema.startswith("#schema: thzra.sweep.cell.v12 digest=")
     for i, old in ((0, ".v6 "), (1, ".v8 "), (2, ".v7 "), (5, ".v9 ")):
-        cells[i].write_text(schema.replace(".v11 ", old) + "\n"
+        cells[i].write_text(schema.replace(".v12 ", old) + "\n"
                             + before[cells[i].name].decode().split("\n", 1)[1])
-    cells[4].write_text(schema.replace(".v11 ", ".v2 ")
+    cells[4].write_text(schema.replace(".v12 ", ".v2 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,outage_draws"
                         "\n2,3,0.5,0.4,0.6,20000\n")
-    cells[6].write_text(schema.replace(".v11 ", ".v3 ")
+    cells[6].write_text(schema.replace(".v12 ", ".v3 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,p_out_se,vrf,"
                         "outage_draws\n3,2,0.5,0.4,0.6,0.05,2.0,20000\n")
-    cells[7].write_text(schema.replace(".v11 ", ".v4 ")
+    cells[7].write_text(schema.replace(".v12 ", ".v4 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,p_out_se,vrf,"
                         "conditioned,outage_draws\n3,3,0.5,0.4,0.6,0.05,2.0,"
                         "misalignment,20000\n")
-    cells[8].write_text(schema.replace(".v11 ", ".v5 ")
+    cells[8].write_text(schema.replace(".v12 ", ".v5 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,p_out_se,vrf,"
                         "conditioned,outage_draws\n3,4,0.5,0.4,0.6,0.05,2.0,"
                         "fading,20000\n")
@@ -722,13 +730,14 @@ def test_sweep_grid_and_resume(tmp_path):
     assert after == before
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert len(manifest["outputs"]) == 9
-    cells[0].write_text(schema.replace(".v11 ", ".v10 ") + "\n"
-                        + before[cells[0].name].decode().split("\n", 1)[1])
+    for i, old in ((0, ".v10 "), (1, ".v11 ")):
+        cells[i].write_text(schema.replace(".v12 ", old) + "\n"
+                            + before[cells[i].name].decode().split("\n", 1)[1])
     assert cli.main(["sweep", "--config", str(cfg), "--seed", "9",
                      "--out", str(out)]) == 0
     assert cell_bytes(out) == before
     manifest = json.loads((out / "run_manifest.json").read_text())
-    assert manifest["counters"] == sweep_counters(1, 8, 0, 20000)
+    assert manifest["counters"] == sweep_counters(2, 7, 0, 20000)
 
     # an unchanged rerun reuses every cell: no file is rewritten
     stamps = cell_stamps(out)
@@ -1016,6 +1025,30 @@ def test_repeated_scheme_and_user_count_are_one_row(tmp_path):
         outs.append((out / "simulate_aggregate.csv").read_bytes())
     assert outs[0] == outs[1]
     assert len(outs[0].decode().splitlines()) == 2 + 2
+
+
+@pytest.mark.parametrize("fading,source", [("eta = 1.0", "law"),
+                                           ("eta = 2.0", "drawn")])
+def test_simulate_manifest_counts_its_work(tmp_path, fading, source):
+    # frames, slots and admitted users are the sums of the per-frame
+    # arrays --dump-trials writes; the admission source is the law where
+    # the channel has one (alpha-mu fading), drawn for eta-mu fading
+    text = DEFAULT_CFG.read_text().replace("eta = 1.0", fading).replace(
+        "mu = 1\n", "mu = 2\n").replace(
+        "n_users = 2,5,10,20,40", "n_users = 3,7\ngamma_qos_db = 16.2")
+    cfg = write_cfg(tmp_path, "m.cfg", text)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--trials", "40",
+                     "--out", str(out), "--dump-trials"]) == 0
+    _, header, rows = read_rows(out / "simulate_trials.csv")
+    col = {name: i for i, name in enumerate(header)}
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["counters"] == {
+        "frames": len(rows),
+        "slots": sum(int(r[col["total_slots"]]) for r in rows),
+        "admitted": sum(int(r[col["K_admitted"]]) for r in rows)}
+    assert manifest["admission"]["source"] == source
+    assert (manifest["admission"]["q"] is None) == (source == "drawn")
 
 
 def test_trials_dump_schema(tmp_path):

@@ -17,6 +17,7 @@ from thzra.params import (EnergyModel, Experiment, FadingParams,
 import reference
 
 DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+DEFAULT = params.run_config(cli.read_config(DEFAULT_CFG)).exp
 
 
 def make_experiment(**protocol_kw):
@@ -27,6 +28,22 @@ def make_experiment(**protocol_kw):
                       fading=FadingParams(enabled=False),
                       misalignment=MisalignmentParams(rho=4.0),
                       protocol=ProtocolConfig(**protocol_kw))
+
+
+def no_law_experiment(**protocol_kw):
+    """make_experiment with absorption shape 2.5, which has no SNR law in
+    the package yet: admission draws the channel."""
+    exp = replace(make_experiment(**protocol_kw),
+                  absorption=GammaAbsorption(k=2.5, beta=12.0))
+    assert protocol.pass_probability(exp) is None
+    return exp
+
+
+def reference_pass_probability(exp):
+    """q = P(SNR > gamma_qos) with fading off, by scipy's quadrature."""
+    q = analytics.OutageQuery(exp.protocol.gamma_qos, exp.link.avg_snr,
+                              exp.link.k_h)
+    return 1.0 - reference.no_fading_outage(exp, q.gamma_h)
 
 
 def rng(s):
@@ -173,17 +190,80 @@ def test_admission_above_ceiling_admits_none():
 
 
 def test_admission_fraction_matches_no_fading_law():
-    # N = 100 000 users in each of a few frames; the draws span several
-    # ADMISSION_DRAWS chunks of one block's streams
-    exp = make_experiment(n_total=100_000, gamma_qos=10 ** 0.5)
+    # N = 100 000 users in each of a few frames, drawn (no law for shape
+    # 2.5), each user on its own above QUANTILE_MAX_USERS; the draws span
+    # several ADMISSION_DRAWS chunks of one block's streams
+    exp = no_law_experiment(n_total=100_000, gamma_qos=10 ** 0.5)
     k = protocol.admit_users(exp, block=3, size=4)
     n = exp.protocol.n_total * k.size
-    q = analytics.OutageQuery(exp.protocol.gamma_qos, exp.link.avg_snr,
-                              exp.link.k_h)
-    p_adm = 1.0 - analytics.cdf_snr_no_fading(q, exp.absorption,
-                                              exp.misalignment.rho, exp.link)
+    p_adm = reference_pass_probability(exp)
     se = math.sqrt(p_adm * (1 - p_adm) / n)
     assert abs(k.sum() / n - p_adm) <= 3 * se
+
+
+def test_law_admission_draws_no_channel_at_any_user_count(monkeypatch):
+    # where the channel has a law, N = 100 000 users take the Binomial
+    # quantile too, with no channel draw and no user cap
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the law path drew the channel")
+
+    monkeypatch.setattr(channel, "outage_score", no_draw)
+    exp = make_experiment(n_total=100_000, gamma_qos=10 ** 0.5)
+    q = protocol.pass_probability(exp)
+    assert q == 1.0 - analytics.cdf_snr_no_fading(
+        analytics.OutageQuery(10 ** 0.5, exp.link.avg_snr, exp.link.k_h),
+        exp.absorption, exp.misalignment.rho, exp.link)
+    k = protocol.admit_users(exp, block=3, size=4)
+    n = exp.protocol.n_total
+    assert abs(k.mean() - n * q) <= 3 * math.sqrt(n * q * (1 - q) / k.size)
+
+
+def test_law_admission_reads_the_drawn_path_uniforms():
+    # frame t admits the Binomial(N, q) quantile at the stratified W_t of
+    # the substream (seed, ADMISSION, block, outage_rule's stream), the
+    # uniforms the drawn path takes
+    exp = make_experiment(n_total=12, gamma_qos=10 ** 1.65, seed=21)
+    stream = channel.outage_rule(exp).stream
+    cdf = analytics.binomial_cdf(12, protocol.pass_probability(exp))
+    for block, size in ((0, 1), (2, 7), (5, 1024)):
+        w = channel.stratified_uniform(
+            streams.substream(21, streams.ADMISSION, block, stream), size)
+        want = [min(int(np.count_nonzero(cdf < max(x, 5e-324))), 12)
+                for x in w]
+        assert protocol.admit_users(exp, block, size).tolist() == want
+
+
+def test_binomial_quantile_at_its_steps():
+    # W exactly at F(k) gives k, just above it the next count; W = 0 the
+    # lowest count of positive probability, 1 - 2^-53 never above N
+    for n, q in ((1, 0.3), (5, 0.5), (40, 0.9), (40, 1e-12)):
+        cdf = analytics.binomial_cdf(n, q)
+        support = np.flatnonzero(np.diff(np.r_[0.0, cdf]) > 0.0)
+        for k in support[:-1]:
+            assert protocol.binomial_quantile(cdf, cdf[k:k + 1]) == k
+            above = np.nextafter(cdf[k:k + 1], 2.0)
+            assert (protocol.binomial_quantile(cdf, above)
+                    == support[support > k][0])
+        assert protocol.binomial_quantile(cdf, np.zeros(1)) == support[0]
+        top = protocol.binomial_quantile(cdf, np.array([1.0 - 2.0 ** -53]))
+        assert top <= n
+    cdf = analytics.binomial_cdf(7, 1.0)
+    assert protocol.binomial_quantile(cdf, np.array([0.0, 0.5])).tolist() == [7, 7]
+
+
+def test_drawn_block_admission_counts_are_binomial():
+    # the drawn path's per-frame counts over several blocks ~ Binomial(N,
+    # q) as well, q by quadrature
+    n_users, trials = 40, 4 * protocol.TRIAL_BLOCK
+    exp = no_law_experiment(scheme="optimal", n_total=n_users,
+                            gamma_qos=10 ** 0.5, trials=trials, seed=8)
+    ks = protocol.run_batch(exp)[1][0]
+    counts = np.bincount(ks, minlength=n_users + 1)
+    expected = trials * sstats.binom.pmf(np.arange(n_users + 1), n_users,
+                                         reference_pass_probability(exp))
+    lo, hi = np.flatnonzero(expected >= 5.0)[[0, -1]]
+    fold = lambda x: np.r_[x[:lo + 1].sum(), x[lo + 1:hi], x[hi:].sum()]
+    assert sstats.chisquare(fold(counts), fold(expected)).pvalue > 1e-4
 
 
 def test_block_admission_counts_are_binomial():
@@ -270,16 +350,14 @@ def test_poisson_binomial_quantile_never_exceeds_n():
 
 @pytest.mark.parametrize("n_users", [2, 40])
 def test_stratified_admission_is_calibrated_with_fading_off(n_users):
-    # fading off, where the admitted share q is exact (0.505 at 16.5 dB):
+    # the drawn path, fading off at absorption shape 2.5 (no law in the
+    # package; the admitted share q = 0.506 at 16.5 dB by quadrature):
     # over 300 seeds the mean of K/N lies within 3 se of q, and the spread
     # of the estimates over their root-mean-square se is about 1 (se of
     # that ratio ~0.04)
-    exp = make_experiment(scheme="optimal", n_total=n_users,
-                          gamma_qos=10 ** 1.65, trials=400)
-    q = analytics.OutageQuery(exp.protocol.gamma_qos, exp.link.avg_snr,
-                              exp.link.k_h)
-    p_adm = 1.0 - analytics.cdf_snr_no_fading(q, exp.absorption,
-                                              exp.misalignment.rho, exp.link)
+    exp = no_law_experiment(scheme="optimal", n_total=n_users,
+                            gamma_qos=10 ** 1.65, trials=400)
+    p_adm = reference_pass_probability(exp)
     runs = [protocol.run_batch(exp.with_protocol(seed=s))[0]
             for s in range(7000, 7300)]
     share = np.array([st.mean_k_admitted for st in runs]) / n_users
@@ -289,6 +367,28 @@ def test_stratified_admission_is_calibrated_with_fading_off(n_users):
     assert 0.85 <= np.std(share, ddof=1) / rms_se <= 1.15
 
 
+@pytest.mark.parametrize("n_users", [2, 40])
+def test_law_admission_is_calibrated_on_the_default_config(n_users):
+    # the law path, configs/default.cfg (alpha-mu fading) at 16.2 dB,
+    # q = 0.50093: over 300 seeds the mean of mean_k_admitted lies within
+    # 3 se of N q, and the spread of the means over their root-mean-square
+    # se is about 1.  (At N = 2 only the few strata of W that straddle a
+    # step of the Binomial CDF vary, so a single run's se is 0 now and
+    # then: the spread is read against the rms se, not run by run.)
+    exp = DEFAULT.with_protocol(scheme="optimal", n_total=n_users,
+                                gamma_qos=params.db_to_linear(16.2),
+                                trials=400)
+    q = protocol.pass_probability(exp)
+    assert q == pytest.approx(0.50093038875476, rel=1e-12)
+    runs = [protocol.run_batch(exp.with_protocol(seed=s))[0]
+            for s in range(7000, 7300)]
+    mean = np.array([st.mean_k_admitted for st in runs])
+    # optimal: the delay is the admitted count, so se_delay is its se
+    rms_se = math.sqrt(np.mean([st.se_delay ** 2 for st in runs]))
+    assert abs(mean.mean() - n_users * q) <= 3.0 * rms_se / math.sqrt(len(runs))
+    assert 0.85 <= np.std(mean, ddof=1) / rms_se <= 1.15
+
+
 def binomial_mixture(f, n, q):
     """E[f(K)] for K ~ Binomial(n, q), f(0) = 0."""
     return sum(math.comb(n, k) * q ** k * (1.0 - q) ** (n - k) * f(k)
@@ -296,11 +396,14 @@ def binomial_mixture(f, n, q):
 
 
 def test_stratified_admission_meets_the_mixture_rule_at_16_2_db():
-    # the default config at gamma_qos = 16.2 dB (about half admitted): each
-    # FTP/ATP row's delay and transmissions lie within 4 se of the exact
-    # series averaged over Binomial(K, q) at the row's own admitted share
-    base = params.run_config(cli.read_config(DEFAULT_CFG)).exp.with_protocol(
+    # the drawn path: the default config with eta-mu fading (eta = 2,
+    # mu = 2, no law in the package) at gamma_qos = 16.2 dB (0.57
+    # admitted): each FTP/ATP row's delay and transmissions lie within 4 se
+    # of the exact series averaged over Binomial(K, q) at the row's own
+    # admitted share
+    base = replace(DEFAULT, fading=FadingParams(eta=2.0, mu=2)).with_protocol(
         gamma_qos=params.db_to_linear(16.2), trials=400)
+    assert protocol.pass_probability(base) is None
     worst = 0.0
     for seed, scheme, k in itertools.product(range(40), ("ftp", "atp"),
                                              (2, 10, 40)):

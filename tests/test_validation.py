@@ -464,14 +464,18 @@ def test_outage_score_memory_is_pinned():
     assert peak <= 2_622_712 + 8 * m, peak
 
 
-@pytest.mark.parametrize("rho,mu,arrays", [(4.1, 2.5, 5.02), (2.0, 2.5, 5.01)])
+@pytest.mark.parametrize("rho,mu,arrays", [(4.1, 2.5, 5.02), (2.0, 2.5, 5.01),
+                                           (2.0, 1.5, 5.93), (4.1, 1.5, 5.01)])
 def test_outage_chunk_memory_on_sweep_cells(rho, mu, arrays):
     # the tracemalloc peak of one 2^16-draw chunk of a sweep cell scored at
     # 40, 45 and 50 dB, in chunk arrays of 8 * 2^16 B: 5.016 on (4.1, 2.5),
     # conditioned on fading, where the alpha-mu CDF builds ln x in the
     # score's per-point buffer (6.016 when it took a new array), and 5.003
-    # on (2, 2.5), on misalignment.  The table of stratum-bound quantiles
-    # is built by the first chunk, off the count
+    # on (2, 2.5), on misalignment.  On (2, 1.5), conditioned on fading,
+    # 5.924: the tilt sends 31-45 % of the chunk above x = 1, where
+    # _gamma_above_one holds gathered copies and their series temporaries
+    # beside the chunk's arrays; 5.006 on (4.1, 1.5).  The table of
+    # stratum-bound quantiles is built by the first chunk, off the count
     cfg = params.run_config(cli.read_config(SWEEP_CFG))
     exp = params.apply_cell(cfg.exp, {"rho": rho, "mu": mu})
     m = validation.OUTAGE_CHUNK
