@@ -2,16 +2,17 @@
 their scaling bounds, diversity order, the Binomial law of admission.
 
 The no-fading SNR law is the law of h_l * h_p = a_l e^{-(T+W)} with
-T ~ Gamma(k, 1/z) (absorption, integer k) and W ~ Gamma(2, 1/rho)
+T ~ Gamma(k, 1/z) (absorption, any real k > 0) and W ~ Gamma(2, 1/rho)
 (misalignment).  Conditioning on T gives a regularized upper incomplete
 gamma plus two confluent hypergeometric terms (Tricomi's entire
 incomplete gamma, DLMF 8.5.1), exact for every z and rho including
 z = rho.  numpy and the standard library evaluate them at an array of
 gains: channel.gammaincc gives the incomplete gamma, and a
-Poisson-weighted series or a terminating asymptotic sum gives each Kummer
-function.  With alpha-mu fading the law averages the no-fading one over
-the fading power by Gauss-Legendre quadrature (cdf_snr_alpha_mu);
-cdf_snr gives either, where has_snr_law.
+Poisson-weighted series or an asymptotic sum gives each Kummer function.
+Deterministic absorption has T = 0 and its one path gain in place of
+a_l.  With alpha-mu fading the law averages the no-fading one over the
+fading power by Gauss-Legendre quadrature; cdf_snr gives either, where
+has_snr_law.
 
 Energy is counted in transmissions (unit energy).  `stage_law` gives the
 per-stage success probabilities of an FTP or ATP frame, which the closed
@@ -27,7 +28,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .channel import ArrayLike, gammainc, gammaincc
+from .channel import (ArrayLike, deterministic_path_gain, gammainc, gammaincc,
+                      misalignment_cdf_log)
 from .errors import DomainError, UnsupportedParams
 from .params import Experiment, FadingParams, GammaAbsorption, ThzLinkParams
 
@@ -89,60 +91,72 @@ def _exact(f, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(f, x.tolist()), float, x.size)
 
 
-def _kummer_terms(L: np.ndarray, k: int, z: float, rho: float):
+def _kummer_terms(L: np.ndarray, k: float, z: float, rho: float):
     """(c, g_{k+1}, g_{k+2}) at each L with c g_b = (zL)^k G_b, where
-    G_b = e^{-rho L} M(k, b, -(z - rho) L) / (b-1)!.
+    G_b = e^{-rho L} M(k, b, -(z - rho) L) / Gamma(b), for any real k > 0.
 
     With s = z - rho, G_{k+1} = e^{-rho L} gamma*(k, sL) and
     G_{k+2} = e^{-rho L} [gamma*(k, sL) - k gamma*(k+1, sL)] (DLMF 8.5.1,
     gamma* Tricomi's entire incomplete gamma); one Kummer function keeps
     the difference free of cancellation.  Kummer's transformation
     M(k, b, -x) = e^{-x} M(b-k, b, x) (DLMF 13.2.39) writes every G_b as
-    e^{-min(z, rho) L} W(a, b, |s| L) / (b-1)!, with a = b - k for s >= 0
-    and a = k for s < 0, and W(a, b, x) = e^{-x} M(a, b, x) in (0, 1].
-    c = (zL)^k and g_b = G_b while (zL)^k and (b-1)! fit a double, the
-    more accurate form; beyond, as for a large shape k, c = 1 and
-    (zL)^k e^{-min(z, rho) L} / (b-1)! is carried as one logarithm.
+    e^{-min(z, rho) L} W(a, b, |s| L) / Gamma(b), with a = b - k in {1, 2}
+    for s >= 0 and a = k for s < 0, and W(a, b, x) = e^{-x} M(a, b, x) in
+    (0, 1].  c = (zL)^k and g_b = G_b where (zL)^k and Gamma(b) fit a
+    double and g_b is a normal one, the more accurate form; elsewhere, as
+    for a large shape k or a g_b that underflows, c = 1 and g_b =
+    (zL)^k e^{-min(z, rho) L} W / Gamma(b) is one exp of the sum of their
+    logarithms, ln W included, where the factors may leave the double
+    range while their product does not.
     """
     s = z - rho
     m = min(z, rho) * L
-    bs = (k + 1, k + 2)
-    ws = [_poisson_kummer(b - k if s >= 0.0 else k, b, abs(s) * L) for b in bs]
+    x = abs(s) * L
+    ab = [(1 if s >= 0.0 else k, k + 1), (2 if s >= 0.0 else k, k + 2)]
 
-    def power(t):               # inf where (zL)^k leaves the double range
-        try:
-            return t ** k
-        except OverflowError:
-            return math.inf
-
-    c = _exact(power, z * L)
-    fits = np.isfinite(c) & (k + 1 <= 170)     # 170! is the last double
-    gs = [np.empty(L.size) for _ in bs]
+    log_power = k * _exact(math.log, z * L)         # ln (zL)^k
+    fits = (log_power < 709.7) & (k + 1 <= 170)     # 170! is the last double
+    c = np.ones(L.size)
+    gs = [np.zeros(L.size), np.zeros(L.size)]
     if fits.any():
+        c[fits] = _exact(lambda t: t ** k, z * L[fits])
         e = _exact(math.exp, -m[fits])
-        for g, w, b in zip(gs, ws, bs):
-            g[fits] = e * w[fits] / math.factorial(b - 1)
+        for g, (a, b) in zip(gs, ab):   # math.gamma(b) is exact to b = 23
+            g[fits] = e * _poisson_kummer(a, b, x[fits]) / (
+                math.factorial(int(b) - 1) if b == int(b) else math.gamma(b))
+        fits &= np.minimum(gs[0], gs[1]) >= np.finfo(float).tiny
     if not fits.all():
         big = ~fits
-        log_c = k * _exact(math.log, z * L[big]) - m[big]
         c[big] = 1.0
-        for g, w, b in zip(gs, ws, bs):
-            g[big] = _exact(math.exp, log_c - math.lgamma(b)) * w[big]
+        for g, (a, b) in zip(gs, ab):
+            g[big] = _exact(math.exp, log_power[big] - m[big] - math.lgamma(b)
+                            + _poisson_kummer(a, b, x[big], log=True))
     return c, gs[0], gs[1]
 
 
-def _poisson_kummer(a: int, b: int, x: ArrayLike) -> ArrayLike:
+def _poisson_kummer(a: float, b: float, x: ArrayLike,
+                    log: bool = False) -> ArrayLike:
     """W(a, b, x) = e^{-x} M(a, b, x) = sum_n Pois(n; x) (a)_n / (b)_n for
-    integers 0 < a < b at each x >= 0: positive terms, so no cancellation.
+    real 0 < a < b with a or b - a in {1, 2}, at each x >= 0: positive
+    terms, so no cancellation.
 
     Up to x = 60 + 2b the sum runs from n = 0 until its terms, past the
     Poisson mode, fall below 1e-17 of it (_kummer_series); each x stops
     on its own, so an array element reads as the same x alone.  Beyond,
-    the asymptotic
-    expansion of M (DLMF 13.7.2), Gamma(b)/Gamma(a) x^{a-b}
-    sum_s (b-a)_s (1-a)_s / s! x^{-s}, ends at s = a - 1 because a is a
-    positive integer.  The part it leaves out leads with
-    Gamma(a)/Gamma(b-a) x^{b-2a} e^{-x} of W, below 1e-23 there for any b.
+    the asymptotic expansion of M (DLMF 13.7.2), Gamma(b)/Gamma(a)
+    x^{a-b} sum_s (b-a)_s (1-a)_s / s! x^{-s}, runs until a term falls
+    below 1e-17 of the sum.  Its terms shrink by r = (b-a+s)(s+1-a) /
+    ((s+1) x): with b - a <= 2, r < 2a/x < 1 while s < a and
+    r < (s+2)/x < 1 after, so the rest is below 1e-17/(1 - r) of the
+    sum.  At an integer a (a in {1, 2} included) the terms end at
+    s = a - 1, and one that stops the sum sooner is below half an ulp of
+    it.  The part of W the expansion leaves out leads with
+    Gamma(a)/Gamma(b-a) x^{b-2a} e^{-x}, below 1e-23 there.
+    Gamma(b)/Gamma(a) x^{a-b} is taken as the product of j/x, j = a + f,
+    ..., b - 1 for f = frac(b - a), times Gamma(a + f)/Gamma(a) x^{-f}:
+    no overflow.  With log, ln W, whose asymptotic form takes that
+    factor's logarithm instead, so that it does not underflow; -inf where
+    the series does.
     """
     xs = np.asarray(x, dtype=float)
     flat = xs.reshape(-1)
@@ -151,16 +165,29 @@ def _poisson_kummer(a: int, b: int, x: ArrayLike) -> ArrayLike:
     out[near] = _kummer_series(a, b, flat[near])
     v = flat[~near]
     term, total = np.ones(v.size), np.ones(v.size)
-    for s in range(a - 1):
+    s = 0
+    while term.any():           # a stopped x keeps a term of 0
         term *= (b - a + s) * (s + 1 - a) / ((s + 1) * v)
+        term[np.abs(term) < 1e-17 * total] = 0.0
         total += term
-    for j in range(a, b):       # Gamma(b)/Gamma(a) x^{a-b}, no overflow
-        total *= j / v
+        s += 1
+    if log:
+        out[near] = _exact(lambda w: math.log(w) if w else -math.inf,
+                           out[near])
+        total = (_exact(math.log, total) + (a - b) * _exact(math.log, v)
+                 + (math.lgamma(b) - math.lgamma(a)))
+    else:
+        f = (b - a) % 1.0
+        for j in np.arange(a + f, b - 0.5):
+            total *= j / v
+        if f:
+            total *= math.gamma(a + f) / math.gamma(a) * _exact(
+                lambda t: t ** -f, v)
     out[~near] = total
     return out.reshape(xs.shape) if isinstance(x, np.ndarray) else float(out[0])
 
 
-def _kummer_series(a: int, b: int, x: np.ndarray) -> np.ndarray:
+def _kummer_series(a: float, b: float, x: np.ndarray) -> np.ndarray:
     """_poisson_kummer's series at each x <= 60 + 2b, each term and sum
     rounded as a loop over one x would round them: block by block, the
     terms are the running products down a table of the ratios of
@@ -210,20 +237,7 @@ def _kummer_series(a: int, b: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def composite_gain_cdf(y: ArrayLike, k: int, z: float, rho: float,
-                       a_l: float) -> ArrayLike:
-    """CDF of h_l * h_p at each y, for integer absorption shape k: 0 at
-    and below y = 0, 1 from a_l up, else gain_cdf_log at ln(a_l/y)."""
-    ys = np.asarray(y, dtype=float)
-    flat = ys.reshape(-1)
-    out = (flat >= a_l).astype(float)
-    inside = (flat > 0.0) & (flat < a_l)
-    out[inside] = gain_cdf_log(_exact(math.log, a_l / flat[inside]),
-                               k, z, rho)
-    return out.reshape(ys.shape) if isinstance(y, np.ndarray) else float(out[0])
-
-
-def gain_cdf_log(L: np.ndarray, k: int, z: float, rho: float) -> np.ndarray:
+def gain_cdf_log(L: np.ndarray, k: float, z: float, rho: float) -> np.ndarray:
     """P(h_l * h_p <= a_l e^-L) at each L > 0: F = Q(k, zL) +
     (zL)^k (G_{k+1} + rho L G_{k+2}), the absorption tail P(T >= L) plus
     P(T < L, W >= L - T)."""
@@ -231,72 +245,74 @@ def gain_cdf_log(L: np.ndarray, k: int, z: float, rho: float) -> np.ndarray:
     return gammaincc(k, z * L) + c * (g1 + rho * L * g2)
 
 
-def cdf_snr_no_fading(query: OutageQuery, model: GammaAbsorption,
-                      rho: float, link: ThzLinkParams) -> float:
-    """P(SNR <= gamma_th) with fading disabled (h = h_l * h_p)."""
-    k = model.integer_shape()
-    z = model.z_for(link)
-    if query.settled is not None:
-        return query.settled
-    return composite_gain_cdf(query.gamma_h, k, z, rho, link.a_l)
+def cdf_snr_no_fading(query: OutageQuery, model, rho: float,
+                      link: ThzLinkParams) -> float:
+    """P(SNR <= gamma_th) with fading disabled (h = h_l * h_p), for either
+    absorption model."""
+    return _cdf_snr(query, model, FadingParams(enabled=False), rho, link)
 
 
 def has_snr_law(exp: Experiment) -> bool:
-    """Whether cdf_snr has the exact law of exp's SNR: Gamma absorption of
-    integer shape, with fading off or alpha-mu fading (eta = 1, kappa = 0,
-    any real mu)."""
-    ab, fp = exp.absorption, exp.fading
-    return (isinstance(ab, GammaAbsorption) and ab.shape_is_integer
-            and (not fp.enabled or fp.is_alpha_mu))
+    """Whether cdf_snr has the exact law of exp's SNR: fading off or
+    alpha-mu fading (eta = 1, kappa = 0, any real mu), the fading laws
+    with a CDF, with either absorption model and any real shape."""
+    return not exp.fading.enabled or exp.fading.is_alpha_mu
 
 
 def cdf_snr(query: OutageQuery, exp: Experiment) -> float:
-    """P(SNR <= gamma_th) on exp's channel, where has_snr_law(exp); held
-    per process for each channel and query, so that the rows of a run that
-    share them evaluate it once."""
-    if not has_snr_law(exp):
+    """P(SNR <= gamma_th) on exp's channel, where has_snr_law(exp) or the
+    query is settled; held per process for each channel and query, so
+    that the rows of a run that share them evaluate it once."""
+    if query.settled is None and not has_snr_law(exp):
         raise UnsupportedParams("no exact SNR law for this channel: it needs "
-                                "Gamma absorption of integer shape and "
                                 "fading off or alpha-mu fading")
     return _cdf_snr(query, exp.absorption, exp.fading, exp.misalignment.rho,
                     exp.link)
 
 
-@functools.lru_cache(maxsize=64)
-def _cdf_snr(query: OutageQuery, model: GammaAbsorption, fp: FadingParams,
-             rho: float, link: ThzLinkParams) -> float:
-    if not fp.enabled or query.settled is not None:
-        return cdf_snr_no_fading(query, model, rho, link)
-    return cdf_snr_alpha_mu(query, model, fp, rho, link)
-
-
-# the quadrature over ln G in cdf_snr_alpha_mu: equal panels, nodes each
+# the quadrature over ln G in _cdf_snr: equal panels, nodes each
 PANELS = 8
 NODES = 64
 
 
-def cdf_snr_alpha_mu(query: OutageQuery, model: GammaAbsorption,
-                     fp: FadingParams, rho: float, link: ThzLinkParams
-                     ) -> float:
-    """P(SNR <= gamma_th) with alpha-mu fading: the no-fading law of
-    h_l h_p at gamma_h / h_f averaged over the fading power, mu G =
-    mu (h_f / r_hat)^alpha ~ Gamma(mu), in t = ln(mu G), whose density is
-    e^(mu t - e^t) / Gamma(mu).
+@functools.lru_cache(maxsize=64)
+def _cdf_snr(query: OutageQuery, model, fp: FadingParams, rho: float,
+             link: ThzLinkParams) -> float:
+    """cdf_snr on the channel's parts.  The gain h_l h_p is at most h_0,
+    and law(L) = P(h_l h_p <= h_0 e^-L) at L > 0: gain_cdf_log with
+    h_0 = a_l for Gamma absorption; for deterministic absorption (T = 0)
+    the misalignment tail e^{-rho L} (1 + rho L), h_0 its one path gain.
+    With fading off that is the law at L = ln(h_0 / gamma_h).
 
-    Up to t_k = ln g_k, g_k = mu (gamma_h / (a_l r_hat))^alpha, the gain
-    h_l h_p <= a_l lies below gamma_h / h_f, so that part is P(mu, g_k);
-    above, gain_cdf_log takes L = (t - t_k) / alpha.  The rest is PANELS
-    equal panels of NODES Gauss-Legendre nodes from t_k to
+    With alpha-mu fading it is averaged over the fading power, mu G =
+    mu (h_f / r_hat)^alpha ~ Gamma(mu), in t = ln(mu G), whose density is
+    e^(mu t - e^t) / Gamma(mu).  Up to t_k = ln g_k, g_k = mu (gamma_h /
+    (h_0 r_hat))^alpha, the gain lies below gamma_h / h_f, so that part is
+    P(mu, g_k); above, the law takes L = (t - t_k) / alpha.  The rest is
+    PANELS equal panels of NODES Gauss-Legendre nodes from t_k to
     ln(max(g_k, mu) + 100), past which the fading power's tail
     Q(mu, max(g_k, mu) + 100) is below e^-90 for mu <= 4 (e^-30 at
     mu = 100, where the law of h_l h_p is as small there).  The integrand
     is entire in t, so each panel converges geometrically: against scipy
     quadrature the sum holds to 1e-14 relative from 25 to 100 dB down to
-    an outage probability of 1e-13 (tests/test_analytics.py).
+    an outage probability of 1e-13 at integer k, and to 1e-10 at real k
+    down to 0.05, whose law near t_k rises as L^k (tests/test_analytics.py).
     """
-    k, z = model.integer_shape(), model.z_for(link)
+    if query.settled is not None:
+        return query.settled
+    gamma = isinstance(model, GammaAbsorption)
+    h_0 = link.a_l if gamma else deterministic_path_gain(model, link)
+
+    def law(L):
+        if gamma:
+            return gain_cdf_log(L, model.k, model.z_for(link), rho)
+        return misalignment_cdf_log(-L, rho)
+
+    if not fp.enabled:
+        L = math.log(h_0 / query.gamma_h)
+        return float(law(np.array([L]))[0]) if L > 0.0 else 1.0
     mu, alpha = fp.mu, fp.alpha
-    t_k = math.log(mu) + alpha * math.log(query.gamma_h / (link.a_l * fp.r_hat))
+    t_k = math.log(mu) + alpha * math.log(query.gamma_h / (h_0 * fp.r_hat))
     g_k = math.exp(min(t_k, 700.0))
     t_end = math.log(max(g_k, mu) + 100.0)
     x, w = _gauss_legendre(NODES)
@@ -304,8 +320,7 @@ def cdf_snr_alpha_mu(query: OutageQuery, model: GammaAbsorption,
     t = (t_k + half * (2 * np.arange(PANELS) + 1))[:, None] + half * x
     t = t.reshape(-1)
     density = np.exp(mu * t - np.exp(t) - math.lgamma(mu))
-    inner = np.dot(np.tile(w, PANELS) * density,
-                   gain_cdf_log((t - t_k) / alpha, k, z, rho))
+    inner = np.dot(np.tile(w, PANELS) * density, law((t - t_k) / alpha))
     return float(gammainc(mu, g_k)) + half * float(inner)
 
 

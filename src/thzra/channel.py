@@ -10,10 +10,10 @@ SNR
 
 which saturates at 1/k_h^2 for k_h > 0.  The outage score (outage_score:
 the outage probability given all components but one, which outage Monte
-Carlo averages and QoS admission takes as its survival function)
-composes the same laws in log form, a sum of log-losses scored by one
-exp.  Outage is T + W + F >= c for the absorption, misalignment and
-fading log-losses, each with an exponential tail; outage_rule picks the
+Carlo averages and drawn QoS admission takes the complement of) composes
+the same laws in log form, a sum of log-losses scored by one exp.
+Outage is T + W + F >= c for the absorption, misalignment and fading
+log-losses, each with an exponential tail; outage_rule picks the
 one of least rate among those with a CDF to integrate out
 (gammaincc, misalignment_cdf_log, alpha_mu_cdf_log) and tilts the others
 within their Gamma families (stratified_neg_log_product draws the
@@ -115,9 +115,14 @@ def sample_path_loss(model: Union[GammaAbsorption, DeterministicAbsorption],
     if isinstance(model, GammaAbsorption):
         return link.a_l, path_loss_nepers(sample_absorption_db(model, rng, size),
                                           link)
+    return deterministic_path_gain(model, link), 0.0
+
+
+def deterministic_path_gain(model: DeterministicAbsorption,
+                            link: ThzLinkParams) -> float:
+    """The one path gain h_l of deterministic absorption."""
     zeta = absorption_deterministic(link, model)
-    return path_gain_from_absorption(zeta_db_per_km_from_natural(zeta),
-                                     link), 0.0
+    return path_gain_from_absorption(zeta_db_per_km_from_natural(zeta), link)
 
 
 def sample_path_gain(model: Union[GammaAbsorption, DeterministicAbsorption],
@@ -387,18 +392,17 @@ def alpha_mu_cdf(u: ArrayLike, fp: FadingParams) -> ArrayLike:
 
 
 def alpha_mu_cdf_log(log_u: ArrayLike, fp: FadingParams,
-                     upper: bool = False, overwrite_input: bool = False,
+                     overwrite_input: bool = False,
                      weight: Optional[Tuple[float, float]] = None
                      ) -> ArrayLike:
     """alpha_mu_cdf at u = e^(log_u): gammainc(mu, x) with
     ln x = ln mu + alpha (log_u - ln r_hat), so that a gain built as a sum
     of logs takes one exp; ln x also feeds the series' prefactor.  With
-    upper, the survival function P(h_f > u) = Q(mu, x).  With
     overwrite_input, ln x is built in log_u, a float array the caller
     no longer needs (outage_score's per-point buffer): one array of its
     size fewer at the score's peak.  weight = (theta, c) multiplies the
     CDF by e^(c - theta log_u), a tilted draw's likelihood ratio, folded
-    into the series' prefactor (not with upper)."""
+    into the series' prefactor."""
     if not fp.is_alpha_mu:
         raise UnsupportedParams(
             "fading CDF is exact only for alpha-mu (eta=1, kappa=0), "
@@ -410,7 +414,7 @@ def alpha_mu_cdf_log(log_u: ArrayLike, fp: FadingParams,
     if weight is not None:      # theta log_u = (theta / alpha)(ln x - shift)
         b = weight[0] / fp.alpha
         weight = (b, weight[1] + b * shift)
-    return _regularized_gamma(fp.mu, np.exp(log_x), upper, log_x, weight)
+    return _regularized_gamma(fp.mu, np.exp(log_x), False, log_x, weight)
 
 
 def gammainc(a: float, x: ArrayLike) -> ArrayLike:
@@ -740,7 +744,7 @@ def outage_rule(exp: Experiment) -> OutageRule:
     score then decays as p^2 iff every drawn rate exceeds 2 r_1 - theta:
     re_bounded.  theta does not depend on gamma_bar, so every point of a
     grid scores the same draws."""
-    from .analytics import diversity_order     # analytics imports channel
+    from .analytics import diversity_order, has_snr_law  # it imports channel
     fp, ab = exp.fading, exp.absorption
     gamma = isinstance(ab, GammaAbsorption)
     order = diversity_order(fp.alpha if fp.enabled else math.inf, fp.mu,
@@ -752,22 +756,20 @@ def outage_rule(exp: Experiment) -> OutageRule:
         rates["fading"] = r_fading
     if gamma:
         rates["absorption"] = r_absorption
-    with_cdf = [c for c in rates if c != "fading" or fp.is_alpha_mu]
+    with_cdf = [c for c in rates if c != "fading" or has_snr_law(exp)]
     integrated = min(with_cdf, key=rates.__getitem__)
     r_1 = rates.pop(integrated)
-    tilted = rates and ("fading" not in rates or fp.is_alpha_mu)
+    tilted = rates and has_snr_law(exp)     # fading off or alpha-mu
     theta = TILT_FRACTION * r_1 if tilted else 0.0
     return OutageRule(integrated, theta,
                       all(r > 2.0 * r_1 - theta for r in rates.values()))
 
 
 def outage_score(exp: Experiment, gamma_hs: Sequence[float], m: int, rng,
-                 stratified: bool = True, upper: bool = False
-                 ) -> Iterator[np.ndarray]:
+                 stratified: bool = True) -> Iterator[np.ndarray]:
     """m draws of the outage probability P(h <= gamma_h) given every
     channel component but the one outage_rule integrates out, at each
-    gamma_h of gamma_hs in turn, all from one draw of those components;
-    with upper, P(h > gamma_h) instead.
+    gamma_h of gamma_hs in turn, all from one draw of those components.
 
     rng(component) is that component's substream.  The drawn log-loss D
     is built once per call, a sum over the drawn components, h =
@@ -782,14 +784,14 @@ def outage_score(exp: Experiment, gamma_hs: Sequence[float], m: int, rng,
     - alpha-mu fading: mu G ~ Gamma(mu - theta / alpha), one iid
       standard_gamma, D takes -ln(mu G) / alpha (h_0 has r_hat
       mu^(-1/alpha)), c += ln Gamma(mu - theta / alpha) - ln Gamma(mu).
-    Unless stratified (QoS admission's reading), and with upper, the draws
-    are untilted and iid: the path loss of sample_path_loss, -ln(U V) /
+    Unless stratified (QoS admission's reading), the draws are untilted
+    and iid: the path loss of sample_path_loss, -ln(U V) /
     rho from uniform_product and -ln G / alpha from fading_power (h_0 has
     r_hat).  Each gamma_h adds its constant ln(gamma_h / h_0) into one
     reused buffer, log_x = ln(gamma_h / h_0) + D, and the integrated
     component's CDF takes it whole: Q(k, z max(-log_x, 0)) on
     absorption; F_p(e^min(log_x, 0)) on misalignment; the alpha-mu CDF at
-    e^log_x on fading (their survival functions with upper).  The weight
+    e^log_x on fading.  The weight
     is e^(c_p - theta log_x) with c_p = c + theta ln(gamma_h / h_0),
     folded into the exp each score already takes.  So a point's scores
     do not depend on the other points, and each weighted score lies in
@@ -801,7 +803,7 @@ def outage_score(exp: Experiment, gamma_hs: Sequence[float], m: int, rng,
     """
     fp, ab, rho = exp.fading, exp.absorption, exp.misalignment.rho
     rule = outage_rule(exp)
-    theta = rule.tilt if stratified and not upper else 0.0
+    theta = rule.tilt if stratified else 0.0
     c = 0.0                                 # ln M(theta)
     if rule.integrated == "absorption":
         h_0, log_loss = exp.link.a_l, 0.0
@@ -846,27 +848,24 @@ def outage_score(exp: Experiment, gamma_hs: Sequence[float], m: int, rng,
         log_x = np.add(log_loss, s, out=shift)
         weight = (theta, c + theta * s) if theta else None
         if rule.integrated == "fading":
-            yield alpha_mu_cdf_log(log_x, fp, upper, overwrite_input=True,
+            yield alpha_mu_cdf_log(log_x, fp, overwrite_input=True,
                                    weight=weight)
         elif rule.integrated == "absorption":
-            yield _absorption_score(log_x, ab.k, ab.z_for(exp.link), upper,
-                                    weight)
+            yield _absorption_score(log_x, ab.k, ab.z_for(exp.link), weight)
         else:
             score = misalignment_cdf_log(log_x, rho, weight)
-            if upper:
-                score = 1.0 - score
             yield score if shift is not None else np.broadcast_to(score, m)
 
 
-def _absorption_score(log_x: np.ndarray, k: float, z: float, upper: bool,
+def _absorption_score(log_x: np.ndarray, k: float, z: float,
                       weight: Optional[Tuple[float, float]]) -> np.ndarray:
     """P(T >= -log_x) = Q(k, z max(-log_x, 0)) for the absorption loss T ~
-    Gamma(k, rate z), or P(T < -log_x) with upper; times e^(c - theta
-    log_x) for weight = (theta, c), log_x written into."""
+    Gamma(k, rate z); times e^(c - theta log_x) for weight = (theta, c),
+    log_x written into."""
     y = np.negative(log_x)
     np.maximum(y, 0.0, out=y)
     y *= z
-    out = _regularized_gamma(k, y, not upper)
+    out = gammaincc(k, y)
     if weight is not None:
         log_x *= -weight[0]
         log_x += weight[1]

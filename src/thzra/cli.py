@@ -347,7 +347,7 @@ def cmd_validate(cfg: RunConfig, out_dir: Path, manifest: Manifest) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-CELL_SCHEMA = "thzra.sweep.cell.v12"
+CELL_SCHEMA = "thzra.sweep.cell.v13"
 
 
 @dataclass(frozen=True)
@@ -545,9 +545,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.trials is not None:
             raw["protocol.trials"] = args.trials
         cfg = run_config(raw)
-        if (args.command in ("analyze", "validate")
-                and isinstance(cfg.exp.absorption, GammaAbsorption)):
-            cfg.exp.absorption.integer_shape()    # the closed forms need it
         if args.command == "sweep":
             _check_sweep(cfg)
         cap = read_value(os.environ, ENV_PARALLEL, int)

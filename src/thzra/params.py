@@ -76,7 +76,7 @@ class ThzLinkParams:
 class GammaAbsorption:
     """Random molecular absorption: zeta_dB ~ Gamma(k, beta), in dB/km."""
 
-    k: float                     # shape (integer required by closed forms only)
+    k: float                     # shape, any real k > 0
     beta: float                  # scale, dB/km per unit shape
 
     def __post_init__(self):
@@ -86,17 +86,6 @@ class GammaAbsorption:
     def z_for(self, link: ThzLinkParams) -> float:
         """Path-gain exponent z = 8.686/(beta * d_km) for a given link."""
         return DB_PER_NEPER / (self.beta * link.d_km)
-
-    @property
-    def shape_is_integer(self) -> bool:
-        return abs(self.k - round(self.k)) <= 1e-12 and round(self.k) >= 1
-
-    def integer_shape(self) -> int:
-        """Shape as int, rejecting non-integer k (closed-form paths only)."""
-        if not self.shape_is_integer:
-            raise OutOfRange("absorption.k_shape", self.k,
-                             "an integer shape, which the closed forms need")
-        return int(round(self.k))
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,12 @@ Batches run in blocks of TRIAL_BLOCK frames with numpy (`admit_users`,
 `contend`), which keep per-frame totals only, never per-slot records.
 Admission draws each frame's admitted count, not each user's SNR, as a
 stratified quantile of the count's law.  Where the channel has an exact
-SNR law (analytics.has_snr_law: Gamma absorption of integer shape, with
-fading off or alpha-mu fading) that law is Binomial(N, q) at the exact
-pass probability q, and admission draws no channel.  Elsewhere every
-provisioned user gets a draw of all channel components but one, which
-gives its probability of passing the QoS threshold, and the law is the
-Poisson binomial of those probabilities.
+SNR law (analytics.has_snr_law: fading off or alpha-mu fading, with
+either absorption model) that law is Binomial(N, q) at the exact pass
+probability q, and admission draws no channel.  With eta-mu or kappa-mu
+fading every provisioned user gets a draw of all channel components but
+one, which gives its probability of passing the QoS threshold, and the
+law is the Poisson binomial of those probabilities.
 The tests check `contend` against the exact stage law: with k holders
 at probability p a stage ends at its first single-transmitter slot, so
 it lasts Geometric(k p (1-p)^(k-1)) slots.
@@ -58,12 +58,12 @@ def admit_users(exp: Experiment, block: int, size: int) -> np.ndarray:
     the frame's N users whose SNR exceeds gamma_qos:
     - where pass_probability gives q exactly, Binomial(N, q)
       (binomial_cdf), the same for every frame: no channel draw;
-    - elsewhere each provisioned user i of frame t gets one iid draw of
-      the channel components channel.outage_score keeps, from the
-      block's other substreams, and with it p_ti = P(SNR > gamma_qos |
-      those components), the score's survival function; F_t is the
-      Poisson-binomial CDF of the p_ti.  Given the p, K_t is a count of
-      Bernoulli(p_ti) passes, so its law is that of counting SNR draws
+    - with eta-mu or kappa-mu fading each provisioned user i of frame t
+      gets one iid draw of the channel components channel.outage_score
+      keeps, from the block's other substreams, and with it p_ti =
+      P(SNR > gamma_qos | those components), one minus the score; F_t is
+      the Poisson-binomial CDF of the p_ti.  Given the p, K_t is a count
+      of Bernoulli(p_ti) passes, so its law is that of counting SNR draws
       above gamma_qos; which users pass is integrated out rather than
       drawn.  Above QUANTILE_MAX_USERS users each user passes on its
       own, at an iid uniform below p_ti from W's substream, which the
@@ -94,9 +94,9 @@ def admit_users(exp: Experiment, block: int, size: int) -> np.ndarray:
     rows = max(1, ADMISSION_DRAWS // n)
     for lo in range(0, size, rows):
         m = min(rows, size - lo)
-        [p] = channel.outage_score(exp, [gamma_h], m * n, rngs.__getitem__,
-                                   stratified=False, upper=True)
-        p = p.reshape(n, m)             # user i of frame lo + t at [i, t]
+        [score] = channel.outage_score(exp, [gamma_h], m * n,
+                                       rngs.__getitem__, stratified=False)
+        p = 1.0 - score.reshape(n, m)   # user i of frame lo + t at [i, t]
         if w is None:
             counts[lo:lo + m] = np.count_nonzero(free.random((n, m)) < p,
                                                  axis=0)
@@ -116,9 +116,7 @@ def pass_probability(exp: Experiment) -> Optional[float]:
     where the channel has an SNR law (analytics.has_snr_law); None where
     admit_users draws the channel."""
     query = _qos_query(exp)
-    if query.settled is not None:
-        return 1.0 - query.settled
-    if not analytics.has_snr_law(exp):
+    if query.settled is None and not analytics.has_snr_law(exp):
         return None
     return 1.0 - analytics.cdf_snr(query, exp)
 

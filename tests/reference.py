@@ -3,16 +3,16 @@
 Crude outage counting with Wilson intervals (the estimator outage_mc's
 conditional scores are compared with), the high-SNR slope fit of an
 outage curve, the Hoeffding concentration bounds of the simulated means,
-the ATP delay prefix, the linear misalignment CDF, and the exact outage
-probability with alpha-mu fading and without fading for any absorption
-shape, by quadrature.
+the ATP delay prefix, the linear misalignment CDF, the CDF of the gain
+h_l h_p at one gain, and the exact outage probability with alpha-mu and
+with kappa-mu fading, by quadrature.
 """
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
 from thzra import analytics, channel, streams
 from thzra.errors import DomainError
@@ -137,10 +137,20 @@ def misalignment_cdf(x: channel.ArrayLike, rho: float) -> channel.ArrayLike:
     return out if isinstance(x, np.ndarray) else float(out)
 
 
+def composite_gain_cdf(y: float, k: float, z: float, rho: float,
+                       a_l: float) -> float:
+    """CDF of h_l * h_p at a gain y > 0 for Gamma absorption of shape
+    k > 0: 1 from a_l up, else analytics.gain_cdf_log at ln(a_l/y)."""
+    if y >= a_l:
+        return 1.0
+    return float(analytics.gain_cdf_log(np.array([math.log(a_l / y)]), k, z,
+                                        rho)[0])
+
+
 def exact_outage(exp: Experiment, gamma_h: float) -> float:
-    """P(h <= gamma_h) for Gamma absorption of integer shape, alpha-mu
+    """P(h <= gamma_h) for Gamma absorption of any real shape, alpha-mu
     fading and misalignment: E over the fading power G of
-    analytics.composite_gain_cdf(gamma_h / h_f), h_f = r_hat G^(1/alpha),
+    composite_gain_cdf(gamma_h / h_f), h_f = r_hat G^(1/alpha),
     integrated over t = ln(mu G), whose density is e^(mu t - e^t) /
     Gamma(mu).  Below g_k = mu (gamma_h / (a_l r_hat))^alpha the gain
     h_l h_p (at most a_l) is below gamma_h / h_f, so that part is
@@ -149,13 +159,13 @@ def exact_outage(exp: Experiment, gamma_h: float) -> float:
     (it matches a 2-D quadrature over the absorption and misalignment
     draws to 1e-14 on the configs/sweep_outage.cfg cells at 100-120 dB)."""
     fp, ab, link = exp.fading, exp.absorption, exp.link
-    k, z, rho = ab.integer_shape(), ab.z_for(link), exp.misalignment.rho
+    k, z, rho = ab.k, ab.z_for(link), exp.misalignment.rho
     mu, alpha = fp.mu, fp.alpha
     t_k = math.log(mu) + alpha * math.log(gamma_h / (link.a_l * fp.r_hat))
 
     def density_times_cdf(t):
         h_f = fp.r_hat * math.exp((t - math.log(mu)) / alpha)
-        return (analytics.composite_gain_cdf(gamma_h / h_f, k, z, rho,
+        return (composite_gain_cdf(gamma_h / h_f, k, z, rho,
                                              link.a_l)
                 * math.exp(mu * t - math.exp(t) - math.lgamma(mu)))
 
@@ -168,24 +178,29 @@ def exact_outage(exp: Experiment, gamma_h: float) -> float:
     return p
 
 
-def no_fading_outage(exp: Experiment, gamma_h: float) -> float:
-    """P(h_l h_p <= gamma_h) for Gamma absorption of any real shape k
-    (analytics.composite_gain_cdf takes integer k only): with T ~
-    Gamma(k, 1/z) the absorption loss and W ~ Gamma(2, 1/rho) the
-    misalignment's, the law is P(T + W >= L), L = ln(a_l / gamma_h), i.e.
-    Q(k, zL) plus the integral over T < L of P(W >= L - T) = (1 + rho
-    (L - T)) e^(-rho (L - T)), by scipy's quad."""
-    ab, rho = exp.absorption, exp.misalignment.rho
-    z, L = ab.z_for(exp.link), math.log(exp.link.a_l / gamma_h)
-    if L <= 0.0:
-        return 1.0
+def kappa_mu_outage(exp: Experiment, gamma_h: float) -> float:
+    """P(h <= gamma_h) for Gamma absorption and kappa-mu fading (eta = 1,
+    integer mu), which the package has no law for: E over the fading
+    power G = (h_f / r_hat)^alpha of composite_gain_cdf(gamma_h
+    / h_f), by scipy's quad.  The sampler's mu Gaussian clusters make
+    2 mu (1 + kappa) G a noncentral chi-square of 2 mu degrees of freedom
+    and noncentrality 2 mu kappa.  Below g_k = (gamma_h / (a_l
+    r_hat))^alpha the gain h_l h_p (at most a_l) is below gamma_h / h_f,
+    so that part is the fading CDF at g_k."""
+    fp, ab, link = exp.fading, exp.absorption, exp.link
+    power = stats.ncx2(2 * fp.mu, 2 * fp.mu * fp.kappa,
+                       scale=1.0 / (2 * fp.mu * (1.0 + fp.kappa)))
+    g_k = (gamma_h / (link.a_l * fp.r_hat)) ** fp.alpha
 
-    def density_times_tail(t):
-        w = L - t
-        return (math.exp((ab.k - 1) * math.log(z * t) - z * t
-                         - math.lgamma(ab.k)) * z
-                * (1.0 + rho * w) * math.exp(-rho * w))
+    def density_times_cdf(g):
+        h_f = fp.r_hat * g ** (1.0 / fp.alpha)
+        return power.pdf(g) * composite_gain_cdf(
+            gamma_h / h_f, ab.k, ab.z_for(link), exp.misalignment.rho,
+            link.a_l)
 
-    inner = integrate.quad(density_times_tail, 0.0, L, epsabs=0,
-                           epsrel=1e-12, limit=200)[0]
-    return float(special.gammaincc(ab.k, z * L)) + inner
+    p, lo = float(power.cdf(g_k)), g_k
+    for hi in (g_k + 1.0, g_k + 10.0, math.inf):
+        p += integrate.quad(density_times_cdf, lo, hi, epsabs=0,
+                            epsrel=1e-10, limit=200)[0]
+        lo = hi
+    return p

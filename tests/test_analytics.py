@@ -10,7 +10,7 @@ import pytest
 from scipy import stats as sstats
 
 from thzra import analytics, channel, cli, params
-from thzra.errors import DomainError, OutOfRange, UnsupportedParams
+from thzra.errors import DomainError, UnsupportedParams
 from thzra.params import (DB_PER_NEPER, FadingParams, GammaAbsorption,
                           MisalignmentParams, ThzLinkParams)
 
@@ -32,20 +32,24 @@ def make_link(**kw):
 
 def mp_gain_law(y, k, z, rho, a_l):
     """Independent construction oracle, the CDF of h_l * h_p at y by 40-digit
-    quadrature.  h_l * h_p = a_l e^{-(T+W)} with T = ln(a_l/h_l) ~
-    Gamma(k, 1/z) and W = -ln h_p, whose tail (1 + rho w) e^{-rho w} is the
-    misalignment CDF x^rho (1 - rho ln x) at x = e^{-w}.  Integrate over
-    T = uL up to L = ln(a_l/y), beyond which the CDF takes the whole Gamma
-    tail; the factors (zL)^k e^{-rho L} / (k-1)! stay outside, because
-    quad's tolerance is absolute and that part can be 1e-30.  For a large k
-    the integrand u^{k-1} e^{-(z-rho) L u} is itself a narrow peak of height
-    1e-48 or less at u* = (k-1)/((z-rho) L): the interval is split there,
-    and the integrand is divided by its peak value, or quad stops at once
-    on a wrong answer (0.2842 for 0.36351 at k = 40)."""
+    quadrature, for any real shape k > 0.  h_l * h_p = a_l e^{-(T+W)} with
+    T = ln(a_l/h_l) ~ Gamma(k, 1/z) and W = -ln h_p, whose tail
+    (1 + rho w) e^{-rho w} is the misalignment CDF x^rho (1 - rho ln x) at
+    x = e^{-w}.  Integrate over T = uL up to L = ln(a_l/y), beyond which
+    the CDF takes the whole Gamma tail; the factors (zL)^k e^{-rho L} /
+    Gamma(k) stay outside, because quad's tolerance is absolute and that
+    part can be 1e-30.  For a large k the integrand u^{k-1} e^{-(z-rho) L u}
+    is itself a narrow peak of height 1e-48 or less at u* = (k-1)/((z-rho)
+    L): the interval is split there, and the integrand is divided by its
+    peak value, or quad stops at once on a wrong answer (0.2842 for
+    0.36351 at k = 40).  Below k = 1 the integrand is infinite at u = 0,
+    so the peak is taken at the other nodes, and with z > rho the interval
+    is split at 1/((z-rho) L) as well, past which e^{-(z-rho) L u} has
+    fallen."""
     with mpmath.workdps(40):
-        y, z, rho, a_l = (mpmath.mpf(v) for v in (y, z, rho, a_l))
+        y, z, rho, a_l, k = (mpmath.mpf(v) for v in (y, z, rho, a_l, k))
         L = mpmath.log(a_l / y)
-        scale = (z * L) ** k * mpmath.exp(-rho * L) / mpmath.factorial(k - 1)
+        scale = (z * L) ** k * mpmath.exp(-rho * L) / mpmath.gamma(k)
 
         def t_then_w(u):     # L f_T(uL) e^{-rho w} at w = (1-u)L, over scale
             return u ** (k - 1) * mpmath.exp(-(z - rho) * L * u)
@@ -53,7 +57,9 @@ def mp_gain_law(y, k, z, rho, a_l):
         nodes = [mpmath.mpf(0), mpmath.mpf(1)]
         if z != rho and 0 < (k - 1) / ((z - rho) * L) < 1:
             nodes.insert(1, (k - 1) / ((z - rho) * L))
-        peak = max(t_then_w(u) for u in nodes)      # unimodal on [0, 1]
+        peak = max(t_then_w(u) for u in nodes if u > 0 or k >= 1)
+        if k < 1 and (z - rho) * L > 1:
+            nodes.insert(1, 1 / ((z - rho) * L))
         scale *= peak
         tail = mpmath.gammainc(k, z * L, mpmath.inf, regularized=True)
         return float(tail + scale * mpmath.quad(
@@ -64,7 +70,7 @@ def assert_gain_law(y, k, z, rho, a_l):
     """CDF within 1e-13 absolute and 1e-12 relative of mpmath."""
     cdf = mp_gain_law(y, k, z, rho, a_l)
     args = (y, k, z, rho, a_l)
-    got = analytics.composite_gain_cdf(*args)
+    got = reference.composite_gain_cdf(*args)
     assert abs(got - cdf) <= 1e-13, args
     assert got == pytest.approx(cdf, rel=1e-12, abs=0), args
 
@@ -91,7 +97,7 @@ def test_gain_law_near_z_equals_rho(k):
 def test_gain_law_with_rates_far_apart(k, z, rho, frac):
     # |z - rho| L in the thousands: e^{|s| L} overflows unless the Kummer
     # transformation keeps the hypergeometric argument non-positive
-    assert math.isfinite(analytics.composite_gain_cdf(frac, k, z, rho, 1.0))
+    assert math.isfinite(reference.composite_gain_cdf(frac, k, z, rho, 1.0))
     assert_gain_law(frac, k, z, rho, 1.0)
 
 
@@ -115,6 +121,53 @@ def test_gain_law_at_large_shape(k):
     for db in (25.0, 35.0, 45.0):
         q = analytics.OutageQuery(10 ** 0.5, 10 ** (db / 10), link.k_h)
         assert_gain_law(q.gamma_h, k, z, 4.0, link.a_l)
+
+
+REAL_SHAPES = [0.3, 0.5, 1.5, 2.5, 7.3, 40.5]
+
+
+@pytest.mark.parametrize("k", REAL_SHAPES)
+def test_gain_law_at_a_real_shape(k):
+    # the law needs no integer k: z < rho, z = rho and z > rho, on both
+    # sides of the Kummer switch, from F near 1 down to about 1e-290
+    for z, rho in ((2.0, 6.0), (4.0, 4.0), (8.0, 4.0)):
+        for L in (1e-6, 0.3, 3.0, 11.0, 12.5, 40.0, 165.0):
+            assert_gain_law(math.exp(-L), k, z, rho, 1.0)
+
+
+@pytest.mark.parametrize("k,L", [(40, 150.0), (80, 70.0), (20, 150.0)])
+def test_gain_law_where_its_terms_underflow(k, L):
+    # e^{-min(z, rho) L} W / (b-1)! goes subnormal where (zL)^k times it
+    # is still a normal double: at z = 8, rho = 4 the law read 0.0 for
+    # 1.63e-246 (k = 40) and was 5e-7 (k = 80) and 1e-8 (k = 20) off
+    y = math.exp(-L)
+    assert reference.composite_gain_cdf(y, k, 8.0, 4.0, 1.0) == pytest.approx(
+        mp_gain_law(y, k, 8.0, 4.0, 1.0), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("k,z,L", [(150, 300.0, 40.0), (150, 13029.0, 3.0),
+                                   (150.5, 13072.4, 3.0)])
+def test_gain_law_where_its_log_form_overflowed(k, z, L):
+    # (zL)^k e^{-rho L} / Gamma(b) leaves the double range while W
+    # underflows: the log form read 0.0 or raised OverflowError here
+    # (z = 13029 is configs/default.cfg with k_shape = 150 and
+    # kbeta_db_per_km = 1, on which analyze failed)
+    assert_gain_law(math.exp(-L), k, z, 4.0, 1.0)
+
+
+@pytest.mark.parametrize("k", REAL_SHAPES)
+def test_poisson_kummer_at_a_real_shape(k):
+    # the (a, b) the gain law asks for at a real k, a in {1, 2} with
+    # b = k + a (z >= rho) and a = k with b = k + 1, k + 2 (z < rho), on
+    # both sides of the series/asymptotic switch
+    for a, b in ((1, k + 1), (2, k + 2), (k, k + 1), (k, k + 2)):
+        switch = 60.0 + 2.0 * b
+        for x in (0.0, 1e-8, 1.0, 30.0, switch, np.nextafter(switch, np.inf),
+                  1.5 * switch, 1e4):
+            with mpmath.workdps(30):
+                ref = float(mpmath.exp(-x) * mpmath.hyp1f1(a, b, x))
+            got = analytics._poisson_kummer(a, b, x)
+            assert got == pytest.approx(ref, rel=1e-14, abs=1e-300), (a, b, x)
 
 
 @pytest.mark.parametrize("b", [2, 3, 5, 10, 30])
@@ -183,14 +236,6 @@ def test_ceiling_outage_flagged_probability_one():
     assert analytics.cdf_snr_no_fading(q, model, 4.0, link) == 1.0
 
 
-def test_non_integer_shape_rejected_by_closed_form():
-    link = make_link()
-    model = GammaAbsorption(k=2.5, beta=10.0)
-    q = analytics.OutageQuery(gamma_th=1.0, gamma_bar=link.avg_snr, k_h=link.k_h)
-    with pytest.raises(OutOfRange, match="absorption.k_shape"):
-        analytics.cdf_snr_no_fading(q, model, 4.0, link)
-
-
 def test_snr_cdf_monotone_in_threshold_and_avg_snr():
     link = make_link()
     model = GammaAbsorption(k=3, beta=10.0)
@@ -229,16 +274,23 @@ def test_snr_cdf_vs_monte_carlo(beta):
 
 def test_gain_cdf_on_an_array_reads_as_its_scalars():
     # one implementation: each element of an array call is the scalar
-    # call at that y to the bit, on both Kummer branches and with (zL)^k
-    # carried as a logarithm (k = 150, 345); and the Kummer series with
-    # e^-x in factors (b = 401, x past 700)
-    y = np.exp(-np.r_[1e-6, 0.3, 2.0, 11.0, 12.5, 40.0, 400.0]) * 0.25
+    # call at that L to the bit, on both Kummer branches and with (zL)^k
+    # carried as a logarithm (k = 150, 345); at a real shape the Kummer
+    # terms (channel.gammaincc there can differ in the last place between
+    # an array and its elements); and the Kummer series with e^-x in
+    # factors (b = 401, x past 700)
+    L = np.r_[1e-6, 0.3, 2.0, 11.0, 12.5, 40.0, 400.0]
     for k, z, rho in ((3, 8.686, 4.0), (2, 4.0, 4.0), (4, 2.0, 6.0),
                       (150, 8.0, 4.0), (345, 1.0, 3.0)):
-        got = analytics.composite_gain_cdf(y, k, z, rho, 0.25)
-        one = [analytics.composite_gain_cdf(float(v), k, z, rho, 0.25)
-               for v in y]
+        got = analytics.gain_cdf_log(L, k, z, rho)
+        one = [analytics.gain_cdf_log(L[i:i + 1], k, z, rho)[0]
+               for i in range(L.size)]
         assert got.tolist() == one, (k, z, rho)
+    for k, z, rho in ((2.5, 8.686, 4.0), (0.5, 2.0, 6.0), (40.5, 8.0, 4.0)):
+        got = np.array(analytics._kummer_terms(L, k, z, rho))
+        one = np.array([analytics._kummer_terms(L[i:i + 1], k, z, rho)
+                        for i in range(L.size)])[:, :, 0].T
+        assert got.tolist() == one.tolist(), (k, z, rho)
     x = np.r_[0.0, 5.0, 100.0, 720.0, 800.0, 900.0]
     assert (analytics._poisson_kummer(2, 401, x).tolist()
             == [analytics._poisson_kummer(2, 401, float(v)) for v in x])
@@ -274,8 +326,10 @@ def test_fading_law_matches_scipy_quadrature(alpha):
     # every (mu, k, rho) of the grid, each at one average SNR of 25-100 dB
     # in turn, against scipy's adaptive quadrature: 1e-10 relative down
     # to p_out of 1e-12 (1e-14 is what the law reaches)
-    cells = itertools.product((0.6, 1, 1.5, 2.5, 4), (1, 3, 7),
-                              (2, 4.1, 8.686))
+    # (1e-10 at a real k, down to k = 0.3)
+    cells = itertools.chain(
+        itertools.product((0.6, 1, 1.5, 2.5, 4), (1, 3, 7), (2, 4.1, 8.686)),
+        itertools.product((0.6, 2.5), (0.3, 2.5, 40.5), (2, 8.686)))
     dbs = itertools.cycle((25, 40, 55, 70, 85, 100))
     checked = 0
     for (mu, k, rho), db in zip(cells, dbs):
@@ -285,7 +339,48 @@ def test_fading_law_matches_scipy_quadrature(alpha):
         if ref >= 1e-12:
             assert got == pytest.approx(ref, rel=1e-10, abs=0), (mu, k, rho, db)
             checked += 1
-    assert checked >= 30
+    assert checked >= 40
+
+
+def mp_deterministic_law(exp, gamma_h):
+    """P(h <= gamma_h) for deterministic absorption, whose path gain h_0
+    is one number, at 40 digits: the misalignment tail e^{-rho L}
+    (1 + rho L) at L = ln(h_0 / gamma_h) in closed form with fading off;
+    with alpha-mu fading, its mean over t = ln(mu G), which adds
+    (ln(mu G) - t_k) / alpha to L, by quadrature up to mu G = mu + 200,
+    past which the fading power's tail is below e^-150."""
+    fp, rho = exp.fading, exp.misalignment.rho
+    with mpmath.workdps(40):
+        L0 = mpmath.log(mpmath.mpf(channel.deterministic_path_gain(
+            exp.absorption, exp.link)) / mpmath.mpf(gamma_h))
+
+        def tail(L):
+            return mpmath.exp(-rho * L) * (1 + rho * L) if L > 0 else 1
+
+        if not fp.enabled:
+            return float(tail(L0))
+        t_k = mpmath.log(fp.mu) - fp.alpha * (L0 + mpmath.log(fp.r_hat))
+        p = mpmath.gammainc(fp.mu, 0, mpmath.exp(t_k), regularized=True)
+        return float(p + mpmath.quad(
+            lambda t: mpmath.exp(fp.mu * t - mpmath.exp(t))
+            / mpmath.gamma(fp.mu) * tail((t - t_k) / fp.alpha),
+            [t_k, t_k + 5, t_k + 20, max(t_k + 20, mpmath.log(fp.mu + 200))]))
+
+
+@pytest.mark.parametrize("fading", [FadingParams(enabled=False),
+                                    FadingParams(alpha=2.0, mu=1),
+                                    FadingParams(alpha=1.0, mu=2.5, r_hat=1.3)],
+                         ids=["off", "rayleigh", "alpha_mu"])
+def test_deterministic_absorption_law(fading):
+    # T = 0 and h_0 the one path gain in place of a_l: the misalignment
+    # tail alone, or averaged over the fading power by the same panels
+    exp = replace(DEFAULT, absorption=params.DeterministicAbsorption(),
+                  fading=fading)
+    assert analytics.has_snr_law(exp)
+    for db in (25, 40, 55, 70, 85, 100):
+        query, got = law_at(exp, db)
+        assert got == pytest.approx(mp_deterministic_law(exp, query.gamma_h),
+                                    rel=1e-12, abs=0), db
 
 
 def test_fading_law_holds_where_a_split_in_g_fails():
@@ -304,7 +399,7 @@ def test_fading_law_holds_where_a_split_in_g_fails():
          + half * x).reshape(-1)
     split = channel.gammainc(fp.mu, g_k) + half * np.dot(
         np.tile(w, analytics.PANELS) * sstats.gamma.pdf(u, fp.mu),
-        analytics.gain_cdf_log(np.log(u / g_k) / fp.alpha, ab.integer_shape(),
+        analytics.gain_cdf_log(np.log(u / g_k) / fp.alpha, ab.k,
                                ab.z_for(link), DEFAULT.misalignment.rho))
     assert split < got / 5.0
 
@@ -329,21 +424,25 @@ def test_gauss_legendre_rule_matches_mpmath():
 
 
 def test_snr_law_scope():
-    # integer absorption shape with fading off or alpha-mu fading: the
-    # law; eta-mu or kappa-mu fading, a real shape or deterministic
-    # absorption: none yet
-    assert analytics.has_snr_law(DEFAULT)
-    off = replace(DEFAULT, fading=replace(DEFAULT.fading, enabled=False))
-    assert analytics.has_snr_law(off)
+    # fading off or alpha-mu fading, with either absorption model and any
+    # real shape: the law, and outage_rule may integrate the fading out;
+    # eta-mu or kappa-mu fading: no law yet, and the fading is drawn
     query = analytics.OutageQuery(10 ** 0.5, DEFAULT.link.avg_snr,
                                   DEFAULT.link.k_h)
+    off = replace(DEFAULT, fading=replace(DEFAULT.fading, enabled=False))
+    real = replace(DEFAULT, absorption=GammaAbsorption(k=2.5, beta=12.0))
+    det = replace(DEFAULT, absorption=params.DeterministicAbsorption())
+    for exp in (DEFAULT, off, real, replace(real, fading=off.fading), det,
+                replace(det, fading=off.fading)):
+        assert analytics.has_snr_law(exp)
+        assert 0.0 < analytics.cdf_snr(query, exp) < 1.0
     assert analytics.cdf_snr(query, off) == analytics.cdf_snr_no_fading(
         query, off.absorption, off.misalignment.rho, off.link)
-    for exp in (replace(DEFAULT, fading=FadingParams(eta=2.0, mu=2)),
-                replace(DEFAULT, fading=FadingParams(kappa=1.0, mu=2)),
-                replace(DEFAULT, absorption=GammaAbsorption(k=2.5, beta=12.0)),
-                replace(DEFAULT, absorption=params.DeterministicAbsorption())):
+    assert channel.outage_rule(det).integrated == "fading"
+    for exp in (replace(det, fading=FadingParams(eta=2.0, mu=2)),
+                replace(DEFAULT, fading=FadingParams(kappa=1.0, mu=2))):
         assert not analytics.has_snr_law(exp)
+        assert channel.outage_rule(exp).integrated != "fading"
         with pytest.raises(UnsupportedParams):
             analytics.cdf_snr(query, exp)
 

@@ -598,46 +598,6 @@ def test_gammainc_from_log_x_matches_mpmath(a):
     assert np.all(p[~live] <= 1e-299)
 
 
-@pytest.mark.parametrize("a", range(1, 21))
-def test_alpha_mu_survival_from_log_x_matches_mpmath(a):
-    # the entry admission takes: Q(mu, x) for an integer mu with the
-    # prefactor from ln x, x from 1e-300 to past 745, where e^-x alone
-    # underflows while Q (a > 1) does not yet; the bound is that of
-    # test_gammainc_from_log_x_matches_mpmath
-    fp = FadingParams(alpha=1.0, mu=a, r_hat=1.0)
-    x = np.concatenate([np.geomspace(1e-300, 1e3, 400),
-                        [1.0, 700.0, 708.0, 745.0, 746.0, 760.0, 800.0]])
-    L = np.log(x) - math.log(a)                 # ln u, so that ln x = L + ln a
-    q = channel.alpha_mu_cdf_log(L, fp, upper=True)
-    log_x = L + math.log(a)
-    with mpmath.workdps(40):                    # at the x the score scores
-        ref = np.array([float(mpmath.gammainc(
-            a, mpmath.mpf(float(v)), mpmath.inf, regularized=True))
-            for v in np.exp(log_x)])
-    normal = ref >= np.finfo(float).tiny
-    ulps = a * np.abs(log_x) + 16.0
-    assert np.all(np.abs(q[normal] - ref[normal])
-                  <= ulps[normal] * np.finfo(float).eps * ref[normal])
-    # a subnormal Q holds what its few bits can
-    assert np.all(np.abs(q[~normal] - ref[~normal]) <= 1e-321)
-
-
-@pytest.mark.parametrize("fp", [FadingParams(alpha=2.0, mu=1),
-                                FadingParams(alpha=1.0, mu=4, r_hat=1.3),
-                                FadingParams(alpha=2.0, mu=25),
-                                FadingParams(alpha=1.0, mu=1.5, r_hat=1.3)],
-                         ids=["mu1", "mu4", "mu25", "mu1.5"])
-def test_alpha_mu_survival_complements_the_cdf(fp):
-    # upper gives P(h_f > u), by the series or the continued fraction
-    log_u = np.linspace(-12.0, 2.0, 500)
-    sf = channel.alpha_mu_cdf_log(log_u, fp, upper=True)
-    cdf = channel.alpha_mu_cdf_log(log_u, fp)
-    np.testing.assert_allclose(sf + cdf, 1.0, rtol=0, atol=1e-14)
-    x = fp.mu * np.exp(fp.alpha * (log_u - math.log(fp.r_hat)))
-    np.testing.assert_allclose(sf, sstats.gamma.sf(x, a=fp.mu),
-                               rtol=1e-12, atol=1e-300)
-
-
 @pytest.mark.parametrize("a", LOG_ENTRY_A)
 def test_economized_series_is_the_taylor_sum(a):
     # the economized coefficients on [0, 1] against the full Taylor sum
@@ -669,13 +629,11 @@ def test_alpha_mu_cdf_log_can_overwrite_its_input():
     # overwrite_input builds ln x in log_u itself, to the same values
     log_u = np.linspace(-12.0, 2.0, 500)
     fp = FadingParams(alpha=2.0, mu=1.5, r_hat=1.3)
-    for upper in (False, True):
-        want = channel.alpha_mu_cdf_log(log_u, fp, upper)
-        scratch = log_u.copy()
-        got = channel.alpha_mu_cdf_log(scratch, fp, upper,
-                                       overwrite_input=True)
-        np.testing.assert_array_equal(got, want)
-        assert not np.array_equal(scratch, log_u)
+    want = channel.alpha_mu_cdf_log(log_u, fp)
+    scratch = log_u.copy()
+    got = channel.alpha_mu_cdf_log(scratch, fp, overwrite_input=True)
+    np.testing.assert_array_equal(got, want)
+    assert not np.array_equal(scratch, log_u)
 
 
 @pytest.mark.parametrize("a", [1.0, 1.5, 2.5, 3.0, 40.5])

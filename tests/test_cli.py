@@ -138,10 +138,6 @@ def test_bad_field_exit_2(tmp_path):
      "rho = 4.0\n\n[protocol]\ngamma_qos_db = 10\n", "fading.mu"),
     ("sweep", SWEEP_CFG, "eta = 1.0\nkappa = 0.0\nmu = 1.5",
      "eta = 2\nkappa = 0.0\nmu = 1", "sweep.mu"),
-    # the closed forms of analyze and validate need an integer shape
-    ("analyze", DEFAULT_CFG, "k_shape = 3", "k_shape = 2.5", "absorption.k_shape"),
-    ("validate", DEFAULT_CFG, "k_shape = 3", "k_shape = 2.5",
-     "absorption.k_shape"),
     ("validate", DEFAULT_CFG, "seed = 1", "seed = -3", "protocol.seed"),
     ("sweep", SWEEP_CFG, "seed = 7", "seed = -3", "protocol.seed"),
     # a count is a whole number, never truncated
@@ -197,8 +193,7 @@ def test_bad_field_exit_2(tmp_path):
         "removed-beamwidth", "removed-angle_sigma2", "removed-pressure_unit",
         "removed-p_ext", "removed-q_ext", "removed-admission",
         "removed-rho_sample_scale", "unused_model_key", "fading_mu",
-        "sweep_fading_mu", "k_shape-real-analyze", "k_shape-real-validate",
-        "seed-negative", "seed-negative-sweep", "seed-fraction",
+        "sweep_fading_mu", "seed-negative", "seed-negative-sweep", "seed-fraction",
         "n_users-fraction", "n_users-range-fraction", "validation_trials-fraction",
         "n_samples-fraction", "sweep_k_users-fraction", "q1-nan",
         "temperature-simulate", "temperature-sweep", "avg_snr_db-minus_inf",
@@ -268,7 +263,7 @@ def test_deterministic_absorption_defaults_to_the_shipped_coefficients(tmp_path)
 
 
 def test_real_absorption_shape_runs_under_simulate_and_sweep(tmp_path):
-    # only the closed forms need an integer shape; the samplers take any
+    # the samplers take any real shape, and so does the law
     text = DEFAULT_CFG.read_text().replace("k_shape = 3", "k_shape = 2.5")
     cfg = write_cfg(tmp_path, "real.cfg", text)
     assert cli.main(["simulate", "--config", str(cfg), "--trials", "10",
@@ -278,6 +273,25 @@ def test_real_absorption_shape_runs_under_simulate_and_sweep(tmp_path):
     cfg = write_cfg(tmp_path, "real_sweep.cfg", text)
     assert cli.main(["sweep", "--config", str(cfg),
                      "--out", str(tmp_path / "sweep")]) == 0
+
+
+def test_real_absorption_shape_has_the_law_under_analyze_and_validate(
+        tmp_path):
+    # the law is defined for every k > 0: analyze writes its outage grid
+    # at k_shape = 2.5, and validate's no_fading_outage suite holds the
+    # Monte Carlo to it
+    text = DEFAULT_CFG.read_text().replace("k_shape = 3", "k_shape = 2.5")
+    cfg = write_cfg(tmp_path, "real.cfg", text)
+    assert cli.main(["analyze", "--config", str(cfg),
+                     "--out", str(tmp_path / "an")]) == 0
+    _, _, rows = read_rows(tmp_path / "an" / "analyze_outage.csv")
+    assert len(rows) == 10 and all(0.0 < float(r[1]) < 1.0 for r in rows)
+    assert cli.main(["validate", "--config", str(cfg), "--trials", "10",
+                     "--out", str(tmp_path / "val")]) == 0
+    report = json.loads((tmp_path / "val" / "validation_report.json")
+                        .read_text())
+    suite = next(s for s in report["suites"] if s["suite"] == "no_fading_outage")
+    assert suite["passed"] and len(suite["detail"]["points"]) == 5
 
 
 def test_energy_model_key_still_loads(tmp_path):
@@ -629,6 +643,11 @@ def test_traced_benchmark_path_runs(tmp_path, command, base, old, new, counters)
     ("sweep", SWEEP_CFG, "outage_draws = 2000000", "outage_draws = 2000"),
     ("validate", fast_validate_text, "k_users = 2,5", "k_users = 2"),
     ("analyze", DEFAULT_CFG, "n_users = 2,5,10,20,40", "n_users = 2"),
+    ("validate", lambda: fast_validate_text().replace("k_shape = 3",
+                                                      "k_shape = 2.5"),
+     "k_users = 2,5", "k_users = 2"),
+    ("analyze", DEFAULT_CFG, "k_shape = 3", "k_shape = 2.5"),
+    ("simulate", deterministic_text, "n_users = 2,5,10,20,40", "n_users = 2"),
 ])
 def test_command_leaves_scipy_unloaded(tmp_path, command, base, old, new):
     # no command needs a scipy module: importing scipy.special alone would
@@ -702,24 +721,25 @@ def test_sweep_grid_and_resume(tmp_path):
     # chunk's last draw in cell 0), a v8 cell (iid fading draws on
     # misalignment) or a v9 cell (strata on a grid of (U, V)) with the
     # current digest is recomputed too, and so are a v10 cell (untilted
-    # draws) and a v11 cell (protocol admission drawn where the channel
-    # has a law) below
+    # draws), a v11 cell (protocol admission drawn where the channel has
+    # a law) and a v12 cell (protocol admission drawn at a real shape or
+    # with deterministic absorption) below
     schema = before[cells[4].name].decode().splitlines()[0]
-    assert schema.startswith("#schema: thzra.sweep.cell.v12 digest=")
+    assert schema.startswith("#schema: thzra.sweep.cell.v13 digest=")
     for i, old in ((0, ".v6 "), (1, ".v8 "), (2, ".v7 "), (5, ".v9 ")):
-        cells[i].write_text(schema.replace(".v12 ", old) + "\n"
+        cells[i].write_text(schema.replace(".v13 ", old) + "\n"
                             + before[cells[i].name].decode().split("\n", 1)[1])
-    cells[4].write_text(schema.replace(".v12 ", ".v2 ")
+    cells[4].write_text(schema.replace(".v13 ", ".v2 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,outage_draws"
                         "\n2,3,0.5,0.4,0.6,20000\n")
-    cells[6].write_text(schema.replace(".v12 ", ".v3 ")
+    cells[6].write_text(schema.replace(".v13 ", ".v3 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,p_out_se,vrf,"
                         "outage_draws\n3,2,0.5,0.4,0.6,0.05,2.0,20000\n")
-    cells[7].write_text(schema.replace(".v12 ", ".v4 ")
+    cells[7].write_text(schema.replace(".v13 ", ".v4 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,p_out_se,vrf,"
                         "conditioned,outage_draws\n3,3,0.5,0.4,0.6,0.05,2.0,"
                         "misalignment,20000\n")
-    cells[8].write_text(schema.replace(".v12 ", ".v5 ")
+    cells[8].write_text(schema.replace(".v13 ", ".v5 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,p_out_se,vrf,"
                         "conditioned,outage_draws\n3,4,0.5,0.4,0.6,0.05,2.0,"
                         "fading,20000\n")
@@ -730,14 +750,14 @@ def test_sweep_grid_and_resume(tmp_path):
     assert after == before
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert len(manifest["outputs"]) == 9
-    for i, old in ((0, ".v10 "), (1, ".v11 ")):
-        cells[i].write_text(schema.replace(".v12 ", old) + "\n"
+    for i, old in ((0, ".v10 "), (1, ".v11 "), (2, ".v12 ")):
+        cells[i].write_text(schema.replace(".v13 ", old) + "\n"
                             + before[cells[i].name].decode().split("\n", 1)[1])
     assert cli.main(["sweep", "--config", str(cfg), "--seed", "9",
                      "--out", str(out)]) == 0
     assert cell_bytes(out) == before
     manifest = json.loads((out / "run_manifest.json").read_text())
-    assert manifest["counters"] == sweep_counters(2, 7, 0, 20000)
+    assert manifest["counters"] == sweep_counters(3, 6, 0, 20000)
 
     # an unchanged rerun reuses every cell: no file is rewritten
     stamps = cell_stamps(out)

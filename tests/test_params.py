@@ -57,12 +57,6 @@ def test_z_derivation():
     assert model.z_for(link) == pytest.approx(8.686, rel=1e-12)
 
 
-def test_non_integer_shape_rejected():
-    with pytest.raises(OutOfRange, match="absorption.k_shape"):
-        GammaAbsorption(k=2.5, beta=1).integer_shape()
-    assert GammaAbsorption(k=3.0, beta=1).integer_shape() == 3
-
-
 def test_a_l_monotone_and_exact_halving():
     base = make_link()
     for f_mult in (1.5, 2.0, 5.0):

@@ -31,19 +31,20 @@ def make_experiment(**protocol_kw):
 
 
 def no_law_experiment(**protocol_kw):
-    """make_experiment with absorption shape 2.5, which has no SNR law in
-    the package yet: admission draws the channel."""
+    """make_experiment with kappa-mu fading (eta = 1, kappa = 1, mu = 2),
+    which has no SNR law in the package yet: admission draws the
+    channel."""
     exp = replace(make_experiment(**protocol_kw),
-                  absorption=GammaAbsorption(k=2.5, beta=12.0))
+                  fading=FadingParams(kappa=1.0, mu=2))
     assert protocol.pass_probability(exp) is None
     return exp
 
 
 def reference_pass_probability(exp):
-    """q = P(SNR > gamma_qos) with fading off, by scipy's quadrature."""
+    """q = P(SNR > gamma_qos) with kappa-mu fading, by scipy's quadrature."""
     q = analytics.OutageQuery(exp.protocol.gamma_qos, exp.link.avg_snr,
                               exp.link.k_h)
-    return 1.0 - reference.no_fading_outage(exp, q.gamma_h)
+    return 1.0 - reference.kappa_mu_outage(exp, q.gamma_h)
 
 
 def rng(s):
@@ -189,10 +190,10 @@ def test_admission_above_ceiling_admits_none():
     assert k.tolist() == [0] * 3
 
 
-def test_admission_fraction_matches_no_fading_law():
-    # N = 100 000 users in each of a few frames, drawn (no law for shape
-    # 2.5), each user on its own above QUANTILE_MAX_USERS; the draws span
-    # several ADMISSION_DRAWS chunks of one block's streams
+def test_admission_fraction_matches_kappa_mu_law():
+    # N = 100 000 users in each of a few frames, drawn (no law for
+    # kappa-mu fading), each user on its own above QUANTILE_MAX_USERS; the
+    # draws span several ADMISSION_DRAWS chunks of one block's streams
     exp = no_law_experiment(n_total=100_000, gamma_qos=10 ** 0.5)
     k = protocol.admit_users(exp, block=3, size=4)
     n = exp.protocol.n_total * k.size
@@ -349,9 +350,9 @@ def test_poisson_binomial_quantile_never_exceeds_n():
 
 
 @pytest.mark.parametrize("n_users", [2, 40])
-def test_stratified_admission_is_calibrated_with_fading_off(n_users):
-    # the drawn path, fading off at absorption shape 2.5 (no law in the
-    # package; the admitted share q = 0.506 at 16.5 dB by quadrature):
+def test_stratified_admission_is_calibrated_with_kappa_mu_fading(n_users):
+    # the drawn path, kappa-mu fading (no law in the package; the
+    # admitted share q = 0.41500 at 16.5 dB by quadrature):
     # over 300 seeds the mean of K/N lies within 3 se of q, and the spread
     # of the estimates over their root-mean-square se is about 1 (se of
     # that ratio ~0.04)
