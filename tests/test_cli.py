@@ -275,23 +275,30 @@ def test_real_absorption_shape_runs_under_simulate_and_sweep(tmp_path):
                      "--out", str(tmp_path / "sweep")]) == 0
 
 
-def test_real_absorption_shape_has_the_law_under_analyze_and_validate(
-        tmp_path):
+def _outage_grid_is_written(out):
+    _, _, rows = read_rows(out / "analyze_outage.csv")
+    assert len(rows) == 10 and all(0.0 < float(r[1]) < 1.0 for r in rows)
+
+
+def _no_fading_suite_passes(out):
+    report = json.loads((out / "validation_report.json").read_text())
+    suite = next(s for s in report["suites"] if s["suite"] == "no_fading_outage")
+    assert suite["passed"] and len(suite["detail"]["points"]) == 5
+
+
+@pytest.mark.parametrize("command,flags,check", [
+    ("analyze", [], _outage_grid_is_written),
+    ("validate", ["--trials", "10"], _no_fading_suite_passes),
+], ids=["analyze", "validate"])
+def test_real_absorption_shape_has_the_law(tmp_path, command, flags, check):
     # the law is defined for every k > 0: analyze writes its outage grid
     # at k_shape = 2.5, and validate's no_fading_outage suite holds the
     # Monte Carlo to it
     text = DEFAULT_CFG.read_text().replace("k_shape = 3", "k_shape = 2.5")
     cfg = write_cfg(tmp_path, "real.cfg", text)
-    assert cli.main(["analyze", "--config", str(cfg),
-                     "--out", str(tmp_path / "an")]) == 0
-    _, _, rows = read_rows(tmp_path / "an" / "analyze_outage.csv")
-    assert len(rows) == 10 and all(0.0 < float(r[1]) < 1.0 for r in rows)
-    assert cli.main(["validate", "--config", str(cfg), "--trials", "10",
-                     "--out", str(tmp_path / "val")]) == 0
-    report = json.loads((tmp_path / "val" / "validation_report.json")
-                        .read_text())
-    suite = next(s for s in report["suites"] if s["suite"] == "no_fading_outage")
-    assert suite["passed"] and len(suite["detail"]["points"]) == 5
+    assert cli.main([command, "--config", str(cfg), *flags,
+                     "--out", str(tmp_path / "out")]) == 0
+    check(tmp_path / "out")
 
 
 def test_energy_model_key_still_loads(tmp_path):
