@@ -10,17 +10,16 @@ SNR
 
 which saturates at 1/k_h^2 for k_h > 0.  The outage score (outage_score:
 the outage probability given all components but one, which outage Monte
-Carlo averages and drawn QoS admission takes the complement of) composes
-the same laws in log form, a sum of log-losses scored by one exp.
-Outage is T + W + F >= c for the absorption, misalignment and fading
-log-losses, each with an exponential tail; outage_rule picks the
-one of least rate among those with a CDF to integrate out
-(gammaincc, misalignment_cdf_log, alpha_mu_cdf_log) and tilts the others
-within their Gamma families (stratified_neg_log_product draws the
-misalignment's -ln(U V) by stratified quantiles of its own law,
-StratifiedMean reads the strata back); path_loss_nepers, uniform_product
-and fading_power give each component's log-loss from the draws the
-linear samplers use, the untilted draws QoS admission takes.
+Carlo averages) composes the same laws in log form, a sum of log-losses
+scored by one exp.  Outage is T + W + F >= c for the absorption,
+misalignment and fading log-losses, each with an exponential tail;
+outage_rule picks the one of least rate among those with a CDF to
+integrate out (gammaincc, misalignment_cdf_log, alpha_mu_cdf_log) and
+tilts the others within their Gamma families (stratified_neg_log_product
+draws the misalignment's -ln(U V) by stratified quantiles of its own
+law, StratifiedMean reads the strata back); path_loss_nepers and
+fading_power give the absorption's and the fading's log-loss from the
+draws the linear samplers use.
 """
 from __future__ import annotations
 
@@ -405,8 +404,8 @@ def alpha_mu_cdf_log(log_u: ArrayLike, fp: FadingParams,
     into the series' prefactor."""
     if not fp.is_alpha_mu:
         raise UnsupportedParams(
-            "fading CDF is exact only for alpha-mu (eta=1, kappa=0), "
-            f"got eta={fp.eta}, kappa={fp.kappa}")
+            "the outage score integrates only alpha-mu fading (eta=1, "
+            f"kappa=0), got eta={fp.eta}, kappa={fp.kappa}")
     log_x = np.multiply(log_u, fp.alpha,
                         out=log_u if overwrite_input else None)
     shift = math.log(fp.mu) - fp.alpha * math.log(fp.r_hat)
@@ -726,8 +725,8 @@ class OutageRule:
 
     @property
     def stream(self) -> int:
-        """The substream of the integrated component, which the score
-        draws nothing from."""
+        """The integrated component's substream, which the score draws
+        nothing from, and which QoS admission takes its uniforms from."""
         return {"absorption": streams.ABSORPTION, "fading": streams.FADING,
                 "misalignment": streams.MISALIGNMENT}[self.integrated]
 
@@ -744,7 +743,7 @@ def outage_rule(exp: Experiment) -> OutageRule:
     score then decays as p^2 iff every drawn rate exceeds 2 r_1 - theta:
     re_bounded.  theta does not depend on gamma_bar, so every point of a
     grid scores the same draws."""
-    from .analytics import diversity_order, has_snr_law  # it imports channel
+    from .analytics import diversity_order  # it imports channel
     fp, ab = exp.fading, exp.absorption
     gamma = isinstance(ab, GammaAbsorption)
     order = diversity_order(fp.alpha if fp.enabled else math.inf, fp.mu,
@@ -752,30 +751,30 @@ def outage_rule(exp: Experiment) -> OutageRule:
                             ab.z_for(exp.link) if gamma else math.inf)
     r_fading, r_misalignment, r_absorption = (2.0 * e for e in order.exponents)
     rates = {"misalignment": r_misalignment}    # the random components
+    untilted = fp.enabled and not fp.is_alpha_mu    # eta-mu, kappa-mu
     if fp.enabled:
         rates["fading"] = r_fading
     if gamma:
         rates["absorption"] = r_absorption
-    with_cdf = [c for c in rates if c != "fading" or has_snr_law(exp)]
+    with_cdf = [c for c in rates if c != "fading" or not untilted]
     integrated = min(with_cdf, key=rates.__getitem__)
     r_1 = rates.pop(integrated)
-    tilted = rates and has_snr_law(exp)     # fading off or alpha-mu
-    theta = TILT_FRACTION * r_1 if tilted else 0.0
+    theta = TILT_FRACTION * r_1 if rates and not untilted else 0.0
     return OutageRule(integrated, theta,
                       all(r > 2.0 * r_1 - theta for r in rates.values()))
 
 
-def outage_score(exp: Experiment, gamma_hs: Sequence[float], m: int, rng,
-                 stratified: bool = True) -> Iterator[np.ndarray]:
+def outage_score(exp: Experiment, gamma_hs: Sequence[float], m: int,
+                 rng) -> Iterator[np.ndarray]:
     """m draws of the outage probability P(h <= gamma_h) given every
     channel component but the one outage_rule integrates out, at each
     gamma_h of gamma_hs in turn, all from one draw of those components.
 
     rng(component) is that component's substream.  The drawn log-loss D
     is built once per call, a sum over the drawn components, h =
-    h_0 e^-D.  stratified (the Monte Carlo mean's draws) draws each from
-    its law tilted by theta = outage_rule's tilt and weights each score
-    by the likelihood ratio e^(c - theta D), c = ln M(theta):
+    h_0 e^-D, each drawn from its law tilted by theta = outage_rule's
+    tilt, each score weighted by the likelihood ratio e^(c - theta D),
+    c = ln M(theta):
     - absorption: the same standard_gamma(k) over z - theta, Gamma(k,
       z - theta), c += k ln(z / (z - theta));
     - misalignment: stratified_neg_log_product / (rho - theta), draws k
@@ -784,26 +783,24 @@ def outage_score(exp: Experiment, gamma_hs: Sequence[float], m: int, rng,
     - alpha-mu fading: mu G ~ Gamma(mu - theta / alpha), one iid
       standard_gamma, D takes -ln(mu G) / alpha (h_0 has r_hat
       mu^(-1/alpha)), c += ln Gamma(mu - theta / alpha) - ln Gamma(mu).
-    Unless stratified (QoS admission's reading), the draws are untilted
-    and iid: the path loss of sample_path_loss, -ln(U V) /
-    rho from uniform_product and -ln G / alpha from fading_power (h_0 has
-    r_hat).  Each gamma_h adds its constant ln(gamma_h / h_0) into one
-    reused buffer, log_x = ln(gamma_h / h_0) + D, and the integrated
-    component's CDF takes it whole: Q(k, z max(-log_x, 0)) on
-    absorption; F_p(e^min(log_x, 0)) on misalignment; the alpha-mu CDF at
-    e^log_x on fading.  The weight
-    is e^(c_p - theta log_x) with c_p = c + theta ln(gamma_h / h_0),
-    folded into the exp each score already takes.  So a point's scores
-    do not depend on the other points, and each weighted score lies in
-    [0, its likelihood ratio].  U V = 0 or G = 0 (Generator.random and a
-    Gamma draw can return 0) gives D = inf: h = 0, scored 1 untilted and
-    0 tilted (the ratio e^(-theta D) is 0).  Each yielded array is new;
-    deterministic absorption with fading off yields a read-only broadcast
-    constant.
+    At theta = 0 the absorption is sample_path_loss's and the fading
+    -ln G / alpha from fading_power (h_0 has r_hat), eta-mu and kappa-mu
+    fading included.  Each gamma_h adds ln(gamma_h / h_0) into one reused
+    buffer, log_x = ln(gamma_h / h_0) + D, and the integrated component's
+    CDF takes it whole: Q(k, z max(-log_x, 0)) on absorption;
+    F_p(e^min(log_x, 0)) on misalignment; the alpha-mu CDF at e^log_x on
+    fading.  The weight e^(c_p - theta log_x), c_p = c + theta ln(gamma_h
+    / h_0), is folded into the exp each score already takes.  So a
+    point's scores do not depend on the other points, and each weighted
+    score lies in [0, its likelihood ratio].  A misalignment stratum at
+    w = 0 or a fading power of 0 (a Gamma draw can return 0) gives D =
+    inf: h = 0, scored 1 at theta = 0 and 0 tilted (e^(-theta D) is 0).
+    Each yielded array is new; deterministic absorption with fading off
+    yields a read-only broadcast constant.
     """
     fp, ab, rho = exp.fading, exp.absorption, exp.misalignment.rho
     rule = outage_rule(exp)
-    theta = rule.tilt if stratified else 0.0
+    theta = rule.tilt
     c = 0.0                                 # ln M(theta)
     if rule.integrated == "absorption":
         h_0, log_loss = exp.link.a_l, 0.0
@@ -818,15 +815,9 @@ def outage_score(exp: Experiment, gamma_hs: Sequence[float], m: int, rng,
                                          rng(streams.ABSORPTION), m)
     with np.errstate(divide="ignore"):      # U V = 0 or G = 0: D = inf
         if rule.integrated != "misalignment":   # -ln h_p
-            if stratified:
-                drawn = stratified_neg_log_product(rng(streams.MISALIGNMENT),
-                                                   m)
-                drawn *= 1.0 / (rho - theta)
-                c += 2.0 * math.log(rho / (rho - theta))
-            else:
-                drawn = uniform_product(rng(streams.MISALIGNMENT), m)
-                np.log(drawn, out=drawn)
-                drawn *= -1.0 / rho
+            drawn = stratified_neg_log_product(rng(streams.MISALIGNMENT), m)
+            drawn *= 1.0 / (rho - theta)
+            c += 2.0 * math.log(rho / (rho - theta))
             drawn += log_loss
             log_loss = drawn
         if rule.integrated != "fading" and fp.enabled:

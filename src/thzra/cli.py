@@ -195,9 +195,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, manifest: Manifest,
             if dump_trials:
                 trial_rows += [[t, scheme, *frame, k] for t, frame in
                                enumerate(zip(*(a.tolist() for a in frames)))]
-    q = protocol.pass_probability(exp)
-    manifest.data["admission"] = {"source": "drawn" if q is None else "law",
-                                  "q": q}
+    manifest.data["admission"] = {"q": protocol.pass_probability(exp)}
     agg_path = out_dir / "simulate_aggregate.csv"
     write_csv_atomic(agg_path, "thzra.simulate.v2", SIM_HEADER, rows)
     manifest.add(agg_path)
@@ -232,26 +230,26 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path, manifest: Manifest) -> int:
     manifest.add(de_path)
 
     # closed-form outage grid (no-fading law)
-    if isinstance(exp.absorption, GammaAbsorption):
-        out_rows = [[db, _outage_closed_form(exp, cfg.gamma_th, db)]
-                    for db in cfg.outage_grid_db]
-        o_path = out_dir / "analyze_outage.csv"
-        write_csv_atomic(o_path, "thzra.analyze.outage.v1",
-                         ["gamma_bar_db", "p_out"], out_rows)
-        manifest.add(o_path)
+    out_rows = [[db, _outage_closed_form(exp, cfg.gamma_th, db)]
+                for db in cfg.outage_grid_db]
+    o_path = out_dir / "analyze_outage.csv"
+    write_csv_atomic(o_path, "thzra.analyze.outage.v1",
+                     ["gamma_bar_db", "p_out"], out_rows)
+    manifest.add(o_path)
 
-        z = exp.absorption.z_for(exp.link)
-        # without fading its exponent is infinite: rho and z set the order
-        alpha = exp.fading.alpha if exp.fading.enabled else math.inf
-        do = analytics.diversity_order(alpha, exp.fading.mu,
-                                       exp.misalignment.rho, z)
-        d_path = out_dir / "analyze_diversity.csv"
-        write_csv_atomic(d_path, "thzra.analyze.diversity.v1",
-                         ["exp_fading", "exp_misalignment", "exp_pathloss",
-                          "effective"],
-                         [[do.exponents[0], do.exponents[1], do.exponents[2],
-                           do.effective]])
-        manifest.add(d_path)
+    # a component off or not random has an infinite exponent
+    alpha = exp.fading.alpha if exp.fading.enabled else math.inf
+    z = (exp.absorption.z_for(exp.link)
+         if isinstance(exp.absorption, GammaAbsorption) else math.inf)
+    do = analytics.diversity_order(alpha, exp.fading.mu,
+                                   exp.misalignment.rho, z)
+    d_path = out_dir / "analyze_diversity.csv"
+    write_csv_atomic(d_path, "thzra.analyze.diversity.v1",
+                     ["exp_fading", "exp_misalignment", "exp_pathloss",
+                      "effective"],
+                     [[do.exponents[0], do.exponents[1], do.exponents[2],
+                       do.effective]])
+    manifest.add(d_path)
     return 0
 
 
@@ -347,7 +345,7 @@ def cmd_validate(cfg: RunConfig, out_dir: Path, manifest: Manifest) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-CELL_SCHEMA = "thzra.sweep.cell.v13"
+CELL_SCHEMA = "thzra.sweep.cell.v14"
 
 
 @dataclass(frozen=True)

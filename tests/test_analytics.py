@@ -1,6 +1,8 @@
 """Closed forms against quadrature, finite-difference, and Monte Carlo oracles."""
 import itertools
 import math
+import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import pytest
 from scipy import stats as sstats
 
 from thzra import analytics, channel, cli, params
-from thzra.errors import DomainError, UnsupportedParams
+from thzra.errors import DomainError
 from thzra.params import (DB_PER_NEPER, FadingParams, GammaAbsorption,
                           MisalignmentParams, ThzLinkParams)
 
@@ -376,7 +378,6 @@ def test_deterministic_absorption_law(fading):
     # tail alone, or averaged over the fading power by the same panels
     exp = replace(DEFAULT, absorption=params.DeterministicAbsorption(),
                   fading=fading)
-    assert analytics.has_snr_law(exp)
     for db in (25, 40, 55, 70, 85, 100):
         query, got = law_at(exp, db)
         assert got == pytest.approx(mp_deterministic_law(exp, query.gamma_h),
@@ -424,27 +425,110 @@ def test_gauss_legendre_rule_matches_mpmath():
 
 
 def test_snr_law_scope():
-    # fading off or alpha-mu fading, with either absorption model and any
-    # real shape: the law, and outage_rule may integrate the fading out;
-    # eta-mu or kappa-mu fading: no law yet, and the fading is drawn
+    # every channel the sampler draws has the law: fading off, alpha-mu,
+    # eta-mu and kappa-mu fading, with either absorption model and any
+    # real shape; outage_rule integrates only alpha-mu fading out
     query = analytics.OutageQuery(10 ** 0.5, DEFAULT.link.avg_snr,
                                   DEFAULT.link.k_h)
     off = replace(DEFAULT, fading=replace(DEFAULT.fading, enabled=False))
     real = replace(DEFAULT, absorption=GammaAbsorption(k=2.5, beta=12.0))
     det = replace(DEFAULT, absorption=params.DeterministicAbsorption())
+    eta_mu = replace(det, fading=FadingParams(eta=2.0, mu=2))
+    kappa_mu = replace(DEFAULT, fading=FadingParams(kappa=1.0, mu=2))
     for exp in (DEFAULT, off, real, replace(real, fading=off.fading), det,
-                replace(det, fading=off.fading)):
-        assert analytics.has_snr_law(exp)
+                replace(det, fading=off.fading), eta_mu, kappa_mu):
         assert 0.0 < analytics.cdf_snr(query, exp) < 1.0
     assert analytics.cdf_snr(query, off) == analytics.cdf_snr_no_fading(
         query, off.absorption, off.misalignment.rho, off.link)
     assert channel.outage_rule(det).integrated == "fading"
-    for exp in (replace(det, fading=FadingParams(eta=2.0, mu=2)),
-                replace(DEFAULT, fading=FadingParams(kappa=1.0, mu=2))):
-        assert not analytics.has_snr_law(exp)
+    for exp in (eta_mu, kappa_mu):
         assert channel.outage_rule(exp).integrated != "fading"
-        with pytest.raises(UnsupportedParams):
-            analytics.cdf_snr(query, exp)
+
+
+# (eta, kappa, mu) of eta-mu and kappa-mu fading the law is checked on
+CLUSTER_FADING = [(1, 1, 2), (1, 0.3, 3), (2, 0, 2), (2, 1, 2), (0.5, 0.4, 4),
+                  (20, 3, 1)]
+
+
+def mixture_cdf(fp, g):
+    """P(G <= g) of the fading power by analytics' Gamma mixture alone."""
+    r, n, chunks = analytics._power_mixture(fp)
+    return analytics._mixture_law(fp.mu, n, chunks, r * g, np.empty(0))[0]
+
+
+def test_fading_power_mixture_matches_the_convolution():
+    # the Gamma mixture's CDF of G against scipy's convolution of the two
+    # noncentral chi-square parts, 1e-12 relative from g = 1e-3 to 5
+    # (about 1e-14 is what both reach), at eta = 1e+-3 too; alpha-mu is
+    # the one term Gamma(mu), rate mu
+    grid = CLUSTER_FADING + [(1e3, 0, 1), (1e3, 3, 4), (1e-3, 3, 1),
+                             (1e-3, 0, 4)]
+    for eta, kappa, mu in grid:
+        fp = FadingParams(eta=eta, kappa=kappa, mu=mu)
+        power = reference.ConvolvedPower(fp)
+        for g in np.geomspace(1e-3, 5.0, 7):
+            want = power.cdf(g)
+            if want > 1e-300:
+                assert mixture_cdf(fp, g) == pytest.approx(
+                    want, rel=1e-12, abs=0), (eta, kappa, mu, g)
+    fp = FadingParams(alpha=3.0, mu=2.5)
+    assert analytics._power_mixture(fp)[:2] == (2.5, 1)
+    assert mixture_cdf(fp, 0.7) == channel.gammainc(2.5, 2.5 * 0.7)
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_cluster_fading_law_matches_scipy_quadrature(alpha):
+    # each (eta, kappa, mu) of CLUSTER_FADING at one average SNR of
+    # 25-70 dB in turn against scipy's quadrature of the no-fading law over
+    # the fading power (kappa_mu_outage at eta = 1, eta_mu_outage's
+    # convolution otherwise): 1e-10 relative down to p_out of 1e-12
+    # (1e-13 is what the law reaches)
+    dbs = itertools.cycle((25, 40, 55, 70))
+    for (eta, kappa, mu), db in zip(CLUSTER_FADING, dbs):
+        exp = replace(DEFAULT, fading=FadingParams(alpha=alpha, eta=eta,
+                                                   kappa=kappa, mu=mu))
+        query, got = law_at(exp, db + 5 * alpha)
+        oracle = (reference.kappa_mu_outage if eta == 1
+                  else reference.eta_mu_outage)
+        ref = oracle(exp, query.gamma_h)
+        assert ref >= 1e-12
+        assert got == pytest.approx(ref, rel=1e-10, abs=0), (eta, kappa, mu)
+
+
+def test_cluster_fading_law_where_its_weights_rise_steeply():
+    # kappa-mu fading at kappa = 1e4: the weights are a Poisson bump of
+    # mean 2e4 and the Gamma terms about 0.007 wide in t, which 8 equal
+    # panels read 21 % low at 70 dB; the panels split in steps of
+    # SPAN / 2 in e^(t/2) hold 1e-10 of scipy's quadrature
+    exp = replace(DEFAULT, fading=FadingParams(kappa=1e4, mu=4))
+    query, got = law_at(exp, 70)
+    assert got == pytest.approx(reference.kappa_mu_outage(exp, query.gamma_h),
+                                rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("eta", [1e-3, 1e3])
+def test_cluster_fading_law_cost_at_a_far_eta(eta):
+    # q's cost grows like 1 / min(eta, 1 / eta), the mixture's terms
+    # (about 70 000 at eta = 1e+-3, kappa = 3, mu = 4): each law at
+    # 16.2 dB within 2 s, and its weights and densities streamed in
+    # chunks, so the tracemalloc peak stays below 64 MB at any eta
+    for kappa, mu in itertools.product((0, 3), (1, 4)):
+        exp = replace(DEFAULT, fading=FadingParams(eta=eta, kappa=kappa,
+                                                   mu=mu))
+        query = analytics.OutageQuery(params.db_to_linear(16.2),
+                                      exp.link.avg_snr, exp.link.k_h)
+        parts = (query, exp.absorption, exp.fading, exp.misalignment.rho,
+                 exp.link)
+        start = time.perf_counter()
+        p = analytics._cdf_snr.__wrapped__(*parts)
+        assert time.perf_counter() - start <= 2.0 and 0.0 < p < 1.0
+    tracemalloc.start()
+    try:
+        analytics._cdf_snr.__wrapped__(*parts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 << 20
 
 
 @pytest.mark.parametrize("n", [1, 2, 40, 1000, 100_000])

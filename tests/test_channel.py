@@ -708,7 +708,8 @@ def test_alpha_mu_cdf_is_gamma_law():
         warnings.simplefilter("error")
         assert channel.alpha_mu_cdf(0.0, fp) == 0.0
         assert channel.alpha_mu_cdf(math.inf, fp) == 1.0
-    with pytest.raises(UnsupportedParams):
+    with pytest.raises(UnsupportedParams,
+                       match="outage score integrates only alpha-mu"):
         channel.alpha_mu_cdf(u, FadingParams(mu=2, kappa=0.5))
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from thzra import channel, cli, params, validation
+from thzra import analytics, channel, cli, params, protocol, validation
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -451,6 +451,27 @@ def test_analyze_diversity_follows_fading_switch(tmp_path):
     assert rows["false"] == [["inf", "2.0", "4.343", "2.0"]]
 
 
+def test_analyze_with_deterministic_absorption(tmp_path):
+    # the no-fading law of deterministic absorption at every grid point,
+    # and an infinite path-loss exponent (no random absorption)
+    cfg = write_cfg(tmp_path, "det.cfg", deterministic_text())
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
+    run = params.run_config(cli.read_config(cfg))
+    exp = run.exp
+    _, _, rows = read_rows(out / "analyze_outage.csv")
+    assert len(rows) == 10
+    for db, p_out in rows:
+        query = analytics.OutageQuery(run.gamma_th, params.db_to_linear(
+            float(db)), exp.link.k_h)
+        assert float(p_out) == analytics.cdf_snr_no_fading(
+            query, exp.absorption, exp.misalignment.rho, exp.link)
+    _, header, rows = read_rows(out / "analyze_diversity.csv")
+    assert dict(zip(header, rows[0])) == {
+        "exp_fading": "1.0", "exp_misalignment": "2.0",
+        "exp_pathloss": "inf", "effective": "1.0"}
+
+
 def test_analyze_rows_are_the_protocol_user_counts(tmp_path):
     cfg = write_cfg(tmp_path, "k.cfg", DEFAULT_CFG.read_text().replace(
         "n_users = 2,5,10,20,40", "n_users = 7,3,7"))
@@ -655,6 +676,9 @@ def test_traced_benchmark_path_runs(tmp_path, command, base, old, new, counters)
      "k_users = 2,5", "k_users = 2"),
     ("analyze", DEFAULT_CFG, "k_shape = 3", "k_shape = 2.5"),
     ("simulate", deterministic_text, "n_users = 2,5,10,20,40", "n_users = 2"),
+    ("simulate", lambda: DEFAULT_CFG.read_text().replace(
+        "eta = 1.0", "eta = 2.0").replace("mu = 1\n", "mu = 2\n"),
+     "n_users = 2,5,10,20,40", "n_users = 2"),
 ])
 def test_command_leaves_scipy_unloaded(tmp_path, command, base, old, new):
     # no command needs a scipy module: importing scipy.special alone would
@@ -673,7 +697,7 @@ def test_command_leaves_scipy_unloaded(tmp_path, command, base, old, new):
     if command == "simulate":
         # admission at a drawn threshold took the exact law: the fading
         # quadrature ran
-        assert manifest["admission"]["source"] == "law"
+        assert list(manifest["admission"]) == ["q"]
         assert 0.0 < manifest["admission"]["q"] < 1.0
     if command == "sweep":
         # the fading-conditioned estimator (numpy incomplete gamma) ran
@@ -729,24 +753,25 @@ def test_sweep_grid_and_resume(tmp_path):
     # misalignment) or a v9 cell (strata on a grid of (U, V)) with the
     # current digest is recomputed too, and so are a v10 cell (untilted
     # draws), a v11 cell (protocol admission drawn where the channel has
-    # a law) and a v12 cell (protocol admission drawn at a real shape or
-    # with deterministic absorption) below
+    # a law), a v12 cell (protocol admission drawn at a real shape or
+    # with deterministic absorption) and a v13 cell (protocol admission
+    # drawn with eta-mu or kappa-mu fading) below
     schema = before[cells[4].name].decode().splitlines()[0]
-    assert schema.startswith("#schema: thzra.sweep.cell.v13 digest=")
+    assert schema.startswith("#schema: thzra.sweep.cell.v14 digest=")
     for i, old in ((0, ".v6 "), (1, ".v8 "), (2, ".v7 "), (5, ".v9 ")):
-        cells[i].write_text(schema.replace(".v13 ", old) + "\n"
+        cells[i].write_text(schema.replace(".v14 ", old) + "\n"
                             + before[cells[i].name].decode().split("\n", 1)[1])
-    cells[4].write_text(schema.replace(".v13 ", ".v2 ")
+    cells[4].write_text(schema.replace(".v14 ", ".v2 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,outage_draws"
                         "\n2,3,0.5,0.4,0.6,20000\n")
-    cells[6].write_text(schema.replace(".v13 ", ".v3 ")
+    cells[6].write_text(schema.replace(".v14 ", ".v3 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,p_out_se,vrf,"
                         "outage_draws\n3,2,0.5,0.4,0.6,0.05,2.0,20000\n")
-    cells[7].write_text(schema.replace(".v13 ", ".v4 ")
+    cells[7].write_text(schema.replace(".v14 ", ".v4 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,p_out_se,vrf,"
                         "conditioned,outage_draws\n3,3,0.5,0.4,0.6,0.05,2.0,"
                         "misalignment,20000\n")
-    cells[8].write_text(schema.replace(".v13 ", ".v5 ")
+    cells[8].write_text(schema.replace(".v14 ", ".v5 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,p_out_se,vrf,"
                         "conditioned,outage_draws\n3,4,0.5,0.4,0.6,0.05,2.0,"
                         "fading,20000\n")
@@ -757,14 +782,14 @@ def test_sweep_grid_and_resume(tmp_path):
     assert after == before
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert len(manifest["outputs"]) == 9
-    for i, old in ((0, ".v10 "), (1, ".v11 "), (2, ".v12 ")):
-        cells[i].write_text(schema.replace(".v13 ", old) + "\n"
+    for i, old in ((0, ".v10 "), (1, ".v11 "), (2, ".v12 "), (3, ".v13 ")):
+        cells[i].write_text(schema.replace(".v14 ", old) + "\n"
                             + before[cells[i].name].decode().split("\n", 1)[1])
     assert cli.main(["sweep", "--config", str(cfg), "--seed", "9",
                      "--out", str(out)]) == 0
     assert cell_bytes(out) == before
     manifest = json.loads((out / "run_manifest.json").read_text())
-    assert manifest["counters"] == sweep_counters(3, 6, 0, 20000)
+    assert manifest["counters"] == sweep_counters(4, 5, 0, 20000)
 
     # an unchanged rerun reuses every cell: no file is rewritten
     stamps = cell_stamps(out)
@@ -1054,12 +1079,11 @@ def test_repeated_scheme_and_user_count_are_one_row(tmp_path):
     assert len(outs[0].decode().splitlines()) == 2 + 2
 
 
-@pytest.mark.parametrize("fading,source", [("eta = 1.0", "law"),
-                                           ("eta = 2.0", "drawn")])
-def test_simulate_manifest_counts_its_work(tmp_path, fading, source):
+@pytest.mark.parametrize("fading", ["eta = 1.0", "eta = 2.0"])
+def test_simulate_manifest_counts_its_work(tmp_path, fading):
     # frames, slots and admitted users are the sums of the per-frame
-    # arrays --dump-trials writes; the admission source is the law where
-    # the channel has one (alpha-mu fading), drawn for eta-mu fading
+    # arrays --dump-trials writes; the admission record is the law's q,
+    # with alpha-mu and with eta-mu fading
     text = DEFAULT_CFG.read_text().replace("eta = 1.0", fading).replace(
         "mu = 1\n", "mu = 2\n").replace(
         "n_users = 2,5,10,20,40", "n_users = 3,7\ngamma_qos_db = 16.2")
@@ -1074,8 +1098,9 @@ def test_simulate_manifest_counts_its_work(tmp_path, fading, source):
         "frames": len(rows),
         "slots": sum(int(r[col["total_slots"]]) for r in rows),
         "admitted": sum(int(r[col["K_admitted"]]) for r in rows)}
-    assert manifest["admission"]["source"] == source
-    assert (manifest["admission"]["q"] is None) == (source == "drawn")
+    exp = params.run_config(cli.read_config(cfg)).exp.with_protocol(
+        gamma_qos=params.db_to_linear(16.2))
+    assert manifest["admission"] == {"q": protocol.pass_probability(exp)}
 
 
 def test_trials_dump_schema(tmp_path):

@@ -30,21 +30,21 @@ def make_experiment(**protocol_kw):
                       protocol=ProtocolConfig(**protocol_kw))
 
 
-def no_law_experiment(**protocol_kw):
+def kappa_mu_experiment(**protocol_kw):
     """make_experiment with kappa-mu fading (eta = 1, kappa = 1, mu = 2),
-    which has no SNR law in the package yet: admission draws the
-    channel."""
-    exp = replace(make_experiment(**protocol_kw),
-                  fading=FadingParams(kappa=1.0, mu=2))
-    assert protocol.pass_probability(exp) is None
-    return exp
+    whose SNR law is a Gamma mixture of the fading power."""
+    return replace(make_experiment(**protocol_kw),
+                   fading=FadingParams(kappa=1.0, mu=2))
 
 
-def reference_pass_probability(exp):
-    """q = P(SNR > gamma_qos) with kappa-mu fading, by scipy's quadrature."""
+def scipy_pass_probability(exp):
+    """q = P(SNR > gamma_qos) with kappa-mu fading, by scipy's quadrature,
+    which pass_probability is checked against."""
     q = analytics.OutageQuery(exp.protocol.gamma_qos, exp.link.avg_snr,
                               exp.link.k_h)
-    return 1.0 - reference.kappa_mu_outage(exp, q.gamma_h)
+    q_ref = 1.0 - reference.kappa_mu_outage(exp, q.gamma_h)
+    assert protocol.pass_probability(exp) == pytest.approx(q_ref, rel=1e-12)
+    return q_ref
 
 
 def rng(s):
@@ -190,25 +190,53 @@ def test_admission_above_ceiling_admits_none():
     assert k.tolist() == [0] * 3
 
 
-def test_admission_fraction_matches_kappa_mu_law():
-    # N = 100 000 users in each of a few frames, drawn (no law for
-    # kappa-mu fading), each user on its own above QUANTILE_MAX_USERS; the
-    # draws span several ADMISSION_DRAWS chunks of one block's streams
-    exp = no_law_experiment(n_total=100_000, gamma_qos=10 ** 0.5)
+def forbid_channel_draws(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("admission drew the channel")
+
+    for name in ("outage_score", "draw_snr_batch", "fading_power",
+                 "sample_path_loss", "stratified_neg_log_product"):
+        monkeypatch.setattr(channel, name, no_draw)
+
+
+def test_admission_fraction_matches_kappa_mu_law(monkeypatch):
+    # N = 100 000 users in each of a few frames with kappa-mu fading take
+    # the Binomial quantile at the law's q, which scipy's quadrature
+    # confirms, with no channel draw and no user cap
+    forbid_channel_draws(monkeypatch)
+    exp = kappa_mu_experiment(n_total=100_000, gamma_qos=10 ** 0.5)
     k = protocol.admit_users(exp, block=3, size=4)
     n = exp.protocol.n_total * k.size
-    p_adm = reference_pass_probability(exp)
+    p_adm = scipy_pass_probability(exp)
     se = math.sqrt(p_adm * (1 - p_adm) / n)
     assert abs(k.sum() / n - p_adm) <= 3 * se
 
 
-def test_law_admission_draws_no_channel_at_any_user_count(monkeypatch):
-    # where the channel has a law, N = 100 000 users take the Binomial
-    # quantile too, with no channel draw and no user cap
-    def no_draw(*args, **kwargs):
-        raise AssertionError("the law path drew the channel")
+@pytest.mark.parametrize("fading", [FadingParams(eta=2.0, mu=2),
+                                    FadingParams(alpha=3.0, eta=0.5,
+                                                 kappa=0.4, mu=4),
+                                    FadingParams(kappa=1.0, mu=2)],
+                         ids=["eta_mu", "eta_kappa_mu", "kappa_mu"])
+def test_pass_probability_matches_snr_draws(fading):
+    # the law's q on the default config at gamma_qos = 16.2 dB against the
+    # share of 4 M channel draws above it (the Gaussian-cluster sampler),
+    # within 4 se
+    exp = replace(DEFAULT, fading=fading).with_protocol(
+        gamma_qos=params.db_to_linear(16.2))
+    q = protocol.pass_probability(exp)
+    n, passed = 4_000_000, 0
+    for chunk in range(4):
+        rngs = [streams.substream(5, chunk, c) for c in
+                (streams.ABSORPTION, streams.FADING, streams.MISALIGNMENT)]
+        snr = channel.draw_snr_batch(exp, n // 4, *rngs)
+        passed += np.count_nonzero(snr > exp.protocol.gamma_qos)
+    assert abs(passed / n - q) <= 4.0 * math.sqrt(q * (1.0 - q) / n)
 
-    monkeypatch.setattr(channel, "outage_score", no_draw)
+
+def test_law_admission_draws_no_channel_at_any_user_count(monkeypatch):
+    # with fading off too, N = 100 000 users take the Binomial quantile,
+    # with no channel draw and no user cap
+    forbid_channel_draws(monkeypatch)
     exp = make_experiment(n_total=100_000, gamma_qos=10 ** 0.5)
     q = protocol.pass_probability(exp)
     assert q == 1.0 - analytics.cdf_snr_no_fading(
@@ -219,10 +247,9 @@ def test_law_admission_draws_no_channel_at_any_user_count(monkeypatch):
     assert abs(k.mean() - n * q) <= 3 * math.sqrt(n * q * (1 - q) / k.size)
 
 
-def test_law_admission_reads_the_drawn_path_uniforms():
+def test_admission_reads_its_block_uniforms():
     # frame t admits the Binomial(N, q) quantile at the stratified W_t of
-    # the substream (seed, ADMISSION, block, outage_rule's stream), the
-    # uniforms the drawn path takes
+    # the substream (seed, ADMISSION, block, outage_rule's stream)
     exp = make_experiment(n_total=12, gamma_qos=10 ** 1.65, seed=21)
     stream = channel.outage_rule(exp).stream
     cdf = analytics.binomial_cdf(12, protocol.pass_probability(exp))
@@ -253,15 +280,16 @@ def test_binomial_quantile_at_its_steps():
 
 
 def test_drawn_block_admission_counts_are_binomial():
-    # the drawn path's per-frame counts over several blocks ~ Binomial(N,
-    # q) as well, q by quadrature
+    # kappa-mu fading, a channel the Gaussian-cluster sampler draws: its
+    # per-frame counts over several blocks ~ Binomial(N, q) as well, q by
+    # scipy's quadrature
     n_users, trials = 40, 4 * protocol.TRIAL_BLOCK
-    exp = no_law_experiment(scheme="optimal", n_total=n_users,
-                            gamma_qos=10 ** 0.5, trials=trials, seed=8)
+    exp = kappa_mu_experiment(scheme="optimal", n_total=n_users,
+                              gamma_qos=10 ** 0.5, trials=trials, seed=8)
     ks = protocol.run_batch(exp)[1][0]
     counts = np.bincount(ks, minlength=n_users + 1)
     expected = trials * sstats.binom.pmf(np.arange(n_users + 1), n_users,
-                                         reference_pass_probability(exp))
+                                         scipy_pass_probability(exp))
     lo, hi = np.flatnonzero(expected >= 5.0)[[0, -1]]
     fold = lambda x: np.r_[x[:lo + 1].sum(), x[lo + 1:hi], x[hi:].sum()]
     assert sstats.chisquare(fold(counts), fold(expected)).pvalue > 1e-4
@@ -285,80 +313,15 @@ def test_block_admission_counts_are_binomial():
     assert sstats.chisquare(fold(counts), fold(expected)).pvalue > 1e-4
 
 
-def brute_force_cdf(p):
-    """P(S <= k), k = 0..N, of S = sum of Bernoulli(p_i), by enumerating
-    all 2^N subsets of admitted users."""
-    pmf = np.zeros(p.size + 1)
-    for bits in itertools.product((False, True), repeat=p.size):
-        pmf[sum(bits)] += math.prod(pi if b else 1.0 - pi
-                                    for pi, b in zip(p, bits))
-    return np.cumsum(pmf)
-
-
-def random_admission_probabilities(n, frames, seed):
-    # uniform p with exact 0s and 1s mixed in
-    r = rng(seed)
-    p = r.random((n, frames))
-    p[r.random((n, frames)) < 0.15] = 0.0
-    p[r.random((n, frames)) < 0.15] = 1.0
-    return p
-
-
-@pytest.mark.parametrize("n", range(1, 13))
-def test_poisson_binomial_quantile_matches_enumeration(n):
-    p = random_admission_probabilities(n, 6, seed=n)
-    w = rng(100 + n).random(6)
-    cdf = protocol.poisson_binomial_cdf(p)
-    k = protocol.poisson_binomial_quantile(p, w)
-    for t in range(6):
-        exact = brute_force_cdf(p[:, t])
-        np.testing.assert_allclose(cdf[:, t], exact, rtol=0, atol=1e-14)
-        assert k[t] == np.flatnonzero(exact >= w[t])[0]
-
-
-@pytest.mark.parametrize("n", [1, 2, 5, 12])
-def test_poisson_binomial_quantile_at_its_steps(n):
-    # W exactly at F(k) gives k, just above it the next count of positive
-    # probability; W = 1 - 2^-53 gives the first k with F(k) at or above
-    # it, never above N; W = 0 the lowest count of positive probability
-    p = random_admission_probabilities(n, 8, seed=20 + n)
-    cdf = protocol.poisson_binomial_cdf(p)
-    top = 1.0 - 2.0 ** -53
-    for t in range(p.shape[1]):
-        col = p[:, t:t + 1]
-        support = np.flatnonzero(np.diff(np.r_[0.0, cdf[:, t]]) > 0.0)
-        for k in support:
-            assert protocol.poisson_binomial_quantile(col, cdf[k, t:t + 1]) == k
-            above = np.nextafter(cdf[k, t:t + 1], 2.0)
-            if above[0] < 1.0 and k < support[-1]:
-                nxt = support[support > k][0]
-                assert protocol.poisson_binomial_quantile(col, above) == nxt
-        want = min(int(np.count_nonzero(cdf[:, t] < top)), n)
-        assert protocol.poisson_binomial_quantile(col, np.array([top])) == want
-        assert protocol.poisson_binomial_quantile(col, np.zeros(1)) == support[0]
-
-
-def test_poisson_binomial_quantile_never_exceeds_n():
-    top = np.full(4, 1.0 - 2.0 ** -53)
-    for n in (1, 3, 12, 40):
-        ones = np.ones((n, 4))
-        assert protocol.poisson_binomial_quantile(ones, top).tolist() == [n] * 4
-        p = random_admission_probabilities(n, 500, seed=n)
-        w = np.r_[rng(n).random(496), top]
-        k = protocol.poisson_binomial_quantile(p, w)
-        assert k.min() >= 0 and k.max() <= n
-
-
 @pytest.mark.parametrize("n_users", [2, 40])
 def test_stratified_admission_is_calibrated_with_kappa_mu_fading(n_users):
-    # the drawn path, kappa-mu fading (no law in the package; the
-    # admitted share q = 0.41500 at 16.5 dB by quadrature):
-    # over 300 seeds the mean of K/N lies within 3 se of q, and the spread
-    # of the estimates over their root-mean-square se is about 1 (se of
-    # that ratio ~0.04)
-    exp = no_law_experiment(scheme="optimal", n_total=n_users,
-                            gamma_qos=10 ** 1.65, trials=400)
-    p_adm = reference_pass_probability(exp)
+    # kappa-mu fading (the admitted share q = 0.41500 at 16.5 dB, which
+    # scipy's quadrature confirms): over 300 seeds the mean of K/N lies
+    # within 3 se of q, and the spread of the estimates over their
+    # root-mean-square se is about 1 (se of that ratio ~0.04)
+    exp = kappa_mu_experiment(scheme="optimal", n_total=n_users,
+                              gamma_qos=10 ** 1.65, trials=400)
+    p_adm = scipy_pass_probability(exp)
     runs = [protocol.run_batch(exp.with_protocol(seed=s))[0]
             for s in range(7000, 7300)]
     share = np.array([st.mean_k_admitted for st in runs]) / n_users
@@ -370,7 +333,7 @@ def test_stratified_admission_is_calibrated_with_kappa_mu_fading(n_users):
 
 @pytest.mark.parametrize("n_users", [2, 40])
 def test_law_admission_is_calibrated_on_the_default_config(n_users):
-    # the law path, configs/default.cfg (alpha-mu fading) at 16.2 dB,
+    # configs/default.cfg (alpha-mu fading) at 16.2 dB,
     # q = 0.50093: over 300 seeds the mean of mean_k_admitted lies within
     # 3 se of N q, and the spread of the means over their root-mean-square
     # se is about 1.  (At N = 2 only the few strata of W that straddle a
@@ -397,14 +360,12 @@ def binomial_mixture(f, n, q):
 
 
 def test_stratified_admission_meets_the_mixture_rule_at_16_2_db():
-    # the drawn path: the default config with eta-mu fading (eta = 2,
-    # mu = 2, no law in the package) at gamma_qos = 16.2 dB (0.57
-    # admitted): each FTP/ATP row's delay and transmissions lie within 4 se
-    # of the exact series averaged over Binomial(K, q) at the row's own
-    # admitted share
+    # the default config with eta-mu fading (eta = 2, mu = 2) at
+    # gamma_qos = 16.2 dB (0.57 admitted): each FTP/ATP row's delay and
+    # transmissions lie within 4 se of the exact series averaged over
+    # Binomial(K, q) at the row's own admitted share
     base = replace(DEFAULT, fading=FadingParams(eta=2.0, mu=2)).with_protocol(
         gamma_qos=params.db_to_linear(16.2), trials=400)
-    assert protocol.pass_probability(base) is None
     worst = 0.0
     for seed, scheme, k in itertools.product(range(40), ("ftp", "atp"),
                                              (2, 10, 40)):

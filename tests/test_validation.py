@@ -200,11 +200,15 @@ def test_outage_mc_exact_where_the_score_is_constant():
 class ZeroDraws:
     """A Generator whose uniform and Gamma draws 0 and size // 2 are 0.0,
     which Generator.random and a Gamma draw can return: U V = 0 (h_p = 0)
-    from iid uniforms or from the stratified -ln(U V) (the two draws of
-    stratum 0, w = 0), and G = 0 (h_f = 0) from a Gamma draw."""
+    from the stratified -ln(U V) (the two draws of stratum 0, w = 0), and
+    G = 0 (h_f = 0) from a Gamma draw.  Its other draws are the
+    Generator's."""
 
     def __init__(self, rng):
         self.rng = rng
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
 
     def random(self, size):
         return self.zeroed(self.rng.random(size))
@@ -237,20 +241,19 @@ def tilt_ratio_bound(exp):
     return m
 
 
-def linear_draws(exp, m, rng, stratified=True):
+def linear_draws(exp, m, rng):
     """The gains outage_score draws, in linear form, and each draw's
     likelihood ratio: h_l, h_p, h_f (None for the integrated component,
     h_f = 1 with fading off) and the ratio
     M(theta) prod (gain / its top)^theta over the tilted gains, 1
-    untilted.  Tilted (stratified): h_l = a_l e^(-Gamma(k) / (z - theta)),
+    untilted.  Tilted: h_l = a_l e^(-Gamma(k) / (z - theta)),
     h_p = e^(-stratified_neg_log_product / (rho - theta)) and
     h_f = r_hat (Gamma(mu - theta / alpha) / mu)^(1/alpha); untilted the
-    linear samplers, with h_p = e^(-stratified_neg_log_product / rho)
-    where stratified."""
+    linear samplers, with h_p = e^(-stratified_neg_log_product / rho)."""
     fp, ab, link, rho = (exp.fading, exp.absorption, exp.link,
                          exp.misalignment.rho)
     rule = channel.outage_rule(exp)
-    theta = rule.tilt if stratified else 0.0
+    theta = rule.tilt
     ratio = tilt_ratio_bound(exp) if theta else 1.0
     h_l = h_p = h_f = None
     with np.errstate(divide="ignore"):      # U V = 0: -ln = inf, h_p = 0
@@ -263,13 +266,10 @@ def linear_draws(exp, m, rng, stratified=True):
             else:
                 h_l = channel.sample_path_gain(ab, link,
                                                rng(streams.ABSORPTION), m)
-        if rule.integrated != "misalignment" and stratified:
+        if rule.integrated != "misalignment":
             h_p = np.exp(-channel.stratified_neg_log_product(
                 rng(streams.MISALIGNMENT), m) / (rho - theta))
             ratio = ratio * h_p ** theta
-        elif rule.integrated != "misalignment":
-            h_p = channel.sample_misalignment(rho, rng(streams.MISALIGNMENT),
-                                              m)
         if rule.integrated != "fading" and fp.enabled and theta:
             g = rng(streams.FADING).standard_gamma(
                 fp.mu - theta / fp.alpha, m) / fp.mu
@@ -281,12 +281,12 @@ def linear_draws(exp, m, rng, stratified=True):
     return h_l, h_p, h_f, ratio
 
 
-def linear_score(exp, gamma_h, m, rng, stratified=True):
+def linear_score(exp, gamma_h, m, rng):
     """The conditional outage score composed from linear_draws and the
     channel's linear CDFs, times the draw's likelihood ratio: the
     alpha-mu CDF at gamma_h / (h_l h_p), F_p at min(gamma_h / (h_l h_f), 1)
     or the path-gain CDF at gamma_h / (h_p h_f)."""
-    h_l, h_p, h_f, ratio = linear_draws(exp, m, rng, stratified)
+    h_l, h_p, h_f, ratio = linear_draws(exp, m, rng)
     with np.errstate(divide="ignore"):      # h = 0 gives gamma_h / h = inf
         if h_f is None:
             score = channel.alpha_mu_cdf(gamma_h / (h_l * h_p), exp.fading)
@@ -313,6 +313,8 @@ SCORE_BRANCHES = {
                             "fading"),
     "eta_mu": (FadingParams(alpha=2.0, mu=2, eta=2.0, r_hat=0.8), 4.0, None,
                0.0, "misalignment"),
+    "eta_mu_on_absorption": (FadingParams(alpha=2.0, mu=2, eta=2.0), 4.0,
+                             SET_B, 0.0, "absorption"),
     "kappa_mu": (FadingParams(alpha=2.0, mu=1, kappa=1.0), 4.0, None, 0.0,
                  "misalignment"),
     "deterministic_fading_off": (FadingParams(enabled=False), 4.0,
@@ -365,36 +367,22 @@ def test_outage_score_is_the_linear_composition(name, db):
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-300)
 
 
-@pytest.mark.parametrize("name", sorted(SCORE_BRANCHES))
-def test_outage_score_iid_and_upper(name):
-    # QoS admission's reading of the score: iid misalignment uniforms,
-    # and its pass probability 1 - the score, in [0, 1]
-    exp = branch_experiment(name)
-    q = analytics.OutageQuery(10 ** 1.6, 10 ** 4.5, exp.link.k_h)
-
-    def rng(comp):
-        return streams.substream(19, 5, 0, comp)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        [low] = channel.outage_score(exp, [q.gamma_h], 5000, rng,
-                                     stratified=False)
-    np.testing.assert_allclose(low, linear_score(exp, q.gamma_h, 5000, rng,
-                                                 stratified=False),
-                               rtol=1e-13, atol=1e-300)
-    up = 1.0 - low
-    assert up.shape == (5000,) and np.all((up >= 0.0) & (up <= 1.0))
-
-
 @pytest.mark.parametrize("name", ["alpha_mu_on_fading",
                                   "alpha_mu_on_misalignment",
-                                  "deterministic_on_fading"])
-def test_outage_score_of_a_zero_gain_is_one(name):
-    # U V = 0 on fading, and G = 0 from the Gamma draws on misalignment,
-    # in QoS admission's untilted draws (the tilted ones are
-    # test_tilted_score_of_a_zero_gain_is_zero), means h = 0: the draw is
-    # in outage, scored 1 without a RuntimeWarning
+                                  "deterministic_on_fading",
+                                  "eta_mu_on_absorption"])
+def test_outage_score_of_a_zero_gain_is_one(name, monkeypatch):
+    # at theta = 0 a stratified -ln(U V) = inf (u = 0 in stratum 0) on
+    # fading or absorption, or G = 0 from the Gamma fading draws on
+    # misalignment, means h = 0: the draw is in outage, scored 1 without a
+    # RuntimeWarning (tilted, the same draw scores 0:
+    # test_tilted_score_of_a_zero_gain_is_zero).  eta-mu fading draws
+    # untilted; the alpha-mu configs, which always tilt, reach the
+    # theta = 0 branches at TILT_FRACTION = 0
     exp = branch_experiment(name)
+    if not name.startswith("eta_mu"):
+        monkeypatch.setattr(channel, "TILT_FRACTION", 0.0)
+    assert channel.outage_rule(exp).tilt == 0.0
     q = analytics.OutageQuery(10 ** 0.5, 10 ** 4.5, exp.link.k_h)
 
     def rng(comp):
@@ -402,12 +390,10 @@ def test_outage_score_of_a_zero_gain_is_one(name):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        [got] = channel.outage_score(exp, [q.gamma_h], 1000, rng,
-                                     stratified=False)
+        [got] = channel.outage_score(exp, [q.gamma_h], 1000, rng)
     np.testing.assert_array_equal(got[[0, 500]], 1.0)
-    np.testing.assert_allclose(
-        got, linear_score(exp, q.gamma_h, 1000, rng, stratified=False),
-        rtol=1e-13, atol=1e-300)
+    np.testing.assert_allclose(got, linear_score(exp, q.gamma_h, 1000, rng),
+                               rtol=1e-13, atol=1e-300)
 
 
 @pytest.mark.parametrize("name", ["alpha_mu_on_fading",
