@@ -28,7 +28,8 @@ from typing import Dict, Iterator, Optional, Tuple
 import numpy as np
 
 from .channel import (ArrayLike, _stirling_remainder, deterministic_path_gain,
-                      gammainc, gammaincc, misalignment_cdf_log)
+                      fading_mixture, gammainc, gammaincc,
+                      misalignment_cdf_log)
 from .errors import DomainError
 from .params import Experiment, FadingParams, GammaAbsorption, ThzLinkParams
 
@@ -338,21 +339,17 @@ def _power_mixture(fp: FadingParams) -> Tuple[float, int, Iterator]:
     """The fading power G = (h_f / r_hat)^alpha as a Gamma mixture,
     G ~ sum_m w_m Gamma(mu + m, rate r) for m < n: (r, n, the weights).
 
-    mu (1 + eta)(1 + kappa) G = eta A + B, A and B noncentral
-    chi-squares; w is the law of the M = J_1 + J_2 + K of Moschopoulos's
-    series (Ann. Inst. Stat. Math. 37, 1985; README.md, Model notes),
-    by (m + 1) w_(m+1) = a_s w_m + (mu/2) q U_m + a_b p V_m, U_m = w_m +
-    q U_(m-1), V_m = U_m + q V_(m-1): positive terms only.  It runs from
-    w_0 = 1, the weights read relative to their sum, times 2^-500 past
-    2^500: a chunk of MIXTURE_CHUNK weights is (e, w), weights w 2^e.  n
-    is the least Chernoff bound P(M >= n) <= P(z) z^-n <= 1e-17 over a
-    few z.  alpha-mu fading is the one term w = [1], r = mu.
+    w is the law of channel.fading_mixture's index M = J_s + J_b + K, by
+    (m + 1) w_(m+1) = a_s w_m + (mu/2) q U_m + a_b p V_m, U_m = w_m +
+    q U_(m-1), V_m = U_m + q V_(m-1), q = 1 - p: positive terms only.  It
+    runs from w_0 = 1, the weights read relative to their sum, times
+    2^-500 past 2^500: a chunk of MIXTURE_CHUNK weights is (e, w), weights
+    w 2^e.  n is the least Chernoff bound P(M >= n) <= P(z) z^-n <= 1e-17
+    over a few z.  alpha-mu fading is the one term w = [1], r = mu.
     """
-    eta, kappa, mu, p = fp.eta, fp.kappa, fp.mu, min(fp.eta, 1.0 / fp.eta)
+    mu = fp.mu
+    r, a_s, a_b, p = fading_mixture(fp)
     q = 1.0 - p
-    a_one = mu * kappa * (1.0 + eta) / 4.0          # mu lambda^2 / 2
-    a_s, a_b = (a_one, a_one / eta) if eta >= 1.0 else (a_one / eta, a_one)
-    r = mu * (1.0 + eta) * (1.0 + kappa) / (2.0 * min(eta, 1.0))
     top = -math.log(q) if q else math.inf           # P(e^x) is finite below
 
     def chernoff(x):
@@ -361,7 +358,7 @@ def _power_mixture(fp: FadingParams) -> Tuple[float, int, Iterator]:
                           + 0.5 * mu * (math.log(p) - math.log1p(-q * z))
                           + 17.0 * math.log(10.0)) / x)
     zs = (0.25, 0.5, 1.0, 2.0, 0.5 * top, 0.75 * top, 0.9 * top, 0.97 * top)
-    n = min(chernoff(x) for x in zs if x < top) if q or a_one else 1
+    n = min(chernoff(x) for x in zs if x < top) if q or a_s else 1
 
     def chunks():
         w, u, v, e, k = 1.0, 0.0, 0.0, 0, 2.0 ** -500

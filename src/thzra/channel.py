@@ -17,9 +17,10 @@ outage_rule picks the one of least rate among those with a CDF to
 integrate out (gammaincc, misalignment_cdf_log, alpha_mu_cdf_log) and
 tilts the others within their Gamma families (stratified_neg_log_product
 draws the misalignment's -ln(U V) by stratified quantiles of its own
-law, StratifiedMean reads the strata back); path_loss_nepers and
-fading_power give the absorption's and the fading's log-loss from the
-draws the linear samplers use.
+law, StratifiedMean reads the strata back).  Every fading power, the
+sampler's, the score's and analytics' law, is one Gamma mixture
+(fading_mixture): a Gamma draw given the mixture's drawn index
+(fading_index), which the score tilts as it tilts any Gamma draw.
 """
 from __future__ import annotations
 
@@ -105,18 +106,6 @@ def path_gain_cdf(h_l: ArrayLike, model: GammaAbsorption,
     return out if isinstance(h_l, np.ndarray) else float(out)
 
 
-def sample_path_loss(model: Union[GammaAbsorption, DeterministicAbsorption],
-                     link: ThzLinkParams, rng: np.random.Generator,
-                     size: int) -> Tuple[float, ArrayLike]:
-    """(h_0, loss) with path gain h_l = h_0 exp(-loss): for Gamma absorption
-    h_0 = a_l and `size` drawn losses in nepers; deterministic absorption
-    gives its one path gain and loss 0.0, and draws nothing."""
-    if isinstance(model, GammaAbsorption):
-        return link.a_l, path_loss_nepers(sample_absorption_db(model, rng, size),
-                                          link)
-    return deterministic_path_gain(model, link), 0.0
-
-
 def deterministic_path_gain(model: DeterministicAbsorption,
                             link: ThzLinkParams) -> float:
     """The one path gain h_l of deterministic absorption."""
@@ -129,8 +118,10 @@ def sample_path_gain(model: Union[GammaAbsorption, DeterministicAbsorption],
                      size: int) -> np.ndarray:
     """`size` draws of the path gain h_l; deterministic absorption gives
     one constant and draws nothing."""
-    h_0, loss = sample_path_loss(model, link, rng, size)
-    return h_0 * np.exp(-np.broadcast_to(loss, size))
+    if isinstance(model, GammaAbsorption):
+        zeta_db = sample_absorption_db(model, rng, size)
+        return path_gain_from_absorption(zeta_db, link)
+    return np.full(size, deterministic_path_gain(model, link))
 
 
 def uniform_product(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -337,43 +328,49 @@ def misalignment_cdf_log(log_x: ArrayLike, rho: float,
     return out
 
 
-def _fading_gaussian_construction(fp: FadingParams, rng: np.random.Generator,
-                                  n: int) -> np.ndarray:
-    """Physical alpha-eta-kappa-mu construction, symmetric p = q = 1.
+def fading_mixture(fp: FadingParams) -> Tuple[float, float, float, float]:
+    """(r, a_s, a_b, p) of the fading power G = (h_f / r_hat)^alpha as a
+    Gamma mixture (Moschopoulos, Ann. Inst. Stat. Math. 37, 1985; README
+    Model notes): G ~ Gamma(mu + M, rate r) given the index M = J_s +
+    J_b + K, J_s ~ Poisson(a_s), J_b ~ Poisson(a_b) and K ~ NegBin(mu/2 +
+    J_b, p), for every eta, kappa and real mu.  mu (1 + eta)(1 + kappa) G
+    = eta A + B, A and B the in-phase and quadrature noncentral
+    chi-squares; a_s and a_b are the halved noncentralities of the part of
+    smaller and of bigger scale, p = min(eta, 1/eta) their scales' ratio.
+    alpha-mu fading has M = 0 and r = mu exactly."""
+    eta, kappa, mu = fp.eta, fp.kappa, fp.mu
+    a_one = mu * kappa * (1.0 + eta) / 4.0          # mu lambda^2 / 2
+    a_s, a_b = (a_one, a_one / eta) if eta >= 1.0 else (a_one / eta, a_one)
+    r = mu * (1.0 + eta) * (1.0 + kappa) / (2.0 * min(eta, 1.0))
+    return r, a_s, a_b, min(eta, 1.0 / eta)
 
-    mu i.i.d. clusters of (in-phase, quadrature) Gaussians with variance
-    ratio eta and equal-split dominant components sized so the total
-    dominant-to-scattered power ratio is kappa.
-    """
-    mu = int(round(fp.mu))
-    sigma_y2 = 1.0
-    sigma_x2 = fp.eta * sigma_y2
-    lam2 = fp.kappa * (sigma_x2 + sigma_y2) / 2.0   # lambda_x^2 = lambda_y^2
-    lam = math.sqrt(lam2)
-    x = rng.normal(lam, math.sqrt(sigma_x2), size=(n, mu))
-    y = rng.normal(lam, math.sqrt(sigma_y2), size=(n, mu))
-    g = np.sum(x * x + y * y, axis=1)
-    mean_g = mu * ((sigma_x2 + sigma_y2) + 2.0 * lam2)
-    return g / mean_g
+
+def fading_index(fp: FadingParams, rng: np.random.Generator,
+                 size: int) -> Tuple[float, Union[int, np.ndarray]]:
+    """(r, M): fading_mixture's rate and `size` draws of its index M, each
+    part drawn only where its rate is positive (J_s, J_b where kappa > 0,
+    K where p < 1), so that alpha-mu draws nothing and M is 0."""
+    r, a_s, a_b, p = fading_mixture(fp)
+    index = j_b = 0
+    if a_s > 0.0:
+        index = rng.poisson(a_s, size)
+    if a_b > 0.0:
+        j_b = rng.poisson(a_b, size)
+        index = index + j_b
+    if p < 1.0:
+        index = index + rng.negative_binomial(0.5 * fp.mu + j_b, p, size)
+    return r, index
 
 
 def fading_power(fp: FadingParams, rng: np.random.Generator,
                  size: int) -> np.ndarray:
     """`size` draws of the normalized fading power G = (h_f / r_hat)^alpha,
-    E[G] = 1.
-
-    The alpha-mu subfamily (eta=1, kappa=0), integer mu or not, samples
-    through its exact Gamma representation, one Gamma draw where the
-    Gaussian cluster construction takes 2 mu normals; any other
-    (eta, kappa), whose mu FadingParams holds to an integer, uses the
-    cluster construction.
-    """
+    E[G] = 1: r G ~ Gamma(mu + M) given fading_index's M, one Gamma draw
+    each.  alpha-mu fading draws rng.gamma(mu, 1 / mu) to the bit."""
     if not fp.enabled:
         raise UnsupportedParams("fading disabled; composite draw uses h_f = 1")
-    if not fp.is_alpha_mu:
-        return _fading_gaussian_construction(fp, rng, size)
-    # mu G ~ Gamma(mu); rng.gamma(mu, 1 / mu) to the bit
-    return (1.0 / fp.mu) * rng.standard_gamma(fp.mu, size)
+    r, index = fading_index(fp, rng, size)
+    return (1.0 / r) * rng.standard_gamma(fp.mu + index, size)
 
 
 def sample_fading(fp: FadingParams, rng: np.random.Generator,
@@ -706,8 +703,8 @@ def draw_snr_batch(exp: Experiment, n: int,
     return snr_from_gain(h, exp.link.avg_snr, exp.link.k_h)
 
 
-# theta = TILT_FRACTION r_1.  Over the configs/sweep_outage.cfg cells at
-# 40-50 dB (1 M draws) the sum of (95 % half-width / 1 % of p)^2 reads
+# theta = TILT_FRACTION times the least rate, r_1 on configs/sweep_outage.cfg,
+# whose 40-50 dB cells (1 M draws) sum (95 % half-width / 1 % of p)^2 to
 # 0.031 at 0.5 r_1, 0.0114 here and 0.095 at r_1, where (2, 2.5) falls
 # to a variance reduction of 9 at 40 dB
 TILT_FRACTION = 0.75
@@ -720,7 +717,7 @@ class OutageRule:
     alpha mu (twice analytics.diversity_order's exponents)."""
 
     integrated: str         # absorption | misalignment | fading
-    tilt: float             # theta of the drawn components, 0 if untilted
+    tilt: float             # theta of the drawn components; 0 if none
     re_bounded: bool        # the relative error stays bounded as p -> 0
 
     @property
@@ -736,11 +733,12 @@ def outage_rule(exp: Experiment) -> OutageRule:
     (Gamma absorption, misalignment, alpha-mu fading; misalignment, then
     fading, on a tie) is integrated out, a conditional Monte Carlo
     (Asmussen & Kroese, Adv. Appl. Probab. 38, 2006).  The others are
-    drawn, each from its law tilted by e^(theta L), theta =
-    TILT_FRACTION r_1, which stays in its Gamma family (Siegmund, Ann.
-    Statist. 4, 1976); theta is 0 where a drawn component has no tilted
-    family (eta-mu, kappa-mu fading).  The second moment of a weighted
-    score then decays as p^2 iff every drawn rate exceeds 2 r_1 - theta:
+    drawn, each from its law tilted by e^(theta L), theta = TILT_FRACTION
+    times the least rate of every random component, which stays in its
+    Gamma family (Siegmund, Ann. Statist. 4, 1976); that is r_1 where
+    fading is alpha-mu or off, and below every drawn rate where eta-mu or
+    kappa-mu fading has the least.  The second moment of a weighted score
+    then decays as p^2 iff every drawn rate exceeds 2 r_1 - theta:
     re_bounded.  theta does not depend on gamma_bar, so every point of a
     grid scores the same draws."""
     from .analytics import diversity_order  # it imports channel
@@ -751,15 +749,14 @@ def outage_rule(exp: Experiment) -> OutageRule:
                             ab.z_for(exp.link) if gamma else math.inf)
     r_fading, r_misalignment, r_absorption = (2.0 * e for e in order.exponents)
     rates = {"misalignment": r_misalignment}    # the random components
-    untilted = fp.enabled and not fp.is_alpha_mu    # eta-mu, kappa-mu
     if fp.enabled:
         rates["fading"] = r_fading
     if gamma:
         rates["absorption"] = r_absorption
-    with_cdf = [c for c in rates if c != "fading" or not untilted]
+    theta = TILT_FRACTION * min(rates.values()) if len(rates) > 1 else 0.0
+    with_cdf = [c for c in rates if c != "fading" or fp.is_alpha_mu]
     integrated = min(with_cdf, key=rates.__getitem__)
     r_1 = rates.pop(integrated)
-    theta = TILT_FRACTION * r_1 if rates and not untilted else 0.0
     return OutageRule(integrated, theta,
                       all(r > 2.0 * r_1 - theta for r in rates.values()))
 
@@ -780,23 +777,24 @@ def outage_score(exp: Experiment, gamma_hs: Sequence[float], m: int,
     - misalignment: stratified_neg_log_product / (rho - theta), draws k
       and k + m // 2 in one stratum of its quantile, c += 2 ln(rho /
       (rho - theta));
-    - alpha-mu fading: mu G ~ Gamma(mu - theta / alpha), one iid
-      standard_gamma, D takes -ln(mu G) / alpha (h_0 has r_hat
-      mu^(-1/alpha)), c += ln Gamma(mu - theta / alpha) - ln Gamma(mu).
-    At theta = 0 the absorption is sample_path_loss's and the fading
-    -ln G / alpha from fading_power (h_0 has r_hat), eta-mu and kappa-mu
-    fading included.  Each gamma_h adds ln(gamma_h / h_0) into one reused
-    buffer, log_x = ln(gamma_h / h_0) + D, and the integrated component's
-    CDF takes it whole: Q(k, z max(-log_x, 0)) on absorption;
-    F_p(e^min(log_x, 0)) on misalignment; the alpha-mu CDF at e^log_x on
-    fading.  The weight e^(c_p - theta log_x), c_p = c + theta ln(gamma_h
-    / h_0), is folded into the exp each score already takes.  So a
-    point's scores do not depend on the other points, and each weighted
-    score lies in [0, its likelihood ratio].  A misalignment stratum at
-    w = 0 or a fading power of 0 (a Gamma draw can return 0) gives D =
-    inf: h = 0, scored 1 at theta = 0 and 0 tilted (e^(-theta D) is 0).
-    Each yielded array is new; deterministic absorption with fading off
-    yields a read-only broadcast constant.
+    - fading: given fading_index's M, r G ~ Gamma(mu + M - theta / alpha),
+      one iid standard_gamma, D takes -ln(r G) / alpha (h_0 has r_hat
+      r^(-1/alpha)), c += c_M = ln Gamma(mu + M - theta / alpha) -
+      ln Gamma(mu + M) per draw, a float where M is 0 (alpha-mu) and an
+      array of math.lgamma over M's distinct values otherwise.
+    Deterministic absorption is its one path gain in h_0.  Each gamma_h
+    adds ln(gamma_h / h_0) into one reused buffer, log_x = ln(gamma_h /
+    h_0) + D, and the integrated component's CDF takes it whole: Q(k,
+    z max(-log_x, 0)) on absorption; F_p(e^min(log_x, 0)) on
+    misalignment; the alpha-mu CDF at e^log_x on fading.  The weight
+    e^(c_p - theta log_x), c_p = c + theta ln(gamma_h / h_0), is folded
+    into the exp each score already takes.  So a point's scores do not
+    depend on the other points, and each weighted score lies in [0, its
+    likelihood ratio].  A misalignment stratum at w = 0 or a fading power
+    of 0 (a Gamma draw can return 0) gives D = inf: h = 0, scored 0 tilted
+    (e^(-theta D) is 0), and 1 at theta = 0.  Each yielded array is new;
+    deterministic absorption with fading off yields a read-only broadcast
+    constant.
     """
     fp, ab, rho = exp.fading, exp.absorption, exp.misalignment.rho
     rule = outage_rule(exp)
@@ -804,15 +802,14 @@ def outage_score(exp: Experiment, gamma_hs: Sequence[float], m: int,
     c = 0.0                                 # ln M(theta)
     if rule.integrated == "absorption":
         h_0, log_loss = exp.link.a_l, 0.0
-    elif theta and isinstance(ab, GammaAbsorption):
+    elif isinstance(ab, GammaAbsorption):
         z = ab.z_for(exp.link)
         h_0 = exp.link.a_l
         log_loss = rng(streams.ABSORPTION).standard_gamma(ab.k, m)
         log_loss *= 1.0 / (z - theta)
         c += ab.k * math.log(z / (z - theta))
     else:
-        h_0, log_loss = sample_path_loss(ab, exp.link,
-                                         rng(streams.ABSORPTION), m)
+        h_0, log_loss = deterministic_path_gain(ab, exp.link), 0.0
     with np.errstate(divide="ignore"):      # U V = 0 or G = 0: D = inf
         if rule.integrated != "misalignment":   # -ln h_p
             drawn = stratified_neg_log_product(rng(streams.MISALIGNMENT), m)
@@ -820,16 +817,14 @@ def outage_score(exp: Experiment, gamma_hs: Sequence[float], m: int,
             c += 2.0 * math.log(rho / (rho - theta))
             drawn += log_loss
             log_loss = drawn
-        if rule.integrated != "fading" and fp.enabled:
-            if theta:                       # -ln(mu G) / alpha
-                shape = fp.mu - theta / fp.alpha
-                drawn = rng(streams.FADING).standard_gamma(shape, m)
-                np.log(drawn, out=drawn)
-                c += math.lgamma(shape) - math.lgamma(fp.mu)
-                h_0 *= fp.r_hat * fp.mu ** (-1.0 / fp.alpha)
-            else:                           # -ln(h_f / r_hat)
-                drawn = np.log(fading_power(fp, rng(streams.FADING), m))
-                h_0 *= fp.r_hat
+        if rule.integrated != "fading" and fp.enabled:  # -ln(r G) / alpha
+            fading = rng(streams.FADING)
+            r, index = fading_index(fp, fading, m)
+            shape, b = fp.mu + index, theta / fp.alpha
+            drawn = fading.standard_gamma(shape - b, m)
+            np.log(drawn, out=drawn)
+            c = c + _tilted_gamma_log_ratio(shape, b)
+            h_0 *= fp.r_hat * r ** (-1.0 / fp.alpha)
             drawn *= -1.0 / fp.alpha
             drawn += log_loss
             log_loss = drawn
@@ -846,6 +841,17 @@ def outage_score(exp: Experiment, gamma_hs: Sequence[float], m: int,
         else:
             score = misalignment_cdf_log(log_x, rho, weight)
             yield score if shift is not None else np.broadcast_to(score, m)
+
+
+def _tilted_gamma_log_ratio(shape: ArrayLike, b: float) -> ArrayLike:
+    """ln Gamma(shape - b) - ln Gamma(shape), by math.lgamma: at a float
+    shape a float, at an array one value per distinct shape, spread back
+    over the array."""
+    if not isinstance(shape, np.ndarray):
+        return math.lgamma(shape - b) - math.lgamma(shape)
+    distinct, at = np.unique(shape, return_inverse=True)
+    return np.array([math.lgamma(s - b) - math.lgamma(s)
+                     for s in distinct.tolist()])[at]
 
 
 def _absorption_score(log_x: np.ndarray, k: float, z: float,

@@ -345,7 +345,7 @@ def cmd_validate(cfg: RunConfig, out_dir: Path, manifest: Manifest) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-CELL_SCHEMA = "thzra.sweep.cell.v14"
+CELL_SCHEMA = "thzra.sweep.cell.v15"
 
 
 @dataclass(frozen=True)

@@ -141,13 +141,6 @@ class FadingParams:
         _require_nonneg("fading.kappa", self.kappa)
         _require_pos("fading.mu", self.mu)
         _require_pos("fading.r_hat", self.r_hat)
-        if not (self.mu_is_integer or self.is_alpha_mu):
-            raise OutOfRange("fading.mu", self.mu,
-                             "an integer mu unless eta = 1 and kappa = 0")
-
-    @property
-    def mu_is_integer(self) -> bool:
-        return abs(self.mu - round(self.mu)) <= 1e-12 and self.mu >= 1
 
     @property
     def is_alpha_mu(self) -> bool:

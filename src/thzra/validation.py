@@ -135,9 +135,12 @@ def outage_mc(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float],
 
     channel.outage_rule integrates out the component of least tail rate
     r_1 among absorption, misalignment and alpha-mu fading, and draws the
-    others from their laws tilted by theta = channel.TILT_FRACTION r_1,
-    each score weighted by its likelihood ratio, with -ln(U V) in strata
-    of its own quantile (channel.stratified_neg_log_product).  The
+    others from their laws tilted by theta = channel.TILT_FRACTION times
+    the least rate of every random component (r_1 unless eta-mu or
+    kappa-mu fading has it), each score weighted by its likelihood ratio,
+    fading of every family as a tilted Gamma draw given its mixture
+    index, with -ln(U V) in strata of its own quantile
+    (channel.stratified_neg_log_product).  The
     weighted score's mean is p_out, and where the rule's re_bounded holds
     its relative error stays bounded as p_out -> 0, so the se keeps its
     calibration deep in the tail.  Points where gamma_th settles the

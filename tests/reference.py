@@ -4,8 +4,9 @@ Crude outage counting with Wilson intervals (the estimator outage_mc's
 conditional scores are compared with), the high-SNR slope fit of an
 outage curve, the Hoeffding concentration bounds of the simulated means,
 the ATP delay prefix, the linear misalignment CDF, the CDF of the gain
-h_l h_p at one gain, and the exact outage probability with alpha-mu,
-kappa-mu and eta-mu fading, by quadrature.
+h_l h_p at one gain, the physical Gaussian-cluster construction of the
+fading power, and the exact outage probability with alpha-mu, kappa-mu
+and eta-mu fading, by quadrature.
 """
 import math
 from dataclasses import dataclass, replace
@@ -178,11 +179,30 @@ def exact_outage(exp: Experiment, gamma_h: float) -> float:
     return p
 
 
+def fading_gaussian_construction(fp, rng: np.random.Generator,
+                                 n: int) -> np.ndarray:
+    """n draws of the fading power G = (h_f / r_hat)^alpha by the physical
+    alpha-eta-kappa-mu construction (integer mu), symmetric p = q = 1: mu
+    i.i.d. clusters of (in-phase, quadrature) Gaussians with variance
+    ratio eta and equal-split dominant components sized so the total
+    dominant-to-scattered power ratio is kappa, normalized to E[G] = 1."""
+    mu = int(round(fp.mu))
+    sigma_y2 = 1.0
+    sigma_x2 = fp.eta * sigma_y2
+    lam2 = fp.kappa * (sigma_x2 + sigma_y2) / 2.0   # lambda_x^2 = lambda_y^2
+    lam = math.sqrt(lam2)
+    x = rng.normal(lam, math.sqrt(sigma_x2), size=(n, mu))
+    y = rng.normal(lam, math.sqrt(sigma_y2), size=(n, mu))
+    g = np.sum(x * x + y * y, axis=1)
+    mean_g = mu * ((sigma_x2 + sigma_y2) + 2.0 * lam2)
+    return g / mean_g
+
+
 def kappa_mu_outage(exp: Experiment, gamma_h: float) -> float:
-    """P(h <= gamma_h) for Gamma absorption and kappa-mu fading (eta = 1,
-    integer mu): fading_outage over the sampler's fading power, whose mu
-    Gaussian clusters make 2 mu (1 + kappa) G a noncentral chi-square of
-    2 mu degrees of freedom and noncentrality 2 mu kappa."""
+    """P(h <= gamma_h) for Gamma absorption and kappa-mu fading (eta = 1):
+    fading_outage over the fading power, whose mu Gaussian clusters make
+    2 mu (1 + kappa) G a noncentral chi-square of 2 mu degrees of freedom
+    and noncentrality 2 mu kappa."""
     fp = exp.fading
     return fading_outage(exp, gamma_h, stats.ncx2(
         2 * fp.mu, 2 * fp.mu * fp.kappa,
@@ -190,8 +210,8 @@ def kappa_mu_outage(exp: Experiment, gamma_h: float) -> float:
 
 
 class ConvolvedPower:
-    """The fading power G of eta-mu or kappa-mu fading (integer mu) as
-    the sampler builds it: mu (1 + eta)(1 + kappa) G = eta A + B for
+    """The fading power G of eta-mu or kappa-mu fading as the Gaussian
+    clusters build it: mu (1 + eta)(1 + kappa) G = eta A + B for
     independent A ~ chi'^2(mu, mu lambda^2 / eta) and B ~ chi'^2(mu,
     mu lambda^2), lambda^2 = kappa (1 + eta) / 2 (chi^2(mu) at kappa = 0),
     the clusters' in-phase and quadrature parts.  Its CDF and density at
@@ -243,8 +263,8 @@ class ConvolvedPower:
 
 
 def eta_mu_outage(exp: Experiment, gamma_h: float) -> float:
-    """P(h <= gamma_h) for Gamma absorption and any fading the sampler
-    draws by clusters: fading_outage over ConvolvedPower."""
+    """P(h <= gamma_h) for Gamma absorption and any eta-mu or kappa-mu
+    fading: fading_outage over ConvolvedPower."""
     return fading_outage(exp, gamma_h, ConvolvedPower(exp.fading))
 
 

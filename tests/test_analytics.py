@@ -459,10 +459,11 @@ def mixture_cdf(fp, g):
 def test_fading_power_mixture_matches_the_convolution():
     # the Gamma mixture's CDF of G against scipy's convolution of the two
     # noncentral chi-square parts, 1e-12 relative from g = 1e-3 to 5
-    # (about 1e-14 is what both reach), at eta = 1e+-3 too; alpha-mu is
-    # the one term Gamma(mu), rate mu
+    # (about 1e-14 is what both reach), at eta = 1e+-3 and at a real mu
+    # too (scipy's chndtr takes a real df); alpha-mu is the one term
+    # Gamma(mu), rate mu
     grid = CLUSTER_FADING + [(1e3, 0, 1), (1e3, 3, 4), (1e-3, 3, 1),
-                             (1e-3, 0, 4)]
+                             (1e-3, 0, 4), (2, 1, 2.5), (0.3, 2, 0.7)]
     for eta, kappa, mu in grid:
         fp = FadingParams(eta=eta, kappa=kappa, mu=mu)
         power = reference.ConvolvedPower(fp)

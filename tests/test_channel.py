@@ -9,8 +9,8 @@ import pytest
 from scipy import integrate, special
 from scipy import stats as sstats
 
-from thzra import channel, streams
-from thzra.errors import OutOfRange, UnsupportedParams
+from thzra import analytics, channel, streams
+from thzra.errors import UnsupportedParams
 from thzra.params import (DeterministicAbsorption, FadingParams, GammaAbsorption,
                           MisalignmentParams, ThzLinkParams)
 
@@ -440,11 +440,11 @@ def test_fading_normalization_across_parameter_grid():
 
 
 def test_fading_rejects_what_it_cannot_sample_exactly():
-    # a non-integer mu outside alpha-mu cannot even be built
-    with pytest.raises(OutOfRange):
-        FadingParams(mu=1.5, eta=2.0)
-    with pytest.raises(OutOfRange):
-        FadingParams(mu=1.5, kappa=0.5)
+    # a real mu outside alpha-mu builds and samples (the Gamma mixture is
+    # defined there); a disabled fading has no draw
+    for fp in (FadingParams(mu=1.5, eta=2.0), FadingParams(mu=1.5, kappa=0.5)):
+        g = channel.fading_power(fp, RNG(0), 10)
+        assert g.shape == (10,) and np.all(g > 0.0)
     with pytest.raises(UnsupportedParams):
         channel.sample_fading(FadingParams(enabled=False), RNG(0), 10)
 
@@ -472,13 +472,47 @@ def test_fading_integer_mu_alpha_mu_is_one_gamma_draw(mu):
     assert result.statistic < 1.36 / math.sqrt(g.size)
 
 
+def mixture_cdf(fp, g):
+    """P(G <= g) at each g of analytics._power_mixture's Gamma mixture,
+    its weights times scipy's gammainc, 1024 terms at a time; terms
+    below 1e-18 of the weights' sum are left out."""
+    r, n, chunks = analytics._power_mixture(fp)
+    parts = list(chunks)
+    w = np.concatenate([c * 2.0 ** (e - parts[-1][0]) for e, c in parts])
+    w /= w.sum()
+    keep = w > 1e-18
+    w, s = w[keep], (fp.mu + np.arange(n))[keep]
+    return sum(w[i:i + 1024] @ special.gammainc(s[i:i + 1024, None], r * g)
+               for i in range(0, w.size, 1024))
+
+
+@pytest.mark.parametrize("eta,kappa,mu", [
+    (2.0, 0.0, 2.0), (1.0, 1.0, 1.0), (0.5, 0.4, 4.0), (20.0, 3.0, 1.0),
+    (1e3, 0.0, 1.0), (2.0, 1.0, 2.5), (0.3, 2.0, 0.7)])
+def test_fading_power_follows_the_mixture_law(eta, kappa, mu):
+    # the sampler's draws against the law analytics integrates, real mu
+    # included: the KS distance taken at 512 order statistics, a lower
+    # bound of the full one within the law's largest step between them
+    # (about 1/512), so the 5 % threshold 1.36 / sqrt(n) keeps its level
+    fp = FadingParams(alpha=2.0, eta=eta, kappa=kappa, mu=mu)
+    n = 200_000
+    g = np.sort(channel.fading_power(fp, RNG(62), n))
+    at = np.linspace(0, n - 1, 512).astype(int)
+    f = mixture_cdf(fp, g[at])
+    d = max(np.max((at + 1) / n - f), np.max(f - at / n))
+    assert d < 1.36 / math.sqrt(n)
+
+
 @pytest.mark.parametrize("kw", [dict(eta=2.0, mu=2), dict(kappa=1.0, mu=1),
                                 dict(eta=0.5, kappa=0.4, mu=3)])
-def test_fading_eta_mu_and_kappa_mu_take_the_gaussian_construction(kw):
+def test_fading_eta_mu_and_kappa_mu_match_the_gaussian_construction(kw):
+    # two-sample KS against the physical cluster construction at integer
+    # mu, each from its own stream
     fp = FadingParams(alpha=2.0, **kw)
-    np.testing.assert_array_equal(
-        channel.fading_power(fp, RNG(50), 1000),
-        channel._fading_gaussian_construction(fp, RNG(50), 1000))
+    result = sstats.ks_2samp(
+        channel.fading_power(fp, RNG(50), 100_000),
+        reference.fading_gaussian_construction(fp, RNG(51), 100_000))
+    assert result.pvalue > 0.01
 
 SHAPES = [2.0, 2.5, 3.0, 4.5]
 

@@ -130,14 +130,6 @@ def test_bad_field_exit_2(tmp_path):
      "validation.rho_sample_scale"),
     ("analyze", DEFAULT_CFG, "model = gamma", "model = gamma\nq1 = 0.2205",
      "absorption.q1"),
-    # a non-integer mu is samplable only in the alpha-mu subfamily
-    ("simulate", DEFAULT_CFG,
-     "eta = 1.0\nkappa = 0.0\nmu = 1\nr_hat = 1.0\n\n[misalignment]\n"
-     "rho = 4.0\n\n[protocol]\n",
-     "eta = 2\nkappa = 0.0\nmu = 1.5\nr_hat = 1.0\n\n[misalignment]\n"
-     "rho = 4.0\n\n[protocol]\ngamma_qos_db = 10\n", "fading.mu"),
-    ("sweep", SWEEP_CFG, "eta = 1.0\nkappa = 0.0\nmu = 1.5",
-     "eta = 2\nkappa = 0.0\nmu = 1", "sweep.mu"),
     ("validate", DEFAULT_CFG, "seed = 1", "seed = -3", "protocol.seed"),
     ("sweep", SWEEP_CFG, "seed = 7", "seed = -3", "protocol.seed"),
     # a count is a whole number, never truncated
@@ -192,8 +184,8 @@ def test_bad_field_exit_2(tmp_path):
         "removed-avg_snr", "removed-gamma_qos", "removed-beta_db_per_km",
         "removed-beamwidth", "removed-angle_sigma2", "removed-pressure_unit",
         "removed-p_ext", "removed-q_ext", "removed-admission",
-        "removed-rho_sample_scale", "unused_model_key", "fading_mu",
-        "sweep_fading_mu", "seed-negative", "seed-negative-sweep", "seed-fraction",
+        "removed-rho_sample_scale", "unused_model_key", "seed-negative",
+        "seed-negative-sweep", "seed-fraction",
         "n_users-fraction", "n_users-range-fraction", "validation_trials-fraction",
         "n_samples-fraction", "sweep_k_users-fraction", "q1-nan",
         "temperature-simulate", "temperature-sweep", "avg_snr_db-minus_inf",
@@ -218,6 +210,36 @@ def test_malformed_input_exits_2_naming_the_key(tmp_path, monkeypatch, capsys,
     assert code == 2
     assert f"'{key}'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()    # rejected before any work
+
+
+def test_eta_mu_fading_at_a_real_mu_runs(tmp_path):
+    # eta-mu fading at a real mu is a valid config: simulate admits at the
+    # law's q, and a sweep over mu at eta = 2 tilts its drawn fading
+    text = DEFAULT_CFG.read_text().replace(
+        "eta = 1.0\nkappa = 0.0\nmu = 1\n", "eta = 2\nkappa = 0.0\nmu = 1.5\n"
+    ).replace("n_users = 2,5,10,20,40", "n_users = 3\ngamma_qos_db = 10")
+    cfg = write_cfg(tmp_path, "s.cfg", text)
+    assert cli.main(["simulate", "--config", str(cfg), "--trials", "20",
+                     "--out", str(tmp_path / "s")]) == 0
+    manifest = json.loads((tmp_path / "s" / "run_manifest.json").read_text())
+    exp = params.run_config(cli.read_config(cfg)).exp.with_protocol(
+        gamma_qos=params.db_to_linear(10.0))
+    query = analytics.OutageQuery(exp.protocol.gamma_qos, exp.link.avg_snr,
+                                  exp.link.k_h)
+    assert manifest["admission"] == {
+        "q": 1.0 - analytics.cdf_snr(query, exp)}
+    text = SWEEP_CFG.read_text().replace(
+        "eta = 1.0\nkappa = 0.0\nmu = 1.5", "eta = 2\nkappa = 0.0\nmu = 1"
+    ).replace("outage_draws = 2000000", "outage_draws = 20000")
+    cfg = write_cfg(tmp_path, "w.cfg", text)
+    assert cli.main(["sweep", "--config", str(cfg), "--out",
+                     str(tmp_path / "w")]) == 0
+    cells = sorted((tmp_path / "w" / "sweep").glob("cell_*.csv"))
+    assert len(cells) == 4
+    for cell in cells:
+        schema, header, rows = read_rows(cell)
+        assert schema.startswith("#schema: thzra.sweep.cell.v15 ")
+        assert all(float(r[header.index("tilt")]) > 0.0 for r in rows)
 
 
 def test_flags_take_the_key_spelling(tmp_path):
@@ -754,24 +776,25 @@ def test_sweep_grid_and_resume(tmp_path):
     # current digest is recomputed too, and so are a v10 cell (untilted
     # draws), a v11 cell (protocol admission drawn where the channel has
     # a law), a v12 cell (protocol admission drawn at a real shape or
-    # with deterministic absorption) and a v13 cell (protocol admission
-    # drawn with eta-mu or kappa-mu fading) below
+    # with deterministic absorption), a v13 cell (protocol admission
+    # drawn with eta-mu or kappa-mu fading) and a v14 cell (eta-mu and
+    # kappa-mu fading drawn untilted) below
     schema = before[cells[4].name].decode().splitlines()[0]
-    assert schema.startswith("#schema: thzra.sweep.cell.v14 digest=")
+    assert schema.startswith("#schema: thzra.sweep.cell.v15 digest=")
     for i, old in ((0, ".v6 "), (1, ".v8 "), (2, ".v7 "), (5, ".v9 ")):
-        cells[i].write_text(schema.replace(".v14 ", old) + "\n"
+        cells[i].write_text(schema.replace(".v15 ", old) + "\n"
                             + before[cells[i].name].decode().split("\n", 1)[1])
-    cells[4].write_text(schema.replace(".v14 ", ".v2 ")
+    cells[4].write_text(schema.replace(".v15 ", ".v2 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,outage_draws"
                         "\n2,3,0.5,0.4,0.6,20000\n")
-    cells[6].write_text(schema.replace(".v14 ", ".v3 ")
+    cells[6].write_text(schema.replace(".v15 ", ".v3 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,p_out_se,vrf,"
                         "outage_draws\n3,2,0.5,0.4,0.6,0.05,2.0,20000\n")
-    cells[7].write_text(schema.replace(".v14 ", ".v4 ")
+    cells[7].write_text(schema.replace(".v15 ", ".v4 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,p_out_se,vrf,"
                         "conditioned,outage_draws\n3,3,0.5,0.4,0.6,0.05,2.0,"
                         "misalignment,20000\n")
-    cells[8].write_text(schema.replace(".v14 ", ".v5 ")
+    cells[8].write_text(schema.replace(".v15 ", ".v5 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,p_out_se,vrf,"
                         "conditioned,outage_draws\n3,4,0.5,0.4,0.6,0.05,2.0,"
                         "fading,20000\n")
@@ -782,14 +805,15 @@ def test_sweep_grid_and_resume(tmp_path):
     assert after == before
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert len(manifest["outputs"]) == 9
-    for i, old in ((0, ".v10 "), (1, ".v11 "), (2, ".v12 "), (3, ".v13 ")):
-        cells[i].write_text(schema.replace(".v14 ", old) + "\n"
+    for i, old in ((0, ".v10 "), (1, ".v11 "), (2, ".v12 "), (3, ".v13 "),
+                   (5, ".v14 ")):
+        cells[i].write_text(schema.replace(".v15 ", old) + "\n"
                             + before[cells[i].name].decode().split("\n", 1)[1])
     assert cli.main(["sweep", "--config", str(cfg), "--seed", "9",
                      "--out", str(out)]) == 0
     assert cell_bytes(out) == before
     manifest = json.loads((out / "run_manifest.json").read_text())
-    assert manifest["counters"] == sweep_counters(4, 5, 0, 20000)
+    assert manifest["counters"] == sweep_counters(5, 4, 0, 20000)
 
     # an unchanged rerun reuses every cell: no file is rewritten
     stamps = cell_stamps(out)

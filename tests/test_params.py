@@ -148,14 +148,14 @@ def test_fading_invariants():
         FadingParams(alpha=0.0)
     with pytest.raises(OutOfRange):
         FadingParams(kappa=-0.1)
-    # a non-integer mu is samplable only in the alpha-mu subfamily
-    FadingParams(mu=1.5)
-    for kw in ({"eta": 2.0}, {"kappa": 0.5}):
+    # every real mu > 0 is a valid cluster count, in every family
+    for kw in ({}, {"eta": 2.0}, {"kappa": 0.5}):
+        assert FadingParams(mu=1.5, **kw).mu == 1.5
         with pytest.raises(OutOfRange) as exc:
-            FadingParams(mu=1.5, **kw)
+            FadingParams(mu=0.0, **kw)
         assert exc.value.field == "fading.mu"
     # disabled fading is checked too: validate's alpha-mu suite enables it
-    for kw in ({"alpha": 0.0}, {"mu": 1.5, "eta": 2.0}):
+    for kw in ({"alpha": 0.0}, {"mu": 0.0, "eta": 2.0}):
         with pytest.raises(OutOfRange):
             FadingParams(enabled=False, **kw)
 

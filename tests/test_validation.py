@@ -223,61 +223,68 @@ class ZeroDraws:
 
 
 def tilt_ratio_bound(exp):
-    """M(theta) = E[e^(theta L)] over the tilted components of outage_rule,
-    L their log-losses against a_l and r_hat: the largest likelihood
-    ratio of a draw whose gains lie below those."""
+    """The largest likelihood ratio of a draw whose gains lie at or below
+    a_l, 1 and r_hat, over the tilted components of outage_rule: (z / (z
+    - theta))^k, (rho / (rho - theta))^2 and, for fading, r^(theta /
+    alpha) Gamma(mu + M - theta / alpha) / Gamma(mu + M) at M = 0, where
+    it is largest (ln Gamma is convex)."""
     rule, fp, rho = channel.outage_rule(exp), exp.fading, exp.misalignment.rho
     theta, m = rule.tilt, 1.0
-    if theta and rule.integrated != "absorption" and isinstance(
+    if rule.integrated != "absorption" and isinstance(
             exp.absorption, GammaAbsorption):
         z = exp.absorption.z_for(exp.link)
         m *= (z / (z - theta)) ** exp.absorption.k
-    if theta and rule.integrated != "misalignment":
+    if rule.integrated != "misalignment":
         m *= (rho / (rho - theta)) ** 2
-    if theta and rule.integrated != "fading" and fp.enabled:
-        shape = fp.mu - theta / fp.alpha
-        m *= fp.mu ** (theta / fp.alpha) * math.exp(
-            math.lgamma(shape) - math.lgamma(fp.mu))
+    if rule.integrated != "fading" and fp.enabled:
+        b = theta / fp.alpha
+        m *= channel.fading_mixture(fp)[0] ** b * math.exp(
+            math.lgamma(fp.mu - b) - math.lgamma(fp.mu))
     return m
 
 
 def linear_draws(exp, m, rng):
     """The gains outage_score draws, in linear form, and each draw's
     likelihood ratio: h_l, h_p, h_f (None for the integrated component,
-    h_f = 1 with fading off) and the ratio
-    M(theta) prod (gain / its top)^theta over the tilted gains, 1
-    untilted.  Tilted: h_l = a_l e^(-Gamma(k) / (z - theta)),
-    h_p = e^(-stratified_neg_log_product / (rho - theta)) and
-    h_f = r_hat (Gamma(mu - theta / alpha) / mu)^(1/alpha); untilted the
-    linear samplers, with h_p = e^(-stratified_neg_log_product / rho)."""
+    h_f = 1 with fading off) and the ratio, the product over the drawn
+    components of (z / (z - theta))^k (h_l / a_l)^theta, (rho / (rho -
+    theta))^2 h_p^theta and e^(c_M) r^(theta / alpha) (h_f /
+    r_hat)^theta, 1 at theta = 0: h_l = a_l e^(-Gamma(k) / (z - theta))
+    (deterministic absorption's constant), h_p =
+    e^(-stratified_neg_log_product / (rho - theta)) and h_f = r_hat
+    (Gamma(mu + M - theta / alpha) / r)^(1/alpha) given
+    channel.fading_index's (r, M), c_M = ln Gamma(mu + M - theta / alpha)
+    - ln Gamma(mu + M) from scipy."""
     fp, ab, link, rho = (exp.fading, exp.absorption, exp.link,
                          exp.misalignment.rho)
     rule = channel.outage_rule(exp)
-    theta = rule.tilt
-    ratio = tilt_ratio_bound(exp) if theta else 1.0
+    theta, ratio = rule.tilt, 1.0
     h_l = h_p = h_f = None
     with np.errstate(divide="ignore"):      # U V = 0: -ln = inf, h_p = 0
         if rule.integrated != "absorption":
-            if theta and isinstance(ab, GammaAbsorption):
+            if isinstance(ab, GammaAbsorption):
                 z = ab.z_for(link)
                 t = rng(streams.ABSORPTION).standard_gamma(ab.k, m)
                 h_l = link.a_l * np.exp(-t / (z - theta))
-                ratio = ratio * (h_l / link.a_l) ** theta
+                ratio = ratio * (z / (z - theta)) ** ab.k * (
+                    h_l / link.a_l) ** theta
             else:
-                h_l = channel.sample_path_gain(ab, link,
-                                               rng(streams.ABSORPTION), m)
+                h_l = channel.sample_path_gain(ab, link, None, m)
         if rule.integrated != "misalignment":
             h_p = np.exp(-channel.stratified_neg_log_product(
                 rng(streams.MISALIGNMENT), m) / (rho - theta))
-            ratio = ratio * h_p ** theta
-        if rule.integrated != "fading" and fp.enabled and theta:
-            g = rng(streams.FADING).standard_gamma(
-                fp.mu - theta / fp.alpha, m) / fp.mu
-            h_f = fp.r_hat * g ** (1.0 / fp.alpha)
-            ratio = ratio * (h_f / fp.r_hat) ** theta
+            ratio = ratio * (rho / (rho - theta)) ** 2 * h_p ** theta
+        if rule.integrated != "fading" and fp.enabled:
+            fading = rng(streams.FADING)
+            r, index = channel.fading_index(fp, fading, m)
+            b, shape = theta / fp.alpha, fp.mu + np.asarray(index, float)
+            x = fading.standard_gamma(shape - b, m)
+            h_f = fp.r_hat * (x / r) ** (1.0 / fp.alpha)
+            ratio = ratio * np.exp(special.gammaln(shape - b)
+                                   - special.gammaln(shape)) * r ** b * (
+                h_f / fp.r_hat) ** theta
         elif rule.integrated != "fading":
-            h_f = (channel.sample_fading(fp, rng(streams.FADING), m)
-                   if fp.enabled else 1.0)
+            h_f = 1.0
     return h_l, h_p, h_f, ratio
 
 
@@ -376,12 +383,10 @@ def test_outage_score_of_a_zero_gain_is_one(name, monkeypatch):
     # fading or absorption, or G = 0 from the Gamma fading draws on
     # misalignment, means h = 0: the draw is in outage, scored 1 without a
     # RuntimeWarning (tilted, the same draw scores 0:
-    # test_tilted_score_of_a_zero_gain_is_zero).  eta-mu fading draws
-    # untilted; the alpha-mu configs, which always tilt, reach the
-    # theta = 0 branches at TILT_FRACTION = 0
+    # test_tilted_score_of_a_zero_gain_is_zero).  Every config tilts, so
+    # theta = 0 is reached at TILT_FRACTION = 0
     exp = branch_experiment(name)
-    if not name.startswith("eta_mu"):
-        monkeypatch.setattr(channel, "TILT_FRACTION", 0.0)
+    monkeypatch.setattr(channel, "TILT_FRACTION", 0.0)
     assert channel.outage_rule(exp).tilt == 0.0
     q = analytics.OutageQuery(10 ** 0.5, 10 ** 4.5, exp.link.k_h)
 
@@ -398,7 +403,8 @@ def test_outage_score_of_a_zero_gain_is_one(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["alpha_mu_on_fading",
                                   "alpha_mu_on_misalignment",
-                                  "alpha_mu_on_absorption"])
+                                  "alpha_mu_on_absorption", "eta_mu",
+                                  "kappa_mu"])
 def test_tilted_score_of_a_zero_gain_is_zero(name):
     # a stratified -ln(U V) = inf (u = 0 in stratum 0) or a tilted Gamma
     # draw G = 0 is h = 0, in outage, but its likelihood ratio e^(-theta D)
@@ -636,6 +642,31 @@ def test_tilted_outage_is_calibrated_to_120_db():
         assert np.all((spread >= 0.85) & (spread <= 1.15)), (coords, spread)
         assert np.all(np.abs(mean_z) <= 3.0 / math.sqrt(TAIL_SEEDS)), (
             coords, mean_z)
+
+
+@pytest.mark.parametrize("fading,db", [
+    (FadingParams(alpha=2.0, eta=2.0, mu=2), 70.0),
+    (FadingParams(alpha=2.0, kappa=1.0, mu=1), 60.0)],
+    ids=["eta_mu", "kappa_mu"])
+def test_tilted_eta_mu_and_kappa_mu_outage_is_calibrated(fading, db):
+    # over 300 seeds of one 2^14 draw run each, eta-mu and kappa-mu fading
+    # drawn tilted (r G ~ Gamma(mu + M - theta / alpha) given the
+    # mixture's index M): z = (p_out - exact) / se, exact the law
+    # analytics.cdf_snr integrates, spreads within [0.85, 1.15] and its
+    # mean lies within 3 / sqrt(seeds) of 0.  theta is 0.75 of the least
+    # rate of all three components, the fading's alpha mu on kappa-mu
+    exp = make_experiment(fading=fading)
+    rule = channel.outage_rule(exp)
+    assert rule.integrated == "misalignment"
+    assert rule.tilt == 0.75 * min(4.0, fading.alpha * fading.mu,
+                                   exp.absorption.z_for(exp.link))
+    q = analytics.OutageQuery(10 ** 0.5, 10 ** (db / 10.0), exp.link.k_h)
+    exact = analytics.cdf_snr(q, exp)
+    curves = [validation.outage_mc(exp, 10 ** 0.5, [db], 2 ** 14, seed)
+              for seed in range(300)]
+    z = np.array([(c.p_out[0] - exact) / c.se[0] for c in curves])
+    assert 0.85 <= np.std(z, ddof=1) <= 1.15
+    assert abs(np.mean(z)) <= 3.0 / math.sqrt(z.size)
 
 
 def stratified_estimate(exp, gamma_h, n, seed):
