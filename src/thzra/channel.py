@@ -15,9 +15,10 @@ scored by one exp.  Outage is T + W + F >= c for the absorption,
 misalignment and fading log-losses, each with an exponential tail;
 outage_rule picks the one of least rate among those with a CDF to
 integrate out (gammaincc, misalignment_cdf_log, alpha_mu_cdf_log) and
-tilts the others within their Gamma families (stratified_neg_log_product
-draws the misalignment's -ln(U V) by stratified quantiles of its own
-law, StratifiedMean reads the strata back).  Every fading power, the
+tilts the others within their Gamma families.  stratified_neg_log draws
+the misalignment's -ln(U V), or where misalignment is integrated the
+alpha-mu fading's -ln(r G), by stratified quantiles of its own law, and
+StratifiedMean reads the strata back.  Every fading power, the
 sampler's, the score's and analytics' law, is one Gamma mixture
 (fading_mixture): a Gamma draw given the mixture's drawn index
 (fading_index), which the score tilts as it tilts any Gamma draw.
@@ -139,36 +140,75 @@ _HERMITE_STRATA = 2 ** 15
 _EDGE = 1024
 
 
-def stratified_neg_log_product(rng: np.random.Generator,
-                               size: int) -> np.ndarray:
-    """`size` draws of Y = -ln(U V), the law of -ln uniform_product
-    (Gamma(2)), stratified along its own level sets: draw k < 2P takes
-    the quantile of Y at upper tail w = (h + u) / P, the y with
-    P(U V <= e^-y) = (1 + y) e^-y = w, for the stratified uniform of
-    stratified_uniform (stratum h = k mod P of P = size // 2, the stream's
-    k-th uniform u), so draws k and k + P share stratum h; an odd size's
-    last draw takes w = u, iid.  w = 0 gives inf.
+@dataclass(frozen=True)
+class NegLogProduct:
+    """The law of Y = -ln(U V), the misalignment's log-loss times rho:
+    Gamma(2), P(Y >= y) = P(U V <= e^-y) = (1 + y) e^-y; each stratified
+    draw is within 4e-15 (1 + y) of the root for its w."""
+
+    def quantile(self, w: np.ndarray) -> np.ndarray:
+        return _upper_gamma2_quantile(w)
+
+    def slopes(self, y: np.ndarray, t: np.ndarray, cells: int) -> np.ndarray:
+        """dy/du at the stratum bounds y of h = -t: -(1 + y) / (h y)."""
+        m = np.divide(1.0, y)
+        m += 1.0
+        m /= t
+        return m
+
+
+@dataclass(frozen=True)
+class NegLogGamma:
+    """The law of Y = -ln X for X ~ Gamma(shape), the alpha-mu fading's
+    -ln(r G): P(Y >= y) = P(shape, e^-y) = w."""
+
+    shape: float
+
+    def quantile(self, w: np.ndarray) -> np.ndarray:
+        return _neg_log_gamma_quantile(self.shape, w)
+
+    def slopes(self, y: np.ndarray, t: np.ndarray, cells: int) -> np.ndarray:
+        """dy/du at the stratum bounds y: -1 / (cells f(y)), f = e^(-s y
+        - e^-y) / Gamma(s) the density of Y."""
+        m = np.negative(_log_gamma_series_prefactor(self.shape, y)[0])
+        m -= math.log(self.shape)           # -ln f
+        np.exp(m, out=m)
+        m /= -cells
+        return m
+
+
+NegLogLaw = Union[NegLogProduct, NegLogGamma]
+NEG_LOG_PRODUCT = NegLogProduct()
+
+
+def stratified_neg_log(law: NegLogLaw, rng: np.random.Generator,
+                       size: int) -> np.ndarray:
+    """`size` draws of a law's Y = -ln X (NegLogProduct, NegLogGamma),
+    stratified along its own level sets: draw k < 2P takes the quantile
+    of Y at upper tail w = (h + u) / P, the y with P(X <= e^-y) = w, for
+    the stratified uniform of stratified_uniform (stratum h = k mod P of
+    P = size // 2, the stream's k-th uniform u), so draws k and k + P
+    share stratum h; an odd size's last draw takes w = u, iid.  w = 0
+    gives inf (X = 0).  Y rather than X, so that a small Gamma shape's X
+    cannot underflow to 0.
 
     From _HERMITE_STRATA strata on, the inner strata interpolate y in u
     by a cubic Hermite between the quantiles at the stratum bounds
-    (_bound_quantiles, cached), with slopes dy/du = -(1 + y) / (h y); the
-    _EDGE strata at each end, where the quantile's derivatives grow
-    without bound, and every stratum of a smaller P solve for y
-    (_upper_gamma2_quantile).  Either way y is within 4e-15 (1 + y) of
-    the root for its w.  Temporaries: four arrays of P doubles.
+    (_bound_quantiles, cached), with slopes dy/du from the law's density
+    (law.slopes); the _EDGE strata at each end, where the quantile's
+    derivatives grow without bound, and every stratum of a smaller P
+    solve for y (law.quantile).  Temporaries: four arrays of P doubles.
     """
     cells = size // 2
     if cells < _HERMITE_STRATA:
-        return _upper_gamma2_quantile(stratified_uniform(rng, size))
+        return law.quantile(stratified_uniform(rng, size))
     u = rng.random(size)
     strata = u[:2 * cells].reshape(2, -1)   # a view: column h holds h, h + P
     lo, hi = _EDGE, cells - _EDGE
     edges = np.concatenate((strata[:, :lo], strata[:, hi:]), axis=1)
-    y = _bound_quantiles(cells)[lo:hi + 1]
+    y = _bound_quantiles(law, cells)[lo:hi + 1]
     t = np.arange(-lo, -hi - 1, -1.0)
-    m = np.divide(1.0, y)
-    m += 1.0
-    m /= t                                  # dy/du = -(1 + y) / (h y)
+    m = law.slopes(y, t, cells)
     c2 = np.subtract(y[1:], y[:-1])
     c3 = np.add(m[:-1], m[1:])
     c3 -= c2
@@ -186,19 +226,19 @@ def stratified_neg_log_product(rng: np.random.Generator,
     edges[:, :lo] += np.arange(lo)
     edges[:, lo:] += np.arange(hi, cells)
     edges /= cells
-    _upper_gamma2_quantile(edges)
+    law.quantile(edges)
     strata[:, :lo], strata[:, hi:] = edges[:, :lo], edges[:, lo:]
     if size % 2:
-        _upper_gamma2_quantile(u[-1:])
+        law.quantile(u[-1:])
     return u
 
 
 @functools.lru_cache(maxsize=1)
-def _bound_quantiles(cells: int) -> np.ndarray:
-    """The cells + 1 stratum bounds' quantiles y_h, (1 + y_h) e^-y_h =
-    h / cells, read-only; one table is held, that of the last cells."""
+def _bound_quantiles(law: NegLogLaw, cells: int) -> np.ndarray:
+    """The cells + 1 stratum bounds' quantiles y_h of a law at w = h /
+    cells, read-only; one table is held, that of the last law and cells."""
     y = np.arange(cells + 1) / cells
-    _upper_gamma2_quantile(y)
+    law.quantile(y)
     y.flags.writeable = False
     return y
 
@@ -237,6 +277,168 @@ def _upper_gamma2_quantile(w: np.ndarray) -> np.ndarray:
     return y
 
 
+def _neg_log_gamma_quantile(s: float, w: np.ndarray) -> np.ndarray:
+    """In place: each w in [0, 1] of a contiguous array becomes the y
+    with P(s, e^-y) = w, so that e^-y is Gamma(s)'s w-quantile; w = 0
+    gives inf, and w = 1, where (h + u) / P rounds up, is taken at
+    1 - 2^-53.
+
+    Halley's method in y, on ln P(s, e^-y) = ln w for w <= 1/2 and on
+    ln Q(s, e^-y) = ln(1 - w) above (1 - w is exact there).  The lower
+    side takes ln P in log form, _log_gamma_series_prefactor plus ln S(x)
+    by _series_sum, so that neither a small s's e^-y (0 past y = 745)
+    nor a large s's P underflows; it starts at x <= s, and its root lies
+    below the median, within the bands' s + 10.  The upper side takes ln
+    Q in log form too (_log_upper_gamma), x capped at e^690.  Halley's
+    factor on Newton's step is kept within [1/2, 2] wherever an iterate
+    starts far off.
+
+    The start is that of Numerical Recipes (Press et al., 3rd ed., 2007,
+    section 6.2.1), in y: Wilson-Hilferty above s = 1, on the lower side
+    no further than x = (w Gamma(s+1))^(1/s), which lies below the root;
+    at s <= 1 that power law up to w = 1 - s (0.253 + 0.12 s), an
+    exponential tail above.  Each y stops once its step is below 1e-10
+    (1 + |y|), the next one at rounding, so that a y depends on its own w
+    alone.
+    """
+    out, w = w, w.reshape(-1)               # a view of a contiguous w
+    zero = w == 0.0
+    w[zero] = 0.5                           # set to inf at the end
+    np.minimum(w, 1.0 - 2.0 ** -53, out=w)
+    up = w > 0.5
+    log_w = np.log(w)
+    log_q = np.log1p(-w)
+    ln_s = math.log(s)
+    y = np.divide(log_w + math.lgamma(s + 1.0), -s, out=w)
+    if s > 1.0:
+        t = np.sqrt(-2.0 * np.minimum(log_w, log_q))
+        z = t - (2.30753 + 0.27061 * t) / (1.0 + t * (0.99229 + 0.04481 * t))
+        np.negative(z, out=z, where=~up)
+        z *= 1.0 / (3.0 * math.sqrt(s))
+        z += 1.0 - 1.0 / (9.0 * s)
+        ok = z > 0.0
+        wh = -3.0 * np.log(z, where=ok, out=np.full_like(z, -np.inf)) - ln_s
+        np.minimum(y, wh, out=y, where=~up)
+        y[up] = wh[up]
+    else:
+        t = 1.0 - s * (0.253 + 0.12 * s)
+        y += math.log(t) / s
+        tail = log_q <= math.log1p(-t)      # w >= t; y is w's buffer
+        y[tail] = -np.log(1.0 - log_q[tail] + math.log(1.0 - t))
+    np.maximum(y, -ln_s, out=y, where=~up)
+    for side, target in ((~up & ~zero, log_w), (up, log_q)):
+        live = np.flatnonzero(side)
+        for _ in range(50):
+            if not live.size:
+                break
+            at = y[live]
+            np.maximum(at, -690.0, out=at)          # x <= e^690
+            log_pre, x = _log_gamma_series_prefactor(s, at)
+            if target is log_w:
+                series = _series_sum(s, x)
+                g = np.log(series)          # ln P = ln pre + ln S
+                g += log_pre
+                g -= target[live]
+                # g' = -s / S and, as x S' = s (1 - S) + x S, g'' =
+                # -s (s (1 - S) + x S) / S^2: the step -g / g' over
+                # 1 - g g'' / (2 g'^2)
+                x *= series
+                x -= series * s
+                x += s
+                x *= g / (2.0 * s)
+                x += 1.0
+                step = np.multiply(g, series)
+                step /= s
+            else:
+                g = _log_upper_gamma(s, x, log_pre)
+                g -= target[live]           # ln Q - ln(1 - w)
+                # g' = f / Q = r, f = s pre, and g'' = r (x - s - r)
+                r = np.exp(log_pre + ln_s - g - target[live])
+                x -= s
+                x -= r
+                x *= g / (-2.0 * r)
+                x += 1.0
+                step = np.divide(g, -r)
+            np.maximum(x, 0.5, out=x)       # at most twice Newton's step
+            step /= x                       # Halley's
+            at += step
+            y[live] = at
+            live = live[np.abs(step) > 1e-10 * (1.0 + np.abs(at))]
+    y[zero] = np.inf
+    return out
+
+
+def _log_gamma_series_prefactor(s: float, y: np.ndarray
+                                ) -> Tuple[np.ndarray, np.ndarray]:
+    """(ln(x^s e^-x / Gamma(s+1)), x) at x = e^-y, the series' prefactor
+    of P(s, x) in log form, finite where x underflows to 0; s times it is
+    the density of -ln X for X ~ Gamma(s).  Up to s = 10 as -s y - x -
+    ln Gamma(s+1), whose terms stay small; above, as _gamma_prefactor's
+    s ln(x/s) + (s - x) + s(s), less ln s, with ln(x/s) = -y - ln s, or
+    log1p((x - s) / s) where |x - s| < s / 2."""
+    x = np.exp(-y)
+    if s <= 10.0:
+        lead = np.multiply(y, -s)
+        lead -= x + math.lgamma(s + 1.0)
+        return lead, x
+    lead = -y - math.log(s)
+    near = np.abs(x - s) < 0.5 * s
+    lead[near] = np.log1p((x[near] - s) / s)
+    lead *= s
+    lead += s + _stirling_remainder(s) - math.log(s)
+    lead -= x
+    return lead, x
+
+
+def _log_upper_gamma(s: float, x: np.ndarray, log_pre: np.ndarray
+                     ) -> np.ndarray:
+    """ln Q(s, x) from log_pre = ln(x^s e^-x / Gamma(s+1)): ln(s pre)
+    less the log of the continued fraction's denominator from x = s + 1
+    on, as gammaincc takes Q there, and ln(1 - P), P = pre S(x), below;
+    never underflows."""
+    out = np.empty_like(x)
+    far = x >= s + 1.0
+    out[far] = (log_pre[far] + math.log(s)
+                - np.log(_fraction_denominator(s, x[far])))
+    near = ~far
+    p = np.log(_series_sum(s, x[near]))
+    p += log_pre[near]
+    out[near] = np.log1p(-np.exp(p, out=p))
+    return out
+
+
+def _series_sum(a: float, x: np.ndarray) -> np.ndarray:
+    """S(x) = 1F1(1; a+1; x) at each 0 <= x <= a + 10, on the bands of
+    _series_bands."""
+    out = np.empty_like(x)
+    for x_max, band in _series_bands(a, x):
+        if band.any():
+            out[band] = _horner(_economized_series(a, x_max), x[band] / x_max)
+    return out
+
+
+def _series_bands(a: float, x: np.ndarray
+                  ) -> Iterator[Tuple[float, np.ndarray]]:
+    """(x_max, mask) of each band on which the economized series of S
+    takes an x <= a + 10: x <= 1 on [0, 1], 1 < x <= 4 on [0, 4] and the
+    rest on [0, a + 10].  The bands are fixed per a, so that an x reads
+    the same bits alone as in any array."""
+    below = -math.inf
+    for x_max in (1.0, 4.0, a + 10.0):
+        yield x_max, (x > below) & (x <= x_max)
+        below = x_max
+
+
+def _horner(coef: Sequence[float], y: np.ndarray) -> np.ndarray:
+    """sum_n coef[n] y^n by Horner's rule, into a new array."""
+    s = y * coef[-1]
+    s += coef[-2]
+    for c in reversed(coef[:-2]):
+        s *= y
+        s += c
+    return s
+
+
 def stratified_uniform(rng: np.random.Generator, size: int) -> np.ndarray:
     """`size` uniforms on [0, 1) stratified on one axis: draw k < 2P lies
     in stratum h = k mod P of P = size // 2 equal strata, as (h + u) / P
@@ -252,7 +454,7 @@ def stratified_uniform(rng: np.random.Generator, size: int) -> np.ndarray:
 
 class StratifiedMean:
     """Mean and se of stratified values fed chunk by chunk (add), in the
-    layout of stratified_uniform and stratified_neg_log_product: a chunk
+    layout of stratified_uniform and stratified_neg_log: a chunk
     of m values pairs values h and h + P, P = m // 2, one stratum each,
     and an odd m's last value is iid, merged as a chunk of one.
 
@@ -433,7 +635,7 @@ def _regularized_gamma(a: float, x: ArrayLike, upper: bool,
                        weight: Optional[Tuple[float, float]] = None
                        ) -> ArrayLike:
     """P(a, x), or Q(a, x) if upper, by Numerical Recipes section 6.2: the
-    power series for P and Lentz's continued fraction for Q, each
+    power series for P and the continued fraction for Q, each
     complemented where the other one is asked for (_gamma_above_one).
 
     Every x is taken through the economized series on [0, 1], clipped to
@@ -474,16 +676,19 @@ def _gamma_above_one(a: float, x: np.ndarray, log_x: Optional[np.ndarray],
     """_regularized_gamma at x > 1, x and log_x gathered copies.  Q takes
     the fraction from x = a + 1 on, so that a deep tail keeps its relative
     accuracy.  P keeps the series up to x = a + 10: below that, the
-    fraction's loop of small-array steps costs more, and P near 1 loses
-    nothing.  From _lower_cut(a) on, Q < 2^-55 and 1 - Q rounds to 1.0,
+    fraction's depth costs more, and P near 1 loses nothing.  The series
+    runs on _series_bands, so that an x reads the same bits alone as in
+    any array.  From _lower_cut(a) on, Q < 2^-55 and 1 - Q rounds to 1.0,
     so P is 1.0 there without the fraction, bit for bit the same."""
     out = np.empty(x.size)
     far = x >= (a + 1.0 if upper else a + 10.0)
-    mid = ~far
-    if np.any(mid):
-        p = _gammainc_series(a, x[mid], None if log_x is None else log_x[mid],
-                             float(np.max(x[mid])), weight)
-        out[mid] = 1.0 - p if upper else p
+    for x_max, band in _series_bands(a, x):
+        band[far] = False
+        if np.any(band):
+            p = _gammainc_series(a, x[band], None if log_x is None
+                                 else log_x[band], x_max, weight)
+            out[band] = 1.0 - p if upper else p
+        del band
     if upper:
         out[far] = _gammaincc_fraction(a, x[far])
         return out
@@ -503,7 +708,7 @@ def _gamma_above_one(a: float, x: np.ndarray, log_x: Optional[np.ndarray],
 @functools.lru_cache()
 def _lower_cut(a: float) -> float:
     """An x >= a + 10 from which Q(a, x) <= 2^-56 < 2^-55, so that 1 - Q
-    rounds to 1.0 (within the fraction's 1e-13 relative error, as 2^-54
+    rounds to 1.0 (within the fraction's 4e-16 relative error, as 2^-54
     would): the root of the bound Q(a, x) <= x^(a-1) e^-x / Gamma(a) *
     max(1, x / (x - a + 1)), by a fixed-point iteration from above, whose
     step shrinks its error by a / x or less."""
@@ -523,13 +728,10 @@ def _gammainc_series(a: float, x: np.ndarray, log_x: Optional[np.ndarray],
                      weight: Optional[Tuple[float, float]] = None
                      ) -> np.ndarray:
     """P(a, x) = x^a e^-x / Gamma(a+1) * S(x) for 0 <= x <= x_max, with
-    S(x) = sum_n x^n / ((a+1)...(a+n)) = 1F1(1; a+1; x) >= 1 by Horner.
-
-    On [0, 1] (x_max = 1, the pass every x takes) the coefficients are
-    the economized ones of _economized_series, fixed per a.  Above 1 they
-    are the Taylor terms at x_max and Horner runs in y = x / x_max: the
-    terms the largest x needs, none of them underflowing once a is in the
-    hundreds.
+    S(x) = sum_n x^n / ((a+1)...(a+n)) = 1F1(1; a+1; x) >= 1 by Horner in
+    y = x / x_max, on the coefficients _economized_series fixes per (a,
+    x_max): x_max = 1 is the pass every x takes, 4 and a + 10 the
+    bands of _series_bands above it.
 
     The prefactor takes one of three forms.  From x alone with a <= 100
     (gammainc, gammaincc): np.power(x, a) e^-x / Gamma(a+1), since
@@ -539,41 +741,37 @@ def _gammainc_series(a: float, x: np.ndarray, log_x: Optional[np.ndarray],
     exp(a ln x - x) / Gamma(a+1), one exp in place of np.power and a
     second exp; ln x's rounding is then the input's own, and the error is
     a |ln x| ulps plus a few.  Above a = 100, where x^a and Gamma(a+1)
-    near overflow: exp(a ln x - x - ln Gamma(a+1)), with ln x from x
-    where it is not given.  weight = (b, c), with log_x, takes
+    near overflow: from x, _gamma_prefactor / a, whose exponent a ln(x/a)
+    + (a - x) + s(a) keeps the digits that a ln x - x - ln Gamma(a+1)
+    loses to cancellation (6e-13 relative at a = 1000.5, x = 990); from
+    ln x, exp(a ln x - x - ln Gamma(a+1)), whose error is again a |ln x|
+    ulps plus those of ln Gamma(a+1).  weight = (b, c), with log_x, takes
     exp((a - b) ln x - x + c) instead: P x^-b e^c at no extra pass.
     """
     power = log_x is None and a <= 100.0
-    if power:
+    if log_x is None and not power:
+        t = _gamma_prefactor(a, x)
+        t /= a
+    elif power:
         t = np.power(x, a)
     else:
-        if log_x is None:
-            with np.errstate(divide="ignore"):      # x = 0: ln x = -inf
-                log_x = np.log(x)
         b, c0 = weight or (0.0, 0.0)
         t = np.multiply(log_x, a - b, out=log_x)
         t -= x
-        if c0:
-            t += c0
-    if x_max == 1.0:
-        coef, y = _economized_series(a), x
-    else:       # x, above 1, is the caller's scratch: y in place past ln x
-        coef = _series_terms(a, x_max, 1e-17)
-        y = np.divide(x, x_max, out=None if power else x)
-    s = y * coef[-1]
-    s += coef[-2]
-    for c in reversed(coef[:-2]):
-        s *= y
-        s += c
+        t += c0 - (math.lgamma(a + 1.0) if a > 100.0 else 0.0)
+    coef = _economized_series(a, x_max)
+    # above 1, x is the caller's scratch: y in place past the prefactor
+    y = x if x_max == 1.0 else np.divide(x, x_max, out=None if power else x)
+    s = _horner(coef, y)
     if power:
         s *= t
         np.negative(x, out=t)                       # e^-x in x^a's buffer
-    if a > 100.0:
-        t -= math.lgamma(a + 1.0)
-        s *= np.exp(t, out=t)
+    elif log_x is None:
+        s *= t
         return s
     s *= np.exp(t, out=t)
-    s /= math.gamma(a + 1.0)
+    if a <= 100.0:
+        s /= math.gamma(a + 1.0)
     return s
 
 
@@ -587,81 +785,122 @@ def _series_terms(a: float, x_max: float, stop: float) -> list:
 
 
 @functools.lru_cache()
-def _economized_series(a: float) -> Tuple[float, ...]:
-    """Power-series coefficients of S(x) on [0, 1], economized: the Taylor
-    terms down to 1e-20, less each top Chebyshev term on [0, 1] whose
-    coefficient is below 1e-17, converted back to powers of x.
+def _economized_series(a: float, x_max: float = 1.0) -> Tuple[float, ...]:
+    """Power-series coefficients of S(x_max y) on y in [0, 1], economized:
+    the Taylor terms down to 1e-20, less each top Chebyshev term on
+    [0, 1] whose coefficient is below 1e-17, converted back to powers of
+    y, while the coefficients' absolute sum stays within twice S(x_max).
 
-    Taking a term c T*_n off, with T*_n(x) = T_n(2x - 1) leading with
-    2^(2n-1) x^n, cancels the top power and moves S by at most |c|; the
+    Taking a term c T*_n off, with T*_n(y) = T_n(2y - 1) leading with
+    2^(2n-1) y^n, cancels the top power and moves S by at most |c|; the
     coefficients below 1e-17 fall off fast (about 4^-n times the Taylor
     term), so S moves by about 1e-17 in all, and a = 1.5 needs 13 terms
-    where the Taylor sum needed 19.  Computed once per a, on first use.
+    on [0, 1] where the Taylor sum needed 19, 19 on [0, 4] and 34 on
+    [0, 11.5] for 60.  T*_n's coefficients alternate and grow as 5.8^n,
+    so on a wide band the economized powers would cancel: the sum bound
+    keeps Horner's rounding within twice that of the Taylor sum, and a
+    series beyond 100 terms (a in the hundreds on [0, a + 10]) keeps its
+    Taylor terms.  Computed once per (a, x_max), on first use.
     """
-    coef = _series_terms(a, 1.0, 1e-20)
-    shifted = [[1], [-1, 2]]    # T*_n's integer coefficients, x^0 first
-    while len(shifted) < len(coef):     # T*_(n+1) = (4x - 2) T*_n - T*_(n-1)
+    coef = _series_terms(a, x_max, 1e-20)
+    if len(coef) > 100:
+        return tuple(coef)
+    bound = 2.0 * sum(coef)
+    shifted = [[1], [-1, 2]]    # T*_n's integer coefficients, y^0 first
+    while len(shifted) < len(coef):     # T*_(n+1) = (4y - 2) T*_n - T*_(n-1)
         p, q = shifted[-1], shifted[-2] + [0, 0]
         shifted.append([4 * u - 2 * v - w
                         for u, v, w in zip([0] + p, p + [0], q)])
     while len(coef) > 2:
         n = len(coef) - 1
         c = coef[n] / 2.0 ** (2 * n - 1)
-        if abs(c) >= 1e-17:
+        lower = [u - c * t for u, t in zip(coef[:n], shifted[n])]
+        if abs(c) >= 1e-17 or sum(map(abs, lower)) > bound:
             break
-        coef = [u - c * t for u, t in zip(coef[:n], shifted[n])]
+        coef = lower
     return tuple(coef)
 
 
-def _gammaincc_fraction(a: float, x: np.ndarray) -> np.ndarray:
-    """Q(a, x) = 1 - P(a, x) for x >= a + 1 by Lentz's method on the
-    continued fraction; x is capped at 1e300, where Q is 0, so that
-    x = inf gives 0 rather than inf - inf.
+# the bands of x - a over which _gammaincc_fraction keeps one depth
+_FRACTION_BANDS = (1.0, 4.0, 10.0, 40.0, math.inf)
 
-    With b_i = x + 1 - a + 2i >= 2i + 2 and |a_i| = i |i - a| <= i^2,
-    induction gives both Lentz denominators >= i + 2: none needs the
-    usual guard against zero.
+
+def _gammaincc_fraction(a: float, x: np.ndarray) -> np.ndarray:
+    """Q(a, x) = 1 - P(a, x) for x >= a + 1 by the continued fraction
+    1 / (b_0 + a_1 / (b_1 + a_2 / (b_2 + ...))), b_i = x + 1 - a + 2i,
+    a_i = -i (i - a), evaluated backward from the depth _fraction_depth
+    fixes for x's band of x - a (_FRACTION_BANDS): one depth per band, so
+    that an x reads the same bits alone as in any array, and far fewer
+    terms where the fraction converges fast.  x is capped at 1e300,
+    where Q is 0, so that x = inf gives 0 rather than inf - inf.  With
+    b_i >= 2i + 2 and |a_i| <= i^2 no denominator nears zero.
     """
     x = np.minimum(x, 1e300)
-    b = x + 1.0 - a
-    c = np.full_like(x, 1e300)
-    d = 1.0 / b
-    h = d.copy()
-    delta = np.empty_like(x)
-    done = np.zeros(x.shape, dtype=bool)
-    for i in range(1, 10_000):      # in place, one array op at a time
+    t = _fraction_denominator(a, x)
+    return np.divide(_gamma_prefactor(a, x), t, out=t)
+
+
+def _fraction_denominator(a: float, x: np.ndarray) -> np.ndarray:
+    """b_0 + a_1 / (b_1 + a_2 / (b_2 + ...)) of _gammaincc_fraction at
+    each x >= a + 1, so that Q = x^a e^-x / Gamma(a) over it."""
+    out = np.empty_like(x)
+    for lo, hi in zip(_FRACTION_BANDS, _FRACTION_BANDS[1:]):
+        band = x < a + hi
+        if lo > 1.0:            # the first band takes any x below a + 4
+            band &= x >= a + lo
+        if not band.any():
+            continue
+        u = x[band]
+        u += 1.0 - a
+        t = np.zeros_like(u)
+        for i in range(_fraction_depth(a, lo), 0, -1):  # t = a_i / (b_i + t)
+            t += u
+            t += 2.0 * i
+            np.divide(-i * (i - a), t, out=t)
+        t += u
+        out[band] = t
+    return out
+
+
+@functools.lru_cache()
+def _fraction_depth(a: float, lo: float) -> int:
+    """The depth of _gammaincc_fraction from x = a + lo on: the steps
+    Lentz's forward method takes at that x, where the band converges
+    slowest, until one moves it by under 4e-16, and a quarter more plus
+    4.  Against 40-digit mpmath the fraction is then within 4e-16
+    relative from x = a + 1 on, at a from 0.3 to 5e4."""
+    b = lo + 1.0
+    c, d = 1e300, 1.0 / b
+    for i in range(1, 10_000):
         an = -i * (i - a)
         b += 2.0
-        d *= an
-        d += b
-        np.divide(1.0, d, out=d)            # 1 / (an d + b)
-        np.divide(an, c, out=c)
-        c += b                              # b + an / c
-        np.multiply(d, c, out=delta)
-        h *= delta
-        # 4e-16 is within an ulp of 1; a tighter stop may never be met.
-        # Each x stops counting once it has met it: past that, delta is
-        # rounding noise of 1 +- 2 ulps, and waiting for every x to meet
-        # it at one step never ended for 65536 x at a = 1.5
-        delta -= 1.0
-        done |= np.abs(delta, out=delta) < 4e-16
-        if done.all():
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        if abs(d * c - 1.0) < 4e-16:
             break
-    return _gamma_prefactor(a, x) * h
+    return i + i // 4 + 4
 
 
 def _gamma_prefactor(a: float, x: np.ndarray) -> np.ndarray:
     """x^a e^-x / Gamma(a), the continued fraction's prefactor, as
     exp(a ln(x/a) + s(a) + (a - x)) with s(a) = a ln a - a - ln Gamma(a).
 
-    The exponent nears -700 before Q underflows, and rounding it to one
-    double would cost up to 1e-13 relative; the rounding errors of its
-    two sums are carried beside it (Knuth's two-sum), and s(a) comes from
-    Stirling's series rather than a difference of large logarithms.
+    The exponent nears -700 before Q underflows, and its terms near x = a
+    cancel, so rounding it to one double would cost up to 1e-13 relative:
+    the rounding errors of its two sums are carried beside it (Knuth's
+    two-sum), ln(x/a) is log1p((x - a) / a) where |x - a| < a / 2 (x - a
+    exact there), and s(a) comes from Stirling's series rather than a
+    difference of large logarithms.  x = 0 gives 0.
     """
     t = a - x
     t_err = (a - (t - (t - a))) + (-x - (t - a))
-    lead = a * np.log(x / a) + _stirling_remainder(a)
+    with np.errstate(divide="ignore"):          # x = 0: ln x = -inf
+        lead = np.log(x / a)
+    near = np.abs(t) < 0.5 * a
+    lead[near] = np.log1p(t[near] / -a)
+    np.maximum(lead, -1e4, out=lead)    # x = 0: e^(-1e4 a), 0, and no NaN
+    lead *= a
+    lead += _stirling_remainder(a)
     hi = lead + t
     err = (lead - (hi - (hi - lead))) + (t - (hi - lead)) + t_err
     return np.exp(hi) * (1.0 + err)
@@ -719,6 +958,8 @@ class OutageRule:
     integrated: str         # absorption | misalignment | fading
     tilt: float             # theta of the drawn components; 0 if none
     re_bounded: bool        # the relative error stays bounded as p -> 0
+    stratified: str         # misalignment | fading | none: the drawn
+                            # component stratified_neg_log draws
 
     @property
     def stream(self) -> int:
@@ -740,7 +981,9 @@ def outage_rule(exp: Experiment) -> OutageRule:
     kappa-mu fading has the least.  The second moment of a weighted score
     then decays as p^2 iff every drawn rate exceeds 2 r_1 - theta:
     re_bounded.  theta does not depend on gamma_bar, so every point of a
-    grid scores the same draws."""
+    grid scores the same draws.  The drawn misalignment is stratified;
+    where it is integrated out, the drawn fading is, if alpha-mu (eta-mu
+    and kappa-mu shapes vary by draw, and stay iid)."""
     from .analytics import diversity_order  # it imports channel
     fp, ab = exp.fading, exp.absorption
     gamma = isinstance(ab, GammaAbsorption)
@@ -757,8 +1000,11 @@ def outage_rule(exp: Experiment) -> OutageRule:
     with_cdf = [c for c in rates if c != "fading" or fp.is_alpha_mu]
     integrated = min(with_cdf, key=rates.__getitem__)
     r_1 = rates.pop(integrated)
+    stratified = ("misalignment" if integrated != "misalignment" else
+                  "fading" if "fading" in rates and fp.is_alpha_mu else "none")
     return OutageRule(integrated, theta,
-                      all(r > 2.0 * r_1 - theta for r in rates.values()))
+                      all(r > 2.0 * r_1 - theta for r in rates.values()),
+                      stratified)
 
 
 def outage_score(exp: Experiment, gamma_hs: Sequence[float], m: int,
@@ -774,14 +1020,18 @@ def outage_score(exp: Experiment, gamma_hs: Sequence[float], m: int,
     c = ln M(theta):
     - absorption: the same standard_gamma(k) over z - theta, Gamma(k,
       z - theta), c += k ln(z / (z - theta));
-    - misalignment: stratified_neg_log_product / (rho - theta), draws k
+    - misalignment: stratified_neg_log's -ln(U V) / (rho - theta), draws k
       and k + m // 2 in one stratum of its quantile, c += 2 ln(rho /
       (rho - theta));
     - fading: given fading_index's M, r G ~ Gamma(mu + M - theta / alpha),
-      one iid standard_gamma, D takes -ln(r G) / alpha (h_0 has r_hat
-      r^(-1/alpha)), c += c_M = ln Gamma(mu + M - theta / alpha) -
-      ln Gamma(mu + M) per draw, a float where M is 0 (alpha-mu) and an
-      array of math.lgamma over M's distinct values otherwise.
+      D takes -ln(r G) / alpha (h_0 has r_hat r^(-1/alpha)), c += c_M =
+      ln Gamma(mu + M - theta / alpha) - ln Gamma(mu + M) per draw, a
+      float where M is 0 (alpha-mu) and an array of math.lgamma over M's
+      distinct values otherwise.  With misalignment integrated out and
+      alpha-mu fading (outage_rule's stratified), -ln(r G) comes from
+      stratified_neg_log of NegLogGamma(mu - theta / alpha), draws k and
+      k + m // 2 in one stratum of its quantile; else from one iid
+      standard_gamma.
     Deterministic absorption is its one path gain in h_0.  Each gamma_h
     adds ln(gamma_h / h_0) into one reused buffer, log_x = ln(gamma_h /
     h_0) + D, and the integrated component's CDF takes it whole: Q(k,
@@ -812,7 +1062,8 @@ def outage_score(exp: Experiment, gamma_hs: Sequence[float], m: int,
         h_0, log_loss = deterministic_path_gain(ab, exp.link), 0.0
     with np.errstate(divide="ignore"):      # U V = 0 or G = 0: D = inf
         if rule.integrated != "misalignment":   # -ln h_p
-            drawn = stratified_neg_log_product(rng(streams.MISALIGNMENT), m)
+            drawn = stratified_neg_log(NEG_LOG_PRODUCT,
+                                       rng(streams.MISALIGNMENT), m)
             drawn *= 1.0 / (rho - theta)
             c += 2.0 * math.log(rho / (rho - theta))
             drawn += log_loss
@@ -821,11 +1072,16 @@ def outage_score(exp: Experiment, gamma_hs: Sequence[float], m: int,
             fading = rng(streams.FADING)
             r, index = fading_index(fp, fading, m)
             shape, b = fp.mu + index, theta / fp.alpha
-            drawn = fading.standard_gamma(shape - b, m)
-            np.log(drawn, out=drawn)
+            if rule.stratified == "fading":
+                drawn = stratified_neg_log(NegLogGamma(shape - b), fading, m)
+                sign = 1.0
+            else:
+                drawn = fading.standard_gamma(shape - b, m)
+                np.log(drawn, out=drawn)
+                sign = -1.0
             c = c + _tilted_gamma_log_ratio(shape, b)
             h_0 *= fp.r_hat * r ** (-1.0 / fp.alpha)
-            drawn *= -1.0 / fp.alpha
+            drawn *= sign / fp.alpha
             drawn += log_loss
             log_loss = drawn
     shift = np.empty(m) if isinstance(log_loss, np.ndarray) else None

@@ -313,7 +313,8 @@ def _suite_results(cfg: RunConfig, manifest: Manifest) -> List[dict]:
                         "ok": bool(abs(phat - p) <= z * se)})
         record("no_fading_outage", all(pt["ok"] for pt in pts),
                {"z": z, "points": pts, "conditioned": curve.conditioned,
-                "tilt": curve.tilt, "re_bounded": curve.re_bounded})
+                "tilt": curve.tilt, "re_bounded": curve.re_bounded,
+                "stratified": curve.stratified})
 
     k_sweep = [3, 10, 40, 100, 1000, 10000]
     rows = validation.bound_sweep(k_sweep)
@@ -345,7 +346,7 @@ def cmd_validate(cfg: RunConfig, out_dir: Path, manifest: Manifest) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-CELL_SCHEMA = "thzra.sweep.cell.v15"
+CELL_SCHEMA = "thzra.sweep.cell.v16"
 
 
 @dataclass(frozen=True)
@@ -420,11 +421,12 @@ def _write_cell(cell: SweepCell, path: Path, schema: str,
                     stats.mean_energy_uj]
     if curve is not None:
         cols += ["p_out", "p_out_ci_lo", "p_out_ci_hi", "p_out_se", "vrf",
-                 "conditioned", "tilt", "re_bounded", "outage_draws"]
+                 "conditioned", "stratified", "tilt", "re_bounded",
+                 "outage_draws"]
         row += [float(curve.p_out[j]), float(curve.ci_lo[j]),
                 float(curve.ci_hi[j]), float(curve.se[j]),
-                float(curve.vrf[j]), curve.conditioned, curve.tilt,
-                int(curve.re_bounded), cell.outage_draws]
+                float(curve.vrf[j]), curve.conditioned, curve.stratified,
+                curve.tilt, int(curve.re_bounded), cell.outage_draws]
     write_csv_atomic(path, schema, cols, [row])
     return cell.outage_draws or 0
 

@@ -126,6 +126,8 @@ class OutageCurve:
                              # component outage_score integrates out
     tilt: float              # theta of the drawn components (outage_rule)
     re_bounded: bool         # relative error bounded as p_out -> 0
+    stratified: str          # misalignment | fading | none: the drawn
+                             # component whose strata the se rests on
 
 
 def outage_mc(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float],
@@ -139,8 +141,9 @@ def outage_mc(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float],
     the least rate of every random component (r_1 unless eta-mu or
     kappa-mu fading has it), each score weighted by its likelihood ratio,
     fading of every family as a tilted Gamma draw given its mixture
-    index, with -ln(U V) in strata of its own quantile
-    (channel.stratified_neg_log_product).  The
+    index.  One drawn component is drawn in strata of its own quantile
+    (channel.stratified_neg_log): -ln(U V), or where misalignment is
+    integrated out, alpha-mu fading's -ln(r G).  The
     weighted score's mean is p_out, and where the rule's re_bounded holds
     its relative error stays bounded as p_out -> 0, so the se keeps its
     calibration deep in the tail.  Points where gamma_th settles the
@@ -180,7 +183,8 @@ def outage_mc(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float],
                        ci_lo=np.maximum(p - Z95 * se, 0.0),
                        ci_hi=np.minimum(p + Z95 * se, 1.0),
                        se=se, vrf=vrf, conditioned=rule.integrated,
-                       tilt=rule.tilt, re_bounded=rule.re_bounded)
+                       tilt=rule.tilt, re_bounded=rule.re_bounded,
+                       stratified=rule.stratified)
 
 
 # ---------------------------------------------------------------------------

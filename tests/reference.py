@@ -60,7 +60,7 @@ def outage_count(exp: Experiment, gamma_th: float, gamma_bar_db: Sequence[float]
     return OutageCurve(gamma_bar_db=gdb, p_out=p, ci_lo=lo, ci_hi=hi,
                        se=np.sqrt(p * (1.0 - p) / n),
                        vrf=np.ones(gdb.size), conditioned="none", tilt=0.0,
-                       re_bounded=False)
+                       re_bounded=False, stratified="none")
 
 
 @dataclass(frozen=True)

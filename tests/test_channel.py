@@ -256,7 +256,7 @@ NEG_LOG_SIZES = [2 ** 16, 2 ** 16 + 1, 16960, 4321, 3, 2, 1]
 
 
 def stratified_w(size, seed):
-    """The double w of each draw of stratified_neg_log_product(RNG(seed),
+    """The double w of each draw of stratified_neg_log(law, RNG(seed),
     size): (h + u) / P for draw k < 2P in stratum h = k mod P, the iid u
     for an odd size's last draw."""
     cells = size // 2
@@ -296,7 +296,7 @@ def test_stratified_neg_log_product_matches_mpmath(size):
     # every draw of the 1024 strata at each end (all strata below 2048),
     # and both draws of 500 sampled inner strata, against the 40-digit
     # root for the same double w; an odd size's last draw too
-    y = channel.stratified_neg_log_product(RNG(13), size)
+    y = channel.stratified_neg_log(channel.NEG_LOG_PRODUCT, RNG(13), size)
     w = stratified_w(size, 13)
     cells = size // 2
     cols = np.arange(cells)
@@ -343,8 +343,8 @@ def test_stratified_neg_log_product_of_zero_is_inf(size):
     zeros = {0, cells, size - 1, 5}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        y = channel.stratified_neg_log_product(
-            ZeroUniforms(RNG(14), zeros), size)
+        y = channel.stratified_neg_log(
+            channel.NEG_LOG_PRODUCT, ZeroUniforms(RNG(14), zeros), size)
     inf = [k for k in sorted(zeros) if k < size
            and (k == size - 1 and size % 2 or k % max(cells, 1) == 0)]
     assert inf and np.all(y[inf] == np.inf)
@@ -357,7 +357,7 @@ def test_stratified_neg_log_product_strata(size):
     # draws k and k + P lie in stratum h = k mod P's quantile interval,
     # [Q((h + 1) / P), Q(h / P)] for Q the upper-tail quantile of Gamma(2)
     cells = size // 2
-    y = channel.stratified_neg_log_product(RNG(15), size)
+    y = channel.stratified_neg_log(channel.NEG_LOG_PRODUCT, RNG(15), size)
     h = np.arange(2 * cells) % max(cells, 1)
     top = sstats.gamma(2).isf(h / max(cells, 1))
     bottom = sstats.gamma(2).isf((h + 1) / max(cells, 1))
@@ -369,8 +369,9 @@ def test_stratified_neg_log_product_law():
     # e^-Y = U V over many chunks, full ones and odd ones, follows the law
     # of the iid product, P(U V <= t) = t (1 - ln t)
     sizes = [2 ** 16] * 20 + [1, 2, 3, 4321, 16960, 2 ** 16 + 1]
-    t = np.concatenate([np.exp(-channel.stratified_neg_log_product(
-        RNG(100 + i), size)) for i, size in enumerate(sizes)])
+    t = np.concatenate([np.exp(-channel.stratified_neg_log(
+        channel.NEG_LOG_PRODUCT, RNG(100 + i), size))
+        for i, size in enumerate(sizes)])
     result = sstats.kstest(t, lambda x: x * (1.0 - np.log(x)))
     assert result.statistic < 1.36 / math.sqrt(t.size)
     assert result.pvalue > 1e-3
@@ -382,11 +383,101 @@ def test_stratified_neg_log_product_holds_one_table():
     # solves for its draws and leaves it in place
     channel._bound_quantiles.cache_clear()
     for size in (2 ** 16, 16960, 4321, 2 ** 16 + 1, 2 ** 16):
-        channel.stratified_neg_log_product(RNG(3), size)
+        channel.stratified_neg_log(channel.NEG_LOG_PRODUCT, RNG(3), size)
     info = channel._bound_quantiles.cache_info()
     assert (info.currsize, info.misses) == (1, 1)
-    table = channel._bound_quantiles(2 ** 15)
+    table = channel._bound_quantiles(channel.NEG_LOG_PRODUCT, 2 ** 15)
     assert table.nbytes == 8 * (2 ** 15 + 1) and not table.flags.writeable
+    # a Gamma law's table takes its place: still one held
+    channel.stratified_neg_log(channel.NegLogGamma(1.7), RNG(3), 2 ** 16)
+    info = channel._bound_quantiles.cache_info()
+    assert (info.currsize, info.misses) == (1, 2)
+
+
+GAMMA_SHAPES = [0.3, 1.0, 1.7, 3.3, 150.5]
+
+
+def neg_log_gamma_error(s, w, y):
+    """|y - Y| for the root Y of P(s, e^-Y) = w (w = 1 taken at 1 - 2^-53,
+    as the sampler takes it), and the allowed error 8 ulps of y on the
+    scale 1 + |Y| plus the shift of the root by 8 ulps of w, 8 eps(w) /
+    f(Y), f the density of Y: the tail probability's own rounding moves
+    the root by that much.  Y at 40 digits by one Newton step from the
+    double y, on P below w = 1/2 and on Q above: y is within 1e-13 of
+    the root, so the step leaves an error below 1e-24."""
+    w = min(float(w), 1.0 - 2.0 ** -53)
+    with mpmath.workdps(40):
+        S, Y = mpmath.mpf(s), mpmath.mpf(float(y))
+        x = mpmath.exp(-Y)
+        f = x ** S * mpmath.exp(-x) / mpmath.gamma(S)
+        if w > 0.5:
+            Y -= (mpmath.gammainc(S, x, mpmath.inf, regularized=True)
+                  - (1 - mpmath.mpf(w))) / f
+        else:
+            Y += (mpmath.gammainc(S, 0, x, regularized=True)
+                  - mpmath.mpf(w)) / f
+        err = float(abs(Y - mpmath.mpf(float(y))))
+    eps = np.finfo(float).eps
+    return err, 8 * eps * (1 + abs(float(Y))) + 8 * np.spacing(w) / float(f)
+
+
+@pytest.mark.parametrize("s", GAMMA_SHAPES)
+@pytest.mark.parametrize("size", [2 ** 16, 2 ** 16 + 1, 16960, 3, 1])
+def test_stratified_neg_log_gamma_matches_mpmath(s, size):
+    # -ln of a Gamma(s) draw stratified on its quantile: the 16 strata at
+    # each end, 64 more of each end's 1024 solved ones and 128 inner ones
+    # (every stratum below 2048 is solved), both draws each, and an odd
+    # size's last draw, against the 40-digit root for the same double w,
+    # at non-integer shapes, at 1 and beyond a = 100
+    y = channel.stratified_neg_log(channel.NegLogGamma(s), RNG(13), size)
+    w = stratified_w(size, 13)
+    cells = size // 2
+    cols = np.arange(cells)
+    if cells > 2048:
+        pick = np.random.default_rng(0).choice
+        cols = np.concatenate([
+            cols[:16], cols[-16:], pick(cols[16:1024], 64, replace=False),
+            pick(cols[cells - 1024:-16], 64, replace=False),
+            pick(cols[1024:cells - 1024], 128, replace=False)])
+    assert np.all(np.isfinite(y))
+    for k in np.concatenate([cols, cols + cells, np.arange(2 * cells, size)]):
+        err, tol = neg_log_gamma_error(s, w[k], y[k])
+        assert err <= tol, (w[k], y[k], err, tol)
+
+
+def test_neg_log_gamma_quantile_at_the_ends():
+    # w = 0 is inf and w = 1, which (h + u) / P can round to, the root at
+    # 1 - 2^-53; at s = 0.01 the smallest w of a stratum, 2^-68, puts e^-y
+    # far below the smallest double, and y stays finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (0.01, 1.7, 150.5):
+            y = channel._neg_log_gamma_quantile(
+                s, np.array([0.0, 2.0 ** -68, 0.5, 1.0]))
+            assert y[0] == np.inf and np.all(np.isfinite(y[1:]))
+            for w, v in zip((2.0 ** -68, 0.5, 1.0), y[1:]):
+                err, tol = neg_log_gamma_error(s, w, v)
+                assert err <= tol, (s, w)
+    tiny = channel._neg_log_gamma_quantile(0.01, np.array([2.0 ** -68]))
+    assert tiny[0] > 4e3
+
+
+def test_stratified_neg_log_gamma_law():
+    # e^-Y over full and odd chunks follows Gamma(1.7), and each chunk's
+    # draws k and k + P lie in stratum h's quantile interval
+    s = 1.7
+    sizes = [2 ** 16] * 3 + [1, 3, 4321, 16960, 2 ** 16 + 1]
+    ys = [channel.stratified_neg_log(channel.NegLogGamma(s), RNG(200 + i),
+                                     size) for i, size in enumerate(sizes)]
+    result = sstats.kstest(np.exp(-np.concatenate(ys)), sstats.gamma(s).cdf)
+    assert result.statistic < 1.36 / math.sqrt(sum(sizes))
+    for y, size in zip(ys, sizes):
+        cells = size // 2
+        h = np.arange(2 * cells) % max(cells, 1)
+        x = np.exp(-y[:2 * cells])
+        ppf = sstats.gamma(s).ppf
+        assert np.all(x >= ppf(h / max(cells, 1)) * (1 - 1e-12))
+        assert np.all(x <= ppf((h + 1) / max(cells, 1)) * (1 + 1e-12))
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 7, 400, 1025])
@@ -522,7 +613,7 @@ SHAPES = [2.0, 2.5, 3.0, 4.5]
 def test_stratified_log_gamma_cells(shape, size):
     # the stratified score's drawn log-losses, absorption integrated, with
     # alpha-mu fading of mu = shape: -ln h_p = -ln(U V) / (rho - theta)
-    # with -ln(U V) from stratified_neg_log_product (draws k and k +
+    # with -ln(U V) from stratified_neg_log (draws k and k +
     # size // 2 share a stratum, an odd size's last draw is iid), and mu G
     # ~ Gamma(shape - theta / alpha) on the fading stream.  Each score is
     # Q(k, z max(ln(h / gamma_h), 0)) times the likelihood ratio
@@ -541,7 +632,8 @@ def test_stratified_log_gamma_cells(shape, size):
         return RNG([22, comp])
 
     [got] = channel.outage_score(exp, [gamma_h], size, rng)
-    y = channel.stratified_neg_log_product(rng(streams.MISALIGNMENT), size)
+    y = channel.stratified_neg_log(channel.NEG_LOG_PRODUCT,
+                                   rng(streams.MISALIGNMENT), size)
     x = rng(streams.FADING).standard_gamma(shape - theta / fp.alpha, size)
     h_p = np.exp(-y / (rho - theta))
     h_f = fp.r_hat * np.power(x / shape, 1.0 / fp.alpha)
@@ -673,9 +765,9 @@ def test_alpha_mu_cdf_log_can_overwrite_its_input():
 @pytest.mark.parametrize("a", [1.0, 1.5, 2.5, 3.0, 40.5])
 def test_lower_gamma_cut_off_is_bit_identical(a):
     # from _lower_cut(a) on P is 1.0 without the continued fraction; the
-    # fraction's 1 - Q gave exactly that, as Q < 2^-55 there: every x past
-    # a + 10 reads the same bits as when the fraction took them all, by x
-    # and by ln x
+    # fraction's 1 - Q, at its fixed depth, gives exactly that, as Q <
+    # 2^-55 there: every x past a + 10 reads the same bits as when the
+    # fraction took them all, by x and by ln x
     cut = channel._lower_cut(a)
     with mpmath.workdps(40):
         q = mpmath.gammainc(a, mpmath.mpf(cut), mpmath.inf, regularized=True)
@@ -719,15 +811,42 @@ def test_gammainc_endpoints_and_shapes():
 
 
 def test_gammaincc_on_many_x_matches_fewer_at_a_time():
-    # Lentz's loop stops once every x has met its tolerance, not when all
-    # meet it at the same step: past convergence delta is 1 +- 2 ulps of
-    # noise, so 65536 x at a = 1.5 never met it together, ran 10^4 steps
-    # (6 s) and drifted 8e-13 from the same x taken 1024 at a time
+    # the continued fraction runs to one depth per a, whatever the x
+    # beside it: 65536 x at a = 1.5 read the same bits as 1024 at a time
+    # (a forward loop that stopped once every x had converged drifted
+    # 8e-13 between the two)
     x = 2.5 + np.random.default_rng(3).exponential(1.0, 65536)
     q = channel.gammaincc(1.5, x)
     parts = np.concatenate([channel.gammaincc(1.5, x[i:i + 1024])
                             for i in range(0, x.size, 1024)])
-    np.testing.assert_allclose(q, parts, rtol=2e-15, atol=0)
+    np.testing.assert_array_equal(q, parts)
+
+
+@pytest.mark.parametrize("a", [0.5, 2.5, 3.0, 7.3])
+def test_incomplete_gamma_on_an_array_reads_as_its_scalars(a):
+    # every branch (series on [0, 1] and its two bands above, the fraction,
+    # 1 - Q and the cut-off to 1.0) takes each x alone: an array call is
+    # its scalar calls to the bit
+    x = np.concatenate([np.geomspace(0.5, 500.0, 400),
+                        [1.0, 4.0, a + 1.0, a + 10.0, channel._lower_cut(a)]])
+    for fn in (channel.gammainc, channel.gammaincc):
+        assert fn(a, x).tolist() == [fn(a, float(v)) for v in x], fn
+
+
+@pytest.mark.parametrize("a,x", [(1000.5, 990.0), (50000.5, 49000.0)])
+def test_gammainc_prefactor_beyond_a_hundred(a, x):
+    # P and Q at large a against 40-digit mpmath: the prefactor's exponent
+    # a ln(x/a) + (a - x) + s(a) - ln a keeps its digits (a ln x - x -
+    # ln Gamma(a+1) was off by 6e-13 and 3e-11 here); what is left is the
+    # rounding of a ln(x/a), about |x - a| eps / 2, plus a few ulps: the
+    # bound (|x - a| + 16) eps is 5.9e-15 and 2.3e-13 (1.6e-15 and 1.7e-13
+    # measured on P)
+    bound = (abs(x - a) + 16.0) * np.finfo(float).eps
+    with mpmath.workdps(40):
+        p = mpmath.gammainc(a, 0, x, regularized=True)
+        q = mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+    assert abs(channel.gammainc(a, x) - p) <= bound * p
+    assert abs(channel.gammaincc(a, x) - q) <= bound * q
 
 
 def test_alpha_mu_cdf_is_gamma_law():

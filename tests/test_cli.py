@@ -238,8 +238,13 @@ def test_eta_mu_fading_at_a_real_mu_runs(tmp_path):
     assert len(cells) == 4
     for cell in cells:
         schema, header, rows = read_rows(cell)
-        assert schema.startswith("#schema: thzra.sweep.cell.v15 ")
+        assert schema.startswith("#schema: thzra.sweep.cell.v16 ")
         assert all(float(r[header.index("tilt")]) > 0.0 for r in rows)
+        # eta-mu fading stays iid; a drawn misalignment is stratified
+        for r in rows:
+            conditioned = r[header.index("conditioned")]
+            assert r[header.index("stratified")] == (
+                "none" if conditioned == "misalignment" else "misalignment")
 
 
 def test_flags_take_the_key_spelling(tmp_path):
@@ -777,24 +782,25 @@ def test_sweep_grid_and_resume(tmp_path):
     # draws), a v11 cell (protocol admission drawn where the channel has
     # a law), a v12 cell (protocol admission drawn at a real shape or
     # with deterministic absorption), a v13 cell (protocol admission
-    # drawn with eta-mu or kappa-mu fading) and a v14 cell (eta-mu and
-    # kappa-mu fading drawn untilted) below
+    # drawn with eta-mu or kappa-mu fading), a v14 cell (eta-mu and
+    # kappa-mu fading drawn untilted) and a v15 cell (alpha-mu fading drawn
+    # iid where misalignment is integrated out) below
     schema = before[cells[4].name].decode().splitlines()[0]
-    assert schema.startswith("#schema: thzra.sweep.cell.v15 digest=")
+    assert schema.startswith("#schema: thzra.sweep.cell.v16 digest=")
     for i, old in ((0, ".v6 "), (1, ".v8 "), (2, ".v7 "), (5, ".v9 ")):
-        cells[i].write_text(schema.replace(".v15 ", old) + "\n"
+        cells[i].write_text(schema.replace(".v16 ", old) + "\n"
                             + before[cells[i].name].decode().split("\n", 1)[1])
-    cells[4].write_text(schema.replace(".v15 ", ".v2 ")
+    cells[4].write_text(schema.replace(".v16 ", ".v2 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,outage_draws"
                         "\n2,3,0.5,0.4,0.6,20000\n")
-    cells[6].write_text(schema.replace(".v15 ", ".v3 ")
+    cells[6].write_text(schema.replace(".v16 ", ".v3 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,p_out_se,vrf,"
                         "outage_draws\n3,2,0.5,0.4,0.6,0.05,2.0,20000\n")
-    cells[7].write_text(schema.replace(".v15 ", ".v4 ")
+    cells[7].write_text(schema.replace(".v16 ", ".v4 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,p_out_se,vrf,"
                         "conditioned,outage_draws\n3,3,0.5,0.4,0.6,0.05,2.0,"
                         "misalignment,20000\n")
-    cells[8].write_text(schema.replace(".v15 ", ".v5 ")
+    cells[8].write_text(schema.replace(".v16 ", ".v5 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,p_out_se,vrf,"
                         "conditioned,outage_draws\n3,4,0.5,0.4,0.6,0.05,2.0,"
                         "fading,20000\n")
@@ -806,14 +812,14 @@ def test_sweep_grid_and_resume(tmp_path):
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert len(manifest["outputs"]) == 9
     for i, old in ((0, ".v10 "), (1, ".v11 "), (2, ".v12 "), (3, ".v13 "),
-                   (5, ".v14 ")):
-        cells[i].write_text(schema.replace(".v15 ", old) + "\n"
+                   (5, ".v14 "), (6, ".v15 ")):
+        cells[i].write_text(schema.replace(".v16 ", old) + "\n"
                             + before[cells[i].name].decode().split("\n", 1)[1])
     assert cli.main(["sweep", "--config", str(cfg), "--seed", "9",
                      "--out", str(out)]) == 0
     assert cell_bytes(out) == before
     manifest = json.loads((out / "run_manifest.json").read_text())
-    assert manifest["counters"] == sweep_counters(5, 4, 0, 20000)
+    assert manifest["counters"] == sweep_counters(6, 3, 0, 20000)
 
     # an unchanged rerun reuses every cell: no file is rewritten
     stamps = cell_stamps(out)
@@ -904,9 +910,9 @@ def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
     p_files = sorted((par / "sweep").glob("*.csv"))
     assert [f.name for f in s_files] == [f.name for f in p_files]
     _, header, _ = read_rows(s_files[0])
-    assert header[-9:] == ["p_out", "p_out_ci_lo", "p_out_ci_hi", "p_out_se",
-                           "vrf", "conditioned", "tilt", "re_bounded",
-                           "outage_draws"]
+    assert header[-10:] == ["p_out", "p_out_ci_lo", "p_out_ci_hi",
+                            "p_out_se", "vrf", "conditioned", "stratified",
+                            "tilt", "re_bounded", "outage_draws"]
     for a, b in zip(s_files, p_files):
         assert a.read_bytes() == b.read_bytes()
     for out in (serial, par):
@@ -1196,8 +1202,10 @@ def test_sweep_cell_at_infinite_average_snr(tmp_path):
         row = dict(zip(header, rows[0]))
         assert (row["gamma_bar_db"], row["p_out"], row["p_out_se"]) == \
             ("inf", "0.0", "0.0")
-        conditioned.add(row["conditioned"])
-    assert conditioned == {"fading", "misalignment"}
+        conditioned.add((row["conditioned"], row["stratified"]))
+    # the misalignment-conditioned cell stratifies its alpha-mu fading
+    assert conditioned == {("fading", "misalignment"),
+                           ("misalignment", "fading")}
 
 
 def test_simulate_at_infinite_average_snr_admits_everyone(tmp_path):

@@ -195,7 +195,7 @@ def forbid_channel_draws(monkeypatch):
         raise AssertionError("admission drew the channel")
 
     for name in ("outage_score", "draw_snr_batch", "fading_power",
-                 "sample_absorption_db", "stratified_neg_log_product"):
+                 "sample_absorption_db", "stratified_neg_log"):
         monkeypatch.setattr(channel, name, no_draw)
 
 

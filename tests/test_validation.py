@@ -250,11 +250,14 @@ def linear_draws(exp, m, rng):
     components of (z / (z - theta))^k (h_l / a_l)^theta, (rho / (rho -
     theta))^2 h_p^theta and e^(c_M) r^(theta / alpha) (h_f /
     r_hat)^theta, 1 at theta = 0: h_l = a_l e^(-Gamma(k) / (z - theta))
-    (deterministic absorption's constant), h_p =
-    e^(-stratified_neg_log_product / (rho - theta)) and h_f = r_hat
+    (deterministic absorption's constant), h_p = e^(-Y / (rho - theta))
+    for Y = -ln(U V) from stratified_neg_log and h_f = r_hat
     (Gamma(mu + M - theta / alpha) / r)^(1/alpha) given
     channel.fading_index's (r, M), c_M = ln Gamma(mu + M - theta / alpha)
-    - ln Gamma(mu + M) from scipy."""
+    - ln Gamma(mu + M) from scipy; the Gamma draw is e^-Y of
+    channel.stratified_neg_log's NegLogGamma(mu - theta / alpha) where
+    the rule stratifies the fading (misalignment integrated, alpha-mu),
+    one iid standard_gamma otherwise."""
     fp, ab, link, rho = (exp.fading, exp.absorption, exp.link,
                          exp.misalignment.rho)
     rule = channel.outage_rule(exp)
@@ -271,14 +274,19 @@ def linear_draws(exp, m, rng):
             else:
                 h_l = channel.sample_path_gain(ab, link, None, m)
         if rule.integrated != "misalignment":
-            h_p = np.exp(-channel.stratified_neg_log_product(
-                rng(streams.MISALIGNMENT), m) / (rho - theta))
+            h_p = np.exp(-channel.stratified_neg_log(
+                channel.NEG_LOG_PRODUCT, rng(streams.MISALIGNMENT), m)
+                / (rho - theta))
             ratio = ratio * (rho / (rho - theta)) ** 2 * h_p ** theta
         if rule.integrated != "fading" and fp.enabled:
             fading = rng(streams.FADING)
             r, index = channel.fading_index(fp, fading, m)
             b, shape = theta / fp.alpha, fp.mu + np.asarray(index, float)
-            x = fading.standard_gamma(shape - b, m)
+            if rule.stratified == "fading":
+                x = np.exp(-channel.stratified_neg_log(
+                    channel.NegLogGamma(fp.mu - b), fading, m))
+            else:
+                x = fading.standard_gamma(shape - b, m)
             h_f = fp.r_hat * (x / r) ** (1.0 / fp.alpha)
             ratio = ratio * np.exp(special.gammaln(shape - b)
                                    - special.gammaln(shape)) * r ** b * (
@@ -548,6 +556,23 @@ def test_outage_mc_matches_quadrature_on_fading_cells():
             assert abs(curve.p_out[i] - p) <= 4.0 * curve.se[i], (coords, db)
 
 
+def test_outage_mc_matches_the_law_on_every_sweep_cell():
+    # all four sweep groups at 40, 45 and 50 dB and 1 M draws, the
+    # misalignment-conditioned one with its fading stratified, lie within
+    # 4 of their se of the law analytics.cdf_snr integrates; each cell
+    # says which drawn component its se rests on
+    grid = [40.0, 45.0, 50.0]
+    for coords, gamma_th, exp in sweep_cells():
+        curve = validation.outage_mc(exp, gamma_th, grid, 1_000_000, seed=21)
+        assert curve.stratified == ("misalignment" if curve.conditioned
+                                    == "fading" else "fading"), coords
+        for i, db in enumerate(grid):
+            q = analytics.OutageQuery(gamma_th, 10 ** (db / 10.0),
+                                      exp.link.k_h)
+            p = analytics.cdf_snr(q, exp)
+            assert abs(curve.p_out[i] - p) <= 4.0 * curve.se[i], (coords, db)
+
+
 def test_outage_mc_matches_closed_form_within_bonferroni_se():
     # criterion 7's experiment and grid, judged by the estimator's own SE
     exp = make_experiment(link=replace(make_experiment().link, k_t=0.1, k_r=0.1))
@@ -578,17 +603,17 @@ def test_outage_mc_reduces_variance_on_sweep_cells():
 
 
 def test_outage_mc_stratification_floor_on_sweep_cells():
-    # at 45 dB, 200 000 draws: stratifying -ln(U V) along its own
-    # quantiles adds to what conditioning on fading gains; iid uniforms
-    # gave (2, 1.5) 4.5-5.9, and strata on a 128 x 256 grid of (U, V)
-    # 157-161, 346-401 and 101-136 on the three fading-conditioned cells,
-    # where the quantile strata read 367-378, 846-867 and 498-558 at
-    # seeds 11-14.  (2, 2.5) conditions on misalignment: stratifying the
-    # -ln(U V) of mu G = -ln(U V) + Gamma(1/2) took it from 5.3-5.5 (iid
-    # G) to 12.4-13.2, on the grid and on the quantile strata alike, as
-    # the iid Gamma(1/2) bounds it
+    # at 45 dB, 200 000 draws: stratifying the one drawn component along
+    # its own quantiles adds to what conditioning and the tilt gain.  The
+    # three fading-conditioned cells stratify -ln(U V); untilted, iid
+    # uniforms gave (2, 1.5) 4.5-5.9 and the quantile strata 367-378,
+    # 846-867 and 498-558 at seeds 11-14, and tilted they read 9418-9588,
+    # 32674-32788 and 67224-67574.  (2, 2.5) conditions on misalignment
+    # and stratifies its tilted alpha-mu fading, -ln(r G) with r G ~
+    # Gamma(1): 18316-18708 at seeds 11-14, where the iid tilted draw
+    # read 265; its floor is half the least of them
     floors = {(2.0, 1.5): 200.0, (4.1, 1.5): 500.0, (4.1, 2.5): 250.0,
-              (2.0, 2.5): 8.0}
+              (2.0, 2.5): 9000.0}
     for coords, gamma_th, exp in sweep_cells():
         curve = validation.outage_mc(exp, gamma_th, [45.0], 200_000, seed=11)
         assert curve.vrf[0] >= floors[coords["rho"], coords["mu"]], coords
@@ -831,7 +856,8 @@ def test_slope_fit_is_least_squares():
     curve = validation.OutageCurve(
         gamma_bar_db=db, p_out=p, ci_lo=0.9 * p, ci_hi=1.1 * p,
         se=0.05 * p, vrf=np.ones(db.size),
-        conditioned="none", tilt=0.0, re_bounded=False)
+        conditioned="none", tilt=0.0, re_bounded=False,
+        stratified="none")
     ref = stats.linregress(db / 10.0, np.log10(p))
     fit = reference.slope_fit(curve)
     assert fit.n_points == db.size
