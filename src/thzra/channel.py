@@ -193,11 +193,11 @@ def stratified_neg_log(law: NegLogLaw, rng: np.random.Generator,
     cannot underflow to 0.
 
     From _HERMITE_STRATA strata on, the inner strata interpolate y in u
-    by a cubic Hermite between the quantiles at the stratum bounds
-    (_bound_quantiles, cached), with slopes dy/du from the law's density
-    (law.slopes); the _EDGE strata at each end, where the quantile's
-    derivatives grow without bound, and every stratum of a smaller P
-    solve for y (law.quantile).  Temporaries: four arrays of P doubles.
+    by a cubic Hermite between the quantiles at the stratum bounds, with
+    slopes dy/du from the law's density (_hermite_knots, cached); the
+    _EDGE strata at each end, where the quantile's derivatives grow
+    without bound, and every stratum of a smaller P solve for y
+    (law.quantile).  Temporaries: three arrays of P doubles.
     """
     cells = size // 2
     if cells < _HERMITE_STRATA:
@@ -206,9 +206,8 @@ def stratified_neg_log(law: NegLogLaw, rng: np.random.Generator,
     strata = u[:2 * cells].reshape(2, -1)   # a view: column h holds h, h + P
     lo, hi = _EDGE, cells - _EDGE
     edges = np.concatenate((strata[:, :lo], strata[:, hi:]), axis=1)
-    y = _bound_quantiles(law, cells)[lo:hi + 1]
-    t = np.arange(-lo, -hi - 1, -1.0)
-    m = law.slopes(y, t, cells)
+    y, m = _hermite_knots(law, cells)
+    t = np.empty(hi - lo)
     c2 = np.subtract(y[1:], y[:-1])
     c3 = np.add(m[:-1], m[1:])
     c3 -= c2
@@ -216,7 +215,7 @@ def stratified_neg_log(law: NegLogLaw, rng: np.random.Generator,
     c2 -= m[:-1]
     c2 -= c3                                # 3 (y1 - y0) - 2 m0 - m1
     # Horner in each row, into t and then into c3, which it last reads
-    for x, acc in zip(strata[:, lo:hi], (t[:-1], c3)):
+    for x, acc in zip(strata[:, lo:hi], (t, c3)):
         np.multiply(x, c3, out=acc)
         acc += c2
         acc *= x
@@ -233,14 +232,20 @@ def stratified_neg_log(law: NegLogLaw, rng: np.random.Generator,
     return u
 
 
-@functools.lru_cache(maxsize=1)
-def _bound_quantiles(law: NegLogLaw, cells: int) -> np.ndarray:
-    """The cells + 1 stratum bounds' quantiles y_h of a law at w = h /
-    cells, read-only; one table is held, that of the last law and cells."""
+# A table and its slopes take 0.5 MB at 2^15 strata.  A run draws one law
+# per outage_mc call, and NEG_LOG_PRODUCT in every call that draws the
+# misalignment, so the last few laws hold every table the run reuses
+@functools.lru_cache(maxsize=4)
+def _hermite_knots(law: NegLogLaw, cells: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The quantiles y_h of a law at the stratum bounds w = h / cells of
+    the inner strata, h = _EDGE .. cells - _EDGE, and their slopes dy/du
+    (law.slopes), read-only; one pair is held per law and cells."""
     y = np.arange(cells + 1) / cells
     law.quantile(y)
-    y.flags.writeable = False
-    return y
+    y = y[_EDGE:cells - _EDGE + 1].copy()
+    m = law.slopes(y, np.arange(-_EDGE, _EDGE - cells - 1, -1.0), cells)
+    y.flags.writeable = m.flags.writeable = False
+    return y, m
 
 
 def _upper_gamma2_quantile(w: np.ndarray) -> np.ndarray:
@@ -943,9 +948,10 @@ def draw_snr_batch(exp: Experiment, n: int,
 
 
 # theta = TILT_FRACTION times the least rate, r_1 on configs/sweep_outage.cfg,
-# whose 40-50 dB cells (1 M draws) sum (95 % half-width / 1 % of p)^2 to
-# 0.031 at 0.5 r_1, 0.0114 here and 0.095 at r_1, where (2, 2.5) falls
-# to a variance reduction of 9 at 40 dB
+# whose 40-50 dB cells (1 M draws, seeds 1-4, (rho, mu) = (2, 2.5) drawing
+# its fading stratified) sum (95 % half-width / 1 % of p)^2 to 0.0036 at
+# 0.5 r_1, 0.0007 here and 0.0014 at r_1, where (2, 2.5)'s variance
+# reduction at 40 dB falls from about 5 000 here to about 950
 TILT_FRACTION = 0.75
 
 

@@ -22,6 +22,15 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+# One BLAS thread unless the user chose a count: no command does BLAS work
+# large enough for OpenBLAS to thread (np.dot on <= 4096 elements, a 64-node
+# eigvalsh), and starting its pool is about half of numpy's import.  Runs in
+# parallel only through --parallel's processes.  Set before numpy loads, which
+# nothing in the package does ahead of this module.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+        "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 
 from . import __version__, analytics, channel, protocol, validation

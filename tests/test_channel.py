@@ -378,20 +378,25 @@ def test_stratified_neg_log_product_law():
 
 
 def test_stratified_neg_log_product_holds_one_table():
-    # one table of stratum-bound quantiles, that of a full chunk, built
-    # once: a chunk with fewer strata (the last of a run, 16960 draws)
-    # solves for its draws and leaves it in place
-    channel._bound_quantiles.cache_clear()
+    # one table of inner stratum-bound quantiles and their slopes, that of
+    # a full chunk, built once: a chunk with fewer strata (the last of a
+    # run, 16960 draws) solves for its draws and leaves it in place
+    channel._hermite_knots.cache_clear()
     for size in (2 ** 16, 16960, 4321, 2 ** 16 + 1, 2 ** 16):
         channel.stratified_neg_log(channel.NEG_LOG_PRODUCT, RNG(3), size)
-    info = channel._bound_quantiles.cache_info()
+    info = channel._hermite_knots.cache_info()
     assert (info.currsize, info.misses) == (1, 1)
-    table = channel._bound_quantiles(channel.NEG_LOG_PRODUCT, 2 ** 15)
-    assert table.nbytes == 8 * (2 ** 15 + 1) and not table.flags.writeable
-    # a Gamma law's table takes its place: still one held
-    channel.stratified_neg_log(channel.NegLogGamma(1.7), RNG(3), 2 ** 16)
-    info = channel._bound_quantiles.cache_info()
-    assert (info.currsize, info.misses) == (1, 2)
+    knots = channel._hermite_knots(channel.NEG_LOG_PRODUCT, 2 ** 15)
+    for a in knots:
+        assert a.nbytes == 8 * (2 ** 15 - 2 * channel._EDGE + 1)
+        assert not a.flags.writeable
+    # a Gamma law's table joins it, and the product's is not built again:
+    # a sweep alternates the two between (rho, mu) groups
+    for law in (channel.NegLogGamma(1.7), channel.NEG_LOG_PRODUCT,
+                channel.NegLogGamma(1.7)):
+        channel.stratified_neg_log(law, RNG(3), 2 ** 16)
+    info = channel._hermite_knots.cache_info()
+    assert (info.currsize, info.misses) == (2, 2)
 
 
 GAMMA_SHAPES = [0.3, 1.0, 1.7, 3.3, 150.5]

@@ -650,9 +650,10 @@ def test_validate_at_infinite_average_snr(tmp_path):
         (0.0, 0.0, 0.0, True)
 
 
-def run_python(*args, timeout):
-    """Exit code of `python args...` in a fresh interpreter on src/."""
-    env = dict(os.environ)
+def run_python(*args, timeout, env=None):
+    """Exit code of `python args...` in a fresh interpreter on src/, in
+    `env` (default: this process's environment)."""
+    env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC_DIR)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, *args], env=env,
@@ -665,6 +666,62 @@ def test_cli_import_leaves_scipy_stats_unloaded():
             "sys.exit(any(m == 'scipy' or m.startswith('scipy.') "
             "for m in sys.modules))")
     assert run_python("-c", code, timeout=120) == 0
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                    "OMP_NUM_THREADS")
+
+
+def env_without_blas_threads(**given):
+    """This process's environment with no BLAS thread variable but `given`."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    return {**env, **given}
+
+
+@pytest.mark.parametrize("given,expected", [
+    ({}, "1"),
+    ({"OPENBLAS_NUM_THREADS": "3"}, "3"),
+    ({"OMP_NUM_THREADS": "3"}, None),
+    ({"GOTO_NUM_THREADS": "3"}, None),
+], ids=["unset", "openblas", "omp", "goto"])
+def test_cli_starts_numpy_with_one_blas_thread_unless_chosen(given, expected):
+    # starting OpenBLAS's thread pool is about half of numpy's import; cli
+    # sets one thread before it loads numpy, which `import thzra` must not
+    # load first, and keeps a count the user chose by any of the variables
+    code = ("import os, sys, thzra\n"
+            "if 'numpy' in sys.modules: sys.exit('import thzra loaded numpy')\n"
+            "import thzra.cli\n"
+            "got = os.environ.get('OPENBLAS_NUM_THREADS')\n"
+            f"sys.exit(None if got == {expected!r} else "
+            "f'OPENBLAS_NUM_THREADS = {got!r}')")
+    env = env_without_blas_threads(**given)
+    assert run_python("-c", code, timeout=120, env=env) == 0
+
+
+@pytest.mark.parametrize("command,base,old,new", [
+    ("analyze", DEFAULT_CFG, "n_users = 2,5,10,20,40", "n_users = 2,40"),
+    ("simulate", DEFAULT_CFG, "n_users = 2,5,10,20,40", "n_users = 2,10"),
+    ("sweep", SWEEP_CFG, "outage_draws = 2000000", "outage_draws = 70000"),
+    ("validate", fast_validate_text, "k_users = 2,5", "k_users = 2"),
+])
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, command,
+                                                        base, old, new):
+    # the determinism contract: np.dot and eigvalsh must give the same
+    # bytes whether OpenBLAS runs one thread or several
+    text = base() if callable(base) else base.read_text()
+    assert old in text
+    cfg = write_cfg(tmp_path, "small.cfg", text.replace(old, new))
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        assert run_python("-m", "thzra.cli", command, "--config", str(cfg),
+                          "--trials", "100", "--out", str(out), timeout=300,
+                          env=env_without_blas_threads(
+                              OPENBLAS_NUM_THREADS=threads)) == 0
+        outs.append({p.relative_to(out): p.read_bytes()
+                     for p in out.rglob("*")
+                     if p.is_file() and p.name != "run_manifest.json"})
+    assert outs[0] == outs[1] and outs[0]
 
 
 @pytest.mark.parametrize("command,base,old,new,counters", [
