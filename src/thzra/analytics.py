@@ -441,22 +441,22 @@ def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def binomial_cdf(n: int, q: float) -> np.ndarray:
-    """P(K <= k) for k = 0..n of K ~ Binomial(n, q), the running sum of the
-    PMF, which is taken from its logarithm, ln C(n, k) + k ln q +
-    (n - k) ln(1 - q) with ln C(n, k) from math.lgamma, and scaled to sum
-    to 1; q = 0 and q = 1 put all mass on 0 and n."""
+def binomial_pmf(n: int, q: float) -> np.ndarray:
+    """P(K = k) for k = 0..n of K ~ Binomial(n, q), taken from its
+    logarithm, ln C(n, k) + k ln q + (n - k) ln(1 - q) with ln C(n, k) from
+    math.lgamma, and scaled to sum to 1; q = 0 and q = 1 put all mass on 0
+    and n."""
     if q <= 0.0 or q >= 1.0:
         pmf = np.zeros(n + 1)
         pmf[n if q >= 1.0 else 0] = 1.0
-    else:
-        k = np.arange(n + 1.0)
-        log_fact = _exact(math.lgamma, k + 1.0)
-        pmf = log_fact[n] - log_fact - log_fact[::-1]
-        pmf += k * math.log(q) + (n - k) * math.log1p(-q)
-        np.exp(pmf, out=pmf)
-        pmf /= pmf.sum()        # ln n!'s rounding, common to every k
-    return np.cumsum(pmf, out=pmf)
+        return pmf
+    k = np.arange(n + 1.0)
+    log_fact = _exact(math.lgamma, k + 1.0)
+    pmf = log_fact[n] - log_fact - log_fact[::-1]
+    pmf += k * math.log(q) + (n - k) * math.log1p(-q)
+    np.exp(pmf, out=pmf)
+    pmf /= pmf.sum()        # ln n!'s rounding, common to every k
+    return pmf
 
 
 @dataclass(frozen=True)

@@ -967,13 +967,6 @@ class OutageRule:
     stratified: str         # misalignment | fading | none: the drawn
                             # component stratified_neg_log draws
 
-    @property
-    def stream(self) -> int:
-        """The integrated component's substream, which the score draws
-        nothing from, and which QoS admission takes its uniforms from."""
-        return {"absorption": streams.ABSORPTION, "fading": streams.FADING,
-                "misalignment": streams.MISALIGNMENT}[self.integrated]
-
 
 def outage_rule(exp: Experiment) -> OutageRule:
     """The component of least rate r_1 among those with a CDF in the score

@@ -355,7 +355,7 @@ def cmd_validate(cfg: RunConfig, out_dir: Path, manifest: Manifest) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-CELL_SCHEMA = "thzra.sweep.cell.v16"
+CELL_SCHEMA = "thzra.sweep.cell.v17"
 
 
 @dataclass(frozen=True)

@@ -9,21 +9,22 @@ collision slots cost one time unit each, same as success slots.
 
 Batches run in blocks of TRIAL_BLOCK frames with numpy (`admit_users`,
 `contend`), which keep per-frame totals only, never per-slot records.
-Admission draws each frame's admitted count, not each user's SNR: the
-Binomial(N, q) quantile at a stratified uniform, q from the exact SNR
-law (analytics.cdf_snr), so admission draws no channel.
+Admission draws each frame's admitted count, not each user's SNR:
+K ~ Binomial(N, q), q from the exact SNR law (analytics.cdf_snr), so
+admission draws no channel.
 The tests check `contend` against the exact stage law: with k holders
 at probability p a stage ends at its first single-transmitter slot, so
 it lasts Geometric(k p (1-p)^(k-1)) slots.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-from . import analytics, channel, streams
+from . import analytics, streams
 from .params import Experiment
 
 # Frames per block.  Each block owns its admission and contention
@@ -33,24 +34,11 @@ TRIAL_BLOCK = 1024
 
 
 def admit_users(exp: Experiment, block: int, size: int) -> np.ndarray:
-    """QoS admission for `size` frames of one block: admitted-user counts.
-
-    Frame t admits K_t = min{k : F(k) >= W_t}, clipped to N, for F the
-    CDF of Binomial(N, q) (binomial_cdf), q = pass_probability, and W
-    stratified (channel.stratified_uniform: frames t and t + size // 2
-    share a stratum, an odd size's last frame is iid) and drawn from the
-    block's substream (seed, ADMISSION, block, outage_rule's stream).
-    q = 1 (gamma_qos = 0 or an infinite average SNR) admits everyone and
-    q = 0 (a threshold at or above the SNR ceiling) nobody, no draw.
-    """
-    cfg = exp.protocol
-    q = pass_probability(exp)
-    if q in (0.0, 1.0):
-        return np.full(size, cfg.n_total if q else 0, dtype=np.int64)
-    rng = streams.substream(cfg.seed, streams.ADMISSION, block,
-                            channel.outage_rule(exp).stream)
-    return binomial_quantile(analytics.binomial_cdf(cfg.n_total, q),
-                             channel.stratified_uniform(rng, size))
+    """QoS admission for `size` frames of one block: iid admitted-user
+    counts K ~ Binomial(N, q), q = pass_probability, drawn from the block's
+    substream (seed, ADMISSION, block)."""
+    rng = streams.substream(exp.protocol.seed, streams.ADMISSION, block)
+    return rng.binomial(exp.protocol.n_total, pass_probability(exp), size)
 
 
 def pass_probability(exp: Experiment) -> float:
@@ -58,14 +46,6 @@ def pass_probability(exp: Experiment) -> float:
     query = analytics.OutageQuery(exp.protocol.gamma_qos, exp.link.avg_snr,
                                   exp.link.k_h)
     return 1.0 - analytics.cdf_snr(query, exp)
-
-
-def binomial_quantile(cdf: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """min{k : cdf[k] >= w_t} for each w_t, clipped to N = cdf.size - 1
-    where rounding leaves cdf[N] below w_t; w is raised to the smallest
-    positive double, so w = 0 gives the lowest count of positive weight."""
-    k = np.searchsorted(cdf, np.maximum(w, np.nextafter(0.0, 1.0)))
-    return np.minimum(k, cdf.size - 1)
 
 
 def contend(scheme: str, k: np.ndarray, rng: np.random.Generator
@@ -114,8 +94,8 @@ def contend(scheme: str, k: np.ndarray, rng: np.random.Generator
 
 @dataclass(frozen=True)
 class AggregateStats:
-    """Across-trial means with standard errors, from the frame pairs of
-    each admission stratum (run_batch)."""
+    """Across-trial means with standard errors, post-stratified on the
+    admitted count (post_stratified)."""
 
     scheme: str
     n_trials: int
@@ -128,6 +108,40 @@ class AggregateStats:
     mean_k_admitted: float
 
 
+def post_stratified(xs: Sequence[np.ndarray], ks: np.ndarray,
+                    pmf: np.ndarray) -> Iterator[Tuple[float, float]]:
+    """(mean, se) of each array of frame values in xs, post-stratified on
+    the frames' counts ks, of known law pmf (Cochran, Sampling Techniques,
+    3rd ed., 1977, ch. 5A).  Walking k = 0..N up, the counts pool into
+    contiguous runs, each closed once it holds 2 frames; an incomplete
+    last run joins the previous pool, and fewer than 2 frames are one
+    pool.  Pool g weighs W_g = sum of pmf over its counts: mean = sum W_g
+    xbar_g and se^2 = sum W_g^2 s_g^2 / n_g, s_g at ddof 1 and 0 where
+    n_g < 2.  The values are centred on the first, as StratifiedMean
+    centres them, which keeps settled means bit-identical to v16 cells."""
+    counts = np.bincount(ks, minlength=pmf.size)
+    ends, run = [], 0
+    for k, c in enumerate(counts.tolist()):
+        run += c
+        if run >= 2:
+            ends.append(k)
+            run = 0
+    pool_of = np.minimum(np.searchsorted(ends, np.arange(pmf.size)),
+                         max(len(ends) - 1, 0))
+    weight = np.bincount(pool_of, pmf)
+    n = np.maximum(np.bincount(pool_of, counts), 1.0)
+    pool = pool_of[ks]
+    for x in xs:
+        d = x.astype(float)
+        centre = float(d[0])
+        d -= centre
+        mean = np.bincount(pool, d, weight.size) / n
+        d -= mean[pool]
+        s2 = np.bincount(pool, d * d, weight.size) / np.maximum(n - 1.0, 1.0)
+        yield (centre + float(weight @ mean),
+               math.sqrt(float(weight ** 2 @ (s2 / n))))
+
+
 def run_batch(exp: Experiment) -> Tuple[AggregateStats, Tuple[np.ndarray, ...]]:
     """Run `trials` frames; deterministic given (seed, config).
 
@@ -136,15 +150,12 @@ def run_batch(exp: Experiment) -> Tuple[AggregateStats, Tuple[np.ndarray, ...]]:
     unit energy.
 
     Block b of TRIAL_BLOCK frames draws admission from the substream
-    (seed, ADMISSION, b, c) and contention from (seed, PROTOCOL, b), so
+    (seed, ADMISSION, b) and contention from (seed, PROTOCOL, b), so
     the aggregate is independent of execution order.
     K_admitted = 0 frames contribute zero delay/energy and stay in the
-    averages.  Where 0 < q < 1, frames t and t + m // 2 of a block of m
-    share a stratum of its uniform, so they are not
-    independent: each mean and its se come from those pairs, blocks
-    merged by size (channel.StratifiedMean), which stay unbiased where
-    the threshold settles admission and the frames are iid.  Each mean
-    is the plain average of the frames.
+    averages.  The frames are iid; each mean is post-stratified on K's
+    law, Binomial(N, q), which is the plain mean with its iid se where
+    the threshold settles admission (q = 0 or 1).
     """
     cfg = exp.protocol
     ks = np.empty(cfg.trials, dtype=np.int64)
@@ -161,13 +172,9 @@ def run_batch(exp: Experiment) -> Tuple[AggregateStats, Tuple[np.ndarray, ...]]:
     # e_idle per holder waiting out a slot
     en = cfg.energy
     e_uj = en.e_tx_uj * txs + en.e_ack_uj * ks + en.e_idle_uj * waits
-    moments = []
-    for x in (slots, txs, e_uj, ks):
-        mean = channel.StratifiedMean()
-        for lo in range(0, x.size, TRIAL_BLOCK):    # add writes into a copy
-            mean.add(x[lo:lo + TRIAL_BLOCK].astype(float))
-        moments.append(mean.estimate())
-    (d, d_se), (t, t_se), (e, e_se), (k, _) = moments
+    pmf = analytics.binomial_pmf(cfg.n_total, pass_probability(exp))
+    (d, d_se), (t, t_se), (e, e_se), (k, _) = post_stratified(
+        (slots, txs, e_uj, ks), ks, pmf)
     stats = AggregateStats(
         scheme=cfg.scheme, n_trials=cfg.trials,
         mean_delay=d, se_delay=d_se,
