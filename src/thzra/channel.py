@@ -555,18 +555,19 @@ def fading_mixture(fp: FadingParams) -> Tuple[float, float, float, float]:
 def fading_index(fp: FadingParams, rng: np.random.Generator,
                  size: int) -> Tuple[float, Union[int, np.ndarray]]:
     """(r, M): fading_mixture's rate and `size` draws of its index M, each
-    part drawn only where its rate is positive (J_s, J_b where kappa > 0,
-    K where p < 1), so that alpha-mu draws nothing and M is 0."""
+    part drawn only where its rate is positive (J_b where kappa > 0, J_s +
+    K where kappa > 0 or p < 1), so that alpha-mu draws nothing and M is 0.
+    NegBin(n, p) is Poisson((1 - p)/p Gamma(n)), so given J_b the sum J_s
+    + K is one Poisson draw at the rate a_s + (1 - p)/p Gamma(mu/2 + J_b)."""
     r, a_s, a_b, p = fading_mixture(fp)
-    index = j_b = 0
-    if a_s > 0.0:
-        index = rng.poisson(a_s, size)
-    if a_b > 0.0:
-        j_b = rng.poisson(a_b, size)
-        index = index + j_b
+    j_b = rng.poisson(a_b, size) if a_b > 0.0 else 0
+    rate = a_s
     if p < 1.0:
-        index = index + rng.negative_binomial(0.5 * fp.mu + j_b, p, size)
-    return r, index
+        rate = rate + (1.0 - p) / p * rng.standard_gamma(0.5 * fp.mu + j_b,
+                                                         size)
+    if a_s > 0.0 or p < 1.0:
+        return r, rng.poisson(rate, size) + j_b
+    return r, j_b
 
 
 def fading_power(fp: FadingParams, rng: np.random.Generator,

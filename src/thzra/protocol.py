@@ -7,7 +7,7 @@ scheme's probability; exactly one transmitter is a success (that user
 leaves the pool), two or more collide, zero is an idle slot.  Idle and
 collision slots cost one time unit each, same as success slots.
 
-Batches run in blocks of TRIAL_BLOCK frames with numpy (`admit_users`,
+A batch draws all its frames in one pass with numpy (`admit_users`,
 `contend`), which keep per-frame totals only, never per-slot records.
 Admission draws each frame's admitted count, not each user's SNR:
 K ~ Binomial(N, q), q from the exact SNR law (analytics.cdf_snr), so
@@ -27,18 +27,14 @@ import numpy as np
 from . import analytics, streams
 from .params import Experiment
 
-# Frames per block.  Each block owns its admission and contention
-# substreams, so memory stays bounded for any trial count and results do
-# not depend on how blocks are scheduled.
-TRIAL_BLOCK = 1024
 
-
-def admit_users(exp: Experiment, block: int, size: int) -> np.ndarray:
-    """QoS admission for `size` frames of one block: iid admitted-user
-    counts K ~ Binomial(N, q), q = pass_probability, drawn from the block's
-    substream (seed, ADMISSION, block)."""
-    rng = streams.substream(exp.protocol.seed, streams.ADMISSION, block)
-    return rng.binomial(exp.protocol.n_total, pass_probability(exp), size)
+def admit_users(exp: Experiment, q: float) -> np.ndarray:
+    """QoS admission for the batch's `trials` frames: iid admitted-user
+    counts K ~ Binomial(N, q), q = pass_probability, drawn from the
+    substream (seed, ADMISSION, 0)."""
+    cfg = exp.protocol
+    rng = streams.substream(cfg.seed, streams.ADMISSION, 0)
+    return rng.binomial(cfg.n_total, q, cfg.trials)
 
 
 def pass_probability(exp: Experiment) -> float:
@@ -149,30 +145,26 @@ def run_batch(exp: Experiment) -> Tuple[AggregateStats, Tuple[np.ndarray, ...]]:
     transmissions, energy in uJ); the transmissions are also the frame's
     unit energy.
 
-    Block b of TRIAL_BLOCK frames draws admission from the substream
-    (seed, ADMISSION, b) and contention from (seed, PROTOCOL, b), so
-    the aggregate is independent of execution order.
+    Admission draws from the substream (seed, ADMISSION, 0) and
+    contention from (seed, PROTOCOL, 0), each once for all frames.
     K_admitted = 0 frames contribute zero delay/energy and stay in the
     averages.  The frames are iid; each mean is post-stratified on K's
     law, Binomial(N, q), which is the plain mean with its iid se where
     the threshold settles admission (q = 0 or 1).
     """
     cfg = exp.protocol
-    ks = np.empty(cfg.trials, dtype=np.int64)
-    slots = np.empty(cfg.trials, dtype=np.int64)
-    txs = np.empty(cfg.trials, dtype=np.int64)
-    waits = np.empty(cfg.trials, dtype=np.int64)
-    for block, lo in enumerate(range(0, cfg.trials, TRIAL_BLOCK)):
-        hi = min(lo + TRIAL_BLOCK, cfg.trials)
-        ks[lo:hi] = admit_users(exp, block, hi - lo)
-        rng = streams.substream(cfg.seed, streams.PROTOCOL, block)
-        slots[lo:hi], txs[lo:hi], waits[lo:hi] = contend(cfg.scheme,
-                                                         ks[lo:hi], rng)
+    q = pass_probability(exp)
+    # key 0 on both substreams is the first of the 1024-frame blocks that
+    # batches were once split into, so a batch of at most 1024 frames
+    # draws the same frames it drew then
+    ks = admit_users(exp, q)
+    slots, txs, waits = contend(
+        cfg.scheme, ks, streams.substream(cfg.seed, streams.PROTOCOL, 0))
     # e_tx per transmission, e_ack per success (one per admitted user),
     # e_idle per holder waiting out a slot
     en = cfg.energy
     e_uj = en.e_tx_uj * txs + en.e_ack_uj * ks + en.e_idle_uj * waits
-    pmf = analytics.binomial_pmf(cfg.n_total, pass_probability(exp))
+    pmf = analytics.binomial_pmf(cfg.n_total, q)
     (d, d_se), (t, t_se), (e, e_se), (k, _) = post_stratified(
         (slots, txs, e_uj, ks), ks, pmf)
     stats = AggregateStats(

@@ -3,10 +3,10 @@ goodness-of-fit, outage curves with confidence intervals, exhaustive
 bound sweeps and simulator-vs-series agreement.
 
 Every routine runs on numpy and the standard library: the chi-square
-tail is channel.gammaincc, its quantile and the chi-square bin edges come
-from one array bisection routine, and the normal quantile from
-statistics.NormalDist, so validate, like every command, loads no scipy
-module (importing scipy.special alone takes about 0.2 s).
+tail is channel.gammaincc, its quantile a bisection of that tail, and the
+normal quantile from statistics.NormalDist, so validate, like every
+command, loads no scipy module (importing scipy.special alone takes about
+0.2 s).
 """
 from __future__ import annotations
 
@@ -50,22 +50,17 @@ def ks_compare(samples: np.ndarray, cdf: Callable) -> GofReport:
     return GofReport(d, threshold, d < threshold)
 
 
-def chi_square_compare(samples: np.ndarray, cdf: Callable, support: Tuple[float, float]
-                       ) -> GofReport:
+def chi_square_compare(samples: np.ndarray, cdf: Callable) -> GofReport:
     """Equal-probability-bin chi-square test against an analytic CDF.
 
-    Bin edges are found by bisecting the CDF, which maps an array to an
-    array; passes when the p-value exceeds CHI2_P_FLOOR (statistic below
-    the matching chi2 quantile).
+    The probability integral transform u = cdf(x) of the samples is
+    counted in equal cells of [0, 1]; passes when the p-value exceeds
+    CHI2_P_FLOOR (statistic below the matching chi2 quantile).
     """
-    x = np.asarray(samples, dtype=float)
-    n = x.size
+    u = np.asarray(cdf(np.asarray(samples, dtype=float)), dtype=float)
+    n = u.size
     n_bins = max(4, min(50, n // (5 * CHI2_MIN_EXPECTED)))
-    q = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
-    inner = _bisect(lambda mid: cdf(mid) < q, np.full(q.size, support[0]),
-                    np.full(q.size, support[1]))
-    counts, _ = np.histogram(x, bins=np.concatenate(
-        [[support[0]], inner, [support[1]]]))
+    counts, _ = np.histogram(u, bins=n_bins, range=(0.0, 1.0))
     expected = n / n_bins
     stat = float(np.sum((counts - expected) ** 2 / expected))
     threshold = chi2_threshold(n_bins - 1, CHI2_P_FLOOR)
@@ -75,33 +70,18 @@ def chi_square_compare(samples: np.ndarray, cdf: Callable, support: Tuple[float,
 
 def chi2_threshold(df: int, p: float) -> float:
     """The x with chi-square tail Q(df/2, x/2) = p for 0 < p < 1, bisected
-    to 4.5e-16 x, about two ulps; bisecting the tail itself keeps a small
-    p's relative accuracy, which 1 - p would lose."""
-    hi = float(df)
-    while channel.gammaincc(df / 2.0, hi / 2.0) > p:
+    until the bracket is below 4.5e-16 x, about two ulps; bisecting the
+    tail itself keeps a small p's relative accuracy, which 1 - p would
+    lose."""
+    def above(x):                   # the root lies above x
+        return channel.gammaincc(df / 2.0, x / 2.0) > p
+
+    lo, hi = 0.0, float(df)
+    while above(hi):
         hi *= 2.0
-    x = _bisect(lambda mid: channel.gammaincc(df / 2.0, mid / 2.0) > p,
-                np.zeros(1), np.array([hi]), tol=4.5e-16)
-    return float(x[0])
-
-
-def _bisect(above, lo, hi, tol=1e-12):
-    """Bisect the brackets [lo, hi] of a monotone root problem as one array.
-
-    above(mid) is True where the root lies above mid.  Each element stops
-    once hi - lo < tol * |hi|, relative at every scale (a path gain's bin
-    edges can all lie below 1e-12), and keeps its bracket from then on, so
-    every element ends as a bisection of it alone would.
-    """
-    live = np.ones(lo.shape, dtype=bool)
-    for _ in range(200):
+    while hi - lo >= 4.5e-16 * hi:
         mid = 0.5 * (lo + hi)
-        up = above(mid)
-        lo = np.where(live & up, mid, lo)
-        hi = np.where(live & ~up, mid, hi)
-        live &= hi - lo >= tol * np.abs(hi)
-        if not live.any():
-            break
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
     return 0.5 * (lo + hi)
 
 

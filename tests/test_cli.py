@@ -238,7 +238,7 @@ def test_eta_mu_fading_at_a_real_mu_runs(tmp_path):
     assert len(cells) == 4
     for cell in cells:
         schema, header, rows = read_rows(cell)
-        assert schema.startswith("#schema: thzra.sweep.cell.v17 ")
+        assert schema.startswith("#schema: thzra.sweep.cell.v18 ")
         assert all(float(r[header.index("tilt")]) > 0.0 for r in rows)
         # eta-mu fading stays iid; a drawn misalignment is stratified
         for r in rows:
@@ -841,24 +841,26 @@ def test_sweep_grid_and_resume(tmp_path):
     # with deterministic absorption), a v13 cell (protocol admission
     # drawn with eta-mu or kappa-mu fading), a v14 cell (eta-mu and
     # kappa-mu fading drawn untilted), a v15 cell (alpha-mu fading drawn
-    # iid where misalignment is integrated out) and a v16 cell (protocol
-    # admission by a stratified Binomial quantile) below
+    # iid where misalignment is integrated out), a v16 cell (protocol
+    # admission by a stratified Binomial quantile) and a v17 cell
+    # (protocol frames in blocks of 1024, the fading index's K drawn
+    # negative binomial) below
     schema = before[cells[4].name].decode().splitlines()[0]
-    assert schema.startswith("#schema: thzra.sweep.cell.v17 digest=")
+    assert schema.startswith("#schema: thzra.sweep.cell.v18 digest=")
     for i, old in ((0, ".v6 "), (1, ".v8 "), (2, ".v7 "), (5, ".v9 ")):
-        cells[i].write_text(schema.replace(".v17 ", old) + "\n"
+        cells[i].write_text(schema.replace(".v18 ", old) + "\n"
                             + before[cells[i].name].decode().split("\n", 1)[1])
-    cells[4].write_text(schema.replace(".v17 ", ".v2 ")
+    cells[4].write_text(schema.replace(".v18 ", ".v2 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,outage_draws"
                         "\n2,3,0.5,0.4,0.6,20000\n")
-    cells[6].write_text(schema.replace(".v17 ", ".v3 ")
+    cells[6].write_text(schema.replace(".v18 ", ".v3 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,p_out_se,vrf,"
                         "outage_draws\n3,2,0.5,0.4,0.6,0.05,2.0,20000\n")
-    cells[7].write_text(schema.replace(".v17 ", ".v4 ")
+    cells[7].write_text(schema.replace(".v18 ", ".v4 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,p_out_se,vrf,"
                         "conditioned,outage_draws\n3,3,0.5,0.4,0.6,0.05,2.0,"
                         "misalignment,20000\n")
-    cells[8].write_text(schema.replace(".v17 ", ".v5 ")
+    cells[8].write_text(schema.replace(".v18 ", ".v5 ")
                         + "\nmu,rho,p_out,p_out_ci_lo,p_out_ci_hi,p_out_se,vrf,"
                         "conditioned,outage_draws\n3,4,0.5,0.4,0.6,0.05,2.0,"
                         "fading,20000\n")
@@ -870,14 +872,14 @@ def test_sweep_grid_and_resume(tmp_path):
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert len(manifest["outputs"]) == 9
     for i, old in ((0, ".v10 "), (1, ".v11 "), (2, ".v12 "), (3, ".v13 "),
-                   (5, ".v14 "), (6, ".v15 "), (7, ".v16 ")):
-        cells[i].write_text(schema.replace(".v17 ", old) + "\n"
+                   (5, ".v14 "), (6, ".v15 "), (7, ".v16 "), (8, ".v17 ")):
+        cells[i].write_text(schema.replace(".v18 ", old) + "\n"
                             + before[cells[i].name].decode().split("\n", 1)[1])
     assert cli.main(["sweep", "--config", str(cfg), "--seed", "9",
                      "--out", str(out)]) == 0
     assert cell_bytes(out) == before
     manifest = json.loads((out / "run_manifest.json").read_text())
-    assert manifest["counters"] == sweep_counters(7, 2, 0, 20000)
+    assert manifest["counters"] == sweep_counters(8, 1, 0, 20000)
 
     # an unchanged rerun reuses every cell: no file is rewritten
     stamps = cell_stamps(out)

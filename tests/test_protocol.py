@@ -178,15 +178,15 @@ def test_realistic_energy_decomposition():
 # ---------------------------------------------------------------------------
 
 def test_admission_zero_threshold_admits_all():
-    exp = make_experiment(n_total=57, gamma_qos=0.0)
-    k = protocol.admit_users(exp, block=0, size=4)
+    exp = make_experiment(n_total=57, gamma_qos=0.0, trials=4)
+    k = protocol.admit_users(exp, protocol.pass_probability(exp))
     assert k.tolist() == [57] * 4
 
 
 def test_admission_above_ceiling_admits_none():
     # gamma_qos >= 1/k_h^2 = 50 can never be exceeded
-    exp = make_experiment(n_total=1000, gamma_qos=55.0)
-    k = protocol.admit_users(exp, block=0, size=3)
+    exp = make_experiment(n_total=1000, gamma_qos=55.0, trials=3)
+    k = protocol.admit_users(exp, protocol.pass_probability(exp))
     assert k.tolist() == [0] * 3
 
 
@@ -204,10 +204,11 @@ def test_admission_fraction_matches_kappa_mu_law(monkeypatch):
     # the Binomial quantile at the law's q, which scipy's quadrature
     # confirms, with no channel draw and no user cap
     forbid_channel_draws(monkeypatch)
-    exp = kappa_mu_experiment(n_total=100_000, gamma_qos=10 ** 0.5)
-    k = protocol.admit_users(exp, block=3, size=4)
-    n = exp.protocol.n_total * k.size
+    exp = kappa_mu_experiment(n_total=100_000, gamma_qos=10 ** 0.5,
+                              trials=4)
     p_adm = scipy_pass_probability(exp)
+    k = protocol.admit_users(exp, protocol.pass_probability(exp))
+    n = exp.protocol.n_total * k.size
     se = math.sqrt(p_adm * (1 - p_adm) / n)
     assert abs(k.sum() / n - p_adm) <= 3 * se
 
@@ -237,19 +238,19 @@ def test_law_admission_draws_no_channel_at_any_user_count(monkeypatch):
     # with fading off too, N = 100 000 users take the Binomial quantile,
     # with no channel draw and no user cap
     forbid_channel_draws(monkeypatch)
-    exp = make_experiment(n_total=100_000, gamma_qos=10 ** 0.5)
+    exp = make_experiment(n_total=100_000, gamma_qos=10 ** 0.5, trials=4)
     q = protocol.pass_probability(exp)
     assert q == 1.0 - analytics.cdf_snr_no_fading(
         analytics.OutageQuery(10 ** 0.5, exp.link.avg_snr, exp.link.k_h),
         exp.absorption, exp.misalignment.rho, exp.link)
-    k = protocol.admit_users(exp, block=3, size=4)
+    k = protocol.admit_users(exp, q)
     n = exp.protocol.n_total
     assert abs(k.mean() - n * q) <= 3 * math.sqrt(n * q * (1 - q) / k.size)
 
 
 def test_admission_draws_its_block_binomial(monkeypatch):
     # frame t admits the t-th Binomial(N, q) draw of the substream
-    # (seed, ADMISSION, block), and the outage rule plays no part in it
+    # (seed, ADMISSION, 0), and the outage rule plays no part in it
     def no_rule(exp):
         raise AssertionError("admission read the outage rule")
 
@@ -257,19 +258,38 @@ def test_admission_draws_its_block_binomial(monkeypatch):
     exp = make_experiment(n_total=12, gamma_qos=10 ** 1.65, seed=21)
     q = protocol.pass_probability(exp)
     assert 0.0 < q < 1.0
-    for block, size in ((0, 1), (2, 7), (5, 1024)):
-        want = streams.substream(21, streams.ADMISSION, block).binomial(
-            12, q, size)
-        np.testing.assert_array_equal(protocol.admit_users(exp, block, size),
-                                      want)
+    for trials in (1, 7, 1024, 1025):
+        want = streams.substream(21, streams.ADMISSION, 0).binomial(
+            12, q, trials)
+        np.testing.assert_array_equal(
+            protocol.admit_users(exp.with_protocol(trials=trials), q), want)
     protocol.run_batch(exp.with_protocol(trials=50))
+
+
+@pytest.mark.parametrize("scheme", ["ftp", "atp", "optimal"])
+def test_batch_draws_each_row_in_one_pass(scheme):
+    # 2 * 1024 + 77 frames: the counts are one Binomial(N, q) draw of
+    # (seed, ADMISSION, 0), and the slots and transmissions contend's on
+    # one (seed, PROTOCOL, 0) stream over all frames
+    trials = 2125
+    exp = make_experiment(scheme=scheme, n_total=10, gamma_qos=10 ** 1.65,
+                          trials=trials, seed=13)
+    q = protocol.pass_probability(exp)
+    ks, slots, txs, _ = protocol.run_batch(exp)[1]
+    want_ks = streams.substream(13, streams.ADMISSION, 0).binomial(
+        10, q, trials)
+    np.testing.assert_array_equal(ks, want_ks)
+    want_slots, want_txs, _ = protocol.contend(
+        scheme, want_ks, streams.substream(13, streams.PROTOCOL, 0))
+    np.testing.assert_array_equal(slots, want_slots)
+    np.testing.assert_array_equal(txs, want_txs)
 
 
 def test_drawn_block_admission_counts_are_binomial():
     # kappa-mu fading, a channel the Gaussian-cluster sampler draws: its
-    # per-frame counts over several blocks ~ Binomial(N, q) as well, q by
+    # per-frame counts over 4096 frames ~ Binomial(N, q) as well, q by
     # scipy's quadrature
-    n_users, trials = 40, 4 * protocol.TRIAL_BLOCK
+    n_users, trials = 40, 4096
     exp = kappa_mu_experiment(scheme="optimal", n_total=n_users,
                               gamma_qos=10 ** 0.5, trials=trials, seed=8)
     ks = protocol.run_batch(exp)[1][0]
@@ -282,8 +302,8 @@ def test_drawn_block_admission_counts_are_binomial():
 
 
 def test_block_admission_counts_are_binomial():
-    # per-frame admitted counts over several blocks ~ Binomial(N, q)
-    n_users, trials = 40, 4 * protocol.TRIAL_BLOCK
+    # per-frame admitted counts over 4096 frames ~ Binomial(N, q)
+    n_users, trials = 40, 4096
     exp = make_experiment(scheme="optimal", n_total=n_users,
                           gamma_qos=10 ** 0.5, trials=trials, seed=8)
     ks = protocol.run_batch(exp)[1][0]
@@ -383,10 +403,9 @@ def post_stratified_estimate(x, ks, n, q):
     return mean, math.sqrt(var)
 
 
-@pytest.mark.parametrize("trials", [1, 2, 3, 401, protocol.TRIAL_BLOCK + 1,
-                                    2 * protocol.TRIAL_BLOCK + 77])
+@pytest.mark.parametrize("trials", [1, 2, 3, 401, 1025, 2125])
 def test_stratified_aggregate_on_odd_and_many_blocks(trials):
-    # odd block sizes, a lone last frame and several blocks: finite se,
+    # odd batch sizes, a lone frame and batches past 1024 frames: finite se,
     # each mean and se the post-stratified ones of the per-frame arrays
     # that --dump-trials writes, and optimal's delay its admitted count
     exp = make_experiment(scheme="ftp", n_total=10, gamma_qos=10 ** 1.65,
@@ -427,7 +446,7 @@ def test_settled_admission_se_is_calibrated(scheme, n_users):
 
 
 # ---------------------------------------------------------------------------
-# block kernel against the exact stage law
+# contention kernel against the exact stage law
 # ---------------------------------------------------------------------------
 
 def frame_law(scheme, K, n_max):
